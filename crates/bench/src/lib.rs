@@ -1,8 +1,8 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every table and figure in the paper's evaluation has a corresponding
-//! binary in `src/bin/` (see DESIGN.md's experiment index); this module
-//! holds the scaling / timing / output plumbing they share.
+//! binary in `src/bin/`; this module holds the scaling / timing / output
+//! plumbing they share.
 //!
 //! All binaries run **scaled-down sizes by default** so the whole harness
 //! completes in minutes on a laptop; pass `--full` for paper-scale runs.

@@ -10,8 +10,13 @@
 //! 1. flush every undo-logged location (coalesced by cache line), fence,
 //!    publish sequence range `(2,4)`;
 //! 2. copy every redo entry to its target (straight from the log memory —
-//!    zero-copy), flush, fence, publish `(4,4)`;
-//! 3. the transaction is complete; the log is reset.
+//!    zero-copy), flush, fence. The entries come from the writer's own
+//!    DRAM-cursor extents ([`LogWriter::written`]) and are not re-verified:
+//!    this process checksummed them when it appended them, and hashing a
+//!    megabyte of log a second time was most of a large commit. A
+//!    transaction that redo-logged nothing ([`LogWriter::redo_entries`] is
+//!    zero) skips the stage without reading a single entry;
+//! 3. the transaction is complete; the log is reset (publishing `(4,4)`).
 //!
 //! # Persist cost of the hot path
 //!
@@ -46,8 +51,8 @@ use crate::client::{ClientInner, ThreadLogHandle};
 use crate::error::{Error, Result};
 use crate::interval::IntervalSet;
 use puddles_logfmt::{
-    chain_iter, replay_chain, segment_payload_capacity, DirectMemoryTarget, EntryKind, LogWriter,
-    ReplayOrder, RANGE_REDO, SEQ_REDO, SEQ_UNDO,
+    replay_chain, segment_payload_capacity, DirectMemoryTarget, EntryKind, LogWriter, ReplayOrder,
+    RANGE_REDO, SEQ_REDO, SEQ_UNDO,
 };
 use puddles_pmem::failpoint;
 use puddles_pmem::persist;
@@ -262,6 +267,12 @@ impl<'c> Transaction<'c> {
         self.writer.num_entries()
     }
 
+    /// Of [`Transaction::entries`], the redo entries: what commit's second
+    /// stage will apply (zero: the stage reads nothing).
+    pub fn redo_entries(&self) -> u64 {
+        self.writer.redo_entries()
+    }
+
     /// Number of log puddles backing this transaction's log chain
     /// (1 = no chaining has happened yet).
     pub fn chain_segments(&self) -> usize {
@@ -307,29 +318,32 @@ impl<'c> Transaction<'c> {
 
         // Stage 2: apply the redo entries in logging order, copying each
         // payload straight out of the log memory (zero-copy), stitched
-        // across every chained segment.
-        let mut applied = 0usize;
-        for (hdr, data) in chain_iter(self.writer.chain()) {
-            if !RANGE_REDO.contains(hdr.seq) {
-                continue;
+        // across every chained segment. Nothing redo-logged: nothing to
+        // read, flush or fence.
+        if self.writer.redo_entries() > 0 {
+            let mut applied = 0usize;
+            for (hdr, data) in self.writer.written() {
+                if !RANGE_REDO.contains(hdr.seq) {
+                    continue;
+                }
+                // SAFETY: the application redo-logged this address inside
+                // the transaction, asserting it owns a writable mapping of
+                // it; the log memory and the target never overlap (log
+                // puddles hold no application data).
+                unsafe {
+                    std::ptr::copy_nonoverlapping(data.as_ptr(), hdr.addr as *mut u8, data.len());
+                }
+                persist::flush(hdr.addr as *const u8, data.len());
+                applied += 1;
+                if applied == 1 && failpoint::should_fail(failpoint::names::COMMIT_MID_REDO_APPLY) {
+                    persist::sfence();
+                    return Err(Error::CrashInjected(
+                        failpoint::names::COMMIT_MID_REDO_APPLY,
+                    ));
+                }
             }
-            // SAFETY: the application redo-logged this address inside the
-            // transaction, asserting it owns a writable mapping of it; the
-            // log memory and the target never overlap (log puddles hold no
-            // application data).
-            unsafe {
-                std::ptr::copy_nonoverlapping(data.as_ptr(), hdr.addr as *mut u8, data.len());
-            }
-            persist::flush(hdr.addr as *const u8, data.len());
-            applied += 1;
-            if applied == 1 && failpoint::should_fail(failpoint::names::COMMIT_MID_REDO_APPLY) {
-                persist::sfence();
-                return Err(Error::CrashInjected(
-                    failpoint::names::COMMIT_MID_REDO_APPLY,
-                ));
-            }
+            persist::sfence();
         }
-        persist::sfence();
         if failpoint::should_fail(failpoint::names::COMMIT_BEFORE_INVALIDATE) {
             return Err(Error::CrashInjected(
                 failpoint::names::COMMIT_BEFORE_INVALIDATE,

@@ -25,11 +25,11 @@ struct ListRoot {
 }
 impl_pm_type!(ListRoot, "pool_tx::ListRoot", [head => Node]);
 
-/// Serializes the tests that arm process-global failpoints AND the
-/// append-heavy chaining tests: an armed countdown (e.g. `LOG_APPEND_CRASH`
-/// after N) decrements on every append from any thread, so a concurrently
-/// running transaction-heavy test would otherwise consume it (or crash on
-/// it) and make both tests flaky.
+/// Serializes the tests that arm failpoints AND the append-heavy chaining
+/// tests. The arms are thread-scoped (`arm_scoped`), so a transaction on
+/// another test's thread — not every test takes this lock — can neither
+/// consume a countdown (e.g. `LOG_APPEND_CRASH` after N) nor crash on it;
+/// the lock keeps `clear_all` of one test from disarming another's.
 fn failpoint_lock() -> parking_lot::MutexGuard<'static, ()> {
     static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
     LOCK.lock()
@@ -273,7 +273,7 @@ fn crash_during_commit_is_recovered_by_the_system() {
 
             // A hybrid transaction: undo-logged update of `value`,
             // redo-logged update of `touched`; crash at the chosen stage.
-            failpoint::arm(fp, 0);
+            failpoint::arm_scoped(fp, 0);
             let err = pool
                 .tx(|tx| {
                     let c = pool.deref_mut(root)?;
@@ -352,7 +352,7 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
             .unwrap();
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
             let err = pool
                 .tx(|tx| {
                     let c = pool.deref_mut(root)?;
@@ -378,6 +378,108 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
             "n={n}: touched must be rolled back / untouched"
         );
     }
+}
+
+#[test]
+fn torn_append_is_cut_off_by_the_recovery_scan() {
+    use puddles_pmem::failpoint;
+    let _guard = failpoint_lock();
+
+    // The third append is torn (header durable, last payload byte not): the
+    // recovery scan must stop in front of it and roll back exactly the two
+    // intact undo entries. Were the torn entry accepted, its damaged last
+    // byte would be copied over the region.
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path());
+    let region;
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        let client = PuddleClient::connect_local(&daemon).unwrap();
+        let pool = client.create_pool("torn", PoolOptions::default()).unwrap();
+        pool.tx(|tx| {
+            pool.create_root(
+                tx,
+                Counter {
+                    value: 10,
+                    touched: 20,
+                },
+            )
+        })
+        .unwrap();
+        region = pool.tx(|tx| pool.alloc_raw(tx, 64, 0)).unwrap();
+        // SAFETY: a fresh 64-byte allocation in a writable mapping.
+        unsafe { std::ptr::write_bytes(region as *mut u8, 0x5A, 64) };
+        let root: PmPtr<Counter> = pool.root().unwrap();
+
+        failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 2);
+        let err = pool
+            .tx(|tx| {
+                let c = pool.deref_mut(root)?;
+                tx.set(&mut c.value, 111)?;
+                tx.set(&mut c.touched, 222)?;
+                tx.add_range(region, 64) // torn: this append is the crash
+            })
+            .unwrap_err();
+        failpoint::clear_all();
+        assert!(err.is_injected_crash(), "got {err}");
+    }
+
+    let daemon = Daemon::start(config.no_auto_recover()).unwrap();
+    let client = PuddleClient::connect_local(&daemon).unwrap();
+    let report = client.recover().unwrap();
+    assert_eq!(report.entries_applied, 2, "{report:?}");
+    let pool = client.open_pool("torn").unwrap();
+    let root: PmPtr<Counter> = pool.root().unwrap();
+    let c = pool.deref(root).unwrap();
+    assert_eq!((c.value, c.touched), (10, 20));
+    pool.ensure_mapped(region as u64).unwrap();
+    // SAFETY: the 64-byte allocation, mapped just above.
+    let bytes = unsafe { std::slice::from_raw_parts(region as *const u8, 64) };
+    assert!(bytes.iter().all(|&b| b == 0x5A), "torn entry was replayed");
+}
+
+#[test]
+fn undo_only_transaction_gives_the_redo_stage_nothing_to_read() {
+    let (_tmp, _config, _daemon, client) = setup();
+    let pool = client.create_pool("undo", PoolOptions::default()).unwrap();
+    pool.tx(|tx| {
+        pool.create_root(
+            tx,
+            Counter {
+                value: 1,
+                touched: 0,
+            },
+        )
+    })
+    .unwrap();
+    let root: PmPtr<Counter> = pool.root().unwrap();
+    // Commit walks the log only when this count is non-zero.
+    pool.tx(|tx| {
+        let c = pool.deref_mut(root)?;
+        tx.set(&mut c.value, 2)?;
+        tx.set(&mut c.touched, 3)?;
+        assert_eq!(tx.entries(), 2);
+        assert_eq!(tx.redo_entries(), 0);
+        Ok(())
+    })
+    .unwrap();
+    let c = pool.deref(root).unwrap();
+    assert_eq!((c.value, c.touched), (2, 3));
+    // The count follows redo logging, and starts over with each transaction.
+    for _ in 0..2 {
+        pool.tx(|tx| {
+            let c = pool.deref_mut(root)?;
+            assert_eq!(tx.redo_entries(), 0);
+            tx.set(&mut c.value, 4)?;
+            tx.redo_set(&c.touched, 5u64)?;
+            tx.redo_set(&c.touched, 6u64)?;
+            assert_eq!((tx.entries(), tx.redo_entries()), (3, 2));
+            Ok(())
+        })
+        .unwrap();
+    }
+    let c = pool.deref(root).unwrap();
+    assert_eq!((c.value, c.touched), (4, 6));
 }
 
 #[test]
@@ -749,7 +851,7 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
             addr = chain_crash_setup(&client, &pool);
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(fp, 0);
+            failpoint::arm_scoped(fp, 0);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
             failpoint::clear_all();
             assert!(err.is_injected_crash(), "{fp}: got {err}");
@@ -782,6 +884,71 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
 }
 
 #[test]
+fn mixed_chained_transaction_rolls_forward_from_the_redo_stage() {
+    use puddles_pmem::failpoint;
+    let _guard = failpoint_lock();
+
+    // Undo and redo entries interleaved across several 64 KiB segments; the
+    // crash hits after the redo stage was published, before or one entry
+    // into the apply (which walks the writer's own extents, unverified).
+    // Recovery must roll the whole transaction forward: the undo-logged
+    // in-place writes stay, every redo entry lands.
+    const CHUNK: usize = 16 * 1024;
+    for fp in [
+        failpoint::names::COMMIT_BEFORE_REDO_APPLY,
+        failpoint::names::COMMIT_MID_REDO_APPLY,
+    ] {
+        let tmp = tempfile::tempdir().unwrap();
+        let config = DaemonConfig::for_testing(tmp.path());
+        let addr;
+        {
+            let daemon = Daemon::start(config.clone()).unwrap();
+            let client = PuddleClient::connect_local(&daemon).unwrap();
+            let pool = client.create_pool("mixed", PoolOptions::default()).unwrap();
+            // A 256 KiB region of 0xAB: chunks 0..8 are undo-logged and
+            // overwritten in place, chunks 8..16 redo-logged.
+            addr = chain_crash_setup(&client, &pool);
+
+            failpoint::arm_scoped(fp, 0);
+            let err = pool
+                .tx(|tx| {
+                    for chunk in 0..8usize {
+                        let undo_addr = addr + chunk * CHUNK;
+                        tx.add_range(undo_addr, CHUNK)?;
+                        // SAFETY: the chunk lies inside the allocated region.
+                        unsafe { std::ptr::write_bytes(undo_addr as *mut u8, 0xCD, CHUNK) };
+                        tx.redo_set_bytes(addr + (8 + chunk) * CHUNK, &[0xEF; CHUNK])?;
+                    }
+                    assert!(tx.chain_segments() >= 4, "{} segments", tx.chain_segments());
+                    assert_eq!(tx.redo_entries(), 8);
+                    Ok(())
+                })
+                .unwrap_err();
+            failpoint::clear_all();
+            assert!(err.is_injected_crash(), "{fp}: got {err}");
+        }
+
+        let daemon = Daemon::start(config.no_auto_recover()).unwrap();
+        let client = PuddleClient::connect_local(&daemon).unwrap();
+        let report = client.recover().unwrap();
+        assert_eq!(report.entries_applied, 8, "{fp}: {report:?}");
+        assert_eq!(report.chained_logs, 1, "{fp}: {report:?}");
+        let pool = client.open_pool("mixed").unwrap();
+        pool.ensure_mapped(addr as u64).unwrap();
+        // SAFETY: the region is a live 256 KiB allocation in the reopened pool.
+        let region = unsafe { std::slice::from_raw_parts(addr as *const u8, 16 * CHUNK) };
+        assert!(
+            region[..8 * CHUNK].iter().all(|&b| b == 0xCD),
+            "{fp}: undo-logged writes must survive a roll-forward"
+        );
+        assert!(
+            region[8 * CHUNK..].iter().all(|&b| b == 0xEF),
+            "{fp}: every redo entry must be applied"
+        );
+    }
+}
+
+#[test]
 fn crash_mid_chain_rolls_back_across_segment_boundaries() {
     use puddles_pmem::failpoint;
     let _guard = failpoint_lock();
@@ -802,7 +969,7 @@ fn crash_mid_chain_rolls_back_across_segment_boundaries() {
             addr = chain_crash_setup(&client, &pool);
             let root: PmPtr<Counter> = pool.root().unwrap();
 
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
             failpoint::clear_all();
             assert!(err.is_injected_crash(), "n={n}: got {err}");

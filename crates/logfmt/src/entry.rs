@@ -1,6 +1,6 @@
 //! Log-entry layout (Fig. 6b).
 
-use puddles_pmem::checksum::fnv1a64;
+use puddles_pmem::checksum::{crc32c64, crc32c64_with_seed};
 
 /// How valid entries of this record are applied during replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,8 +63,12 @@ impl EntryKind {
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 pub struct LogEntryHeader {
-    /// FNV-1a 64 over (addr, size, seq, order, kind, flags, gen) and the
-    /// payload.
+    /// [`crc32c64`] (four interleaved CRC32C lanes folded to 64 bits) of
+    /// the 24 bytes (addr, size, seq, order, kind, flags, gen), continued
+    /// over the payload. Computed once when the entry is appended and
+    /// checked once when a scan reads it back; a log whose magic is not
+    /// [`LOG_MAGIC`](crate::log::LOG_MAGIC) was written with a different
+    /// function and is never scanned.
     pub checksum: u64,
     /// Target virtual address in the global puddle space (or a volatile
     /// address for [`EntryKind::Volatile`] entries).
@@ -124,8 +128,7 @@ impl LogEntryHeader {
         buf[17] = self.kind;
         buf[18..20].copy_from_slice(&self.flags.to_le_bytes());
         buf[20..24].copy_from_slice(&self.gen.to_le_bytes());
-        let seed = fnv1a64(&buf[..24]);
-        puddles_pmem::checksum::fnv1a64_with_seed(seed, data)
+        crc32c64_with_seed(crc32c64(&buf), data)
     }
 
     /// Returns `true` if the stored checksum matches the header and payload.

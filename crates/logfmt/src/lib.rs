@@ -28,8 +28,11 @@
 //! ([`log::LogWriter`]) and a steady-state append costs one unfenced
 //! flush.
 //!
-//! [`replay`] implements the stage-aware replay used both by the library at
-//! commit time (applying redo entries) and by `puddled` during recovery.
+//! [`replay`] implements the stage-aware replay used by the library when a
+//! transaction aborts and by `puddled` during recovery: one verified scan
+//! that collects the live entries ([`replay::collect_live`]), then the
+//! apply. Commit applies its redo entries from the writer's own extents
+//! ([`log::LogWriter::written`]) without re-verifying them.
 
 pub mod entry;
 pub mod log;
@@ -40,7 +43,8 @@ pub use entry::{EntryKind, LogEntryHeader, ReplayOrder};
 pub use log::{chain_iter, segment_payload_capacity, LogEntries, LogRef, LogWriter, SeqRange};
 pub use logspace::{LogSpaceEntry, LogSpaceRef};
 pub use replay::{
-    replay_chain, replay_log, BufferTarget, DirectMemoryTarget, ReplayStats, ReplayTarget,
+    collect_live, replay_chain, replay_log, BufferTarget, DirectMemoryTarget, LiveEntries,
+    ReplayStats, ReplayTarget,
 };
 
 /// Sequence number assigned to undo entries in the hybrid-logging scheme.

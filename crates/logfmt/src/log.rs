@@ -21,6 +21,25 @@
 //! entries left over from an earlier transaction — which can share offsets
 //! and valid checksums with freshly appended ones — terminate the scan by
 //! generation mismatch instead of being replayed.
+//!
+//! # Checksum function and the magic number
+//!
+//! The entry checksum is [`puddles_pmem::checksum::crc32c64`]: hardware
+//! CRC32C where the CPU has it, bit-identical tables where it does not, so
+//! the scan verifies a megabyte of log in the time it takes to read it.
+//! Each logged byte is checksummed once when appended and once when a
+//! validity scan reads it back; the writer never re-verifies what it just
+//! wrote ([`LogWriter::written`]).
+//!
+//! [`LOG_MAGIC`] names the entry format *including* the checksum function.
+//! It became `PUDDLOG3` when the function changed from FNV-1a, so that a
+//! log written by an older build is never scanned with the wrong function
+//! (every entry would fail to verify and a crashed transaction would look
+//! like an empty log). **Upgrade rule: shut the daemon and its clients
+//! down cleanly before upgrading**, so no log holds a live transaction; a
+//! live log that still carries an older magic is refused by recovery — the
+//! log space is invalidated and the log kept as evidence — rather than
+//! skipped.
 
 use crate::entry::{EntryKind, LogEntryHeader, ReplayOrder, ENTRY_ALIGN, ENTRY_HEADER_SIZE};
 use puddles_pmem::failpoint;
@@ -28,8 +47,10 @@ use puddles_pmem::persist;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
 
-/// Magic number identifying an initialized log area.
-pub const LOG_MAGIC: u64 = 0x5055_4444_4c4f_4732; // "PUDDLOG2"
+/// Magic number identifying an initialized log area whose entries carry
+/// [`crc32c64`](puddles_pmem::checksum::crc32c64) checksums (see the module
+/// docs for the upgrade rule).
+pub const LOG_MAGIC: u64 = 0x5055_4444_4c4f_4733; // "PUDDLOG3"
 
 /// The sequence range of a log: entries whose sequence number lies strictly
 /// between `lo` and `hi` are replayed after a crash.
@@ -140,7 +161,14 @@ impl LogRef {
 
     /// Returns `true` if the area carries an initialized log.
     pub fn is_initialized(&self) -> bool {
-        self.read_header().magic == LOG_MAGIC
+        self.magic() == LOG_MAGIC
+    }
+
+    /// Returns the stored magic number: [`LOG_MAGIC`] for a log of this
+    /// format, `0` for an area that never held a log, anything else for a
+    /// log written in another format.
+    pub fn magic(&self) -> u64 {
+        self.read_header().magic
     }
 
     /// Returns the log capacity in bytes.
@@ -338,7 +366,8 @@ impl LogRef {
         LogEntries {
             log: self,
             off,
-            gen: hdr.gen,
+            end: self.capacity,
+            gen: Some(hdr.gen),
         }
     }
 
@@ -350,36 +379,45 @@ impl LogRef {
     }
 }
 
-/// Borrowing iterator over a log's valid entries; see [`LogRef::iter`].
+/// Borrowing iterator over a log's entries: the validity scan of
+/// [`LogRef::iter`], or the writer's walk over what it appended itself
+/// ([`LogWriter::written`]).
 #[derive(Debug)]
 pub struct LogEntries<'a> {
     log: &'a LogRef,
     off: usize,
-    gen: u32,
+    /// Entries lie in `[off, end)`.
+    end: usize,
+    /// The generation entries must carry, with a matching checksum; `None`
+    /// trusts them (the writer's own extent).
+    gen: Option<u32>,
 }
 
 impl<'a> Iterator for LogEntries<'a> {
     type Item = (LogEntryHeader, &'a [u8]);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.off + ENTRY_HEADER_SIZE > self.log.capacity {
+        if self.off + ENTRY_HEADER_SIZE > self.end {
             return None;
         }
-        // SAFETY: `off + ENTRY_HEADER_SIZE <= capacity` per the bound above.
+        // SAFETY: `off + ENTRY_HEADER_SIZE <= end <= capacity` per the bound
+        // above.
         let entry: LogEntryHeader = unsafe {
             std::ptr::read_unaligned(self.log.base.add(self.off) as *const LogEntryHeader)
         };
         let payload_len = entry.size as usize;
-        if entry.gen != self.gen || self.off + ENTRY_HEADER_SIZE + payload_len > self.log.capacity {
+        if self.gen.is_some_and(|gen| entry.gen != gen)
+            || self.off + ENTRY_HEADER_SIZE + payload_len > self.end
+        {
             return None;
         }
-        // SAFETY: bounds checked against `capacity` just above; the slice
-        // lives as long as the underlying mapping, which outlives `'a` per
-        // the `from_raw` contract.
+        // SAFETY: bounds checked against `end <= capacity` just above; the
+        // slice lives as long as the underlying mapping, which outlives
+        // `'a` per the `from_raw` contract.
         let data = unsafe {
             std::slice::from_raw_parts(self.log.base.add(self.off + ENTRY_HEADER_SIZE), payload_len)
         };
-        if !entry.verify(data) {
+        if self.gen.is_some() && !entry.verify(data) {
             return None;
         }
         self.off += ENTRY_HEADER_SIZE + align_up(payload_len, ENTRY_ALIGN);
@@ -450,10 +488,14 @@ pub fn chain_iter(segments: &[LogRef]) -> impl Iterator<Item = (LogEntryHeader, 
 pub struct LogWriter {
     /// Chain segments in order; `[0]` is the head, the last is active.
     segments: Vec<LogRef>,
+    /// Final cursor of every segment before the active one (DRAM only).
+    sealed: Vec<usize>,
     /// Next free byte within the active segment (DRAM only).
     head: usize,
     /// Entries appended since `begin`, across all segments (DRAM only).
     entries: u64,
+    /// Of those, entries live under [`crate::RANGE_REDO`] (DRAM only).
+    redo_entries: u64,
     /// Generation of the active segment, stamped into appended entries.
     gen: u32,
 }
@@ -466,8 +508,10 @@ impl LogWriter {
         let gen = Self::begin_segment(log)?;
         Ok(LogWriter {
             segments: vec![log],
+            sealed: Vec::new(),
             head: LOG_HEADER_SIZE,
             entries: 0,
+            redo_entries: 0,
             gen,
         })
     }
@@ -504,6 +548,7 @@ impl LogWriter {
         }
         let gen = Self::begin_segment(seg)?;
         self.segments.push(seg);
+        self.sealed.push(self.head);
         self.head = LOG_HEADER_SIZE;
         self.gen = gen;
         Ok(())
@@ -545,6 +590,7 @@ impl LogWriter {
         }
         self.head += need;
         self.entries += 1;
+        self.redo_entries += u64::from(crate::RANGE_REDO.contains(seq));
         Ok(())
     }
 
@@ -575,6 +621,32 @@ impl LogWriter {
         self.entries
     }
 
+    /// Of [`LogWriter::num_entries`], the entries live under
+    /// [`crate::RANGE_REDO`]: what a commit has to apply in its redo stage.
+    /// Zero means the stage has nothing to read.
+    pub fn redo_entries(&self) -> u64 {
+        self.redo_entries
+    }
+
+    /// Walks the entries this writer appended since [`LogWriter::begin`],
+    /// in append order across every segment, **without verifying them**:
+    /// the extents come from the DRAM cursor, and the bytes were
+    /// checksummed when this writer stored them. For the process that wrote
+    /// the log only — anything reading a log after a crash must use the
+    /// validity scan ([`chain_iter`]).
+    pub fn written(&self) -> impl Iterator<Item = (LogEntryHeader, &[u8])> {
+        let ends = self.sealed.iter().copied().chain([self.head]);
+        self.segments
+            .iter()
+            .zip(ends)
+            .flat_map(|(log, end)| LogEntries {
+                log,
+                off: LOG_HEADER_SIZE,
+                end,
+                gen: None,
+            })
+    }
+
     /// Largest payload that still fits in a single further append **without
     /// chaining another segment**, based on the volatile cursor of the
     /// active segment. After [`LogWriter::extend`] this reports the fresh
@@ -601,8 +673,10 @@ impl LogWriter {
             seg.reset();
         }
         self.segments.truncate(1);
+        self.sealed.clear();
         self.head = LOG_HEADER_SIZE;
         self.entries = 0;
+        self.redo_entries = 0;
         self.gen = self.segments[0].generation();
     }
 }
@@ -797,7 +871,7 @@ mod tests {
             &[1; 16],
         )
         .unwrap();
-        failpoint::arm(failpoint::names::LOG_APPEND_TORN, 0);
+        failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 0);
         let err = log
             .append(
                 0x20,
@@ -808,7 +882,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, PmError::CrashInjected(_)));
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         // The torn entry fails its checksum and truncates iteration.
         let entries = collect(&log);
         assert_eq!(entries.len(), 1);
@@ -875,7 +949,7 @@ mod tests {
             let log = make_log(&mut buf);
             log.init();
             let mut w = LogWriter::begin(log).unwrap();
-            failpoint::arm(failpoint::names::LOG_APPEND_CRASH, n);
+            failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
             let mut appended = 0usize;
             let err = loop {
                 match w.append(
@@ -889,7 +963,7 @@ mod tests {
                     Err(e) => break e,
                 }
             };
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(matches!(err, PmError::CrashInjected(_)));
             assert_eq!(appended, n);
             let recovered: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
@@ -947,7 +1021,7 @@ mod tests {
             &[1; 16],
         )
         .unwrap();
-        failpoint::arm(failpoint::names::LOG_APPEND_TORN, 0);
+        failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 0);
         let err = w
             .append(
                 0x2,
@@ -957,7 +1031,7 @@ mod tests {
                 &[2; 16],
             )
             .unwrap_err();
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         assert!(matches!(err, PmError::CrashInjected(_)));
         let visible: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
         assert_eq!(visible, vec![0x1]);
@@ -1045,6 +1119,84 @@ mod tests {
         // The stitched scan returns every entry in global append order.
         let addrs: Vec<u64> = chain_iter(w.chain()).map(|(h, _)| h.addr).collect();
         assert_eq!(addrs, (0..40u64).map(|i| 0x9000 + i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn writer_walks_its_own_extents_without_verifying_and_counts_redo() {
+        let mut head_buf = vec![0u8; 1024];
+        let head = make_log(&mut head_buf);
+        head.init();
+        let mut w = LogWriter::begin(head).unwrap();
+        assert_eq!(w.redo_entries(), 0);
+        assert_eq!(w.written().count(), 0);
+        let mut spare: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 1024]).collect();
+        // 96-byte entries, ten to a 1 KiB segment: the third segment keeps
+        // room for the redo entries below.
+        for i in 0..28u64 {
+            append_chaining(&mut w, &mut spare, 0x9000 + i, &[i as u8; 64]);
+        }
+        assert_eq!(w.segment_count(), 3);
+        assert_eq!(w.redo_entries(), 0, "undo appends are not redo entries");
+        for i in 0..3u64 {
+            w.append(
+                0xA000 + i,
+                SEQ_REDO,
+                ReplayOrder::Forward,
+                EntryKind::Redo,
+                &[0xEE; 8],
+            )
+            .unwrap();
+        }
+        assert_eq!(w.redo_entries(), 3);
+        assert_eq!(w.num_entries(), 31);
+
+        // The walk over the DRAM-cursor extents returns exactly what the
+        // verified scan does, across every segment, in append order.
+        let walked: Vec<(u64, Vec<u8>)> = w.written().map(|(h, d)| (h.addr, d.to_vec())).collect();
+        let scanned: Vec<(u64, Vec<u8>)> = chain_iter(w.chain())
+            .map(|(h, d)| (h.addr, d.to_vec()))
+            .collect();
+        assert_eq!(walked.len(), 31);
+        assert_eq!(walked, scanned);
+
+        // It hashes nothing: a payload byte damaged after the append stops
+        // the scan at that entry but not the walk.
+        head_buf[LOG_HEADER_SIZE + ENTRY_HEADER_SIZE] ^= 0xff;
+        assert_eq!(chain_iter(&w.chain()[..1]).count(), 0);
+        assert_eq!(w.written().count(), 31);
+
+        w.reset();
+        assert_eq!(w.redo_entries(), 0);
+        assert_eq!(w.written().count(), 0);
+    }
+
+    #[test]
+    fn a_log_with_another_magic_is_neither_blank_nor_scannable() {
+        let mut buf = vec![0u8; 4096];
+        let log = make_log(&mut buf);
+        assert_eq!(log.magic(), 0, "a never-initialised area reads as blank");
+        log.init();
+        assert_eq!(log.magic(), LOG_MAGIC);
+        log.append(
+            0x1,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[1; 8],
+        )
+        .unwrap();
+        assert_eq!(log.iter().count(), 1);
+        // The previous format's magic ("PUDDLOG2"): same layout, another
+        // checksum function.
+        buf[..8].copy_from_slice(&0x5055_4444_4c4f_4732u64.to_le_bytes());
+        assert!(!log.is_initialized());
+        assert_ne!(log.magic(), 0);
+        assert_eq!(
+            log.iter().count(),
+            0,
+            "never scanned with the wrong function"
+        );
+        assert!(LogWriter::begin(log).is_err());
     }
 
     #[test]

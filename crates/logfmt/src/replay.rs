@@ -30,8 +30,10 @@ pub trait ReplayTarget {
 /// relevant puddles are mapped at the addresses the entries refer to.
 #[derive(Debug, Default)]
 pub struct DirectMemoryTarget {
-    /// Allowed `[start, start + len)` ranges; an empty list allows nothing,
-    /// `None` allows everything (library-internal commit path).
+    /// Allowed `(start, len)` ranges, sorted by start with both starts and
+    /// ends strictly increasing (see [`DirectMemoryTarget::restricted`]);
+    /// an empty list allows nothing, `None` allows everything
+    /// (library-internal commit path).
     allowed: Option<Vec<(u64, u64)>>,
 }
 
@@ -42,22 +44,41 @@ impl DirectMemoryTarget {
         DirectMemoryTarget { allowed: None }
     }
 
-    /// Creates a target restricted to the given `(start, len)` ranges.
-    pub fn restricted(ranges: Vec<(u64, u64)>) -> Self {
+    /// Creates a target restricted to the given `(start, len)` ranges: a
+    /// write is allowed when it lies inside one of them (never when it
+    /// merely straddles two adjacent ones).
+    ///
+    /// The ranges are sorted, and a range contained in an earlier one is
+    /// dropped, which leaves ends increasing with starts: the only range
+    /// that can contain an address is then the last one starting at or
+    /// before it, found by binary search.
+    pub fn restricted(mut ranges: Vec<(u64, u64)>) -> Self {
+        ranges.sort_unstable();
+        let mut max_end = 0u64;
+        ranges.retain(|&(start, len)| {
+            let end = start.saturating_add(len);
+            let extends = end > max_end;
+            max_end = max_end.max(end);
+            extends
+        });
         DirectMemoryTarget {
             allowed: Some(ranges),
         }
+    }
+
+    /// The allowed `(start, len)` range containing `[addr, addr + len)`,
+    /// if this target is restricted and has one.
+    pub fn containing(&self, addr: u64, len: usize) -> Option<(u64, u64)> {
+        let ranges = self.allowed.as_deref()?;
+        let idx = ranges.partition_point(|&(start, _)| start <= addr);
+        let &(start, rlen) = ranges.get(idx.checked_sub(1)?)?;
+        (addr.saturating_add(len as u64) <= start.saturating_add(rlen)).then_some((start, rlen))
     }
 }
 
 impl ReplayTarget for DirectMemoryTarget {
     fn allows(&self, addr: u64, len: usize) -> bool {
-        match &self.allowed {
-            None => true,
-            Some(ranges) => ranges.iter().any(|&(start, rlen)| {
-                addr >= start && addr.saturating_add(len as u64) <= start.saturating_add(rlen)
-            }),
-        }
+        self.allowed.is_none() || self.containing(addr, len).is_some()
     }
 
     fn apply(&mut self, addr: u64, data: &[u8]) {
@@ -160,7 +181,8 @@ pub fn replay_log<T: ReplayTarget>(
 }
 
 /// Replays a multi-segment log chain (`segments[0]` is the head) into
-/// `target`, exactly like [`replay_log`] over one logical log.
+/// `target`, exactly like [`replay_log`] over one logical log: one
+/// verified scan ([`collect_live`]), then [`LiveEntries::apply`].
 ///
 /// The **head** segment's sequence range decides which entries are live
 /// throughout the chain; each segment contributes its own checksummed,
@@ -174,62 +196,110 @@ pub fn replay_chain<T: ReplayTarget>(
     target: &mut T,
     apply_volatile: bool,
 ) -> ReplayStats {
+    collect_live(segments, apply_volatile).apply(target)
+}
+
+/// The live entries of a log chain, found by one verified scan and
+/// borrowed from the log memory (zero-copy): payloads are copied exactly
+/// once, into their targets, by [`LiveEntries::apply`].
+///
+/// Recovery reads this between the scan and the apply — to check every
+/// entry against the crashed client's permissions and to map only the
+/// puddles the entries name — without scanning (and checksumming) the
+/// chain a second time.
+#[derive(Debug, Default)]
+pub struct LiveEntries<'a> {
+    /// Reverse-order (undo) entries, in append order.
+    reverse: Vec<(LogEntryHeader, &'a [u8])>,
+    /// Forward-order (redo) entries, in append order.
+    forward: Vec<(LogEntryHeader, &'a [u8])>,
+    /// Live entries with an undecodable kind or order byte: never applied,
+    /// but still naming an address the writer claimed.
+    malformed: Vec<(LogEntryHeader, &'a [u8])>,
+    /// What the scan skipped (`skipped_*`); `apply` fills in the rest.
+    stats: ReplayStats,
+}
+
+/// Scans `segments` once (checksum + generation, [`crate::log::chain_iter`])
+/// and collects the entries that are live under the head's sequence range.
+/// `apply_volatile` as for [`replay_log`].
+pub fn collect_live(segments: &[LogRef], apply_volatile: bool) -> LiveEntries<'_> {
+    let mut live = LiveEntries::default();
     let Some(head) = segments.first() else {
-        return ReplayStats::default();
+        return live;
     };
     let range = head.seq_range();
-    let mut stats = ReplayStats::default();
-
-    // Group borrowed views of the live entries: payloads stay in the log
-    // memory (zero-copy) and are copied exactly once, into their targets.
-    let mut reverse_group: Vec<(LogEntryHeader, &[u8])> = Vec::new();
-    let mut forward_group: Vec<(LogEntryHeader, &[u8])> = Vec::new();
-
     for (hdr, data) in crate::log::chain_iter(segments) {
         if !range.contains(hdr.seq) {
-            stats.skipped_sequence += 1;
+            live.stats.skipped_sequence += 1;
             continue;
         }
         let (kind, order) = match (hdr.entry_kind(), hdr.replay_order()) {
             (Some(k), Some(o)) => (k, o),
             _ => {
-                stats.malformed += 1;
+                live.malformed.push((hdr, data));
                 continue;
             }
         };
         if kind == EntryKind::Volatile && !apply_volatile {
-            stats.skipped_volatile += 1;
+            live.stats.skipped_volatile += 1;
             continue;
         }
         match order {
-            ReplayOrder::Reverse => reverse_group.push((hdr, data)),
-            ReplayOrder::Forward => forward_group.push((hdr, data)),
+            ReplayOrder::Reverse => live.reverse.push((hdr, data)),
+            ReplayOrder::Forward => live.forward.push((hdr, data)),
         }
+    }
+    live
+}
+
+impl<'a> LiveEntries<'a> {
+    /// Number of entries live under the sequence range, whatever became of
+    /// them (to apply, skipped as volatile, malformed).
+    pub fn live_count(&self) -> usize {
+        self.reverse.len() + self.forward.len() + self.malformed.len() + self.stats.skipped_volatile
     }
 
-    for (hdr, data) in reverse_group.into_iter().rev() {
-        if target.allows(hdr.addr, data.len()) {
-            target.apply(hdr.addr, data);
-            stats.applied += 1;
-        } else {
-            stats.denied += 1;
-        }
+    /// The entries [`LiveEntries::apply`] will copy, in the order it will
+    /// copy them: reverse-order entries last-logged-first, then
+    /// forward-order entries first-logged-first.
+    pub fn to_apply(&self) -> impl Iterator<Item = &(LogEntryHeader, &'a [u8])> {
+        self.reverse.iter().rev().chain(&self.forward)
     }
-    for (hdr, data) in forward_group {
-        if target.allows(hdr.addr, data.len()) {
-            target.apply(hdr.addr, data);
-            stats.applied += 1;
-        } else {
-            stats.denied += 1;
-        }
+
+    /// Every `(addr, len)` a live entry claims in persistent memory — the
+    /// entries to apply plus the malformed ones, volatile entries excepted
+    /// — in no particular order: what an access check has to cover.
+    pub fn claimed(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.to_apply()
+            .chain(&self.malformed)
+            .filter(|(hdr, _)| hdr.entry_kind() != Some(EntryKind::Volatile))
+            .map(|(hdr, data)| (hdr.addr, data.len()))
     }
-    persist::sfence();
-    stats
+
+    /// Copies the collected entries into `target` (flushing, then one
+    /// fence) and returns the counters of the whole replay.
+    pub fn apply<T: ReplayTarget>(self, target: &mut T) -> ReplayStats {
+        let mut stats = self.stats;
+        stats.malformed = self.malformed.len();
+        for (hdr, data) in self.to_apply() {
+            if target.allows(hdr.addr, data.len()) {
+                target.apply(hdr.addr, data);
+                stats.applied += 1;
+            } else {
+                stats.denied += 1;
+            }
+        }
+        persist::sfence();
+        stats
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::ENTRY_HEADER_SIZE;
+    use crate::log::LOG_HEADER_SIZE;
     use crate::{RANGE_DONE, RANGE_EXEC, RANGE_REDO, SEQ_REDO, SEQ_UNDO};
 
     fn make_log(buf: &mut Vec<u8>) -> LogRef {
@@ -513,6 +583,105 @@ mod tests {
                 let sc = replay_chain(cw.chain(), &mut chained, false);
                 proptest::prop_assert_eq!(ss, sc);
                 proptest::prop_assert_eq!(single.bytes(), chained.bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn collected_entries_expose_apply_order_and_claims_before_the_apply() {
+        let mut buf = vec![0u8; 4096];
+        let log = make_log(&mut buf);
+        log.init();
+        log.set_seq_range(RANGE_EXEC);
+        for (addr, kind) in [
+            (0x100, EntryKind::Undo),
+            (0x7000_0000, EntryKind::Volatile),
+            (0x108, EntryKind::Undo),
+        ] {
+            log.append(addr, SEQ_UNDO, ReplayOrder::Reverse, kind, &[addr as u8; 8])
+                .unwrap();
+        }
+        log.append(
+            0x110,
+            SEQ_REDO,
+            ReplayOrder::Forward,
+            EntryKind::Redo,
+            &[9; 8],
+        )
+        .unwrap();
+        // An entry whose kind byte decodes to nothing, with a valid
+        // checksum: never applied, but its address still counts as claimed.
+        let data = [7u8; 8];
+        let mut bad = LogEntryHeader::new(
+            0x9000,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            log.generation(),
+            &data,
+        );
+        bad.kind = 9;
+        bad.checksum = bad.compute_checksum(&data);
+        let off = LOG_HEADER_SIZE + 4 * (ENTRY_HEADER_SIZE + 8);
+        // SAFETY: `off + 40` lies inside the 4 KiB buffer.
+        unsafe {
+            std::ptr::write_unaligned(buf.as_mut_ptr().add(off) as *mut LogEntryHeader, bad);
+        }
+        buf[off + ENTRY_HEADER_SIZE..off + ENTRY_HEADER_SIZE + 8].copy_from_slice(&data);
+
+        let live = collect_live(std::slice::from_ref(&log), false);
+        assert_eq!(live.live_count(), 4, "2 undo + 1 volatile + 1 malformed");
+        let order: Vec<u64> = live.to_apply().map(|(h, _)| h.addr).collect();
+        assert_eq!(order, vec![0x108, 0x100], "undo entries, last logged first");
+        let mut claimed: Vec<(u64, usize)> = live.claimed().collect();
+        claimed.sort_unstable();
+        assert_eq!(claimed, vec![(0x100, 8), (0x108, 8), (0x9000, 8)]);
+
+        let mut target = BufferTarget::new(0x100, 64);
+        let stats = live.apply(&mut target);
+        let again = replay_log(&log, &mut BufferTarget::new(0x100, 64), false);
+        assert_eq!(stats, again, "replay_chain is collect + apply");
+        assert_eq!(
+            stats,
+            ReplayStats {
+                applied: 2,
+                skipped_sequence: 1,
+                skipped_volatile: 1,
+                denied: 0,
+                malformed: 1,
+            }
+        );
+        assert_eq!(target.read(0x100, 8), &[0x00; 8]);
+        assert_eq!(target.read(0x108, 8), &[0x08; 8]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn restricted_target_answers_like_a_linear_search(
+            raw in proptest::collection::vec((0u64..4096, 0u64..600), 0..24)
+        ) {
+            // Unsorted, overlapping, nested, adjacent and empty ranges.
+            let target = DirectMemoryTarget::restricted(raw.clone());
+            for addr in (0..4800u64).step_by(7) {
+                for len in [0usize, 1, 8, 64, 500] {
+                    let linear = raw.iter().any(|&(start, rlen)| {
+                        addr >= start && addr + len as u64 <= start + rlen
+                    });
+                    proptest::prop_assert_eq!(
+                        target.allows(addr, len),
+                        linear,
+                        "addr {} len {} over {:?}",
+                        addr,
+                        len,
+                        raw
+                    );
+                    if let Some((start, rlen)) = target.containing(addr, len) {
+                        proptest::prop_assert!(raw.contains(&(start, rlen)));
+                        proptest::prop_assert!(addr >= start && addr + len as u64 <= start + rlen);
+                    }
+                }
             }
         }
     }

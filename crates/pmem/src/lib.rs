@@ -17,8 +17,9 @@
 //!   from one `TORTURE_SEED` and logged as a per-trial fault trace.
 //! * [`shadow::ShadowBuffer`] — a working/durable twin buffer that models
 //!   loss of unflushed cache lines for torn-write property tests.
-//! * [`checksum`] — FNV-1a 64-bit checksums used by log entries and
-//!   manifests.
+//! * [`checksum`] — the log-entry checksum (four CRC32C lanes folded to 64
+//!   bits: SSE4.2 `crc32` where the CPU has it, bit-identical tables where
+//!   it does not) and FNV-1a for type ids and WAL records.
 //! * [`clock`] — time as a value: a [`clock::Clock`] that is wall time in
 //!   production and a seeded deterministic [`clock::VirtualClock`] under
 //!   test, so a torture seed replays the same execution.

@@ -267,6 +267,7 @@ impl ShardedHistogram {
 /// | `Coalesce` | `lazy` / `forced` | 1 if the pass merged | — |
 /// | `Fault` | fault site | per-site occurrence | — |
 /// | `Reconnect` | — | — | — |
+/// | `RecoveryMap` | — | puddles one log space's recovery mapped | writable data puddles indexed for it |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     ReqStart,
@@ -277,6 +278,7 @@ pub enum TraceEventKind {
     Coalesce,
     Fault,
     Reconnect,
+    RecoveryMap,
 }
 
 impl TraceEventKind {
@@ -291,6 +293,7 @@ impl TraceEventKind {
             TraceEventKind::Coalesce => "coalesce",
             TraceEventKind::Fault => "fault",
             TraceEventKind::Reconnect => "reconnect",
+            TraceEventKind::RecoveryMap => "recovery.map",
         }
     }
 }

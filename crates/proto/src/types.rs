@@ -184,6 +184,11 @@ pub struct RecoveryReport {
     /// Chained tail segments unregistered and freed after their transaction
     /// was resolved (orphaned by a crash before the client released them).
     pub chain_tails_reclaimed: u64,
+    /// Puddles the pass mapped: each log space, the segments of its chains
+    /// and the data puddles that live entries named — not every puddle the
+    /// owners could write.
+    #[serde(default)]
+    pub puddles_mapped: u64,
 }
 
 /// One latency series in a [`MetricsReport`]: summary quantiles of a
@@ -413,6 +418,7 @@ mod tests {
             logs_invalidated: 0,
             chained_logs: 1,
             chain_tails_reclaimed: 2,
+            puddles_mapped: 4,
         };
         let json = serde_json::to_string(&report).unwrap();
         assert_eq!(

@@ -4,20 +4,33 @@
 //! registered log space, maps the log puddles it lists, and replays the live
 //! entries of each log *before any application maps the data*. Replay is
 //! restricted to puddles the registering client could write at the time of
-//! the crash: the daemon recreates that client's writable mapping and
-//! refuses entries that fall outside it. A log containing such entries is
-//! marked invalid and never replayed (the data it covers may be corrupt, but
-//! other clients' data is protected).
+//! the crash: the daemon recreates that client's writable address space —
+//! as an index built from registry records, mapping nothing — and refuses
+//! entries that fall outside it. A log containing such entries is marked
+//! invalid and never replayed (the data it covers may be corrupt, but other
+//! clients' data is protected).
+//!
+//! Each chain is scanned (and its entries checksummed) once; the collected
+//! live entries feed the access check and then the apply, and only the data
+//! puddles they name are mapped, so a pass costs what the crashed
+//! transactions touched, not what their owners could have touched
+//! (`RecoveryReport::puddles_mapped`, the `recovery.map` counter and trace
+//! event). Log spaces are recovered one after another: the order between
+//! two clients' logs is undefined until writes to a puddle are arbitrated.
 
 use crate::gspace::GlobalSpace;
 use crate::layout::LOG_REGION_OFFSET;
 use crate::registry::PuddleRecord;
 use crate::service::DaemonInner;
+use puddles_logfmt::log::LOG_MAGIC;
 use puddles_logfmt::{
-    chain_iter, replay_chain, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
+    collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
 };
+use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::Result;
 use puddles_proto::{Credentials, PuddleId, PuddlePurpose, RecoveryReport};
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
 
 /// Runs one recovery pass over every registered log space.
 pub fn run_recovery(inner: &DaemonInner) -> Result<RecoveryReport> {
@@ -212,6 +225,7 @@ fn recover_log_space(
 ) -> Result<LogSpaceOutcome> {
     let gspace = &inner.gspace;
     let mut mapped: Vec<usize> = Vec::new();
+    let mut indexed = 0;
     let result = (|| -> Result<LogSpaceOutcome> {
         // Map the log-space puddle.
         let ls_addr = map_record(inner, gspace, ls_record, true, &mut mapped)?;
@@ -227,25 +241,29 @@ fn recover_log_space(
             return Ok(LogSpaceOutcome::Ok);
         }
 
-        // Recreate the crashed client's writable mapping: every data puddle
-        // it had write permission to.
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        // Recreate the crashed client's writable address space from the
+        // registry alone: where every data puddle it had write permission
+        // to *would* be mapped. Nothing is mapped until a live entry names
+        // it: `unmapped` holds the record behind each range of the index
+        // until then.
+        let mut unmapped: HashMap<u64, &PuddleRecord> = HashMap::new();
         for record in all_puddles {
-            if record.purpose != PuddlePurpose::Data {
-                continue;
+            if record.purpose == PuddlePurpose::Data
+                && crate::acl::check(
+                    owner,
+                    record.owner_uid,
+                    record.owner_gid,
+                    record.mode,
+                    crate::acl::Access::Write,
+                )
+            {
+                unmapped.insert(gspace.addr_of(record.offset as usize) as u64, record);
             }
-            if !crate::acl::check(
-                owner,
-                record.owner_uid,
-                record.owner_gid,
-                record.mode,
-                crate::acl::Access::Write,
-            ) {
-                continue;
-            }
-            let addr = map_record(inner, gspace, record, true, &mut mapped)?;
-            ranges.push((addr as u64, record.size));
         }
+        indexed = unmapped.len();
+        let mut writable = DirectMemoryTarget::restricted(
+            unmapped.iter().map(|(&start, r)| (start, r.size)).collect(),
+        );
 
         // Group the log space's live slots into chains: slots sharing a
         // `log_id`, ordered by `chain_index` (a single-puddle log is a
@@ -287,52 +305,63 @@ fn recover_log_space(
                 segments.push(log);
             }
 
-            let head_live = segments
+            match segments
                 .first()
-                .map(|h| h.is_initialized() && h.seq_range() != RANGE_DONE)
-                .unwrap_or(false);
-            if head_live {
-                let head = segments[0];
-                // Validate first: if any live entry of the chain targets
-                // memory the client could not write, do not replay anything
-                // from this log space. The head's sequence range governs
-                // liveness throughout the chain; the stitched iterator
-                // borrows payloads straight from the mapped logs.
-                let range = head.seq_range();
-                let mut live_count = 0u64;
-                let mut denied = false;
-                for (hdr, data) in chain_iter(&segments) {
-                    if !range.contains(hdr.seq) {
+                .map(|head| (head.magic(), head.seq_range()))
+            {
+                // No reachable head: nothing to resolve.
+                None => {}
+                // Never initialised, or its transaction completed.
+                Some((0, _)) | Some((LOG_MAGIC, RANGE_DONE)) => report.logs_clean += 1,
+                Some((LOG_MAGIC, _)) => {
+                    // One verified scan finds the chain's live entries (the
+                    // head's sequence range governs liveness throughout;
+                    // payloads stay borrowed from the mapped logs) and
+                    // feeds both the access check and the apply.
+                    let live = collect_live(&segments, false);
+                    // Validate first: if any live entry of the chain
+                    // targets memory the client could not write, do not
+                    // replay anything from this log space.
+                    if !live
+                        .claimed()
+                        .all(|(addr, len)| writable.containing(addr, len).is_some())
+                    {
+                        report.entries_denied += live.live_count() as u64;
+                        outcome = LogSpaceOutcome::Invalidate;
+                        // Leave the chain (and its tails) untouched as
+                        // evidence.
                         continue;
                     }
-                    live_count += 1;
-                    if hdr.entry_kind() != Some(puddles_logfmt::EntryKind::Volatile)
-                        && !ranges.iter().any(|&(start, len)| {
-                            hdr.addr >= start && hdr.addr + data.len() as u64 <= start + len
-                        })
-                    {
-                        denied = true;
+                    // Map the data puddles the entries name, and only those.
+                    for (hdr, data) in live.to_apply() {
+                        let (start, _) = writable
+                            .containing(hdr.addr, data.len())
+                            .expect("every claimed range passed the access check");
+                        if let Some(record) = unmapped.remove(&start) {
+                            map_record(inner, gspace, record, true, &mut mapped)?;
+                        }
                     }
+                    // Every entry lies inside a range of `writable` whose
+                    // puddle is mapped by now.
+                    let stats = live.apply(&mut writable);
+                    report.entries_applied += stats.applied as u64;
+                    report.entries_denied += stats.denied as u64;
+                    if segments.len() > 1 {
+                        report.chained_logs += 1;
+                    }
+                    // The transaction is resolved; drop the log. Resetting
+                    // the head is the single fenced write that invalidates
+                    // the whole chain.
+                    segments[0].reset();
                 }
-                if denied {
-                    report.entries_denied += live_count;
+                // A log in a format this build cannot scan (an older
+                // build's checksum function): whether it holds a live
+                // transaction is unknowable, so it must not pass for clean.
+                // Refuse the log space; the log stays as evidence.
+                Some(_) => {
                     outcome = LogSpaceOutcome::Invalidate;
-                    // Leave the chain (and its tails) untouched as evidence.
                     continue;
                 }
-                let mut target = DirectMemoryTarget::restricted(ranges.clone());
-                let stats = replay_chain(&segments, &mut target, false);
-                report.entries_applied += stats.applied as u64;
-                report.entries_denied += stats.denied as u64;
-                if segments.len() > 1 {
-                    report.chained_logs += 1;
-                }
-                // The transaction is resolved; drop the log. Resetting the
-                // head is the single fenced write that invalidates the
-                // whole chain.
-                head.reset();
-            } else if !segments.is_empty() {
-                report.logs_clean += 1;
             }
 
             // Reclaim orphaned chain tails: the crashed client can no
@@ -354,6 +383,18 @@ fn recover_log_space(
         }
         Ok(outcome)
     })();
+
+    report.puddles_mapped += mapped.len() as u64;
+    inner
+        .metrics
+        .counter("recovery.map")
+        .fetch_add(mapped.len() as u64, Ordering::Relaxed);
+    inner.metrics.trace(
+        TraceEventKind::RecoveryMap,
+        "",
+        mapped.len() as u64,
+        indexed as u64,
+    );
 
     // Unmap everything this pass mapped, regardless of outcome.
     for offset in mapped {

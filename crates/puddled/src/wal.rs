@@ -557,8 +557,10 @@ pub fn decode_op(payload: &[u8]) -> Option<RegistryOp> {
     }
 }
 
-/// Checksum over a record's header fields and payload (seeded FNV-1a, same
-/// discipline as `logfmt::LogEntryHeader`).
+/// Checksum over a record's header fields and payload (seeded FNV-1a: the
+/// header hashed first, continued over the payload). Records are 88 bytes
+/// and bound by their fsync, so they keep the byte-serial function the WAL
+/// format was defined with.
 fn record_checksum(seq: u64, payload: &[u8]) -> u64 {
     let mut head = [0u8; 12];
     head[0..8].copy_from_slice(&seq.to_le_bytes());
