@@ -7,12 +7,13 @@
 //! thread caches the log puddle used on the first transaction").
 
 use crate::error::{Error, Result};
+use crate::interval::IntervalSet;
 use crate::pool::{Pool, PoolOptions};
 use crate::tx::{self, Transaction};
 use crate::types::{PmType, TypeRegistry};
 use parking_lot::{Mutex, RwLock};
 use puddled::{Daemon, GlobalSpace, LOG_REGION_OFFSET};
-use puddles_logfmt::{LogRef, LogSpaceRef};
+use puddles_logfmt::{LogRef, LogSpaceRef, LogWriter};
 use puddles_pmem::clock::{entropy_seed, Clock};
 use puddles_pmem::failpoint;
 use puddles_proto::{
@@ -67,7 +68,10 @@ pub(crate) struct ClientInner {
     logging: Mutex<LoggingState>,
     /// Per-thread cached logs; read-locked on the transaction fast path so
     /// concurrent transactions on different threads never serialize here.
-    thread_logs: RwLock<HashMap<ThreadId, ThreadLog>>,
+    /// Each entry's own lock is only ever taken by its thread, for the
+    /// length of a transaction: it is what lets that thread mutate the
+    /// entry while the map is shared.
+    thread_logs: RwLock<HashMap<ThreadId, Arc<Mutex<ThreadLog>>>>,
     /// Size of log puddles this client requests ([`LOG_PUDDLE_SIZE`] unless
     /// overridden); applies to thread logs and chained segments alike.
     log_puddle_size: std::sync::atomic::AtomicU64,
@@ -98,26 +102,23 @@ struct MappedLogSpace {
     ls: LogSpaceRef,
 }
 
-/// One thread's cached log, stored as the raw parts of its `LogRef` (plain
-/// integers, so the map is `Sync` without any unsafe impl). The `LogRef` is
-/// reconstructed on fetch; the owning thread is the only one that looks its
-/// entry up, and the mapping lives for the client's lifetime.
-struct ThreadLog {
+/// One thread's cached log and the per-transaction state that is cleared,
+/// not rebuilt, from one transaction to the next. The owning thread is the
+/// only one that looks its entry up and holds the entry's lock for the
+/// length of a transaction; the mapping lives for the client's lifetime.
+pub(crate) struct ThreadLog {
     #[allow(dead_code)]
     info: PuddleInfo,
-    log_base: usize,
-    log_capacity: usize,
     /// The log-space `log_id` this thread's log was registered under; chain
     /// segments added mid-transaction register under the same id with
     /// ascending `chain_index`.
-    log_id: u64,
-}
-
-/// A thread's cached log plus the identity a transaction needs to chain
-/// further segments onto it.
-pub(crate) struct ThreadLogHandle {
-    pub(crate) log: LogRef,
     pub(crate) log_id: u64,
+    /// Writer over the thread's log puddle. Whether the log is armed — its
+    /// next transaction starts without a header write — is this writer's
+    /// DRAM state, so it lives and dies with the entry.
+    pub(crate) writer: LogWriter,
+    /// Undo-logged ranges of the open transaction.
+    pub(crate) undo_set: IntervalSet,
 }
 
 impl PuddleClient {
@@ -492,29 +493,19 @@ impl ClientInner {
 
     /// Returns this thread's cached log, creating the log space and the log
     /// puddle on first use.
-    pub(crate) fn thread_log(&self) -> Result<ThreadLogHandle> {
+    pub(crate) fn thread_log(&self) -> Result<Arc<Mutex<ThreadLog>>> {
         let tid = std::thread::current().id();
-        {
-            // Fast path: a shared read lock, so transactions on different
-            // threads acquire their cached logs in parallel.
-            let logs = self.thread_logs.read();
-            if let Some(tl) = logs.get(&tid) {
-                // SAFETY: the parts were taken from a `LogRef` over a puddle
-                // mapped writable for the client's lifetime (thread logs are
-                // never unmapped), and only the owning thread reaches this
-                // entry (the map is keyed by the calling thread's id).
-                let log = unsafe { LogRef::from_raw(tl.log_base as *mut u8, tl.log_capacity) };
-                return Ok(ThreadLogHandle {
-                    log,
-                    log_id: tl.log_id,
-                });
-            }
+        // Fast path: a shared read lock, so transactions on different
+        // threads acquire their cached logs in parallel.
+        if let Some(tl) = self.thread_logs.read().get(&tid) {
+            return Ok(Arc::clone(tl));
         }
         // Slow path: make sure the log space exists, then create a log
         // puddle for this thread. A recycled spare already carries an
         // initialized log whose generation must keep counting up (init
         // would rewind it to 0, re-exposing stale same-generation entries);
-        // reset bumps it instead.
+        // reset bumps it instead. Either way the new writer is unarmed: the
+        // thread's first transaction starts with a fenced header write.
         let log_id = self.ensure_logspace()?;
         let (info, log) = self.acquire_log_segment()?;
         if log.is_initialized() {
@@ -523,18 +514,14 @@ impl ClientInner {
             log.init();
         }
         self.register_log_segment(&info, log_id, 0)?;
-        let log_base = log.base_addr();
-        let mut logs = self.thread_logs.write();
-        logs.insert(
-            tid,
-            ThreadLog {
-                info,
-                log_base,
-                log_capacity: log.capacity(),
-                log_id,
-            },
-        );
-        Ok(ThreadLogHandle { log, log_id })
+        let tl = Arc::new(Mutex::new(ThreadLog {
+            info,
+            log_id,
+            writer: LogWriter::new(log),
+            undo_set: IntervalSet::new(),
+        }));
+        self.thread_logs.write().insert(tid, Arc::clone(&tl));
+        Ok(tl)
     }
 
     /// Provides one mapped log puddle — a parked spare when one fits, a

@@ -1,32 +1,57 @@
 //! Failure-atomic transactions (`libtx`, §3.6 and §4.1).
 //!
 //! Transactions are thread-local: each thread lazily acquires one log puddle
-//! from the daemon and reuses it for every subsequent transaction. Inside a
-//! transaction the application (and the allocator) record undo entries
+//! from the daemon and reuses it — and the [`LogWriter`] and undo set that
+//! go with it — for every subsequent transaction. Inside a transaction the
+//! application (and the allocator) record undo entries
 //! ([`Transaction::add`], the analogue of `TX_ADD`) and redo entries
 //! ([`Transaction::redo_set`], the analogue of `TX_REDO_SET`); commit then
-//! runs the three stages of Fig. 7:
+//! runs the stages of Fig. 7.
+//!
+//! A transaction that **redo-logged something** runs all three:
 //!
 //! 1. flush every undo-logged location (coalesced by cache line), fence,
-//!    publish sequence range `(2,4)`;
+//!    publish sequence range `(2,4)` — the commit point: from here recovery
+//!    rolls the transaction forward;
 //! 2. copy every redo entry to its target (straight from the log memory —
 //!    zero-copy), flush, fence. The entries come from the writer's own
 //!    DRAM-cursor extents ([`LogWriter::written`]) and are not re-verified:
 //!    this process checksummed them when it appended them, and hashing a
-//!    megabyte of log a second time was most of a large commit. A
-//!    transaction that redo-logged nothing ([`LogWriter::redo_entries`] is
-//!    zero) skips the stage without reading a single entry;
-//! 3. the transaction is complete; the log is reset (publishing `(4,4)`).
+//!    megabyte of log a second time was most of a large commit;
+//! 3. the transaction is complete; one fenced header write invalidates the
+//!    log ([`LogWriter::finish`]).
+//!
+//! An **undo-only** transaction ([`LogWriter::redo_entries`] is zero) has no
+//! stage 2 and publishes no `(2,4)`: stage 1's fence makes the in-place
+//! updates durable, and the write that invalidates the log is its commit
+//! point. A crash between the two finds the undo entries fully durable
+//! under `(0,2)` and rolls back a transaction nobody was told had
+//! committed — what a crash just after stage 1's fence always did. A
+//! transaction that logged **nothing** has nothing to make durable or to
+//! invalidate, and commits without touching persistent memory.
 //!
 //! # Persist cost of the hot path
 //!
 //! Log appends go through [`LogWriter`]: the cursor lives in DRAM, so an
 //! append is one unfenced flush — no log-header rewrite and no `sfence`.
-//! The fences the stages above already issue are the only fences in a
-//! transaction; by the time a sequence range advances, every entry flushed
-//! before it is durable. Undo logging is additionally *deduplicated*
-//! through an [`IntervalSet`]: re-logging an already-covered location (the
-//! dominant pattern in tree updates) appends nothing.
+//! Starting a transaction is free too when the previous one on this thread
+//! committed without chaining: its invalidating write left the log *armed*
+//! (see [`LogWriter`]). Fences per transaction, by shape:
+//!
+//! | shape | fences | which |
+//! |---|---|---|
+//! | nothing logged | 0 | — |
+//! | undo-only | 2 | data durable (stage 1), log invalidated |
+//! | redo-carrying | 4 | stage 1, publish `(2,4)`, stage 2, log invalidated |
+//! | first on a thread's log; after a chained, aborted, panicked or crashed one | +1 | the fenced start |
+//! | each chained segment | +2 | tail header, log-space slot |
+//!
+//! Two is the floor for an undo-logged transaction: the data must be
+//! durable *before* the log that could roll it back is invalidated, and the
+//! invalidation durable before the commit is acknowledged. Undo logging is
+//! additionally *deduplicated* through an [`IntervalSet`]: re-logging an
+//! already-covered location (the dominant pattern in tree updates) appends
+//! nothing.
 //!
 //! One ordering caveat is inherent to eliding the per-append fence: after
 //! `add`/`set` return, nothing orders the undo entry's write-back before
@@ -47,12 +72,15 @@
 //! back, after it the redo entries roll it forward.
 
 use crate::alloc::MetaLogger;
-use crate::client::{ClientInner, ThreadLogHandle};
+use crate::client::{ClientInner, ThreadLog};
 use crate::error::{Error, Result};
+#[cfg(doc)]
 use crate::interval::IntervalSet;
+#[cfg(doc)]
+use puddles_logfmt::LogWriter;
 use puddles_logfmt::{
-    replay_chain, segment_payload_capacity, DirectMemoryTarget, EntryKind, LogWriter, ReplayOrder,
-    RANGE_REDO, SEQ_REDO, SEQ_UNDO,
+    replay_chain, segment_payload_capacity, DirectMemoryTarget, EntryKind, ReplayOrder, RANGE_REDO,
+    SEQ_REDO, SEQ_UNDO,
 };
 use puddles_pmem::failpoint;
 use puddles_pmem::persist;
@@ -78,16 +106,17 @@ thread_local! {
 /// transaction commits or aborts.
 pub struct Transaction<'c> {
     client: &'c ClientInner,
-    writer: LogWriter,
-    /// Undo-logged `[addr, addr+len)` ranges: dedups re-logging and drives
-    /// the coalesced stage-1 flush.
-    undo_set: IntervalSet,
-    /// Log-space id shared by every segment of this thread's log chain.
-    log_id: u64,
+    /// This thread's log: the writer, the undo-logged `[addr, addr+len)`
+    /// ranges (they dedup re-logging and drive the coalesced stage-1
+    /// flush), and the log-space id shared by every segment of the chain.
+    log: &'c mut ThreadLog,
     /// Chain segments acquired mid-transaction, in `chain_index` order
     /// starting at 1; released after commit/abort (never on an injected
     /// crash — the daemon's recovery reclaims them, like real power loss).
     chain: Vec<PuddleInfo>,
+    /// Neither committed nor crashed (yet): dropping the transaction in
+    /// this state rolls it back.
+    open: bool,
 }
 
 impl<'c> Transaction<'c> {
@@ -102,7 +131,7 @@ impl<'c> Transaction<'c> {
         kind: EntryKind,
         data: &[u8],
     ) -> Result<()> {
-        match self.writer.append(addr, seq, order, kind, data) {
+        match self.log.writer.append(addr, seq, order, kind, data) {
             Ok(()) => Ok(()),
             Err(PmError::LogFull { need, free }) => {
                 let segment_capacity =
@@ -113,7 +142,8 @@ impl<'c> Transaction<'c> {
                     return Err(Error::TxTooLarge { need, free });
                 }
                 self.extend_chain(need, free)?;
-                self.writer
+                self.log
+                    .writer
                     .append(addr, seq, order, kind, data)
                     .map_err(Error::from)
             }
@@ -152,9 +182,9 @@ impl<'c> Transaction<'c> {
         // the abort path still releases the acquired puddle.
         self.chain.push(info);
         let info = self.chain.last().expect("just pushed");
-        self.writer.extend(seg).map_err(Error::from)?;
+        self.log.writer.extend(seg).map_err(Error::from)?;
         self.client
-            .register_log_segment(info, self.log_id, chain_index)
+            .register_log_segment(info, self.log.log_id, chain_index)
             .map_err(|e| match e {
                 // Every log-space slot is taken: the log genuinely cannot
                 // grow any further, same condition as a daemon refusal.
@@ -194,7 +224,7 @@ impl<'c> Transaction<'c> {
         if len == 0 {
             return Ok(());
         }
-        if self.undo_set.covers(addr as u64, len as u64) {
+        if self.log.undo_set.covers(addr as u64, len as u64) {
             return Ok(());
         }
         // SAFETY: the caller asserts (by passing the location to a logging
@@ -208,7 +238,7 @@ impl<'c> Transaction<'c> {
             EntryKind::Undo,
             data,
         )?;
-        self.undo_set.insert(addr as u64, len as u64);
+        self.log.undo_set.insert(addr as u64, len as u64);
         Ok(())
     }
 
@@ -264,19 +294,19 @@ impl<'c> Transaction<'c> {
 
     /// Returns the number of log entries recorded so far.
     pub fn entries(&self) -> u64 {
-        self.writer.num_entries()
+        self.log.writer.num_entries()
     }
 
     /// Of [`Transaction::entries`], the redo entries: what commit's second
     /// stage will apply (zero: the stage reads nothing).
     pub fn redo_entries(&self) -> u64 {
-        self.writer.redo_entries()
+        self.log.writer.redo_entries()
     }
 
     /// Number of log puddles backing this transaction's log chain
     /// (1 = no chaining has happened yet).
     pub fn chain_segments(&self) -> usize {
-        self.writer.segment_count()
+        self.log.writer.segment_count()
     }
 
     /// Largest payload that can still be logged **without chaining another
@@ -284,10 +314,15 @@ impl<'c> Transaction<'c> {
     /// transparently; the hard limit is the daemon's willingness to supply
     /// further log puddles.
     pub fn log_free_bytes(&self) -> usize {
-        self.writer.free_bytes()
+        self.log.writer.free_bytes()
     }
 
     fn commit(&mut self) -> Result<()> {
+        if self.log.writer.num_entries() == 0 {
+            // Nothing logged: nothing to make durable, nothing to invalidate.
+            self.log.writer.finish();
+            return Ok(());
+        }
         // Stage 1: make every undo-logged location durable. Spans are
         // sorted and disjoint, so tracking the last flushed cache line
         // ensures a line shared by two spans is flushed once. The closing
@@ -295,7 +330,7 @@ impl<'c> Transaction<'c> {
         // the appends.
         let line_mask = !(CACHELINE as u64 - 1);
         let mut flushed_to: u64 = 0;
-        for (start, end) in self.undo_set.spans() {
+        for (start, end) in self.log.undo_set.spans() {
             let from = (start & line_mask).max(flushed_to);
             if from < end {
                 persist::flush(from as *const u8, (end - from) as usize);
@@ -308,8 +343,14 @@ impl<'c> Transaction<'c> {
                 failpoint::names::COMMIT_AFTER_UNDO_FLUSH,
             ));
         }
-        // Publish stage 2: only redo entries are live from here on.
-        self.writer.set_seq_range(RANGE_REDO);
+        // Publish stage 2: only redo entries are live from here on. With
+        // none logged there is no stage 2 to protect — the undo entries
+        // stay live until stage 3 invalidates them, and a crash before
+        // that rolls back a commit that was never acknowledged.
+        let redo = self.log.writer.redo_entries() > 0;
+        if redo {
+            self.log.writer.set_seq_range(RANGE_REDO);
+        }
         if failpoint::should_fail(failpoint::names::COMMIT_BEFORE_REDO_APPLY) {
             return Err(Error::CrashInjected(
                 failpoint::names::COMMIT_BEFORE_REDO_APPLY,
@@ -318,11 +359,10 @@ impl<'c> Transaction<'c> {
 
         // Stage 2: apply the redo entries in logging order, copying each
         // payload straight out of the log memory (zero-copy), stitched
-        // across every chained segment. Nothing redo-logged: nothing to
-        // read, flush or fence.
-        if self.writer.redo_entries() > 0 {
+        // across every chained segment.
+        if redo {
             let mut applied = 0usize;
-            for (hdr, data) in self.writer.written() {
+            for (hdr, data) in self.log.writer.written() {
                 if !RANGE_REDO.contains(hdr.seq) {
                     continue;
                 }
@@ -350,10 +390,11 @@ impl<'c> Transaction<'c> {
             ));
         }
 
-        // Stage 3: the transaction is complete; drop the log (the head
-        // reset is the single fenced write invalidating the whole chain)
-        // and return any chained segments to the daemon.
-        self.writer.reset();
+        // Stage 3: the transaction is complete; drop the log (one fenced
+        // head write invalidates the whole chain, and leaves a
+        // single-segment log armed for the next transaction) and return any
+        // chained segments to the daemon.
+        self.log.writer.finish();
         self.release_chain();
         Ok(())
     }
@@ -362,9 +403,22 @@ impl<'c> Transaction<'c> {
         // Roll back in-place (undo-logged) updates and volatile locations,
         // replaying across every chained segment.
         let mut target = DirectMemoryTarget::unrestricted();
-        replay_chain(self.writer.chain(), &mut target, true);
-        self.writer.reset();
+        replay_chain(self.log.writer.chain(), &mut target, true);
+        self.log.writer.reset();
         self.release_chain();
+    }
+}
+
+impl Drop for Transaction<'_> {
+    /// Runs however `run_tx` is left, a panic in the body included: a
+    /// transaction still open is rolled back (ending in
+    /// [`LogWriter::reset`], so the log is left unarmed), and the thread
+    /// may start its next one.
+    fn drop(&mut self) {
+        if self.open {
+            self.abort();
+        }
+        IN_TX.with(|flag| flag.set(false));
     }
 }
 
@@ -383,38 +437,81 @@ pub(crate) fn run_tx<R>(
         return Err(Error::NestedTransaction);
     }
     let handle = client.thread_log()?;
+    let mut log = handle.lock();
+    // Free on an armed log; otherwise one fenced header write bumps the
+    // generation (orphaning any leftover entries) and publishes the
+    // exec-stage range.
+    log.writer.start()?;
+    log.undo_set.clear();
     IN_TX.with(|flag| flag.set(true));
-    let result = run_tx_inner(client, handle, body);
-    IN_TX.with(|flag| flag.set(false));
+    let mut tx = Transaction {
+        client,
+        log: &mut log,
+        chain: Vec::new(),
+        open: true,
+    };
+    let result = body(&mut tx).and_then(|value| {
+        tx.commit()?;
+        Ok(value)
+    });
+    // An injected crash must leave persistent state exactly as the "power
+    // failure" found it: no abort processing. Any other error is rolled
+    // back as the transaction drops.
+    tx.open = matches!(&result, Err(e) if !e.is_injected_crash());
     result
 }
 
-fn run_tx_inner<R>(
-    client: &Arc<ClientInner>,
-    handle: ThreadLogHandle,
-    body: impl FnOnce(&mut Transaction<'_>) -> Result<R>,
-) -> Result<R> {
-    // One fenced header write starts the transaction: bump the generation
-    // (orphaning any leftover entries) and publish the exec-stage range.
-    let writer = LogWriter::begin(handle.log)?;
-    let mut tx = Transaction {
-        client,
-        writer,
-        undo_set: IntervalSet::new(),
-        log_id: handle.log_id,
-        chain: Vec::new(),
-    };
-    match body(&mut tx) {
-        Ok(value) => match tx.commit() {
-            Ok(()) => Ok(value),
-            Err(e) => Err(e),
-        },
-        // An injected crash must leave persistent state exactly as the
-        // "power failure" found it: no abort processing.
-        Err(e) if e.is_injected_crash() => Err(e),
-        Err(e) => {
-            tx.abort();
-            Err(e)
-        }
+#[cfg(test)]
+mod tests {
+    use crate::{PoolOptions, PuddleClient};
+    use puddled::{Daemon, DaemonConfig};
+    use puddles_pmem::persist;
+
+    fn fences_in(f: impl FnOnce()) -> u64 {
+        let before = persist::thread_counts().fences;
+        f();
+        persist::thread_counts().fences - before
+    }
+
+    /// The fence counts `tests/pool_tx.rs` cannot take from outside: a
+    /// thread's first transaction also creates (or recycles) and registers
+    /// its log, which fences too, so that set-up is run apart here.
+    #[test]
+    fn first_transaction_on_a_fresh_or_recycled_thread_log_pays_one_fenced_start() {
+        let tmp = tempfile::tempdir().unwrap();
+        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+        let client = PuddleClient::connect_local(&daemon).unwrap();
+        client.set_log_puddle_size(64 * 1024);
+        let pool = client.create_pool("fresh", PoolOptions::default()).unwrap();
+        let empty = || client.tx(|_| Ok(())).unwrap();
+
+        // A fresh log: just initialised, `RANGE_DONE`, unarmed.
+        client.inner.thread_log().unwrap();
+        assert_eq!(fences_in(empty), 1);
+        assert_eq!(fences_in(empty), 0);
+
+        // A chained commit parks its tail as a spare...
+        let addr = pool.tx(|tx| pool.alloc_raw(tx, 128 * 1024, 0)).unwrap();
+        let one_add = || client.tx(|tx| tx.add_range(addr, 64)).unwrap();
+        assert_eq!(fences_in(one_add), 2);
+        client
+            .tx(|tx| {
+                let free = tx.log_free_bytes();
+                tx.add_range(addr, free)?;
+                tx.add_range(addr + free + 64, 8)?;
+                assert_eq!(tx.chain_segments(), 2);
+                Ok(())
+            })
+            .unwrap();
+        let puddles = client.stats().unwrap().puddles;
+        // ...which the next thread recycles as its log: reset, unarmed.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                client.inner.thread_log().unwrap();
+                assert_eq!(client.stats().unwrap().puddles, puddles, "recycled");
+                assert_eq!(fences_in(one_add), 3);
+                assert_eq!(fences_in(one_add), 2);
+            });
+        });
     }
 }

@@ -1,8 +1,11 @@
 //! End-to-end tests of the client library: pools, allocation, transactions,
 //! aborts, crash injection + system recovery, and relocation on import.
 
-use puddled::{Daemon, DaemonConfig};
+use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
 use puddles::{impl_pm_type, Error, PmPtr, PmType, PoolOptions, PuddleClient};
+use puddles_logfmt::{collect_live, LogRef, LogSpaceRef, RANGE_DONE, RANGE_EXEC};
+use puddles_pmem::persist;
+use puddles_proto::{PuddleId, PuddlePurpose};
 
 #[repr(C)]
 struct Counter {
@@ -1209,4 +1212,322 @@ fn type_ids_and_pointer_maps_are_registered_with_the_daemon() {
     // The maps round-trip through the daemon with the right offsets.
     let node_decl = Node::decl();
     assert_eq!(node_decl.fields[0].offset, 8);
+}
+
+// ----------------------------------------------------------------------
+// Armed thread logs: what a transaction costs in fences, and what sits in
+// PM between and inside transactions.
+// ----------------------------------------------------------------------
+
+/// A copy of the one log chain registered with `daemon`, as it sits in PM
+/// right now: what recovery would scan if the machine lost power here.
+struct LogImage {
+    segments: Vec<Vec<u8>>,
+}
+
+impl LogImage {
+    fn take(daemon: &Daemon) -> LogImage {
+        let registry = daemon.registry();
+        let read = |record: &puddled::registry::PuddleRecord| {
+            let (_, path) = daemon
+                .pm_dir()
+                .open_puddle_file(&record.file, record.size as usize)
+                .unwrap();
+            std::fs::read(path).unwrap()
+        };
+        let puddles = registry.puddles_snapshot();
+        let mut log_spaces = puddles
+            .iter()
+            .filter(|p| p.purpose == PuddlePurpose::LogSpace);
+        let mut ls_image = read(log_spaces.next().expect("a log space"));
+        assert!(log_spaces.next().is_none(), "one client, one log space");
+        // SAFETY: the view covers the copy's heap and is dropped before it.
+        let ls = unsafe {
+            LogSpaceRef::from_raw(
+                ls_image.as_mut_ptr().add(LOG_REGION_OFFSET),
+                ls_image.len() - LOG_REGION_OFFSET,
+            )
+        };
+        let slots = ls.live_slots();
+        assert!(slots.iter().all(|s| s.log_id == slots[0].log_id));
+        let segments = slots
+            .iter()
+            .map(|s| {
+                let uuid = (s.puddle_uuid_hi as u128) << 64 | s.puddle_uuid_lo as u128;
+                read(&registry.puddle(PuddleId(uuid)).expect("registered segment"))
+            })
+            .collect();
+        LogImage { segments }
+    }
+
+    /// Views over the copied segments, head first.
+    fn chain(&mut self) -> Vec<LogRef> {
+        self.segments
+            .iter_mut()
+            // SAFETY: each view covers its copy's heap; callers drop the
+            // views before the image.
+            .map(|buf| unsafe {
+                LogRef::from_raw(
+                    buf.as_mut_ptr().add(LOG_REGION_OFFSET),
+                    buf.len() - LOG_REGION_OFFSET,
+                )
+            })
+            .collect()
+    }
+}
+
+/// Fences the calling thread issues while `f` runs.
+fn fences_in(f: impl FnOnce()) -> u64 {
+    let before = persist::thread_counts().fences;
+    f();
+    persist::thread_counts().fences - before
+}
+
+/// Commits a transaction that fills its log segment from the allocation at
+/// `addr` and chains a second one (the client's log puddles are small).
+fn commit_chained(client: &PuddleClient, addr: usize) {
+    client
+        .tx(|tx| {
+            let free = tx.log_free_bytes();
+            tx.add_range(addr, free)?;
+            tx.add_range(addr + free + 64, 8)?;
+            assert_eq!(tx.chain_segments(), 2);
+            Ok(())
+        })
+        .unwrap()
+}
+
+#[test]
+fn fences_per_transaction_are_exactly_what_the_shape_needs() {
+    let (_tmp, _config, _daemon, client) = setup();
+    client.set_log_puddle_size(64 * 1024);
+    let pool = client
+        .create_pool("fences", PoolOptions::default())
+        .unwrap();
+    let region = 128 * 1024;
+    // Also warms the thread log: this commit leaves it armed.
+    let addr = pool.tx(|tx| pool.alloc_raw(tx, region, 0)).unwrap();
+    let word = addr as *mut u64;
+
+    let empty = || client.tx(|_| Ok(())).unwrap();
+    let one_add = || {
+        client
+            .tx(|tx| {
+                tx.add_range(addr, 64)?;
+                // SAFETY: `addr` is a live, writable `region`-byte allocation.
+                unsafe { *word += 1 };
+                Ok(())
+            })
+            .unwrap()
+    };
+    // SAFETY (redo target): as above.
+    let one_redo = || {
+        client
+            .tx(|tx| tx.redo_set(unsafe { &*word }, 7u64))
+            .unwrap()
+    };
+    let aborted = || {
+        let err = client.tx(|tx| {
+            tx.add_range(addr, 64)?;
+            Err::<(), _>(Error::Corruption("abort".into()))
+        });
+        assert!(matches!(err, Err(Error::Corruption(_))));
+    };
+
+    // On an armed log: nothing logged, nothing fenced; an undo-only
+    // transaction fences its data, then the log's invalidation; a redo
+    // entry adds the redo-stage publish and the redo apply.
+    assert_eq!(fences_in(empty), 0);
+    assert_eq!(fences_in(one_add), 2);
+    assert_eq!(fences_in(one_redo), 4);
+    assert_eq!(fences_in(empty), 0);
+    assert_eq!(fences_in(one_add), 2, "steady state, not a one-off");
+
+    // A chained commit ends in RANGE_DONE, an abort in a plain reset: the
+    // next transaction pays the fenced start, and only that one.
+    commit_chained(&client, addr);
+    assert_eq!(fences_in(one_add), 3, "after a chained commit");
+    assert_eq!(fences_in(one_add), 2);
+    commit_chained(&client, addr);
+    assert_eq!(fences_in(empty), 1, "after a chained commit");
+    assert_eq!(fences_in(empty), 0);
+    aborted();
+    assert_eq!(fences_in(one_redo), 5, "after an abort");
+    assert_eq!(fences_in(one_redo), 4);
+    // (A thread's first transaction also creates its log, which fences
+    // too: `tx::tests` counts that one, with the set-up held apart.)
+}
+
+#[test]
+fn single_segment_commit_arms_the_log_and_a_chained_one_does_not() {
+    let (_tmp, _config, daemon, client) = setup();
+    client.set_log_puddle_size(64 * 1024);
+    let pool = client.create_pool("armed", PoolOptions::default()).unwrap();
+    let region = 128 * 1024;
+    let addr = pool.tx(|tx| pool.alloc_raw(tx, region, 0)).unwrap();
+
+    // Between transactions the head is an empty executing transaction.
+    let mut idle = LogImage::take(&daemon);
+    let chain = idle.chain();
+    assert_eq!(chain.len(), 1);
+    assert_eq!(chain[0].seq_range(), RANGE_EXEC);
+    assert_eq!(
+        chain[0].iter().count(),
+        0,
+        "no entry of the armed generation"
+    );
+    let armed_gen = chain[0].generation();
+
+    // The next transaction starts without touching the header, and what it
+    // undo-logs is live under the armed generation: a crash right here
+    // would roll exactly this back.
+    pool.tx(|tx| {
+        tx.add_range(addr, 64)?;
+        tx.add_range(addr + 4096, 8)?;
+        let mut mid = LogImage::take(&daemon);
+        let chain = mid.chain();
+        assert_eq!(chain[0].generation(), armed_gen, "start wrote nothing");
+        assert_eq!(chain[0].seq_range(), RANGE_EXEC);
+        let live = collect_live(&chain, false);
+        let logged: Vec<(u64, usize)> = live.to_apply().map(|(h, d)| (h.addr, d.len())).collect();
+        assert_eq!(logged, vec![(addr as u64 + 4096, 8), (addr as u64, 64)]);
+        assert!(live.to_apply().all(|(h, _)| h.gen == armed_gen));
+        Ok(())
+    })
+    .unwrap();
+    let mut idle = LogImage::take(&daemon);
+    let chain = idle.chain();
+    assert_eq!(chain[0].seq_range(), RANGE_EXEC);
+    assert_eq!(chain[0].generation(), armed_gen + 1, "one write per commit");
+    assert_eq!(chain[0].iter().count(), 0);
+
+    // A transaction that logs nothing leaves the header alone.
+    client.tx(|_| Ok(())).unwrap();
+    let mut idle = LogImage::take(&daemon);
+    assert_eq!(idle.chain()[0].generation(), armed_gen + 1);
+
+    // A chained commit ends in RANGE_DONE (its tails are released)...
+    commit_chained(&client, addr);
+    let mut idle = LogImage::take(&daemon);
+    let chain = idle.chain();
+    assert_eq!(chain.len(), 1);
+    assert_eq!(chain[0].seq_range(), RANGE_DONE);
+    // ...and the single-segment one after it arms the log again.
+    pool.tx(|tx| tx.add_range(addr, 64)).unwrap();
+    let mut idle = LogImage::take(&daemon);
+    assert_eq!(idle.chain()[0].seq_range(), RANGE_EXEC);
+}
+
+#[test]
+fn crash_on_an_armed_log_rolls_back_that_transaction_only() {
+    use puddles_pmem::failpoint;
+    let _guard = failpoint_lock();
+
+    // Transaction N commits two logged stores; N+1 (started on the armed
+    // log, no header write) logs and overwrites `value`, then crashes
+    // before or after its second append. N's entries sit at the same log
+    // offsets under the previous generation: were the second one visible
+    // to recovery when N+1 logged only one, `touched` would go back to 20.
+    for appends_before_crash in 0..3usize {
+        let tmp = tempfile::tempdir().unwrap();
+        let config = DaemonConfig::for_testing(tmp.path());
+        {
+            let daemon = Daemon::start(config.clone()).unwrap();
+            let client = PuddleClient::connect_local(&daemon).unwrap();
+            let pool = client.create_pool("armed", PoolOptions::default()).unwrap();
+            pool.tx(|tx| {
+                pool.create_root(
+                    tx,
+                    Counter {
+                        value: 10,
+                        touched: 20,
+                    },
+                )
+            })
+            .unwrap();
+            let root: PmPtr<Counter> = pool.root().unwrap();
+            pool.tx(|tx| {
+                let c = pool.deref_mut(root)?;
+                tx.set(&mut c.value, 11)?;
+                tx.set(&mut c.touched, 21)?;
+                Ok(())
+            })
+            .unwrap();
+
+            failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, appends_before_crash);
+            let err = pool
+                .tx(|tx| {
+                    let c = pool.deref_mut(root)?;
+                    tx.set(&mut c.value, 12)?;
+                    tx.set(&mut c.touched, 22)?;
+                    tx.add_volatile(&0u64)?; // a third append to crash on
+                    Ok(())
+                })
+                .unwrap_err();
+            failpoint::clear_all();
+            assert!(err.is_injected_crash(), "got {err}");
+        }
+
+        let daemon = Daemon::start(config).unwrap();
+        let client = PuddleClient::connect_local(&daemon).unwrap();
+        let pool = client.open_pool("armed").unwrap();
+        let root: PmPtr<Counter> = pool.root().unwrap();
+        let c = pool.deref(root).unwrap();
+        assert_eq!(
+            (c.value, c.touched),
+            (11, 21),
+            "crash after {appends_before_crash} appends: N stays, N+1 goes"
+        );
+        // The recovered log serves the thread's next transaction.
+        pool.tx(|tx| tx.set(&mut pool.deref_mut(root)?.value, 13))
+            .unwrap();
+        assert_eq!(pool.deref(root).unwrap().value, 13);
+    }
+}
+
+#[test]
+fn panic_in_a_transaction_body_rolls_back_and_frees_the_thread() {
+    let (_tmp, _config, daemon, client) = setup();
+    let pool = client.create_pool("panic", PoolOptions::default()).unwrap();
+    pool.tx(|tx| {
+        pool.create_root(
+            tx,
+            Counter {
+                value: 1,
+                touched: 2,
+            },
+        )
+    })
+    .unwrap();
+    let root: PmPtr<Counter> = pool.root().unwrap();
+
+    let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        pool.tx(|tx| {
+            let c = pool.deref_mut(root)?;
+            tx.set(&mut c.value, 100)?;
+            tx.set(&mut c.touched, 200)?;
+            if c.value == 100 {
+                panic!("application bug mid-transaction");
+            }
+            Ok(())
+        })
+    }));
+    assert!(unwound.is_err());
+
+    // Rolled back like an `Err` return, not left half-applied...
+    let c = pool.deref(root).unwrap();
+    assert_eq!((c.value, c.touched), (1, 2));
+    // ...with the log reset rather than armed over the dead entries...
+    let mut idle = LogImage::take(&daemon);
+    assert_eq!(idle.chain()[0].seq_range(), RANGE_DONE);
+    // ...and the thread can run transactions again.
+    assert_eq!(
+        fences_in(|| {
+            pool.tx(|tx| tx.set(&mut pool.deref_mut(root)?.value, 3))
+                .unwrap()
+        }),
+        3,
+        "fenced start, then the usual two"
+    );
+    assert_eq!(pool.deref(root).unwrap().value, 3);
 }

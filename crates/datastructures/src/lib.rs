@@ -14,10 +14,10 @@
 //!   (Fig. 12);
 //! * [`sensor`] — the sensor-network data-aggregation workload (Fig. 13/14).
 //!
-//! Simplifications relative to the paper are documented per module and in
-//! DESIGN.md (e.g. list deletion removes the head rather than the tail so
-//! the operation stays O(1) on a singly linked list, and B-tree deletion
-//! does not rebalance).
+//! Simplifications relative to the paper are documented per module (e.g.
+//! list deletion removes the head rather than the tail so the operation
+//! stays O(1) on a singly linked list, and B-tree deletion does not
+//! rebalance).
 
 pub mod btree;
 pub mod euler;

@@ -16,11 +16,17 @@
 //! appended entries, which is exactly what stage-aware replay needs.
 //!
 //! The persistent header is touched only by [`LogRef::init`],
-//! [`LogWriter::begin`], [`LogRef::set_seq_range`] and [`LogRef::reset`].
-//! Its `gen` field is bumped whenever a transaction (re)starts the log, so
+//! [`LogWriter::start`] on an unarmed log (and [`LogWriter::extend`] on the
+//! tail it chains), [`LogRef::set_seq_range`], and the write that ends a
+//! transaction: [`LogWriter::finish`] or [`LogRef::reset`]. Its `gen` field
+//! is bumped by each of these after `init`, `set_seq_range` excepted, so
 //! entries left over from an earlier transaction — which can share offsets
 //! and valid checksums with freshly appended ones — terminate the scan by
-//! generation mismatch instead of being replayed.
+//! generation mismatch instead of being replayed. A steady-state
+//! single-segment transaction writes the header once, when it ends:
+//! `finish` leaves the log *armed* (already reading [`crate::RANGE_EXEC`]
+//! under the next generation), and the next `start` finds nothing left to
+//! write.
 //!
 //! # Checksum function and the magic number
 //!
@@ -323,18 +329,27 @@ impl LogRef {
         }
     }
 
+    /// One fenced header write that ends whatever the log held and publishes
+    /// `range` for what comes next: bumps the generation (invalidating every
+    /// existing entry for the scan) and rewinds the advisory head. Returns
+    /// the new generation.
+    fn restart(&self, range: SeqRange) -> u32 {
+        let mut hdr = self.read_header();
+        self.bump_gen(&mut hdr);
+        hdr.seq_lo = range.lo;
+        hdr.seq_hi = range.hi;
+        hdr.head_off = LOG_HEADER_SIZE as u64;
+        hdr.tail_off = u64::MAX;
+        hdr.num_entries = 0;
+        self.write_header(hdr);
+        hdr.gen
+    }
+
     /// Resets the log: publishes [`crate::RANGE_DONE`], bumps the
     /// generation (invalidating every existing entry for the scan), and
     /// rewinds the advisory head.
     pub fn reset(&self) {
-        let mut hdr = self.read_header();
-        hdr.seq_lo = crate::RANGE_DONE.lo;
-        hdr.seq_hi = crate::RANGE_DONE.hi;
-        hdr.head_off = LOG_HEADER_SIZE as u64;
-        hdr.tail_off = u64::MAX;
-        hdr.num_entries = 0;
-        self.bump_gen(&mut hdr);
-        self.write_header(hdr);
+        self.restart(crate::RANGE_DONE);
     }
 
     /// Overwrites the stored generation without touching entries —
@@ -458,12 +473,37 @@ pub fn chain_iter(segments: &[LogRef]) -> impl Iterator<Item = (LogEntryHeader, 
 /// The fast, fence-free append path: a chain of [`LogRef`] segments plus a
 /// DRAM mirror of the append cursor.
 ///
-/// A `LogWriter` spans one transaction: [`LogWriter::begin`] bumps the log
-/// generation and publishes [`crate::RANGE_EXEC`] in a single fenced header
-/// write; every [`LogWriter::append`] then costs exactly one unfenced
-/// flush; the commit-stage fences (already required by Fig. 7) make the
-/// appended entries durable before any sequence-range transition that could
-/// replay them.
+/// A `LogWriter` serves one log for as long as its owner keeps it, one
+/// transaction at a time: [`LogWriter::start`] opens a transaction (on an
+/// unarmed log, one fenced header write that bumps the generation and
+/// publishes [`crate::RANGE_EXEC`]); every [`LogWriter::append`] then costs
+/// exactly one unfenced flush; the commit-stage fences (already required by
+/// Fig. 7) make the appended entries durable before any sequence-range
+/// transition that could replay them; [`LogWriter::finish`] (commit) or
+/// [`LogWriter::reset`] (abort) ends it. The segment vectors are cleared,
+/// not rebuilt, from one transaction to the next.
+///
+/// # Armed reset
+///
+/// The fenced header write that ends a committed *single-segment*
+/// transaction ([`LogWriter::finish`]) publishes [`crate::RANGE_EXEC`] with
+/// the bumped generation instead of [`crate::RANGE_DONE`]: the idle log *is*
+/// an empty executing transaction, so the next [`LogWriter::start`] writes
+/// nothing — that write's fence already orders the header before any later
+/// append, and entries of the finished transaction carry the previous
+/// generation. Whether the log is armed is DRAM state of this writer, taken
+/// (cleared) by `start` and set only after the fenced write of `finish`
+/// returned; a writer that is new, was reset, or whose transaction never
+/// reached `finish` (a crash, a panic) pays the fenced `start`. Recovery
+/// reads an armed idle log as what it is: an `EXEC` head with no valid
+/// entry, nothing to roll back.
+///
+/// **Chains never arm.** The head's range governs the whole chain, and the
+/// tails are reset after the head. With an `EXEC` head, a crash between the
+/// head reset and the tail resets would leave the tails' undo entries —
+/// valid under the tails' own generations — live again, rolling back a
+/// committed transaction. A chained transaction therefore ends in
+/// `RANGE_DONE`, under which nothing is live whatever the tails hold.
 ///
 /// # Multi-segment chains
 ///
@@ -498,40 +538,77 @@ pub struct LogWriter {
     redo_entries: u64,
     /// Generation of the active segment, stamped into appended entries.
     gen: u32,
+    /// What this writer knows of the head's persistent header.
+    state: WriterState,
+}
+
+/// DRAM knowledge a [`LogWriter`] has of its head segment's header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WriterState {
+    /// Nothing: the next `start` restarts the head (fenced).
+    Unarmed,
+    /// No transaction open, and the head already reads
+    /// [`crate::RANGE_EXEC`] at `gen` with no entry of that generation: the
+    /// next `start` has nothing to write.
+    Armed,
+    /// A transaction is open under [`crate::RANGE_EXEC`] at `gen`.
+    Open,
 }
 
 impl LogWriter {
-    /// Starts a new transaction on `log`: bumps the generation (orphaning
-    /// every existing entry) and publishes [`crate::RANGE_EXEC`], in one
-    /// fenced header write.
-    pub fn begin(log: LogRef) -> Result<LogWriter> {
-        let gen = Self::begin_segment(log)?;
-        Ok(LogWriter {
+    /// A writer over `log` with no transaction open (unarmed: the first
+    /// [`LogWriter::start`] pays the fenced header write). Touches no
+    /// persistent memory.
+    pub fn new(log: LogRef) -> LogWriter {
+        LogWriter {
             segments: vec![log],
             sealed: Vec::new(),
             head: LOG_HEADER_SIZE,
             entries: 0,
             redo_entries: 0,
-            gen,
-        })
+            gen: 0,
+            state: WriterState::Unarmed,
+        }
+    }
+
+    /// A new writer with a transaction started on `log`.
+    pub fn begin(log: LogRef) -> Result<LogWriter> {
+        let mut writer = LogWriter::new(log);
+        writer.start()?;
+        Ok(writer)
+    }
+
+    /// Starts a transaction on the head: forgets whatever an unfinished
+    /// predecessor left in DRAM, then, unless the log is armed, bumps the
+    /// generation (orphaning every existing entry) and publishes
+    /// [`crate::RANGE_EXEC`] in one fenced header write.
+    pub fn start(&mut self) -> Result<()> {
+        self.rewind();
+        if self.state != WriterState::Armed {
+            self.state = WriterState::Unarmed;
+            self.gen = Self::begin_segment(self.segments[0])?;
+        }
+        self.state = WriterState::Open;
+        Ok(())
+    }
+
+    /// Drops the tails from the chain and rewinds the DRAM cursor.
+    fn rewind(&mut self) {
+        self.segments.truncate(1);
+        self.sealed.clear();
+        self.head = LOG_HEADER_SIZE;
+        self.entries = 0;
+        self.redo_entries = 0;
     }
 
     /// One fenced header write that (re)starts `log` for the current
     /// transaction: generation bump + [`crate::RANGE_EXEC`] + rewound
     /// advisory head. Returns the new generation.
     fn begin_segment(log: LogRef) -> Result<u32> {
-        let mut hdr = log.read_header();
-        if hdr.magic != LOG_MAGIC {
+        if !log.is_initialized() {
             return Err(PmError::Corruption("begin on uninitialized log".into()));
         }
-        log.bump_gen(&mut hdr);
-        hdr.seq_lo = crate::RANGE_EXEC.lo;
-        hdr.seq_hi = crate::RANGE_EXEC.hi;
-        hdr.head_off = LOG_HEADER_SIZE as u64;
-        hdr.tail_off = u64::MAX;
-        hdr.num_entries = 0;
-        log.write_header(hdr);
-        Ok(hdr.gen)
+        Ok(log.restart(crate::RANGE_EXEC))
     }
 
     /// Chains `seg` onto the log and makes it the active segment.
@@ -662,22 +739,36 @@ impl LogWriter {
         self.segments[0].set_seq_range(range);
     }
 
-    /// Ends the transaction: resets the head (bumping its generation — the
-    /// single fenced write that invalidates the *entire* chain, since the
-    /// head's range governs chain replay), then scrubs any tail segments
-    /// and drops them from the chain. The caller releases the tail areas'
-    /// backing storage afterwards.
+    /// Ends a committed transaction with the log's single invalidating
+    /// write. A single-segment log is left **armed** (see the type docs):
+    /// the fenced write publishes [`crate::RANGE_EXEC`] under the bumped
+    /// generation, and a transaction that appended nothing needs no write
+    /// at all — the head already reads `EXEC` at a generation no entry
+    /// carries. A chain ends in [`LogWriter::reset`].
+    pub fn finish(&mut self) {
+        assert_eq!(self.state, WriterState::Open, "finish without start");
+        if self.segments.len() > 1 {
+            return self.reset();
+        }
+        if self.entries > 0 {
+            self.gen = self.segments[0].restart(crate::RANGE_EXEC);
+            self.rewind();
+        }
+        self.state = WriterState::Armed;
+    }
+
+    /// Ends the transaction unarmed: resets the head to
+    /// [`crate::RANGE_DONE`] (bumping its generation — the single fenced
+    /// write that invalidates the *entire* chain, since the head's range
+    /// governs chain replay), then scrubs any tail segments and drops them
+    /// from the chain. The caller releases the tail areas' backing storage
+    /// afterwards.
     pub fn reset(&mut self) {
-        self.segments[0].reset();
-        for seg in &self.segments[1..] {
+        for seg in &self.segments {
             seg.reset();
         }
-        self.segments.truncate(1);
-        self.sealed.clear();
-        self.head = LOG_HEADER_SIZE;
-        self.entries = 0;
-        self.redo_entries = 0;
-        self.gen = self.segments[0].generation();
+        self.rewind();
+        self.state = WriterState::Unarmed;
     }
 }
 
@@ -1219,6 +1310,121 @@ mod tests {
         for tail in tails {
             assert_eq!(tail.iter().count(), 0);
         }
+    }
+
+    #[test]
+    fn finish_arms_a_single_segment_log_and_the_next_start_writes_nothing() {
+        let fences = || persist::thread_counts().fences;
+        let mut buf = vec![0u8; 4096];
+        let log = make_log(&mut buf);
+        log.init();
+        let mut w = LogWriter::new(log);
+        assert_eq!(log.seq_range(), RANGE_DONE, "`new` touches nothing");
+
+        // Unarmed: the fenced start.
+        let before = fences();
+        w.start().unwrap();
+        assert_eq!(fences() - before, 1);
+        assert_eq!((log.seq_range(), log.generation()), (RANGE_EXEC, 1));
+        w.append(
+            0x1,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[1; 8],
+        )
+        .unwrap();
+        w.append(
+            0x2,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[2; 8],
+        )
+        .unwrap();
+
+        // Commit: one fenced write leaves an empty executing transaction
+        // under the next generation...
+        let before = fences();
+        w.finish();
+        assert_eq!(fences() - before, 1);
+        assert_eq!((log.seq_range(), log.generation()), (RANGE_EXEC, 2));
+        assert_eq!(log.iter().count(), 0);
+
+        // ...so the next transaction starts for free, its entries are
+        // valid under that generation, and the previous transaction's
+        // second entry — same offset, older generation — stays invisible.
+        let before = fences();
+        w.start().unwrap();
+        w.append(
+            0x3,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[3; 8],
+        )
+        .unwrap();
+        assert_eq!(fences() - before, 0);
+        assert_eq!(log.generation(), 2);
+        let visible: Vec<u64> = log.live().map(|(h, _)| h.addr).collect();
+        assert_eq!(visible, vec![0x3]);
+
+        // A transaction that appended nothing ends without a write and
+        // leaves the log armed; an abort (`reset`) disarms it.
+        w.finish();
+        let before = fences();
+        w.start().unwrap();
+        w.finish();
+        w.start().unwrap();
+        assert_eq!(fences() - before, 0);
+        assert_eq!(log.generation(), 3);
+        w.reset();
+        assert_eq!((log.seq_range(), log.generation()), (RANGE_DONE, 4));
+        let before = fences();
+        w.start().unwrap();
+        assert_eq!(fences() - before, 1);
+        assert_eq!((log.seq_range(), log.generation()), (RANGE_EXEC, 5));
+    }
+
+    #[test]
+    fn a_chain_ends_in_range_done_because_its_tails_outlive_the_head_reset() {
+        let mut head_buf = vec![0u8; 1024];
+        let head = make_log(&mut head_buf);
+        head.init();
+        let mut w = LogWriter::begin(head).unwrap();
+        let mut spare: Vec<Vec<u8>> = vec![vec![0u8; 1024]];
+        for i in 0..14u64 {
+            append_chaining(&mut w, &mut spare, 0x100 + i, &[4; 64]);
+        }
+        assert_eq!(w.segment_count(), 2);
+        let tail = w.chain()[1];
+        let segments = [head, tail];
+        let in_tail = tail.iter().count();
+        assert!(in_tail > 0);
+
+        // The crash window inside a chained commit's stage 3: the head is
+        // reset, the tail not yet. Under RANGE_DONE nothing is live, though
+        // the tail still holds valid undo entries of the committed
+        // transaction...
+        head.reset();
+        assert_eq!(tail.iter().count(), in_tail);
+        assert_eq!(crate::collect_live(&segments, false).live_count(), 0);
+        // ...which an executing head would bring back to life, rolling a
+        // committed transaction's tail updates back: why `finish` never
+        // arms a chain.
+        head.set_seq_range(RANGE_EXEC);
+        assert_eq!(crate::collect_live(&segments, false).live_count(), in_tail);
+        head.set_seq_range(RANGE_DONE);
+
+        // `finish` on a chain is `reset`: RANGE_DONE, tails scrubbed, and
+        // the next start fenced.
+        w.finish();
+        assert_eq!(head.seq_range(), RANGE_DONE);
+        assert_eq!(tail.iter().count(), 0);
+        let before = persist::thread_counts().fences;
+        w.start().unwrap();
+        assert_eq!(persist::thread_counts().fences - before, 1);
+        assert_eq!(w.segment_count(), 1);
     }
 
     #[test]

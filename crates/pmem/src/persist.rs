@@ -10,7 +10,32 @@
 //! killing the machine.
 
 use crate::CACHELINE;
+use std::cell::Cell;
 use std::sync::atomic::{fence, Ordering};
+
+/// What the calling thread has asked of this module since it started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PersistCounts {
+    /// Cache lines covered by [`flush`] calls.
+    pub lines_flushed: u64,
+    /// [`sfence`] calls (one per [`persist`]).
+    pub fences: u64,
+}
+
+thread_local! {
+    static LINES_FLUSHED: Cell<u64> = const { Cell::new(0) };
+    static FENCES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's flush and fence counts. Persist cost is a count
+/// before it is a time: take the difference around an operation to learn
+/// (or assert) exactly how many fences it issued.
+pub fn thread_counts() -> PersistCounts {
+    PersistCounts {
+        lines_flushed: LINES_FLUSHED.get(),
+        fences: FENCES.get(),
+    }
+}
 
 /// Which flush instruction the running CPU supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,13 +116,14 @@ pub fn flush(ptr: *const u8, len: usize) {
     if len == 0 {
         return;
     }
+    let start = ptr as usize & !(CACHELINE - 1);
+    let end = ptr as usize + len;
+    LINES_FLUSHED.set(LINES_FLUSHED.get() + (end - start).div_ceil(CACHELINE) as u64);
     let kind = flush_kind();
     if kind == FlushKind::FenceOnly {
         fence(Ordering::SeqCst);
         return;
     }
-    let start = ptr as usize & !(CACHELINE - 1);
-    let end = ptr as usize + len;
     let mut line = start;
     while line < end {
         #[cfg(target_arch = "x86_64")]
@@ -120,6 +146,7 @@ pub fn flush(ptr: *const u8, len: usize) {
 
 /// Issues a store fence ordering all previous flushes/stores.
 pub fn sfence() {
+    FENCES.set(FENCES.get() + 1);
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY: `_mm_sfence` has no preconditions.
@@ -159,6 +186,26 @@ mod tests {
         persist(data.as_ptr(), data.len());
         persist(data.as_ptr().wrapping_add(1), 1);
         flush(data.as_ptr(), 0);
+    }
+
+    #[test]
+    fn thread_counts_follow_this_threads_flushes_and_fences() {
+        let data = vec![0u8; 4096];
+        // An aligned pointer inside the buffer, whatever the allocator gave.
+        let base = (data.as_ptr() as usize).next_multiple_of(CACHELINE) as *const u8;
+        let before = thread_counts();
+        flush(base, 0);
+        flush(base, 1);
+        flush(base.wrapping_add(CACHELINE - 1), 2);
+        flush(base, 3 * CACHELINE);
+        sfence();
+        persist(base, CACHELINE);
+        std::thread::spawn(|| persist(&0u64 as *const u64 as *const u8, 8))
+            .join()
+            .unwrap();
+        let after = thread_counts();
+        assert_eq!(after.lines_flushed - before.lines_flushed, 1 + 2 + 3 + 1);
+        assert_eq!(after.fences - before.fences, 2);
     }
 
     #[test]

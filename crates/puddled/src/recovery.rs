@@ -24,7 +24,8 @@ use crate::registry::PuddleRecord;
 use crate::service::DaemonInner;
 use puddles_logfmt::log::LOG_MAGIC;
 use puddles_logfmt::{
-    collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
+    chain_iter, collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
+    RANGE_EXEC,
 };
 use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::Result;
@@ -313,6 +314,13 @@ fn recover_log_space(
                 None => {}
                 // Never initialised, or its transaction completed.
                 Some((0, _)) | Some((LOG_MAGIC, RANGE_DONE)) => report.logs_clean += 1,
+                // An armed log (`LogWriter::finish`): its last transaction
+                // committed and left the head executing under a generation
+                // no entry carries; the next one logged nothing durable.
+                // Nothing to roll back, and nothing to rewrite.
+                Some((LOG_MAGIC, RANGE_EXEC)) if chain_iter(&segments).next().is_none() => {
+                    report.logs_clean += 1
+                }
                 Some((LOG_MAGIC, _)) => {
                     // One verified scan finds the chain's live entries (the
                     // head's sequence range governs liveness throughout;

@@ -1,10 +1,13 @@
 //! Recovery maps what crashed transactions touched, not what their owners
-//! could have touched, and refuses a log it cannot read instead of taking
-//! it for an empty one.
+//! could have touched, refuses a log it cannot read instead of taking it
+//! for an empty one, and leaves a log armed for its next transaction alone.
 
 use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
 use puddles_logfmt::log::{LOG_HEADER_SIZE, LOG_MAGIC};
-use puddles_logfmt::{EntryKind, LogRef, LogSpaceRef, ReplayOrder, RANGE_EXEC, SEQ_UNDO};
+use puddles_logfmt::{
+    EntryKind, LogRef, LogSpaceRef, LogWriter, ReplayOrder, RANGE_DONE, RANGE_EXEC, SEQ_REDO,
+    SEQ_UNDO,
+};
 use puddles_pmem::obs::TraceEventKind;
 use puddles_proto::{Credentials, PuddleInfo, PuddlePurpose, RecoveryReport, Request, Response};
 use std::sync::atomic::Ordering;
@@ -231,4 +234,147 @@ fn a_never_initialised_log_area_stays_clean() {
         "{report:?}"
     );
     assert_eq!(m.recover().log_spaces, 1, "still recovered on later passes");
+}
+
+/// The bytes of the one log puddle's log header, read from its file.
+fn log_header_bytes(daemon: &Daemon) -> Vec<u8> {
+    let logs: Vec<_> = daemon
+        .registry()
+        .puddles_snapshot()
+        .into_iter()
+        .filter(|p| p.purpose == PuddlePurpose::Log)
+        .collect();
+    assert_eq!(logs.len(), 1);
+    let (_, path) = daemon
+        .pm_dir()
+        .open_puddle_file(&logs[0].file, logs[0].size as usize)
+        .unwrap();
+    std::fs::read(path).unwrap()[LOG_REGION_OFFSET..LOG_REGION_OFFSET + LOG_HEADER_SIZE].to_vec()
+}
+
+#[test]
+fn an_armed_empty_log_is_clean_and_recovery_leaves_it_alone() {
+    let m = Machine::start();
+    // A client commits a transaction and goes away without any cleanup:
+    // its log stays registered, armed for a transaction that never came.
+    {
+        let client = puddles::PuddleClient::connect_local(&m.daemon).unwrap();
+        let pool = client
+            .create_pool("armed", puddles::PoolOptions::default())
+            .unwrap();
+        let addr = pool.tx(|tx| pool.alloc_raw(tx, 64, 0)).unwrap();
+        pool.tx(|tx| tx.add_range(addr, 64)).unwrap();
+    }
+    let header = log_header_bytes(&m.daemon);
+    assert_eq!(
+        header[8..16],
+        [RANGE_EXEC.lo.to_le_bytes(), RANGE_EXEC.hi.to_le_bytes()].concat()
+    );
+
+    let mapped_before = m.daemon.global_space().mapped_count();
+    let report = m.recover();
+    assert_eq!(
+        (report.logs, report.logs_clean, report.logs_invalidated),
+        (1, 1, 0),
+        "{report:?}"
+    );
+    assert_eq!((report.entries_applied, report.entries_denied), (0, 0));
+    assert_eq!(
+        report.puddles_mapped, 2,
+        "the log space and the log, no data puddle"
+    );
+    assert_eq!(m.daemon.global_space().mapped_count(), mapped_before);
+    assert_eq!(
+        log_header_bytes(&m.daemon),
+        header,
+        "generation included: nothing to rewrite"
+    );
+}
+
+#[test]
+fn an_executing_head_with_entries_is_still_resolved_and_reset() {
+    let mut m = Machine::start();
+    let data = m.create(PuddlePurpose::Data, 64 * 1024);
+    let (_lp, log) = m.log_space_with_one_log();
+    let target = m.map(&data) + 0x8000;
+    log.init();
+
+    // Transaction 1 commits and arms the log; transaction 2 starts on the
+    // armed log, undo-logs 8 bytes, overwrites them, and crashes.
+    let mut writer = LogWriter::begin(log).unwrap();
+    writer
+        .append(
+            target as u64,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[0; 8],
+        )
+        .unwrap();
+    writer.finish();
+    let armed_gen = log.generation();
+    writer.start().unwrap();
+    // SAFETY: `target..target + 8` lies inside the puddle mapped above.
+    unsafe { std::ptr::write_bytes(target as *mut u8, 0xAA, 8) };
+    writer
+        .append(
+            target as u64,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[0xAA; 8],
+        )
+        .unwrap();
+    // SAFETY: as above.
+    unsafe { std::ptr::write_bytes(target as *mut u8, 0xBB, 8) };
+    assert_eq!((log.seq_range(), log.generation()), (RANGE_EXEC, armed_gen));
+    m.crash();
+
+    let report = m.recover();
+    assert_eq!((report.logs, report.logs_clean), (1, 0), "{report:?}");
+    assert_eq!(report.entries_applied, 1, "{report:?}");
+    assert_eq!(report.puddles_mapped, 3);
+    let addr = m.map(&data) + 0x8000;
+    // SAFETY: mapped just above.
+    assert_eq!(
+        unsafe { std::slice::from_raw_parts(addr as *const u8, 8) },
+        &[0xAA; 8]
+    );
+    m.crash();
+    assert_eq!(m.recover().logs_clean, 1, "the head was reset");
+}
+
+#[test]
+fn an_executing_head_whose_entries_are_not_live_is_not_an_armed_log() {
+    let mut m = Machine::start();
+    let (lp, log) = m.log_space_with_one_log();
+    log.init();
+    // A transaction redo-logged one store and crashed before publishing
+    // its redo stage: a valid entry, not live under (0,2).
+    let mut writer = LogWriter::begin(log).unwrap();
+    writer
+        .append(
+            0x1000,
+            SEQ_REDO,
+            ReplayOrder::Forward,
+            EntryKind::Redo,
+            &[7; 8],
+        )
+        .unwrap();
+    let crashed_gen = log.generation();
+    m.crash();
+
+    let report = m.recover();
+    assert_eq!((report.logs, report.logs_clean), (1, 0), "{report:?}");
+    assert_eq!((report.entries_applied, report.entries_denied), (0, 0));
+    // Resolved the way it always was: the head is reset.
+    let addr = m.map(&lp) + LOG_REGION_OFFSET;
+    // SAFETY: mapped writable for the puddle's size just above.
+    let log = unsafe { LogRef::from_raw(addr as *mut u8, lp.size as usize - LOG_REGION_OFFSET) };
+    assert_eq!(
+        (log.seq_range(), log.generation()),
+        (RANGE_DONE, crashed_gen + 1)
+    );
+    m.crash();
+    assert_eq!(m.recover().logs_clean, 1);
 }

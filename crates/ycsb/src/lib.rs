@@ -4,7 +4,7 @@
 //! Provides the standard key-request distributions (zipfian, uniform,
 //! latest) and the workload mixes A–F, plus the paper's additional workload
 //! G, which the paper does not define; we model it as a write-heavy,
-//! 100%-update mix (documented in DESIGN.md).
+//! 100%-update mix.
 
 pub mod generator;
 pub mod workload;
