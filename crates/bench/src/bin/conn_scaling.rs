@@ -21,8 +21,8 @@
 //!   takes the WAL-append path while thousands of idle connections hold
 //!   reactor slots.
 //!
-//! **Pipelining × reactors** — protocol-v2 clients keep a window of
-//! `depth` enveloped requests in flight per connection against daemons
+//! **Pipelining × reactors** — clients keep a window of `depth`
+//! enveloped requests in flight per connection against daemons
 //! configured with 1 / 2 / 4 reactors. The `--assert-scaling` flag turns
 //! the headline claim into a hard check: 4 reactors with pipelining must
 //! deliver at least 2x the single-reactor depth-1 baseline.
@@ -32,11 +32,7 @@
 
 use puddled::ServerConfig;
 use puddles_bench::{emit_header, emit_row, Scale};
-use puddles_proto::frame::V2_MAGIC;
-use puddles_proto::{
-    read_frame, write_frame, Credentials, PtrField, PtrMapDecl, Request, RequestEnvelope, Response,
-    ServerFrame,
-};
+use puddles_proto::{BlockingConn, Credentials, PtrField, PtrMapDecl, Request, Response};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::os::unix::net::UnixStream;
@@ -65,58 +61,21 @@ fn raise_nofile_limit() -> u64 {
     lim.rlim_cur
 }
 
-/// Connects and handshakes one v1 client connection (with a short retry: a
+/// One client connection, one thread driving it.
+type Conn = BlockingConn<UnixStream>;
+
+/// Connects and handshakes one client connection (with a short retry: a
 /// burst of 10000 connects can transiently fill the listen backlog).
-fn connect(socket: &Path) -> UnixStream {
+fn connect(socket: &Path) -> Conn {
     let mut delay = Duration::from_millis(1);
     for attempt in 0.. {
         match UnixStream::connect(socket) {
-            Ok(mut stream) => {
-                write_frame(&mut stream, &Request::hello(Credentials::current_process()))
-                    .expect("hello");
-                let resp: Response = read_frame(&mut stream).expect("welcome");
-                assert!(matches!(resp, Response::Welcome { .. }));
-                return stream;
+            Ok(stream) => {
+                let hello = Request::hello(Credentials::current_process());
+                let (conn, welcome) = BlockingConn::handshake(stream, hello).expect("hello");
+                assert!(matches!(welcome, Response::Welcome { .. }), "{welcome:?}");
+                return conn;
             }
-            Err(_) if attempt < 50 => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(100));
-            }
-            Err(e) => panic!("connect failed after retries: {e}"),
-        }
-    }
-    unreachable!()
-}
-
-/// Connects and handshakes one protocol-v2 (enveloped, pipelined)
-/// connection.
-fn connect_v2(socket: &Path) -> UnixStream {
-    let mut stream = connect_raw(socket);
-    stream.write_all(&V2_MAGIC).expect("v2 magic");
-    write_frame(
-        &mut stream,
-        &RequestEnvelope {
-            req_id: 0,
-            req: Request::hello(Credentials::current_process()),
-        },
-    )
-    .expect("hello");
-    match read_frame::<_, ServerFrame>(&mut stream).expect("welcome") {
-        ServerFrame::Enveloped(env) => {
-            assert_eq!(env.req_id, 0);
-            assert!(matches!(env.resp, Response::Welcome { .. }));
-        }
-        ServerFrame::Bare(resp) => panic!("expected enveloped welcome, got bare {resp:?}"),
-    }
-    stream
-}
-
-/// Raw connect with the same backlog retry as [`connect`].
-fn connect_raw(socket: &Path) -> UnixStream {
-    let mut delay = Duration::from_millis(1);
-    for attempt in 0.. {
-        match UnixStream::connect(socket) {
-            Ok(stream) => return stream,
             Err(_) if attempt < 50 => {
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(Duration::from_millis(100));
@@ -187,9 +146,9 @@ fn run_mix(
     duration: Duration,
 ) -> MixResult {
     // Establish the whole population first; it stays connected throughout.
-    let streams: Vec<UnixStream> = (0..conns).map(|_| connect(socket)).collect();
-    let mut active: Vec<UnixStream> = Vec::new();
-    let mut idle: Vec<UnixStream> = Vec::new();
+    let streams: Vec<Conn> = (0..conns).map(|_| connect(socket)).collect();
+    let mut active: Vec<Conn> = Vec::new();
+    let mut idle: Vec<Conn> = Vec::new();
     for (i, stream) in streams.into_iter().enumerate() {
         if i % active_stride == 0 {
             active.push(stream);
@@ -203,7 +162,7 @@ fn run_mix(
         .unwrap_or(4)
         .clamp(2, 16)
         .min(active.len());
-    let mut shards: Vec<Vec<UnixStream>> = (0..drivers).map(|_| Vec::new()).collect();
+    let mut shards: Vec<Vec<Conn>> = (0..drivers).map(|_| Vec::new()).collect();
     for (i, stream) in active.into_iter().enumerate() {
         shards[i % drivers].push(stream);
     }
@@ -212,23 +171,18 @@ fn run_mix(
     let workers: Vec<_> = shards
         .into_iter()
         .enumerate()
-        .map(|(shard_no, shard)| {
+        .map(|(shard_no, mut shard)| {
             std::thread::spawn(move || {
                 let mut latencies_ns: Vec<u64> = Vec::new();
                 let mut done = 0u64;
                 'outer: loop {
-                    for stream in &shard {
+                    for conn in &mut shard {
                         if start.elapsed() >= duration {
                             break 'outer;
                         }
-                        let mut stream = stream;
                         let t0 = Instant::now();
-                        if write_frame(&mut stream, &op.request(shard_no, done)).is_err() {
+                        let Ok(resp) = conn.call(op.request(shard_no, done)) else {
                             break 'outer;
-                        }
-                        let resp: Response = match read_frame(&mut stream) {
-                            Ok(resp) => resp,
-                            Err(_) => break 'outer,
                         };
                         assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
                         latencies_ns.push(t0.elapsed().as_nanos() as u64);
@@ -242,7 +196,7 @@ fn run_mix(
 
     let mut total = 0u64;
     let mut latencies: Vec<u64> = Vec::new();
-    let mut keep_alive: Vec<Vec<UnixStream>> = Vec::new();
+    let mut keep_alive: Vec<Vec<Conn>> = Vec::new();
     for worker in workers {
         let (done, mut lat, shard) = worker.join().expect("driver");
         total += done;
@@ -259,8 +213,8 @@ fn run_mix(
     }
 }
 
-/// Drives `conns` protocol-v2 connections, each keeping a window of
-/// `depth` enveloped pings in flight (one thread per connection: the
+/// Drives `conns` connections, each keeping a window of `depth` enveloped
+/// pings in flight (one thread per connection: the
 /// window, not the harness, provides the concurrency under test).
 fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) -> MixResult {
     let start = Instant::now();
@@ -268,7 +222,7 @@ fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) 
         .map(|_| {
             let socket = socket.to_path_buf();
             std::thread::spawn(move || {
-                let mut stream = connect_v2(&socket);
+                let mut conn = connect(&socket);
                 let mut sent_at: HashMap<u64, Instant> = HashMap::with_capacity(depth);
                 let mut latencies_ns: Vec<u64> = Vec::new();
                 let mut next_id: u64 = 1;
@@ -276,43 +230,23 @@ fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) 
                 // Prime the window.
                 for _ in 0..depth {
                     sent_at.insert(next_id, Instant::now());
-                    write_frame(
-                        &mut stream,
-                        &RequestEnvelope {
-                            req_id: next_id,
-                            req: Request::Ping,
-                        },
-                    )
-                    .expect("prime");
+                    conn.send(next_id, Request::Ping).expect("prime");
                     next_id += 1;
                 }
                 // Steady state: read one completion, top the window back up.
                 while start.elapsed() < duration {
-                    let env = match read_frame::<_, ServerFrame>(&mut stream).expect("response") {
-                        ServerFrame::Enveloped(env) => env,
-                        ServerFrame::Bare(resp) => panic!("unexpected bare frame {resp:?}"),
-                    };
-                    let t0 = sent_at.remove(&env.req_id).expect("unknown req_id");
+                    let (req_id, _) = conn.recv().expect("response");
+                    let t0 = sent_at.remove(&req_id).expect("unknown req_id");
                     latencies_ns.push(t0.elapsed().as_nanos() as u64);
                     done += 1;
                     sent_at.insert(next_id, Instant::now());
-                    write_frame(
-                        &mut stream,
-                        &RequestEnvelope {
-                            req_id: next_id,
-                            req: Request::Ping,
-                        },
-                    )
-                    .expect("refill");
+                    conn.send(next_id, Request::Ping).expect("refill");
                     next_id += 1;
                 }
                 // Drain the window so the connection closes cleanly.
                 while !sent_at.is_empty() {
-                    let env = match read_frame::<_, ServerFrame>(&mut stream).expect("drain") {
-                        ServerFrame::Enveloped(env) => env,
-                        ServerFrame::Bare(resp) => panic!("unexpected bare frame {resp:?}"),
-                    };
-                    let t0 = sent_at.remove(&env.req_id).expect("unknown req_id");
+                    let (req_id, _) = conn.recv().expect("drain");
+                    let t0 = sent_at.remove(&req_id).expect("unknown req_id");
                     latencies_ns.push(t0.elapsed().as_nanos() as u64);
                     done += 1;
                 }
@@ -340,7 +274,7 @@ fn run_pipelined(socket: &Path, conns: usize, depth: usize, duration: Duration) 
 }
 
 /// `--hold-socket` mode: binds a daemon at `socket` and drives light
-/// Ping / CreatePool / DropPool load over one v1 connection for
+/// Ping / CreatePool / DropPool load over one connection for
 /// `hold_ms`, so an external `puddle-stat` can poll live, non-empty
 /// histograms (the CI observability smoke gate).
 fn run_hold(socket: &Path, hold_ms: u64) {
@@ -353,7 +287,7 @@ fn run_hold(socket: &Path, hold_ms: u64) {
         socket.display()
     );
 
-    let mut stream = connect(socket);
+    let mut conn = connect(socket);
     let deadline = Instant::now() + Duration::from_millis(hold_ms);
     let mut seq = 0u64;
     while Instant::now() < deadline {
@@ -368,11 +302,11 @@ fn run_hold(socket: &Path, hold_ms: u64) {
             Request::DropPool { name: pool },
         ];
         for req in reqs {
-            write_frame(&mut stream, &req).expect("hold request");
-            let resp: Response = read_frame(&mut stream).expect("hold response");
+            let is_ping = matches!(req, Request::Ping);
+            let resp = conn.call(req).expect("hold round trip");
             // Ping answers Welcome here (it measures daemon latency);
             // only hard protocol errors on Ping should abort the hold.
-            if matches!(req, Request::Ping) {
+            if is_ping {
                 assert!(!matches!(resp, Response::Error { .. }), "{resp:?}");
             }
         }

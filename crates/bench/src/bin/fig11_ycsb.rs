@@ -1,8 +1,8 @@
 //! Fig. 11: `simplekv` KV store under YCSB workloads A–G for Puddles,
 //! PMDK-sim and Romulus-sim (1 M-key load + 1 M-operation run in the paper).
 //!
-//! Atlas and go-pmem are not reimplemented (see DESIGN.md substitutions);
-//! the paper's headline comparisons are against PMDK and Romulus.
+//! Atlas and go-pmem are not reimplemented; the paper's headline
+//! comparisons are against PMDK and Romulus.
 
 use pm_datastructures::kv::{value_for, PmdkKv, PuddlesKv, RomulusKv};
 use puddles_bench::{emit_header, emit_row, secs, test_env, Scale};

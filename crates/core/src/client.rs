@@ -140,37 +140,18 @@ impl PuddleClient {
         )
     }
 
-    /// Connects to a daemon over its UNIX-domain socket, speaking the
-    /// pipelined v2 protocol (requests carry ids, dozens may be in flight
-    /// per connection, responses pair by id).
+    /// Connects to a daemon over its UNIX-domain socket (requests carry
+    /// ids, dozens may be in flight per connection, responses pair by id).
     ///
     /// The client reserves the global puddle space at the base address the
     /// daemon reports; if that address range is unavailable in this process
     /// the connection fails (native pointers require the same base in every
     /// process of the "machine").
     pub fn connect_uds(path: impl AsRef<Path>) -> Result<Self> {
-        Self::connect_uds_with_retry(path, RetryPolicy::default())
-    }
-
-    /// Like [`PuddleClient::connect_uds`], with an explicit retry/backoff
-    /// policy governing connection dials and idempotent re-sends.
-    pub fn connect_uds_with_retry(path: impl AsRef<Path>, retry: RetryPolicy) -> Result<Self> {
         let creds = Credentials::current_process();
         let metrics = Arc::new(ClientMetrics::default());
         let endpoint = Box::new(
-            PipelinedEndpoint::new(path.as_ref(), retry).with_client_metrics(Arc::clone(&metrics)),
-        );
-        Self::finish_connect(endpoint, None, creds, metrics)
-    }
-
-    /// Connects over the UNIX-domain socket speaking the legacy v1 protocol
-    /// (bare frames, one request in flight per pooled connection). Kept for
-    /// interoperability tests and as a fallback against pre-v2 daemons.
-    pub fn connect_uds_v1(path: impl AsRef<Path>) -> Result<Self> {
-        let creds = Credentials::current_process();
-        let metrics = Arc::new(ClientMetrics::default());
-        let endpoint = Box::new(
-            UdsEndpoint::new(path.as_ref(), RetryPolicy::default())
+            PipelinedEndpoint::new(path.as_ref(), RetryPolicy::default())
                 .with_client_metrics(Arc::clone(&metrics)),
         );
         Self::finish_connect(endpoint, None, creds, metrics)
@@ -184,21 +165,12 @@ impl PuddleClient {
     /// reserve it again); out-of-process clients use
     /// [`PuddleClient::connect_uds`].
     pub fn connect_uds_shared(path: impl AsRef<Path>, space: Arc<GlobalSpace>) -> Result<Self> {
-        Self::connect_uds_shared_with_retry(path, space, RetryPolicy::default())
+        Self::connect_uds_shared_tuned(path, space, RetryPolicy::default(), 0)
     }
 
-    /// Like [`PuddleClient::connect_uds_shared`], with an explicit
-    /// retry/backoff policy.
-    pub fn connect_uds_shared_with_retry(
-        path: impl AsRef<Path>,
-        space: Arc<GlobalSpace>,
-        retry: RetryPolicy,
-    ) -> Result<Self> {
-        Self::connect_uds_shared_tuned(path, space, retry, 0)
-    }
-
-    /// Full-control shared-space connection: an explicit retry policy plus
-    /// a requested connection-pool depth (0 = server default). The daemon
+    /// Full-control shared-space connection: an explicit retry/backoff
+    /// policy (governing connection dials and idempotent re-sends) plus a
+    /// requested connection-pool depth (0 = server default). The daemon
     /// clamps the request to its configured maximum and the grant comes
     /// back in `Welcome`; use depth 1 to hold a single connection slot
     /// against a capped server.
@@ -689,23 +661,6 @@ impl Drop for ClientInner {
     }
 }
 
-/// Idle connections kept per client; one connection per concurrently
-/// calling thread is created on demand, so this only bounds the cached set.
-const MAX_IDLE_CONNECTIONS: usize = 16;
-
-/// How long an idle pooled connection may sit unused before it is closed.
-/// Expired connections are reaped on the next pool access (checkout or
-/// checkin) — there is no background reaper thread — so a burst of traffic
-/// stops pinning daemon handler threads as soon as the client touches the
-/// pool again, and at the latest when the client is dropped.
-const IDLE_CONNECTION_TTL: Duration = Duration::from_secs(30);
-
-/// Drops pooled connections idle for longer than the TTL. Timestamps are
-/// [`Clock`] readings, so an idle pool drains under virtual time too.
-fn prune_idle(idle: &mut Vec<(UnixStream, Duration)>, now: Duration) {
-    idle.retain(|(_, last_used)| now.saturating_sub(*last_used) < IDLE_CONNECTION_TTL);
-}
-
 /// `true` for I/O failures that a fresh connection may fix: the daemon
 /// closed (or was restarted under) a pooled socket, so a write lands on a
 /// dead peer or a read hits EOF. Logic errors (e.g. a malformed frame) are
@@ -875,12 +830,6 @@ impl RetryPolicy {
         self
     }
 
-    /// A policy that never retries (tests that want raw first-failure
-    /// semantics).
-    pub fn no_retries() -> Self {
-        RetryPolicy::new(1, Duration::ZERO)
-    }
-
     /// Pins the jitter stream to an explicit seed, making the backoff
     /// sequence replayable (torture runs derive this from `TORTURE_SEED`).
     pub fn with_seed(mut self, seed: u64) -> Self {
@@ -893,11 +842,6 @@ impl RetryPolicy {
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
         self
-    }
-
-    /// The policy's time source (endpoints share it for pool timestamps).
-    pub fn clock(&self) -> &Clock {
-        &self.clock
     }
 
     /// Counts retries this policy performs into `metrics` (attached by the
@@ -963,154 +907,10 @@ impl RetryPolicy {
     }
 }
 
-/// A `Hello` flagged as a reconnection (the daemon counts these in its
-/// stats); requests default connection parameters like [`Request::hello`].
-fn hello_reconnect(creds: Credentials) -> Request {
-    Request::Hello {
-        creds,
-        max_in_flight: 0,
-        pool_depth: 0,
-        reconnect: true,
-    }
-}
-
-/// Client-side endpoint speaking the framed protocol over a UNIX socket.
-///
-/// Maintains a pool of daemon connections instead of one mutex-guarded
-/// stream: each call checks out an idle connection (or opens a fresh one),
-/// so threads issue requests to the daemon in parallel and the daemon's
-/// per-connection handler threads serve them concurrently. Idle
-/// connections are pruned after [`IDLE_CONNECTION_TTL`], and a call that
-/// fails transiently — a stale pooled socket, or a connect refused while
-/// the daemon finishes (re)starting — is retried under the endpoint's
-/// [`RetryPolicy`] on fresh connections.
-struct UdsEndpoint {
-    path: std::path::PathBuf,
-    idle: Mutex<Vec<(UnixStream, Duration)>>,
-    retry: RetryPolicy,
-    /// Shared with `retry`: one time source covers backoff sleeps and the
-    /// idle pool's TTL timestamps.
-    clock: Clock,
-    /// Set after the first successful handshake; later dials flag
-    /// themselves `reconnect` in `Hello` so the daemon's stats count them.
-    connected_once: std::sync::atomic::AtomicBool,
-    /// Client-local reporter (shared with the retry policy and the owning
-    /// client).
-    metrics: Arc<ClientMetrics>,
-}
-
-impl UdsEndpoint {
-    fn new(path: &Path, retry: RetryPolicy) -> Self {
-        UdsEndpoint {
-            path: path.to_path_buf(),
-            idle: Mutex::new(Vec::new()),
-            clock: retry.clock().clone(),
-            retry,
-            connected_once: std::sync::atomic::AtomicBool::new(false),
-            metrics: Arc::new(ClientMetrics::default()),
-        }
-    }
-
-    /// Shares a client-local reporter (also wired into the retry policy so
-    /// its retry counts land in the same place).
-    fn with_client_metrics(mut self, metrics: Arc<ClientMetrics>) -> Self {
-        self.retry = self.retry.clone().with_metrics(Arc::clone(&metrics));
-        self.metrics = metrics;
-        self
-    }
-
-    /// Takes a live idle connection, or opens (and handshakes) a new one.
-    /// The `bool` is `true` for a pooled connection, whose liveness is
-    /// unknown — a transient failure on it warrants one retry.
-    fn checkout(&self) -> std::io::Result<(UnixStream, bool)> {
-        {
-            let mut idle = self.idle.lock();
-            prune_idle(&mut idle, self.clock.now());
-            if let Some((stream, _)) = idle.pop() {
-                return Ok((stream, true));
-            }
-        }
-        Ok((self.connect_fresh()?, false))
-    }
-
-    /// Opens and handshakes a new connection, retrying transient connect
-    /// failures (daemon restarting, cap rejections) under the endpoint's
-    /// backoff policy.
-    fn connect_fresh(&self) -> std::io::Result<UnixStream> {
-        self.retry.run(|_| self.try_connect())
-    }
-
-    fn try_connect(&self) -> std::io::Result<UnixStream> {
-        let mut stream = UnixStream::connect(&self.path)?;
-        let creds = Credentials::current_process();
-        let hello = if self
-            .connected_once
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            self.metrics
-                .reconnects
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            hello_reconnect(creds)
-        } else {
-            Request::hello(creds)
-        };
-        // Introduce the connection; the daemon replies with Welcome, which
-        // the pool consumes (the space geometry was recorded at connect).
-        puddles_proto::write_frame(&mut stream, &hello)?;
-        let _: Response = puddles_proto::read_frame(&mut stream)?;
-        self.connected_once
-            .store(true, std::sync::atomic::Ordering::Relaxed);
-        Ok(stream)
-    }
-
-    fn roundtrip(&self, stream: &mut UnixStream, req: &Request) -> std::io::Result<Response> {
-        puddles_proto::write_frame(stream, req)?;
-        puddles_proto::read_frame(stream)
-    }
-
-    /// Returns a connection that completed a full round trip to the pool;
-    /// an errored one is simply dropped (closed).
-    fn checkin(&self, stream: UnixStream) {
-        let now = self.clock.now();
-        let mut idle = self.idle.lock();
-        prune_idle(&mut idle, now);
-        if idle.len() < MAX_IDLE_CONNECTIONS {
-            idle.push((stream, now));
-        }
-    }
-}
-
-impl Endpoint for UdsEndpoint {
-    fn call(&self, req: &Request) -> std::io::Result<Response> {
-        let (mut stream, _reused) = self.checkout()?;
-        match self.roundtrip(&mut stream, req) {
-            Ok(resp) => {
-                self.checkin(stream);
-                Ok(resp)
-            }
-            Err(e) if is_transient(&e) && is_idempotent(req) => {
-                // The connection died under the request (stale pooled
-                // socket, daemon restart, injected reset). The daemon may
-                // have applied the request and lost only the response, so
-                // only idempotent requests are re-sent — each retry on a
-                // known-fresh connection, under the backoff policy.
-                self.retry.run(|_| {
-                    let mut stream = self.try_connect()?;
-                    let resp = self.roundtrip(&mut stream, req)?;
-                    self.checkin(stream);
-                    Ok(resp)
-                })
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
 /// Connections a [`PipelinedEndpoint`] multiplexes calls over until the
 /// daemon grants a pool depth in `Welcome` (the grant then takes over).
 /// Each carries up to the connection's negotiated window of in-flight
-/// requests, so a couple of sockets serve far more concurrent callers than
-/// the old one-request-per-connection pool.
+/// requests, so a couple of sockets serve many concurrent callers.
 const PIPELINE_CONNECTIONS: usize = 2;
 
 /// One caller parked on a pipelined response.
@@ -1143,7 +943,7 @@ impl Waiter {
     }
 }
 
-/// One v2 connection: a shared writer, a reader thread, and the id→waiter
+/// One connection: a shared writer, a reader thread, and the id→waiter
 /// completion map that pairs out-of-order responses with their callers.
 struct PipeConn {
     /// Write half (a `try_clone` of the socket; the reader owns the other).
@@ -1318,14 +1118,14 @@ fn bare_frame_error(resp: Response) -> std::io::Error {
     }
 }
 
-/// Client-side endpoint speaking the pipelined v2 protocol.
+/// Client-side endpoint speaking the framed protocol over a UNIX socket.
 ///
 /// Keeps a small pool of connections ([`PIPELINE_CONNECTIONS`]) and spreads
 /// calls round-robin across them; each connection multiplexes any number of
 /// concurrent callers through its id→waiter map, so client threads never
-/// wait for each other's round trips (the old v1 pool dedicated one socket
-/// per concurrent call). Dead connections are replaced on the next call; a
-/// call that fails transiently on an idempotent request is retried once.
+/// wait for each other's round trips. Dead connections are replaced on the
+/// next call; a call that fails transiently on an idempotent request is
+/// re-sent under the endpoint's [`RetryPolicy`].
 struct PipelinedEndpoint {
     path: std::path::PathBuf,
     pool: Mutex<Vec<Arc<PipeConn>>>,
@@ -1380,31 +1180,40 @@ impl PipelinedEndpoint {
         self
     }
 
-    /// Returns a live connection, pruning dead ones and dialing
-    /// replacements up to the granted pool depth.
+    /// Returns a live connection. Only an *empty* pool makes the caller
+    /// wait: its dial is retried under the [`RetryPolicy`] (daemon
+    /// restarting, or its connection cap — the `Busy` rejection surfaces as
+    /// `ConnectionRefused`) with bounded exponential backoff, so a client at
+    /// the cap gets through once load drains.
     fn conn(&self) -> std::io::Result<Arc<PipeConn>> {
+        self.retry.run(|_| self.try_conn())
+    }
+
+    /// One pass over the pool: prune dead connections, dial at most one
+    /// replacement towards the granted depth, pick round-robin. The pool
+    /// lock covers a single dial, never a backoff sleep.
+    fn try_conn(&self) -> std::io::Result<Arc<PipeConn>> {
         let mut pool = self.pool.lock();
         pool.retain(|c| !c.is_dead());
         if pool.len() < self.depth.load(std::sync::atomic::Ordering::Relaxed).max(1) {
-            pool.push(self.connect_conn()?);
+            match self.try_connect_conn() {
+                Ok(conn) => pool.push(conn),
+                // A top-up the daemon turned away (it may grant fewer slots
+                // than the pool wants) costs nothing while a live
+                // connection can carry the call.
+                Err(_) if !pool.is_empty() => {}
+                Err(e) => return Err(e),
+            }
         }
         let i = self.rr.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % pool.len();
         Ok(Arc::clone(&pool[i]))
     }
 
-    /// Dials and handshakes a new v2 connection, retrying transient
-    /// failures (daemon restarting, or its connection cap — the `Busy`
-    /// rejection surfaces as `ConnectionRefused`) with bounded exponential
-    /// backoff, so a client at the cap eventually gets through once load
-    /// drains instead of failing after one fixed sleep.
-    fn connect_conn(&self) -> std::io::Result<Arc<PipeConn>> {
-        self.retry.run(|_| self.try_connect_conn())
-    }
-
+    /// Dials and handshakes one new connection.
     fn try_connect_conn(&self) -> std::io::Result<Arc<PipeConn>> {
         use std::io::Write;
         let mut stream = UnixStream::connect(&self.path)?;
-        // The version preamble: everything after it is enveloped frames.
+        // The preamble: everything after it is enveloped frames.
         stream.write_all(&puddles_proto::frame::V2_MAGIC)?;
         let conn = PipeConn::over_stream_with(stream, Arc::clone(&self.metrics))?;
         let creds = Credentials::current_process();
@@ -1477,26 +1286,6 @@ impl Drop for PipelinedEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prune_idle_drops_only_expired_connections() {
-        // Entries stamped `base` are past the TTL at pruning time `now`,
-        // fresh ones are not.
-        let base = Duration::from_secs(100);
-        let now = base + IDLE_CONNECTION_TTL + Duration::from_secs(1);
-        let mut idle = Vec::new();
-        for _ in 0..2 {
-            let (a, _b) = UnixStream::pair().unwrap();
-            idle.push((a, base));
-        }
-        for _ in 0..3 {
-            let (a, _b) = UnixStream::pair().unwrap();
-            idle.push((a, now));
-        }
-        prune_idle(&mut idle, now);
-        assert_eq!(idle.len(), 3);
-        assert!(idle.iter().all(|(_, t)| *t == now));
-    }
 
     #[test]
     fn only_idempotent_requests_are_retried() {

@@ -62,3 +62,34 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
     }
     assert_eq!(completed.load(Ordering::Relaxed), THREADS * ROUNDS);
 }
+
+/// A client whose pool wants more connections than the daemon will give it
+/// (default depth 2 against a one-slot cap) works over the connection it
+/// has: the refused top-up dial neither fails the call nor sends it through
+/// the dial's backoff schedule.
+#[test]
+fn a_refused_top_up_dial_falls_through_to_the_live_connection() {
+    let tmp = tempfile::tempdir().unwrap();
+    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+    let socket = tmp.path().join("one.sock");
+    let server_config = ServerConfig {
+        max_connections: 1,
+        ..ServerConfig::default()
+    };
+    let _server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
+
+    let client = PuddleClient::connect_uds_shared(&socket, daemon.global_space()).unwrap();
+    for _ in 0..20 {
+        client.ping().expect("ping over the one granted connection");
+    }
+    // Every call tried one top-up and the daemon turned each away...
+    assert!(client.stats().unwrap().connections_rejected >= 20);
+    // ...but none of them was retried: backoff is for an empty pool only.
+    let retries = client
+        .client_metrics()
+        .counters
+        .iter()
+        .find(|c| c.name == "client.retry_attempts")
+        .map(|c| c.value);
+    assert_eq!(retries, Some(0));
+}

@@ -671,12 +671,6 @@ impl LogWriter {
         Ok(())
     }
 
-    /// The head segment's log view (authoritative for the chain's sequence
-    /// range).
-    pub fn log_ref(&self) -> LogRef {
-        self.segments[0]
-    }
-
     /// The segment currently being appended to.
     fn active(&self) -> LogRef {
         *self.segments.last().expect("writer always has a segment")

@@ -119,11 +119,6 @@ impl BufferTarget {
         &self.buf
     }
 
-    /// Returns a mutable view of the backing bytes.
-    pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
-
     /// Reads `len` bytes at absolute address `addr`.
     pub fn read(&self, addr: u64, len: usize) -> &[u8] {
         let off = (addr - self.base) as usize;

@@ -33,7 +33,6 @@ impl PmDir {
         fs::create_dir_all(&root)?;
         fs::create_dir_all(root.join("puddles"))?;
         fs::create_dir_all(root.join("meta"))?;
-        fs::create_dir_all(root.join("exports"))?;
         Ok(PmDir {
             root,
             fault: None,
@@ -115,11 +114,6 @@ impl PmDir {
     /// Returns the path that stores the puddle file named `name`.
     pub fn puddle_path(&self, name: &str) -> PathBuf {
         self.root.join("puddles").join(name)
-    }
-
-    /// Returns the directory used for exported pools.
-    pub fn exports_dir(&self) -> PathBuf {
-        self.root.join("exports")
     }
 
     /// Returns the path of the metadata file `name` (for callers that manage

@@ -7,17 +7,16 @@ use std::io::{self, Read, Write};
 /// Maximum accepted frame size (16 MiB); guards against corrupt prefixes.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Protocol-v2 connection preamble.
+/// Connection preamble.
 ///
-/// A v2 client writes these 4 bytes once, immediately after connecting and
+/// A client writes these 4 bytes once, immediately after connecting and
 /// before its first frame; everything after them is `RequestEnvelope` /
 /// `ResponseEnvelope` frames (see the crate docs). The bytes are chosen so
-/// they can never be confused with a v1 frame: interpreted as a v1
-/// little-endian length prefix they decode to `0x3244_5550`, far above
-/// [`MAX_FRAME`], so a v1 peer rejects the stream instead of misparsing it
-/// (and a v1 first frame, whose prefix is always ≤ [`MAX_FRAME`], can never
-/// equal the magic). `version_negotiation_magic_cannot_be_a_v1_prefix`
-/// pins this down.
+/// they can never be confused with a frame: interpreted as a little-endian
+/// length prefix they decode to `0x3244_5550`, far above [`MAX_FRAME`], so
+/// a peer that expects a frame rejects the stream instead of misparsing it
+/// (and a frame, whose prefix is always ≤ [`MAX_FRAME`], can never equal
+/// the magic). `preamble_cannot_be_a_length_prefix` pins this down.
 pub const V2_MAGIC: [u8; 4] = *b"PUD2";
 
 /// Encodes one length-prefixed JSON frame into a byte buffer (prefix
@@ -90,8 +89,8 @@ impl FrameDecoder {
     }
 
     /// Returns the first `n` buffered bytes without consuming them, or
-    /// `None` if fewer are buffered. Servers use this to sniff the
-    /// [`V2_MAGIC`] preamble before deciding how to decode the stream.
+    /// `None` if fewer are buffered. Servers use this to check for the
+    /// [`V2_MAGIC`] preamble before decoding the stream.
     pub fn peek(&self, n: usize) -> Option<&[u8]> {
         (self.buf.len() >= n).then(|| &self.buf[..n])
     }
@@ -229,9 +228,9 @@ mod tests {
     }
 
     #[test]
-    fn version_negotiation_magic_cannot_be_a_v1_prefix() {
-        // As a v1 length prefix the magic must be rejected outright, so a
-        // v2 preamble reaching a v1 decoder fails instead of misparsing.
+    fn preamble_cannot_be_a_length_prefix() {
+        // As a length prefix the magic must be rejected outright, so a
+        // preamble reaching a frame decoder fails instead of misparsing.
         assert!(u32::from_le_bytes(V2_MAGIC) > MAX_FRAME);
         assert!(frame_len(V2_MAGIC).is_err());
     }
@@ -284,11 +283,11 @@ mod tests {
             proptest::prop_assert_eq!(dec.buffered(), 0);
         }
 
-        /// A v2 stream — magic preamble plus enveloped frames — fed at
-        /// arbitrary split boundaries negotiates and decodes exactly as the
-        /// unsplit stream, with every request keeping its `req_id`. This is
-        /// the daemon-side invariant behind pipelining: chunking can change
-        /// neither the version decision nor id→request pairing.
+        /// A connection's stream — magic preamble plus enveloped frames —
+        /// fed at arbitrary split boundaries decodes exactly as the unsplit
+        /// stream, with every request keeping its `req_id`. This is the
+        /// daemon-side invariant behind pipelining: chunking can change
+        /// neither the preamble check nor id→request pairing.
         #[test]
         fn v2_stream_is_chunking_invariant(
             cuts in proptest::collection::vec(1usize..24, 0..40)
@@ -317,7 +316,7 @@ mod tests {
                             dec.consume(4);
                             *negotiated = true;
                         }
-                        Some(_) => panic!("v2 preamble misread as a v1 prefix"),
+                        Some(_) => panic!("preamble misread"),
                         None => return,
                     }
                 }

@@ -4,8 +4,18 @@
 //! in-process endpoint) using the request/response messages defined here.
 //! The paper's daemon returns puddle file descriptors via
 //! `sendmsg(SCM_RIGHTS)`; this reproduction returns the puddle's file path
-//! plus a grant token instead (see DESIGN.md, substitutions), so the
+//! instead (see the README's "Substitutions vs. the paper"), so the
 //! protocol is plain serde-serializable data.
+//!
+//! # Wire format
+//!
+//! One framing, one handshake: a client writes the 4-byte
+//! [`frame::V2_MAGIC`] preamble (`PUD2`) once, then length-prefixed JSON
+//! [`RequestEnvelope`] frames; the daemon answers each with a
+//! [`ResponseEnvelope`] echoing its `req_id`, in completion order. The
+//! first request is a [`Request::Hello`]. [`BlockingConn`] is the
+//! smallest client of that protocol (tools and tests); `libpuddles`'
+//! pipelined endpoint is the production one.
 
 pub mod frame;
 pub mod types;
@@ -22,9 +32,9 @@ pub enum Request {
     Hello {
         /// Client credentials used for access-control decisions.
         creds: Credentials,
-        /// Requested per-connection in-flight request window (protocol v2
-        /// pipelining). `0` asks for the server default; the server clamps
-        /// to its configured maximum and reports the grant in `Welcome`.
+        /// Requested per-connection in-flight request window (pipelining).
+        /// `0` asks for the server default; the server clamps to its
+        /// configured maximum and reports the grant in `Welcome`.
         /// Defaulted so `Hello` frames from older clients still parse.
         #[serde(default)]
         max_in_flight: u32,
@@ -142,9 +152,9 @@ pub enum Response {
         /// Size of the global puddle space in bytes.
         space_size: u64,
         /// Granted per-connection in-flight window (the requested value
-        /// clamped to the server's configured maximum; v1 connections are
-        /// always granted 1). Defaulted (`0` = no grant information) so a
-        /// `Welcome` from an older daemon still parses.
+        /// clamped to the server's configured maximum). Defaulted (`0` = no
+        /// grant information) so a `Welcome` from an older daemon still
+        /// parses.
         #[serde(default)]
         max_in_flight: u32,
         /// Granted client connection-pool depth (`0` = no grant
@@ -187,11 +197,11 @@ pub enum Response {
     },
 }
 
-/// A protocol-v2 request frame: a client-assigned id plus the request.
+/// A request frame: a client-assigned id plus the request.
 ///
 /// Ids are chosen by the client (any `u64`; monotonically increasing in
 /// practice) and echoed back verbatim in the matching [`ResponseEnvelope`].
-/// A v2 daemon may complete and write responses in any order, so the id is
+/// The daemon may complete and write responses in any order, so the id is
 /// the only way to pair a response with its request.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct RequestEnvelope {
@@ -201,7 +211,7 @@ pub struct RequestEnvelope {
     pub req: Request,
 }
 
-/// A protocol-v2 response frame: the echoed id plus the response.
+/// A response frame: the echoed id plus the response.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ResponseEnvelope {
     /// The id of the request this response answers.
@@ -210,19 +220,20 @@ pub struct ResponseEnvelope {
     pub resp: Response,
 }
 
-/// A daemon→client frame as a v2 client must parse it.
+/// A daemon→client frame as a client must parse it.
 ///
-/// Almost every frame on a v2 connection is a [`ResponseEnvelope`], but the
-/// daemon can emit one bare v1 [`Response`] before it has seen the client's
-/// preamble: the `Busy` rejection written when the connection cap is hit.
+/// Every frame after the handshake is a [`ResponseEnvelope`], but the
+/// daemon emits one bare [`Response`] to a connection it turns away before
+/// reading any request id from it: the `Busy` rejection at the connection
+/// cap, or `InvalidRequest` to a peer that did not open with the preamble.
 /// Decoding is structural — an object carrying a `req_id` key is an
 /// envelope, anything else is a bare response — so no extra tag byte is
 /// needed on the wire.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerFrame {
-    /// An id-tagged v2 response.
+    /// An id-tagged response.
     Enveloped(ResponseEnvelope),
-    /// A bare v1 response (pre-handshake `Busy` rejection).
+    /// A bare response (a pre-handshake rejection).
     Bare(Response),
 }
 
@@ -291,10 +302,79 @@ impl std::error::Error for ProtoError {}
 /// A bidirectional request/response channel to the daemon.
 ///
 /// Implemented by the in-process endpoint (`puddled::LocalEndpoint`) and by
-/// the UNIX-domain-socket client (`puddles::client::UdsEndpoint`).
+/// the UNIX-domain-socket client (`puddles::transport::PipelinedEndpoint`).
 pub trait Endpoint: Send + Sync {
     /// Sends one request and waits for its response.
     fn call(&self, req: &Request) -> std::io::Result<Response>;
+}
+
+/// A blocking connection to the daemon over any byte stream: the preamble
+/// and an enveloped `Hello`, then enveloped round trips.
+///
+/// This is the whole client side of the wire protocol in its smallest
+/// form, for tools and tests (`puddle-stat`, bench drivers, raw-socket
+/// tests). [`BlockingConn::call`] keeps one request in flight;
+/// [`BlockingConn::send`] / [`BlockingConn::recv`] let a single thread
+/// pipeline under ids it picks itself.
+#[derive(Debug)]
+pub struct BlockingConn<S> {
+    stream: S,
+    next_id: u64,
+}
+
+impl<S: std::io::Read + std::io::Write> BlockingConn<S> {
+    /// Opens the protocol on a freshly connected `stream`: writes the
+    /// [`frame::V2_MAGIC`] preamble and `hello` (request id 0) and returns
+    /// the connection together with the daemon's reply, normally
+    /// [`Response::Welcome`].
+    pub fn handshake(mut stream: S, hello: Request) -> std::io::Result<(Self, Response)> {
+        stream.write_all(&frame::V2_MAGIC)?;
+        let mut conn = BlockingConn { stream, next_id: 0 };
+        let welcome = conn.call(hello)?;
+        Ok((conn, welcome))
+    }
+
+    /// Sends one request under a caller-chosen id without waiting for its
+    /// response.
+    pub fn send(&mut self, req_id: u64, req: Request) -> std::io::Result<()> {
+        write_frame(&mut self.stream, &RequestEnvelope { req_id, req })
+    }
+
+    /// Reads the next response, whichever request it answers. A bare frame
+    /// (the daemon turning the connection away) is an error carrying the
+    /// daemon's message.
+    pub fn recv(&mut self) -> std::io::Result<(u64, Response)> {
+        match read_frame::<_, ServerFrame>(&mut self.stream)? {
+            ServerFrame::Enveloped(env) => Ok((env.req_id, env.resp)),
+            ServerFrame::Bare(resp) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("connection rejected: {resp:?}"),
+            )),
+        }
+    }
+
+    /// One round trip. Must not be mixed with responses still outstanding
+    /// from [`BlockingConn::send`]: the next frame read has to be this
+    /// request's.
+    pub fn call(&mut self, req: Request) -> std::io::Result<Response> {
+        let req_id = self.next_id;
+        self.next_id += 1;
+        self.send(req_id, req)?;
+        let (got, resp) = self.recv()?;
+        if got != req_id {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("response for req_id {got} while waiting on {req_id}"),
+            ));
+        }
+        Ok(resp)
+    }
+
+    /// The underlying stream, for callers that need to write raw bytes
+    /// (split frames, half-close) or set socket options.
+    pub fn stream(&mut self) -> &mut S {
+        &mut self.stream
+    }
 }
 
 #[cfg(test)]
@@ -372,16 +452,10 @@ mod tests {
         );
     }
 
-    /// `GetMetrics` must interoperate across both wire protocols: as a v1
-    /// bare frame and inside v2 envelopes, with reports from peers that
-    /// predate the trace-ring fields still parsing.
+    /// `GetMetrics` rides the envelope like every other request, and
+    /// reports from peers that predate the trace-ring fields still parse.
     #[test]
-    fn get_metrics_interops_across_protocol_versions() {
-        let json = serde_json::to_string(&Request::GetMetrics).unwrap();
-        assert_eq!(
-            serde_json::from_str::<Request>(&json).unwrap(),
-            Request::GetMetrics
-        );
+    fn get_metrics_roundtrips_in_envelopes() {
         let env = RequestEnvelope {
             req_id: 9,
             req: Request::GetMetrics,
@@ -406,15 +480,9 @@ mod tests {
             trace_buffered: 9,
             trace_dropped: 0,
         };
-        // v1: a bare response frame.
-        let bare = Response::Metrics(report.clone());
-        let json = serde_json::to_string(&bare).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(bare.clone()));
-        // v2: the same response enveloped.
         let env = ResponseEnvelope {
             req_id: 42,
-            resp: bare,
+            resp: Response::Metrics(report),
         };
         let json = serde_json::to_string(&env).unwrap();
         let frame: ServerFrame = serde_json::from_str(&json).unwrap();

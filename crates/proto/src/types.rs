@@ -93,7 +93,8 @@ pub struct PuddleInfo {
     pub size: u64,
     /// Assigned address in the global puddle space.
     pub assigned_addr: u64,
-    /// Path of the backing file (capability grant; see DESIGN.md).
+    /// Path of the backing file (a capability grant standing in for the
+    /// paper's `SCM_RIGHTS` descriptor; see the README's substitutions).
     pub path: String,
     /// What the puddle is used for.
     pub purpose: PuddlePurpose,

@@ -1,4 +1,4 @@
-//! Background task scheduler: a submit queue plus a hashed timer wheel,
+//! Background task scheduler: a submit queue plus one periodic hook,
 //! executed by one daemon-owned worker thread.
 //!
 //! The daemon keeps latency-insensitive work — WAL checkpoints and the
@@ -9,19 +9,20 @@
 //!
 //! * [`Background::submit`] — run a task as soon as the worker is free
 //!   (FIFO);
-//! * [`Background::submit_after`] — run a task once a delay elapses, via a
-//!   single-level **hashed timer wheel** ([`TIMER_SLOTS`] slots of
-//!   [`TIMER_TICK`]; entries further out than one revolution carry a rounds
-//!   counter), so thousands of pending timers cost O(1) per tick.
+//! * [`Background::set_periodic`] — run one hook every `period` of the
+//!   scheduler's clock. The period only bounds how long the idle worker
+//!   sleeps, so an idle scheduler wakes once per period and one without a
+//!   hook not at all.
 //!
 //! # Shutdown
 //!
-//! [`Background::shutdown`] *drains*: every task already submitted — queued
-//! or parked on the wheel — runs before the worker exits, so a checkpoint
-//! enqueued moments before the daemon stops still lands on disk. Tasks
-//! submitted after shutdown run inline in the submitter, preserving the
-//! "submitted means executed" guarantee. (A *crash*, by contrast, loses
-//! queued tasks by design — WAL replay covers exactly that window.)
+//! [`Background::shutdown`] *drains*: every task already submitted runs
+//! before the worker exits, so a checkpoint enqueued moments before the
+//! daemon stops still lands on disk. Tasks submitted after shutdown run
+//! inline in the submitter, preserving the "submitted means executed"
+//! guarantee. (A *crash*, by contrast, loses queued tasks by design — WAL
+//! replay covers exactly that window.) The periodic hook is not a
+//! submitted task and does not run during the drain.
 //!
 //! [`Background::pause`] / [`Background::resume`] exist for tests that need
 //! a deterministically stalled scheduler (e.g. to force the registry's
@@ -38,116 +39,17 @@ use puddles_pmem::clock::Clock;
 /// A unit of background work.
 pub type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// Width of one timer-wheel tick.
-pub const TIMER_TICK: Duration = Duration::from_millis(10);
-
-/// Number of slots in the wheel (one revolution = `TIMER_SLOTS` ticks).
-pub const TIMER_SLOTS: usize = 256;
-
-/// One entry parked on the wheel.
-struct TimerEntry {
-    /// Revolutions left before the entry is due when its slot comes up.
-    rounds: u64,
-    task: Task,
-}
-
-/// The hashed timer wheel. Time advances in fixed ticks; an entry lands in
-/// slot `(cursor + delay_ticks) % TIMER_SLOTS` with `delay_ticks /
-/// TIMER_SLOTS` rounds, and fires when the cursor reaches its slot with
-/// zero rounds remaining.
-struct TimerWheel {
-    slots: Vec<Vec<TimerEntry>>,
-    /// Slot the next tick will process.
-    cursor: usize,
-    /// Ticks processed since `epoch`.
-    ticks: u64,
-    /// Clock reading the wheel was created at; tick math is relative to it.
-    epoch: Duration,
-    /// Entries currently parked (avoids scanning 256 slots to learn "any?").
-    len: usize,
-}
-
-impl TimerWheel {
-    fn new(epoch: Duration) -> TimerWheel {
-        TimerWheel {
-            slots: (0..TIMER_SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            ticks: 0,
-            epoch,
-            len: 0,
-        }
-    }
-
-    fn insert(&mut self, delay: Duration, task: Task) {
-        // At least one full tick out, so a zero delay still goes through the
-        // wheel (submit() is the path for "now").
-        let delay_ticks = (delay.as_nanos() / TIMER_TICK.as_nanos()).max(1) as u64;
-        let slot = (self.cursor + delay_ticks as usize) % TIMER_SLOTS;
-        // The cursor first *reaches* the slot after `delay_ticks` ticks
-        // when `delay_ticks <= TIMER_SLOTS`, so that arrival must already
-        // count: rounds is the number of full revolutions *beyond* the
-        // first arrival ((delay_ticks - 1) / SLOTS, not delay_ticks /
-        // SLOTS — the latter fires exact-revolution delays one revolution
-        // late).
-        let rounds = (delay_ticks - 1) / TIMER_SLOTS as u64;
-        self.slots[slot].push(TimerEntry { rounds, task });
-        self.len += 1;
-    }
-
-    /// Advances the wheel up to `now` (a clock reading), collecting every
-    /// due task.
-    fn advance(&mut self, now: Duration, due: &mut Vec<Task>) {
-        let target = (now.saturating_sub(self.epoch).as_nanos() / TIMER_TICK.as_nanos()) as u64;
-        while self.ticks < target {
-            self.ticks += 1;
-            self.cursor = (self.cursor + 1) % TIMER_SLOTS;
-            let slot = &mut self.slots[self.cursor];
-            let mut keep = Vec::new();
-            for mut entry in slot.drain(..) {
-                if entry.rounds == 0 {
-                    self.len -= 1;
-                    due.push(entry.task);
-                } else {
-                    entry.rounds -= 1;
-                    keep.push(entry);
-                }
-            }
-            *slot = keep;
-            if self.len == 0 {
-                // Nothing parked: skip straight to `target` (keeping the
-                // `cursor == ticks % TIMER_SLOTS` invariant) so an idle
-                // scheduler does not spin through empty ticks.
-                self.ticks = target;
-                self.cursor = (target % TIMER_SLOTS as u64) as usize;
-                break;
-            }
-        }
-    }
-
-    /// Clock reading of the next tick worth waking for, if anything is
-    /// parked.
-    fn next_wake(&self) -> Option<Duration> {
-        if self.len == 0 {
-            return None;
-        }
-        let next = Duration::from_nanos(TIMER_TICK.as_nanos() as u64 * (self.ticks + 1));
-        Some(self.epoch + next)
-    }
-
-    /// Takes every parked entry, due or not (shutdown drain).
-    fn drain_all(&mut self, due: &mut Vec<Task>) {
-        for slot in &mut self.slots {
-            for entry in slot.drain(..) {
-                due.push(entry.task);
-            }
-        }
-        self.len = 0;
-    }
+/// The recurring hook and when it next runs.
+struct Periodic {
+    period: Duration,
+    /// Clock reading at which the hook is next due.
+    next_due: Duration,
+    hook: Arc<dyn Fn() + Send + Sync>,
 }
 
 struct State {
     queue: VecDeque<Task>,
-    wheel: TimerWheel,
+    periodic: Option<Periodic>,
     shutdown: bool,
     paused: bool,
 }
@@ -155,7 +57,7 @@ struct State {
 struct Inner {
     state: Mutex<State>,
     wake: Condvar,
-    /// Time source for the wheel and the idle wait; virtual under test.
+    /// Time source for the periodic hook's schedule; virtual under test.
     clock: Clock,
     /// Tasks completed since start (drained tasks included).
     executed: AtomicU64,
@@ -173,7 +75,7 @@ impl std::fmt::Debug for Background {
         let state = self.inner.state.lock().unwrap();
         f.debug_struct("Background")
             .field("queued", &state.queue.len())
-            .field("timers", &state.wheel.len)
+            .field("periodic", &state.periodic.as_ref().map(|p| p.period))
             .field("executed", &self.inner.executed.load(Ordering::Relaxed))
             .field("shutdown", &state.shutdown)
             .finish()
@@ -187,12 +89,12 @@ impl Background {
     }
 
     /// Starts the scheduler's worker thread reading time from `clock` —
-    /// a virtual clock makes the wheel's timeline test-controlled.
+    /// a virtual clock makes the periodic hook's timeline test-controlled.
     pub fn start_with_clock(name: &str, clock: Clock) -> Background {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
-                wheel: TimerWheel::new(clock.now()),
+                periodic: None,
                 shutdown: false,
                 paused: false,
             }),
@@ -226,20 +128,18 @@ impl Background {
         self.inner.executed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Parks `task` on the timer wheel to run once `delay` has elapsed
-    /// (rounded up to the next tick). After shutdown the task runs inline
-    /// immediately.
-    pub fn submit_after(&self, delay: Duration, task: Task) {
-        {
-            let mut state = self.inner.state.lock().unwrap();
-            if !state.shutdown {
-                state.wheel.insert(delay, task);
-                self.inner.wake.notify_one();
-                return;
-            }
-        }
-        task();
-        self.inner.executed.fetch_add(1, Ordering::Relaxed);
+    /// Installs the scheduler's one recurring hook (replacing any earlier
+    /// one): the worker calls it every `period` of the scheduler's clock,
+    /// first one period from now, until shutdown. A paused scheduler skips
+    /// it like everything else.
+    pub fn set_periodic(&self, period: Duration, hook: impl Fn() + Send + Sync + 'static) {
+        let mut state = self.inner.state.lock().unwrap();
+        state.periodic = Some(Periodic {
+            period,
+            next_due: self.inner.clock.now() + period,
+            hook: Arc::new(hook),
+        });
+        self.inner.wake.notify_one();
     }
 
     /// Tasks completed so far (including inline-after-shutdown ones).
@@ -247,10 +147,9 @@ impl Background {
         self.inner.executed.load(Ordering::Relaxed)
     }
 
-    /// Tasks submitted but not yet run (queue + wheel).
+    /// Tasks submitted but not yet run.
     pub fn pending(&self) -> usize {
-        let state = self.inner.state.lock().unwrap();
-        state.queue.len() + state.wheel.len
+        self.inner.state.lock().unwrap().queue.len()
     }
 
     /// Stops the worker from picking up tasks (they keep queueing). Test
@@ -266,16 +165,8 @@ impl Background {
         self.inner.wake.notify_one();
     }
 
-    /// `true` once [`Background::shutdown`] has been requested. Recurring
-    /// tasks check this before re-arming themselves, so a drain cannot turn
-    /// into an infinite re-schedule loop.
-    pub fn is_shutdown(&self) -> bool {
-        self.inner.state.lock().unwrap().shutdown
-    }
-
-    /// Drains and stops: every task submitted before this call — queued or
-    /// parked on the wheel — is executed, then the worker thread is joined.
-    /// Idempotent; overrides a pause.
+    /// Drains and stops: every task submitted before this call is executed,
+    /// then the worker thread is joined. Idempotent; overrides a pause.
     pub fn shutdown(&self) {
         {
             let mut state = self.inner.state.lock().unwrap();
@@ -295,47 +186,42 @@ impl Background {
 }
 
 fn worker_loop(inner: Arc<Inner>) {
-    let mut due: Vec<Task> = Vec::new();
     let mut state = inner.state.lock().unwrap();
     loop {
         if state.shutdown {
             // Drain: everything already submitted runs before we exit.
-            due.extend(state.queue.drain(..));
-            state.wheel.drain_all(&mut due);
+            let queued: Vec<Task> = state.queue.drain(..).collect();
             drop(state);
-            for task in due.drain(..) {
+            for task in queued {
                 task();
                 inner.executed.fetch_add(1, Ordering::Relaxed);
             }
             return;
         }
-        if !state.paused {
-            state.wheel.advance(inner.clock.now(), &mut due);
-            if let Some(task) = state.queue.pop_front() {
-                due.push(task);
-            }
-            if !due.is_empty() {
-                drop(state);
-                for task in due.drain(..) {
-                    task();
-                    inner.executed.fetch_add(1, Ordering::Relaxed);
-                }
-                state = inner.state.lock().unwrap();
-                continue;
-            }
+        if state.paused {
+            state = inner.wake.wait(state).unwrap();
+            continue;
         }
-        // Idle: sleep until the next timer tick (or indefinitely when the
-        // wheel is empty or we are paused); submits notify the condvar.
-        let wake_at = if state.paused {
-            None
-        } else {
-            state.wheel.next_wake()
-        };
-        state = match wake_at {
-            Some(at) => {
-                let timeout = at
-                    .saturating_sub(inner.clock.now())
-                    .max(Duration::from_millis(1));
+        if let Some(task) = state.queue.pop_front() {
+            drop(state);
+            task();
+            inner.executed.fetch_add(1, Ordering::Relaxed);
+            state = inner.state.lock().unwrap();
+            continue;
+        }
+        // Idle: sleep until the periodic hook is due (indefinitely without
+        // one); submits notify the condvar.
+        let now = inner.clock.now();
+        state = match &mut state.periodic {
+            Some(p) if now >= p.next_due => {
+                p.next_due = now + p.period;
+                let hook = Arc::clone(&p.hook);
+                drop(state);
+                hook();
+                inner.state.lock().unwrap()
+            }
+            Some(p) => {
+                let timeout = p.next_due - now;
                 inner.clock.wait_timeout(state, &inner.wake, timeout).0
             }
             None => inner.wake.wait(state).unwrap(),
@@ -390,92 +276,21 @@ mod tests {
     }
 
     #[test]
-    fn timer_tasks_fire_after_their_delay() {
-        let bg = Background::start("bg-timer");
-        let real = Clock::real();
-        let hits = Arc::new(AtomicUsize::new(0));
-        let start = real.now();
-        bg.submit_after(Duration::from_millis(50), counter_task(&hits));
-        // A short-delay task must not wait for the long one.
-        bg.submit_after(Duration::from_millis(10), counter_task(&hits));
-        wait_for(|| hits.load(Ordering::SeqCst) >= 1, "first timer");
-        assert!(real.now() - start < Duration::from_millis(45));
-        wait_for(|| hits.load(Ordering::SeqCst) == 2, "second timer");
-        assert!(real.now() - start >= Duration::from_millis(50));
-        bg.shutdown();
-    }
-
-    #[test]
-    fn timer_beyond_one_wheel_revolution_still_fires() {
-        // > TIMER_SLOTS * TICK would take seconds; instead park an entry
-        // whose delay wraps the wheel exactly once via the rounds counter.
-        let mut wheel = TimerWheel::new(Duration::ZERO);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        wheel.insert(
-            TIMER_TICK * (TIMER_SLOTS as u32 + 3),
-            Box::new(move || {
-                f.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let mut due = Vec::new();
-        // One full revolution: the entry's slot comes up but rounds > 0.
-        wheel.advance(wheel.epoch + TIMER_TICK * TIMER_SLOTS as u32, &mut due);
-        assert!(due.is_empty());
-        // Three more ticks: now it is due.
-        wheel.advance(
-            wheel.epoch + TIMER_TICK * (TIMER_SLOTS as u32 + 3),
-            &mut due,
-        );
-        assert_eq!(due.len(), 1);
-        for task in due.drain(..) {
-            task();
-        }
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn timer_at_exactly_one_revolution_fires_on_time() {
-        // delay == TIMER_SLOTS ticks lands on the cursor's own slot; the
-        // first arrival (one full revolution later) must fire it — not a
-        // second revolution.
-        let mut wheel = TimerWheel::new(Duration::ZERO);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = Arc::clone(&fired);
-        wheel.insert(
-            TIMER_TICK * TIMER_SLOTS as u32,
-            Box::new(move || {
-                f.fetch_add(1, Ordering::SeqCst);
-            }),
-        );
-        let mut due = Vec::new();
-        wheel.advance(
-            wheel.epoch + TIMER_TICK * (TIMER_SLOTS as u32 - 1),
-            &mut due,
-        );
-        assert!(due.is_empty(), "one tick early must not fire");
-        wheel.advance(wheel.epoch + TIMER_TICK * TIMER_SLOTS as u32, &mut due);
-        assert_eq!(due.len(), 1, "exact-revolution delay fired late");
-    }
-
-    #[test]
-    fn shutdown_drains_queued_and_parked_tasks() {
+    fn shutdown_drains_queued_tasks() {
         let bg = Background::start("bg-drain");
         bg.pause();
         let hits = Arc::new(AtomicUsize::new(0));
         for _ in 0..5 {
             bg.submit(counter_task(&hits));
         }
-        // Parked far in the future: drain must run it anyway.
-        bg.submit_after(Duration::from_secs(3600), counter_task(&hits));
         assert_eq!(hits.load(Ordering::SeqCst), 0, "paused worker ran a task");
-        assert_eq!(bg.pending(), 6);
+        assert_eq!(bg.pending(), 5);
         bg.shutdown();
-        assert_eq!(hits.load(Ordering::SeqCst), 6);
+        assert_eq!(hits.load(Ordering::SeqCst), 5);
         assert_eq!(bg.pending(), 0);
         // Submit-after-shutdown runs inline, never silently dropped.
         bg.submit(counter_task(&hits));
-        assert_eq!(hits.load(Ordering::SeqCst), 7);
+        assert_eq!(hits.load(Ordering::SeqCst), 6);
     }
 
     #[test]
@@ -492,34 +307,42 @@ mod tests {
     }
 
     #[test]
-    fn virtual_clock_timers_fire_only_when_time_advances() {
+    fn periodic_hook_fires_once_per_period_of_virtual_time() {
         let clock = Clock::simulated(42);
         let vc = clock.virtual_clock().unwrap().clone();
         vc.set_auto_advance(false);
         let bg = Background::start_with_clock("bg-virtual", clock);
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let t = Arc::clone(&ticks);
+        bg.set_periodic(Duration::from_secs(2), move || {
+            t.fetch_add(1, Ordering::SeqCst);
+        });
+        // Submitted tasks still run: the worker is live, time is frozen.
         let hits = Arc::new(AtomicUsize::new(0));
-        bg.submit_after(Duration::from_millis(50), counter_task(&hits));
-        bg.submit_after(Duration::from_millis(10), counter_task(&hits));
-        // Immediate tasks still run: the worker is live, time is frozen.
         bg.submit(counter_task(&hits));
-        wait_for(|| bg.executed() >= 1, "immediate task under frozen time");
+        wait_for(|| bg.executed() == 1, "immediate task under frozen time");
         assert_eq!(
-            hits.load(Ordering::SeqCst),
-            1,
-            "timer fired with time frozen"
+            ticks.load(Ordering::SeqCst),
+            0,
+            "hook fired with time frozen"
         );
-        vc.advance(Duration::from_millis(10));
-        wait_for(
-            || hits.load(Ordering::SeqCst) == 2,
-            "10ms timer after advance",
-        );
-        assert_eq!(hits.load(Ordering::SeqCst), 2, "50ms timer fired early");
-        vc.advance(Duration::from_millis(40));
-        wait_for(
-            || hits.load(Ordering::SeqCst) == 3,
-            "50ms timer after advance",
-        );
+        // One tick short of the period: still nothing.
+        vc.advance(Duration::from_millis(1999));
+        Clock::real().sleep(Duration::from_millis(20));
+        assert_eq!(ticks.load(Ordering::SeqCst), 0, "hook fired early");
+        vc.advance(Duration::from_millis(1));
+        wait_for(|| ticks.load(Ordering::SeqCst) == 1, "first period");
+        // It re-arms itself: each further period is one more call, and the
+        // hook is neither a pending nor an executed *task*.
+        vc.advance(Duration::from_secs(2));
+        wait_for(|| ticks.load(Ordering::SeqCst) == 2, "second period");
+        assert_eq!((bg.pending(), bg.executed()), (0, 1));
+        // A paused scheduler skips it; shutdown does not run it either.
+        bg.pause();
+        vc.advance(Duration::from_secs(10));
+        Clock::real().sleep(Duration::from_millis(20));
         bg.shutdown();
+        assert_eq!(ticks.load(Ordering::SeqCst), 2);
     }
 
     #[test]

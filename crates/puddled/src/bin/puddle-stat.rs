@@ -7,10 +7,10 @@
 //!             [--json [PATH]] [--watch SECS] [--require SERIES]...
 //! ```
 //!
-//! Connects over the daemon's UNIX socket (protocol v1 — one bare frame
-//! per round trip, so it works against any daemon version that answers
-//! `GetMetrics`), sends `Hello` then `GetMetrics`, and renders the
-//! latency histograms and counters.
+//! Connects over the daemon's UNIX socket
+//! ([`puddles_proto::BlockingConn`]: preamble, `Hello`, then one
+//! `GetMetrics` round trip) and renders the latency histograms and
+//! counters.
 //!
 //! * default: a human-readable table on stdout;
 //! * `--json` (optionally followed by a path): the raw
@@ -21,7 +21,7 @@
 //!   series has a non-zero sample count and a finite, non-zero p99 —
 //!   the CI smoke gate ("the daemon actually timed requests under load").
 
-use puddles_proto::{frame, Credentials, MetricsReport, Request, Response, SeriesSnapshot};
+use puddles_proto::{BlockingConn, Credentials, MetricsReport, Request, Response, SeriesSnapshot};
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::process::exit;
@@ -81,20 +81,18 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One protocol-v1 round trip: a bare request frame out, a bare response
-/// frame back.
-fn call(stream: &mut UnixStream, req: &Request) -> Result<Response, String> {
-    frame::write_frame(stream, req).map_err(|e| format!("send: {e}"))?;
-    frame::read_frame(stream).map_err(|e| format!("receive: {e}"))
-}
-
 fn fetch(socket: &str) -> Result<MetricsReport, String> {
-    let mut stream = UnixStream::connect(socket).map_err(|e| format!("connect {socket}: {e}"))?;
-    match call(&mut stream, &Request::hello(Credentials::current_process()))? {
-        Response::Welcome { .. } => {}
-        other => return Err(format!("unexpected handshake reply: {other:?}")),
-    }
-    match call(&mut stream, &Request::GetMetrics)? {
+    let stream = UnixStream::connect(socket).map_err(|e| format!("connect {socket}: {e}"))?;
+    let hello = Request::hello(Credentials::current_process());
+    let mut conn = match BlockingConn::handshake(stream, hello) {
+        Ok((conn, Response::Welcome { .. })) => conn,
+        Ok((_, other)) => return Err(format!("unexpected handshake reply: {other:?}")),
+        Err(e) => return Err(format!("handshake: {e}")),
+    };
+    match conn
+        .call(Request::GetMetrics)
+        .map_err(|e| format!("GetMetrics: {e}"))?
+    {
         Response::Metrics(report) => Ok(report),
         Response::Error { code, message } => Err(format!("daemon error {code:?}: {message}")),
         other => Err(format!("unexpected GetMetrics reply: {other:?}")),

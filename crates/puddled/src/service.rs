@@ -6,13 +6,13 @@
 //! on the tables they touch — a `Translation`/`GetPuddle` lookup runs under
 //! a read lock and never waits for traffic on other pools.
 
+use crate::acl;
 use crate::background::Background;
 use crate::gspace::GlobalSpace;
 use crate::importexport;
 use crate::recovery;
 use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Registry, RegistryOpError};
 use crate::wal::{Wal, WalHandle};
-use crate::{acl, layout};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
 use puddles_pmem::obs::{Metrics, ShardedHistogram, TraceEventKind};
@@ -27,37 +27,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// How often the background timer wheel re-checks WAL checkpoint age.
+/// How often the background scheduler re-checks WAL checkpoint age.
 const CHECKPOINT_AGE_CHECK_INTERVAL: std::time::Duration = std::time::Duration::from_secs(2);
 
 /// Records older than this get checkpointed even below the byte threshold
 /// (bounds the WAL replay a restart of a *quiet* daemon must do).
 const MAX_CHECKPOINT_AGE_MS: u64 = 30_000;
 
-/// Arms the recurring age-based checkpoint check on the timer wheel. The
-/// task holds only a `Weak` registry handle and re-arms itself until the
-/// scheduler shuts down (the re-arm guard keeps the shutdown drain from
-/// looping) or the registry is dropped.
-fn arm_age_checkpoint(bg: Background, registry: std::sync::Weak<Registry>) {
-    let bg_next = bg.clone();
-    bg.submit_after(
-        CHECKPOINT_AGE_CHECK_INTERVAL,
-        Box::new(move || {
-            if bg_next.is_shutdown() {
-                return;
-            }
-            let Some(reg) = registry.upgrade() else {
-                return;
-            };
-            let _ = reg.checkpoint_if_stale(MAX_CHECKPOINT_AGE_MS);
-            drop(reg);
-            arm_age_checkpoint(bg_next, registry);
-        }),
-    );
-}
-
-/// Default per-connection in-flight window granted to protocol-v2 clients
-/// that do not request one (matches `uds::MAX_PIPELINED_REQUESTS`).
+/// Default per-connection in-flight window granted to clients that do not
+/// request one (matches `uds::MAX_PIPELINED_REQUESTS`).
 pub const DEFAULT_MAX_IN_FLIGHT: u32 = 64;
 
 /// Default client connection-pool depth granted when the client does not
@@ -96,11 +74,11 @@ pub struct DaemonConfig {
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Time source for the background wheel, WAL checkpoint age, and the
+    /// Time source for the background scheduler, WAL checkpoint age, and the
     /// UDS server's deadlines. A *virtual* clock additionally switches the
     /// daemon into deterministic mode: checkpoints run inline on the
     /// request thread (instead of riding the background scheduler) and the
-    /// age-based checkpoint timer is not armed, so WAL traffic is a pure
+    /// age-based checkpoint check is not armed, so WAL traffic is a pure
     /// function of the request sequence — the property the torture
     /// harness's replay guarantee rests on.
     pub clock: Clock,
@@ -393,11 +371,18 @@ impl Daemon {
         let background = Background::start_with_clock("puddled-bg", config.clock.clone());
         if !config.clock.is_virtual() {
             registry.enable_background_checkpoints(background.clone());
-            arm_age_checkpoint(background.clone(), Arc::downgrade(&registry));
+            // Weak: the registry holds a scheduler handle of its own, so a
+            // strong one here would be a cycle.
+            let stale = Arc::downgrade(&registry);
+            background.set_periodic(CHECKPOINT_AGE_CHECK_INTERVAL, move || {
+                if let Some(reg) = stale.upgrade() {
+                    let _ = reg.checkpoint_if_stale(MAX_CHECKPOINT_AGE_MS);
+                }
+            });
         }
         // Deterministic mode (virtual clock): no background handle on the
         // registry, so threshold checkpoints and lazy coalesce passes run
-        // inline on the request thread in request order, and no age timer —
+        // inline on the request thread in request order, and no age check —
         // the WAL's write sequence replays exactly per seed.
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
@@ -523,8 +508,8 @@ impl Daemon {
         self.handle_traced(creds, req, 0)
     }
 
-    /// [`Daemon::handle`] with the wire-protocol request id (0 for v1 bare
-    /// frames and in-process calls), so trace `req.start`/`req.end` pairs
+    /// [`Daemon::handle`] with the wire-protocol request id (0 for
+    /// in-process calls), so trace `req.start`/`req.end` pairs
     /// can be matched to pipelined responses. Times the request into its
     /// per-kind `service.*` latency series.
     pub(crate) fn handle_traced(&self, creds: Credentials, req: Request, req_id: u64) -> Response {
@@ -1081,12 +1066,6 @@ impl Daemon {
         });
         reg.commit()?;
         Ok(())
-    }
-
-    /// Test/benchmark helper: returns the fixed puddle header size so other
-    /// crates do not need to import the layout module directly.
-    pub fn puddle_header_size() -> usize {
-        layout::PUDDLE_HEADER_SIZE
     }
 }
 

@@ -29,11 +29,12 @@
 //! The payload is a **binary-encoded** [`RegistryOp`]: a version byte
 //! ([`WAL_BINARY_VERSION`]), a variant tag, then the fields as fixed-width
 //! little-endian integers and length-prefixed strings — roughly 3–5x
-//! smaller than the JSON records of earlier daemons and much cheaper to
-//! encode on the group-commit path. Records whose first payload byte is not
-//! the version byte are decoded as legacy JSON, so WALs written before the
-//! format change still replay. Checkpoint snapshots remain JSON (they are
-//! rewritten wholesale and benefit from being inspectable).
+//! smaller than JSON and much cheaper to encode on the group-commit path.
+//! A record that passes its checksum but carries another version byte or an
+//! unknown tag was written by a different build: [`Wal::open`] refuses the
+//! file rather than dropping it (see [`WAL_BINARY_VERSION`] for the upgrade
+//! rule). Checkpoint snapshots remain JSON (they are rewritten wholesale
+//! and benefit from being inspectable).
 //!
 //! `seq` increases by one per record and never resets (a checkpoint records
 //! the sequence floor it covers), so replay after a crash *between* the
@@ -50,7 +51,6 @@ use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
 use puddles_proto::{PtrField, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
-use serde::{Deserialize, Serialize};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::PathBuf;
@@ -94,7 +94,9 @@ pub type WalHandle = Arc<Wal>;
 /// so replaying a prefix of the WAL (after a torn tail) or a suffix that
 /// partially overlaps the checkpoint always lands on a state the load-time
 /// reconcile can finish healing.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
+// JSON exists only as the tests' size and foreign-format reference.
+#[cfg_attr(test, derive(serde::Serialize))]
 pub enum RegistryOp {
     /// Insert or replace a puddle record.
     PutPuddle(PuddleRecord),
@@ -238,9 +240,17 @@ pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
 // Binary op encoding.
 // ---------------------------------------------------------------------
 
-/// First payload byte of a binary-encoded record. JSON payloads start with
-/// `{` (0x7b), so this byte doubles as the format discriminator for replay
-/// of WALs written by earlier daemons.
+/// First payload byte of every record: names the payload encoding.
+///
+/// **Upgrade rule: a PM directory moves to a build with another version
+/// byte only with an empty `meta/registry.wal`.** Restarting the build that
+/// wrote the WAL gets it there — startup replays the WAL into a fresh
+/// checkpoint and truncates it — provided it is stopped again before
+/// clients mutate anything (`Stats.wal_records == 0`). This covers the
+/// pre-binary daemons too, whose JSON payloads start with `{`. A WAL that
+/// still holds a record this build cannot decode makes [`Wal::open`] fail
+/// with the file left untouched, so the metadata in it is never silently
+/// dropped.
 pub const WAL_BINARY_VERSION: u8 = 0x01;
 
 /// Variant tags of the binary [`RegistryOp`] encoding. Stable on-disk
@@ -547,13 +557,12 @@ fn decode_binary_op(payload: &[u8]) -> Option<RegistryOp> {
     r.done().then_some(op)
 }
 
-/// Decodes one record payload: binary (versioned) or legacy JSON.
+/// Decodes one record payload; `None` for anything but a well-formed
+/// [`WAL_BINARY_VERSION`] record.
 pub fn decode_op(payload: &[u8]) -> Option<RegistryOp> {
-    match payload.first() {
-        Some(&WAL_BINARY_VERSION) => decode_binary_op(&payload[1..]),
-        // Legacy JSON record from a pre-binary-format daemon.
-        Some(_) => serde_json::from_slice::<RegistryOp>(payload).ok(),
-        None => None,
+    match payload.split_first() {
+        Some((&WAL_BINARY_VERSION, body)) => decode_binary_op(body),
+        _ => None,
     }
 }
 
@@ -582,10 +591,15 @@ fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes records from `bytes`, stopping at the first record that is
-/// incomplete, fails its checksum, or does not parse (the torn tail after a
-/// crash). Returns the decoded `(seq, op)` pairs and the number of bytes
-/// occupied by valid records.
-fn decode_records(bytes: &[u8]) -> (Vec<(u64, RegistryOp)>, usize) {
+/// incomplete or fails its checksum (the torn tail after a crash). Returns
+/// the decoded `(seq, op)` pairs and the number of bytes occupied by valid
+/// records.
+///
+/// A record whose checksum holds but whose payload does not decode is not a
+/// torn write — the bytes are exactly what some daemon wrote — so it is an
+/// error, not a tail to heal: truncating there would silently drop that
+/// record and every one after it.
+fn decode_records(bytes: &[u8]) -> Result<(Vec<(u64, RegistryOp)>, usize)> {
     let mut ops = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= RECORD_HEADER_SIZE {
@@ -604,12 +618,18 @@ fn decode_records(bytes: &[u8]) -> (Vec<(u64, RegistryOp)>, usize) {
             break;
         }
         let Some(op) = decode_op(payload) else {
-            break;
+            return Err(PmError::Corruption(format!(
+                "metadata WAL record seq {seq} at byte {pos} is intact but not decodable by \
+                 this build (payload starts {:02x?}, expected version byte \
+                 {WAL_BINARY_VERSION:#04x}); written by another daemon version — see \
+                 WAL_BINARY_VERSION for the upgrade rule",
+                &payload[..payload.len().min(2)]
+            )));
         };
         ops.push((seq, op));
         pos += total;
     }
-    (ops, pos)
+    Ok((ops, pos))
 }
 
 /// WAL health/statistics snapshot reported through `Stats`.
@@ -699,7 +719,9 @@ impl Wal {
     ///
     /// A torn tail left by a crash is truncated away *now*, before any new
     /// append could bury it mid-file where replay would discard everything
-    /// after it.
+    /// after it. A checksum-valid record this build cannot decode fails the
+    /// open instead, leaving the file as it was (see
+    /// [`WAL_BINARY_VERSION`]).
     pub fn open(pmdir: &PmDir) -> Result<Wal> {
         Wal::open_with_clock(pmdir, Clock::real())
     }
@@ -720,7 +742,7 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(PmError::Io(e)),
         };
-        let (records, valid_len) = decode_records(&existing);
+        let (records, valid_len) = decode_records(&existing)?;
         if valid_len < existing.len() {
             let tmp = pmdir.meta_path(&format!("{WAL_FILE}.tmp"));
             let mut file = File::create(&tmp)?;
@@ -793,7 +815,7 @@ impl Wal {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(PmError::Io(e)),
         };
-        Ok(decode_records(&bytes).0)
+        Ok(decode_records(&bytes)?.0)
     }
 
     /// Raises the record sequence floor (called with the checkpoint's
@@ -1232,22 +1254,31 @@ mod tests {
         assert!(decode_op(&[WAL_BINARY_VERSION, 0xEE]).is_none());
     }
 
+    /// A record that passes its checksum but is not this build's encoding
+    /// (another version byte, or a pre-binary daemon's JSON payload) is not
+    /// a torn tail: opening must fail and leave every byte in place, not
+    /// truncate the record and the good one behind it.
     #[test]
-    fn legacy_json_records_still_replay() {
-        // A WAL written by a pre-binary daemon: JSON payloads. The decoder
-        // must replay them transparently (version-byte discrimination).
-        let op = sample_op(5);
-        let json = serde_json::to_vec(&op).unwrap();
-        assert_ne!(json[0], WAL_BINARY_VERSION);
-        assert_eq!(decode_op(&json), Some(op.clone()));
+    fn undecodable_checksum_valid_record_fails_open_and_keeps_the_file() {
+        let mut future = encode_op(&sample_op(5));
+        future[0] = 0x7f;
+        let json = serde_json::to_vec(&sample_op(5)).unwrap();
+        for foreign in [future, json] {
+            let mut bytes = encode_record(0, &encode_op(&sample_op(4)));
+            bytes.extend_from_slice(&encode_record(1, &foreign));
+            bytes.extend_from_slice(&encode_record(2, &encode_op(&sample_op(6))));
+            assert!(decode_records(&bytes).is_err());
 
-        // A mixed-format WAL (old JSON records, then new binary ones)
-        // decodes in order.
-        let mut bytes = encode_record(0, &json);
-        bytes.extend_from_slice(&encode_record(1, &encode_op(&sample_op(6))));
-        let (ops, consumed) = decode_records(&bytes);
-        assert_eq!(consumed, bytes.len());
-        assert_eq!(ops, vec![(0, sample_op(5)), (1, sample_op(6))]);
+            let tmp = tempfile::tempdir().unwrap();
+            let pm = PmDir::open(tmp.path()).unwrap();
+            let path = pm.meta_path(WAL_FILE);
+            fs::write(&path, &bytes).unwrap();
+            match Wal::open(&pm) {
+                Err(PmError::Corruption(msg)) => assert!(msg.contains("seq 1"), "{msg}"),
+                other => panic!("expected a corruption error, got {other:?}"),
+            }
+            assert_eq!(fs::read(&path).unwrap(), bytes, "open must not heal it");
+        }
     }
 
     #[test]
@@ -1278,7 +1309,7 @@ mod tests {
         let payload = encode_op(&sample_op(7));
         let rec = encode_record(3, &payload);
         assert_eq!(rec.len() % RECORD_ALIGN, 0);
-        let (ops, consumed) = decode_records(&rec);
+        let (ops, consumed) = decode_records(&rec).unwrap();
         assert_eq!(consumed, rec.len());
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].0, 3);
@@ -1291,7 +1322,7 @@ mod tests {
         let b = encode_record(1, &encode_op(&sample_op(2)));
         let mut bytes = a.clone();
         bytes.extend_from_slice(&b[..b.len() - 5]);
-        let (ops, consumed) = decode_records(&bytes);
+        let (ops, consumed) = decode_records(&bytes).unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(consumed, a.len());
 
@@ -1301,7 +1332,7 @@ mod tests {
         let n = bad.len();
         bad[n - RECORD_ALIGN] ^= 0x40;
         bytes.extend_from_slice(&bad);
-        let (ops, _) = decode_records(&bytes);
+        let (ops, _) = decode_records(&bytes).unwrap();
         assert!(ops.len() <= 1);
     }
 

@@ -22,6 +22,17 @@ fn start_daemon() -> (tempfile::TempDir, Daemon) {
     (tmp, daemon)
 }
 
+/// A handshaken protocol-level connection to a socket server.
+fn raw_connection(
+    socket: &std::path::Path,
+) -> puddles_proto::BlockingConn<std::os::unix::net::UnixStream> {
+    let stream = std::os::unix::net::UnixStream::connect(socket).unwrap();
+    let hello = Request::hello(Credentials::current_process());
+    let (conn, resp) = puddles_proto::BlockingConn::handshake(stream, hello).unwrap();
+    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    conn
+}
+
 fn expect_puddle(resp: Response) -> puddles_proto::PuddleInfo {
     match resp {
         Response::Puddle(info) => info,
@@ -644,24 +655,14 @@ fn uds_server_answers_requests_from_another_connection() {
     let socket = tmp.path().join("puddled.sock");
     let mut server = puddled::UdsServer::start(daemon.clone(), &socket).unwrap();
 
-    let stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
-    let mut reader = stream.try_clone().unwrap();
-    let mut writer = stream;
-    puddles_proto::write_frame(&mut writer, &Request::hello(Credentials::current_process()))
-        .unwrap();
-    let resp: Response = puddles_proto::read_frame(&mut reader).unwrap();
-    assert!(matches!(resp, Response::Welcome { .. }));
-
-    puddles_proto::write_frame(
-        &mut writer,
-        &Request::CreatePool {
+    let mut conn = raw_connection(&socket);
+    let resp = conn
+        .call(Request::CreatePool {
             name: "over-uds".into(),
             root_size: 1 << 20,
             mode: 0o600,
-        },
-    )
-    .unwrap();
-    let resp: Response = puddles_proto::read_frame(&mut reader).unwrap();
+        })
+        .unwrap();
     assert!(matches!(resp, Response::Pool(_)));
 
     // The pool is visible through the in-process endpoint too.
@@ -728,19 +729,7 @@ fn concurrent_clients_create_pools_transact_and_translate() {
             // the in-process global-space reservation).
             let client = PuddleClient::connect_uds_shared(&socket, gspace).unwrap();
             // A second raw connection for protocol-level lookups.
-            let ep = {
-                let stream = std::os::unix::net::UnixStream::connect(&socket).unwrap();
-                let mut reader = stream.try_clone().unwrap();
-                let mut writer = stream;
-                puddles_proto::write_frame(
-                    &mut writer,
-                    &Request::hello(Credentials::current_process()),
-                )
-                .unwrap();
-                let _: Response = puddles_proto::read_frame(&mut reader).unwrap();
-                (reader, writer)
-            };
-            let (mut reader, mut writer) = ep;
+            let mut lookups = raw_connection(&socket);
 
             barrier.wait();
             let pool = client
@@ -760,12 +749,10 @@ fn concurrent_clients_create_pools_transact_and_translate() {
                 // Interleave read-mostly translation lookups: these run
                 // under the puddle table's shared read lock.
                 for _ in 0..LOOKUPS_PER_TX {
-                    puddles_proto::write_frame(
-                        &mut writer,
-                        &Request::GetRelocation { id: root_puddle },
-                    )
-                    .unwrap();
-                    match puddles_proto::read_frame(&mut reader).unwrap() {
+                    match lookups
+                        .call(Request::GetRelocation { id: root_puddle })
+                        .unwrap()
+                    {
                         Response::Relocation { needs_rewrite, .. } => {
                             assert!(!needs_rewrite, "fresh pool must not need rewriting")
                         }
@@ -853,23 +840,16 @@ fn shutdown_is_bounded_under_busy_and_stalled_clients() {
     let busy_stop = Arc::clone(&stop);
     let busy_socket = socket.clone();
     let busy = std::thread::spawn(move || {
-        let stream = std::os::unix::net::UnixStream::connect(&busy_socket).unwrap();
-        let mut reader = stream.try_clone().unwrap();
-        let mut writer = stream;
-        puddles_proto::write_frame(&mut writer, &Request::hello(Credentials::current_process()))
-            .unwrap();
-        let _: Response = puddles_proto::read_frame(&mut reader).unwrap();
+        let mut conn = raw_connection(&busy_socket);
         while !busy_stop.load(Ordering::SeqCst) {
-            if puddles_proto::write_frame(&mut writer, &Request::Ping).is_err() {
-                break;
-            }
-            if puddles_proto::read_frame::<_, Response>(&mut reader).is_err() {
+            if conn.call(Request::Ping).is_err() {
                 break;
             }
         }
     });
 
-    // Stalled client: sends half a length prefix and goes silent.
+    // Stalled client: sends two bytes — not even a whole preamble — and
+    // goes silent.
     let mut stalled = std::os::unix::net::UnixStream::connect(&socket).unwrap();
     stalled.write_all(&[0x10, 0x00]).unwrap();
 

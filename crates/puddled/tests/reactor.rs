@@ -2,18 +2,18 @@
 //! isolation, connection counts beyond the old thread cap, half-close
 //! semantics, the background checkpoint path (async landing, drain on
 //! shutdown, forced-inline fallback, crash during a background checkpoint),
-//! and the protocol-v2 runtime (v1/v2 coexistence, out-of-order completion
-//! across dispatch lanes, pipelined backpressure, cross-reactor shutdown,
-//! `Busy` rejection at the connection cap).
+//! and the pipelined runtime (out-of-order completion across dispatch lanes,
+//! pipelined backpressure, cross-reactor shutdown, refusal of peers that
+//! skip the preamble, `Busy` rejection at the connection cap).
 
 use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
 use puddles_pmem::failpoint;
-use puddles_proto::frame::V2_MAGIC;
+use puddles_proto::frame::encode_frame;
 use puddles_proto::{
-    read_frame, write_frame, Credentials, PtrField, PtrMapDecl, Request, RequestEnvelope, Response,
-    ServerFrame,
+    read_frame, write_frame, BlockingConn, Credentials, ErrorCode, PtrField, PtrMapDecl, Request,
+    RequestEnvelope, Response, ServerFrame,
 };
-use std::io::Write;
+use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
@@ -25,39 +25,27 @@ fn start_server() -> (tempfile::TempDir, Daemon, UdsServer, std::path::PathBuf) 
     (tmp, daemon, server, socket)
 }
 
-fn hello(socket: &std::path::Path) -> UnixStream {
-    let mut stream = UnixStream::connect(socket).unwrap();
-    write_frame(&mut stream, &Request::hello(Credentials::current_process())).unwrap();
-    let resp: Response = read_frame(&mut stream).unwrap();
-    assert!(matches!(resp, Response::Welcome { .. }));
-    stream
-}
+type Conn = BlockingConn<UnixStream>;
 
-/// Opens a protocol-v2 connection: sends the version preamble, then an
-/// enveloped `Hello` (id 0) and checks the echoed envelope.
-fn hello_v2(socket: &std::path::Path) -> UnixStream {
-    let mut stream = UnixStream::connect(socket).unwrap();
-    stream.write_all(&V2_MAGIC).unwrap();
-    write_env(
-        &mut stream,
-        0,
-        Request::hello(Credentials::current_process()),
-    );
-    let (req_id, resp) = read_env(&mut stream);
-    assert_eq!(req_id, 0);
+/// Opens a connection: preamble, enveloped `Hello`, `Welcome` back.
+fn hello(socket: &std::path::Path) -> Conn {
+    let stream = UnixStream::connect(socket).unwrap();
+    let hello = Request::hello(Credentials::current_process());
+    let (conn, resp) = BlockingConn::handshake(stream, hello).unwrap();
     assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
-    stream
+    conn
 }
 
-fn write_env(stream: &mut UnixStream, req_id: u64, req: Request) {
-    write_frame(stream, &RequestEnvelope { req_id, req }).unwrap();
+/// One enveloped request frame, for tests that write raw bytes.
+fn env_frame(req_id: u64, req: Request) -> Vec<u8> {
+    encode_frame(&RequestEnvelope { req_id, req }).unwrap()
 }
 
-fn read_env(stream: &mut UnixStream) -> (u64, Response) {
-    match read_frame::<_, ServerFrame>(stream).unwrap() {
-        ServerFrame::Enveloped(env) => (env.req_id, env.resp),
-        ServerFrame::Bare(resp) => panic!("bare frame on a v2 connection: {resp:?}"),
-    }
+/// Reads `n` responses and returns them sorted by request id.
+fn recv_sorted(conn: &mut Conn, n: usize) -> Vec<(u64, Response)> {
+    let mut got: Vec<(u64, Response)> = (0..n).map(|_| conn.recv().unwrap()).collect();
+    got.sort_by_key(|(req_id, _)| *req_id);
+    got
 }
 
 /// Serializes the tests that exercise checkpoint thresholds or global
@@ -90,42 +78,48 @@ fn stats(daemon: &Daemon) -> puddles_proto::DaemonStats {
 #[test]
 fn frames_split_across_write_boundaries_are_served() {
     let (_tmp, _daemon, mut server, socket) = start_server();
-    let mut stream = hello(&socket);
+    let mut conn = hello(&socket);
 
-    let frame = puddles_proto::frame::encode_frame(&Request::CreatePool {
-        name: "trickle".into(),
-        root_size: 1 << 20,
-        mode: 0o600,
-    })
-    .unwrap();
+    let frame = env_frame(
+        100,
+        Request::CreatePool {
+            name: "trickle".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        },
+    );
     // Trickle the frame: the length prefix split mid-way, then odd chunks.
     for chunk in frame.chunks(3) {
-        stream.write_all(chunk).unwrap();
-        stream.flush().unwrap();
+        conn.stream().write_all(chunk).unwrap();
+        conn.stream().flush().unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
-    let resp: Response = read_frame(&mut stream).unwrap();
+    let (req_id, resp) = conn.recv().unwrap();
+    assert_eq!(req_id, 100);
     assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
 
-    // Several frames coalesced into one write also all get served, in
-    // order (pipelining through the per-connection queue).
+    // Several frames coalesced into one write also all get served, each
+    // answered under its own id.
     let mut batch = Vec::new();
-    for _ in 0..5 {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::Ping).unwrap());
+    for req_id in 1..=5 {
+        batch.extend_from_slice(&env_frame(req_id, Request::Ping));
     }
-    batch.extend_from_slice(
-        &puddles_proto::frame::encode_frame(&Request::OpenPool {
+    batch.extend_from_slice(&env_frame(
+        6,
+        Request::OpenPool {
             name: "trickle".into(),
-        })
-        .unwrap(),
+        },
+    ));
+    conn.stream().write_all(&batch).unwrap();
+    let got = recv_sorted(&mut conn, 6);
+    assert_eq!(
+        got.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+        (1..=6).collect::<Vec<_>>()
     );
-    stream.write_all(&batch).unwrap();
-    for _ in 0..5 {
-        let resp: Response = read_frame(&mut stream).unwrap();
+    for (_, resp) in &got[..5] {
         assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
     }
-    let resp: Response = read_frame(&mut stream).unwrap();
-    assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+    assert!(matches!(got[5].1, Response::Pool(_)), "{:?}", got[5].1);
     server.shutdown();
 }
 
@@ -160,17 +154,16 @@ fn stalled_reader_does_not_block_other_connections() {
     let mut stalled = hello(&socket);
     const PIPELINED: usize = 20;
     let mut batch = Vec::new();
-    for _ in 0..PIPELINED {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::GetPtrMaps).unwrap());
+    for req_id in 0..PIPELINED as u64 {
+        batch.extend_from_slice(&env_frame(req_id, Request::GetPtrMaps));
     }
-    stalled.write_all(&batch).unwrap();
+    stalled.stream().write_all(&batch).unwrap();
 
     // Meanwhile a well-behaved peer gets prompt service.
     let mut live = hello(&socket);
     for _ in 0..20 {
         let t0 = Instant::now();
-        write_frame(&mut live, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut live).unwrap();
+        let resp = live.call(Request::Ping).unwrap();
         assert!(matches!(resp, Response::Welcome { .. }));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
@@ -179,9 +172,11 @@ fn stalled_reader_does_not_block_other_connections() {
     }
 
     // The stalled peer's responses were parked, not dropped: reading now
-    // yields all 20, each carrying the full 100 maps.
-    for _ in 0..PIPELINED {
-        match read_frame::<_, Response>(&mut stalled).unwrap() {
+    // yields all 20 — every id once — each carrying the full 100 maps.
+    let got = recv_sorted(&mut stalled, PIPELINED);
+    for (i, (req_id, resp)) in got.into_iter().enumerate() {
+        assert_eq!(req_id, i as u64);
+        match resp {
             Response::PtrMaps(maps) => assert_eq!(maps.len(), 100),
             other => panic!("unexpected {other:?}"),
         }
@@ -195,15 +190,16 @@ fn stalled_reader_does_not_block_other_connections() {
 fn connections_beyond_the_old_thread_cap_are_served() {
     let (_tmp, _daemon, mut server, socket) = start_server();
     const CONNS: usize = 300;
-    let mut streams: Vec<UnixStream> = (0..CONNS).map(|_| hello(&socket)).collect();
+    let mut streams: Vec<Conn> = (0..CONNS).map(|_| hello(&socket)).collect();
     assert!(server.active_connections() >= CONNS);
     // Every connection stays live and answers across several rounds.
-    for _ in 0..3 {
-        for stream in &mut streams {
-            write_frame(stream, &Request::Ping).unwrap();
+    for round in 0..3 {
+        for conn in &mut streams {
+            conn.send(round, Request::Ping).unwrap();
         }
-        for stream in &mut streams {
-            let resp: Response = read_frame(stream).unwrap();
+        for conn in &mut streams {
+            let (req_id, resp) = conn.recv().unwrap();
+            assert_eq!(req_id, round);
             assert!(matches!(resp, Response::Welcome { .. }));
         }
     }
@@ -216,19 +212,19 @@ fn connections_beyond_the_old_thread_cap_are_served() {
 #[test]
 fn half_close_drains_pending_responses() {
     let (_tmp, _daemon, mut server, socket) = start_server();
-    let mut stream = hello(&socket);
+    let mut conn = hello(&socket);
     let mut batch = Vec::new();
-    for _ in 0..8 {
-        batch.extend_from_slice(&puddles_proto::frame::encode_frame(&Request::Ping).unwrap());
+    for req_id in 0..8 {
+        batch.extend_from_slice(&env_frame(req_id, Request::Ping));
     }
-    stream.write_all(&batch).unwrap();
-    stream.shutdown(std::net::Shutdown::Write).unwrap();
-    for _ in 0..8 {
-        let resp: Response = read_frame(&mut stream).unwrap();
+    conn.stream().write_all(&batch).unwrap();
+    conn.stream().shutdown(std::net::Shutdown::Write).unwrap();
+    for (i, (req_id, resp)) in recv_sorted(&mut conn, 8).into_iter().enumerate() {
+        assert_eq!(req_id, i as u64);
         assert!(matches!(resp, Response::Welcome { .. }));
     }
     // Clean EOF after the last response.
-    assert!(read_frame::<_, Response>(&mut stream).is_err());
+    assert!(conn.recv().is_err());
     server.shutdown();
 }
 
@@ -422,31 +418,48 @@ fn wal_past_hard_ceiling_forces_inline_checkpoint() {
     }
 }
 
-/// A v1 client (bare frames, in-order responses) and a v2 client (enveloped,
-/// pipelined) work side by side against the same daemon: the version is
-/// negotiated per connection off the first bytes, and neither protocol's
-/// traffic corrupts the other's.
+/// A peer that opens with anything but the preamble — here a pre-`PUD2`
+/// client's bare `Hello` frame — is told so once, in the one framing it can
+/// parse, and closed; it costs the daemon nothing afterwards and the next
+/// well-formed connection is served.
 #[test]
-fn v1_client_works_against_a_v2_daemon() {
+fn a_connection_without_the_preamble_gets_one_typed_error_and_eof() {
     let (_tmp, _daemon, mut server, socket) = start_server();
-    let mut v1 = hello(&socket);
-    let mut v2 = hello_v2(&socket);
+    let mut old = UnixStream::connect(&socket).unwrap();
+    write_frame(&mut old, &Request::hello(Credentials::current_process())).unwrap();
+    match read_frame::<_, ServerFrame>(&mut old).unwrap() {
+        ServerFrame::Bare(Response::Error { code, message }) => {
+            assert_eq!(code, ErrorCode::InvalidRequest);
+            assert!(message.contains("PUD2"), "{message}");
+        }
+        other => panic!("expected a bare InvalidRequest error, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(
+        old.read_to_end(&mut rest).unwrap(),
+        0,
+        "EOF after the error"
+    );
+    wait_until("refused connection released", || {
+        server.active_connections() == 0
+    });
 
-    // The v2 connection pipelines a burst with distinctive ids.
-    for req_id in 100u64..120 {
-        write_env(&mut v2, req_id, Request::Ping);
-    }
-    // Interleaved v1 round trips stay strictly in order, one at a time.
-    for _ in 0..10 {
-        write_frame(&mut v1, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut v1).unwrap();
-        assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
-    }
-    // Every pipelined response comes back enveloped; ids may arrive in any
-    // order but each appears exactly once.
-    let mut seen: Vec<u64> = (0..20).map(|_| read_env(&mut v2).0).collect();
-    seen.sort_unstable();
-    assert_eq!(seen, (100u64..120).collect::<Vec<_>>());
+    let mut conn = hello(&socket);
+    let resp = conn.call(Request::Ping).unwrap();
+    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    server.shutdown();
+}
+
+/// A peer that dies before it has sent even the four preamble bytes holds
+/// no connection slot afterwards.
+#[test]
+fn a_peer_that_closes_mid_preamble_releases_its_slot() {
+    let (_tmp, _daemon, mut server, socket) = start_server();
+    let mut peer = UnixStream::connect(&socket).unwrap();
+    peer.write_all(b"PU").unwrap();
+    wait_until("connection counted", || server.active_connections() == 1);
+    drop(peer);
+    wait_until("slot released", || server.active_connections() == 0);
     server.shutdown();
 }
 
@@ -471,9 +484,8 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
         other => panic!("unexpected {other:?}"),
     }
 
-    let mut v2 = hello_v2(&socket);
-    write_env(
-        &mut v2,
+    let mut conn = hello(&socket);
+    conn.send(
         1,
         Request::ExportPool {
             name: "bulky".into(),
@@ -483,15 +495,16 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
                 .to_string_lossy()
                 .into_owned(),
         },
-    );
+    )
+    .unwrap();
     const PINGS: u64 = 8;
     for req_id in 2..2 + PINGS {
-        write_env(&mut v2, req_id, Request::Ping);
+        conn.send(req_id, Request::Ping).unwrap();
     }
 
     let mut order = Vec::new();
     for _ in 0..1 + PINGS {
-        let (req_id, resp) = read_env(&mut v2);
+        let (req_id, resp) = conn.recv().unwrap();
         if req_id == 1 {
             assert!(matches!(resp, Response::Ok), "{resp:?}");
         } else {
@@ -511,7 +524,7 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
     server.shutdown();
 }
 
-/// A pipelined v2 peer that fills the whole request window with fat
+/// A pipelined peer that fills the whole request window with fat
 /// responses and reads nothing must stall only itself (output high-water
 /// drops its read interest); other connections keep sub-second service, and
 /// once the stalled peer reads, all responses arrive intact with each id
@@ -538,25 +551,18 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
 
     // Fill the entire pipeline window (the daemon-side in-flight cap) with
     // ~200 KiB responses: ~12 MiB total, far past the 1 MiB high-water.
-    let mut stalled = hello_v2(&socket);
+    let mut stalled = hello(&socket);
     const DEPTH: u64 = 64;
     let mut batch = Vec::new();
     for req_id in 1..=DEPTH {
-        batch.extend_from_slice(
-            &puddles_proto::frame::encode_frame(&RequestEnvelope {
-                req_id,
-                req: Request::GetPtrMaps,
-            })
-            .unwrap(),
-        );
+        batch.extend_from_slice(&env_frame(req_id, Request::GetPtrMaps));
     }
-    stalled.write_all(&batch).unwrap();
+    stalled.stream().write_all(&batch).unwrap();
 
     let mut live = hello(&socket);
     for _ in 0..20 {
         let t0 = Instant::now();
-        write_frame(&mut live, &Request::Ping).unwrap();
-        let resp: Response = read_frame(&mut live).unwrap();
+        let resp = live.call(Request::Ping).unwrap();
         assert!(matches!(resp, Response::Welcome { .. }));
         assert!(
             t0.elapsed() < Duration::from_secs(2),
@@ -566,7 +572,7 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
 
     let mut seen: Vec<u64> = (0..DEPTH)
         .map(|_| {
-            let (req_id, resp) = read_env(&mut stalled);
+            let (req_id, resp) = stalled.recv().unwrap();
             match resp {
                 Response::PtrMaps(maps) => assert_eq!(maps.len(), 100),
                 other => panic!("unexpected {other:?}"),
@@ -597,13 +603,13 @@ fn cross_reactor_shutdown_drains_in_flight_responses() {
     )
     .unwrap();
 
-    // 32 v2 connections land on all four reactors (least-loaded placement:
+    // 32 connections land on all four reactors (least-loaded placement:
     // with a 4096 budget every reactor's slice has room, so the spread is
     // 8 per reactor).
-    let mut streams: Vec<UnixStream> = (0..32).map(|_| hello_v2(&socket)).collect();
+    let mut streams: Vec<Conn> = (0..32).map(|_| hello(&socket)).collect();
     assert_eq!(server.active_connections(), 32);
-    for (i, stream) in streams.iter_mut().enumerate() {
-        write_env(stream, 1000 + i as u64, Request::Ping);
+    for (i, conn) in streams.iter_mut().enumerate() {
+        conn.send(1000 + i as u64, Request::Ping).unwrap();
     }
     // Let every reactor parse and complete its pings (a request whose bytes
     // are still unread in the kernel buffer counts as idle and is dropped
@@ -613,12 +619,12 @@ fn cross_reactor_shutdown_drains_in_flight_responses() {
         server.shutdown();
         server
     });
-    for (i, stream) in streams.iter_mut().enumerate() {
-        let (req_id, resp) = read_env(stream);
+    for (i, conn) in streams.iter_mut().enumerate() {
+        let (req_id, resp) = conn.recv().unwrap();
         assert_eq!(req_id, 1000 + i as u64);
         assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
         // After the drained response the daemon closes cleanly.
-        assert!(read_frame::<_, ServerFrame>(stream).is_err());
+        assert!(conn.recv().is_err());
     }
     let server = shutdown.join().unwrap();
     assert_eq!(server.active_connections(), 0);
@@ -644,14 +650,14 @@ fn connection_cap_rejects_with_a_busy_frame() {
 
     // Fill the cap with live connections (the round trip guarantees each is
     // counted before the next connect).
-    let _held: Vec<UnixStream> = (0..4).map(|_| hello(&socket)).collect();
+    let _held: Vec<Conn> = (0..4).map(|_| hello(&socket)).collect();
 
     // The fifth connects at the listener but is turned away with a proper
     // error frame — not a bare EOF.
     let mut extra = UnixStream::connect(&socket).unwrap();
     match read_frame::<_, Response>(&mut extra).unwrap() {
         Response::Error { code, message } => {
-            assert_eq!(code, puddles_proto::ErrorCode::Busy);
+            assert_eq!(code, ErrorCode::Busy);
             assert!(message.contains("connection limit"), "{message}");
         }
         other => panic!("unexpected {other:?}"),
@@ -688,7 +694,7 @@ fn stats_expose_per_reactor_connection_counts() {
 
     // Each hello round-trips, so the connection is registered with its
     // reactor before the next connect (placement is least-loaded).
-    let held: Vec<UnixStream> = (0..4).map(|_| hello(&socket)).collect();
+    let held: Vec<Conn> = (0..4).map(|_| hello(&socket)).collect();
     wait_until("connections counted per reactor", || {
         stats(&daemon).reactor_connections.iter().sum::<u64>() == 4
     });
