@@ -57,17 +57,19 @@ pub mod ptr;
 pub mod puddle;
 pub mod reloc;
 pub mod torture;
+pub mod transport;
 pub mod tx;
 pub mod types;
 
 pub use alloc::{MetaLogger, NoLog, ObjRef, PuddleAlloc};
-pub use client::{ClientMetrics, PuddleClient, RetryPolicy, LOGSPACE_PUDDLE_SIZE, LOG_PUDDLE_SIZE};
+pub use client::{PuddleClient, LOGSPACE_PUDDLE_SIZE, LOG_PUDDLE_SIZE};
 pub use error::{Error, Result};
 pub use interval::IntervalSet;
 pub use pool::{Pool, PoolOptions};
 pub use ptr::PmPtr;
 pub use puddle::MappedPuddle;
 pub use reloc::{rewrite_puddle, RewriteStats};
+pub use transport::{ClientMetrics, RetryPolicy};
 pub use tx::Transaction;
 pub use types::{PmType, TypeRegistry, UNTYPED_TYPE_ID};
 
