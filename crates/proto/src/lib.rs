@@ -324,14 +324,18 @@ pub struct BlockingConn<S> {
 
 impl<S: std::io::Read + std::io::Write> BlockingConn<S> {
     /// Opens the protocol on a freshly connected `stream`: writes the
-    /// [`frame::V2_MAGIC`] preamble and `hello` (request id 0) and returns
-    /// the connection together with the daemon's reply, normally
-    /// [`Response::Welcome`].
-    pub fn handshake(mut stream: S, hello: Request) -> std::io::Result<(Self, Response)> {
+    /// [`frame::V2_MAGIC`] preamble and `hello` (request id 0) and checks
+    /// that the daemon answers [`Response::Welcome`].
+    pub fn handshake(mut stream: S, hello: Request) -> std::io::Result<Self> {
         stream.write_all(&frame::V2_MAGIC)?;
         let mut conn = BlockingConn { stream, next_id: 0 };
-        let welcome = conn.call(hello)?;
-        Ok((conn, welcome))
+        match conn.call(hello)? {
+            Response::Welcome { .. } => Ok(conn),
+            other => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("unexpected handshake reply: {other:?}"),
+            )),
+        }
     }
 
     /// Sends one request under a caller-chosen id without waiting for its

@@ -84,11 +84,7 @@ fn parse_args() -> Result<Args, String> {
 fn fetch(socket: &str) -> Result<MetricsReport, String> {
     let stream = UnixStream::connect(socket).map_err(|e| format!("connect {socket}: {e}"))?;
     let hello = Request::hello(Credentials::current_process());
-    let mut conn = match BlockingConn::handshake(stream, hello) {
-        Ok((conn, Response::Welcome { .. })) => conn,
-        Ok((_, other)) => return Err(format!("unexpected handshake reply: {other:?}")),
-        Err(e) => return Err(format!("handshake: {e}")),
-    };
+    let mut conn = BlockingConn::handshake(stream, hello).map_err(|e| format!("handshake: {e}"))?;
     match conn
         .call(Request::GetMetrics)
         .map_err(|e| format!("GetMetrics: {e}"))?

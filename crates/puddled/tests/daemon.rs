@@ -28,9 +28,7 @@ fn raw_connection(
 ) -> puddles_proto::BlockingConn<std::os::unix::net::UnixStream> {
     let stream = std::os::unix::net::UnixStream::connect(socket).unwrap();
     let hello = Request::hello(Credentials::current_process());
-    let (conn, resp) = puddles_proto::BlockingConn::handshake(stream, hello).unwrap();
-    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
-    conn
+    puddles_proto::BlockingConn::handshake(stream, hello).unwrap()
 }
 
 fn expect_puddle(resp: Response) -> puddles_proto::PuddleInfo {

@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 /// A global-space placement no in-process test daemon uses
 /// (`DaemonConfig::for_testing` starts at `0x5100_0000_0000`), so this
 /// process can reserve it for the client.
-const SPACE_BASE: &str = "0x620000000000";
-const SPACE_SIZE: &str = "8589934592";
+const SPACE_BASE: u64 = 0x6200_0000_0000;
+const SPACE_SIZE: u64 = 8 << 30;
 
 #[repr(C)]
 struct Counter {
@@ -37,7 +37,8 @@ fn spawn_puddled(pm_dir: &Path, socket: &Path) -> Daemon {
         .arg(pm_dir)
         .arg("--socket")
         .arg(socket)
-        .args(["--space-base", SPACE_BASE, "--space-size", SPACE_SIZE])
+        .args(["--space-base", &format!("{SPACE_BASE:#x}")])
+        .args(["--space-size", &SPACE_SIZE.to_string()])
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn puddled");
@@ -62,10 +63,7 @@ fn a_client_process_drives_a_spawned_puddled_and_puddle_stat_reads_it() {
     // The client maps puddles at the daemon's addresses in its own
     // reservation: native pointers only work if the bases agree.
     let client = PuddleClient::connect_uds(&socket).expect("connect_uds");
-    assert_eq!(
-        client.space_base(),
-        u64::from_str_radix(SPACE_BASE.trim_start_matches("0x"), 16).unwrap()
-    );
+    assert_eq!(client.space_base(), SPACE_BASE);
 
     let pool = client
         .create_pool("proc", PoolOptions::default())
