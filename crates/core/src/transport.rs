@@ -1,9 +1,21 @@
 //! The socket transport under a [`PuddleClient`](crate::PuddleClient): what
 //! is retried and when ([`RetryPolicy`], idempotence and transience
-//! classification), the client-local counters ([`ClientMetrics`]), and the
-//! one socket endpoint — a small pool of pipelined connections, each a
-//! shared writer plus a reader thread pairing out-of-order responses with
-//! their callers by request id.
+//! classification), the client-local metrics ([`ClientMetrics`]), and the
+//! one socket endpoint — a small pool of pipelined connections.
+//!
+//! A connection has no thread of its own. Callers share its write half one
+//! frame at a time, and **whoever is waiting reads**: a caller that finds
+//! the read half free takes it (the *leader*), routes every response frame
+//! it reads to the caller waiting on that `req_id`, returns as soon as its
+//! own has arrived, and on the way out wakes one caller still waiting to
+//! take over. So a depth-1 call is one `write` and one `read` on the
+//! calling thread, and deeper pipelines still complete out of order.
+//!
+//! What is re-sent: a request whose frame could not be written was never
+//! delivered (the daemon dispatches complete frames only), so it is sent
+//! once more on a fresh connection whatever its kind; a request that was
+//! written and whose response was lost may already have been applied, so
+//! only idempotent kinds are re-sent, under the [`RetryPolicy`].
 
 use parking_lot::Mutex;
 use puddles_pmem::clock::{entropy_seed, Clock};
@@ -58,12 +70,16 @@ fn is_idempotent(req: &Request) -> bool {
     )
 }
 
-/// Client-local observability counters, shared by the endpoint, its retry
-/// policy, and every pipelined connection. Surfaced through
+/// Client-local observability, shared by the endpoint, its retry policy,
+/// and every pipelined connection. Surfaced through
 /// [`PuddleClient::client_metrics`] in the same report shape the daemon's
 /// `GetMetrics` uses, so one consumer renders both sides.
 #[derive(Debug, Default)]
 pub struct ClientMetrics {
+    /// Round trips of answered calls, write to response, on the retry
+    /// policy's clock: the `client.rtt` series. Against the daemon's
+    /// `service.*` series, the difference is what the transport costs.
+    pub rtt: puddles_pmem::obs::ShardedHistogram,
     /// Retry attempts actually performed past each operation's first try
     /// (dials and idempotent re-sends alike).
     pub retry_attempts: std::sync::atomic::AtomicU64,
@@ -71,12 +87,12 @@ pub struct ClientMetrics {
     /// `reconnect` in its `Hello`, so the daemon's count should match).
     pub reconnects: std::sync::atomic::AtomicU64,
     /// High-water mark of requests in flight on one pipelined connection
-    /// (how deep the id→waiter completion map has grown).
+    /// (how deep the id→slot completion map has grown).
     pub pipeline_depth_hwm: std::sync::atomic::AtomicU64,
 }
 
 impl ClientMetrics {
-    /// The counters as a wire-shaped report (no histogram series).
+    /// The series and counters as a wire-shaped report.
     pub fn report(&self) -> puddles_proto::MetricsReport {
         use std::sync::atomic::Ordering::Relaxed;
         let counter = |name: &str, value: u64| puddles_proto::CounterSnapshot {
@@ -84,7 +100,10 @@ impl ClientMetrics {
             value,
         };
         puddles_proto::MetricsReport {
-            series: Vec::new(),
+            series: vec![puddled::service::series_snapshot(
+                "client.rtt".to_string(),
+                &self.rtt.snapshot(),
+            )],
             counters: vec![
                 counter(
                     "client.pipeline_depth_hwm",
@@ -266,106 +285,126 @@ impl RetryPolicy {
 /// requests, so a couple of sockets serve many concurrent callers.
 const PIPELINE_CONNECTIONS: usize = 2;
 
-/// One caller parked on a pipelined response.
-struct Waiter {
-    slot: std::sync::Mutex<Option<std::io::Result<Response>>>,
-    ready: std::sync::Condvar,
+/// Largest chunk a connection's reader takes per `read` call.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Why a call on one connection failed, split by the one fact the re-send
+/// rule needs: whether the daemon can have seen the request.
+#[derive(Debug)]
+enum CallError {
+    /// The frame was not (completely) written — the connection was already
+    /// known dead, or the write failed. The daemon dispatches complete
+    /// frames only, so the request was never delivered.
+    Unsent(std::io::Error),
+    /// The frame was written and the response never came: the daemon may
+    /// or may not have applied the request.
+    Unanswered(std::io::Error),
 }
 
-impl Waiter {
-    fn new() -> Waiter {
-        Waiter {
-            slot: std::sync::Mutex::new(None),
-            ready: std::sync::Condvar::new(),
-        }
-    }
-
-    fn fill(&self, result: std::io::Result<Response>) {
-        *self.slot.lock().unwrap() = Some(result);
-        self.ready.notify_one();
-    }
-
-    fn wait(&self) -> std::io::Result<Response> {
-        let mut slot = self.slot.lock().unwrap();
-        loop {
-            if let Some(result) = slot.take() {
-                return result;
-            }
-            slot = self.ready.wait(slot).unwrap();
+impl CallError {
+    fn into_io(self) -> std::io::Error {
+        match self {
+            CallError::Unsent(e) | CallError::Unanswered(e) => e,
         }
     }
 }
 
-/// One connection: a shared writer, a reader thread, and the id→waiter
-/// completion map that pairs out-of-order responses with their callers.
+/// One caller's place in a connection's completion map.
+struct Slot {
+    /// The outcome, set by whichever caller was reading when it arrived.
+    result: Option<std::io::Result<Response>>,
+    /// Wakes the owner: its result is in, or it should take the read half.
+    wake: Arc<std::sync::Condvar>,
+}
+
+/// What callers of one connection coordinate through.
+struct Waiting {
+    /// Callers whose response has not been handed over, by request id.
+    slots: HashMap<u64, Slot>,
+    /// Some caller holds the read half and is routing frames.
+    has_leader: bool,
+}
+
+/// The read half of a connection; whoever leads owns it for the duration.
+struct ReadHalf {
+    stream: UnixStream,
+    decoder: puddles_proto::frame::FrameDecoder,
+    /// Scratch for socket reads (allocated once per connection).
+    buf: Box<[u8]>,
+}
+
+/// One connection: a shared write half, a read half that the waiting
+/// callers pass among themselves, and the id→slot completion map that pairs
+/// out-of-order responses with their callers.
 struct PipeConn {
-    /// Write half (a `try_clone` of the socket; the reader owns the other).
-    /// The lock covers one whole frame write, so concurrent callers never
-    /// interleave frame bytes.
+    /// Write half (a `try_clone` of the socket). The lock covers one whole
+    /// frame write, so concurrent callers never interleave frame bytes.
     writer: Mutex<UnixStream>,
-    /// Callers waiting for their response, keyed by request id.
-    pending: Mutex<HashMap<u64, Arc<Waiter>>>,
+    /// Only the current leader locks this, so it is never contended; the
+    /// mutex is what lets leadership move between threads.
+    reader: Mutex<ReadHalf>,
+    waiting: std::sync::Mutex<Waiting>,
     next_id: std::sync::atomic::AtomicU64,
-    /// The reader exited (EOF, I/O error, protocol violation): no future
-    /// call on this connection can complete. The endpoint replaces it.
+    /// A read or write failed (EOF, I/O error, protocol violation): no
+    /// future call on this connection can complete. The endpoint replaces
+    /// it.
     dead: std::sync::atomic::AtomicBool,
-    reader: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Client-local reporter; tracks the in-flight high-water mark.
     metrics: Arc<ClientMetrics>,
 }
 
 impl PipeConn {
-    /// Wraps an already-connected (and preamble-sent) stream, spawning the
-    /// reader thread (tests drive a connection without an endpoint).
-    #[cfg(test)]
-    fn over_stream(stream: UnixStream) -> std::io::Result<Arc<PipeConn>> {
-        PipeConn::over_stream_with(stream, Arc::new(ClientMetrics::default()))
-    }
-
-    /// [`PipeConn::over_stream`] reporting into an existing client-local
-    /// reporter.
-    fn over_stream_with(
-        stream: UnixStream,
-        metrics: Arc<ClientMetrics>,
-    ) -> std::io::Result<Arc<PipeConn>> {
-        let reader_stream = stream.try_clone()?;
-        let conn = Arc::new(PipeConn {
+    /// Wraps an already-connected (and preamble-sent) stream.
+    fn over_stream(stream: UnixStream, metrics: Arc<ClientMetrics>) -> std::io::Result<PipeConn> {
+        Ok(PipeConn {
+            reader: Mutex::new(ReadHalf {
+                stream: stream.try_clone()?,
+                decoder: puddles_proto::frame::FrameDecoder::new(),
+                buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
+            }),
             writer: Mutex::new(stream),
-            pending: Mutex::new(HashMap::new()),
+            waiting: std::sync::Mutex::new(Waiting {
+                slots: HashMap::new(),
+                has_leader: false,
+            }),
             next_id: std::sync::atomic::AtomicU64::new(1),
             dead: std::sync::atomic::AtomicBool::new(false),
-            reader: Mutex::new(None),
             metrics,
-        });
-        let for_reader = Arc::clone(&conn);
-        let handle = std::thread::Builder::new()
-            .name("puddles-pipe-reader".into())
-            .spawn(move || reader_loop(for_reader, reader_stream))?;
-        *conn.reader.lock() = Some(handle);
-        Ok(conn)
+        })
     }
 
     fn is_dead(&self) -> bool {
         self.dead.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Sends one enveloped request and blocks until the reader fills this
-    /// call's waiter. Any number of calls may be in flight concurrently.
-    fn call(&self, req: &Request) -> std::io::Result<Response> {
+    fn waiting(&self) -> std::sync::MutexGuard<'_, Waiting> {
+        // Every update under this lock leaves the map valid at every step,
+        // so a caller that panicked while holding it took nothing with it.
+        self.waiting.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Sends one enveloped request and blocks until its response is in —
+    /// reading the socket itself whenever nobody else is (see the module
+    /// docs). Any number of calls may be in flight concurrently.
+    fn call(&self, req: &Request) -> Result<Response, CallError> {
         if self.is_dead() {
-            return Err(std::io::Error::new(
+            return Err(CallError::Unsent(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
                 "pipelined connection is closed",
-            ));
+            )));
         }
         let req_id = self
             .next_id
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let waiter = Arc::new(Waiter::new());
+        let wake = Arc::new(std::sync::Condvar::new());
         let in_flight = {
-            let mut pending = self.pending.lock();
-            pending.insert(req_id, Arc::clone(&waiter));
-            pending.len() as u64
+            let mut waiting = self.waiting();
+            let slot = Slot {
+                result: None,
+                wake: Arc::clone(&wake),
+            };
+            waiting.slots.insert(req_id, slot);
+            waiting.slots.len() as u64
         };
         self.metrics
             .pipeline_depth_hwm
@@ -379,76 +418,107 @@ impl PipeConn {
             puddles_proto::write_frame(&mut *writer, &env)
         };
         if let Err(e) = written {
-            self.pending.lock().remove(&req_id);
+            // Callers already waiting learn of it from the read half: the
+            // peer that refused this write has closed on them too.
+            self.waiting().slots.remove(&req_id);
             self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
-            return Err(e);
+            return Err(CallError::Unsent(e));
         }
-        waiter.wait()
-    }
 
-    /// Marks the connection dead and fails every parked caller (the reader
-    /// is gone; their responses can never arrive).
-    fn fail_all(&self, error: &std::io::Error) {
-        self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
-        let pending: Vec<Arc<Waiter>> = self.pending.lock().drain().map(|(_, w)| w).collect();
-        for waiter in pending {
-            waiter.fill(Err(std::io::Error::new(error.kind(), error.to_string())));
-        }
-    }
-
-    /// Unblocks the reader (both socket halves are clones of one fd, so
-    /// shutting down the writer EOFs the reader too).
-    fn close(&self) {
-        let _ = self.writer.lock().shutdown(std::net::Shutdown::Both);
-    }
-}
-
-/// The reader half of one pipelined connection: decodes server frames and
-/// routes each to its waiter by id. Exits — failing all parked callers — on
-/// EOF, an I/O error, or a protocol violation (an id nobody is waiting on,
-/// or a bare frame after the handshake, which can only be the acceptor's
-/// `Busy` rejection).
-fn reader_loop(conn: Arc<PipeConn>, mut stream: UnixStream) {
-    use std::io::Read;
-    let mut decoder = puddles_proto::frame::FrameDecoder::new();
-    let mut buf = [0u8; 64 * 1024];
-    let failure: std::io::Error = 'read: loop {
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                break 'read std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "daemon closed the connection",
-                )
+        let mut waiting = self.waiting();
+        loop {
+            let slot = waiting.slots.get_mut(&req_id).expect("own slot");
+            if let Some(result) = slot.result.take() {
+                waiting.slots.remove(&req_id);
+                return result.map_err(CallError::Unanswered);
             }
-            Ok(n) => {
-                decoder.feed(&buf[..n]);
-                loop {
-                    match decoder.next_frame::<puddles_proto::ServerFrame>() {
-                        Ok(Some(puddles_proto::ServerFrame::Enveloped(env))) => {
-                            let waiter = conn.pending.lock().remove(&env.req_id);
-                            match waiter {
-                                Some(waiter) => waiter.fill(Ok(env.resp)),
-                                None => {
-                                    break 'read std::io::Error::new(
-                                        std::io::ErrorKind::InvalidData,
-                                        format!("response for unknown req_id {}", env.req_id),
-                                    )
-                                }
-                            }
+            if waiting.has_leader {
+                waiting = wake.wait(waiting).unwrap_or_else(|e| e.into_inner());
+            } else {
+                waiting.has_leader = true;
+                drop(waiting);
+                self.lead(req_id);
+                waiting = self.waiting();
+            }
+        }
+    }
+
+    /// Leads: owns the read half and hands every response to its slot,
+    /// until the one for `own_id` is in (or the connection fails, which
+    /// fails every waiting caller, this one included). On the way out, one
+    /// caller still waiting is woken to lead next.
+    fn lead(&self, own_id: u64) {
+        use std::io::Read;
+        let mut half = self.reader.lock();
+        let ReadHalf {
+            stream,
+            decoder,
+            buf,
+        } = &mut *half;
+        let failure = 'lead: loop {
+            // Frames a previous leader read but left undecoded come first.
+            let mut own_arrived = false;
+            loop {
+                match decoder.next_frame::<puddles_proto::ServerFrame>() {
+                    Ok(Some(puddles_proto::ServerFrame::Enveloped(env))) => {
+                        let mut waiting = self.waiting();
+                        let Some(slot) = waiting.slots.get_mut(&env.req_id) else {
+                            break 'lead std::io::Error::new(
+                                std::io::ErrorKind::InvalidData,
+                                format!("response for unknown req_id {}", env.req_id),
+                            );
+                        };
+                        slot.result = Some(Ok(env.resp));
+                        if env.req_id == own_id {
+                            own_arrived = true;
+                        } else {
+                            slot.wake.notify_one();
                         }
-                        Ok(Some(puddles_proto::ServerFrame::Bare(resp))) => {
-                            break 'read bare_frame_error(resp)
-                        }
-                        Ok(None) => break,
-                        Err(e) => break 'read e,
                     }
+                    Ok(Some(puddles_proto::ServerFrame::Bare(resp))) => {
+                        break 'lead bare_frame_error(resp)
+                    }
+                    Ok(None) => break,
+                    Err(e) => break 'lead e,
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => break 'read e,
+            if own_arrived {
+                drop(half);
+                let mut waiting = self.waiting();
+                waiting.has_leader = false;
+                if let Some(next) = waiting.slots.values().find(|s| s.result.is_none()) {
+                    next.wake.notify_one();
+                }
+                return;
+            }
+            match stream.read(buf) {
+                Ok(0) => {
+                    break 'lead std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "daemon closed the connection",
+                    )
+                }
+                Ok(n) => decoder.feed(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => break 'lead e,
+            }
+        };
+        drop(half);
+        // The stream position is lost (or the peer is gone): nothing more
+        // can arrive. Fail everyone still waiting, exactly once each.
+        self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
+        let mut waiting = self.waiting();
+        waiting.has_leader = false;
+        for slot in waiting.slots.values_mut() {
+            if slot.result.is_none() {
+                slot.result = Some(Err(std::io::Error::new(
+                    failure.kind(),
+                    failure.to_string(),
+                )));
+                slot.wake.notify_one();
+            }
         }
-    };
-    conn.fail_all(&failure);
+    }
 }
 
 /// Maps a bare (un-enveloped) server frame to the error every parked caller
@@ -475,10 +545,9 @@ fn bare_frame_error(resp: Response) -> std::io::Error {
 ///
 /// Keeps a small pool of connections ([`PIPELINE_CONNECTIONS`]) and spreads
 /// calls round-robin across them; each connection multiplexes any number of
-/// concurrent callers through its id→waiter map, so client threads never
+/// concurrent callers through its id→slot map, so client threads never
 /// wait for each other's round trips. Dead connections are replaced on the
-/// next call; a call that fails transiently on an idempotent request is
-/// re-sent under the endpoint's [`RetryPolicy`].
+/// next call; what a failed call re-sends is the module docs' rule.
 pub(crate) struct PipelinedEndpoint {
     path: std::path::PathBuf,
     pool: Mutex<Vec<Arc<PipeConn>>>,
@@ -568,7 +637,7 @@ impl PipelinedEndpoint {
         let mut stream = UnixStream::connect(&self.path)?;
         // The preamble: everything after it is enveloped frames.
         stream.write_all(&puddles_proto::frame::V2_MAGIC)?;
-        let conn = PipeConn::over_stream_with(stream, Arc::clone(&self.metrics))?;
+        let conn = Arc::new(PipeConn::over_stream(stream, Arc::clone(&self.metrics))?);
         let creds = Credentials::current_process();
         let reconnect = self
             .connected_once
@@ -588,7 +657,8 @@ impl PipelinedEndpoint {
         // (a cap rejection fails here, not on a later caller), fixes the
         // connection's credentials daemon-side, and carries back the
         // granted pool depth.
-        if let Response::Welcome { pool_depth, .. } = conn.call(&hello)? {
+        let welcome = conn.call(&hello).map_err(CallError::into_io)?;
+        if let Response::Welcome { pool_depth, .. } = welcome {
             if pool_depth > 0 {
                 self.depth
                     .store(pool_depth as usize, std::sync::atomic::Ordering::Relaxed);
@@ -600,38 +670,43 @@ impl PipelinedEndpoint {
     }
 }
 
-impl Endpoint for PipelinedEndpoint {
-    fn call(&self, req: &Request) -> std::io::Result<Response> {
-        let conn = self.conn()?;
-        match conn.call(req) {
-            Err(e) if is_transient(&e) && is_idempotent(req) => {
-                // The connection died under us (daemon restart, stale
-                // socket, injected reset). The daemon may have applied the
-                // request and lost only the response, so only idempotent
-                // requests are re-sent — each retry on a connection that
-                // just handshook, under the backoff policy.
-                self.retry.run(|_| {
-                    let conn = self.conn()?;
-                    conn.call(req)
-                })
-            }
-            other => other,
-        }
+impl PipelinedEndpoint {
+    /// One round trip on `conn`, timed into `client.rtt` when it is
+    /// answered.
+    fn round_trip(&self, conn: &PipeConn, req: &Request) -> Result<Response, CallError> {
+        let clock = &self.retry.clock;
+        let start = clock.now();
+        let resp = conn.call(req)?;
+        self.metrics
+            .rtt
+            .record_duration(clock.now().saturating_sub(start));
+        Ok(resp)
     }
 }
 
-impl Drop for PipelinedEndpoint {
-    fn drop(&mut self) {
-        // Shut every socket down first (EOFs all readers at once), then
-        // join the reader threads.
-        let pool = std::mem::take(&mut *self.pool.lock());
-        for conn in &pool {
-            conn.close();
+impl Endpoint for PipelinedEndpoint {
+    fn call(&self, req: &Request) -> std::io::Result<Response> {
+        let mut outcome = self.round_trip(&*self.conn()?, req);
+        if matches!(&outcome, Err(CallError::Unsent(e)) if is_transient(e)) {
+            // The connection had died while it sat idle (daemon restart,
+            // stale socket) and the frame never left: nothing was applied,
+            // so a request of any kind goes out once more, on a fresh
+            // connection.
+            outcome = self.round_trip(&*self.conn()?, req);
         }
-        for conn in &pool {
-            if let Some(handle) = conn.reader.lock().take() {
-                let _ = handle.join();
+        match outcome.map_err(CallError::into_io) {
+            Err(e) if is_transient(&e) && is_idempotent(req) => {
+                // The connection died under us (daemon restart, injected
+                // reset). The daemon may have applied the request and lost
+                // only the response, so only idempotent requests are
+                // re-sent — each retry on a connection that just handshook,
+                // under the backoff policy.
+                self.retry.run(|_| {
+                    self.round_trip(&*self.conn()?, req)
+                        .map_err(CallError::into_io)
+                })
             }
+            other => other,
         }
     }
 }
@@ -825,23 +900,13 @@ mod tests {
                 order.sort_by_key(|&i| (plan[i].0, i));
 
                 let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
-                let conn = PipeConn::over_stream(client_sock).unwrap();
+                let conn = pipe_conn(client_sock);
 
                 // Fake daemon: gather every request, then answer them in
                 // the permuted order, splitting the byte stream at the
                 // arbitrary `cuts` boundaries.
                 let server = std::thread::spawn(move || {
-                    let mut dec = FrameDecoder::new();
-                    let mut buf = [0u8; 4096];
-                    let mut reqs: Vec<RequestEnvelope> = Vec::new();
-                    while reqs.len() < CALLERS {
-                        let n = server_sock.read(&mut buf).unwrap();
-                        assert!(n > 0, "client hung up early");
-                        dec.feed(&buf[..n]);
-                        while let Some(env) = dec.next_frame::<RequestEnvelope>().unwrap() {
-                            reqs.push(env);
-                        }
-                    }
+                    let reqs = read_requests(&mut server_sock, CALLERS);
                     let mut bytes = Vec::new();
                     for &i in &order {
                         let env = &reqs[i];
@@ -892,30 +957,149 @@ mod tests {
                     caller.join().unwrap();
                 }
                 server.join().unwrap();
-                conn.close();
-                let handle = conn.reader.lock().take();
-                if let Some(handle) = handle {
-                    let _ = handle.join();
+            }
+        }
+
+        fn pipe_conn(stream: UnixStream) -> Arc<PipeConn> {
+            Arc::new(PipeConn::over_stream(stream, Arc::default()).unwrap())
+        }
+
+        /// Reads request frames off `stream` until `n` have arrived.
+        fn read_requests(stream: &mut UnixStream, n: usize) -> Vec<RequestEnvelope> {
+            let mut dec = FrameDecoder::new();
+            let mut buf = [0u8; 4096];
+            let mut reqs = Vec::new();
+            while reqs.len() < n {
+                let got = stream.read(&mut buf).unwrap();
+                assert!(got > 0, "client hung up early");
+                dec.feed(&buf[..got]);
+                while let Some(env) = dec.next_frame::<RequestEnvelope>().unwrap() {
+                    reqs.push(env);
                 }
             }
+            reqs
+        }
+
+        /// Leadership hand-off, one forced step at a time: the first leader
+        /// is answered first and leaves with every other caller still
+        /// waiting; after that each response (reverse arrival order) is
+        /// written only once the previous caller has returned, so at every
+        /// step somebody must be reading or the test times out. A promotion
+        /// lost anywhere strands the callers behind it.
+        #[test]
+        fn leadership_passes_on_until_the_last_caller_is_answered() {
+            use std::sync::mpsc;
+            const N: usize = 6;
+            let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
+            let conn = pipe_conn(client_sock);
+            let (done_tx, done_rx) = mpsc::channel::<u64>();
+            let spawn_caller = |i: usize| {
+                let conn = Arc::clone(&conn);
+                let done_tx = done_tx.clone();
+                std::thread::spawn(move || {
+                    let name = format!("pool-{i}");
+                    match conn.call(&Request::OpenPool { name: name.clone() }) {
+                        Ok(Response::Pool(info)) => assert_eq!(info.name, name),
+                        other => panic!("caller {i}: {other:?}"),
+                    }
+                    done_tx.send(i as u64).unwrap();
+                })
+            };
+
+            let mut callers = vec![spawn_caller(0)];
+            let mut reqs = read_requests(&mut server_sock, 1);
+            // Caller 0 wrote its frame; wait until it also holds the read
+            // half, so that the others find a leader and park behind it.
+            while !conn.waiting().has_leader {
+                std::thread::yield_now();
+            }
+            callers.extend((1..N).map(spawn_caller));
+            reqs.extend(read_requests(&mut server_sock, N - 1));
+
+            let first = reqs.remove(0);
+            for env in std::iter::once(first).chain(reqs.into_iter().rev()) {
+                let Request::OpenPool { name } = env.req else {
+                    panic!("unexpected request {:?}", env.req);
+                };
+                let resp = ResponseEnvelope {
+                    req_id: env.req_id,
+                    resp: Response::Pool(PoolInfo {
+                        name,
+                        root_puddle: PuddleId(0),
+                        puddles: Vec::new(),
+                    }),
+                };
+                server_sock
+                    .write_all(&frame::encode_frame(&resp).unwrap())
+                    .unwrap();
+                done_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .expect("a written response reached nobody: no caller was reading");
+            }
+            for caller in callers {
+                caller.join().unwrap();
+            }
+            let waiting = conn.waiting();
+            assert!(waiting.slots.is_empty() && !waiting.has_leader);
+        }
+
+        /// The daemon going away mid-pipeline fails every caller parked on
+        /// the connection — leader and followers alike — once each, as
+        /// undelivered-response errors; nobody is left waiting.
+        #[test]
+        fn eof_mid_pipeline_fails_every_parked_caller_once() {
+            const N: usize = 6;
+            let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
+            let conn = pipe_conn(client_sock);
+            let callers: Vec<_> = (0..N)
+                .map(|_| {
+                    let conn = Arc::clone(&conn);
+                    std::thread::spawn(move || conn.call(&Request::Ping))
+                })
+                .collect();
+            // Every request is in: every caller is parked (or about to be).
+            read_requests(&mut server_sock, N);
+            drop(server_sock);
+            for caller in callers {
+                match caller.join().unwrap() {
+                    Err(CallError::Unanswered(e)) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
+                    }
+                    other => panic!("expected a lost response, got {other:?}"),
+                }
+            }
+            assert!(conn.is_dead());
+            assert!(conn.waiting().slots.is_empty());
+            // And the dead connection refuses new calls without sending.
+            assert!(matches!(
+                conn.call(&Request::Ping),
+                Err(CallError::Unsent(_))
+            ));
         }
 
         /// A scripted daemon on a real socket: handshakes each connection,
         /// then follows per-request directives — answer, or drop the
         /// connection mid-pipeline (after reading the request, before
         /// responding — the window where the client cannot know whether
-        /// the daemon applied it). Returns after `conns` connections.
+        /// the daemon applied it). The first `drop_pings` pings and every
+        /// `CreatePool` on connections before the last are dropped that
+        /// way; the last connection answers its creates. A connection
+        /// before the last is also closed right after it answers a ping
+        /// (it goes away while the client holds it idle). Each closed
+        /// connection is announced on `closed`. Returns after `conns`
+        /// connections.
         fn scripted_server(
             socket: std::path::PathBuf,
             conns: usize,
             create_pools_seen: Arc<std::sync::atomic::AtomicUsize>,
             drop_pings: usize,
+            closed: std::sync::mpsc::Sender<()>,
         ) -> std::thread::JoinHandle<()> {
             use std::sync::atomic::Ordering;
             let listener = std::os::unix::net::UnixListener::bind(&socket).unwrap();
             std::thread::spawn(move || {
                 let mut pings_to_drop = drop_pings;
-                for _ in 0..conns {
+                for nth in 0..conns {
                     let (mut stream, _) = listener.accept().unwrap();
                     let mut magic = [0u8; frame::V2_MAGIC.len()];
                     stream.read_exact(&mut magic).unwrap();
@@ -941,9 +1125,16 @@ mod tests {
                                     break 'conn;
                                 }
                                 Request::Ping => Response::Ok,
-                                Request::CreatePool { .. } => {
+                                Request::CreatePool { name, .. } => {
                                     create_pools_seen.fetch_add(1, Ordering::SeqCst);
-                                    break 'conn;
+                                    if nth + 1 < conns {
+                                        break 'conn;
+                                    }
+                                    Response::Pool(PoolInfo {
+                                        name: name.clone(),
+                                        root_puddle: PuddleId(0),
+                                        puddles: Vec::new(),
+                                    })
                                 }
                                 other => panic!("unexpected request {other:?}"),
                             };
@@ -954,8 +1145,13 @@ mod tests {
                             stream
                                 .write_all(&frame::encode_frame(&env).unwrap())
                                 .unwrap();
+                            if matches!(env.resp, Response::Ok) && nth + 1 < conns {
+                                break 'conn;
+                            }
                         }
                     }
+                    drop(stream);
+                    let _ = closed.send(());
                 }
             })
         }
@@ -981,7 +1177,8 @@ mod tests {
             let tmp = tempfile::tempdir().unwrap();
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0);
+            let (closed, _) = std::sync::mpsc::channel();
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             let err = ep
@@ -1008,7 +1205,8 @@ mod tests {
             let tmp = tempfile::tempdir().unwrap();
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 1);
+            let (closed, _) = std::sync::mpsc::channel();
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 1, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             // First Ping's connection is dropped mid-pipeline; the retry
@@ -1018,22 +1216,42 @@ mod tests {
             server.join().unwrap();
         }
 
-        /// A response whose id matches no waiter is a protocol violation:
+        /// A request whose frame could not be written was never delivered,
+        /// so it is safe to send again whatever its kind: a `CreatePool`
+        /// issued on a pooled connection that the daemon closed while it
+        /// sat idle goes out on a fresh one, and is created exactly once.
+        #[test]
+        fn an_unsent_request_of_any_kind_is_resent_on_a_fresh_connection() {
+            use std::sync::atomic::Ordering;
+            let tmp = tempfile::tempdir().unwrap();
+            let socket = tmp.path().join("scripted.sock");
+            let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let (closed, closed_rx) = std::sync::mpsc::channel();
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
+
+            let ep = PipelinedEndpoint::new(&socket, fast_retry());
+            assert!(matches!(ep.call(&Request::Ping), Ok(Response::Ok)));
+            // The script closes the first connection after that ping.
+            closed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            let resp = ep.call(&Request::CreatePool {
+                name: "once".into(),
+                root_size: 4096,
+                mode: 0o600,
+            });
+            assert!(matches!(resp, Ok(Response::Pool(_))), "{resp:?}");
+            assert_eq!(creates.load(Ordering::SeqCst), 1);
+            drop(ep);
+            server.join().unwrap();
+        }
+
+        /// A response whose id matches no waiting caller is a protocol violation:
         /// the connection dies and parked callers fail instead of hanging.
         #[test]
         fn unknown_req_id_kills_the_connection() {
             let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
-            let conn = PipeConn::over_stream(client_sock).unwrap();
+            let conn = pipe_conn(client_sock);
             let server = std::thread::spawn(move || {
-                let mut dec = FrameDecoder::new();
-                let mut buf = [0u8; 4096];
-                let env = loop {
-                    let n = server_sock.read(&mut buf).unwrap();
-                    dec.feed(&buf[..n]);
-                    if let Some(env) = dec.next_frame::<RequestEnvelope>().unwrap() {
-                        break env;
-                    }
-                };
+                let env = read_requests(&mut server_sock, 1).remove(0);
                 let resp = ResponseEnvelope {
                     req_id: env.req_id.wrapping_add(1000),
                     resp: Response::Ok,
@@ -1043,14 +1261,10 @@ mod tests {
                     .unwrap();
                 server_sock
             });
-            let err = conn.call(&Request::Ping).unwrap_err();
+            let err = conn.call(&Request::Ping).unwrap_err().into_io();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
             assert!(conn.is_dead());
             drop(server.join().unwrap());
-            let handle = conn.reader.lock().take();
-            if let Some(handle) = handle {
-                let _ = handle.join();
-            }
         }
     }
 }

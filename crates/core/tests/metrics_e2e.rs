@@ -67,6 +67,32 @@ fn get_metrics_reports_request_series() {
         reactor_total >= 40,
         "reactor request counters too small: {reactor_total}"
     );
+
+    // Where each request ran: pings (and the handshake) on a reactor, the
+    // pool creates/drops through the worker queue, whose wait is timed.
+    let counter = |name: &str| report.counter(name).unwrap_or(0);
+    assert!(counter("uds.inline") >= 10, "{report:?}");
+    assert!(counter("uds.queued") >= 20, "{report:?}");
+    assert_eq!(series_count(&report, "stage.queue"), counter("uds.queued"));
+
+    // The client timed its own side of the same calls.
+    let local = client.client_metrics();
+    let rtt = local.series("client.rtt").expect("client.rtt series");
+    assert!(rtt.count >= 40, "{rtt:?}");
+    assert!(rtt.p50_nanos > 0 && rtt.p50_nanos <= rtt.p99_nanos && rtt.p99_nanos <= rtt.max_nanos);
+    assert!(
+        rtt.p50_nanos >= ping.p50_nanos,
+        "a round trip cannot be shorter than its service time"
+    );
+
+    // A connection is a socket, not a thread: callers read their own
+    // responses.
+    for task in std::fs::read_dir("/proc/self/task").unwrap() {
+        // (A thread of the other test may exit under the listing.)
+        if let Ok(comm) = std::fs::read_to_string(task.unwrap().path().join("comm")) {
+            assert!(!comm.starts_with("puddles-pipe"), "reader thread {comm:?}");
+        }
+    }
 }
 
 /// The same plane is reachable without a socket (in-process endpoint),

@@ -19,18 +19,28 @@ pub const MAX_FRAME: u32 = 16 << 20;
 /// the magic). `preamble_cannot_be_a_length_prefix` pins this down.
 pub const V2_MAGIC: [u8; 4] = *b"PUD2";
 
-/// Encodes one length-prefixed JSON frame into a byte buffer (prefix
-/// included). The single place that knows the frame encoding; writers that
-/// need custom I/O (e.g. interruptible writes) send these bytes verbatim.
-pub fn encode_frame<T: Serialize>(value: &T) -> io::Result<Vec<u8>> {
+/// Appends one length-prefixed JSON frame (prefix included) to `out`. The
+/// single place that knows the frame encoding; a server that batches
+/// responses encodes each straight into its connection's output buffer.
+/// On error `out` is left as it was.
+pub fn encode_frame_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> io::Result<()> {
     let body = serde_json::to_vec(value).map_err(io::Error::other)?;
     let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame too large"))?;
     if len > MAX_FRAME {
         return Err(io::Error::other("frame too large"));
     }
-    let mut bytes = Vec::with_capacity(4 + body.len());
-    bytes.extend_from_slice(&len.to_le_bytes());
-    bytes.extend_from_slice(&body);
+    out.reserve(4 + body.len());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&body);
+    Ok(())
+}
+
+/// Encodes one length-prefixed JSON frame into a byte buffer of its own;
+/// writers that need custom I/O (e.g. interruptible writes) send these
+/// bytes verbatim.
+pub fn encode_frame<T: Serialize>(value: &T) -> io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    encode_frame_into(&mut bytes, value)?;
     Ok(bytes)
 }
 

@@ -15,7 +15,7 @@ use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Registry, Regist
 use crate::wal::{Wal, WalHandle};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
-use puddles_pmem::obs::{Metrics, ShardedHistogram, TraceEventKind};
+use puddles_pmem::obs::{HistogramSnapshot, Metrics, ShardedHistogram, TraceEventKind};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, DEFAULT_SPACE_BASE, PAGE_SIZE};
@@ -307,28 +307,64 @@ impl From<RegistryOpError> for DaemonError {
 
 pub(crate) type DaemonResult<T> = std::result::Result<T, DaemonError>;
 
-/// Dispatch lane for a request: which half of the two-lane worker queue it
-/// rides (see `crate::uds`). Heavyweight requests go to the bulk lane so a
-/// burst of imports can occupy at most the bulk lane's worker reservation
-/// and never starves cheap metadata operations.
+/// Where a request runs (see `crate::uds`): on the reactor that decoded it,
+/// or on a worker through one half of the two-lane queue. [`lane_of`] is the
+/// only place this is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
-    /// Cheap metadata operations: lookups, registrations, pings.
+    /// Runs on the reactor thread itself. Only for requests that take
+    /// shared registry locks and nothing else: no WAL record, no file, no
+    /// wait on another thread — so a reactor can never stall behind one.
+    Inline,
+    /// Small mutations that end in a WAL group commit (registrations,
+    /// puddle create/free), plus `Stats`/`GetMetrics`, which walk every
+    /// allocator arena and histogram series.
     Fast,
     /// Heavyweight operations that copy puddle contents or replay logs:
-    /// pool import/export/creation/deletion and recovery.
+    /// pool import/export/creation/deletion and recovery. A burst of them
+    /// can occupy at most the bulk lane's worker reservation.
     Bulk,
 }
 
-/// Classifies a request into its dispatch lane.
+/// Classifies a request into its placement. The match is exhaustive on
+/// purpose: a new request kind has to be placed here, and the
+/// `inline_requests_never_reach_the_wal` test then holds it to the
+/// [`Lane::Inline`] criterion.
 pub(crate) fn lane_of(req: &Request) -> Lane {
     match req {
+        Request::Hello { .. }
+        | Request::Ping
+        | Request::OpenPool { .. }
+        | Request::GetPuddle { .. }
+        | Request::GetPtrMaps
+        | Request::GetRelocation { .. } => Lane::Inline,
         Request::ImportPool { .. }
         | Request::ExportPool { .. }
         | Request::CreatePool { .. }
         | Request::DropPool { .. }
         | Request::Recover => Lane::Bulk,
-        _ => Lane::Fast,
+        Request::CreatePuddle { .. }
+        | Request::FreePuddle { .. }
+        | Request::RegLogSpace { .. }
+        | Request::RegisterPtrMap { .. }
+        | Request::MarkRewritten { .. }
+        | Request::Stats
+        | Request::GetMetrics => Lane::Fast,
+    }
+}
+
+/// One histogram as the wire reports it: the single place that picks which
+/// quantiles a [`SeriesSnapshot`] carries (the daemon's `GetMetrics` and the
+/// client-local reporter both go through it).
+pub fn series_snapshot(name: String, h: &HistogramSnapshot) -> SeriesSnapshot {
+    SeriesSnapshot {
+        name,
+        count: h.count,
+        sum_nanos: h.sum,
+        p50_nanos: h.percentile(50.0),
+        p90_nanos: h.percentile(90.0),
+        p99_nanos: h.percentile(99.0),
+        max_nanos: h.max,
     }
 }
 
@@ -642,15 +678,7 @@ impl Daemon {
         let series = snap
             .series
             .into_iter()
-            .map(|(name, h)| SeriesSnapshot {
-                name,
-                count: h.count,
-                sum_nanos: h.sum,
-                p50_nanos: h.percentile(50.0),
-                p90_nanos: h.percentile(90.0),
-                p99_nanos: h.percentile(99.0),
-                max_nanos: h.max,
-            })
+            .map(|(name, h)| series_snapshot(name, &h))
             .collect();
         let mut counters: Vec<CounterSnapshot> = snap
             .counters
@@ -1092,5 +1120,117 @@ impl LocalEndpoint {
 impl Endpoint for LocalEndpoint {
     fn call(&self, req: &Request) -> std::io::Result<Response> {
         Ok(self.daemon.handle(self.creds, req.clone()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use puddles_proto::{PoolInfo, PtrMapDecl};
+
+    /// One request of the named [`REQUEST_KINDS`] row. The inline kinds are
+    /// well-formed against `pool` (they are executed); the rest only have
+    /// to be of the right kind.
+    fn sample_request(kind: &str, pool: &PoolInfo) -> Request {
+        let creds = Credentials::current_process();
+        let name = pool.name.clone();
+        let id = pool.root_puddle;
+        match kind {
+            "Hello" => Request::Hello {
+                creds,
+                max_in_flight: 8,
+                pool_depth: 1,
+                reconnect: true,
+            },
+            "Ping" => Request::Ping,
+            "CreatePuddle" => Request::CreatePuddle {
+                size: 1 << 20,
+                pool: Some(name),
+                purpose: PuddlePurpose::Data,
+                mode: 0o600,
+            },
+            "GetPuddle" => Request::GetPuddle { id, writable: true },
+            "FreePuddle" => Request::FreePuddle { id },
+            "CreatePool" => Request::CreatePool {
+                name,
+                root_size: 1 << 20,
+                mode: 0o600,
+            },
+            "OpenPool" => Request::OpenPool { name },
+            "DropPool" => Request::DropPool { name },
+            "RegLogSpace" => Request::RegLogSpace { puddle: id },
+            "RegisterPtrMap" => Request::RegisterPtrMap {
+                decl: PtrMapDecl {
+                    type_id: 7,
+                    type_name: "lanes::Node".into(),
+                    size: 16,
+                    fields: Vec::new(),
+                },
+            },
+            "GetPtrMaps" => Request::GetPtrMaps,
+            "ExportPool" => Request::ExportPool {
+                name,
+                dest: "/nonexistent".into(),
+            },
+            "ImportPool" => Request::ImportPool {
+                src: "/nonexistent".into(),
+                new_name: name,
+            },
+            "GetRelocation" => Request::GetRelocation { id },
+            "MarkRewritten" => Request::MarkRewritten { id },
+            "Recover" => Request::Recover,
+            "Stats" => Request::Stats,
+            "GetMetrics" => Request::GetMetrics,
+            other => panic!("no sample request for kind `{other}`: add one"),
+        }
+    }
+
+    /// `lane_of` against the whole request table: whatever it places on a
+    /// reactor is handled without one WAL record or byte, so a request kind
+    /// that commits cannot be inlined by accident.
+    #[test]
+    fn inline_requests_never_reach_the_wal() {
+        let tmp = tempfile::tempdir().unwrap();
+        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+        // No checkpoint may truncate the WAL between the two readings.
+        daemon.background().pause();
+        let creds = Credentials::current_process();
+        let create = Request::CreatePool {
+            name: "lanes".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        };
+        let Response::Pool(pool) = daemon.handle(creds, create) else {
+            panic!("pool creation failed");
+        };
+        let mut inline = Vec::new();
+        for (index, (kind, _)) in REQUEST_KINDS.iter().enumerate() {
+            let req = sample_request(kind, &pool);
+            assert_eq!(request_kind_index(&req), index, "sample for {kind}");
+            if lane_of(&req) != Lane::Inline {
+                continue;
+            }
+            let before = daemon.stats();
+            let resp = daemon.handle(creds, req);
+            assert!(!matches!(resp, Response::Error { .. }), "{kind}: {resp:?}");
+            let after = daemon.stats();
+            assert_eq!(
+                (after.wal_records, after.wal_bytes),
+                (before.wal_records, before.wal_bytes),
+                "{kind} runs on a reactor but appended to the WAL"
+            );
+            inline.push(*kind);
+        }
+        assert_eq!(
+            inline,
+            [
+                "Hello",
+                "Ping",
+                "GetPuddle",
+                "OpenPool",
+                "GetPtrMaps",
+                "GetRelocation"
+            ]
+        );
     }
 }

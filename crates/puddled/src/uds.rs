@@ -9,7 +9,9 @@
 //!
 //! # Runtime
 //!
-//! The server is a **sharded epoll runtime plus a two-lane worker pool**:
+//! The server is a **sharded epoll runtime plus a two-lane worker pool**,
+//! and a request runs on whichever of the two `service::lane_of` places its
+//! kind:
 //!
 //! * One **acceptor thread** owns the nonblocking listener. Each accepted
 //!   socket is handed to the least-loaded reactor whose slice of the
@@ -22,16 +24,26 @@
 //!   frame decoder ([`puddles_proto::frame::FrameDecoder`] — frames split
 //!   at arbitrary byte boundaries reassemble transparently), and flushes
 //!   response bytes, parking partial writes in a per-connection output
-//!   buffer until the socket drains. Reactors never execute a request and
-//!   never touch each other's connections, so accept/decode/write work
-//!   scales with cores instead of funneling through one event loop.
-//! * A **worker pool** executes requests (`Daemon::handle`) off a
+//!   buffer until the socket drains. Reactors never touch each other's
+//!   connections, so accept/decode/write work scales with cores instead of
+//!   funneling through one event loop.
+//! * **Inline requests run on the reactor that decoded them.** The
+//!   criterion is strict: the request takes shared registry locks and
+//!   nothing else — it can never wait on the WAL, an `fsync`, a file copy,
+//!   recovery or another thread (`Hello`, `Ping`, `OpenPool`, `GetPuddle`,
+//!   `GetPtrMaps`, `GetRelocation`). The reactor executes it, encodes the
+//!   response straight into the connection's output buffer and writes once
+//!   per dispatch round, so such a call costs the daemon one wake-up and a
+//!   pipelined burst of them one `write`. They answer even while every
+//!   worker is busy.
+//! * A **worker pool** executes everything else (`Daemon::handle`) off a
 //!   **two-lane queue**: heavyweight requests (pool import/export,
-//!   creation/deletion, recovery — see `service::lane_of`) ride the bulk
-//!   lane, which only a reserved minority of workers prefer; the remaining
-//!   workers serve the fast lane exclusively, so a burst of imports can
-//!   never starve cheap metadata operations. Workers push the encoded
-//!   response to the owning reactor's completion queue and wake it.
+//!   creation/deletion, recovery) ride the bulk lane, which only a
+//!   reserved minority of workers prefer; the remaining workers serve the
+//!   fast lane exclusively — small mutations that end in a WAL group
+//!   commit, plus `Stats`/`GetMetrics` — so a burst of imports can never
+//!   starve them. Workers push the encoded response to the owning
+//!   reactor's completion queue and wake it.
 //!
 //! # Protocol
 //!
@@ -51,8 +63,11 @@
 //! frame), a per-connection cap on parsed-plus-in-flight requests, and a
 //! per-connection output high-water mark — a client that stops reading its
 //! responses (or pipelines without reading) has its *read* interest dropped
-//! until the output buffer drains, so its socket fills and the client
-//! blocks instead of the daemon buffering without bound.
+//! **and its parsed requests left undispatched** until the output buffer
+//! drains, so its socket fills and the client blocks instead of the daemon
+//! buffering without bound. (Inline requests never count against the
+//! in-flight window, so the high-water mark is what bounds a burst of them:
+//! parked output stays below the mark plus one response.)
 //!
 //! # Shutdown
 //!
@@ -66,6 +81,7 @@
 use crate::service::{grant_limit, lane_of, Daemon, Lane, DEFAULT_MAX_IN_FLIGHT};
 use polling::{Event, Interest, Poller, Waker};
 use puddles_pmem::clock::Clock;
+use puddles_pmem::obs::ShardedHistogram;
 use puddles_proto::frame::{FrameDecoder, V2_MAGIC};
 use puddles_proto::{frame, Credentials, Request, RequestEnvelope, Response, ResponseEnvelope};
 use std::collections::{HashMap, VecDeque};
@@ -101,8 +117,8 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 pub const MAX_PIPELINED_REQUESTS: usize = 64;
 
 /// Per-connection output high-water mark: once this many bytes are parked
-/// waiting for a slow reader, the connection's read interest is dropped
-/// until the buffer drains below it.
+/// waiting for a slow reader, the connection's read interest is dropped and
+/// no further request of it is dispatched until the buffer drains below it.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// Largest chunk a reactor reads per `read` call.
@@ -153,6 +169,8 @@ struct WorkItem {
     req_id: u64,
     creds: Credentials,
     req: Request,
+    /// Clock reading at the push; the pop records the wait as `stage.queue`.
+    enqueued: Duration,
 }
 
 /// What a worker thread is allowed to pull from the two-lane queue.
@@ -197,6 +215,7 @@ impl WorkQueue {
         match lane {
             Lane::Fast => q.fast.push_back(item),
             Lane::Bulk => q.bulk.push_back(item),
+            Lane::Inline => unreachable!("inline requests run on their reactor"),
         }
         // Consumers are selective (a FastOnly worker skips bulk items), so
         // waking just one waiter could wake a thread that cannot take the
@@ -273,10 +292,25 @@ impl ReactorShared {
     }
 }
 
+/// The runtime's own series and counters in the daemon's `obs` registry,
+/// resolved once so the request path never takes the registry lock.
+struct UdsObs {
+    /// `uds.inline`: requests a reactor executed itself.
+    inline: Arc<AtomicU64>,
+    /// `uds.queued`: requests handed to the worker pool.
+    queued: Arc<AtomicU64>,
+    /// `uds.out_parked_hwm`: the most response bytes any one connection has
+    /// had parked behind a full socket.
+    out_parked_hwm: Arc<AtomicU64>,
+    /// `stage.queue`: how long a queued request waited for a worker.
+    stage_queue: Arc<ShardedHistogram>,
+}
+
 /// State shared between the acceptor, the reactors, the workers, and the
 /// server handle.
 struct Shared {
     daemon: Daemon,
+    obs: UdsObs,
     shutdown: AtomicBool,
     /// Wakes the acceptor's poller (shutdown).
     acceptor_waker: Waker,
@@ -377,7 +411,22 @@ impl UdsServer {
         path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> io::Result<UdsServer> {
-        let path = path.as_ref().to_path_buf();
+        let worker_count = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(2, 8);
+        Self::start_with_workers(daemon, path.as_ref(), config, worker_count)
+    }
+
+    /// [`UdsServer::start_with_config`] with the worker-pool size spelled
+    /// out (a test runs a server with no worker at all).
+    fn start_with_workers(
+        daemon: Daemon,
+        path: &Path,
+        config: ServerConfig,
+        worker_count: usize,
+    ) -> io::Result<UdsServer> {
+        let path = path.to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
@@ -387,8 +436,16 @@ impl UdsServer {
         for _ in 0..reactor_count {
             reactor_shared.push(Arc::new(ReactorShared::new()?));
         }
+        let metrics = daemon.metrics();
+        let obs = UdsObs {
+            inline: metrics.counter("uds.inline"),
+            queued: metrics.counter("uds.queued"),
+            out_parked_hwm: metrics.counter("uds.out_parked_hwm"),
+            stage_queue: metrics.series("stage.queue"),
+        };
         let shared = Arc::new(Shared {
             daemon,
+            obs,
             shutdown: AtomicBool::new(false),
             acceptor_waker: Waker::new()?,
             queue: WorkQueue::new(),
@@ -414,10 +471,6 @@ impl UdsServer {
                 .collect(),
         );
 
-        let worker_count = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8);
         // The bulk lane's worker reservation: a minority of the pool (at
         // least one) prefers heavyweight requests; everyone else is pinned
         // to the fast lane.
@@ -557,32 +610,40 @@ impl Drop for UdsServer {
 }
 
 fn worker_loop(shared: &Arc<Shared>, role: WorkerRole) {
+    let clock = shared.daemon.clock();
     while let Some(item) = shared.queue.pop(role) {
+        shared
+            .obs
+            .stage_queue
+            .record_duration(clock.now().saturating_sub(item.enqueued));
         shared.reactors[item.reactor]
             .requests
             .fetch_add(1, Ordering::Relaxed);
         let resp = shared
             .daemon
             .handle_traced(item.creds, item.req, item.req_id);
-        let encoded = encode_response(item.req_id, resp);
-        let bytes = encoded.unwrap_or_else(|e| {
-            // Unencodable response (outsized payload): report the failure
-            // in-band so the client is not left waiting on a silent drop.
-            let err = Response::Error {
-                code: puddles_proto::ErrorCode::Internal,
-                message: format!("response encoding failed: {e}"),
-            };
-            encode_response(item.req_id, err).unwrap_or_default()
-        });
+        // Left empty if even the error frame will not encode; the reactor
+        // then drops the connection instead of leaving its caller waiting.
+        let mut bytes = Vec::new();
+        let _ = encode_response(&mut bytes, item.req_id, resp);
         let target = &shared.reactors[item.reactor];
         target.completions.lock().unwrap().push((item.conn, bytes));
         target.waker.wake();
     }
 }
 
-/// Encodes a response in the envelope that echoes its request's id.
-fn encode_response(req_id: u64, resp: Response) -> io::Result<Vec<u8>> {
-    frame::encode_frame(&ResponseEnvelope { req_id, resp })
+/// Appends a response to `out` in the envelope that echoes its request's
+/// id. An unencodable response (outsized payload) is reported in-band as an
+/// `Internal` error, so the client is not left waiting on a silent drop;
+/// `Err` means not even that could be encoded and `out` is unchanged.
+fn encode_response(out: &mut Vec<u8>, req_id: u64, resp: Response) -> io::Result<()> {
+    frame::encode_frame_into(out, &ResponseEnvelope { req_id, resp }).or_else(|e| {
+        let resp = Response::Error {
+            code: puddles_proto::ErrorCode::Internal,
+            message: format!("response encoding failed: {e}"),
+        };
+        frame::encode_frame_into(out, &ResponseEnvelope { req_id, resp })
+    })
 }
 
 /// Reads SO_PEERCRED credentials from a connected UNIX socket.
@@ -838,6 +899,16 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
+    /// The output buffer, ready to be appended to (the already-written
+    /// prefix is compacted away first).
+    fn out_tail(&mut self) -> &mut Vec<u8> {
+        if self.out_pos > 0 {
+            self.out.drain(..self.out_pos);
+            self.out_pos = 0;
+        }
+        &mut self.out
+    }
+
     /// `true` when nothing remains to serve: no in-flight request, no
     /// queued request, no unwritten response bytes.
     fn idle(&self) -> bool {
@@ -872,6 +943,9 @@ struct Reactor {
     /// Poll rounds spent draining: a real-time bound on the drain when a
     /// frozen virtual clock can never reach the deadline.
     drain_rounds: u32,
+    /// Scratch for socket reads, shared by every connection of this reactor
+    /// (allocated once: a stack array would be zero-filled per event).
+    read_buf: Box<[u8]>,
 }
 
 impl Reactor {
@@ -890,6 +964,7 @@ impl Reactor {
             draining: None,
             clock,
             drain_rounds: 0,
+            read_buf: vec![0u8; READ_CHUNK].into_boxed_slice(),
         })
     }
 
@@ -985,14 +1060,15 @@ impl Reactor {
                 flush_out(conn);
             }
             if event.readable {
-                read_ready(conn);
+                read_ready(conn, &mut self.read_buf);
             }
         }
         self.after_io(token);
     }
 
-    /// Post-I/O bookkeeping for one connection: dispatch newly parsed
-    /// requests, update poller interest, reap finished/broken connections.
+    /// Post-I/O bookkeeping for one connection: run or hand off newly
+    /// parsed requests, update poller interest, reap finished/broken
+    /// connections.
     fn after_io(&mut self, token: u64) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1001,6 +1077,11 @@ impl Reactor {
         // in-flight work only).
         if self.draining.is_none() {
             dispatch_ready(&self.shared, self.index, token, conn);
+        }
+        let parked = conn.out_len() as u64;
+        if parked > 0 {
+            let hwm = &self.shared.obs.out_parked_hwm;
+            hwm.fetch_max(parked, Ordering::Relaxed);
         }
         let drop_now = conn.dead || (conn.peer_closed && conn.idle());
         if drop_now {
@@ -1053,12 +1134,7 @@ impl Reactor {
             if bytes.is_empty() {
                 conn.dead = true;
             } else {
-                // Compact the drained prefix before growing the buffer.
-                if conn.out_pos > 0 {
-                    conn.out.drain(..conn.out_pos);
-                    conn.out_pos = 0;
-                }
-                conn.out.extend_from_slice(&bytes);
+                conn.out_tail().extend_from_slice(&bytes);
                 flush_out(conn);
             }
             self.after_io(token);
@@ -1105,10 +1181,9 @@ impl Reactor {
 
 /// Consumes every byte the socket currently has, parsing complete frames
 /// into the pending queue. Stops early when backpressure bounds trip.
-fn read_ready(conn: &mut Conn) {
-    let mut buf = [0u8; READ_CHUNK];
+fn read_ready(conn: &mut Conn, buf: &mut [u8]) {
     while conn.wants_read() {
-        match conn.stream.read(&mut buf) {
+        match conn.stream.read(buf) {
             Ok(0) => {
                 conn.peer_closed = true;
                 break;
@@ -1193,29 +1268,56 @@ fn parse_frames(conn: &mut Conn) -> bool {
     }
 }
 
-/// Feeds queued requests to the worker pool, up to the connection's
-/// negotiated in-flight window.
-fn dispatch_ready(shared: &Arc<Shared>, reactor: usize, token: u64, conn: &mut Conn) {
-    if conn.dead {
-        return;
-    }
-    while conn.in_flight < conn.window {
-        let Some((req_id, req)) = conn.pending.pop_front() else {
+/// Runs or hands off a connection's parsed requests, in arrival order, up
+/// to its negotiated in-flight window and only while its parked output is
+/// below [`OUT_HIGH_WATER`] (what is held back stays in `pending` and
+/// resumes from the completion or writable event that lifts the bound).
+/// [`Lane::Inline`] requests execute right here, their responses encoded
+/// into the output buffer and written once per round; the rest go to the
+/// worker pool.
+fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) {
+    while !conn.dead {
+        let mut ran_inline = false;
+        while conn.in_flight < conn.window && conn.out_len() < OUT_HIGH_WATER {
+            let Some((req_id, req)) = conn.pending.pop_front() else {
+                break;
+            };
+            let creds = conn.creds.unwrap_or_else(Credentials::current_process);
+            match lane_of(&req) {
+                Lane::Inline => {
+                    let me = &shared.reactors[reactor];
+                    me.requests.fetch_add(1, Ordering::Relaxed);
+                    shared.obs.inline.fetch_add(1, Ordering::Relaxed);
+                    let resp = shared.daemon.handle_traced(creds, req, req_id);
+                    if encode_response(conn.out_tail(), req_id, resp).is_err() {
+                        conn.dead = true;
+                        return;
+                    }
+                    ran_inline = true;
+                }
+                lane => {
+                    conn.in_flight += 1;
+                    shared.obs.queued.fetch_add(1, Ordering::Relaxed);
+                    shared.queue.push(
+                        lane,
+                        WorkItem {
+                            reactor,
+                            conn: token,
+                            req_id,
+                            creds,
+                            req,
+                            enqueued: shared.daemon.clock().now(),
+                        },
+                    );
+                }
+            }
+        }
+        if !ran_inline {
             return;
-        };
-        let creds = conn.creds.unwrap_or_else(Credentials::current_process);
-        conn.in_flight += 1;
-        let lane = lane_of(&req);
-        shared.queue.push(
-            lane,
-            WorkItem {
-                reactor,
-                conn: token,
-                req_id,
-                creds,
-                req,
-            },
-        );
+        }
+        // One write for the whole round. If the socket took it all, the
+        // next pass runs whatever the high-water mark was holding back.
+        flush_out(conn);
     }
 }
 
@@ -1239,4 +1341,70 @@ fn flush_out(conn: &mut Conn) {
     }
     conn.out.clear();
     conn.out_pos = 0;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::DaemonConfig;
+    use puddles_proto::BlockingConn;
+
+    /// Liveness of the inline path, with the strongest form of "every
+    /// worker is occupied": the pool has no worker at all, so queued
+    /// requests of both lanes can never finish. Inline requests — on
+    /// another connection and behind the stuck ones on the same connection
+    /// — are answered all the same.
+    #[test]
+    fn inline_requests_answer_while_no_worker_can_take_anything() {
+        let tmp = tempfile::tempdir().unwrap();
+        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+        let creds = Credentials::current_process();
+        let create = Request::CreatePool {
+            name: "standing".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        };
+        let Response::Pool(pool) = daemon.handle(creds, create) else {
+            panic!("pool creation failed");
+        };
+        let socket = tmp.path().join("no-workers.sock");
+        let mut server =
+            UdsServer::start_with_workers(daemon.clone(), &socket, ServerConfig::default(), 0)
+                .unwrap();
+        let connect = || {
+            let stream = UnixStream::connect(&socket).unwrap();
+            BlockingConn::handshake(stream, Request::hello(creds)).unwrap()
+        };
+
+        let mut stuck = connect();
+        stuck.send(1, Request::Stats).unwrap();
+        let dest = tmp.path().join("export").to_string_lossy().into_owned();
+        let export = Request::ExportPool {
+            name: "standing".into(),
+            dest,
+        };
+        stuck.send(2, export).unwrap();
+        stuck.send(3, Request::Ping).unwrap();
+        let (req_id, resp) = stuck.recv().unwrap();
+        assert_eq!(req_id, 3, "{resp:?}");
+        assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), 2);
+
+        let mut other = connect();
+        let resp = other.call(Request::Ping).unwrap();
+        assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+        let open = Request::OpenPool {
+            name: "standing".into(),
+        };
+        let resp = other.call(open).unwrap();
+        assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+        let get = Request::GetPuddle {
+            id: pool.root_puddle,
+            writable: false,
+        };
+        let resp = other.call(get).unwrap();
+        assert!(matches!(resp, Response::Puddle(_)), "{resp:?}");
+
+        drop((stuck, other));
+        server.shutdown();
+    }
 }

@@ -3,7 +3,8 @@
 //! semantics, the background checkpoint path (async landing, drain on
 //! shutdown, forced-inline fallback, crash during a background checkpoint),
 //! and the pipelined runtime (out-of-order completion across dispatch lanes,
-//! pipelined backpressure, cross-reactor shutdown, refusal of peers that
+//! pipelined backpressure on the inline path, an inline request waiting its
+//! turn behind a full window, cross-reactor shutdown, refusal of peers that
 //! skip the preamble, `Busy` rejection at the connection cap).
 
 use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
@@ -521,11 +522,14 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
     server.shutdown();
 }
 
-/// A pipelined peer that fills the whole request window with fat
-/// responses and reads nothing must stall only itself (output high-water
-/// drops its read interest); other connections keep sub-second service, and
-/// once the stalled peer reads, all responses arrive intact with each id
-/// exactly once.
+/// A pipelined peer that sends four request windows' worth of fat
+/// `GetPtrMaps` in one write and reads nothing must stall only itself.
+/// These run on the reactor, so the in-flight window never fills; what
+/// bounds the daemon's buffering is the output high-water mark: it stops
+/// executing the peer's requests (and reading more) at 1 MiB of parked
+/// output plus the response that crossed the mark. Other connections keep
+/// sub-second service, and once the stalled peer reads, all responses
+/// arrive intact with each id exactly once.
 #[test]
 fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
     let (_tmp, daemon, mut server, socket) = start_server();
@@ -546,10 +550,11 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
         }
     }
 
-    // Fill the entire pipeline window (the daemon-side in-flight cap) with
-    // ~200 KiB responses: ~12 MiB total, far past the 1 MiB high-water.
+    // ~200 KiB responses, 256 of them: ~50 MiB in total, far past the
+    // 1 MiB high-water, requested by ~10 KiB that the daemon takes in with
+    // one read.
     let mut stalled = hello(&socket);
-    const DEPTH: u64 = 64;
+    const DEPTH: u64 = 4 * puddled::MAX_PIPELINED_REQUESTS as u64;
     let mut batch = Vec::new();
     for req_id in 1..=DEPTH {
         batch.extend_from_slice(&env_frame(req_id, Request::GetPtrMaps));
@@ -567,9 +572,11 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
         );
     }
 
+    let mut response_len = 0;
     let mut seen: Vec<u64> = (0..DEPTH)
         .map(|_| {
             let (req_id, resp) = stalled.recv().unwrap();
+            response_len = encode_frame(&resp).unwrap().len() as u64;
             match resp {
                 Response::PtrMaps(maps) => assert_eq!(maps.len(), 100),
                 other => panic!("unexpected {other:?}"),
@@ -579,6 +586,68 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
         .collect();
     seen.sort_unstable();
     assert_eq!(seen, (1..=DEPTH).collect::<Vec<_>>());
+
+    // The bare response is a few bytes short of its enveloped frame.
+    let parked_hwm = daemon
+        .metrics()
+        .counter("uds.out_parked_hwm")
+        .load(std::sync::atomic::Ordering::Relaxed);
+    assert!(
+        parked_hwm >= 1 << 20,
+        "never reached the mark: {parked_hwm}"
+    );
+    assert!(
+        parked_hwm <= (1 << 20) + response_len + 64,
+        "{parked_hwm} bytes parked for one connection; one response is {response_len}"
+    );
+    server.shutdown();
+}
+
+/// An inline request parsed behind a full window of worker-bound requests
+/// on the same connection keeps its place in line: it runs — on the
+/// reactor, from the completion event — as soon as one of them finishes.
+#[test]
+fn an_inline_request_behind_a_full_window_runs_when_a_slot_frees() {
+    let (tmp, daemon, mut server, socket) = start_server();
+    let creds = Credentials::current_process();
+    let create = Request::CreatePool {
+        name: "bulky".into(),
+        root_size: 16 << 20,
+        mode: 0o600,
+    };
+    match daemon.handle(creds, create) {
+        Response::Pool(_) => {}
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // A window of one: the export alone fills it.
+    let stream = UnixStream::connect(&socket).unwrap();
+    let hello = Request::Hello {
+        creds,
+        max_in_flight: 1,
+        pool_depth: 0,
+        reconnect: false,
+    };
+    let mut conn = BlockingConn::handshake(stream, hello).unwrap();
+    let dest = tmp.path().join("export").to_string_lossy().into_owned();
+    let export = Request::ExportPool {
+        name: "bulky".into(),
+        dest,
+    };
+    // One write, so the ping is parsed in the same round as the export.
+    let mut batch = env_frame(1, export);
+    batch.extend_from_slice(&env_frame(2, Request::Ping));
+    conn.stream().write_all(&batch).unwrap();
+
+    let (req_id, resp) = conn.recv().unwrap();
+    assert_eq!(req_id, 1, "the ping overtook a full window: {resp:?}");
+    assert!(matches!(resp, Response::Ok), "{resp:?}");
+    let (req_id, resp) = conn.recv().unwrap();
+    assert_eq!(req_id, 2);
+    assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    let inline = daemon.metrics().counter("uds.inline");
+    // The handshake and the ping.
+    assert_eq!(inline.load(std::sync::atomic::Ordering::Relaxed), 2);
     server.shutdown();
 }
 
