@@ -12,8 +12,10 @@
 //! calling thread, and deeper pipelines still complete out of order.
 //!
 //! What is re-sent: a request whose frame could not be written was never
-//! delivered (the daemon dispatches complete frames only), so it is sent
-//! once more on a fresh connection whatever its kind; a request that was
+//! delivered (the daemon dispatches complete frames only), so whatever its
+//! kind it is sent again until it is on a fresh connection — nobody reads
+//! an idle connection, so a daemon restart leaves the whole pool stale and
+//! each such failure retires one of them; a request that was
 //! written and whose response was lost may already have been applied, so
 //! only idempotent kinds are re-sent, under the [`RetryPolicy`].
 
@@ -301,6 +303,12 @@ enum CallError {
     Unanswered(std::io::Error),
 }
 
+/// `true` for a request that never left and that a fresh connection may
+/// carry.
+fn unsent(outcome: &Result<Response, CallError>) -> bool {
+    matches!(outcome, Err(CallError::Unsent(e)) if is_transient(e))
+}
+
 impl CallError {
     fn into_io(self) -> std::io::Error {
         match self {
@@ -323,6 +331,22 @@ struct Waiting {
     slots: HashMap<u64, Slot>,
     /// Some caller holds the read half and is routing frames.
     has_leader: bool,
+}
+
+impl Waiting {
+    /// With the read half free, wakes one caller whose response is still
+    /// out to take it. The caller picked may not be parked yet (its slot is
+    /// in the map from before it writes its frame): then it finds the read
+    /// half free when it gets there, or, if its write fails, passes the
+    /// wake-up on through here.
+    fn wake_next_leader(&self) {
+        if self.has_leader {
+            return;
+        }
+        if let Some(next) = self.slots.values().find(|s| s.result.is_none()) {
+            next.wake.notify_one();
+        }
+    }
 }
 
 /// The read half of a connection; whoever leads owns it for the duration.
@@ -418,10 +442,15 @@ impl PipeConn {
             puddles_proto::write_frame(&mut *writer, &env)
         };
         if let Err(e) = written {
-            // Callers already waiting learn of it from the read half: the
-            // peer that refused this write has closed on them too.
-            self.waiting().slots.remove(&req_id);
             self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
+            let mut waiting = self.waiting();
+            waiting.slots.remove(&req_id);
+            // Callers already waiting learn of it from the read half: the
+            // peer that refused this write has closed on them too. But a
+            // leader on its way out may have picked this caller to read
+            // next while it was still writing; hand that on, or nobody is
+            // left reading.
+            waiting.wake_next_leader();
             return Err(CallError::Unsent(e));
         }
 
@@ -486,9 +515,7 @@ impl PipeConn {
                 drop(half);
                 let mut waiting = self.waiting();
                 waiting.has_leader = false;
-                if let Some(next) = waiting.slots.values().find(|s| s.result.is_none()) {
-                    next.wake.notify_one();
-                }
+                waiting.wake_next_leader();
                 return;
             }
             match stream.read(buf) {
@@ -687,12 +714,18 @@ impl PipelinedEndpoint {
 impl Endpoint for PipelinedEndpoint {
     fn call(&self, req: &Request) -> std::io::Result<Response> {
         let mut outcome = self.round_trip(&*self.conn()?, req);
-        if matches!(&outcome, Err(CallError::Unsent(e)) if is_transient(e)) {
+        if unsent(&outcome) {
             // The connection had died while it sat idle (daemon restart,
             // stale socket) and the frame never left: nothing was applied,
-            // so a request of any kind goes out once more, on a fresh
-            // connection.
-            outcome = self.round_trip(&*self.conn()?, req);
+            // so a request of any kind goes out again. Nothing notices an
+            // idle connection dying, so the rest of the pool may be just as
+            // stale; each failure retires one of them, and after at most a
+            // pool's worth the request is on a connection dialed for it.
+            let mut stale = self.pool.lock().len();
+            while stale > 0 && unsent(&outcome) {
+                stale -= 1;
+                outcome = self.round_trip(&*self.conn()?, req);
+            }
         }
         match outcome.map_err(CallError::into_io) {
             Err(e) if is_transient(&e) && is_idempotent(req) => {
@@ -1043,6 +1076,73 @@ mod tests {
             assert!(waiting.slots.is_empty() && !waiting.has_leader);
         }
 
+        /// A departing leader may hand the read half to a caller that is
+        /// still writing its frame. If that write then fails (the peer
+        /// answered the leader and closed), the hand-off must move on to a
+        /// caller that is parked, or nobody ever reads the EOF. Which
+        /// caller a leader picks is the map's iteration order, so several
+        /// writers are held mid-write, over several rounds, to make sure
+        /// one of them is picked.
+        #[test]
+        fn a_promoted_caller_whose_write_fails_passes_leadership_on() {
+            use std::sync::mpsc;
+            const WRITERS: usize = 4;
+            for round in 0..8 {
+                let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
+                let conn = pipe_conn(client_sock);
+                let call = |conn: &Arc<PipeConn>| {
+                    let conn = Arc::clone(conn);
+                    std::thread::spawn(move || conn.call(&Request::Ping))
+                };
+                let slots = |n: usize| {
+                    while conn.waiting().slots.len() < n {
+                        std::thread::yield_now();
+                    }
+                };
+
+                let leader = call(&conn);
+                let first = read_requests(&mut server_sock, 1).remove(0);
+                while !conn.waiting().has_leader {
+                    std::thread::yield_now();
+                }
+                // Parks behind the leader once its frame is out.
+                let (parked_tx, parked_rx) = mpsc::channel();
+                let parked = {
+                    let conn = Arc::clone(&conn);
+                    std::thread::spawn(move || parked_tx.send(conn.call(&Request::Ping)).unwrap())
+                };
+                read_requests(&mut server_sock, 1);
+                // These take their slots, then block on the write half.
+                let write_half = conn.writer.lock();
+                let writers: Vec<_> = (0..WRITERS).map(|_| call(&conn)).collect();
+                slots(2 + WRITERS);
+
+                // The leader is answered and the peer goes away.
+                let resp = ResponseEnvelope {
+                    req_id: first.req_id,
+                    resp: Response::Ok,
+                };
+                server_sock
+                    .write_all(&frame::encode_frame(&resp).unwrap())
+                    .unwrap();
+                drop(server_sock);
+                assert!(matches!(leader.join().unwrap(), Ok(Response::Ok)));
+                drop(write_half);
+
+                for writer in writers {
+                    assert!(writer.join().unwrap().is_err());
+                }
+                match parked_rx.recv_timeout(Duration::from_secs(10)) {
+                    Ok(Err(CallError::Unanswered(e))) => {
+                        assert_eq!(e.kind(), std::io::ErrorKind::UnexpectedEof)
+                    }
+                    other => panic!("round {round}: the parked caller got {other:?}"),
+                }
+                parked.join().unwrap();
+                assert!(conn.waiting().slots.is_empty());
+            }
+        }
+
         /// The daemon going away mid-pipeline fails every caller parked on
         /// the connection — leader and followers alike — once each, as
         /// undelivered-response errors; nobody is left waiting.
@@ -1086,11 +1186,14 @@ mod tests {
         /// way; the last connection answers its creates. A connection
         /// before the last is also closed right after it answers a ping
         /// (it goes away while the client holds it idle). Each closed
-        /// connection is announced on `closed`. Returns after `conns`
-        /// connections.
+        /// connection is announced on `closed`. `Welcome` grants the
+        /// client `pool_depth` connections, but the script serves one at a
+        /// time and stops listening once the last is in (a top-up dial
+        /// past it is refused). Returns after `conns` connections.
         fn scripted_server(
             socket: std::path::PathBuf,
             conns: usize,
+            pool_depth: u32,
             create_pools_seen: Arc<std::sync::atomic::AtomicUsize>,
             drop_pings: usize,
             closed: std::sync::mpsc::Sender<()>,
@@ -1099,8 +1202,12 @@ mod tests {
             let listener = std::os::unix::net::UnixListener::bind(&socket).unwrap();
             std::thread::spawn(move || {
                 let mut pings_to_drop = drop_pings;
+                let mut listener = Some(listener);
                 for nth in 0..conns {
-                    let (mut stream, _) = listener.accept().unwrap();
+                    let (mut stream, _) = listener.as_ref().unwrap().accept().unwrap();
+                    if nth + 1 == conns {
+                        listener = None;
+                    }
                     let mut magic = [0u8; frame::V2_MAGIC.len()];
                     stream.read_exact(&mut magic).unwrap();
                     assert_eq!(magic, frame::V2_MAGIC);
@@ -1118,7 +1225,7 @@ mod tests {
                                     space_base: 0x5000_0000_0000,
                                     space_size: 1 << 30,
                                     max_in_flight: 64,
-                                    pool_depth: 1,
+                                    pool_depth,
                                 },
                                 Request::Ping if pings_to_drop > 0 => {
                                     pings_to_drop -= 1;
@@ -1178,7 +1285,7 @@ mod tests {
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let (closed, _) = std::sync::mpsc::channel();
-            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
+            let server = scripted_server(socket.clone(), 2, 1, Arc::clone(&creates), 0, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             let err = ep
@@ -1206,7 +1313,7 @@ mod tests {
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let (closed, _) = std::sync::mpsc::channel();
-            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 1, closed);
+            let server = scripted_server(socket.clone(), 2, 1, Arc::clone(&creates), 1, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             // First Ping's connection is dropped mid-pipeline; the retry
@@ -1218,30 +1325,49 @@ mod tests {
 
         /// A request whose frame could not be written was never delivered,
         /// so it is safe to send again whatever its kind: a `CreatePool`
-        /// issued on a pooled connection that the daemon closed while it
-        /// sat idle goes out on a fresh one, and is created exactly once.
+        /// issued while every pooled connection has been closed by the
+        /// daemon as it sat idle is sent until it is on a fresh one, and is
+        /// created exactly once — with one pooled connection or two, and
+        /// whichever of the two round-robin tries first.
         #[test]
-        fn an_unsent_request_of_any_kind_is_resent_on_a_fresh_connection() {
+        fn an_unsent_request_of_any_kind_is_resent_until_a_connection_is_fresh() {
             use std::sync::atomic::Ordering;
-            let tmp = tempfile::tempdir().unwrap();
-            let socket = tmp.path().join("scripted.sock");
-            let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-            let (closed, closed_rx) = std::sync::mpsc::channel();
-            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
+            for (depth, rr_skew) in [(1, 0), (2, 0), (2, 1)] {
+                let tmp = tempfile::tempdir().unwrap();
+                let socket = tmp.path().join("scripted.sock");
+                let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+                let (closed, closed_rx) = std::sync::mpsc::channel();
+                let server = scripted_server(
+                    socket.clone(),
+                    depth + 1,
+                    depth as u32,
+                    Arc::clone(&creates),
+                    0,
+                    closed,
+                );
 
-            let ep = PipelinedEndpoint::new(&socket, fast_retry());
-            assert!(matches!(ep.call(&Request::Ping), Ok(Response::Ok)));
-            // The script closes the first connection after that ping.
-            closed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            let resp = ep.call(&Request::CreatePool {
-                name: "once".into(),
-                root_size: 4096,
-                mode: 0o600,
-            });
-            assert!(matches!(resp, Ok(Response::Pool(_))), "{resp:?}");
-            assert_eq!(creates.load(Ordering::SeqCst), 1);
-            drop(ep);
-            server.join().unwrap();
+                let ep = PipelinedEndpoint::new(&socket, fast_retry());
+                for _ in 0..depth {
+                    // Dials one more connection, which the script closes
+                    // once it has answered.
+                    assert!(matches!(ep.call(&Request::Ping), Ok(Response::Ok)));
+                    closed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+                }
+                assert_eq!(ep.pool.lock().len(), depth);
+                ep.rr.fetch_add(rr_skew, Ordering::Relaxed);
+                let resp = ep.call(&Request::CreatePool {
+                    name: "once".into(),
+                    root_size: 4096,
+                    mode: 0o600,
+                });
+                assert!(
+                    matches!(resp, Ok(Response::Pool(_))),
+                    "depth {depth}, skew {rr_skew}: {resp:?}"
+                );
+                assert_eq!(creates.load(Ordering::SeqCst), 1);
+                drop(ep);
+                server.join().unwrap();
+            }
         }
 
         /// A response whose id matches no waiting caller is a protocol violation:

@@ -411,22 +411,7 @@ impl UdsServer {
         path: impl AsRef<Path>,
         config: ServerConfig,
     ) -> io::Result<UdsServer> {
-        let worker_count = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8);
-        Self::start_with_workers(daemon, path.as_ref(), config, worker_count)
-    }
-
-    /// [`UdsServer::start_with_config`] with the worker-pool size spelled
-    /// out (a test runs a server with no worker at all).
-    fn start_with_workers(
-        daemon: Daemon,
-        path: &Path,
-        config: ServerConfig,
-        worker_count: usize,
-    ) -> io::Result<UdsServer> {
-        let path = path.to_path_buf();
+        let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
@@ -471,6 +456,10 @@ impl UdsServer {
                 .collect(),
         );
 
+        let worker_count = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+            .clamp(2, 8);
         // The bulk lane's worker reservation: a minority of the pool (at
         // least one) prefers heavyweight requests; everyone else is pinned
         // to the fast lane.
@@ -1349,13 +1338,15 @@ mod tests {
     use crate::DaemonConfig;
     use puddles_proto::BlockingConn;
 
-    /// Liveness of the inline path, with the strongest form of "every
-    /// worker is occupied": the pool has no worker at all, so queued
-    /// requests of both lanes can never finish. Inline requests — on
-    /// another connection and behind the stuck ones on the same connection
-    /// — are answered all the same.
+    /// Liveness of the inline path while every worker is occupied by a
+    /// request that cannot finish: `Stats` reads the reactor-load table,
+    /// whose lock the test holds, so each worker that takes one stays in
+    /// it, and whatever is queued behind them on either lane is taken by
+    /// nobody. Inline requests — on another connection and behind the stuck
+    /// ones on the same connection — are answered all the same, and the
+    /// stuck requests all complete once the lock is released.
     #[test]
-    fn inline_requests_answer_while_no_worker_can_take_anything() {
+    fn inline_requests_answer_while_every_worker_is_stuck() {
         let tmp = tempfile::tempdir().unwrap();
         let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
         let creds = Credentials::current_process();
@@ -1367,27 +1358,34 @@ mod tests {
         let Response::Pool(pool) = daemon.handle(creds, create) else {
             panic!("pool creation failed");
         };
-        let socket = tmp.path().join("no-workers.sock");
-        let mut server =
-            UdsServer::start_with_workers(daemon.clone(), &socket, ServerConfig::default(), 0)
-                .unwrap();
+        let socket = tmp.path().join("stuck-workers.sock");
+        let mut server = UdsServer::start(daemon.clone(), &socket).unwrap();
         let connect = || {
             let stream = UnixStream::connect(&socket).unwrap();
             BlockingConn::handshake(stream, Request::hello(creds)).unwrap()
         };
 
+        let reactor_loads = daemon.inner.reactor_loads.lock().unwrap();
         let mut stuck = connect();
-        stuck.send(1, Request::Stats).unwrap();
+        // One `Stats` per worker, and some that stay in the fast lane.
+        let workers = server.workers.len() as u64;
+        let stats = workers + 4;
+        for req_id in 0..stats {
+            stuck.send(req_id, Request::Stats).unwrap();
+        }
+        let popped = || server.shared.obs.stage_queue.snapshot().count;
+        while popped() < workers {
+            std::thread::yield_now();
+        }
         let dest = tmp.path().join("export").to_string_lossy().into_owned();
         let export = Request::ExportPool {
             name: "standing".into(),
             dest,
         };
-        stuck.send(2, export).unwrap();
-        stuck.send(3, Request::Ping).unwrap();
+        stuck.send(stats, export).unwrap();
+        stuck.send(stats + 1, Request::Ping).unwrap();
         let (req_id, resp) = stuck.recv().unwrap();
-        assert_eq!(req_id, 3, "{resp:?}");
-        assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), 2);
+        assert_eq!(req_id, stats + 1, "{resp:?}");
 
         let mut other = connect();
         let resp = other.call(Request::Ping).unwrap();
@@ -1403,7 +1401,14 @@ mod tests {
         };
         let resp = other.call(get).unwrap();
         assert!(matches!(resp, Response::Puddle(_)), "{resp:?}");
+        // Nothing queued moved in the meantime.
+        assert_eq!(popped(), workers);
+        assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), stats + 1);
 
+        drop(reactor_loads);
+        let mut rest: Vec<u64> = (0..=stats).map(|_| stuck.recv().unwrap().0).collect();
+        rest.sort_unstable();
+        assert_eq!(rest, (0..=stats).collect::<Vec<_>>());
         drop((stuck, other));
         server.shutdown();
     }
