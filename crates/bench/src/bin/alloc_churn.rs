@@ -1,6 +1,6 @@
 //! Space-allocator churn: create/drop storms against live populations of
 //! 1k / 10k / 100k extents, under three size mixes, plus a thread-scaling
-//! matrix over the sharded front-end.
+//! matrix over the one shared arena.
 //!
 //! The seed allocator was first-fit over a flat `Vec` with a full
 //! sort-and-coalesce on every free — O(live extents) per operation — so a
@@ -11,16 +11,15 @@
 //! cell must stay within 1.5x of the 1k cell per mix).
 //!
 //! One op is a full create/drop pair through the registry (`free_space` +
-//! `alloc_space`, both emitting WAL records); checkpointing is parked at
-//! `u64::MAX` so the rows isolate allocator cost, with a periodic group
-//! commit bounding the WAL buffer. The lazy-coalesce passes the churn
-//! triggers run inline (bare registry) and are *included* in the measured
-//! time — the claim is amortized O(1), not O(1)-when-nobody-merges.
+//! `alloc_space`; the allocator is derived state, so neither reaches the
+//! WAL). The lazy-coalesce passes the churn triggers run inline (bare
+//! registry) and are *included* in the measured time — the claim is
+//! amortized O(1), not O(1)-when-nobody-merges.
 //!
 //! Size mixes:
 //!
 //! * `uniform` — every extent one page (pure bucket churn);
-//! * `mixed_pow2` — 1..64 pages, power-of-two (every shard bucket in play);
+//! * `mixed_pow2` — 1..64 pages, power-of-two (seven buckets in play);
 //! * `adversarial` — rotating odd sizes (1/7/3/5 pages) so frees rarely
 //!   exactly fit a later alloc: maximal splitting, remainder re-binning,
 //!   and fragmentation pressure on the coalescer.
@@ -40,15 +39,9 @@ use std::sync::{Arc, Barrier};
 
 const PAGE: u64 = PAGE_SIZE as u64;
 
-/// Group-commit cadence: bounds the buffered WAL tail without putting an
-/// fsync in every measured op.
-const COMMIT_EVERY: usize = 10_000;
-
 fn fresh_registry(dir: &std::path::Path) -> Registry {
     let pm = PmDir::open(dir).expect("pmdir");
-    let reg = Registry::load_or_create(&pm, 0x5000_0000_0000, 64 << 30).expect("registry");
-    reg.wal().set_checkpoint_threshold(u64::MAX);
-    reg
+    Registry::load_or_create(&pm, 0x5000_0000_0000, 64 << 30).expect("registry")
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -83,11 +76,7 @@ fn populate(reg: &Registry, mix: Mix, count: usize, rng: &mut StdRng) -> Vec<(u6
         let size = mix.size_pages(rng, i) * PAGE;
         let off = reg.alloc_space(size).expect("populate alloc");
         live.push((off, size));
-        if i % COMMIT_EVERY == COMMIT_EVERY - 1 {
-            reg.commit().expect("commit");
-        }
     }
-    reg.commit().expect("commit");
     live
 }
 
@@ -107,9 +96,6 @@ fn churn(reg: &Registry, mix: Mix, live: &mut [(u64, u64)], ops: usize, rng: &mu
             let size = mix.size_pages(rng, i) * PAGE;
             let off = reg.alloc_space(size).expect("churn alloc");
             live[idx] = (off, size);
-            if i % COMMIT_EVERY == COMMIT_EVERY - 1 {
-                reg.commit().expect("commit");
-            }
         }
     });
     ops as f64 / elapsed
@@ -218,10 +204,11 @@ fn main() {
         }
     }
 
-    // ---- Thread scaling over the sharded front-end ----------------------
-    // Each thread churns a private slice of a shared registry's extents;
-    // with one global allocator mutex this serializes, with per-shard
-    // arenas it scales.
+    // ---- Thread scaling over one arena ----------------------------------
+    // Each thread churns a private slice of a shared registry's extents.
+    // They serialize on the allocator's one mutex — by design: a daemon
+    // caller serializes on the WAL's enqueue lock right after anyway — so
+    // the cells report what contention costs, not a speed-up.
     let thread_counts: &[usize] = &[1, 4, 8];
     let per_thread_live = 2_000;
     let thread_ops = scale.pick(20_000, 200_000);

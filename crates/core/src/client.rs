@@ -163,27 +163,20 @@ impl PuddleClient {
     /// reserve it again); out-of-process clients use
     /// [`PuddleClient::connect_uds`].
     pub fn connect_uds_shared(path: impl AsRef<Path>, space: Arc<GlobalSpace>) -> Result<Self> {
-        Self::connect_uds_shared_tuned(path, space, RetryPolicy::default(), 0)
+        Self::connect_uds_shared_tuned(path, space, RetryPolicy::default())
     }
 
-    /// Full-control shared-space connection: an explicit retry/backoff
-    /// policy (governing connection dials and idempotent re-sends) plus a
-    /// requested connection-pool depth (0 = server default). The daemon
-    /// clamps the request to its configured maximum and the grant comes
-    /// back in `Welcome`; use depth 1 to hold a single connection slot
-    /// against a capped server.
+    /// [`PuddleClient::connect_uds_shared`] under an explicit retry/backoff
+    /// policy (governing connection dials and idempotent re-sends).
     pub fn connect_uds_shared_tuned(
         path: impl AsRef<Path>,
         space: Arc<GlobalSpace>,
         retry: RetryPolicy,
-        pool_depth: u32,
     ) -> Result<Self> {
         let creds = Credentials::current_process();
         let metrics = Arc::new(ClientMetrics::default());
         let endpoint = Box::new(
-            PipelinedEndpoint::new(path.as_ref(), retry)
-                .with_requested_depth(pool_depth)
-                .with_client_metrics(Arc::clone(&metrics)),
+            PipelinedEndpoint::new(path.as_ref(), retry).with_client_metrics(Arc::clone(&metrics)),
         );
         Self::finish_connect(endpoint, Some(space), creds, metrics)
     }

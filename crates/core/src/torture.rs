@@ -488,7 +488,7 @@ fn client_phase(mut ctx: ClientCtx) {
         .with_clock(ctx.clock.clone())
         .with_seed(ctx.rng.next());
     let connected =
-        PuddleClient::connect_uds_shared_tuned(&ctx.socket, Arc::clone(&ctx.space), retry, 0);
+        PuddleClient::connect_uds_shared_tuned(&ctx.socket, Arc::clone(&ctx.space), retry);
     ctx.record("connect", connected.is_ok());
     let Ok(client) = connected else {
         return; // Killed before the phase began; nothing acked, nothing owed.

@@ -281,10 +281,11 @@ impl RetryPolicy {
     }
 }
 
-/// Connections a [`PipelinedEndpoint`] multiplexes calls over until the
-/// daemon grants a pool depth in `Welcome` (the grant then takes over).
-/// Each carries up to the connection's negotiated window of in-flight
-/// requests, so a couple of sockets serve many concurrent callers.
+/// Connections a [`PipelinedEndpoint`] multiplexes calls over. Each
+/// carries up to the connection's negotiated window of in-flight requests,
+/// so a couple of sockets serve many concurrent callers; the second one
+/// puts concurrent callers on a second daemon reactor, and a lone caller is
+/// no slower for it (measured: ROADMAP D).
 const PIPELINE_CONNECTIONS: usize = 2;
 
 /// Largest chunk a connection's reader takes per `read` call.
@@ -580,15 +581,9 @@ pub(crate) struct PipelinedEndpoint {
     pool: Mutex<Vec<Arc<PipeConn>>>,
     rr: std::sync::atomic::AtomicUsize,
     retry: RetryPolicy,
-    /// Pool depth granted by the daemon's `Welcome`; starts at
-    /// [`PIPELINE_CONNECTIONS`] and is replaced by the negotiated grant
-    /// after the first handshake.
-    depth: std::sync::atomic::AtomicUsize,
     /// Set after the first successful handshake; later dials flag
     /// themselves `reconnect` in `Hello`.
     connected_once: std::sync::atomic::AtomicBool,
-    /// Pool depth to *request* in `Hello` (0 = take the server default).
-    requested_depth: u32,
     /// Client-local reporter, shared with the retry policy and every
     /// connection in the pool.
     metrics: Arc<ClientMetrics>,
@@ -601,9 +596,7 @@ impl PipelinedEndpoint {
             pool: Mutex::new(Vec::new()),
             rr: std::sync::atomic::AtomicUsize::new(0),
             retry,
-            depth: std::sync::atomic::AtomicUsize::new(PIPELINE_CONNECTIONS),
             connected_once: std::sync::atomic::AtomicBool::new(false),
-            requested_depth: 0,
             metrics: Arc::new(ClientMetrics::default()),
         }
     }
@@ -613,19 +606,6 @@ impl PipelinedEndpoint {
     pub(crate) fn with_client_metrics(mut self, metrics: Arc<ClientMetrics>) -> Self {
         self.retry = self.retry.clone().with_metrics(Arc::clone(&metrics));
         self.metrics = metrics;
-        self
-    }
-
-    /// Requests a specific connection-pool depth in the handshake; the
-    /// server clamps to its configured maximum and the grant replaces
-    /// [`PIPELINE_CONNECTIONS`] as the pool target.
-    pub(crate) fn with_requested_depth(mut self, depth: u32) -> Self {
-        self.requested_depth = depth;
-        if depth > 0 {
-            // Until the grant arrives, don't dial beyond the request.
-            self.depth
-                .store(depth as usize, std::sync::atomic::Ordering::Relaxed);
-        }
         self
     }
 
@@ -639,17 +619,17 @@ impl PipelinedEndpoint {
     }
 
     /// One pass over the pool: prune dead connections, dial at most one
-    /// replacement towards the granted depth, pick round-robin. The pool
-    /// lock covers a single dial, never a backoff sleep.
+    /// replacement towards [`PIPELINE_CONNECTIONS`], pick round-robin. The
+    /// pool lock covers a single dial, never a backoff sleep.
     fn try_conn(&self) -> std::io::Result<Arc<PipeConn>> {
         let mut pool = self.pool.lock();
         pool.retain(|c| !c.is_dead());
-        if pool.len() < self.depth.load(std::sync::atomic::Ordering::Relaxed).max(1) {
+        if pool.len() < PIPELINE_CONNECTIONS {
             match self.try_connect_conn() {
                 Ok(conn) => pool.push(conn),
-                // A top-up the daemon turned away (it may grant fewer slots
-                // than the pool wants) costs nothing while a live
-                // connection can carry the call.
+                // A top-up the daemon turned away (its connection cap may
+                // leave fewer slots than the pool wants) costs nothing while
+                // a live connection can carry the call.
                 Err(_) if !pool.is_empty() => {}
                 Err(e) => return Err(e),
             }
@@ -677,20 +657,12 @@ impl PipelinedEndpoint {
         let hello = Request::Hello {
             creds,
             max_in_flight: 0,
-            pool_depth: self.requested_depth,
             reconnect,
         };
         // Handshake round trip: proves the daemon accepted the connection
-        // (a cap rejection fails here, not on a later caller), fixes the
-        // connection's credentials daemon-side, and carries back the
-        // granted pool depth.
-        let welcome = conn.call(&hello).map_err(CallError::into_io)?;
-        if let Response::Welcome { pool_depth, .. } = welcome {
-            if pool_depth > 0 {
-                self.depth
-                    .store(pool_depth as usize, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
+        // (a cap rejection fails here, not on a later caller) and fixes the
+        // connection's credentials daemon-side.
+        conn.call(&hello).map_err(CallError::into_io)?;
         self.connected_once
             .store(true, std::sync::atomic::Ordering::Relaxed);
         Ok(conn)
@@ -1186,14 +1158,13 @@ mod tests {
         /// way; the last connection answers its creates. A connection
         /// before the last is also closed right after it answers a ping
         /// (it goes away while the client holds it idle). Each closed
-        /// connection is announced on `closed`. `Welcome` grants the
-        /// client `pool_depth` connections, but the script serves one at a
-        /// time and stops listening once the last is in (a top-up dial
-        /// past it is refused). Returns after `conns` connections.
+        /// connection is announced on `closed`. The script serves one
+        /// connection at a time and stops listening once the last is in (a
+        /// top-up dial past it is refused). Returns after `conns`
+        /// connections.
         fn scripted_server(
             socket: std::path::PathBuf,
             conns: usize,
-            pool_depth: u32,
             create_pools_seen: Arc<std::sync::atomic::AtomicUsize>,
             drop_pings: usize,
             closed: std::sync::mpsc::Sender<()>,
@@ -1225,7 +1196,6 @@ mod tests {
                                     space_base: 0x5000_0000_0000,
                                     space_size: 1 << 30,
                                     max_in_flight: 64,
-                                    pool_depth,
                                 },
                                 Request::Ping if pings_to_drop > 0 => {
                                     pings_to_drop -= 1;
@@ -1285,7 +1255,7 @@ mod tests {
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let (closed, _) = std::sync::mpsc::channel();
-            let server = scripted_server(socket.clone(), 2, 1, Arc::clone(&creates), 0, closed);
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             let err = ep
@@ -1313,7 +1283,7 @@ mod tests {
             let socket = tmp.path().join("scripted.sock");
             let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             let (closed, _) = std::sync::mpsc::channel();
-            let server = scripted_server(socket.clone(), 2, 1, Arc::clone(&creates), 1, closed);
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 1, closed);
 
             let ep = PipelinedEndpoint::new(&socket, fast_retry());
             // First Ping's connection is dropped mid-pipeline; the retry
@@ -1337,14 +1307,8 @@ mod tests {
                 let socket = tmp.path().join("scripted.sock");
                 let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
                 let (closed, closed_rx) = std::sync::mpsc::channel();
-                let server = scripted_server(
-                    socket.clone(),
-                    depth + 1,
-                    depth as u32,
-                    Arc::clone(&creates),
-                    0,
-                    closed,
-                );
+                let server =
+                    scripted_server(socket.clone(), depth + 1, Arc::clone(&creates), 0, closed);
 
                 let ep = PipelinedEndpoint::new(&socket, fast_retry());
                 for _ in 0..depth {

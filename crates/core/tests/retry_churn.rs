@@ -18,10 +18,11 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("cap.sock");
-    // Two connection slots for six churning client threads: most dials hit
-    // the cap and must back off into a freed slot.
+    // Four connection slots — two clients' worth, each pooling two — for
+    // six churning client threads: most dials hit the cap and must back off
+    // into a freed slot.
     let server_config = ServerConfig {
-        max_connections: 2,
+        max_connections: 4,
         ..ServerConfig::default()
     };
     let _server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
@@ -41,15 +42,9 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
                     // frees a slot, backoff is what waits for it.
                     let retry = RetryPolicy::new(256, Duration::from_secs(60))
                         .with_backoff(Duration::from_micros(200), Duration::from_millis(10));
-                    // Pool depth 1: hold exactly one of the two slots, so
-                    // six churning clients genuinely share the cap.
-                    let client = PuddleClient::connect_uds_shared_tuned(
-                        &socket,
-                        Arc::clone(&space),
-                        retry,
-                        1,
-                    )
-                    .expect("backoff should eventually win a connection slot");
+                    let client =
+                        PuddleClient::connect_uds_shared_tuned(&socket, Arc::clone(&space), retry)
+                            .expect("backoff should eventually win a connection slot");
                     client.ping().expect("ping on a won slot");
                     completed.fetch_add(1, Ordering::Relaxed);
                     // Dropping the client frees its slot for a waiter.
@@ -64,7 +59,7 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
 }
 
 /// A client whose pool wants more connections than the daemon will give it
-/// (default depth 2 against a one-slot cap) works over the connection it
+/// (it pools two against a one-slot cap) works over the connection it
 /// has: the refused top-up dial neither fails the call nor sends it through
 /// the dial's backoff schedule.
 #[test]

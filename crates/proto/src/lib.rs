@@ -38,10 +38,6 @@ pub enum Request {
         /// Defaulted so `Hello` frames from older clients still parse.
         #[serde(default)]
         max_in_flight: u32,
-        /// Requested client-side connection-pool depth. `0` asks for the
-        /// server default; clamped and granted like `max_in_flight`.
-        #[serde(default)]
-        pool_depth: u32,
         /// `true` when this `Hello` re-establishes a connection the client
         /// already had (retry/backoff path); counted in daemon stats.
         #[serde(default)]
@@ -157,10 +153,6 @@ pub enum Response {
         /// parses.
         #[serde(default)]
         max_in_flight: u32,
-        /// Granted client connection-pool depth (`0` = no grant
-        /// information, keep the client's current depth).
-        #[serde(default)]
-        pool_depth: u32,
     },
     /// A puddle was created or opened.
     Puddle(PuddleInfo),
@@ -261,12 +253,11 @@ impl Deserialize for ServerFrame {
 
 impl Request {
     /// A `Hello` with default connection parameters (server picks the
-    /// window and pool depth) on a fresh, first-time connection.
+    /// window) on a fresh, first-time connection.
     pub fn hello(creds: Credentials) -> Request {
         Request::Hello {
             creds,
             max_in_flight: 0,
-            pool_depth: 0,
             reconnect: false,
         }
     }
@@ -394,7 +385,6 @@ mod tests {
                     gid: 100,
                 },
                 max_in_flight: 64,
-                pool_depth: 2,
                 reconnect: true,
             },
             Request::hello(Credentials { uid: 1, gid: 2 }),
@@ -451,7 +441,6 @@ mod tests {
                 space_base: 4096,
                 space_size: 8192,
                 max_in_flight: 0,
-                pool_depth: 0,
             }
         );
     }
@@ -539,7 +528,6 @@ mod tests {
                 space_base: 0x1000,
                 space_size: 0x2000,
                 max_in_flight: 64,
-                pool_depth: 2,
             },
         };
         let json = serde_json::to_string(&env).unwrap();

@@ -1,11 +1,11 @@
 //! The global-space address allocator: size-bucketed segregated free lists
-//! with lazy coalescing and a sharded front-end.
+//! with lazy coalescing, in one mutex-guarded arena.
 //!
 //! The seed allocator was first-fit over a flat `Vec` with a full
-//! sort-and-coalesce on **every** free — O(extents) per operation behind a
-//! single mutex. Fine for dozens of puddles; hopeless for the millions the
-//! roadmap targets (every log segment, B-tree node pool, and user pool is a
-//! daemon-granted extent). This module replaces it with:
+//! sort-and-coalesce on **every** free — O(extents) per operation. Fine for
+//! dozens of puddles; hopeless for the millions the roadmap targets (every
+//! log segment, B-tree node pool, and user pool is a daemon-granted
+//! extent). This module replaces it with:
 //!
 //! * **Segregated free lists** — freed extents are binned into power-of-two
 //!   buckets by page count (bucket *b* holds extents of `[2^b, 2^(b+1))`
@@ -21,51 +21,33 @@
 //!   past a hard ceiling or when an allocation would otherwise fail. This
 //!   mirrors the WAL checkpoint pattern exactly (threshold → background,
 //!   ceiling → inline).
-//! * **A sharded front-end** — threads are round-robined onto `NSHARDS`
-//!   shards; small allocations (≤ [`SHARD_MAX_BYTES`]) are served from the
-//!   shard's own buckets or its private bump **slab** (refilled from the
-//!   global arena [`SLAB_BYTES`] at a time), so create/drop storms from
-//!   many pipelined clients stop serializing on one mutex. Large extents
-//!   and slab refills go through the global arena.
+//!
+//! One lock guards all of it, on purpose: every grant is followed by the
+//! `PutPuddle` that uses it, which enqueues under the WAL's single lock, so
+//! a per-thread front-end cannot buy a daemon caller any concurrency.
 //!
 //! [`Background`]: crate::background::Background
 //!
 //! # Persistence contract
 //!
-//! The allocator itself is volatile. Grants and frees are logged by the
-//! registry as `AllocExtent`/`FreeExtent` WAL records (slab refills are
-//! *not* logged — they are not user-visible grants), and recovery rebuilds
-//! the allocator from the live puddle extents regardless
-//! ([`crate::registry`]'s `reconcile`). [`FrozenSpace::canonical`] serializes
-//! the in-memory state in exactly the form `reconcile` would rebuild —
-//! sorted, fully merged, frontier-adjacent extents absorbed into the bump
-//! pointer — so a checkpoint taken from a live allocator and one rebuilt
-//! after a crash are bit-identical, and pre-existing WALs/checkpoints
-//! replay unchanged.
+//! The allocator is **derived state**: volatile, never logged, a function
+//! of the puddle table. A grant becomes durable only as the `offset`/`size`
+//! of the `PutPuddle` record that uses it, a free only as the `DropPuddle`
+//! before it, and recovery rebuilds the free list and the bump frontier
+//! from the live puddle extents at every load ([`crate::registry`]'s
+//! `reconcile`): an extent no puddle record covers is free by definition.
+//! [`SpaceAlloc::canonical`] reports the in-memory state in exactly the
+//! form `reconcile` would rebuild — sorted, fully merged, frontier-adjacent
+//! extents absorbed into the bump pointer — so a checkpoint taken from a
+//! live allocator and one rebuilt after a crash are bit-identical.
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, PAGE_SIZE};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of front-end shards. Threads are assigned round-robin, so up to
-/// this many allocating threads proceed without touching a shared lock.
-pub const NSHARDS: usize = 8;
-
-/// Largest allocation served from a shard (and binned into shard buckets on
-/// free); bigger extents go straight to the global arena.
-pub const SHARD_MAX_BYTES: u64 = 64 * PAGE_SIZE as u64; // 256 KiB
-
-/// Bytes a shard reserves from the global arena per refill. Each refill is
-/// one global-lock acquisition amortized over many small grants.
-pub const SLAB_BYTES: u64 = 256 * PAGE_SIZE as u64; // 1 MiB
-
-/// Shard buckets cover `[2^0, 2^(SHARD_BUCKETS))` pages = up to
-/// `SHARD_MAX_BYTES`.
-const SHARD_BUCKETS: usize = 7;
-
-/// Global buckets cover any u64 extent length.
-const GLOBAL_BUCKETS: usize = 48;
+/// Buckets cover any u64 extent length.
+const BUCKETS: usize = 48;
 
 /// Entries of the floor bucket examined before giving up and splitting a
 /// larger extent. Bounds the alloc path at O(1) while letting exact-size
@@ -86,7 +68,7 @@ pub enum CoalesceKind {
     /// bare registries with no scheduler — still amortized).
     Lazy,
     /// Forced inline: the hard ceiling was passed or an allocation would
-    /// otherwise fail. Also reclaims shard slabs back into the pool.
+    /// otherwise fail.
     ForcedInline,
 }
 
@@ -110,36 +92,51 @@ pub struct AllocStats {
     pub forced_inline_coalesces: u64,
 }
 
-/// One front-end shard: segregated buckets for small freed extents plus a
-/// private bump slab `[cur, end)` carved from the global arena.
+/// Everything the lock guards: the (movable) base, the bump frontier, and
+/// the segregated buckets of freed extents.
 #[derive(Debug)]
-struct Shard {
-    buckets: [Vec<(u64, u64)>; SHARD_BUCKETS],
-    slab: (u64, u64),
-}
-
-/// The global arena: geometry, the bump frontier, and buckets for large
-/// extents, slab-refill reserves, and everything a coalesce pass merged.
-#[derive(Debug)]
-struct GlobalArena {
+struct Arena {
     space_base: u64,
-    space_size: u64,
     next_offset: u64,
-    buckets: [Vec<(u64, u64)>; GLOBAL_BUCKETS],
+    buckets: [Vec<(u64, u64)>; BUCKETS],
 }
 
-/// The segregated-fit allocator. All methods take `&self`; shards and the
-/// global arena are locked internally (lock order: one shard, then global —
-/// a coalesce pass drains shards one at a time, never holding two).
+impl Arena {
+    /// The canonical `(free_list, next_offset)` pair: every bucketed extent
+    /// sorted and merged with its neighbours, and an extent touching the
+    /// bump frontier absorbed into it. The one place free extents are
+    /// merged — a coalesce pass re-bins this, stats and snapshots read it.
+    fn canonical(&self) -> (Vec<(u64, u64)>, u64) {
+        let mut extents: Vec<(u64, u64)> = self.buckets.iter().flatten().copied().collect();
+        extents.sort_unstable();
+        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(extents.len());
+        for (off, len) in extents {
+            match merged.last_mut() {
+                Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
+                _ => merged.push((off, len)),
+            }
+        }
+        // Merged extents are pairwise non-adjacent, so at most one can touch
+        // the frontier; absorbing it lowers the bump pointer.
+        let mut next_offset = self.next_offset;
+        if let Some(&(off, len)) = merged.last() {
+            if off + len == next_offset {
+                next_offset = off;
+                merged.pop();
+            }
+        }
+        (merged, next_offset)
+    }
+}
+
+/// The segregated-fit allocator. All methods take `&self`; the arena is
+/// locked internally.
 pub struct SpaceAlloc {
-    shards: [Mutex<Shard>; NSHARDS],
-    global: Mutex<GlobalArena>,
-    /// Extents across all buckets (shard + global); the lazy-coalesce
-    /// trigger reads this without any lock.
+    space_size: u64,
+    arena: Mutex<Arena>,
+    /// Extents across all buckets, updated under the arena lock; the
+    /// lazy-coalesce trigger reads it without the lock.
     bucket_extents: AtomicU64,
-    /// Extents in the *global* buckets only: a zero lets the shard fast
-    /// path skip the global lock entirely during first-touch storms.
-    global_hint: AtomicU64,
     coalesce_threshold: AtomicU64,
     /// Extents the last coalesce pass could *not* merge (its residue). The
     /// trigger re-arms relative to this floor: a fragmented heap whose holes
@@ -161,29 +158,20 @@ impl std::fmt::Debug for SpaceAlloc {
     }
 }
 
-/// Round-robin thread→shard assignment (stable for a thread's lifetime).
-fn my_shard() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SLOT: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SLOT.with(|s| *s % NSHARDS)
-}
-
 /// Bucket index for an extent of `len` bytes: `floor(log2(pages))`, clamped
 /// to the table. Bucket `b` holds extents of `[2^b, 2^(b+1))` pages.
-fn bucket_of(len: u64, nbuckets: usize) -> usize {
+fn bucket_of(len: u64) -> usize {
     let pages = (len / PAGE_SIZE as u64).max(1);
-    ((63 - pages.leading_zeros()) as usize).min(nbuckets - 1)
+    ((63 - pages.leading_zeros()) as usize).min(BUCKETS - 1)
 }
 
 /// Pops an extent of at least `size` bytes from `buckets`: a bounded
 /// first-fit scan of the floor bucket, then the first non-empty larger
 /// bucket (whose every extent is guaranteed to fit). Returns the whole
 /// extent; the caller splits. O(1): the scan is bounded and the bucket walk
-/// is over at most `buckets.len()` heads.
-fn take_fit(buckets: &mut [Vec<(u64, u64)>], size: u64) -> Option<(u64, u64)> {
-    let floor = bucket_of(size, buckets.len());
+/// is over at most `BUCKETS` heads.
+fn take_fit(buckets: &mut [Vec<(u64, u64)>; BUCKETS], size: u64) -> Option<(u64, u64)> {
+    let floor = bucket_of(size);
     let list = &mut buckets[floor];
     let scan = list.len().min(FLOOR_SCAN);
     for back in 1..=scan {
@@ -202,34 +190,26 @@ fn take_fit(buckets: &mut [Vec<(u64, u64)>], size: u64) -> Option<(u64, u64)> {
 
 impl SpaceAlloc {
     /// Builds the allocator from reconciled registry state: the free list
-    /// goes into the global buckets (shards warm up from subsequent frees),
-    /// the bump frontier is taken as-is.
+    /// goes into the buckets, the bump frontier is taken as-is.
     pub fn new(
         space_base: u64,
         space_size: u64,
         next_offset: u64,
         free_list: Vec<(u64, u64)>,
     ) -> Self {
-        let mut global = GlobalArena {
+        let mut arena = Arena {
             space_base,
-            space_size,
             next_offset,
             buckets: std::array::from_fn(|_| Vec::new()),
         };
         let count = free_list.len() as u64;
         for (off, len) in free_list {
-            global.buckets[bucket_of(len, GLOBAL_BUCKETS)].push((off, len));
+            arena.buckets[bucket_of(len)].push((off, len));
         }
         SpaceAlloc {
-            shards: std::array::from_fn(|_| {
-                Mutex::new(Shard {
-                    buckets: std::array::from_fn(|_| Vec::new()),
-                    slab: (0, 0),
-                })
-            }),
-            global: Mutex::new(global),
+            space_size,
+            arena: Mutex::new(arena),
             bucket_extents: AtomicU64::new(count),
-            global_hint: AtomicU64::new(count),
             coalesce_threshold: AtomicU64::new(DEFAULT_COALESCE_THRESHOLD),
             // A reconciled free list is already fully merged: treat it as
             // the first pass's residue so recovery into a fragmented heap
@@ -241,8 +221,8 @@ impl SpaceAlloc {
     }
 
     /// Allocates `size` bytes (page-aligned up), returning the offset. On
-    /// exhaustion a forced coalesce pass (merge everything, reclaim shard
-    /// slabs) runs once before the allocation is declared impossible.
+    /// exhaustion a forced coalesce pass runs once before the allocation is
+    /// declared impossible.
     pub fn alloc(&self, size: u64) -> Result<u64> {
         let size = align_up(size.max(1) as usize, PAGE_SIZE) as u64;
         for attempt in 0..2 {
@@ -254,84 +234,28 @@ impl SpaceAlloc {
             }
         }
         Err(PmError::OutOfRange {
-            offset: self.global.lock().next_offset as usize,
+            offset: self.arena.lock().next_offset as usize,
             len: size as usize,
         })
     }
 
+    /// Takes `size` bytes from the arena: buckets first, bump second.
     fn try_alloc(&self, size: u64) -> Option<u64> {
-        if size > SHARD_MAX_BYTES {
-            let mut global = self.global.lock();
-            return self.global_grab(&mut global, size);
-        }
-        let mut shard = self.shards[my_shard()].lock();
-        // 1. The shard's own buckets: the create/drop churn fast path.
-        if let Some((off, len)) = take_fit(&mut shard.buckets, size) {
-            self.bucket_extents.fetch_sub(1, Ordering::Relaxed);
+        let mut arena = self.arena.lock();
+        if let Some((off, len)) = take_fit(&mut arena.buckets, size) {
             let rem = len - size;
             if rem > 0 {
-                shard.buckets[bucket_of(rem, SHARD_BUCKETS)].push((off + size, rem));
-                self.bucket_extents.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(off);
-        }
-        // 2. Global buckets, but only when the lock-free hint says they are
-        //    non-empty (reuse of coalesced/reconciled free space).
-        if self.global_hint.load(Ordering::Relaxed) > 0 {
-            let mut global = self.global.lock();
-            if let Some((off, len)) = take_fit(&mut global.buckets, size) {
+                arena.buckets[bucket_of(rem)].push((off + size, rem));
+            } else {
                 self.bucket_extents.fetch_sub(1, Ordering::Relaxed);
-                self.global_hint.fetch_sub(1, Ordering::Relaxed);
-                let rem = len - size;
-                if rem > 0 {
-                    global.buckets[bucket_of(rem, GLOBAL_BUCKETS)].push((off + size, rem));
-                    self.bucket_extents.fetch_add(1, Ordering::Relaxed);
-                    self.global_hint.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(off);
-            }
-        }
-        // 3. The shard's private bump slab.
-        if shard.slab.1 - shard.slab.0 >= size {
-            let off = shard.slab.0;
-            shard.slab.0 += size;
-            return Some(off);
-        }
-        // 4. Refill the slab from the global arena; the leftover of the old
-        //    slab (smaller than `size` ≤ SHARD_MAX_BYTES) is re-binned, not
-        //    leaked.
-        let mut global = self.global.lock();
-        if let Some(off) = self.global_grab(&mut global, SLAB_BYTES) {
-            if shard.slab.0 < shard.slab.1 {
-                let (cur, end) = shard.slab;
-                shard.buckets[bucket_of(end - cur, SHARD_BUCKETS)].push((cur, end - cur));
-                self.bucket_extents.fetch_add(1, Ordering::Relaxed);
-            }
-            shard.slab = (off + size, off + SLAB_BYTES);
-            return Some(off);
-        }
-        // 5. Too tight for a whole slab: grab exactly `size`.
-        self.global_grab(&mut global, size)
-    }
-
-    /// Takes `size` bytes from the global arena: buckets first, bump second.
-    fn global_grab(&self, global: &mut GlobalArena, size: u64) -> Option<u64> {
-        if let Some((off, len)) = take_fit(&mut global.buckets, size) {
-            self.bucket_extents.fetch_sub(1, Ordering::Relaxed);
-            self.global_hint.fetch_sub(1, Ordering::Relaxed);
-            let rem = len - size;
-            if rem > 0 {
-                global.buckets[bucket_of(rem, GLOBAL_BUCKETS)].push((off + size, rem));
-                self.bucket_extents.fetch_add(1, Ordering::Relaxed);
-                self.global_hint.fetch_add(1, Ordering::Relaxed);
             }
             return Some(off);
         }
-        let off = global.next_offset;
-        if off + size > global.space_size {
+        let off = arena.next_offset;
+        if off + size > self.space_size {
             return None;
         }
-        global.next_offset = off + size;
+        arena.next_offset = off + size;
         Some(off)
     }
 
@@ -339,79 +263,33 @@ impl SpaceAlloc {
     /// merging — coalescing is the deferred pass's job.
     pub fn free(&self, offset: u64, size: u64) {
         let size = align_up(size.max(1) as usize, PAGE_SIZE) as u64;
-        if size <= SHARD_MAX_BYTES {
-            let mut shard = self.shards[my_shard()].lock();
-            shard.buckets[bucket_of(size, SHARD_BUCKETS)].push((offset, size));
-        } else {
-            let mut global = self.global.lock();
-            global.buckets[bucket_of(size, GLOBAL_BUCKETS)].push((offset, size));
-            self.global_hint.fetch_add(1, Ordering::Relaxed);
-        }
+        let mut arena = self.arena.lock();
+        arena.buckets[bucket_of(size)].push((offset, size));
         self.bucket_extents.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Runs one coalesce pass: drain every bucket (shards one at a time,
-    /// then the global arena), sort, merge adjacent extents, absorb an
-    /// extent touching the bump frontier back into it, and re-bin the rest
-    /// into the **global** buckets (where any shard can reuse them via the
-    /// hint). `ForcedInline` additionally reclaims shard slabs — under
-    /// allocation pressure a half-empty slab parked on an idle shard is
-    /// space the failing thread needs. Returns `false` when there was
-    /// nothing to merge.
+    /// Runs one coalesce pass: replaces the buckets' contents with their
+    /// canonical form (sorted, merged, the extent touching the bump
+    /// frontier absorbed back into it). Returns `false`, and counts no
+    /// pass, when there was nothing to merge.
     pub fn coalesce(&self, kind: CoalesceKind) -> bool {
+        let mut arena = self.arena.lock();
+        if self.bucket_extents.load(Ordering::Relaxed) == 0 {
+            self.coalesce_floor.store(0, Ordering::Relaxed);
+            return false;
+        }
         match kind {
             CoalesceKind::Lazy => self.lazy_coalesces.fetch_add(1, Ordering::Relaxed),
             CoalesceKind::ForcedInline => self.forced_coalesces.fetch_add(1, Ordering::Relaxed),
         };
-        let reclaim_slabs = kind == CoalesceKind::ForcedInline;
-        let mut collected: Vec<(u64, u64)> = Vec::new();
-        let mut drained_buckets = 0u64;
-        let mut drained_global = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.lock();
-            for bucket in shard.buckets.iter_mut() {
-                drained_buckets += bucket.len() as u64;
-                collected.append(bucket);
-            }
-            if reclaim_slabs && shard.slab.0 < shard.slab.1 {
-                collected.push((shard.slab.0, shard.slab.1 - shard.slab.0));
-                shard.slab = (0, 0);
-            }
-        }
-        let mut global = self.global.lock();
-        for bucket in global.buckets.iter_mut() {
-            drained_buckets += bucket.len() as u64;
-            drained_global += bucket.len() as u64;
-            collected.append(bucket);
-        }
-        if collected.is_empty() {
-            self.coalesce_floor.store(0, Ordering::Relaxed);
-            return false;
-        }
-        collected.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(collected.len());
-        for (off, len) in collected {
-            match merged.last_mut() {
-                Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
-                _ => merged.push((off, len)),
-            }
-        }
-        // Merged extents are pairwise non-adjacent, so at most one can touch
-        // the frontier; absorbing it lowers the bump pointer.
-        if let Some(&(off, len)) = merged.last() {
-            if off + len == global.next_offset {
-                global.next_offset = off;
-                merged.pop();
-            }
-        }
+        let (merged, next_offset) = arena.canonical();
+        arena.next_offset = next_offset;
+        arena.buckets.iter_mut().for_each(Vec::clear);
         let kept = merged.len() as u64;
         for (off, len) in merged {
-            global.buckets[bucket_of(len, GLOBAL_BUCKETS)].push((off, len));
+            arena.buckets[bucket_of(len)].push((off, len));
         }
-        // Delta updates: frees racing the drain have already bumped the
-        // counters for extents we never saw, so stores would lose them.
-        fetch_signed(&self.bucket_extents, kept as i64 - drained_buckets as i64);
-        fetch_signed(&self.global_hint, kept as i64 - drained_global as i64);
+        self.bucket_extents.store(kept, Ordering::Relaxed);
         self.coalesce_floor.store(kept, Ordering::Relaxed);
         true
     }
@@ -440,35 +318,31 @@ impl SpaceAlloc {
 
     /// Base address of the global space.
     pub fn space_base(&self) -> u64 {
-        self.global.lock().space_base
+        self.arena.lock().space_base
     }
 
     /// Records a new base, returning the previous one.
     pub fn set_space_base(&self, new_base: u64) -> u64 {
-        let mut global = self.global.lock();
-        std::mem::replace(&mut global.space_base, new_base)
+        std::mem::replace(&mut self.arena.lock().space_base, new_base)
     }
 
     /// Size of the global space in bytes.
     pub fn space_size(&self) -> u64 {
-        self.global.lock().space_size
+        self.space_size
     }
 
-    /// Locks every shard (ascending) plus the global arena, freezing the
-    /// allocator for a consistent read. The registry holds the freeze while
-    /// reading the WAL cut so checkpoints are exact.
-    pub fn freeze(&self) -> FrozenSpace<'_> {
-        FrozenSpace {
-            shards: self.shards.iter().map(|s| s.lock()).collect(),
-            global: self.global.lock(),
-        }
+    /// The canonical `(free_list, next_offset)` pair. This is byte-for-byte
+    /// the state `reconcile` rebuilds from the live extents at load, which
+    /// keeps crash-replayed registries bit-identical to the checkpoints the
+    /// live daemon writes.
+    pub fn canonical(&self) -> (Vec<(u64, u64)>, u64) {
+        self.arena.lock().canonical()
     }
 
-    /// Observability snapshot (computed under a short freeze).
+    /// Observability snapshot (the lock is held for the canonical view
+    /// only).
     pub fn stats(&self) -> AllocStats {
-        let frozen = self.freeze();
-        let (free_list, _next) = frozen.canonical();
-        drop(frozen);
+        let (free_list, _next) = self.canonical();
         let free_bytes: u64 = free_list.iter().map(|&(_, len)| len).sum();
         let largest_free = free_list.iter().map(|&(_, len)| len).max().unwrap_or(0);
         let fragmentation_bp = (largest_free * 10_000)
@@ -482,70 +356,6 @@ impl SpaceAlloc {
             lazy_coalesce_runs: self.lazy_coalesces.load(Ordering::Relaxed),
             forced_inline_coalesces: self.forced_coalesces.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Adds a signed delta to an unsigned counter.
-fn fetch_signed(counter: &AtomicU64, delta: i64) {
-    if delta >= 0 {
-        counter.fetch_add(delta as u64, Ordering::Relaxed);
-    } else {
-        counter.fetch_sub(delta.unsigned_abs(), Ordering::Relaxed);
-    }
-}
-
-/// A consistent point-in-time view of the allocator (all locks held).
-pub struct FrozenSpace<'a> {
-    shards: Vec<MutexGuard<'a, Shard>>,
-    global: MutexGuard<'a, GlobalArena>,
-}
-
-impl FrozenSpace<'_> {
-    /// Base address of the global space.
-    pub fn space_base(&self) -> u64 {
-        self.global.space_base
-    }
-
-    /// Size of the global space.
-    pub fn space_size(&self) -> u64 {
-        self.global.space_size
-    }
-
-    /// The canonical `(free_list, next_offset)` pair: every free extent
-    /// (bucketed or sitting in a shard slab) sorted and merged, with a
-    /// frontier-adjacent extent absorbed into the bump pointer. This is
-    /// byte-for-byte the state `reconcile` rebuilds from the live extents
-    /// at load, which keeps crash-replayed registries bit-identical to the
-    /// checkpoints the live daemon writes.
-    pub fn canonical(&self) -> (Vec<(u64, u64)>, u64) {
-        let mut extents: Vec<(u64, u64)> = Vec::new();
-        for shard in &self.shards {
-            for bucket in &shard.buckets {
-                extents.extend_from_slice(bucket);
-            }
-            if shard.slab.0 < shard.slab.1 {
-                extents.push((shard.slab.0, shard.slab.1 - shard.slab.0));
-            }
-        }
-        for bucket in &self.global.buckets {
-            extents.extend_from_slice(bucket);
-        }
-        extents.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(extents.len());
-        for (off, len) in extents {
-            match merged.last_mut() {
-                Some((moff, mlen)) if *moff + *mlen == off => *mlen += len,
-                _ => merged.push((off, len)),
-            }
-        }
-        let mut next_offset = self.global.next_offset;
-        if let Some(&(off, len)) = merged.last() {
-            if off + len == next_offset {
-                next_offset = off;
-                merged.pop();
-            }
-        }
-        (merged, next_offset)
     }
 }
 
@@ -581,7 +391,7 @@ mod tests {
         let b = alloc.alloc(P).unwrap();
         alloc.free(a, P);
         alloc.free(b, P);
-        // Lazily: the two pages sit unmerged in shard buckets, so a 2-page
+        // Lazily: the two pages sit unmerged in their bucket, so a 2-page
         // request cannot use them yet...
         assert_eq!(alloc.bucket_extents(), 2);
         // ...until a merge pass runs.
@@ -598,43 +408,86 @@ mod tests {
         let c = alloc.alloc(P).unwrap();
         alloc.free(a, P);
         alloc.free(c, P);
-        let (free_list, next) = alloc.freeze().canonical();
-        // `c` and the slab remainder merge into the frontier; `a` stays.
+        let (free_list, next) = alloc.canonical();
+        // `c` merges into the frontier; `a` stays.
         assert_eq!(free_list, vec![(a, P)]);
         assert_eq!(next, c);
     }
 
     #[test]
-    fn exhaustion_reclaims_slabs_before_failing() {
-        // Space fits a slab exactly once; the second shard-sized request
-        // must claw back the first shard's half-empty slab via the forced
-        // coalesce, then genuinely fail only when nothing is left.
-        let alloc = fresh(P + SLAB_BYTES);
-        let a = alloc.alloc(P).unwrap();
-        assert_eq!(a, P);
-        // Slab holds the rest; a same-thread alloc bumps within it.
-        let b = alloc.alloc(P).unwrap();
-        assert_eq!(b, 2 * P);
-        // Exhaust the slab remainder exactly.
-        let rest = SLAB_BYTES - 2 * P;
-        let c = alloc.alloc(rest).unwrap();
-        assert_eq!(c, 3 * P);
-        assert!(alloc.alloc(P).is_err());
-        // Freeing makes it allocatable again (via the pressure coalesce).
-        alloc.free(c, rest);
-        let d = alloc.alloc(P).unwrap();
-        assert_eq!(d, 3 * P);
+    fn exhaustion_forces_one_merge_pass_then_fails_typed() {
+        // Eight pages past the reserved first one, all granted.
+        let alloc = fresh(9 * P);
+        let offs: Vec<u64> = (0..8).map(|_| alloc.alloc(P).unwrap()).collect();
+        // Truly full, nothing binned: the typed error, and no pass to count.
+        assert!(matches!(alloc.alloc(P), Err(PmError::OutOfRange { .. })));
+        assert_eq!(alloc.stats().forced_inline_coalesces, 0);
+        // Four adjacent one-page frees: no binned extent fits four pages, so
+        // only the forced pass on exhaustion can satisfy the request.
+        for &off in &offs[2..6] {
+            alloc.free(off, P);
+        }
+        assert_eq!(alloc.bucket_extents(), 4);
+        assert_eq!(alloc.alloc(4 * P).unwrap(), offs[2]);
+        assert_eq!(alloc.stats().forced_inline_coalesces, 1);
+        assert_eq!(alloc.bucket_extents(), 0);
+        // Full again: fails without inflating the counter.
+        assert!(matches!(alloc.alloc(P), Err(PmError::OutOfRange { .. })));
+        assert_eq!(alloc.stats().forced_inline_coalesces, 1);
     }
 
+    /// Eight threads churn one arena with seeded random sizes. A page map
+    /// claims every granted page and releases it before the free, so two
+    /// live grants sharing a page — at any moment, not just at the end —
+    /// trip the swap.
     #[test]
-    fn large_allocations_bypass_shards() {
-        let alloc = fresh(1 << 30);
-        let big = alloc.alloc(SHARD_MAX_BYTES + P).unwrap();
-        alloc.free(big, SHARD_MAX_BYTES + P);
-        assert_eq!(alloc.bucket_extents(), 1);
-        // Large frees land in global buckets, immediately reusable.
-        let again = alloc.alloc(SHARD_MAX_BYTES + P).unwrap();
-        assert_eq!(again, big);
+    fn concurrent_grants_are_disjoint_and_frees_restore_the_bump_state() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        const THREADS: u64 = 8;
+        const SPACE_PAGES: u64 = 1 << 18;
+        let alloc = fresh(SPACE_PAGES * P);
+        let owned: Vec<AtomicBool> = (0..SPACE_PAGES).map(|_| AtomicBool::new(false)).collect();
+        let pages = |off: u64, len: u64| (off / P) as usize..((off + len) / P) as usize;
+        let start = Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (alloc, owned, start) = (&alloc, &owned, &start);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(0xa11c ^ t);
+                    let mut live: Vec<(u64, u64)> = Vec::new();
+                    let release = |(off, len): (u64, u64)| {
+                        for page in &owned[pages(off, len)] {
+                            assert!(page.swap(false, Ordering::SeqCst));
+                        }
+                        alloc.free(off, len);
+                    };
+                    start.wait();
+                    for _ in 0..400 {
+                        let len = rng.gen_range(1..513u64) * P;
+                        let off = alloc.alloc(len).unwrap();
+                        assert!(off >= P && off + len <= SPACE_PAGES * P && off % P == 0);
+                        for page in &owned[pages(off, len)] {
+                            assert!(!page.swap(true, Ordering::SeqCst), "page granted twice");
+                        }
+                        live.push((off, len));
+                        if live.len() > 16 || rng.gen_range(0..3) == 0 {
+                            let victim = rng.gen_range(0..live.len());
+                            release(live.swap_remove(victim));
+                        }
+                    }
+                    live.drain(..).for_each(release);
+                });
+            }
+        });
+        // Everything is free again: one forced pass folds it all back into
+        // the frontier.
+        assert!(alloc.coalesce(CoalesceKind::ForcedInline));
+        assert_eq!(alloc.canonical(), (Vec::new(), P));
+        assert_eq!(alloc.bucket_extents(), 0);
     }
 
     #[test]

@@ -31,10 +31,11 @@
 //!   puddle lookups;
 //! * pointer maps and log spaces — their own `RwLock`s;
 //! * the global-space allocator — [`crate::alloc::SpaceAlloc`], segregated
-//!   free lists with a sharded front-end and **lazy coalescing**: alloc and
-//!   free are O(1), and the deferred merge pass runs on the background
-//!   scheduler past a free-extent threshold (forced inline past the hard
-//!   ceiling), mirroring the WAL checkpoint pattern.
+//!   free lists behind one mutex with **lazy coalescing**: alloc and free
+//!   are O(1), and the deferred merge pass runs on the background scheduler
+//!   past a free-extent threshold (forced inline past the hard ceiling),
+//!   mirroring the WAL checkpoint pattern. It is derived state — never
+//!   logged, rebuilt from the puddle table by [`reconcile`] at every load.
 //!
 //! Cross-table operations (a puddle joining a pool, a pool drop) take the
 //! locks they need in a fixed order — **pools → puddles → ptr_maps →
@@ -250,7 +251,7 @@ fn reconcile(data: &mut RegistryData) {
     // the set of gaps, and the bump pointer the end of the last extent, so a
     // torn allocator snapshot can never leak space past a restart. This is
     // also the canonical form live checkpoints serialize
-    // ([`crate::alloc::FrozenSpace::canonical`]), so replayed and live
+    // ([`crate::alloc::SpaceAlloc::canonical`]), so replayed and live
     // snapshots stay bit-identical.
     let mut extents: Vec<(u64, u64)> = data
         .puddles
@@ -402,21 +403,20 @@ impl Registry {
         self.maybe_checkpoint()
     }
 
-    /// Snapshot plus the WAL cut it corresponds to. All shard guards are
-    /// held together while the cut is read (the allocator is frozen across
-    /// all its shards), so every record below the cut is reflected in the
-    /// snapshot and every record at or above it is not.
+    /// Snapshot plus the WAL cut it corresponds to. All table guards are
+    /// held together while the cut is read, so every record below the cut
+    /// is reflected in the snapshot and every record at or above it is not.
     ///
     /// The allocator serializes in **canonical** form — merged free list,
-    /// frontier-adjacent extents (including shard slab remainders) absorbed
-    /// into the bump pointer — which is exactly what [`reconcile`] rebuilds,
-    /// so a checkpoint and a post-crash replay are bit-identical.
+    /// frontier-adjacent extents absorbed into the bump pointer — which is
+    /// exactly what [`reconcile`] rebuilds, so a checkpoint and a
+    /// post-crash replay are bit-identical. It has no records to cut
+    /// between, so it is read on its own lock inside the guarded region.
     fn snapshot_with_cut(&self) -> (RegistryData, u64) {
         let pools_guard = self.pools.read();
         let puddles_guard = self.puddles.read();
         let ptr_maps_guard = self.ptr_maps.read();
         let log_spaces_guard = self.log_spaces.read();
-        let frozen = self.alloc.freeze();
         let (cut_pos, cut_seq) = self.wal.position();
         let pools = pools_guard.clone();
         // The JSON schema keys puddles by zero-padded hex, which sorts
@@ -427,10 +427,10 @@ impl Registry {
             .collect();
         let ptr_maps = ptr_maps_guard.clone();
         let log_spaces = log_spaces_guard.clone();
-        let (free_list, next_offset) = frozen.canonical();
+        let (free_list, next_offset) = self.alloc.canonical();
         let data = RegistryData {
-            space_base: frozen.space_base(),
-            space_size: frozen.space_size(),
+            space_base: self.alloc.space_base(),
+            space_size: self.alloc.space_size(),
             next_offset,
             free_list,
             puddles,
@@ -575,32 +575,23 @@ impl Registry {
     }
 
     /// Allocates `size` bytes of the global space, returning the offset —
-    /// O(1) through the sharded segregated-fit allocator
+    /// O(1) through the segregated-fit allocator
     /// ([`crate::alloc::SpaceAlloc`]).
     ///
-    /// The extent grant is logged but not individually fsynced: it becomes
-    /// durable with the next group commit, and a grant lost to a crash is
+    /// Nothing is logged: the grant becomes durable as the `offset` of the
+    /// `PutPuddle` record that uses it, and a grant lost to a crash is
     /// reclaimed by [`reconcile`] (an extent no puddle record covers is
-    /// free by definition). Internal slab refills are *not* logged — only
-    /// user-visible grants carry WAL records, so the on-WAL contract is
-    /// unchanged from the flat-list allocator.
+    /// free by definition).
     pub fn alloc_space(&self, size: u64) -> Result<u64> {
-        let size = align_up(size as usize, PAGE_SIZE) as u64;
-        let off = self.alloc.alloc(size)?;
-        self.wal_submit(RegistryOp::AllocExtent {
-            offset: off,
-            len: size,
-        });
-        Ok(off)
+        self.alloc.alloc(size)
     }
 
     /// Returns `size` bytes at `offset` to the free lists — an O(1) push;
-    /// merging is deferred to the lazy coalesce pass. The `FreeExtent`
-    /// record is logged *before* the extent becomes reusable so a re-grant
-    /// of the same range can never precede the free in the WAL.
+    /// merging is deferred to the lazy coalesce pass. Callers free an
+    /// extent only after unregistering its puddle (or without ever having
+    /// registered one), so the `DropPuddle` precedes any `PutPuddle` that
+    /// reuses the range in the WAL.
     pub fn free_space(&self, offset: u64, size: u64) {
-        let size = align_up(size as usize, PAGE_SIZE) as u64;
-        self.wal_submit(RegistryOp::FreeExtent { offset, len: size });
         self.alloc.free(offset, size);
         self.maybe_coalesce();
     }
@@ -906,10 +897,7 @@ impl Registry {
     /// here would make the registry O(N²) after a move). Import keeps
     /// per-extent tables because imported puddles land at unrelated offsets.
     pub fn apply_base_relocation(&self, new_base: u64) -> Result<bool> {
-        let (old_base, space_size) = {
-            let frozen = self.alloc.freeze();
-            (frozen.space_base(), frozen.space_size())
-        };
+        let (old_base, space_size) = (self.alloc.space_base(), self.alloc.space_size());
         if old_base == new_base {
             return Ok(false);
         }
@@ -994,6 +982,17 @@ mod tests {
         assert!(reg.force_coalesce());
         let c = reg.alloc_space(2 * PAGE_SIZE as u64).unwrap();
         assert_eq!(c, a);
+    }
+
+    /// The allocator is derived state: a grant and a free buffer nothing.
+    #[test]
+    fn space_grants_never_reach_the_wal() {
+        let (_tmp, reg) = registry();
+        let before = reg.wal().stats();
+        let off = reg.alloc_space(3 * PAGE_SIZE as u64).unwrap();
+        reg.free_space(off, 3 * PAGE_SIZE as u64);
+        let after = reg.wal().stats();
+        assert_eq!((after.records, after.bytes), (before.records, before.bytes));
     }
 
     #[test]

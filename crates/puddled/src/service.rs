@@ -38,10 +38,6 @@ const MAX_CHECKPOINT_AGE_MS: u64 = 30_000;
 /// request one (matches `uds::MAX_PIPELINED_REQUESTS`).
 pub const DEFAULT_MAX_IN_FLIGHT: u32 = 64;
 
-/// Default client connection-pool depth granted when the client does not
-/// request one.
-pub const DEFAULT_POOL_DEPTH: u32 = 2;
-
 /// The deterministic clamp behind Hello/Welcome negotiation: `0` means
 /// "server default", anything else is clamped into `[1, configured_max]`.
 /// Both the UDS connection (enforcing the window) and the service (reporting
@@ -68,9 +64,6 @@ pub struct DaemonConfig {
     /// Hard ceiling for the per-connection in-flight window a client may
     /// negotiate in `Hello` (the server clamps requests above it).
     pub max_in_flight: u32,
-    /// Hard ceiling for the client connection-pool depth a client may
-    /// negotiate in `Hello`.
-    pub max_pool_depth: u32,
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -98,7 +91,6 @@ impl DaemonConfig {
             space_size: puddles_pmem::DEFAULT_SPACE_SIZE,
             auto_recover: true,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
-            max_pool_depth: 8,
             fault_plan: None,
             clock: Clock::real(),
             metrics: None,
@@ -119,7 +111,6 @@ impl DaemonConfig {
             space_size,
             auto_recover: true,
             max_in_flight: DEFAULT_MAX_IN_FLIGHT,
-            max_pool_depth: 8,
             fault_plan: None,
             clock: Clock::real(),
             metrics: None,
@@ -574,7 +565,6 @@ impl Daemon {
         match req {
             Request::Hello {
                 max_in_flight,
-                pool_depth,
                 reconnect,
                 ..
             } => {
@@ -584,9 +574,9 @@ impl Daemon {
                         .metrics
                         .trace(TraceEventKind::Reconnect, "", 0, 0);
                 }
-                Ok(self.welcome(max_in_flight, pool_depth))
+                Ok(self.welcome(max_in_flight))
             }
-            Request::Ping => Ok(self.welcome(0, 0)),
+            Request::Ping => Ok(self.welcome(0)),
             Request::CreatePuddle {
                 size,
                 pool,
@@ -730,21 +720,11 @@ impl Daemon {
             .min(crate::uds::MAX_PIPELINED_REQUESTS as u32)
     }
 
-    /// The client connection-pool depth granted for a requested value.
-    pub(crate) fn granted_pool_depth(&self, requested: u32) -> u32 {
-        grant_limit(
-            requested,
-            DEFAULT_POOL_DEPTH,
-            self.inner.config.max_pool_depth,
-        )
-    }
-
-    fn welcome(&self, requested_in_flight: u32, requested_pool_depth: u32) -> Response {
+    fn welcome(&self, requested_in_flight: u32) -> Response {
         Response::Welcome {
             space_base: self.inner.gspace.base() as u64,
             space_size: self.inner.gspace.size() as u64,
             max_in_flight: self.granted_in_flight(requested_in_flight),
-            pool_depth: self.granted_pool_depth(requested_pool_depth),
         }
     }
 
@@ -1139,7 +1119,6 @@ mod tests {
             "Hello" => Request::Hello {
                 creds,
                 max_in_flight: 8,
-                pool_depth: 1,
                 reconnect: true,
             },
             "Ping" => Request::Ping,

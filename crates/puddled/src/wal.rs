@@ -137,33 +137,14 @@ pub enum RegistryOp {
         /// The log-space puddle.
         puddle: PuddleId,
     },
-    /// The allocator granted `[offset, offset + len)` of the global space.
-    AllocExtent {
-        /// Offset of the granted extent.
-        offset: u64,
-        /// Page-aligned length of the granted extent.
-        len: u64,
-    },
-    /// The allocator returned `[offset, offset + len)` to the free list.
-    FreeExtent {
-        /// Offset of the freed extent.
-        offset: u64,
-        /// Page-aligned length of the freed extent.
-        len: u64,
-    },
 }
 
 /// Applies one replayed op to a loaded registry document.
 ///
-/// Allocator ops mirror the *logical* effect of `alloc_space`/`free_space`
-/// on the flat document schema (first-fit grant, push-and-merge free); the
-/// reconcile pass that follows replay rebuilds the allocator from live
-/// extents anyway — and since PR 7 seeds the segregated buckets from the
-/// result — so they only need to be approximately faithful, and WALs
-/// written before the segregated allocator replay unchanged. `next_seq` is
-/// re-derived from
-/// the ids of created puddles (ids embed the daemon's sequence counter in
-/// their low 64 bits).
+/// No op touches `free_list`/`next_offset`: the space allocator is never
+/// logged, and the reconcile pass that follows replay derives both from the
+/// puddle table. `next_seq` is re-derived from the ids of created puddles
+/// (ids embed the daemon's sequence counter in their low 64 bits).
 pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
     match op {
         RegistryOp::PutPuddle(rec) => {
@@ -205,34 +186,6 @@ pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
                 }
             }
         }
-        RegistryOp::AllocExtent { offset, len } => {
-            if let Some(pos) = data
-                .free_list
-                .iter()
-                .position(|&(o, l)| o == *offset && l >= *len)
-            {
-                let (o, l) = data.free_list[pos];
-                if l == *len {
-                    data.free_list.remove(pos);
-                } else {
-                    data.free_list[pos] = (o + len, l - len);
-                }
-            } else {
-                data.next_offset = data.next_offset.max(offset + len);
-            }
-        }
-        RegistryOp::FreeExtent { offset, len } => {
-            data.free_list.push((*offset, *len));
-            data.free_list.sort_unstable();
-            let mut merged: Vec<(u64, u64)> = Vec::with_capacity(data.free_list.len());
-            for (off, l) in data.free_list.drain(..) {
-                match merged.last_mut() {
-                    Some((moff, mlen)) if *moff + *mlen == off => *mlen += l,
-                    _ => merged.push((off, l)),
-                }
-            }
-            data.free_list = merged;
-        }
     }
 }
 
@@ -251,7 +204,10 @@ pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
 /// still holds a record this build cannot decode makes [`Wal::open`] fail
 /// with the file left untouched, so the metadata in it is never silently
 /// dropped.
-pub const WAL_BINARY_VERSION: u8 = 0x01;
+///
+/// `0x02` is `0x01` without the allocator's extent records (tags 10 and
+/// 11): every load overwrote what they replayed.
+pub const WAL_BINARY_VERSION: u8 = 0x02;
 
 /// Variant tags of the binary [`RegistryOp`] encoding. Stable on-disk
 /// values: append only, never renumber.
@@ -265,8 +221,8 @@ mod tag {
     pub const PUT_PTR_MAP: u8 = 7;
     pub const PUT_LOG_SPACE: u8 = 8;
     pub const INVALIDATE_LOG_SPACE: u8 = 9;
-    pub const ALLOC_EXTENT: u8 = 10;
-    pub const FREE_EXTENT: u8 = 11;
+    // 10 was version 0x01's `AllocExtent`: reserved, never reused.
+    // 11 was version 0x01's `FreeExtent`: reserved, never reused.
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -372,16 +328,6 @@ pub fn encode_op(op: &RegistryOp) -> Vec<u8> {
         RegistryOp::InvalidateLogSpace { puddle } => {
             out.push(tag::INVALIDATE_LOG_SPACE);
             put_u128(&mut out, puddle.0);
-        }
-        RegistryOp::AllocExtent { offset, len } => {
-            out.push(tag::ALLOC_EXTENT);
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *len);
-        }
-        RegistryOp::FreeExtent { offset, len } => {
-            out.push(tag::FREE_EXTENT);
-            put_u64(&mut out, *offset);
-            put_u64(&mut out, *len);
         }
     }
     out
@@ -541,14 +487,6 @@ fn decode_binary_op(payload: &[u8]) -> Option<RegistryOp> {
         }),
         tag::INVALIDATE_LOG_SPACE => RegistryOp::InvalidateLogSpace {
             puddle: PuddleId(r.u128()?),
-        },
-        tag::ALLOC_EXTENT => RegistryOp::AllocExtent {
-            offset: r.u64()?,
-            len: r.u64()?,
-        },
-        tag::FREE_EXTENT => RegistryOp::FreeExtent {
-            offset: r.u64()?,
-            len: r.u64()?,
         },
         _ => return None,
     };
@@ -1213,14 +1151,6 @@ mod tests {
             RegistryOp::InvalidateLogSpace {
                 puddle: PuddleId(77),
             },
-            RegistryOp::AllocExtent {
-                offset: 1 << 30,
-                len: 4096,
-            },
-            RegistryOp::FreeExtent {
-                offset: 1 << 30,
-                len: 4096,
-            },
         ]
     }
 
@@ -1252,18 +1182,29 @@ mod tests {
         }
         assert!(decode_op(&[]).is_none());
         assert!(decode_op(&[WAL_BINARY_VERSION, 0xEE]).is_none());
+        // The reserved tags stay undecodable under the current version too.
+        for reserved in [10, 11] {
+            let mut payload = vec![WAL_BINARY_VERSION, reserved];
+            payload.extend_from_slice(&[0; 16]);
+            assert!(decode_op(&payload).is_none());
+        }
     }
 
     /// A record that passes its checksum but is not this build's encoding
-    /// (another version byte, or a pre-binary daemon's JSON payload) is not
-    /// a torn tail: opening must fail and leave every byte in place, not
-    /// truncate the record and the good one behind it.
+    /// (another version byte, a version `0x01` extent grant, or a pre-binary
+    /// daemon's JSON payload) is not a torn tail: opening must fail and
+    /// leave every byte in place, not truncate the record and the good one
+    /// behind it.
     #[test]
     fn undecodable_checksum_valid_record_fails_open_and_keeps_the_file() {
         let mut future = encode_op(&sample_op(5));
         future[0] = 0x7f;
+        // What a `0x01` daemon logged per grant: tag 10, offset, length.
+        let mut v1_grant = vec![0x01, 10];
+        v1_grant.extend_from_slice(&(1u64 << 30).to_le_bytes());
+        v1_grant.extend_from_slice(&4096u64.to_le_bytes());
         let json = serde_json::to_vec(&sample_op(5)).unwrap();
-        for foreign in [future, json] {
+        for foreign in [future, v1_grant, json] {
             let mut bytes = encode_record(0, &encode_op(&sample_op(4)));
             bytes.extend_from_slice(&encode_record(1, &foreign));
             bytes.extend_from_slice(&encode_record(2, &encode_op(&sample_op(6))));
@@ -1292,15 +1233,15 @@ mod tests {
             binary * 2 <= json,
             "expected >= 2x shrink, got json {json} B vs binary {binary} B"
         );
-        let op = RegistryOp::AllocExtent {
-            offset: 1 << 40,
-            len: 1 << 21,
+        let op = RegistryOp::AddPoolMember {
+            pool: "p".into(),
+            id: PuddleId(1 << 100),
         };
         let json = serde_json::to_vec(&op).unwrap().len();
         let binary = encode_op(&op).len();
         assert!(
             binary * 2 <= json,
-            "AllocExtent: json {json} B vs binary {binary} B"
+            "AddPoolMember: json {json} B vs binary {binary} B"
         );
     }
 

@@ -79,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Overlap freedom plus the recovery contract: the canonical state a
-    /// live (lazy, sharded) allocator serializes equals what checkpoint +
+    /// live (lazily coalescing) allocator serializes equals what checkpoint +
     /// WAL replay + reconcile rebuild after an abrupt drop.
     #[test]
     fn random_histories_recover_bit_identically(ops in proptest::collection::vec((0u8..8, 0u16..4096), 1..120)) {

@@ -63,39 +63,34 @@ fn hello_reports_global_space() {
     }
 }
 
-/// The server clamps the Hello-negotiated in-flight window and pool depth
-/// to its configured maxima, and echoes the grant in Welcome.
+/// The server clamps the Hello-negotiated in-flight window to its
+/// configured maximum, and echoes the grant in Welcome.
 #[test]
-fn hello_negotiates_window_and_pool_depth_within_server_limits() {
+fn hello_negotiates_window_within_server_limits() {
     let (_tmp, daemon) = start_daemon();
     let ep = daemon.endpoint(USER_A);
-    let grant = |req_window: u32, req_depth: u32| -> (u32, u32) {
+    let grant = |req_window: u32| -> u32 {
         let resp = ep
             .call(&Request::Hello {
                 creds: USER_A,
                 max_in_flight: req_window,
-                pool_depth: req_depth,
                 reconnect: false,
             })
             .unwrap();
         match resp {
-            Response::Welcome {
-                max_in_flight,
-                pool_depth,
-                ..
-            } => (max_in_flight, pool_depth),
+            Response::Welcome { max_in_flight, .. } => max_in_flight,
             other => panic!("unexpected response {other:?}"),
         }
     };
-    // Zero means "server default" (64 in-flight, 2 connections).
-    assert_eq!(grant(0, 0), (64, 2));
+    // Zero means "server default" (64 in flight).
+    assert_eq!(grant(0), 64);
     // Modest requests are granted verbatim.
-    assert_eq!(grant(8, 3), (8, 3));
-    // Oversized requests are clamped to the configured maxima
-    // (`for_testing`: 64 in flight, pool depth 8).
-    assert_eq!(grant(10_000, 100), (64, 8));
+    assert_eq!(grant(8), 8);
+    // Oversized requests are clamped to the configured maximum
+    // (`for_testing`: 64 in flight).
+    assert_eq!(grant(10_000), 64);
     // Degenerate requests still grant at least one slot.
-    assert_eq!(grant(1, 1), (1, 1));
+    assert_eq!(grant(1), 1);
 }
 
 /// Reconnect-flagged Hellos (sent by clients re-dialing after a lost
@@ -109,7 +104,6 @@ fn reconnect_hellos_are_counted_in_stats() {
         ep.call(&Request::Hello {
             creds: USER_A,
             max_in_flight: 0,
-            pool_depth: 0,
             reconnect: true,
         })
         .unwrap();

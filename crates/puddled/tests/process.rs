@@ -4,9 +4,15 @@
 //! every other test shares the in-process daemon's reservation. The same
 //! live daemon is then inspected with the `puddle-stat` binary.
 
+use puddled::registry::Registry;
 use puddles::{impl_pm_type, PmPtr, PoolOptions, PuddleClient};
+use puddles_pmem::pmdir::PmDir;
+use puddles_pmem::PAGE_SIZE;
+use puddles_proto::{BlockingConn, Credentials, PuddlePurpose, Request, Response};
+use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A global-space placement no in-process test daemon uses
@@ -113,4 +119,102 @@ fn a_client_process_drives_a_spawned_puddled_and_puddle_stat_reads_it() {
     drop(pool);
     client.drop_pool("proc").expect("drop pool");
     assert_eq!(client.stats().unwrap().pools, 0);
+}
+
+/// The space allocator is derived state: a daemon killed (`SIGKILL`) in the
+/// middle of a `CreatePuddle`/`FreePuddle` storm logged no allocator record,
+/// and the daemon restarted over its directory reports exactly the free
+/// space its puddle table implies.
+#[test]
+fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_implies() {
+    const PAGE: u64 = PAGE_SIZE as u64;
+    let tmp = tempfile::tempdir().unwrap();
+    let (pm_dir, socket) = (tmp.path().join("pm"), tmp.path().join("puddled.sock"));
+    let connect = || {
+        let stream = UnixStream::connect(&socket).expect("connect");
+        BlockingConn::handshake(stream, Request::hello(Credentials::current_process()))
+            .expect("handshake")
+    };
+
+    let daemon = spawn_puddled(&pm_dir, &socket);
+    let created = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let mut conn = connect();
+            let created = &created;
+            scope.spawn(move || {
+                // Mixed sizes, most puddles freed again out of order: holes
+                // of every shape below the frontier. Ends when the daemon
+                // dies under it.
+                let mut live = Vec::new();
+                for i in 0u64.. {
+                    let create = Request::CreatePuddle {
+                        size: (2 + (i * 7 + t * 3) % 31) * PAGE,
+                        pool: None,
+                        purpose: PuddlePurpose::Data,
+                        mode: 0o600,
+                    };
+                    match conn.call(create) {
+                        Ok(Response::Puddle(info)) => live.push(info.id),
+                        Ok(other) => panic!("unexpected {other:?}"),
+                        Err(_) => return,
+                    }
+                    created.fetch_add(1, Ordering::SeqCst);
+                    if i % 3 != 0 {
+                        let id = live.swap_remove((i * 5) as usize % live.len());
+                        if conn.call(Request::FreePuddle { id }).is_err() {
+                            return;
+                        }
+                    }
+                }
+            });
+        }
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while created.load(Ordering::SeqCst) < 200 {
+            assert!(Instant::now() < deadline, "the storm never got going");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(daemon); // SIGKILL, every client mid-call
+    });
+
+    // The dead daemon's WAL tail: `Wal::open` refuses a file holding one
+    // intact record it cannot decode, and the retired extent tags are
+    // undecodable, so opening it proves no allocator record was logged.
+    let pm = PmDir::open(&pm_dir).unwrap();
+    let records = puddled::Wal::open(&pm)
+        .expect("WAL tail")
+        .take_initial_replay();
+    assert!(records.len() >= 200, "only {} records", records.len());
+
+    // Restart over the same directory and ask the daemon what is free.
+    std::fs::remove_file(&socket).unwrap();
+    let daemon = spawn_puddled(&pm_dir, &socket);
+    let Response::Stats(stats) = connect().call(Request::Stats).expect("stats") else {
+        panic!("expected Stats");
+    };
+    drop(daemon);
+
+    // The puddle table it restarted from, and the gaps between its extents.
+    let reg = Registry::load_or_create(&pm, SPACE_BASE, SPACE_SIZE).unwrap();
+    assert_eq!(puddled::Invariants::check_all(&reg), Vec::<String>::new());
+    let mut extents: Vec<(u64, u64)> = reg
+        .puddles_snapshot()
+        .iter()
+        .map(|p| (p.offset, p.size.next_multiple_of(PAGE)))
+        .collect();
+    extents.sort_unstable();
+    assert_eq!(extents.len() as u64, stats.puddles);
+    let (mut cursor, mut gaps) = (PAGE, Vec::new());
+    for (offset, len) in extents {
+        if offset > cursor {
+            gaps.push(offset - cursor);
+        }
+        cursor = offset + len;
+    }
+    assert!(gaps.len() > 1, "the storm left no holes: {gaps:?}");
+    let free: u64 = gaps.iter().sum();
+    let largest = *gaps.iter().max().unwrap();
+    assert_eq!(stats.space_free_bytes, free);
+    assert_eq!(stats.free_extents, gaps.len() as u64);
+    assert_eq!(stats.fragmentation_bp, 10_000 - largest * 10_000 / free);
 }

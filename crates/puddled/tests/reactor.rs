@@ -625,7 +625,6 @@ fn an_inline_request_behind_a_full_window_runs_when_a_slot_frees() {
     let hello = Request::Hello {
         creds,
         max_in_flight: 1,
-        pool_depth: 0,
         reconnect: false,
     };
     let mut conn = BlockingConn::handshake(stream, hello).unwrap();
