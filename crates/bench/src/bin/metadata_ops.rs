@@ -1,17 +1,16 @@
-//! Registry metadata mutation throughput: WAL group commit vs the old
-//! snapshot-per-write persistence.
+//! Registry metadata mutation throughput: what a WAL record costs against
+//! what a checkpoint costs.
 //!
-//! The registry used to rewrite (and fsync) the entire JSON document on
-//! every mutation, so persistence cost grew with the number of registered
-//! puddles. With the metadata WAL a mutation appends one O(record) entry
-//! and batches its fsync with concurrent mutators. This harness measures
-//! both disciplines on the same `Registry` so the before/after is apples
-//! to apples:
+//! A mutation appends one O(record) entry to the metadata WAL and batches
+//! its fsync with concurrent mutators; a checkpoint compacts the WAL — one
+//! atomic replace of the file with a put record per live table entry — and
+//! is O(registry). This harness prices both on the same `Registry`:
 //!
 //! * `wal` — mutate + `commit()` (one group-committed WAL record per op,
 //!   the daemon's steady-state path);
-//! * `snapshot` — mutate + `checkpoint()` (full-document rewrite per op,
-//!   exactly what every mutation used to cost);
+//! * `snapshot` — mutate + `checkpoint()` (one compaction per op: the
+//!   repo's per-checkpoint cost number, and what every mutation cost when
+//!   the registry was rewritten wholesale on each);
 //! * `wal-mt` — T threads mutating concurrently through `commit()`,
 //!   demonstrating that group commit batches their fsyncs.
 //!
@@ -47,8 +46,8 @@ fn record(reg: &Registry) -> PuddleRecord {
     }
 }
 
-/// One registered-puddle mutation persisted with the WAL (`commit`) or a
-/// full snapshot (`checkpoint`).
+/// One registered-puddle mutation persisted with a WAL record (`commit`)
+/// or a whole compaction (`checkpoint`).
 fn run_single(ops: usize, snapshot_per_write: bool) -> f64 {
     let tmp = tempfile::tempdir().expect("tempdir");
     let reg = fresh_registry(tmp.path());
@@ -100,8 +99,8 @@ fn main() {
     let scale = Scale::from_args();
     emit_header();
 
-    // The snapshot discipline's cost grows with registry size, so even the
-    // quick run makes the O(registry) vs O(record) gap visible.
+    // A compaction's cost grows with registry size, so even the quick run
+    // makes the O(registry) vs O(record) gap visible.
     let snapshot_ops = scale.pick(300, 2000);
     let wal_ops = scale.pick(3000, 20000);
 

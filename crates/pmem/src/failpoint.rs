@@ -228,10 +228,12 @@ pub mod names {
     /// While a metadata-WAL record is appended: the record's tail bytes are
     /// lost (models a torn append, like `LOG_APPEND_TORN` for client logs).
     pub const WAL_APPEND_TORN: &str = "wal.append.torn";
-    /// After the registry checkpoint document is written and renamed, before
-    /// the WAL is truncated (replay must skip records the checkpoint
-    /// already covers).
-    pub const WAL_CHECKPOINT_BEFORE_TRUNCATE: &str = "wal.checkpoint.before_truncate";
+    /// Inside `PmDir::write_meta`, after the temp file is written and
+    /// fsynced, before it is renamed over its target — the one boundary a
+    /// metadata-WAL compaction (a checkpoint) has. The old file must still
+    /// be whole, and the temp file left behind must be ignored and
+    /// overwritten.
+    pub const META_WRITE_BEFORE_RENAME: &str = "meta.write.before_rename";
 }
 
 #[cfg(test)]

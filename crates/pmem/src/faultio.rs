@@ -1,8 +1,8 @@
 //! Seeded fault-injection plane for torture testing.
 //!
 //! A [`FaultPlan`] is a deterministic oracle the I/O layers consult before
-//! risky operations: metadata writes ([`FaultSite::MetaWrite`]), WAL batch
-//! writes and syncs ([`FaultSite::WalWrite`], [`FaultSite::WalSync`]),
+//! risky operations: metadata-file replacement ([`FaultSite::MetaWrite`]),
+//! WAL batch writes and syncs ([`FaultSite::WalWrite`], [`FaultSite::WalSync`]),
 //! puddle-file creation/deletion, and per-connection socket events. Every
 //! decision is a pure function of `(seed, site, per-site call counter)`, so
 //! a trial that replays the same sequence of calls at a site sees the same
@@ -87,7 +87,9 @@ pub enum FaultSite {
     WalWrite,
     /// The metadata WAL's batch `fsync`.
     WalSync,
-    /// Atomic metadata-file replacement (`PmDir::write_meta`).
+    /// Atomic metadata-file replacement (`PmDir::write_meta`): every
+    /// checkpoint — a compaction of the metadata WAL — and the WAL's
+    /// torn-tail heal at open. A fault here aborts before the rename.
     MetaWrite,
     /// Puddle-file creation (allocate + zero-fill + sync).
     PuddleCreate,

@@ -263,7 +263,7 @@ impl ShardedHistogram {
 /// |------|----------|-----|-----|
 /// | `ReqStart` / `ReqEnd` | request kind | req_id (0 = local/v1) | — |
 /// | `WalCommit` | — | records in batch | batch bytes |
-/// | `CheckpointBegin` / `CheckpointEnd` | — | WAL records at cut | — |
+/// | `CheckpointBegin` / `CheckpointEnd` | — (`failed` on an end that did not complete) | WAL records at cut | — |
 /// | `Coalesce` | `lazy` / `forced` | 1 if the pass merged | — |
 /// | `Fault` | fault site | per-site occurrence | — |
 /// | `Reconnect` | — | — | — |

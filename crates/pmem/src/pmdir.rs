@@ -3,13 +3,17 @@
 //! The paper stores each puddle as a file owned by `puddled` on a DAX
 //! filesystem mounted at `/mnt/pmem0`. We reproduce the same structure in an
 //! ordinary directory: fixed-size puddle files that are mapped with
-//! `MAP_SHARED`, and small metadata files that are updated atomically
-//! (write-to-temp + `rename`) so the daemon's own records survive crashes.
+//! `MAP_SHARED`, and a `meta/` subdirectory for the daemon's own records —
+//! one file, the metadata WAL, which its owner appends to through
+//! [`PmDir::meta_path`] and replaces wholesale through
+//! [`PmDir::write_meta`], the only write-temp + fsync + `rename` in the
+//! workspace.
 
+use crate::failpoint::{self, names};
 use crate::faultio::{self, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES};
 use crate::{PmError, Result, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -71,8 +75,10 @@ impl PmDir {
     /// storage error (injected `EIO`, `Interrupted`) is retried up to
     /// [`MAX_IO_RETRIES`] times after `undo` cleans up the failed attempt's
     /// partial state; anything else — including `ENOSPC`, which retrying
-    /// cannot fix — surfaces immediately.
-    fn with_io_retries<T>(
+    /// cannot fix — surfaces immediately. Every write under this directory
+    /// goes through it, the metadata WAL's appends included, so there is
+    /// one budget and one set of counters.
+    pub fn with_io_retries<T>(
         &self,
         mut op: impl FnMut() -> Result<T>,
         mut undo: impl FnMut(),
@@ -103,6 +109,39 @@ impl PmDir {
                     return Err(e);
                 }
             }
+        }
+    }
+
+    /// One attempt to write `bytes` to `file` and make them durable with
+    /// `sync` (`File::sync_all` for a new file, `File::sync_data` for an
+    /// append), consulting the fault plan before the write and before the
+    /// sync. A short-write fault leaves its prefix in the file, like the
+    /// device error it models.
+    pub fn write_synced(
+        &self,
+        mut file: &File,
+        bytes: &[u8],
+        (write_site, sync_site): (FaultSite, FaultSite),
+        sync: fn(&File) -> std::io::Result<()>,
+    ) -> Result<()> {
+        match self.write_fault(write_site, bytes.len()) {
+            Some(WriteFault::Eio) => return Err(faultio::eio(write_site).into()),
+            Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
+            Some(WriteFault::Short(keep)) => {
+                file.write_all(&bytes[..keep])?;
+                let _ = sync(file);
+                return Err(faultio::eio(write_site).into());
+            }
+            None => {}
+        }
+        file.write_all(bytes)?;
+        match self.sync_fault(sync_site) {
+            Some(SyncFault::Eio) => Err(faultio::eio(sync_site).into()),
+            // A dropped fsync: success without the barrier. In this
+            // in-process simulation the data still reaches the file (there
+            // is no page cache to lose), so only the trace shows it.
+            Some(SyncFault::Dropped) => Ok(()),
+            None => Ok(sync(file)?),
         }
     }
 
@@ -236,59 +275,39 @@ impl PmDir {
     /// Atomically replaces the metadata file `name` with `bytes`.
     ///
     /// Uses the classic write-temp + fsync + rename sequence so a crash never
-    /// leaves a half-written metadata file.
+    /// leaves a half-written metadata file. This is the only such sequence
+    /// for metadata: the WAL's compaction and its torn-tail heal both come
+    /// through here, so both see the fault plan, the retry budget and the
+    /// typed, counted `ENOSPC`. An `Err` means the rename did not happen and
+    /// `name` still holds its previous contents; a `name.tmp` a crash leaves
+    /// behind is overwritten by the next call.
     pub fn write_meta(&self, name: &str, bytes: &[u8]) -> Result<()> {
         let dir = self.root.join("meta");
         let tmp = dir.join(format!("{name}.tmp"));
         let dst = dir.join(name);
         // A failed attempt aborts *before* the rename, so the previous
         // metadata generation stays intact whatever the plane injects — the
-        // atomic-replace contract the daemon's checkpoints rely on.
-        self.with_io_retries(
+        // atomic-replace contract the daemon's checkpoints rely on. A retry
+        // recreates the temp file, so attempts have nothing to undo.
+        let result = self.with_io_retries(
             || {
-                {
-                    let mut file = File::create(&tmp)?;
-                    match self.write_fault(FaultSite::MetaWrite, bytes.len()) {
-                        Some(WriteFault::Eio) => {
-                            return Err(faultio::eio(FaultSite::MetaWrite).into())
-                        }
-                        Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
-                        Some(WriteFault::Short(keep)) => {
-                            let _ = file.write_all(&bytes[..keep]);
-                            return Err(faultio::eio(FaultSite::MetaWrite).into());
-                        }
-                        None => {}
-                    }
-                    file.write_all(bytes)?;
-                    match self.sync_fault(FaultSite::MetaWrite) {
-                        Some(SyncFault::Eio) => {
-                            return Err(faultio::eio(FaultSite::MetaWrite).into())
-                        }
-                        Some(SyncFault::Dropped) => {}
-                        None => file.sync_all()?,
-                    }
+                let sites = (FaultSite::MetaWrite, FaultSite::MetaWrite);
+                self.write_synced(&File::create(&tmp)?, bytes, sites, File::sync_all)?;
+                if failpoint::should_fail(names::META_WRITE_BEFORE_RENAME) {
+                    return Err(PmError::CrashInjected(names::META_WRITE_BEFORE_RENAME));
                 }
                 fs::rename(&tmp, &dst)?;
                 Ok(())
             },
-            || {
-                let _ = fs::remove_file(&tmp);
-            },
-        )
-    }
-
-    /// Reads the metadata file `name`, or `Ok(None)` if it does not exist.
-    pub fn read_meta(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        let path = self.root.join("meta").join(name);
-        match File::open(&path) {
-            Ok(mut file) => {
-                let mut buf = Vec::new();
-                file.read_to_end(&mut buf)?;
-                Ok(Some(buf))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(PmError::Io(e)),
+            || {},
+        );
+        // Whatever failed — a full device above all — must not leave a
+        // partial temp file holding space. An injected crash keeps it: a
+        // power failure would.
+        if !matches!(result, Ok(()) | Err(PmError::CrashInjected(_))) {
+            let _ = fs::remove_file(&tmp);
         }
+        result
     }
 }
 
@@ -364,7 +383,7 @@ mod tests {
             pm.create_puddle_file(&name, PAGE_SIZE).unwrap();
             pm.write_meta("reg", format!("gen-{i}").as_bytes()).unwrap();
             assert_eq!(
-                pm.read_meta("reg").unwrap().unwrap(),
+                fs::read(pm.meta_path("reg")).unwrap(),
                 format!("gen-{i}").as_bytes()
             );
             pm.delete_puddle_file(&name).unwrap();
@@ -407,16 +426,12 @@ mod tests {
     #[test]
     fn meta_roundtrip_and_missing() {
         let (_tmp, pm) = dir();
-        assert!(pm.read_meta("registry.json").unwrap().is_none());
-        pm.write_meta("registry.json", b"{\"v\":1}").unwrap();
-        assert_eq!(
-            pm.read_meta("registry.json").unwrap().unwrap(),
-            b"{\"v\":1}"
-        );
-        pm.write_meta("registry.json", b"{\"v\":2}").unwrap();
-        assert_eq!(
-            pm.read_meta("registry.json").unwrap().unwrap(),
-            b"{\"v\":2}"
-        );
+        let path = pm.meta_path("registry.wal");
+        assert!(!path.exists());
+        pm.write_meta("registry.wal", b"generation 1").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"generation 1");
+        pm.write_meta("registry.wal", b"gen 2").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"gen 2");
+        assert!(!pm.meta_path("registry.wal.tmp").exists());
     }
 }

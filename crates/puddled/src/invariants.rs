@@ -80,7 +80,7 @@ impl Invariants {
                 if !seen.insert(*id) {
                     violations.push(format!("pool {}: duplicate member {id}", pool.name));
                 }
-                match data.puddles.get(&id.to_hex()) {
+                match data.puddles.get(id) {
                     None => {
                         violations.push(format!("pool {}: lists missing puddle {id}", pool.name))
                     }
@@ -220,8 +220,8 @@ mod tests {
                 puddles: vec![root.id, member.id],
             },
         );
-        data.puddles.insert(root.id.to_hex(), root);
-        data.puddles.insert(member.id.to_hex(), member);
+        data.puddles.insert(root.id, root);
+        data.puddles.insert(member.id, member);
         data
     }
 
@@ -234,7 +234,7 @@ mod tests {
     fn overlapping_extents_are_reported() {
         let mut data = base_data();
         let clash = rec(3, PAGE_SIZE as u64, None);
-        data.puddles.insert(clash.id.to_hex(), clash);
+        data.puddles.insert(clash.id, clash);
         let violations = Invariants::check_data(&data);
         assert!(
             violations.iter().any(|v| v.contains("overlapping")),
@@ -248,7 +248,7 @@ mod tests {
         // A puddle claiming membership the pool does not echo.
         let stray = rec(4, 4 * (PAGE_SIZE as u64), Some("p"));
         data.next_offset = 5 * PAGE_SIZE as u64;
-        data.puddles.insert(stray.id.to_hex(), stray);
+        data.puddles.insert(stray.id, stray);
         let violations = Invariants::check_data(&data);
         assert!(
             violations.iter().any(|v| v.contains("orphaned")),

@@ -3,21 +3,18 @@
 //!
 //! The paper stores this metadata in a persistent hash map owned by the
 //! daemon so each mutation persists incrementally (§4.2). We reproduce that
-//! cost profile with a **checkpoint + WAL** pair in the PM directory:
+//! cost profile with **one file** in the PM directory, `meta/registry.wal`,
+//! the metadata WAL ([`crate::wal`]): every mutation appends one checksummed
+//! [`RegistryOp`] record and makes it durable with a *group commit* (one
+//! fsync covers every concurrently enqueued record), so steady-state
+//! persistence is O(record), not O(registry).
 //!
-//! * `meta/registry.json` — the checkpoint: a complete JSON snapshot,
-//!   atomically replaced (write-temp + rename, never torn);
-//! * `meta/registry.wal` — the append-only metadata WAL ([`crate::wal`]):
-//!   every mutation appends one checksummed [`RegistryOp`] record and makes
-//!   it durable with a *group commit* (one fsync covers every concurrently
-//!   enqueued record), so steady-state persistence is O(record), not
-//!   O(registry).
-//!
-//! When the WAL passes a byte threshold the registry writes a fresh
-//! checkpoint and truncates the WAL ([`Registry::checkpoint`]). Loading
-//! reverses the pipeline: read the checkpoint, replay the WAL tail
-//! (skipping records the checkpoint's sequence floor already covers,
-//! tolerating a torn final record), then run [`reconcile`].
+//! When the WAL's tail passes a byte threshold the registry **checkpoints by
+//! compacting it** ([`Registry::checkpoint`]): one atomic replace of the
+//! file with a snapshot header, one put record per live table entry, and
+//! the records enqueued after the snapshot's cut. Loading is the reverse:
+//! replay the one file (tolerating a torn final record), then run
+//! [`reconcile`].
 //!
 //! # Concurrency
 //!
@@ -44,27 +41,25 @@
 //! records *while holding* the shard lock that serializes the mutation
 //! (the WAL's internal lock is a leaf), so conflicting records land in the
 //! log in application order; the fsync wait happens after the shard locks
-//! are released. Checkpoints snapshot the shards under short read locks
-//! while holding a dedicated checkpoint lock, so concurrent checkpoints
-//! serialize but readers are never blocked for the I/O.
+//! are released. Checkpoints copy the shards under short read locks while
+//! holding a dedicated checkpoint lock, so concurrent checkpoints serialize
+//! but readers are never blocked for the encoding or the I/O.
 
 use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc, COALESCE_HARD_FACTOR};
 use crate::background::Background;
 use crate::wal::{self, RegistryOp, Wal, WalHandle};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
-use puddles_pmem::{PmError, Result, PAGE_SIZE};
+use puddles_pmem::{Result, PAGE_SIZE};
 use puddles_proto::{PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Persistent record of one puddle.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PuddleRecord {
     /// The puddle's UUID.
     pub id: PuddleId,
@@ -92,7 +87,7 @@ pub struct PuddleRecord {
 }
 
 /// Persistent record of one pool.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoolRecord {
     /// Pool name.
     pub name: String,
@@ -114,7 +109,7 @@ impl PoolRecord {
 }
 
 /// Persistent record of a registered log space.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogSpaceRecord {
     /// The log-space puddle.
     pub puddle: PuddleId,
@@ -128,31 +123,30 @@ pub struct LogSpaceRecord {
     pub invalid: bool,
 }
 
-/// The daemon's complete persistent state (the on-disk schema).
-#[derive(Debug, Clone, Serialize, Deserialize, Default, PartialEq)]
+/// The daemon's complete metadata as one value: what WAL replay builds at
+/// load and what [`Registry::snapshot`] copies out of the live shards. A
+/// checkpoint writes it as WAL records ([`wal::snapshot_ops`]).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistryData {
-    /// Base address of the global space when this registry was last saved.
+    /// Base address of the global space the puddles' pointers assume.
     pub space_base: u64,
     /// Size of the global space.
     pub space_size: u64,
     /// Bump pointer for address allocation (offset within the space).
+    /// Derived from the puddle table, like `free_list`; never persisted.
     pub next_offset: u64,
     /// Freed `[offset, len)` ranges available for reuse.
     pub free_list: Vec<(u64, u64)>,
-    /// Puddles keyed by UUID (hex).
-    pub puddles: BTreeMap<String, PuddleRecord>,
+    /// Puddles keyed by UUID.
+    pub puddles: BTreeMap<PuddleId, PuddleRecord>,
     /// Pools keyed by name.
     pub pools: BTreeMap<String, PoolRecord>,
-    /// Pointer maps keyed by decimal type id.
-    pub ptr_maps: BTreeMap<String, PtrMapDecl>,
+    /// Pointer maps keyed by type id.
+    pub ptr_maps: BTreeMap<u64, PtrMapDecl>,
     /// Registered log spaces.
     pub log_spaces: Vec<LogSpaceRecord>,
     /// Monotonic counter used to derive fresh UUIDs.
     pub next_seq: u64,
-    /// WAL record sequence this checkpoint covers: replay skips records
-    /// with a lower sequence (they are already reflected here). `None` in
-    /// documents written before the WAL existed (treated as 0).
-    pub wal_seq: Option<u64>,
 }
 
 /// Failure modes of cross-table registry operations.
@@ -167,20 +161,16 @@ pub enum RegistryOpError {
 /// order).
 #[derive(Debug)]
 pub struct Registry {
-    pmdir: PmDir,
     /// The metadata WAL every mutator appends to.
     wal: WalHandle,
-    // Shards, declared in lock order. The puddle table is keyed by
-    // `PuddleId` directly — hexifying the id (a fresh 32-char String) on
-    // every insert/get/remove made the hot lookup path allocate; hex keys
-    // now exist only in file names and the JSON snapshot schema.
+    // Shards, declared in lock order and keyed like [`RegistryData`].
     pools: RwLock<BTreeMap<String, PoolRecord>>,
     puddles: RwLock<BTreeMap<PuddleId, PuddleRecord>>,
-    ptr_maps: RwLock<BTreeMap<String, PtrMapDecl>>,
+    ptr_maps: RwLock<BTreeMap<u64, PtrMapDecl>>,
     log_spaces: RwLock<Vec<LogSpaceRecord>>,
     alloc: SpaceAlloc,
     next_seq: AtomicU64,
-    /// Serializes checkpoint snapshot + write-out + WAL truncation.
+    /// One checkpoint (snapshot + WAL compaction) at a time.
     ckpt_lock: Mutex<()>,
     /// Background executor for threshold-triggered checkpoints (the daemon
     /// attaches one via [`Registry::enable_background_checkpoints`]; bare
@@ -201,19 +191,16 @@ pub struct Registry {
     coalesce_pending: AtomicBool,
 }
 
-/// Name of the registry document inside the PM directory.
-const REGISTRY_FILE: &str = "registry.json";
-
-/// Repairs a loaded registry document in place.
+/// Repairs a replayed registry in place.
 ///
-/// Saves snapshot the shards under sequentially acquired locks, so a save
-/// that raced a multi-table operation (or a crash between an operation and
-/// its save) can persist a document that is torn *between* tables: a pool
-/// listing a member whose record is gone, a puddle naming a pool that was
-/// never completed, or allocator state that leaks a freed extent. Each table
-/// is internally consistent, so the cross-table state is re-derived here at
-/// load: membership is reconciled against the puddle table (the source of
-/// truth) and the space allocator is rebuilt from the live extents.
+/// A multi-table operation logs one record per table it touches, and a
+/// crash (or a torn tail) can cut the log between them, so replay can land
+/// on a state that is torn *between* tables: a pool listing a member whose
+/// record is gone, a puddle naming a pool that was never completed. Each
+/// table is internally consistent, so the cross-table state is re-derived
+/// here at load: membership is reconciled against the puddle table (the
+/// source of truth) and the space allocator — which is never persisted at
+/// all — is rebuilt from the live extents.
 fn reconcile(data: &mut RegistryData) {
     let live_ids: std::collections::BTreeSet<PuddleId> =
         data.puddles.values().map(|p| p.id).collect();
@@ -248,9 +235,9 @@ fn reconcile(data: &mut RegistryData) {
         }
     }
     // Rebuild the allocator from the live extents: the free list is exactly
-    // the set of gaps, and the bump pointer the end of the last extent, so a
-    // torn allocator snapshot can never leak space past a restart. This is
-    // also the canonical form live checkpoints serialize
+    // the set of gaps, and the bump pointer the end of the last extent, so
+    // no crash can leak space past a restart. This is also the canonical
+    // form [`Registry::snapshot`] reports
     // ([`crate::alloc::SpaceAlloc::canonical`]), so replayed and live
     // snapshots stay bit-identical.
     let mut extents: Vec<(u64, u64)> = data
@@ -276,55 +263,33 @@ impl Registry {
     /// creates a fresh one.
     pub fn load_or_create(pmdir: &PmDir, space_base: u64, space_size: u64) -> Result<Self> {
         let wal = Arc::new(Wal::open(pmdir)?);
-        Self::load_or_create_with_wal(pmdir, wal, space_base, space_size)
+        Self::load_or_create_with_wal(wal, space_base, space_size)
     }
 
-    /// Loads the registry using an externally opened WAL handle (the daemon
-    /// threads one through so it can also report WAL stats): reads the
-    /// checkpoint, replays the WAL tail over it, reconciles, and writes a
-    /// fresh checkpoint (which truncates the WAL).
+    /// Loads the registry from an externally opened WAL handle (the daemon
+    /// threads one through so it can also report WAL stats): replays the
+    /// file — snapshot, then tail — reconciles, and checkpoints, folding
+    /// the tail and whatever reconcile healed into a fresh snapshot.
+    /// `space_base`/`space_size` describe a registry created now; a loaded
+    /// one keeps what its snapshot header recorded.
     pub fn load_or_create_with_wal(
-        pmdir: &PmDir,
         wal: WalHandle,
         space_base: u64,
         space_size: u64,
     ) -> Result<Self> {
-        let mut data = match pmdir.read_meta(REGISTRY_FILE)? {
-            Some(bytes) => serde_json::from_slice::<RegistryData>(&bytes)
-                .map_err(|e| PmError::Corruption(format!("registry parse error: {e}")))?,
-            None => RegistryData {
-                space_base,
-                space_size,
-                next_offset: PAGE_SIZE as u64,
-                ..RegistryData::default()
-            },
+        let mut data = RegistryData {
+            space_base,
+            space_size,
+            ..RegistryData::default()
         };
-        // Replay the WAL tail over the checkpoint. Records below the
-        // checkpoint's sequence floor are already reflected in it (a crash
-        // landed between the checkpoint rename and the WAL truncation);
-        // skipping them keeps stale records from undoing newer state.
-        let floor = data.wal_seq.unwrap_or(0);
-        wal.ensure_seq_at_least(floor);
-        for (seq, op) in wal.take_initial_replay() {
-            if seq < floor {
-                continue;
-            }
+        for (_seq, op) in wal.take_initial_replay() {
             wal::apply_op(&mut data, &op);
         }
         reconcile(&mut data);
-        if data.space_size == 0 {
-            data.space_size = space_size;
-        }
-        // The reconciled free list seeds the segregated buckets; the JSON
-        // schema keeps hex-string puddle keys (stable on-disk format), the
-        // in-memory table is keyed by `PuddleId` directly.
-        let puddles: BTreeMap<PuddleId, PuddleRecord> =
-            data.puddles.into_values().map(|p| (p.id, p)).collect();
         let reg = Registry {
-            pmdir: pmdir.clone(),
             wal,
             pools: RwLock::new(data.pools),
-            puddles: RwLock::new(puddles),
+            puddles: RwLock::new(data.puddles),
             ptr_maps: RwLock::new(data.ptr_maps),
             log_spaces: RwLock::new(data.log_spaces),
             alloc: SpaceAlloc::new(
@@ -369,8 +334,8 @@ impl Registry {
     }
 
     /// Checkpoints if records have sat uncheckpointed longer than
-    /// `max_age_ms` — the **age-based** trigger the daemon's timer wheel
-    /// fires periodically, complementing the byte threshold: a quiet daemon
+    /// `max_age_ms` — the **age-based** trigger the daemon's periodic
+    /// background hook fires, complementing the byte threshold: a quiet daemon
     /// whose trickle of mutations never reaches the threshold still gets
     /// its WAL folded away, bounding replay work at the next start. Returns
     /// `true` if a checkpoint ran (counted as a background checkpoint).
@@ -397,54 +362,48 @@ impl Registry {
     /// commit covers this thread's records and any enqueued concurrently.
     /// The service layer calls this once per client request, after the
     /// request's (possibly several) mutations. Also checkpoints when the
-    /// WAL has outgrown its threshold.
+    /// WAL has outgrown its threshold; a checkpoint that fails then is not
+    /// the request's failure — the flush made the mutation durable, and an
+    /// `Err` would have the client retry an operation that took effect.
     pub fn commit(&self) -> Result<()> {
         self.wal.flush()?;
-        self.maybe_checkpoint()
+        self.maybe_checkpoint();
+        Ok(())
     }
 
-    /// Snapshot plus the WAL cut it corresponds to. All table guards are
-    /// held together while the cut is read, so every record below the cut
-    /// is reflected in the snapshot and every record at or above it is not.
+    /// Snapshot plus the WAL cut — byte position and record sequence — it
+    /// corresponds to. All table guards are held together while the cut is
+    /// read, so every record below the cut is reflected in the snapshot and
+    /// every record at or above it is not.
     ///
-    /// The allocator serializes in **canonical** form — merged free list,
+    /// The allocator is reported in **canonical** form — merged free list,
     /// frontier-adjacent extents absorbed into the bump pointer — which is
-    /// exactly what [`reconcile`] rebuilds, so a checkpoint and a
+    /// exactly what [`reconcile`] rebuilds, so a live snapshot and a
     /// post-crash replay are bit-identical. It has no records to cut
     /// between, so it is read on its own lock inside the guarded region.
-    fn snapshot_with_cut(&self) -> (RegistryData, u64) {
+    fn snapshot_with_cut(&self) -> (RegistryData, u64, u64) {
         let pools_guard = self.pools.read();
         let puddles_guard = self.puddles.read();
         let ptr_maps_guard = self.ptr_maps.read();
         let log_spaces_guard = self.log_spaces.read();
         let (cut_pos, cut_seq) = self.wal.position();
-        let pools = pools_guard.clone();
-        // The JSON schema keys puddles by zero-padded hex, which sorts
-        // identically to the numeric id — the snapshot is byte-stable.
-        let puddles = puddles_guard
-            .values()
-            .map(|p| (p.id.to_hex(), p.clone()))
-            .collect();
-        let ptr_maps = ptr_maps_guard.clone();
-        let log_spaces = log_spaces_guard.clone();
         let (free_list, next_offset) = self.alloc.canonical();
         let data = RegistryData {
             space_base: self.alloc.space_base(),
             space_size: self.alloc.space_size(),
             next_offset,
             free_list,
-            puddles,
-            pools,
-            ptr_maps,
-            log_spaces,
+            puddles: puddles_guard.clone(),
+            pools: pools_guard.clone(),
+            ptr_maps: ptr_maps_guard.clone(),
+            log_spaces: log_spaces_guard.clone(),
             next_seq: self.next_seq.load(Ordering::Relaxed),
-            wal_seq: Some(cut_seq),
         };
-        (data, cut_pos)
+        (data, cut_pos, cut_seq)
     }
 
     /// Assembles a consistent copy of the full registry state (stats, tests,
-    /// persistence). All shard guards are acquired in lock order and held
+    /// checkpoints). All shard guards are acquired in lock order and held
     /// together while cloning, so a snapshot never interleaves a multi-table
     /// operation that holds its first lock for the whole operation; the
     /// residual torn cases (operations spanning lock releases) are healed by
@@ -453,9 +412,10 @@ impl Registry {
         self.snapshot_with_cut().0
     }
 
-    /// Writes a checkpoint — the complete snapshot, atomically renamed over
-    /// `meta/registry.json` — then truncates the WAL to the records the
-    /// checkpoint does not cover. Concurrent checkpoints serialize.
+    /// Writes a checkpoint: compacts the WAL into a snapshot of the current
+    /// tables plus the records the snapshot does not cover, in one atomic
+    /// replace ([`Wal::compact`]). Concurrent checkpoints serialize. A
+    /// failure leaves the WAL as it was and usable.
     pub fn checkpoint(&self) -> Result<()> {
         let guard = self.ckpt_lock.lock();
         self.checkpoint_locked(guard)
@@ -473,27 +433,26 @@ impl Registry {
     /// * with no scheduler (tests, benches, tools) the old inline-on-trip
     ///   behaviour is preserved (contended trips skip; the next commit
     ///   re-trips).
-    fn maybe_checkpoint(&self) -> Result<()> {
+    fn maybe_checkpoint(&self) {
         if !self.wal.should_checkpoint() {
-            return Ok(());
+            return;
         }
         if self.wal.past_hard_ceiling() {
             let guard = self.ckpt_lock.lock();
             // Re-check under the lock: a checkpoint that just finished may
             // already have cut the WAL back below the ceiling.
-            if !self.wal.past_hard_ceiling() {
-                return Ok(());
+            if self.wal.past_hard_ceiling() {
+                self.forced_inline_checkpoints
+                    .fetch_add(1, Ordering::Relaxed);
+                let _ = self.checkpoint_locked(guard);
             }
-            self.forced_inline_checkpoints
-                .fetch_add(1, Ordering::Relaxed);
-            return self.checkpoint_locked(guard);
+            return;
         }
         if self.submit_background_checkpoint() {
-            return Ok(());
+            return;
         }
-        match self.ckpt_lock.try_lock() {
-            Some(guard) => self.checkpoint_locked(guard),
-            None => Ok(()),
+        if let Some(guard) = self.ckpt_lock.try_lock() {
+            let _ = self.checkpoint_locked(guard);
         }
     }
 
@@ -521,44 +480,32 @@ impl Registry {
         true
     }
 
+    /// One checkpoint, whoever triggered it; its outcome is recorded here
+    /// (the `checkpoint` series, or the `checkpoint.failed` counter and a
+    /// `ckpt.end failed` trace event) so that the next trigger can retry.
     fn checkpoint_locked(&self, _guard: MutexGuard<'_, ()>) -> Result<()> {
-        let clock = self.wal.clock().clone();
-        let obs = Arc::clone(self.wal.obs());
+        let clock = self.wal.clock();
+        let obs = self.wal.obs();
         let start = clock.now();
-        let (data, cut_pos) = self.snapshot_with_cut();
-        let cut_seq = data.wal_seq.unwrap_or(0);
+        let (data, cut_pos, cut_seq) = self.snapshot_with_cut();
         obs.trace(TraceEventKind::CheckpointBegin, "", cut_seq, 0);
-        let bytes = serde_json::to_vec_pretty(&data)
-            .map_err(|e| PmError::Corruption(format!("registry encode error: {e}")))?;
-        self.pmdir.write_meta(REGISTRY_FILE, &bytes)?;
-        if failpoint::should_fail(names::WAL_CHECKPOINT_BEFORE_TRUNCATE) {
-            return Err(PmError::CrashInjected(
-                names::WAL_CHECKPOINT_BEFORE_TRUNCATE,
-            ));
-        }
-        let result = self.wal.truncate_to(cut_pos, cut_seq);
-        if result.is_ok() {
+        let result = self.wal.compact(&data, cut_pos, cut_seq);
+        let outcome = if result.is_ok() {
             obs.series("checkpoint")
                 .record_duration(clock.now() - start);
-            obs.trace(TraceEventKind::CheckpointEnd, "", cut_seq, 0);
-        }
+            ""
+        } else {
+            obs.counter("checkpoint.failed")
+                .fetch_add(1, Ordering::Relaxed);
+            "failed"
+        };
+        obs.trace(TraceEventKind::CheckpointEnd, outcome, cut_seq, 0);
         result
     }
 
     /// Base address of the global space as recorded in the registry.
     pub fn space_base(&self) -> u64 {
         self.alloc.space_base()
-    }
-
-    /// Records the global-space base for this run and returns the previous
-    /// one (callers relocate every puddle if it moved).
-    ///
-    /// Deliberately emits no WAL record: a base move only persists via the
-    /// full checkpoint in [`Registry::apply_base_relocation`], atomically
-    /// with the puddle rewrite marks it implies — a replayed base change
-    /// without those marks would leave pointers unrewritten.
-    pub fn update_space_base(&self, new_base: u64) -> u64 {
-        self.alloc.set_space_base(new_base)
     }
 
     /// Allocates a fresh UUID.
@@ -838,7 +785,7 @@ impl Registry {
     /// Registers (or replaces) a pointer map.
     pub fn register_ptr_map(&self, decl: PtrMapDecl) {
         let mut ptr_maps = self.ptr_maps.write();
-        ptr_maps.insert(decl.type_id.to_string(), decl.clone());
+        ptr_maps.insert(decl.type_id, decl.clone());
         self.wal_submit(RegistryOp::PutPtrMap(decl));
     }
 
@@ -913,10 +860,12 @@ impl Registry {
                 p.translations = vec![whole_space];
             }
         }
-        self.update_space_base(new_base);
+        self.alloc.set_space_base(new_base);
         // A base move is a rare, startup-only event that touches every
-        // record; persist it as one atomic checkpoint (rewrite marks and
-        // the new base land together) rather than O(N) WAL records.
+        // record and appends none: it persists as one atomic checkpoint,
+        // whose header carries the new base together with the rewrite marks
+        // it implies — a replayed base change without those marks would
+        // leave pointers unrewritten.
         self.checkpoint()?;
         Ok(true)
     }
@@ -1063,6 +1012,23 @@ mod tests {
         assert!(reg.puddle(id).is_some());
         assert_eq!(reg.pool("p").unwrap().puddles, vec![id]);
         assert_eq!(reg.snapshot().space_base, 7);
+    }
+
+    /// The upgrade rule reaches every way of loading a registry: the WAL
+    /// open underneath refuses a directory with a leftover JSON checkpoint.
+    #[test]
+    fn load_refuses_a_directory_with_a_json_checkpoint() {
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        drop(Registry::load_or_create(&pm, 7, 1 << 30).unwrap());
+        let wal_file = std::fs::read(pm.meta_path("registry.wal")).unwrap();
+        std::fs::write(pm.meta_path("registry.json"), b"{}").unwrap();
+        let err = Registry::load_or_create(&pm, 7, 1 << 30).unwrap_err();
+        assert!(err.to_string().contains("upgrade rule"), "{err}");
+        assert_eq!(
+            std::fs::read(pm.meta_path("registry.wal")).unwrap(),
+            wal_file
+        );
     }
 
     #[test]

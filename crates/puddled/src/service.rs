@@ -362,7 +362,7 @@ pub fn series_snapshot(name: String, h: &HistogramSnapshot) -> SeriesSnapshot {
 impl Daemon {
     /// Starts the daemon: opens the PM directory, reserves the global
     /// space, opens the metadata WAL and loads the registry through it
-    /// (checkpoint, WAL replay, reconcile), relocates puddles if the space
+    /// (replay, reconcile, checkpoint), relocates puddles if the space
     /// base moved, sweeps orphan puddle files, and (by default) runs crash
     /// recovery before any client can connect.
     pub fn start(config: DaemonConfig) -> Result<Self> {
@@ -390,7 +390,6 @@ impl Daemon {
             Arc::clone(&metrics),
         )?);
         let registry = Arc::new(Registry::load_or_create_with_wal(
-            &pmdir,
             wal,
             gspace.base() as u64,
             gspace.size() as u64,

@@ -218,3 +218,72 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
     assert_eq!(stats.free_extents, gaps.len() as u64);
     assert_eq!(stats.fragmentation_bp, 10_000 - largest * 10_000 / free);
 }
+
+/// Every file under `root` with its contents.
+fn dir_image(root: &Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<u8>> {
+    let mut image = std::collections::BTreeMap::new();
+    let mut dirs = vec![root.to_path_buf()];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else {
+                image.insert(path.clone(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    image
+}
+
+/// The upgrade rule, enforced: a PM directory that still holds the
+/// `meta/registry.json` checkpoint of an older build is refused at startup —
+/// this build reads `registry.wal` alone, would see whatever that file says
+/// (nothing, after the old build's own upgrade step) and sweep every puddle
+/// as an orphan. The refusal names the way across (`ExportPool` /
+/// `ImportPool`) and leaves the directory byte-identical.
+#[test]
+fn a_puddled_refuses_a_directory_that_still_holds_a_json_checkpoint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let (pm_dir, socket) = (tmp.path().join("pm"), tmp.path().join("puddled.sock"));
+    let daemon = spawn_puddled(&pm_dir, &socket);
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let mut conn = BlockingConn::handshake(stream, Request::hello(Credentials::current_process()))
+        .expect("handshake");
+    let create = Request::CreatePool {
+        name: "precious".into(),
+        root_size: 4 * PAGE_SIZE as u64,
+        mode: 0o600,
+    };
+    assert!(matches!(conn.call(create), Ok(Response::Pool(_))));
+    drop(daemon);
+    std::fs::remove_file(&socket).unwrap();
+
+    std::fs::write(pm_dir.join("meta").join("registry.json"), b"{}").unwrap();
+    let before = dir_image(&pm_dir);
+    assert!(before
+        .keys()
+        .any(|p| p.parent().unwrap().ends_with("puddles")));
+
+    let refused = Command::new(env!("CARGO_BIN_EXE_puddled"))
+        .arg("--pm-dir")
+        .arg(&pm_dir)
+        .arg("--socket")
+        .arg(&socket)
+        .args(["--space-base", &format!("{SPACE_BASE:#x}")])
+        .args(["--space-size", &SPACE_SIZE.to_string()])
+        .output()
+        .expect("run puddled");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(!refused.status.success(), "puddled served the directory");
+    assert!(
+        stderr.contains("registry.json") && stderr.contains("ExportPool"),
+        "the refusal must name the rule: {stderr}"
+    );
+    assert!(!socket.exists());
+    assert_eq!(
+        dir_image(&pm_dir),
+        before,
+        "the directory must be untouched"
+    );
+}

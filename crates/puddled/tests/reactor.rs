@@ -261,7 +261,7 @@ fn threshold_checkpoints_land_asynchronously() {
 
 /// Drain-on-shutdown: a checkpoint still *queued* (scheduler paused) when
 /// the last daemon handle drops must run before the worker exits — the WAL
-/// is truncated on disk and the state reloads from the checkpoint.
+/// is compacted on disk and the state reloads from its snapshot.
 #[test]
 fn shutdown_drains_pending_background_checkpoints() {
     let _guard = checkpoint_lock();
@@ -297,10 +297,11 @@ fn shutdown_drains_pending_background_checkpoints() {
         );
         // Last handle drops here: Drop drains the scheduler.
     }
+    let pm = puddles_pmem::pmdir::PmDir::open(tmp.path()).unwrap();
     assert_eq!(
-        std::fs::metadata(&wal_path).unwrap().len(),
+        puddled::Wal::open(&pm).unwrap().stats().records,
         0,
-        "the drained checkpoint must have truncated the WAL"
+        "the drained checkpoint must have left no record past its snapshot"
     );
     let daemon = Daemon::start(config).unwrap();
     match daemon.handle(
@@ -314,10 +315,10 @@ fn shutdown_drains_pending_background_checkpoints() {
     }
 }
 
-/// Kill during a *background* checkpoint, at the nastiest boundary: the
-/// snapshot was renamed into place but the WAL was not yet truncated.
-/// Restart must replay to exactly the pre-kill state (records at or above
-/// the checkpoint's sequence floor applied once, none lost, none doubled).
+/// Kill during a *background* checkpoint, at its one boundary: the
+/// compacted file is written and fsynced beside the WAL but not yet renamed
+/// over it. Restart must replay the untouched WAL to exactly the pre-kill
+/// state and ignore the temp file left behind.
 #[test]
 fn kill_during_background_checkpoint_still_replays_registry() {
     let _guard = checkpoint_lock();
@@ -328,7 +329,7 @@ fn kill_during_background_checkpoint_still_replays_registry() {
     {
         let daemon = Daemon::start(config.clone()).unwrap();
         daemon.wal().set_checkpoint_threshold(64);
-        failpoint::arm(failpoint::names::WAL_CHECKPOINT_BEFORE_TRUNCATE, 0);
+        failpoint::arm(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
         let creds = Credentials::current_process();
         match daemon.handle(
             creds,
@@ -342,19 +343,25 @@ fn kill_during_background_checkpoint_still_replays_registry() {
             other => panic!("unexpected {other:?}"),
         }
         // The commit above queued a background checkpoint; wait for it to
-        // hit the crash point (snapshot written, truncation skipped).
+        // hit the crash point (temp file written, rename skipped).
         wait_until("background checkpoint crash", || {
             failpoint::fired()
                 .iter()
-                .any(|name| name == failpoint::names::WAL_CHECKPOINT_BEFORE_TRUNCATE)
+                .any(|name| name == failpoint::names::META_WRITE_BEFORE_RENAME)
         });
         expected_puddles = stats(&daemon).puddles;
         // "Kill": drop with no further mutations (nothing is pending, so
-        // the drop-drain cannot paper over the torn checkpoint state).
+        // the drop-drain cannot paper over the interrupted checkpoint).
     }
     failpoint::clear_all();
+    let stale_tmp = tmp.path().join("meta").join("registry.wal.tmp");
+    assert!(stale_tmp.exists(), "the crash must leave its temp file");
 
     let daemon = Daemon::start(config).unwrap();
+    assert!(
+        !stale_tmp.exists(),
+        "the load-time checkpoint overwrites and renames the stale temp file"
+    );
     let s = stats(&daemon);
     assert_eq!(s.puddles, expected_puddles, "{s:?}");
     match daemon.handle(

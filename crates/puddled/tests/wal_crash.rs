@@ -8,7 +8,7 @@
 //! the exact pre-crash state).
 
 use puddled::registry::{PoolRecord, PuddleRecord, Registry, RegistryData};
-use puddled::{Daemon, DaemonConfig};
+use puddled::{Daemon, DaemonConfig, RegistryOp, Wal};
 use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
@@ -111,17 +111,19 @@ fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
         reg.commit().unwrap();
         before = reg.snapshot();
 
-        // The durable checkpoint is still the empty one from load time:
-        // every mutation above lives only in the WAL.
-        let ckpt: RegistryData =
-            serde_json::from_slice(&pm.read_meta("registry.json").unwrap().unwrap()).unwrap();
+        // The durable checkpoint is still the empty one from load time — a
+        // lone snapshot header at the front of the file: every mutation
+        // above lives only in the records appended behind it.
+        let records = Wal::open(&pm).unwrap().take_initial_replay();
         assert!(
-            ckpt.puddles.is_empty(),
-            "mutations must not rewrite the checkpoint"
+            matches!(records[0].1, RegistryOp::Snapshot { span_bytes: 0, .. }),
+            "mutations must not rewrite the checkpoint: {:?}",
+            records[0]
         );
+        assert_eq!(records.len() as u64, 1 + reg.wal().stats().records);
         assert!(reg.wal().stats().records >= 10);
         // The registry is dropped without a checkpoint — recovery must
-        // rebuild everything from checkpoint + WAL replay alone.
+        // rebuild everything from WAL replay alone.
     }
     let reg = open_registry(&pm);
     let after = reg.snapshot();
@@ -186,19 +188,135 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
         reg.commit().unwrap();
         before = reg.snapshot();
 
-        failpoint::arm(names::WAL_CHECKPOINT_BEFORE_TRUNCATE, 0);
+        failpoint::arm(names::META_WRITE_BEFORE_RENAME, 0);
         let err = reg.checkpoint().unwrap_err();
         assert!(matches!(err, PmError::CrashInjected(_)));
         failpoint::clear_all();
-        // The checkpoint document was written; the WAL was not truncated.
+        // The compacted file was written beside the WAL; the WAL itself
+        // was not replaced.
+        assert!(pm.meta_path("registry.wal.tmp").exists());
         assert!(reg.wal().stats().records > 0);
     }
-    // Replay must skip every WAL record the checkpoint already covers
-    // (sequence floor), then land on exactly the pre-crash state.
+    // Replay reads the untouched WAL — the temp file is never looked at —
+    // and lands on exactly the pre-crash state; the load-time checkpoint
+    // then overwrites the stale temp file and renames it away.
     let reg = open_registry(&pm);
     let after = reg.snapshot();
     assert_eq!(after, before);
     assert_consistent(&after);
+    assert!(!pm.meta_path("registry.wal.tmp").exists());
+}
+
+/// A checkpoint that fails before its rename — a full device, or a write
+/// that stays short through the whole retry budget — reports the typed
+/// error and is otherwise as if it had never started: the WAL keeps taking
+/// commits, and a reload lands on the live state.
+#[test]
+fn a_failed_checkpoint_does_not_wedge_the_registry() {
+    use puddles_pmem::faultio::{FaultPlan, FaultProfile};
+    let _guard = lock_failpoints();
+    let enospc = FaultProfile {
+        write_enospc_ppm: 1_000_000,
+        ..FaultProfile::default()
+    };
+    let short = FaultProfile {
+        write_short_ppm: 1_000_000,
+        ..FaultProfile::default()
+    };
+    for (seed, profile) in [(3, enospc), (4, short)] {
+        let tmp = tempfile::tempdir().unwrap();
+        let plan = FaultPlan::new(seed, profile);
+        plan.set_enabled(false);
+        let pm = PmDir::open(tmp.path())
+            .unwrap()
+            .with_fault_plan(Arc::clone(&plan));
+        let live;
+        {
+            let reg = open_registry(&pm);
+            build_pool(&reg, "before", 3);
+            reg.commit().unwrap();
+            // Enqueued but not committed: the failed compaction takes these
+            // records out of the buffer and must put them back.
+            let pending = record(&reg, None);
+            reg.register_puddle(pending).unwrap();
+            let wal_file = std::fs::read(pm.meta_path("registry.wal")).unwrap();
+
+            plan.set_enabled(true);
+            let err = reg.checkpoint().unwrap_err();
+            plan.set_enabled(false);
+            if profile.write_enospc_ppm > 0 {
+                assert!(matches!(err, PmError::NoSpace(_)), "got {err:?}");
+                assert_eq!(pm.io_stats().enospc_rejections(), 1);
+            } else {
+                assert!(matches!(err, PmError::Io(_)), "got {err:?}");
+                assert!(pm.io_stats().io_retries() > 0, "a short write is retried");
+            }
+            assert_eq!(
+                std::fs::read(pm.meta_path("registry.wal")).unwrap(),
+                wal_file,
+                "a failed checkpoint must leave the file as it was"
+            );
+            assert!(!pm.meta_path("registry.wal.tmp").exists());
+            let failed = reg.wal().obs().counter("checkpoint.failed");
+            assert_eq!(failed.load(std::sync::atomic::Ordering::Relaxed), 1);
+
+            build_pool(&reg, "after", 2);
+            reg.commit().expect("the WAL must not be poisoned");
+            reg.checkpoint().expect("the next checkpoint goes through");
+            build_pool(&reg, "tail", 2);
+            reg.commit().unwrap();
+            live = reg.snapshot();
+        }
+        let reg = open_registry(&pm);
+        assert_eq!(reg.snapshot(), live);
+        assert_consistent(&live);
+    }
+}
+
+/// `commit()` answers for the flush alone. When the checkpoint it triggers
+/// inline fails, the mutation is already durable: the request succeeds, the
+/// failure is counted and traced, and the next commit's trigger retries.
+#[test]
+fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
+    let _guard = lock_failpoints();
+    let tmp = tempfile::tempdir().unwrap();
+    let pm = PmDir::open(tmp.path()).unwrap();
+    let live;
+    {
+        let reg = open_registry(&pm);
+        // A bare registry checkpoints inline on the commit that trips the
+        // threshold: every commit, here.
+        reg.wal().set_checkpoint_threshold(1);
+        let checkpoints = reg.wal().stats().checkpoints;
+        failpoint::arm(names::META_WRITE_BEFORE_RENAME, 0);
+        build_pool(&reg, "durable", 2);
+        reg.commit()
+            .expect("the flush succeeded; the checkpoint's failure is not the request's");
+        assert_eq!(failpoint::fired(), vec![names::META_WRITE_BEFORE_RENAME]);
+        let failed = reg.wal().obs().counter("checkpoint.failed");
+        assert_eq!(failed.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert!(
+            reg.wal()
+                .obs()
+                .trace_dump()
+                .iter()
+                .any(|line| line.contains("ckpt.end failed")),
+            "the failure must be in the trace"
+        );
+        let stats = reg.wal().stats();
+        assert_eq!(stats.checkpoints, checkpoints);
+        assert!(stats.records > 0);
+
+        build_pool(&reg, "next", 2);
+        reg.commit().unwrap();
+        let stats = reg.wal().stats();
+        assert_eq!((stats.checkpoints, stats.records), (checkpoints + 1, 0));
+        assert_eq!(failed.load(std::sync::atomic::Ordering::Relaxed), 1);
+        live = reg.snapshot();
+    }
+    let reg = open_registry(&pm);
+    assert_eq!(reg.snapshot(), live);
+    assert_eq!(live.pools.len(), 2);
 }
 
 #[test]
@@ -250,7 +368,7 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
     assert!(!acked.is_empty(), "some commits should have succeeded");
     for id in acked.iter() {
         assert!(
-            after.puddles.contains_key(&id.to_hex()),
+            after.puddles.contains_key(id),
             "acknowledged puddle {id} lost by the crash"
         );
     }
@@ -328,4 +446,55 @@ fn startup_sweep_deletes_orphan_puddle_files() {
         Response::Stats(stats) => assert_eq!(stats.orphan_files_swept, 2),
         other => panic!("unexpected response {other:?}"),
     }
+}
+
+/// Damage inside the snapshot span is not a torn tail. A daemon that healed
+/// it would load an empty registry and sweep every puddle file as an
+/// orphan; it must refuse to start instead, with the WAL byte-identical and
+/// every puddle file still there.
+#[test]
+fn damage_inside_the_snapshot_refuses_startup_and_sweeps_nothing() {
+    use puddles_proto::{Endpoint, Request, Response};
+    let _guard = lock_failpoints();
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path());
+    let pm = PmDir::open(tmp.path()).unwrap();
+    let create = Request::CreatePool {
+        name: "keep".into(),
+        root_size: 2 * PAGE_SIZE as u64,
+        mode: 0o600,
+    };
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        let resp = daemon.endpoint_for_current_process().call(&create);
+        assert!(matches!(resp, Ok(Response::Pool(_))), "{resp:?}");
+        daemon.checkpoint().unwrap();
+    }
+    let files = pm.list_puddles().unwrap();
+    assert!(!files.is_empty());
+    let wal_path = pm.meta_path("registry.wal");
+    let intact = std::fs::read(&wal_path).unwrap();
+
+    // A flipped bit in a snapshot record's payload (the pool's name), and a
+    // file cut short inside the span.
+    let mut flipped = intact.clone();
+    let name_at = intact.windows(4).position(|w| w == b"keep").unwrap();
+    flipped[name_at] ^= 0x01;
+    for damaged in [&flipped[..], &intact[..intact.len() - 10]] {
+        std::fs::write(&wal_path, damaged).unwrap();
+        match Daemon::start(config.clone()) {
+            Err(PmError::Corruption(_)) => {}
+            other => panic!("expected startup to be refused, got {other:?}"),
+        }
+        assert_eq!(std::fs::read(&wal_path).unwrap(), damaged);
+        assert_eq!(pm.list_puddles().unwrap(), files, "nothing may be swept");
+    }
+
+    std::fs::write(&wal_path, &intact).unwrap();
+    let daemon = Daemon::start(config).unwrap();
+    let open = Request::OpenPool {
+        name: "keep".into(),
+    };
+    let resp = daemon.endpoint_for_current_process().call(&open);
+    assert!(matches!(resp, Ok(Response::Pool(_))), "{resp:?}");
 }
