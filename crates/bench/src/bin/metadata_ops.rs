@@ -6,8 +6,8 @@
 //! atomic replace of the file with a put record per live table entry — and
 //! is O(registry). This harness prices both on the same `Registry`:
 //!
-//! * `wal` — mutate + `commit()` (one group-committed WAL record per op,
-//!   the daemon's steady-state path);
+//! * `wal` — `transact` + `commit()` (one group-committed WAL record per
+//!   op, the daemon's steady-state path);
 //! * `snapshot` — mutate + `checkpoint()` (one compaction per op: the
 //!   repo's per-checkpoint cost number, and what every mutation cost when
 //!   the registry was rewritten wholesale on each);
@@ -19,7 +19,7 @@
 use puddled::registry::{PuddleRecord, Registry};
 use puddles_bench::{emit_header, emit_row, secs, Scale};
 use puddles_pmem::pmdir::PmDir;
-use puddles_pmem::PAGE_SIZE;
+use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::PuddlePurpose;
 use std::sync::Arc;
 
@@ -46,6 +46,15 @@ fn record(reg: &Registry) -> PuddleRecord {
     }
 }
 
+/// The transaction every cell times: one puddle record put.
+fn register(reg: &Registry, rec: PuddleRecord) {
+    reg.transact(|_, ops| {
+        ops.extend(rec.put_ops());
+        Ok::<_, PmError>(())
+    })
+    .expect("register");
+}
+
 /// One registered-puddle mutation persisted with a WAL record (`commit`)
 /// or a whole compaction (`checkpoint`).
 fn run_single(ops: usize, snapshot_per_write: bool) -> f64 {
@@ -59,7 +68,7 @@ fn run_single(ops: usize, snapshot_per_write: bool) -> f64 {
     let elapsed = secs(|| {
         for _ in 0..ops {
             let rec = record(&reg);
-            reg.register_puddle(rec).expect("register");
+            register(&reg, rec);
             if snapshot_per_write {
                 reg.checkpoint().expect("checkpoint");
             } else {
@@ -82,7 +91,7 @@ fn run_threaded(threads: usize, ops: usize) -> f64 {
                 std::thread::spawn(move || {
                     for _ in 0..ops {
                         let rec = record(&reg);
-                        reg.register_puddle(rec).expect("register");
+                        register(&reg, rec);
                         reg.commit().expect("commit");
                     }
                 })
@@ -104,27 +113,27 @@ fn main() {
     let snapshot_ops = scale.pick(300, 2000);
     let wal_ops = scale.pick(3000, 20000);
 
-    let snap = run_single(snapshot_ops, true);
-    emit_row(
-        "metadata_ops",
-        "puddles",
-        "register_puddle",
-        "snapshot",
-        snap,
-    );
-
-    let wal = run_single(wal_ops, false);
-    emit_row("metadata_ops", "puddles", "register_puddle", "wal", wal);
-
-    for threads in [2usize, 4, 8] {
-        let per_thread = scale.pick(1000, 5000);
-        let tput = run_threaded(threads, per_thread);
+    // The operation column keeps the name its rows have always had.
+    let row = |parameter: &str, value: f64| {
         emit_row(
             "metadata_ops",
             "puddles",
             "register_puddle",
+            parameter,
+            value,
+        )
+    };
+    let snap = run_single(snapshot_ops, true);
+    row("snapshot", snap);
+
+    let wal = run_single(wal_ops, false);
+    row("wal", wal);
+
+    for threads in [2usize, 4, 8] {
+        let per_thread = scale.pick(1000, 5000);
+        row(
             &format!("wal-mt{threads}"),
-            tput,
+            run_threaded(threads, per_thread),
         );
     }
 

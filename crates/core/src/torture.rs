@@ -55,6 +55,7 @@ use puddled::{Daemon, DaemonConfig, Invariants, UdsServer};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::{FaultPlan, FaultProfile};
 use puddles_pmem::obs::Metrics;
+use puddles_proto::PuddlePurpose;
 use serde::Serialize;
 use std::collections::BTreeSet;
 
@@ -716,6 +717,21 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
             return Err(fail(format!(
                 "phase {phase}: invariant violations after recovery: {}",
                 violations.join("; ")
+            )));
+        }
+        // The clients create data puddles only as pool roots and members,
+        // and a request is durable whole or not at all: a data puddle no
+        // live pool holds is a leak no sweep would ever reclaim.
+        let recovered = daemon.registry().snapshot();
+        let leaked = recovered.puddles.values().find(|p| {
+            let pool = p.pool.as_ref().and_then(|name| recovered.pools.get(name));
+            p.purpose == PuddlePurpose::Data
+                && !pool.is_some_and(|pool| pool.puddles.contains(&p.id))
+        });
+        if let Some(puddle) = leaked {
+            return Err(fail(format!(
+                "phase {phase}: data puddle {} is in no live pool (names {:?})",
+                puddle.id, puddle.pool
             )));
         }
 

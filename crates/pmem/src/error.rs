@@ -46,6 +46,15 @@ pub enum PmError {
     /// retry cannot create free space, and the daemon maps this to its
     /// typed `OutOfSpace` error instead of poisoning the WAL.
     NoSpace(String),
+    /// One metadata-WAL record — a whole request's registry transaction —
+    /// would exceed the record limit. Nothing was logged or applied: the
+    /// request is refused, the daemon keeps serving.
+    RecordTooLarge {
+        /// Bytes the encoded record payload would occupy.
+        len: usize,
+        /// The record payload limit.
+        max: usize,
+    },
 }
 
 impl fmt::Display for PmError {
@@ -65,6 +74,9 @@ impl fmt::Display for PmError {
             }
             PmError::CrashInjected(name) => write!(f, "crash injected at failpoint `{name}`"),
             PmError::NoSpace(msg) => write!(f, "device out of space: {msg}"),
+            PmError::RecordTooLarge { len, max } => {
+                write!(f, "metadata record of {len} B exceeds the {max} B limit")
+            }
         }
     }
 }

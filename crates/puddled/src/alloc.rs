@@ -15,18 +15,15 @@
 //!   a push: O(1).
 //! * **Lazy coalescing** — adjacent free extents are *not* merged on free.
 //!   A deferred merge pass (collect, sort, merge, re-bin, and absorb any
-//!   extent touching the bump frontier back into it) runs when the
-//!   free-extent count passes a threshold — on the [`Background`] scheduler
-//!   when the daemon attaches one, inline otherwise, and *forced* inline
-//!   past a hard ceiling or when an allocation would otherwise fail. This
-//!   mirrors the WAL checkpoint pattern exactly (threshold → background,
-//!   ceiling → inline).
+//!   extent touching the bump frontier back into it) runs on the free that
+//!   takes the free-extent count past a threshold (re-armed relative to
+//!   what the last pass could not merge), and *forced* when an allocation
+//!   would otherwise fail. The pass holds the arena's only lock for its
+//!   whole sort whichever thread runs it, so it is not handed to another.
 //!
 //! One lock guards all of it, on purpose: every grant is followed by the
 //! `PutPuddle` that uses it, which enqueues under the WAL's single lock, so
 //! a per-thread front-end cannot buy a daemon caller any concurrency.
-//!
-//! [`Background`]: crate::background::Background
 //!
 //! # Persistence contract
 //!
@@ -57,18 +54,14 @@ const FLOOR_SCAN: usize = 8;
 /// Default free-extent count that triggers a lazy coalesce pass.
 pub const DEFAULT_COALESCE_THRESHOLD: u64 = 1024;
 
-/// Past `threshold × FACTOR` free extents the pass runs forced-inline even
-/// with a background scheduler attached (it has fallen behind).
-pub const COALESCE_HARD_FACTOR: u64 = 4;
-
 /// Why a coalesce pass ran (the registry's counters distinguish the two).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CoalesceKind {
-    /// Threshold-triggered, deferred off the request path (or inline for
-    /// bare registries with no scheduler — still amortized).
+    /// Threshold-triggered, on the free that tripped it (amortized O(1)
+    /// per free).
     Lazy,
-    /// Forced inline: the hard ceiling was passed or an allocation would
-    /// otherwise fail.
+    /// Forced: an allocation would otherwise fail, or a caller asked
+    /// (`Registry::force_coalesce`).
     ForcedInline,
 }
 
@@ -88,15 +81,14 @@ pub struct AllocStats {
     pub fragmentation_bp: u64,
     /// Lazy (threshold-triggered) coalesce passes run.
     pub lazy_coalesce_runs: u64,
-    /// Coalesce passes forced inline (hard ceiling or allocation pressure).
+    /// Coalesce passes forced (allocation pressure, or asked for).
     pub forced_inline_coalesces: u64,
 }
 
-/// Everything the lock guards: the (movable) base, the bump frontier, and
-/// the segregated buckets of freed extents.
+/// Everything the lock guards: the bump frontier and the segregated
+/// buckets of freed extents.
 #[derive(Debug)]
 struct Arena {
-    space_base: u64,
     next_offset: u64,
     buckets: [Vec<(u64, u64)>; BUCKETS],
 }
@@ -190,15 +182,16 @@ fn take_fit(buckets: &mut [Vec<(u64, u64)>; BUCKETS], size: u64) -> Option<(u64,
 
 impl SpaceAlloc {
     /// Builds the allocator from reconciled registry state: the free list
-    /// goes into the buckets, the bump frontier is taken as-is.
+    /// goes into the buckets, the bump frontier is taken as-is. Grants are
+    /// offsets, so the space's base address (`_space_base`, which the
+    /// registry's tables own) takes no part in them.
     pub fn new(
-        space_base: u64,
+        _space_base: u64,
         space_size: u64,
         next_offset: u64,
         free_list: Vec<(u64, u64)>,
     ) -> Self {
         let mut arena = Arena {
-            space_base,
             next_offset,
             buckets: std::array::from_fn(|_| Vec::new()),
         };
@@ -294,41 +287,29 @@ impl SpaceAlloc {
         true
     }
 
-    /// Residual extent count left by the last coalesce pass (the trigger's
-    /// re-arm baseline).
-    pub fn coalesce_floor(&self) -> u64 {
-        self.coalesce_floor.load(Ordering::Relaxed)
+    /// `true` once the free-extent count has outgrown the lazy-coalesce
+    /// threshold (read without the lock). The trigger re-arms relative to
+    /// the last pass's residue, multiplicatively: a heap whose holes
+    /// genuinely cannot merge (residue above the threshold) would otherwise
+    /// re-run the O(n log n) pass on *every* free, turning the O(1) fast
+    /// path back into the flat-Vec behaviour this allocator replaced.
+    /// Requiring the count to double keeps the total merge work geometric in
+    /// the frees between passes.
+    pub fn wants_coalesce(&self) -> bool {
+        let floor = self.coalesce_floor.load(Ordering::Relaxed);
+        let threshold = self.coalesce_threshold.load(Ordering::Relaxed);
+        self.bucket_extents() >= floor.saturating_mul(2).saturating_add(threshold)
     }
 
-    /// Lock-free view of the coalesce trigger inputs.
+    /// Extents across all buckets (read without the lock).
     pub fn bucket_extents(&self) -> u64 {
         self.bucket_extents.load(Ordering::Relaxed)
-    }
-
-    /// Free-extent count that triggers a lazy coalesce pass.
-    pub fn coalesce_threshold(&self) -> u64 {
-        self.coalesce_threshold.load(Ordering::Relaxed)
     }
 
     /// Overrides the lazy-coalesce threshold (tests, benches).
     pub fn set_coalesce_threshold(&self, threshold: u64) {
         self.coalesce_threshold
             .store(threshold.max(1), Ordering::Relaxed);
-    }
-
-    /// Base address of the global space.
-    pub fn space_base(&self) -> u64 {
-        self.arena.lock().space_base
-    }
-
-    /// Records a new base, returning the previous one.
-    pub fn set_space_base(&self, new_base: u64) -> u64 {
-        std::mem::replace(&mut self.arena.lock().space_base, new_base)
-    }
-
-    /// Size of the global space in bytes.
-    pub fn space_size(&self) -> u64 {
-        self.space_size
     }
 
     /// The canonical `(free_list, next_offset)` pair. This is byte-for-byte

@@ -1,9 +1,8 @@
 //! Background task scheduler: a submit queue plus one periodic hook,
 //! executed by one daemon-owned worker thread.
 //!
-//! The daemon keeps latency-insensitive work — WAL checkpoints and the
-//! space allocator's lazy coalesce passes (see [`crate::registry`] and
-//! [`crate::alloc`]) — off the request path by handing it to this
+//! The daemon keeps latency-insensitive work — WAL checkpoints (see
+//! [`crate::registry`]) — off the request path by handing it to this
 //! scheduler: a request that *triggers* such work enqueues it and returns,
 //! instead of absorbing the work's latency inline. Two entry points:
 //!

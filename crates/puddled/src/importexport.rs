@@ -10,7 +10,9 @@
 
 use crate::acl;
 use crate::registry::{PoolRecord, PuddleRecord};
-use crate::service::{DaemonError, DaemonInner, DaemonResult};
+use crate::service::{pool_exists, DaemonError, DaemonInner, DaemonResult};
+use crate::wal::{self, RegistryOp};
+use puddles_pmem::PmError;
 use puddles_proto::{
     Credentials, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation,
 };
@@ -59,38 +61,36 @@ pub(crate) fn export_pool(
     let dest = Path::new(dest).to_path_buf();
     fs::create_dir_all(&dest).map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
 
-    let pool = inner
-        .registry
-        .pool(pool_name)
-        .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
-    let mut records = Vec::new();
-    for id in &pool.puddles {
-        // A member freed concurrently between the pool read and here is a
-        // legal interleaving, not corruption: export the surviving members.
-        let Some(record) = inner.registry.puddle(*id) else {
-            continue;
-        };
-        if !acl::check(
-            creds,
-            record.owner_uid,
-            record.owner_gid,
-            record.mode,
-            acl::Access::Read,
-        ) {
+    // The pool, its members and the pointer maps, as of one instant.
+    let (pool, records, ptr_maps) = inner.registry.read(|data| {
+        let pool = data
+            .pools
+            .get(pool_name)
+            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
+        let records: Vec<PuddleRecord> = pool
+            .puddles
+            .iter()
+            .filter_map(|id| data.puddles.get(id).cloned())
+            .collect();
+        if records.iter().any(|r| !r.allows(creds, acl::Access::Read)) {
             return Err(DaemonError::new(
                 ErrorCode::PermissionDenied,
                 "cannot export a pool you cannot read",
             ));
         }
-        records.push(record);
-    }
+        Ok((
+            pool.clone(),
+            records,
+            data.ptr_maps.values().cloned().collect(),
+        ))
+    })?;
 
     let base = inner.gspace.base() as u64;
     let mut manifest = ExportManifest {
-        pool: pool.name.clone(),
+        pool: pool.name,
         root: pool.root,
         puddles: Vec::new(),
-        ptr_maps: inner.registry.ptr_maps(),
+        ptr_maps,
     };
     for record in &records {
         let file_name = format!("{}.pud", record.id.to_hex());
@@ -116,7 +116,10 @@ pub(crate) fn export_pool(
 /// Imports the pool exported at `src` under the name `new_name`.
 ///
 /// Returns the new pool plus the address translations the client library
-/// needs while rewriting pointers.
+/// needs while rewriting pointers. The whole import — every puddle record,
+/// the pointer maps, the pool — is one registry transaction, so it either
+/// happened or left no trace; a refusal gives the copied files and the
+/// granted space back.
 pub(crate) fn import_pool(
     inner: &DaemonInner,
     creds: Credentials,
@@ -128,113 +131,110 @@ pub(crate) fn import_pool(
         .map_err(|e| DaemonError::new(ErrorCode::NotFound, format!("manifest: {e}")))?;
     let manifest: ExportManifest = serde_json::from_slice(&manifest_bytes)
         .map_err(|e| DaemonError::new(ErrorCode::InvalidRequest, format!("manifest: {e}")))?;
-
-    // Claim the pool name up front: the atomic try-insert makes concurrent
-    // imports (or creates) of the same name race safely, and the placeholder
-    // lets the imported puddles reference the pool. It is replaced with the
-    // fully populated record at the end.
-    let claimed = inner.registry.try_insert_pool(PoolRecord {
-        name: new_name.to_string(),
-        root: PuddleId(0),
-        puddles: Vec::new(),
-    });
-    if !claimed {
-        return Err(DaemonError::new(
-            ErrorCode::AlreadyExists,
-            format!("pool `{new_name}` already exists"),
-        ));
+    let reg = &inner.registry;
+    // Advisory, to fail before copying anything; the transaction decides.
+    if reg.pool(new_name).is_some() {
+        return Err(pool_exists(new_name));
     }
 
+    // Assign every imported puddle a fresh UUID and a fresh address,
+    // building the old→new translation table.
     let base = inner.gspace.base() as u64;
-    let reg = &inner.registry;
-
-    // Everything below may fail halfway; collect what must be undone so an
-    // aborted import leaves no trace in the live registry.
-    let mut allocated: Vec<(u64, u64)> = Vec::new();
-    let mut inserted: Vec<PuddleId> = Vec::new();
-    let mut copied: Vec<String> = Vec::new();
-    let result = (|| -> DaemonResult<(PoolInfo, Vec<Translation>)> {
-        // Pass 1: assign every imported puddle a fresh UUID and a fresh
-        // address, building the old→new translation table.
-        let mut assignments: Vec<(PuddleId, &ExportedPuddle, u64)> = Vec::new();
-        let mut translations: Vec<Translation> = Vec::new();
+    let mut records: Vec<PuddleRecord> = Vec::new();
+    let mut translations: Vec<Translation> = Vec::new();
+    let mut copied = 0;
+    let prepared = (|| -> DaemonResult<PoolInfo> {
         for exported in &manifest.puddles {
-            let new_id = reg.fresh_id();
+            let id = reg.fresh_id();
             let offset = reg.alloc_space(exported.size).map_err(|_| {
                 DaemonError::new(ErrorCode::OutOfSpace, "global puddle space exhausted")
             })?;
-            allocated.push((offset, exported.size));
             translations.push(Translation {
                 old_addr: exported.assigned_addr,
                 new_addr: base + offset,
                 len: exported.size,
             });
-            assignments.push((new_id, exported, offset));
-        }
-
-        // Pass 2: copy files and create records; every imported puddle needs
-        // a pointer rewrite against the full translation table.
-        let mut root_id = None;
-        for (new_id, exported, offset) in &assignments {
-            let file = new_id.to_hex();
-            let dest_path = inner.pmdir.puddle_path(&file);
-            fs::copy(src.join(&exported.file), &dest_path)
-                .map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
-            copied.push(file.clone());
-            let needs_rewrite = translations.iter().any(|t| t.old_addr != t.new_addr);
-            reg.insert_puddle(PuddleRecord {
-                id: *new_id,
+            records.push(PuddleRecord {
+                id,
                 size: exported.size,
-                offset: *offset,
-                file,
+                offset,
+                file: id.to_hex(),
                 purpose: PuddlePurpose::Data,
                 owner_uid: creds.uid,
                 owner_gid: creds.gid,
                 mode: exported.mode,
                 pool: Some(new_name.to_string()),
-                needs_rewrite,
-                translations: translations.clone(),
+                needs_rewrite: false,
+                translations: Vec::new(),
             });
-            inserted.push(*new_id);
-            if exported.id == manifest.root {
-                root_id = Some(*new_id);
-            }
         }
-        let root_id = root_id.ok_or_else(|| {
+        let root = manifest.puddles.iter().position(|p| p.id == manifest.root);
+        let root = root.ok_or_else(|| {
             DaemonError::new(
                 ErrorCode::InvalidRequest,
                 "manifest root not in puddle list",
             )
         })?;
-
-        for decl in manifest.ptr_maps {
-            reg.register_ptr_map(decl);
-        }
-
         let pool = PoolRecord {
             name: new_name.to_string(),
-            root: root_id,
-            puddles: inserted.clone(),
+            root: records[root].id,
+            puddles: records.iter().map(|r| r.id).collect(),
         };
         let info = pool.to_info();
-        reg.insert_pool(pool);
-        // One group commit covers every record the import enqueued.
-        reg.commit()?;
-        Ok((info, translations))
+        // Every imported puddle needs a pointer rewrite against the full
+        // translation table.
+        let needs_rewrite = translations.iter().any(|t| t.old_addr != t.new_addr);
+        let puts = records.iter().map(|record| {
+            RegistryOp::PutPuddle(PuddleRecord {
+                needs_rewrite,
+                translations: translations.clone(),
+                ..record.clone()
+            })
+        });
+        let ptr_maps = manifest.ptr_maps.iter().cloned().map(RegistryOp::PutPtrMap);
+        let import: Vec<RegistryOp> = puts
+            .chain(ptr_maps)
+            .chain([RegistryOp::PutPool(pool)])
+            .collect();
+        // The manifest fixes the record's size: refuse one the WAL would
+        // before copying a file.
+        let len = wal::encode_ops(&import).len();
+        if len > wal::MAX_RECORD {
+            return Err(PmError::RecordTooLarge {
+                len,
+                max: wal::MAX_RECORD,
+            }
+            .into());
+        }
+        for (record, exported) in records.iter().zip(&manifest.puddles) {
+            copied += 1;
+            fs::copy(
+                src.join(&exported.file),
+                inner.pmdir.puddle_path(&record.file),
+            )
+            .map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
+        }
+        reg.transact(|data, ops| {
+            if data.pools.contains_key(new_name) {
+                return Err(pool_exists(new_name));
+            }
+            ops.extend(import);
+            Ok(info)
+        })
     })();
-
-    if result.is_err() {
-        for id in inserted {
-            reg.unregister_puddle(id);
+    match prepared {
+        Ok(info) => {
+            reg.commit()?;
+            Ok((info, translations))
         }
-        for file in copied {
-            let _ = inner.pmdir.delete_puddle_file(&file);
+        Err(e) => {
+            for record in &records[..copied] {
+                let _ = inner.pmdir.delete_puddle_file(&record.file);
+            }
+            for record in &records {
+                reg.free_space(record.offset, record.size);
+            }
+            Err(e)
         }
-        for (offset, size) in allocated {
-            reg.free_space(offset, size);
-        }
-        reg.remove_pool(new_name);
-        let _ = reg.commit();
     }
-    result
 }

@@ -6,10 +6,12 @@
 //! single answer, so every harness checks the same property set and a new
 //! invariant added here strengthens all of them at once.
 //!
-//! The checks mirror what [`crate::registry`]'s load-time `reconcile` is
-//! allowed to assume after it runs: cross-table state (pool membership,
-//! allocator extents) has been healed, so any violation found here is a
-//! recovery bug, not an expected torn state.
+//! These hold after **every** registry transaction, live or replayed: a
+//! request's edits are one WAL record applied under one lock, so there is
+//! no torn state between tables for a load to heal (and
+//! [`crate::registry`]'s load heals none — it only derives the allocator
+//! from the puddle table). Any violation found here is a bug in a request
+//! handler or in recovery, never an expected intermediate state.
 //!
 //! [`Invariants::check_data`] returns violations as strings rather than
 //! panicking so sweep-style harnesses can collect them into a per-seed

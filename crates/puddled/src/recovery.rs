@@ -22,6 +22,7 @@ use crate::gspace::GlobalSpace;
 use crate::layout::LOG_REGION_OFFSET;
 use crate::registry::PuddleRecord;
 use crate::service::DaemonInner;
+use crate::wal::RegistryOp;
 use puddles_logfmt::log::LOG_MAGIC;
 use puddles_logfmt::{
     chain_iter, collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
@@ -43,6 +44,7 @@ pub fn run_recovery(inner: &DaemonInner) -> Result<RecoveryReport> {
     let all_puddles: Vec<PuddleRecord> = inner.registry.puddles_snapshot();
 
     let mut invalidated = Vec::new();
+    let mut reclaimed = Vec::new();
 
     for ls in &log_spaces {
         if ls.invalid {
@@ -57,33 +59,49 @@ pub fn run_recovery(inner: &DaemonInner) -> Result<RecoveryReport> {
         };
         report.log_spaces += 1;
 
-        let outcome = recover_log_space(inner, &ls_record, owner, &all_puddles, &mut report)?;
+        let outcome = recover_log_space(
+            inner,
+            &ls_record,
+            owner,
+            &all_puddles,
+            &mut report,
+            &mut reclaimed,
+        )?;
         if let LogSpaceOutcome::Invalidate = outcome {
             invalidated.push(ls.puddle);
         }
     }
-
-    if !invalidated.is_empty() || report.chain_tails_reclaimed > 0 {
-        for id in invalidated {
-            inner.registry.invalidate_log_space(id);
-            report.logs_invalidated += 1;
-        }
-        // One group commit makes every invalidation and every reclaimed
-        // chain tail's registry removal durable.
-        inner.registry.commit()?;
-    }
+    // One transaction — one record, one group commit — covers every
+    // invalidation and every reclaimed chain tail of the pass.
+    report.logs_invalidated += invalidated.len() as u64;
+    drop_puddles(inner, &reclaimed, &invalidated)?;
     Ok(report)
 }
 
-/// Removes a log puddle from the registry and deletes its backing file
-/// (best-effort). Used when recovery reclaims orphaned chain tails and by
-/// the startup sweep of unreferenced log puddles; the caller commits the
-/// registry afterwards.
-fn free_log_puddle(inner: &DaemonInner, record: &PuddleRecord) {
-    if let Some(record) = inner.registry.unregister_puddle(record.id) {
-        inner.registry.free_space(record.offset, record.size);
-        let _ = inner.pmdir.delete_puddle_file(&record.file);
+/// One transaction that removes the puddles `ids` (those that still exist)
+/// and marks the log spaces `invalidate` invalid, then makes it durable and
+/// deletes the dropped puddles' files (best-effort: a file left behind has
+/// no record, and the startup sweep deletes it). Recovery's reclaimed chain
+/// tails and the startup sweeps end here. Returns the number dropped.
+fn drop_puddles(inner: &DaemonInner, ids: &[PuddleId], invalidate: &[PuddleId]) -> Result<u64> {
+    let dropped = inner.registry.transact(|data, ops| {
+        let dropped: Vec<PuddleRecord> = ids
+            .iter()
+            .filter_map(|id| data.puddles.get(id).cloned())
+            .collect();
+        ops.extend(dropped.iter().flat_map(PuddleRecord::drop_ops));
+        ops.extend(
+            invalidate
+                .iter()
+                .map(|&puddle| RegistryOp::InvalidateLogSpace { puddle }),
+        );
+        Ok::<_, puddles_pmem::PmError>(dropped)
+    })?;
+    if !dropped.is_empty() || !invalidate.is_empty() {
+        inner.release(&dropped)?;
+        let _ = inner.unlink(&dropped);
     }
+    Ok(dropped.len() as u64)
 }
 
 /// Reclaims log puddles that no log space references.
@@ -138,17 +156,12 @@ pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64>
             return Ok(0);
         }
     }
-    let mut swept = 0;
-    for record in &all_puddles {
-        if record.purpose == PuddlePurpose::Log && !referenced.contains(&record.id.0) {
-            free_log_puddle(inner, record);
-            swept += 1;
-        }
-    }
-    if swept > 0 {
-        inner.registry.commit()?;
-    }
-    Ok(swept)
+    let unreferenced: Vec<PuddleId> = all_puddles
+        .iter()
+        .filter(|r| r.purpose == PuddlePurpose::Log && !referenced.contains(&r.id.0))
+        .map(|r| r.id)
+        .collect();
+    drop_puddles(inner, &unreferenced, &[])
 }
 
 /// Reclaims `LogSpace`-purpose puddles that have no [`LogSpaceRecord`].
@@ -163,34 +176,27 @@ pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64>
 /// client is briefly in exactly this window while creating its log space).
 /// Returns the number of puddles reclaimed.
 pub(crate) fn sweep_unregistered_logspace_puddles(inner: &DaemonInner) -> Result<u64> {
-    let registered: std::collections::BTreeSet<u128> = inner
-        .registry
-        .log_spaces_snapshot()
-        .iter()
-        .map(|ls| ls.puddle.0)
-        .collect();
-    let mut swept = 0;
-    for record in inner.registry.puddles_snapshot() {
-        if record.purpose == PuddlePurpose::LogSpace && !registered.contains(&record.id.0) {
-            free_log_puddle(inner, &record);
-            swept += 1;
-        }
-    }
-    if swept > 0 {
-        inner.registry.commit()?;
-    }
-    Ok(swept)
+    let unregistered: Vec<PuddleId> = inner.registry.read(|data| {
+        let is_registered = |id| data.log_spaces.iter().any(|ls| ls.puddle == id);
+        data.puddles
+            .values()
+            .filter(|r| r.purpose == PuddlePurpose::LogSpace && !is_registered(r.id))
+            .map(|r| r.id)
+            .collect()
+    });
+    drop_puddles(inner, &unregistered, &[])
 }
 
 /// Deletes puddle files that have no registry record.
 ///
-/// A crash mid-`DropPool` removes members from the registry before their
-/// files are unlinked; the registry itself is healed by WAL replay and the
-/// load-time reconcile, but the files would leak on disk forever. The
-/// daemon runs this sweep at startup — after the registry is loaded and
-/// reconciled, before any client can create new puddles — so every file in
-/// the puddle directory either has a record or is garbage. Returns the
-/// number of files deleted.
+/// A request's files and its record are not one atomic step: a create
+/// makes the file before its record is durable, a drop unlinks files after
+/// its record is. A crash in between leaves the registry whole — the
+/// request happened or it did not — and files no record names, which would
+/// leak on disk forever. The daemon runs this sweep at startup — after the
+/// registry is loaded, before any client can create new puddles — so every
+/// file in the puddle directory either has a record or is garbage. Returns
+/// the number of files deleted.
 ///
 /// The sweep is best-effort: a file that cannot be unlinked (odd ownership,
 /// immutable bit) is skipped rather than failing daemon startup over a
@@ -223,6 +229,7 @@ fn recover_log_space(
     owner: Credentials,
     all_puddles: &[PuddleRecord],
     report: &mut RecoveryReport,
+    reclaimed: &mut Vec<PuddleId>,
 ) -> Result<LogSpaceOutcome> {
     let gspace = &inner.gspace;
     let mut mapped: Vec<usize> = Vec::new();
@@ -250,13 +257,7 @@ fn recover_log_space(
         let mut unmapped: HashMap<u64, &PuddleRecord> = HashMap::new();
         for record in all_puddles {
             if record.purpose == PuddlePurpose::Data
-                && crate::acl::check(
-                    owner,
-                    record.owner_uid,
-                    record.owner_gid,
-                    record.mode,
-                    crate::acl::Access::Write,
-                )
+                && record.allows(owner, crate::acl::Access::Write)
             {
                 unmapped.insert(gspace.addr_of(record.offset as usize) as u64, record);
             }
@@ -376,16 +377,15 @@ fn recover_log_space(
             // longer release them, and the next transaction on this log
             // starts a fresh chain. A tail that never saw an append (crash
             // between registration and first append) is just as benign —
-            // it contributed no entries above. Unregister first (durably),
-            // then free the puddle, so a crash mid-reclaim leaves either a
-            // registered empty-ish tail (reclaimed next pass) or an
-            // unreferenced puddle (swept at startup).
+            // it contributed no entries above. Unregister first (durably);
+            // the puddles are dropped by the pass's one transaction, so a
+            // crash mid-reclaim leaves either a registered empty-ish tail
+            // (reclaimed next pass) or an unreferenced puddle (swept at
+            // startup).
             for slot in chain.iter().filter(|s| s.chain_index > 0) {
                 let uuid = (slot.puddle_uuid_hi as u128) << 64 | slot.puddle_uuid_lo as u128;
                 ls_ref.unregister(uuid);
-                if let Some(record) = inner.registry.puddle(PuddleId(uuid)) {
-                    free_log_puddle(inner, &record);
-                }
+                reclaimed.push(PuddleId(uuid));
                 report.chain_tails_reclaimed += 1;
             }
         }

@@ -2,58 +2,63 @@
 //! spaces, and global-space address allocation.
 //!
 //! The paper stores this metadata in a persistent hash map owned by the
-//! daemon so each mutation persists incrementally (§4.2). We reproduce that
-//! cost profile with **one file** in the PM directory, `meta/registry.wal`,
-//! the metadata WAL ([`crate::wal`]): every mutation appends one checksummed
-//! [`RegistryOp`] record and makes it durable with a *group commit* (one
-//! fsync covers every concurrently enqueued record), so steady-state
-//! persistence is O(record), not O(registry).
+//! daemon so each mutation persists incrementally and atomically (§4.2). We
+//! reproduce that with **one state machine and one file**. The state is a
+//! [`RegistryData`]; its one transition function is [`wal::apply_op`]; the
+//! file is `meta/registry.wal`, the metadata WAL ([`crate::wal`]). A request
+//! that changes metadata is one [`Registry::transact`]: its checks run
+//! against the tables, its [`RegistryOp`]s are logged as **one** checksummed
+//! record, and only then applied — by the function replay uses, so the live
+//! and the replayed state cannot diverge, and a request can be cut in half
+//! neither in memory (one lock) nor on disk (one record). The record is made
+//! durable with a *group commit* (one fsync covers every concurrently
+//! enqueued record), so steady-state persistence is O(request), not
+//! O(registry).
 //!
 //! When the WAL's tail passes a byte threshold the registry **checkpoints by
 //! compacting it** ([`Registry::checkpoint`]): one atomic replace of the
 //! file with a snapshot header, one put record per live table entry, and
 //! the records enqueued after the snapshot's cut. Loading is the reverse:
-//! replay the one file (tolerating a torn final record), then run
-//! [`reconcile`].
+//! replay the one file (tolerating a torn final record — a whole request),
+//! then derive the allocator from the puddle table ([`reconcile`]). Nothing
+//! is healed: every prefix of the file is a state some request left.
 //!
 //! # Concurrency
 //!
-//! The registry is internally sharded so concurrent clients contend only on
-//! the tables they actually touch:
+//! One `RwLock` guards the tables. Lookups (`GetPuddle`, `OpenPool`,
+//! `GetRelocation`, translation reads) clone what they need under the read
+//! lock and run in parallel; [`Registry::transact`] takes the write lock for
+//! its checks, the enqueue of its record (the WAL's internal lock is a
+//! leaf) and the apply, so conflicting records land in the log in
+//! application order and a checkpoint's cut, read under the read lock,
+//! falls between two requests.
 //!
-//! * [`puddles`](Registry::puddle) — `RwLock`, read-mostly (`GetPuddle`,
-//!   `GetRelocation`/translation lookups run under a read lock and in
-//!   parallel);
-//! * pools — `RwLock`, separate from puddles so pool opens don't block
-//!   puddle lookups;
-//! * pointer maps and log spaces — their own `RwLock`s;
-//! * the global-space allocator — [`crate::alloc::SpaceAlloc`], segregated
-//!   free lists behind one mutex with **lazy coalescing**: alloc and free
-//!   are O(1), and the deferred merge pass runs on the background scheduler
-//!   past a free-extent threshold (forced inline past the hard ceiling),
-//!   mirroring the WAL checkpoint pattern. It is derived state — never
-//!   logged, rebuilt from the puddle table by [`reconcile`] at every load.
+//! **Nothing inside a transaction may touch a file, wait on the WAL or
+//! grant space.** That rule is what keeps a reactor's inline lookups from
+//! stalling behind a writer: a request prepares outside the lock (grants
+//! space, creates or copies files), transacts, waits for durability in
+//! [`Registry::commit`] after the lock is released, and then cleans up
+//! files. There is no second lock to order against.
 //!
-//! Cross-table operations (a puddle joining a pool, a pool drop) take the
-//! locks they need in a fixed order — **pools → puddles → ptr_maps →
-//! log_spaces → space** — which makes deadlock impossible; every multi-lock
-//! method in this file follows that order. Mutators enqueue their WAL
-//! records *while holding* the shard lock that serializes the mutation
-//! (the WAL's internal lock is a leaf), so conflicting records land in the
-//! log in application order; the fsync wait happens after the shard locks
-//! are released. Checkpoints copy the shards under short read locks while
-//! holding a dedicated checkpoint lock, so concurrent checkpoints serialize
-//! but readers are never blocked for the encoding or the I/O.
+//! The global-space allocator — [`crate::alloc::SpaceAlloc`], segregated
+//! free lists behind its own mutex with **lazy coalescing** (alloc and free
+//! are O(1); the deferred merge pass runs on the free that trips the
+//! threshold) — is derived state: never logged, rebuilt from the puddle
+//! table by [`reconcile`] at every load. Checkpoints copy the tables under
+//! a short read lock while holding a dedicated checkpoint lock, so
+//! concurrent checkpoints serialize but nobody is blocked for the encoding
+//! or the I/O.
 
-use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc, COALESCE_HARD_FACTOR};
+use crate::acl;
+use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc};
 use crate::background::Background;
 use crate::wal::{self, RegistryOp, Wal, WalHandle};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
-use puddles_pmem::{Result, PAGE_SIZE};
-use puddles_proto::{PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
+use puddles_pmem::{PmError, Result, PAGE_SIZE};
+use puddles_proto::{Credentials, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
@@ -84,6 +89,35 @@ pub struct PuddleRecord {
     /// Old→new translations to apply while rewriting (the persisted
     /// "frontier" state of §4.2).
     pub translations: Vec<Translation>,
+}
+
+impl PuddleRecord {
+    /// `true` if `creds` may access this puddle as asked ([`acl::check`]
+    /// against the record's owner and mode).
+    pub fn allows(&self, creds: Credentials, access: acl::Access) -> bool {
+        acl::check(creds, self.owner_uid, self.owner_gid, self.mode, access)
+    }
+
+    /// The ops that add this puddle: its record and, when it names a pool,
+    /// its membership (an O(1) delta — logging the whole member list would
+    /// make building an N-puddle pool O(N²) WAL traffic). The transaction
+    /// checks that the pool exists.
+    pub fn put_ops(&self) -> Vec<RegistryOp> {
+        let mut ops = vec![RegistryOp::PutPuddle(self.clone())];
+        if let Some(pool) = self.pool.clone() {
+            ops.push(RegistryOp::AddPoolMember { pool, id: self.id });
+        }
+        ops
+    }
+
+    /// The ops that remove this puddle: its record and its pool membership.
+    pub fn drop_ops(&self) -> Vec<RegistryOp> {
+        let mut ops = vec![RegistryOp::DropPuddle { id: self.id }];
+        if let Some(pool) = self.pool.clone() {
+            ops.push(RegistryOp::RemovePoolMember { pool, id: self.id });
+        }
+        ops
+    }
 }
 
 /// Persistent record of one pool.
@@ -124,8 +158,9 @@ pub struct LogSpaceRecord {
 }
 
 /// The daemon's complete metadata as one value: what WAL replay builds at
-/// load and what [`Registry::snapshot`] copies out of the live shards. A
-/// checkpoint writes it as WAL records ([`wal::snapshot_ops`]).
+/// load, what the live [`Registry`] keeps behind its lock, and what
+/// [`Registry::snapshot`] copies out. A checkpoint writes it as WAL records
+/// ([`wal::snapshot_ops`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistryData {
     /// Base address of the global space the puddles' pointers assume.
@@ -134,6 +169,8 @@ pub struct RegistryData {
     pub space_size: u64,
     /// Bump pointer for address allocation (offset within the space).
     /// Derived from the puddle table, like `free_list`; never persisted.
+    /// The live value leaves both empty — the allocator owns them — and
+    /// [`Registry::snapshot`] fills them in.
     pub next_offset: u64,
     /// Freed `[offset, len)` ranges available for reuse.
     pub free_list: Vec<(u64, u64)>,
@@ -149,25 +186,16 @@ pub struct RegistryData {
     pub next_seq: u64,
 }
 
-/// Failure modes of cross-table registry operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RegistryOpError {
-    /// The named pool does not exist.
-    NoSuchPool(String),
-}
-
-/// The sharded registry plus its persistence handle. All methods take
-/// `&self`; shards are locked internally (see the module docs for the lock
-/// order).
+/// The registry state machine plus its persistence handle. All methods take
+/// `&self`; see the module docs for the one lock and the one rule.
 #[derive(Debug)]
 pub struct Registry {
-    /// The metadata WAL every mutator appends to.
+    /// The metadata WAL every transaction appends to.
     wal: WalHandle,
-    // Shards, declared in lock order and keyed like [`RegistryData`].
-    pools: RwLock<BTreeMap<String, PoolRecord>>,
-    puddles: RwLock<BTreeMap<PuddleId, PuddleRecord>>,
-    ptr_maps: RwLock<BTreeMap<u64, PtrMapDecl>>,
-    log_spaces: RwLock<Vec<LogSpaceRecord>>,
+    /// The live state. Edited by [`wal::apply_op`] inside
+    /// [`Registry::transact`] and by [`Registry::apply_base_relocation`],
+    /// nowhere else.
+    tables: RwLock<RegistryData>,
     alloc: SpaceAlloc,
     next_seq: AtomicU64,
     /// One checkpoint (snapshot + WAL compaction) at a time.
@@ -185,61 +213,19 @@ pub struct Registry {
     /// Checkpoints forced inline on the request path because the WAL passed
     /// the hard ceiling (the background scheduler fell behind).
     forced_inline_checkpoints: AtomicU64,
-    /// `true` while a lazy coalesce pass is queued or running on the
-    /// background scheduler; dedups submissions exactly like
-    /// [`Registry::ckpt_pending`] does for checkpoints.
-    coalesce_pending: AtomicBool,
 }
 
-/// Repairs a replayed registry in place.
+/// Derives the space allocator's state from a replayed puddle table.
 ///
-/// A multi-table operation logs one record per table it touches, and a
-/// crash (or a torn tail) can cut the log between them, so replay can land
-/// on a state that is torn *between* tables: a pool listing a member whose
-/// record is gone, a puddle naming a pool that was never completed. Each
-/// table is internally consistent, so the cross-table state is re-derived
-/// here at load: membership is reconciled against the puddle table (the
-/// source of truth) and the space allocator — which is never persisted at
-/// all — is rebuilt from the live extents.
+/// The allocator is never persisted: the free list is exactly the set of
+/// gaps between the live extents, and the bump pointer the end of the last
+/// one, so no crash can leak space past a restart. This is also the
+/// canonical form [`Registry::snapshot`] reports
+/// ([`crate::alloc::SpaceAlloc::canonical`]), so replayed and live snapshots
+/// stay bit-identical. Nothing else is touched: a record is a whole request,
+/// so the tables replay lands on need no repair, and a file without a
+/// record is the startup sweep's job.
 fn reconcile(data: &mut RegistryData) {
-    let live_ids: std::collections::BTreeSet<PuddleId> =
-        data.puddles.values().map(|p| p.id).collect();
-
-    // Drop member ids whose puddle record is gone.
-    for pool in data.pools.values_mut() {
-        pool.puddles.retain(|id| live_ids.contains(id));
-    }
-    // Drop pools whose root puddle never materialized (e.g. a crash between
-    // the name claim and the root creation), detaching surviving members.
-    let dead_pools: Vec<String> = data
-        .pools
-        .values()
-        .filter(|pool| !live_ids.contains(&pool.root))
-        .map(|pool| pool.name.clone())
-        .collect();
-    for name in &dead_pools {
-        data.pools.remove(name);
-    }
-    // Re-derive each puddle's membership: a puddle naming a missing pool is
-    // detached; one missing from its (existing) pool's list is re-attached.
-    for record in data.puddles.values_mut() {
-        if let Some(pool_name) = record.pool.clone() {
-            match data.pools.get_mut(&pool_name) {
-                None => record.pool = None,
-                Some(pool) => {
-                    if !pool.puddles.contains(&record.id) {
-                        pool.puddles.push(record.id);
-                    }
-                }
-            }
-        }
-    }
-    // Rebuild the allocator from the live extents: the free list is exactly
-    // the set of gaps, and the bump pointer the end of the last extent, so
-    // no crash can leak space past a restart. This is also the canonical
-    // form [`Registry::snapshot`] reports
-    // ([`crate::alloc::SpaceAlloc::canonical`]), so replayed and live
-    // snapshots stay bit-identical.
     let mut extents: Vec<(u64, u64)> = data
         .puddles
         .values()
@@ -268,10 +254,10 @@ impl Registry {
 
     /// Loads the registry from an externally opened WAL handle (the daemon
     /// threads one through so it can also report WAL stats): replays the
-    /// file — snapshot, then tail — reconciles, and checkpoints, folding
-    /// the tail and whatever reconcile healed into a fresh snapshot.
-    /// `space_base`/`space_size` describe a registry created now; a loaded
-    /// one keeps what its snapshot header recorded.
+    /// file — snapshot, then tail —, derives the allocator, and checkpoints,
+    /// folding the tail into a fresh snapshot. `space_base`/`space_size`
+    /// describe a registry created now; a loaded one keeps what its snapshot
+    /// header recorded.
     pub fn load_or_create_with_wal(
         wal: WalHandle,
         space_base: u64,
@@ -288,23 +274,19 @@ impl Registry {
         reconcile(&mut data);
         let reg = Registry {
             wal,
-            pools: RwLock::new(data.pools),
-            puddles: RwLock::new(data.puddles),
-            ptr_maps: RwLock::new(data.ptr_maps),
-            log_spaces: RwLock::new(data.log_spaces),
             alloc: SpaceAlloc::new(
                 data.space_base,
                 data.space_size,
-                data.next_offset,
-                data.free_list,
+                std::mem::take(&mut data.next_offset),
+                std::mem::take(&mut data.free_list),
             ),
             next_seq: AtomicU64::new(data.next_seq),
+            tables: RwLock::new(data),
             ckpt_lock: Mutex::new(()),
             background: Mutex::new(None),
             ckpt_pending: AtomicBool::new(false),
             background_checkpoints: AtomicU64::new(0),
             forced_inline_checkpoints: AtomicU64::new(0),
-            coalesce_pending: AtomicBool::new(false),
         };
         reg.checkpoint()?;
         Ok(reg)
@@ -349,31 +331,60 @@ impl Registry {
         Ok(true)
     }
 
-    /// Enqueues one WAL record, deferring any failure to the next
-    /// [`Registry::commit`]. Mutators call this while holding the shard
-    /// lock that serializes the mutation, so conflicting records are logged
-    /// in application order; a failed submit poisons the WAL and every
-    /// later commit reports it.
-    fn wal_submit(&self, op: RegistryOp) {
-        let _ = self.wal.submit(&op);
+    /// Runs one registry transaction — the only way the tables change.
+    ///
+    /// `f` runs under the write lock with the tables to check against
+    /// (existence, ACLs, a free name) and a list to push its
+    /// [`RegistryOp`]s onto. Its ops are then enqueued as **one** WAL record
+    /// and, only once the WAL has taken it, applied with [`wal::apply_op`].
+    /// So an `Err` from `f`, or a record the WAL refuses (over
+    /// [`wal::MAX_RECORD`], a poisoned WAL), logs and applies nothing; and
+    /// everything `f` saw still holds when its ops apply. A transaction
+    /// that pushes no op appends no record.
+    ///
+    /// `f` must not touch a file, wait on the WAL or grant space (see the
+    /// module docs). The record is durable after the next
+    /// [`Registry::commit`].
+    pub fn transact<T, E: From<PmError>>(
+        &self,
+        f: impl FnOnce(&RegistryData, &mut Vec<RegistryOp>) -> std::result::Result<T, E>,
+    ) -> std::result::Result<T, E> {
+        let mut tables = self.tables.write();
+        let mut ops = Vec::new();
+        let value = f(&tables, &mut ops)?;
+        if !ops.is_empty() {
+            self.wal.submit_batch(&ops)?;
+            for op in &ops {
+                wal::apply_op(&mut tables, op);
+            }
+        }
+        Ok(value)
     }
 
-    /// Makes every registry mutation performed so far durable: one group
-    /// commit covers this thread's records and any enqueued concurrently.
-    /// The service layer calls this once per client request, after the
-    /// request's (possibly several) mutations. Also checkpoints when the
-    /// WAL has outgrown its threshold; a checkpoint that fails then is not
-    /// the request's failure — the flush made the mutation durable, and an
-    /// `Err` would have the client retry an operation that took effect.
+    /// Makes every transaction performed so far durable: one group commit
+    /// covers this thread's record and any enqueued concurrently. The
+    /// service layer calls this once per client request, after the
+    /// request's transaction. Also checkpoints when the WAL has outgrown
+    /// its threshold; a checkpoint that fails then is not the request's
+    /// failure — the flush made the mutation durable, and an `Err` would
+    /// have the client retry an operation that took effect.
     pub fn commit(&self) -> Result<()> {
         self.wal.flush()?;
         self.maybe_checkpoint();
         Ok(())
     }
 
+    /// Runs `f` on the tables under the read lock: any lookup that needs
+    /// more than one entry to agree (a pool and its members, the counts of
+    /// `Stats`). `f` should clone what it needs and return — the rule for
+    /// transactions holds for readers too.
+    pub fn read<T>(&self, f: impl FnOnce(&RegistryData) -> T) -> T {
+        f(&self.tables.read())
+    }
+
     /// Snapshot plus the WAL cut — byte position and record sequence — it
-    /// corresponds to. All table guards are held together while the cut is
-    /// read, so every record below the cut is reflected in the snapshot and
+    /// corresponds to. The cut is read under the lock the tables are copied
+    /// under, so every record below it is reflected in the snapshot and
     /// every record at or above it is not.
     ///
     /// The allocator is reported in **canonical** form — merged free list,
@@ -382,32 +393,21 @@ impl Registry {
     /// post-crash replay are bit-identical. It has no records to cut
     /// between, so it is read on its own lock inside the guarded region.
     fn snapshot_with_cut(&self) -> (RegistryData, u64, u64) {
-        let pools_guard = self.pools.read();
-        let puddles_guard = self.puddles.read();
-        let ptr_maps_guard = self.ptr_maps.read();
-        let log_spaces_guard = self.log_spaces.read();
+        let tables = self.tables.read();
         let (cut_pos, cut_seq) = self.wal.position();
         let (free_list, next_offset) = self.alloc.canonical();
         let data = RegistryData {
-            space_base: self.alloc.space_base(),
-            space_size: self.alloc.space_size(),
-            next_offset,
             free_list,
-            puddles: puddles_guard.clone(),
-            pools: pools_guard.clone(),
-            ptr_maps: ptr_maps_guard.clone(),
-            log_spaces: log_spaces_guard.clone(),
-            next_seq: self.next_seq.load(Ordering::Relaxed),
+            next_offset,
+            next_seq: tables.next_seq.max(self.next_seq.load(Ordering::Relaxed)),
+            ..tables.clone()
         };
         (data, cut_pos, cut_seq)
     }
 
-    /// Assembles a consistent copy of the full registry state (stats, tests,
-    /// checkpoints). All shard guards are acquired in lock order and held
-    /// together while cloning, so a snapshot never interleaves a multi-table
-    /// operation that holds its first lock for the whole operation; the
-    /// residual torn cases (operations spanning lock releases) are healed by
-    /// [`reconcile`] at the next load.
+    /// A consistent copy of the full registry state (stats, tests,
+    /// checkpoints): taken under the one lock, so it falls between two
+    /// transactions.
     pub fn snapshot(&self) -> RegistryData {
         self.snapshot_with_cut().0
     }
@@ -503,17 +503,12 @@ impl Registry {
         result
     }
 
-    /// Base address of the global space as recorded in the registry.
-    pub fn space_base(&self) -> u64 {
-        self.alloc.space_base()
-    }
-
     /// Allocates a fresh UUID.
     pub fn fresh_id(&self) -> PuddleId {
         // Relaxed: the counter is purely monotonic and the random salt makes
         // collisions across daemon instances vanishingly unlikely; no other
-        // memory is ordered against it (records reach the tables under their
-        // shard locks).
+        // memory is ordered against it (records reach the tables under
+        // their lock).
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed) + 1;
         // Mix a per-daemon random salt with a sequence number so ids from
         // different daemon instances (different "machines") do not collide.
@@ -535,45 +530,18 @@ impl Registry {
 
     /// Returns `size` bytes at `offset` to the free lists — an O(1) push;
     /// merging is deferred to the lazy coalesce pass. Callers free an
-    /// extent only after unregistering its puddle (or without ever having
-    /// registered one), so the `DropPuddle` precedes any `PutPuddle` that
-    /// reuses the range in the WAL.
+    /// extent only after the transaction that dropped its puddle (or
+    /// without ever having registered one), so the `DropPuddle` precedes
+    /// any `PutPuddle` that reuses the range in the WAL.
     pub fn free_space(&self, offset: u64, size: u64) {
         self.alloc.free(offset, size);
-        self.maybe_coalesce();
-    }
-
-    /// Handles a free-extent count that outgrew the coalesce threshold,
-    /// mirroring [`Registry::maybe_checkpoint`]: in steady state the pass is
-    /// *enqueued* on the background scheduler (deduped while one is
-    /// pending); past the hard ceiling it runs forced-inline even with a
-    /// scheduler attached; bare registries run it inline on the free that
-    /// trips the threshold (still amortized O(1) per free).
-    fn maybe_coalesce(&self) {
-        let pending = self.alloc.bucket_extents();
-        let threshold = self.alloc.coalesce_threshold();
-        // Re-arm relative to the last pass's residue, multiplicatively: a
-        // heap whose holes genuinely cannot merge (residue above the
-        // threshold) would otherwise re-run the O(n log n) pass on *every*
-        // free, turning the O(1) fast path back into the flat-Vec behaviour
-        // this allocator replaced. Requiring the count to double keeps the
-        // total merge work geometric in the frees between passes.
-        let trigger = self
-            .alloc
-            .coalesce_floor()
-            .saturating_mul(2)
-            .saturating_add(threshold);
-        if pending < trigger {
-            return;
+        // The pass runs on the free that trips the threshold (amortized
+        // O(1) per free). Whichever thread ran it, it would hold the
+        // arena's only lock for its whole sort, so there is nothing to gain
+        // by handing it to another one.
+        if self.alloc.wants_coalesce() {
+            self.timed_coalesce(CoalesceKind::Lazy, "lazy");
         }
-        if pending >= trigger.saturating_mul(COALESCE_HARD_FACTOR) {
-            self.timed_coalesce(CoalesceKind::ForcedInline, "forced");
-            return;
-        }
-        if self.submit_background_coalesce() {
-            return;
-        }
-        self.timed_coalesce(CoalesceKind::Lazy, "lazy");
     }
 
     /// Runs one coalesce pass, timing it into the `alloc.coalesce` series
@@ -587,25 +555,6 @@ impl Registry {
             .record_duration(clock.now() - start);
         obs.trace(TraceEventKind::Coalesce, detail, merged as u64, 0);
         merged
-    }
-
-    /// Enqueues one lazy coalesce pass on the attached background scheduler.
-    /// Returns `false` when none is attached; dedups while one is pending.
-    fn submit_background_coalesce(&self) -> bool {
-        let background = self.background.lock();
-        let Some((bg, weak)) = &*background else {
-            return false;
-        };
-        if self.coalesce_pending.swap(true, Ordering::SeqCst) {
-            return true;
-        }
-        let weak = weak.clone();
-        bg.submit(Box::new(move || {
-            let Some(reg) = weak.upgrade() else { return };
-            reg.timed_coalesce(CoalesceKind::Lazy, "lazy");
-            reg.coalesce_pending.store(false, Ordering::SeqCst);
-        }));
-        true
     }
 
     /// Runs a coalesce pass immediately (tests, tools); counted as
@@ -625,210 +574,33 @@ impl Registry {
         self.alloc.stats()
     }
 
-    // -- Puddle table -------------------------------------------------------
+    // -- Lookups ------------------------------------------------------------
 
-    /// Inserts a puddle record without touching pool membership (used by
-    /// import, which creates the pool after its puddles). Most callers want
-    /// [`Registry::register_puddle`].
-    pub fn insert_puddle(&self, record: PuddleRecord) {
-        let mut puddles = self.puddles.write();
-        puddles.insert(record.id, record.clone());
-        self.wal_submit(RegistryOp::PutPuddle(record));
-    }
-
-    /// Atomically verifies the target pool exists (when the record names
-    /// one), inserts the puddle, and appends it to the pool's member list.
-    /// Lock order: pools → puddles.
-    pub fn register_puddle(
-        &self,
-        record: PuddleRecord,
-    ) -> std::result::Result<(), RegistryOpError> {
-        match &record.pool {
-            Some(pool_name) => {
-                let mut pools = self.pools.write();
-                let pool = pools
-                    .get_mut(pool_name)
-                    .ok_or_else(|| RegistryOpError::NoSuchPool(pool_name.clone()))?;
-                pool.puddles.push(record.id);
-                // O(1) membership delta — logging the whole member list
-                // here would make building an N-puddle pool O(N²) WAL
-                // traffic.
-                let pool_op = RegistryOp::AddPoolMember {
-                    pool: pool_name.clone(),
-                    id: record.id,
-                };
-                let mut puddles = self.puddles.write();
-                puddles.insert(record.id, record.clone());
-                self.wal_submit(RegistryOp::PutPuddle(record));
-                self.wal_submit(pool_op);
-                Ok(())
-            }
-            None => {
-                let mut puddles = self.puddles.write();
-                puddles.insert(record.id, record.clone());
-                self.wal_submit(RegistryOp::PutPuddle(record));
-                Ok(())
-            }
-        }
-    }
-
-    /// Atomically removes a puddle record and its pool membership, returning
-    /// the record. Lock order: pools → puddles.
-    pub fn unregister_puddle(&self, id: PuddleId) -> Option<PuddleRecord> {
-        let mut pools = self.pools.write();
-        let mut puddles = self.puddles.write();
-        let record = puddles.remove(&id)?;
-        let mut pool_op = None;
-        if let Some(pool_name) = &record.pool {
-            if let Some(pool) = pools.get_mut(pool_name) {
-                pool.puddles.retain(|p| *p != id);
-                pool_op = Some(RegistryOp::RemovePoolMember {
-                    pool: pool_name.clone(),
-                    id,
-                });
-            }
-        }
-        self.wal_submit(RegistryOp::DropPuddle { id });
-        if let Some(op) = pool_op {
-            self.wal_submit(op);
-        }
-        Some(record)
-    }
-
-    /// Looks up a puddle record (clones under a shared read lock, so
+    /// Looks up a puddle record (clones under the shared read lock, so
     /// concurrent lookups never serialize — and never allocate for the key:
     /// the table is keyed by `PuddleId` directly).
     pub fn puddle(&self, id: PuddleId) -> Option<PuddleRecord> {
-        self.puddles.read().get(&id).cloned()
-    }
-
-    /// Applies `f` to a puddle record under the write lock.
-    pub fn update_puddle<R>(
-        &self,
-        id: PuddleId,
-        f: impl FnOnce(&mut PuddleRecord) -> R,
-    ) -> Option<R> {
-        let mut puddles = self.puddles.write();
-        let record = puddles.get_mut(&id)?;
-        let result = f(record);
-        self.wal_submit(RegistryOp::PutPuddle(record.clone()));
-        Some(result)
+        self.tables.read().puddles.get(&id).cloned()
     }
 
     /// Clones every puddle record (recovery, relocation, export).
     pub fn puddles_snapshot(&self) -> Vec<PuddleRecord> {
-        self.puddles.read().values().cloned().collect()
+        self.tables.read().puddles.values().cloned().collect()
     }
 
-    /// Number of live puddles and their total size in bytes.
-    pub fn puddle_usage(&self) -> (u64, u64) {
-        let puddles = self.puddles.read();
-        (
-            puddles.len() as u64,
-            puddles.values().map(|p| p.size).sum::<u64>(),
-        )
-    }
-
-    // -- Pool table ---------------------------------------------------------
-
-    /// Inserts a pool record, failing if the name is taken. Returns `true`
-    /// if the pool was inserted.
-    pub fn try_insert_pool(&self, record: PoolRecord) -> bool {
-        let mut pools = self.pools.write();
-        if pools.contains_key(&record.name) {
-            return false;
-        }
-        pools.insert(record.name.clone(), record.clone());
-        self.wal_submit(RegistryOp::PutPool(record));
-        true
-    }
-
-    /// Inserts (or replaces) a pool record.
-    pub fn insert_pool(&self, record: PoolRecord) {
-        let mut pools = self.pools.write();
-        pools.insert(record.name.clone(), record.clone());
-        self.wal_submit(RegistryOp::PutPool(record));
-    }
-
-    /// Looks up a pool by name (clones under a shared read lock).
+    /// Looks up a pool by name (clones under the shared read lock).
     pub fn pool(&self, name: &str) -> Option<PoolRecord> {
-        self.pools.read().get(name).cloned()
-    }
-
-    /// Applies `f` to a pool record under the write lock.
-    pub fn update_pool<R>(&self, name: &str, f: impl FnOnce(&mut PoolRecord) -> R) -> Option<R> {
-        let mut pools = self.pools.write();
-        let record = pools.get_mut(name)?;
-        let result = f(record);
-        self.wal_submit(RegistryOp::PutPool(record.clone()));
-        Some(result)
-    }
-
-    /// Removes a pool record, returning it. The pool's member puddles are
-    /// untouched (callers free them explicitly).
-    pub fn remove_pool(&self, name: &str) -> Option<PoolRecord> {
-        let mut pools = self.pools.write();
-        let record = pools.remove(name)?;
-        self.wal_submit(RegistryOp::DropPool {
-            name: name.to_string(),
-        });
-        Some(record)
-    }
-
-    /// Number of pools.
-    pub fn pool_count(&self) -> u64 {
-        self.pools.read().len() as u64
-    }
-
-    // -- Pointer maps -------------------------------------------------------
-
-    /// Registers (or replaces) a pointer map.
-    pub fn register_ptr_map(&self, decl: PtrMapDecl) {
-        let mut ptr_maps = self.ptr_maps.write();
-        ptr_maps.insert(decl.type_id, decl.clone());
-        self.wal_submit(RegistryOp::PutPtrMap(decl));
+        self.tables.read().pools.get(name).cloned()
     }
 
     /// Returns every registered pointer map.
     pub fn ptr_maps(&self) -> Vec<PtrMapDecl> {
-        self.ptr_maps.read().values().cloned().collect()
-    }
-
-    /// Number of registered pointer maps.
-    pub fn ptr_map_count(&self) -> u64 {
-        self.ptr_maps.read().len() as u64
-    }
-
-    // -- Log spaces ---------------------------------------------------------
-
-    /// Registers a log space for a client, replacing an older registration
-    /// of the same puddle.
-    pub fn register_log_space(&self, record: LogSpaceRecord) {
-        let mut log_spaces = self.log_spaces.write();
-        log_spaces.retain(|existing| existing.puddle != record.puddle);
-        log_spaces.push(record.clone());
-        self.wal_submit(RegistryOp::PutLogSpace(record));
+        self.tables.read().ptr_maps.values().cloned().collect()
     }
 
     /// Clones every registered log space.
     pub fn log_spaces_snapshot(&self) -> Vec<LogSpaceRecord> {
-        self.log_spaces.read().clone()
-    }
-
-    /// Number of registered log spaces.
-    pub fn log_space_count(&self) -> u64 {
-        self.log_spaces.read().len() as u64
-    }
-
-    /// Marks a log space invalid (its logs will never be replayed).
-    pub fn invalidate_log_space(&self, puddle: PuddleId) {
-        let mut log_spaces = self.log_spaces.write();
-        for ls in log_spaces.iter_mut() {
-            if ls.puddle == puddle {
-                ls.invalid = true;
-            }
-        }
-        self.wal_submit(RegistryOp::InvalidateLogSpace { puddle });
+        self.tables.read().log_spaces.clone()
     }
 
     // -- Relocation ---------------------------------------------------------
@@ -844,28 +616,28 @@ impl Registry {
     /// here would make the registry O(N²) after a move). Import keeps
     /// per-extent tables because imported puddles land at unrelated offsets.
     pub fn apply_base_relocation(&self, new_base: u64) -> Result<bool> {
-        let (old_base, space_size) = (self.alloc.space_base(), self.alloc.space_size());
-        if old_base == new_base {
-            return Ok(false);
-        }
-        let whole_space = Translation {
-            old_addr: old_base,
-            new_addr: new_base,
-            len: space_size,
-        };
         {
-            let mut puddles = self.puddles.write();
-            for p in puddles.values_mut() {
+            let mut tables = self.tables.write();
+            if tables.space_base == new_base {
+                return Ok(false);
+            }
+            let whole_space = Translation {
+                old_addr: tables.space_base,
+                new_addr: new_base,
+                len: tables.space_size,
+            };
+            for p in tables.puddles.values_mut() {
                 p.needs_rewrite = true;
                 p.translations = vec![whole_space];
             }
+            tables.space_base = new_base;
         }
-        self.alloc.set_space_base(new_base);
         // A base move is a rare, startup-only event that touches every
-        // record and appends none: it persists as one atomic checkpoint,
-        // whose header carries the new base together with the rewrite marks
-        // it implies — a replayed base change without those marks would
-        // leave pointers unrewritten.
+        // record and appends none: it is the one edit that bypasses
+        // `transact` and persists as one atomic checkpoint, whose header
+        // carries the new base together with the rewrite marks it implies —
+        // a replayed base change without those marks would leave pointers
+        // unrewritten.
         self.checkpoint()?;
         Ok(true)
     }
@@ -881,6 +653,28 @@ mod tests {
         let pm = PmDir::open(tmp.path()).unwrap();
         let reg = Registry::load_or_create(&pm, 0x5000_0000_0000, 1 << 30).unwrap();
         (tmp, reg)
+    }
+
+    /// One transaction of `batch`.
+    fn transact(reg: &Registry, batch: Vec<RegistryOp>) {
+        reg.transact(|_, ops| {
+            ops.extend(batch);
+            Ok::<_, PmError>(())
+        })
+        .unwrap();
+    }
+
+    /// A pool named `name` whose root is `root` — `CreatePool`'s record.
+    fn put_pool(reg: &Registry, name: &str, root: PuddleRecord) {
+        let pool = PoolRecord {
+            name: name.into(),
+            root: root.id,
+            puddles: vec![root.id],
+        };
+        transact(
+            reg,
+            vec![RegistryOp::PutPool(pool), RegistryOp::PutPuddle(root)],
+        );
     }
 
     fn record(reg: &Registry, pool: Option<&str>) -> PuddleRecord {
@@ -955,8 +749,8 @@ mod tests {
             reg.free_space(off, PAGE_SIZE as u64);
         }
         let stats = reg.alloc_stats();
-        // With no background scheduler attached the threshold trip runs the
-        // pass inline (counted as lazy). The trigger re-arms relative to the
+        // The free that trips the threshold runs the pass (counted as
+        // lazy). The trigger re-arms relative to the
         // previous pass's residue, so not every free past the fourth merges
         // — but the count must sit well below the eight raw frees.
         assert!(
@@ -1000,12 +794,7 @@ mod tests {
             let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
             let rec = record(&reg, Some("p"));
             id = rec.id;
-            reg.insert_pool(PoolRecord {
-                name: "p".into(),
-                root: id,
-                puddles: vec![],
-            });
-            reg.register_puddle(rec).unwrap();
+            put_pool(&reg, "p", rec);
             reg.commit().unwrap();
         }
         let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
@@ -1044,55 +833,91 @@ mod tests {
     fn log_space_registration_replaces_duplicates() {
         let (_tmp, reg) = registry();
         let id = reg.fresh_id();
-        reg.register_log_space(LogSpaceRecord {
-            puddle: id,
-            owner_uid: 1,
-            owner_gid: 1,
-            invalid: false,
-        });
-        reg.register_log_space(LogSpaceRecord {
-            puddle: id,
-            owner_uid: 2,
-            owner_gid: 2,
-            invalid: false,
-        });
+        for owner in [1, 2] {
+            let space = LogSpaceRecord {
+                puddle: id,
+                owner_uid: owner,
+                owner_gid: owner,
+                invalid: false,
+            };
+            transact(&reg, vec![RegistryOp::PutLogSpace(space)]);
+        }
         let spaces = reg.log_spaces_snapshot();
         assert_eq!(spaces.len(), 1);
         assert_eq!(spaces[0].owner_uid, 2);
-        reg.invalidate_log_space(id);
+        transact(&reg, vec![RegistryOp::InvalidateLogSpace { puddle: id }]);
         assert!(reg.log_spaces_snapshot()[0].invalid);
     }
 
+    /// A transaction is all or nothing: an `Err` from its closure, or a
+    /// record over the WAL's limit, leaves the tables, the WAL buffer and its
+    /// tickets as they were — typed, with the WAL unpoisoned, so the next
+    /// commit goes through and a reload lands on the live state.
     #[test]
-    fn register_puddle_requires_the_pool() {
-        let (_tmp, reg) = registry();
-        let rec = record(&reg, Some("missing"));
-        assert_eq!(
-            reg.register_puddle(rec),
-            Err(RegistryOpError::NoSuchPool("missing".into()))
-        );
+    fn a_refused_transaction_logs_and_applies_nothing() {
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
+        transact(&reg, record(&reg, None).put_ops());
+        reg.commit().unwrap();
         let rec = record(&reg, None);
-        let id = rec.id;
-        reg.register_puddle(rec).unwrap();
-        assert!(reg.puddle(id).is_some());
+        let state = || {
+            let stats = reg.wal().stats();
+            let wal = (stats.bytes, stats.records, reg.wal().position());
+            (reg.snapshot().puddles, wal)
+        };
+        let before = state();
+
+        let refused = reg.transact(|data, ops| {
+            assert_eq!(data.puddles.len(), 1, "checks run against the tables");
+            ops.extend(rec.put_ops());
+            Err::<(), _>(PmError::Corruption("the closure's check failed".into()))
+        });
+        assert!(matches!(refused, Err(PmError::Corruption(_))));
+        let huge = RegistryOp::PutPtrMap(PtrMapDecl {
+            type_id: 1,
+            type_name: "x".repeat(wal::MAX_RECORD),
+            size: 8,
+            fields: vec![],
+        });
+        let oversized = reg.transact(|_, ops| {
+            ops.extend(rec.put_ops());
+            ops.push(huge);
+            Ok::<_, PmError>(())
+        });
+        assert!(
+            matches!(oversized, Err(PmError::RecordTooLarge { max, .. }) if max == wal::MAX_RECORD),
+            "{oversized:?}"
+        );
+        assert_eq!(state(), before);
+        reg.free_space(rec.offset, rec.size);
+
+        transact(&reg, record(&reg, None).put_ops());
+        reg.commit().expect("the WAL must not be poisoned");
+        let live = reg.snapshot();
+        assert_eq!(live.puddles.len(), 2);
+        drop(reg);
+        let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
+        assert_eq!(reg.snapshot(), live);
     }
 
     #[test]
-    fn unregister_puddle_detaches_from_pool() {
+    fn put_ops_and_drop_ops_keep_pool_membership_symmetric() {
         let (_tmp, reg) = registry();
-        reg.insert_pool(PoolRecord {
-            name: "p".into(),
-            root: PuddleId(0),
-            puddles: vec![],
-        });
+        let root = record(&reg, Some("p"));
+        let root_id = root.id;
+        put_pool(&reg, "p", root);
         let rec = record(&reg, Some("p"));
         let id = rec.id;
-        reg.register_puddle(rec).unwrap();
-        assert_eq!(reg.pool("p").unwrap().puddles, vec![id]);
-        let removed = reg.unregister_puddle(id).unwrap();
-        assert_eq!(removed.id, id);
-        assert!(reg.pool("p").unwrap().puddles.is_empty());
+        transact(&reg, rec.put_ops());
+        assert_eq!(reg.pool("p").unwrap().puddles, vec![root_id, id]);
+        crate::Invariants::assert_all(&reg);
+        transact(&reg, rec.drop_ops());
+        assert_eq!(reg.pool("p").unwrap().puddles, vec![root_id]);
         assert!(reg.puddle(id).is_none());
+        crate::Invariants::assert_all(&reg);
+        // Without a pool there is no membership to log.
+        assert_eq!(record(&reg, None).put_ops().len(), 1);
     }
 
     #[test]
@@ -1101,8 +926,8 @@ mod tests {
         let rec = record(&reg, None);
         let id = rec.id;
         let offset = rec.offset;
-        reg.register_puddle(rec).unwrap();
-        let old_base = reg.space_base();
+        transact(&reg, rec.put_ops());
+        let old_base = reg.read(|data| data.space_base);
         assert!(!reg.apply_base_relocation(old_base).unwrap());
         let new_base = old_base + (1 << 30);
         assert!(reg.apply_base_relocation(new_base).unwrap());
@@ -1117,63 +942,40 @@ mod tests {
             Some(new_base + offset),
             "whole-space translation must cover the puddle's extent"
         );
-        assert_eq!(reg.space_base(), new_base);
+        assert_eq!(reg.read(|data| data.space_base), new_base);
     }
 
+    /// The allocator is derived at load, from the puddle table alone: an
+    /// extent whose free never reached the (volatile) free lists is a gap
+    /// like any other.
     #[test]
-    fn reconcile_heals_torn_snapshots_at_load() {
+    fn reconcile_rebuilds_the_allocator_from_the_live_extents() {
         let tmp = tempfile::tempdir().unwrap();
         let pm = PmDir::open(tmp.path()).unwrap();
-        let survivor_id;
         let survivor_offset;
         {
             let reg = Registry::load_or_create(&pm, 0, 1 << 30).unwrap();
-            // A healthy pool with one member.
-            let root = record(&reg, Some("ok"));
-            survivor_id = root.id;
-            survivor_offset = root.offset;
-            reg.insert_pool(PoolRecord {
-                name: "ok".into(),
-                root: root.id,
-                puddles: vec![],
-            });
-            reg.register_puddle(root).unwrap();
-            // Torn state 1: a pool whose root puddle never materialized.
-            reg.insert_pool(PoolRecord {
-                name: "headless".into(),
-                root: PuddleId(0xdead),
-                puddles: vec![],
-            });
-            // Torn state 2: a pool member id whose record is gone.
-            reg.update_pool("ok", |p| p.puddles.push(PuddleId(0xbeef)));
-            // Torn state 3: leaked space — an extent freed in memory whose
-            // free-list entry was lost (simulated by allocating and
-            // dropping the record without freeing).
             let leaked = record(&reg, None);
-            reg.register_puddle(leaked.clone()).unwrap();
-            reg.unregister_puddle(leaked.id).unwrap(); // free_space "lost"
+            let survivor = record(&reg, None);
+            survivor_offset = survivor.offset;
+            transact(&reg, leaked.put_ops());
+            transact(&reg, survivor.put_ops());
+            transact(&reg, leaked.drop_ops()); // free_space "lost"
             reg.commit().unwrap();
         }
         let reg = Registry::load_or_create(&pm, 0, 1 << 30).unwrap();
-        // The headless pool is gone; the healthy pool kept only live ids.
-        assert!(reg.pool("headless").is_none());
-        assert_eq!(reg.pool("ok").unwrap().puddles, vec![survivor_id]);
-        // The allocator was rebuilt from live extents: the next allocation
-        // reuses the leaked gap instead of bumping past it.
-        let reused = reg.alloc_space(PAGE_SIZE as u64).unwrap();
-        assert_ne!(reused, survivor_offset);
-        assert!(
-            reused < reg.snapshot().next_offset,
-            "leaked extent was not reclaimed"
-        );
+        let snap = reg.snapshot();
+        assert_eq!(snap.free_list, vec![(PAGE_SIZE as u64, PAGE_SIZE as u64)]);
+        assert_eq!(snap.next_offset, survivor_offset + PAGE_SIZE as u64);
+        // The next allocation reuses the gap instead of bumping past it.
+        assert_eq!(reg.alloc_space(PAGE_SIZE as u64).unwrap(), PAGE_SIZE as u64);
     }
 
     #[test]
     fn stale_records_are_checkpointed_by_age_not_just_bytes() {
         let (_tmp, reg) = registry();
         // Far below the byte threshold: the trickle case.
-        let rec = record(&reg, None);
-        reg.register_puddle(rec).unwrap();
+        transact(&reg, record(&reg, None).put_ops());
         reg.commit().unwrap();
         assert!(reg.wal().stats().records > 0);
         // Young records are left alone...
@@ -1200,7 +1002,7 @@ mod tests {
                     for _ in 0..50 {
                         let rec = record(&reg, None);
                         offsets.push((rec.offset, rec.size));
-                        reg.register_puddle(rec).unwrap();
+                        transact(&reg, rec.put_ops());
                     }
                     offsets
                 })
@@ -1217,7 +1019,6 @@ mod tests {
                 "overlapping allocations: {pair:?}"
             );
         }
-        let (count, _) = reg.puddle_usage();
-        assert_eq!(count, 400);
+        assert_eq!(reg.read(|data| data.puddles.len()), 400);
     }
 }

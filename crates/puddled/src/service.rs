@@ -1,18 +1,21 @@
 //! The daemon proper: configuration, startup, and the request handler.
 //!
-//! The request path is fully concurrent: [`Daemon::handle`] takes `&self`
-//! and the registry is internally sharded (see [`crate::registry`]), so
-//! requests from different connections execute in parallel and contend only
-//! on the tables they touch — a `Translation`/`GetPuddle` lookup runs under
-//! a read lock and never waits for traffic on other pools.
+//! The request path is fully concurrent: [`Daemon::handle`] takes `&self`,
+//! so requests from different connections execute in parallel. Lookups
+//! (`GetPuddle`, `OpenPool`, translations) share the registry's read lock;
+//! a request that changes metadata is **one registry transaction, one WAL
+//! record, one group commit** (see [`crate::registry`]): it prepares outside
+//! the lock (grants space, creates or copies files), runs its checks and
+//! queues its ops in one [`Registry::transact`], waits for durability in
+//! one [`Registry::commit`], and only then deletes files.
 
 use crate::acl;
 use crate::background::Background;
 use crate::gspace::GlobalSpace;
 use crate::importexport;
 use crate::recovery;
-use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Registry, RegistryOpError};
-use crate::wal::{Wal, WalHandle};
+use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Registry, RegistryData};
+use crate::wal::{RegistryOp, Wal, WalHandle};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
 use puddles_pmem::obs::{HistogramSnapshot, Metrics, ShardedHistogram, TraceEventKind};
@@ -200,11 +203,12 @@ pub struct DaemonInner {
     pub(crate) config: DaemonConfig,
     pub(crate) pmdir: PmDir,
     pub(crate) gspace: Arc<GlobalSpace>,
-    /// The sharded metadata registry; locked per table internally, so there
-    /// is no daemon-wide lock on the request path. The metadata WAL it
-    /// persists through is reachable via [`Registry::wal`] (`Stats` reads
-    /// WAL length and checkpoint age from it). Shared (`Arc`) because the
-    /// background scheduler's checkpoint tasks hold a weak handle to it.
+    /// The metadata registry: one state machine behind one lock, held only
+    /// for lookups and for a transaction's checks and apply — never across
+    /// I/O. The metadata WAL it persists through is reachable via
+    /// [`Registry::wal`] (`Stats` reads WAL length and checkpoint age from
+    /// it). Shared (`Arc`) because the background scheduler's checkpoint
+    /// tasks hold a weak handle to it.
     pub(crate) registry: Arc<Registry>,
     /// Background task scheduler: WAL checkpoints (and any future deferred
     /// maintenance) run here instead of on the request path. Drained on
@@ -277,22 +281,14 @@ impl DaemonError {
 impl From<PmError> for DaemonError {
     fn from(e: PmError) -> Self {
         // Device exhaustion is a typed, client-actionable condition (free
-        // something and retry), not an internal fault.
+        // something and retry), not an internal fault; so is a request
+        // whose transaction does not fit one WAL record (ask for less).
         let code = match &e {
             PmError::NoSpace(_) => ErrorCode::OutOfSpace,
+            PmError::RecordTooLarge { .. } => ErrorCode::InvalidRequest,
             _ => ErrorCode::Internal,
         };
         DaemonError::new(code, e.to_string())
-    }
-}
-
-impl From<RegistryOpError> for DaemonError {
-    fn from(e: RegistryOpError) -> Self {
-        match e {
-            RegistryOpError::NoSuchPool(name) => {
-                DaemonError::new(ErrorCode::NotFound, format!("pool `{name}` does not exist"))
-            }
-        }
     }
 }
 
@@ -303,13 +299,14 @@ pub(crate) type DaemonResult<T> = std::result::Result<T, DaemonError>;
 /// only place this is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
-    /// Runs on the reactor thread itself. Only for requests that take
-    /// shared registry locks and nothing else: no WAL record, no file, no
-    /// wait on another thread — so a reactor can never stall behind one.
+    /// Runs on the reactor thread itself. Only for requests that take the
+    /// registry's read lock and nothing else: no WAL record, no file, no
+    /// wait on another thread — so a reactor can never stall behind one
+    /// (a writer holds the lock for its checks and apply only).
     Inline,
     /// Small mutations that end in a WAL group commit (registrations,
-    /// puddle create/free), plus `Stats`/`GetMetrics`, which walk every
-    /// allocator arena and histogram series.
+    /// puddle create/free), plus `Stats`/`GetMetrics`, which sort the
+    /// allocator's free list and walk every histogram series.
     Fast,
     /// Heavyweight operations that copy puddle contents or replay logs:
     /// pool import/export/creation/deletion and recovery. A burst of them
@@ -362,9 +359,9 @@ pub fn series_snapshot(name: String, h: &HistogramSnapshot) -> SeriesSnapshot {
 impl Daemon {
     /// Starts the daemon: opens the PM directory, reserves the global
     /// space, opens the metadata WAL and loads the registry through it
-    /// (replay, reconcile, checkpoint), relocates puddles if the space
-    /// base moved, sweeps orphan puddle files, and (by default) runs crash
-    /// recovery before any client can connect.
+    /// (replay, derive the allocator, checkpoint), relocates puddles if the
+    /// space base moved, sweeps orphan puddle files, and (by default) runs
+    /// crash recovery before any client can connect.
     pub fn start(config: DaemonConfig) -> Result<Self> {
         let mut pmdir = PmDir::open(&config.pm_dir)?;
         if let Some(plan) = &config.fault_plan {
@@ -407,9 +404,9 @@ impl Daemon {
             });
         }
         // Deterministic mode (virtual clock): no background handle on the
-        // registry, so threshold checkpoints and lazy coalesce passes run
-        // inline on the request thread in request order, and no age check —
-        // the WAL's write sequence replays exactly per seed.
+        // registry, so threshold checkpoints run inline on the request
+        // thread in request order, and no age check — the WAL's write
+        // sequence replays exactly per seed.
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
                 config,
@@ -432,9 +429,10 @@ impl Daemon {
             .inner
             .registry
             .apply_base_relocation(daemon.inner.gspace.base() as u64)?;
-        // The registry (healed by replay + reconcile) is now the source of
-        // truth; delete puddle files it does not know about — a crash
-        // mid-`DropPool` can leave freed members' files behind.
+        // The replayed registry is the source of truth; delete puddle files
+        // it does not know about — a crash between a file and its record
+        // (a create whose record never became durable, a drop whose files
+        // were not unlinked yet) leaves exactly those behind.
         let swept = recovery::sweep_orphan_files(&daemon.inner)?;
         daemon.inner.orphans_swept.store(swept, Ordering::Relaxed);
         if daemon.inner.config.auto_recover {
@@ -614,8 +612,12 @@ impl Daemon {
                 Ok(Response::Ok)
             }
             Request::RegisterPtrMap { decl } => {
-                self.inner.registry.register_ptr_map(decl);
-                self.inner.registry.commit()?;
+                let reg = &self.inner.registry;
+                reg.transact(|_, ops| -> DaemonResult<()> {
+                    ops.push(RegistryOp::PutPtrMap(decl));
+                    Ok(())
+                })?;
+                reg.commit()?;
                 Ok(Response::Ok)
             }
             Request::GetPtrMaps => Ok(Response::PtrMaps(self.inner.registry.ptr_maps())),
@@ -629,26 +631,25 @@ impl Daemon {
                 Ok(Response::Imported { pool, translations })
             }
             Request::GetRelocation { id } => {
-                // Read-mostly path: a shared lock on the puddle table only.
-                let p = self
-                    .inner
-                    .registry
-                    .puddle(id)
-                    .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
+                // Read-mostly path: the registry's shared read lock only.
+                let p = self.inner.registry.puddle(id).ok_or_else(no_such_puddle)?;
                 Ok(Response::Relocation {
                     needs_rewrite: p.needs_rewrite,
                     translations: p.translations,
                 })
             }
             Request::MarkRewritten { id } => {
-                self.inner
-                    .registry
-                    .update_puddle(id, |p| {
-                        p.needs_rewrite = false;
-                        p.translations.clear();
-                    })
-                    .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
-                self.inner.registry.commit()?;
+                let reg = &self.inner.registry;
+                reg.transact(|data, ops| {
+                    let record = data.puddles.get(&id).ok_or_else(no_such_puddle)?;
+                    ops.push(RegistryOp::PutPuddle(PuddleRecord {
+                        needs_rewrite: false,
+                        translations: Vec::new(),
+                        ..record.clone()
+                    }));
+                    Ok::<_, DaemonError>(())
+                })?;
+                reg.commit()?;
                 Ok(Response::Ok)
             }
             Request::Recover => {
@@ -729,16 +730,24 @@ impl Daemon {
 
     fn stats(&self) -> puddles_proto::DaemonStats {
         let reg = &self.inner.registry;
-        let (puddles, space_used) = reg.puddle_usage();
+        let (puddles, space_used, pools, ptr_maps, log_spaces) = reg.read(|data| {
+            (
+                data.puddles.len() as u64,
+                data.puddles.values().map(|p| p.size).sum::<u64>(),
+                data.pools.len() as u64,
+                data.ptr_maps.len() as u64,
+                data.log_spaces.len() as u64,
+            )
+        });
         let wal = reg.wal().stats();
         let (checkpoints_background, checkpoints_forced_inline) = reg.checkpoint_counters();
         let alloc = reg.alloc_stats();
         let io = self.inner.pmdir.io_stats();
         puddles_proto::DaemonStats {
             puddles,
-            pools: reg.pool_count(),
-            ptr_maps: reg.ptr_map_count(),
-            log_spaces: reg.log_space_count(),
+            pools,
+            ptr_maps,
+            log_spaces,
             space_used,
             space_total: self.inner.gspace.size() as u64,
             wal_bytes: wal.bytes,
@@ -804,14 +813,16 @@ impl Daemon {
         }
     }
 
-    pub(crate) fn create_puddle(
+    /// Everything a new puddle needs before its record: an id, an extent of
+    /// the global space and a zero-filled backing file.
+    fn prepare_puddle(
         &self,
         creds: Credentials,
         size: u64,
         pool: Option<String>,
         purpose: PuddlePurpose,
         mode: u32,
-    ) -> DaemonResult<PuddleInfo> {
+    ) -> DaemonResult<PuddleRecord> {
         let reg = &self.inner.registry;
         let size = align_up(size.max((2 * PAGE_SIZE) as u64) as usize, PAGE_SIZE) as u64;
         let id = reg.fresh_id();
@@ -823,11 +834,11 @@ impl Daemon {
             reg.free_space(offset, size);
             return Err(DaemonError::from(e));
         }
-        let record = PuddleRecord {
+        Ok(PuddleRecord {
             id,
             size,
             offset,
-            file: file.clone(),
+            file,
             purpose,
             owner_uid: creds.uid,
             owner_gid: creds.gid,
@@ -835,17 +846,52 @@ impl Daemon {
             pool,
             needs_rewrite: false,
             translations: Vec::new(),
-        };
-        let info = self.puddle_info(&record, true);
-        // Membership check + insert + pool append are one atomic registry op,
-        // so a concurrent DropPool cannot orphan the new puddle.
-        if let Err(e) = reg.register_puddle(record) {
-            reg.free_space(offset, size);
-            let _ = self.inner.pmdir.delete_puddle_file(&file);
-            return Err(DaemonError::from(e));
+        })
+    }
+
+    /// Runs the transaction that records a prepared puddle, then commits
+    /// it. The file exists before its record (a crash in between leaves an
+    /// orphan for the startup sweep); a transaction that refuses gives the
+    /// extent and the file back.
+    fn record_prepared(
+        &self,
+        record: &PuddleRecord,
+        tx: impl FnOnce(&RegistryData, &mut Vec<RegistryOp>) -> DaemonResult<()>,
+    ) -> DaemonResult<()> {
+        let reg = &self.inner.registry;
+        if let Err(e) = reg.transact(tx) {
+            reg.free_space(record.offset, record.size);
+            let _ = self.inner.pmdir.delete_puddle_file(&record.file);
+            return Err(e);
         }
-        reg.commit()?;
-        Ok(info)
+        Ok(reg.commit()?)
+    }
+
+    pub(crate) fn create_puddle(
+        &self,
+        creds: Credentials,
+        size: u64,
+        pool: Option<String>,
+        purpose: PuddlePurpose,
+        mode: u32,
+    ) -> DaemonResult<PuddleInfo> {
+        let record = self.prepare_puddle(creds, size, pool, purpose, mode)?;
+        // The pool check and the membership are one transaction with the
+        // record: a concurrent DropPool either takes the new puddle with it
+        // or makes this `NotFound`.
+        self.record_prepared(&record, |data, ops| {
+            if let Some(name) = &record.pool {
+                if !data.pools.contains_key(name) {
+                    return Err(DaemonError::new(
+                        ErrorCode::NotFound,
+                        format!("pool `{name}` does not exist"),
+                    ));
+                }
+            }
+            ops.extend(record.put_ops());
+            Ok(())
+        })?;
+        Ok(self.puddle_info(&record, true))
     }
 
     fn get_puddle(
@@ -854,23 +900,13 @@ impl Daemon {
         id: PuddleId,
         writable: bool,
     ) -> DaemonResult<PuddleInfo> {
-        let record = self
-            .inner
-            .registry
-            .puddle(id)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
+        let record = self.inner.registry.puddle(id).ok_or_else(no_such_puddle)?;
         let access = if writable {
             acl::Access::Write
         } else {
             acl::Access::Read
         };
-        if !acl::check(
-            creds,
-            record.owner_uid,
-            record.owner_gid,
-            record.mode,
-            access,
-        ) {
+        if !record.allows(creds, access) {
             return Err(DaemonError::new(
                 ErrorCode::PermissionDenied,
                 format!("access to puddle {id} denied"),
@@ -880,31 +916,28 @@ impl Daemon {
     }
 
     fn free_puddle(&self, creds: Credentials, id: PuddleId) -> DaemonResult<()> {
-        let reg = &self.inner.registry;
-        let record = reg
-            .puddle(id)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
-        if !acl::check(
-            creds,
-            record.owner_uid,
-            record.owner_gid,
-            record.mode,
-            acl::Access::Write,
-        ) {
-            return Err(DaemonError::new(ErrorCode::PermissionDenied, "not owner"));
-        }
-        // Re-fetch under the write locks: the ACL check above used a
-        // snapshot, but removal is atomic (puddle + pool membership).
-        let record = reg
-            .unregister_puddle(id)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
-        reg.free_space(record.offset, record.size);
-        reg.commit()?;
-        self.inner
-            .pmdir
-            .delete_puddle_file(&record.file)
-            .map_err(DaemonError::from)?;
-        Ok(())
+        let record = self.inner.registry.transact(|data, ops| {
+            let record = data.puddles.get(&id).ok_or_else(no_such_puddle)?;
+            if !record.allows(creds, acl::Access::Write) {
+                return Err(DaemonError::new(ErrorCode::PermissionDenied, "not owner"));
+            }
+            // A pool without its root is a state no request may leave.
+            let pool = record.pool.as_ref().and_then(|name| data.pools.get(name));
+            if let Some(pool) = pool.filter(|pool| pool.root == id) {
+                return Err(DaemonError::new(
+                    ErrorCode::InvalidRequest,
+                    format!(
+                        "puddle {id} is the root of pool `{}`: drop the pool",
+                        pool.name
+                    ),
+                ));
+            }
+            ops.extend(record.drop_ops());
+            Ok(record.clone())
+        })?;
+        let dropped = [record];
+        self.inner.release(&dropped)?;
+        Ok(self.inner.unlink(&dropped)?)
     }
 
     fn create_pool(
@@ -914,166 +947,141 @@ impl Daemon {
         root_size: u64,
         mode: u32,
     ) -> DaemonResult<puddles_proto::PoolInfo> {
-        // Claim the name first so the root puddle can reference the pool;
-        // the atomic try-insert makes concurrent same-name creates race
-        // safely (exactly one wins).
-        let claimed = self.inner.registry.try_insert_pool(PoolRecord {
+        let pool = Some(name.to_string());
+        let root = self.prepare_puddle(creds, root_size, pool, PuddlePurpose::Data, mode)?;
+        let pool = PoolRecord {
             name: name.to_string(),
-            root: PuddleId(0),
-            puddles: Vec::new(),
-        });
-        if !claimed {
-            return Err(DaemonError::new(
-                ErrorCode::AlreadyExists,
-                format!("pool `{name}` already exists"),
-            ));
-        }
-        let root = match self.create_puddle(
-            creds,
-            root_size,
-            Some(name.to_string()),
-            PuddlePurpose::Data,
-            mode,
-        ) {
-            Ok(root) => root,
-            Err(e) => {
-                // Roll the claim back so the name is not leaked. A
-                // concurrent CreatePuddle may have already joined the
-                // half-created pool; detach such members so no record is
-                // left pointing at a name that no longer exists (a dangling
-                // name would be grafted onto an unrelated future pool by the
-                // load-time reconcile).
-                if let Some(pool) = self.inner.registry.remove_pool(name) {
-                    for id in pool.puddles {
-                        self.inner.registry.update_puddle(id, |p| p.pool = None);
-                    }
-                }
-                let _ = self.inner.registry.commit();
-                return Err(e);
-            }
+            root: root.id,
+            puddles: vec![root.id],
         };
-        let info = self
-            .inner
-            .registry
-            .update_pool(name, |pool| {
-                pool.root = root.id;
-                pool.to_info()
-            })
-            .ok_or_else(|| DaemonError::new(ErrorCode::Internal, "pool vanished"))?;
-        self.inner.registry.commit()?;
-        Ok(info)
-    }
-
-    fn open_pool(&self, creds: Credentials, name: &str) -> DaemonResult<puddles_proto::PoolInfo> {
-        let pool = self.inner.registry.pool(name).ok_or_else(|| {
-            DaemonError::new(ErrorCode::NotFound, format!("pool `{name}` not found"))
+        // The name check and both records are one transaction, so
+        // concurrent same-name creates race safely: exactly one wins.
+        self.record_prepared(&root, |data, ops| {
+            if data.pools.contains_key(name) {
+                return Err(pool_exists(name));
+            }
+            ops.push(RegistryOp::PutPool(pool.clone()));
+            ops.push(RegistryOp::PutPuddle(root.clone()));
+            Ok(())
         })?;
-        let root = self
-            .inner
-            .registry
-            .puddle(pool.root)
-            .ok_or_else(|| DaemonError::new(ErrorCode::Internal, "pool root missing"))?;
-        if !acl::check(
-            creds,
-            root.owner_uid,
-            root.owner_gid,
-            root.mode,
-            acl::Access::Read,
-        ) {
-            return Err(DaemonError::new(
-                ErrorCode::PermissionDenied,
-                "pool access denied",
-            ));
-        }
         Ok(pool.to_info())
     }
 
+    fn open_pool(&self, creds: Credentials, name: &str) -> DaemonResult<puddles_proto::PoolInfo> {
+        self.inner.registry.read(|data| {
+            let pool = data.pools.get(name).ok_or_else(|| {
+                DaemonError::new(ErrorCode::NotFound, format!("pool `{name}` not found"))
+            })?;
+            let root = data
+                .puddles
+                .get(&pool.root)
+                .ok_or_else(|| DaemonError::new(ErrorCode::Internal, "pool root missing"))?;
+            if !root.allows(creds, acl::Access::Read) {
+                return Err(DaemonError::new(
+                    ErrorCode::PermissionDenied,
+                    "pool access denied",
+                ));
+            }
+            Ok(pool.to_info())
+        })
+    }
+
     fn drop_pool(&self, creds: Credentials, name: &str) -> DaemonResult<()> {
-        let reg = &self.inner.registry;
-        // Check the caller may delete every member before tearing anything
-        // down (the drop below is not atomic across puddles).
-        let pool = reg
-            .pool(name)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
-        for id in &pool.puddles {
-            if let Some(record) = reg.puddle(*id) {
-                if !acl::check(
-                    creds,
-                    record.owner_uid,
-                    record.owner_gid,
-                    record.mode,
-                    acl::Access::Write,
-                ) {
-                    return Err(DaemonError::new(
-                        ErrorCode::PermissionDenied,
-                        format!("cannot drop pool `{name}`: puddle {id} is not writable"),
-                    ));
-                }
+        // All or nothing: the check that the caller may delete every member
+        // and the ops that remove them see one member list.
+        let members = self.inner.registry.transact(|data, ops| {
+            let pool = data
+                .pools
+                .get(name)
+                .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
+            let members: Vec<PuddleRecord> = pool
+                .puddles
+                .iter()
+                .filter_map(|id| data.puddles.get(id).cloned())
+                .collect();
+            if let Some(denied) = members
+                .iter()
+                .find(|m| !m.allows(creds, acl::Access::Write))
+            {
+                return Err(DaemonError::new(
+                    ErrorCode::PermissionDenied,
+                    format!(
+                        "cannot drop pool `{name}`: puddle {} is not writable",
+                        denied.id
+                    ),
+                ));
             }
-        }
-        // Remove the pool record first: from this point on, concurrent
-        // CreatePuddle requests naming this pool fail with NotFound instead
-        // of racing the teardown. The returned record carries the member
-        // list as of the removal.
-        let pool = reg
-            .remove_pool(name)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
-        // Free every member even if one fails, so a mid-loop error cannot
-        // orphan the rest; a member already freed concurrently (NotFound) is
-        // not an error. A member that cannot be freed (e.g. another user's
-        // puddle raced into the pool after the ACL pre-check) is detached so
-        // it never dangles on the removed pool name. Any stragglers a crash
-        // leaves behind are healed by the registry's load-time reconcile.
-        let mut first_error = None;
-        for id in pool.puddles {
-            match self.free_puddle(creds, id) {
-                Ok(()) => {}
-                Err(e) if e.code == ErrorCode::NotFound => {}
-                Err(e) => {
-                    reg.update_puddle(id, |p| p.pool = None);
-                    first_error = first_error.or(Some(e));
-                }
-            }
-        }
-        reg.commit()?;
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            ops.push(RegistryOp::DropPool {
+                name: name.to_string(),
+            });
+            ops.extend(members.iter().map(|m| RegistryOp::DropPuddle { id: m.id }));
+            Ok(members)
+        })?;
+        self.inner.release(&members)?;
+        Ok(self.inner.unlink(&members)?)
     }
 
     fn register_log_space(&self, creds: Credentials, puddle: PuddleId) -> DaemonResult<()> {
         let reg = &self.inner.registry;
-        let record = reg
-            .puddle(puddle)
-            .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "no such puddle"))?;
-        if !acl::check(
-            creds,
-            record.owner_uid,
-            record.owner_gid,
-            record.mode,
-            acl::Access::Write,
-        ) {
-            return Err(DaemonError::new(
-                ErrorCode::PermissionDenied,
-                "cannot register a log space you cannot write",
-            ));
-        }
-        if record.purpose != PuddlePurpose::LogSpace {
-            return Err(DaemonError::new(
-                ErrorCode::InvalidRequest,
-                "puddle was not created as a log space",
-            ));
-        }
-        reg.register_log_space(LogSpaceRecord {
-            puddle,
-            owner_uid: creds.uid,
-            owner_gid: creds.gid,
-            invalid: false,
-        });
-        reg.commit()?;
-        Ok(())
+        reg.transact(|data, ops| {
+            let record = data.puddles.get(&puddle).ok_or_else(no_such_puddle)?;
+            if !record.allows(creds, acl::Access::Write) {
+                return Err(DaemonError::new(
+                    ErrorCode::PermissionDenied,
+                    "cannot register a log space you cannot write",
+                ));
+            }
+            if record.purpose != PuddlePurpose::LogSpace {
+                return Err(DaemonError::new(
+                    ErrorCode::InvalidRequest,
+                    "puddle was not created as a log space",
+                ));
+            }
+            ops.push(RegistryOp::PutLogSpace(LogSpaceRecord {
+                puddle,
+                owner_uid: creds.uid,
+                owner_gid: creds.gid,
+                invalid: false,
+            }));
+            Ok(())
+        })?;
+        Ok(reg.commit()?)
     }
+}
+
+impl DaemonInner {
+    /// What follows a transaction that dropped `records`: their extents go
+    /// back to the allocator and the record is made durable. Only after
+    /// that may [`DaemonInner::unlink`] delete the files — a crash in
+    /// between leaves files without records, which the startup sweep
+    /// deletes, never records without files.
+    pub(crate) fn release(&self, records: &[PuddleRecord]) -> Result<()> {
+        for record in records {
+            self.registry.free_space(record.offset, record.size);
+        }
+        self.registry.commit()
+    }
+
+    /// Deletes the backing files of released puddles — every one is tried —
+    /// and reports the first failure. The file it leaves behind has no
+    /// record: the next startup sweeps it.
+    pub(crate) fn unlink(&self, records: &[PuddleRecord]) -> Result<()> {
+        records
+            .iter()
+            .map(|record| self.pmdir.delete_puddle_file(&record.file))
+            .fold(Ok(()), Result::and)
+    }
+}
+
+fn no_such_puddle() -> DaemonError {
+    DaemonError::new(ErrorCode::NotFound, "no such puddle")
+}
+
+pub(crate) fn pool_exists(name: &str) -> DaemonError {
+    DaemonError::new(
+        ErrorCode::AlreadyExists,
+        format!("pool `{name}` already exists"),
+    )
 }
 
 /// In-process endpoint: calls the daemon directly with fixed credentials.
@@ -1210,5 +1218,109 @@ mod tests {
                 "GetRelocation"
             ]
         );
+    }
+    /// The other half of the table: a request that changes metadata is
+    /// exactly one WAL record and, uncontended, one group commit — however
+    /// many table entries it touches — and every other kind logs nothing.
+    /// `--nocapture` prints the rows as the README's per-request table.
+    #[test]
+    fn a_mutating_request_is_one_record_and_one_group_commit() {
+        let tmp = tempfile::tempdir().unwrap();
+        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path().join("pm"))).unwrap();
+        // No checkpoint may fold records away between two readings.
+        daemon.background().pause();
+        let creds = Credentials::current_process();
+        let call = |req: Request| match daemon.handle(creds, req) {
+            Response::Error { code, message } => panic!("{code:?}: {message}"),
+            resp => resp,
+        };
+        let dir = |name: &str| tmp.path().join(name).to_string_lossy().into_owned();
+        // Two pools of eight members, one of them exported; a log-space
+        // puddle waiting to be registered.
+        let named = |name: &str| PoolInfo {
+            name: name.into(),
+            root_puddle: PuddleId(0),
+            puddles: Vec::new(),
+        };
+        let pool_of_8 = |name: &str| {
+            let Response::Pool(pool) = call(sample_request("CreatePool", &named(name))) else {
+                panic!("pool creation failed");
+            };
+            for _ in 1..8 {
+                call(sample_request("CreatePuddle", &pool));
+            }
+            let Response::Pool(pool) = call(sample_request("OpenPool", &pool)) else {
+                panic!("pool open failed");
+            };
+            assert_eq!(pool.puddles.len(), 8);
+            pool
+        };
+        let lanes = pool_of_8("lanes");
+        let doomed = pool_of_8("doomed");
+        call(Request::ExportPool {
+            name: lanes.name.clone(),
+            dest: dir("export"),
+        });
+        let Response::Puddle(log_space) = call(Request::CreatePuddle {
+            size: 1 << 20,
+            pool: None,
+            purpose: PuddlePurpose::LogSpace,
+            mode: 0o600,
+        }) else {
+            panic!("log-space creation failed");
+        };
+
+        let flushes = daemon.metrics().series("wal.flush");
+        let mut mutating = Vec::new();
+        println!("| request | WAL records | group commits | WAL bytes |\n|---|---|---|---|");
+        for (kind, _) in REQUEST_KINDS.iter() {
+            let req = match *kind {
+                "FreePuddle" => Request::FreePuddle {
+                    id: lanes.puddles[7],
+                },
+                "CreatePool" => sample_request(kind, &named("fresh")),
+                "DropPool" => sample_request(kind, &doomed),
+                "RegLogSpace" => Request::RegLogSpace {
+                    puddle: log_space.id,
+                },
+                "ExportPool" => Request::ExportPool {
+                    name: lanes.name.clone(),
+                    dest: dir("export-again"),
+                },
+                "ImportPool" => Request::ImportPool {
+                    src: dir("export"),
+                    new_name: "imported".into(),
+                },
+                _ => sample_request(kind, &lanes),
+            };
+            let before = (daemon.stats(), flushes.snapshot().count);
+            call(req);
+            let records = daemon.stats().wal_records - before.0.wal_records;
+            let bytes = daemon.stats().wal_bytes - before.0.wal_bytes;
+            let commits = flushes.snapshot().count - before.1;
+            println!("| `{kind}` | {records} | {commits} | {bytes} |");
+            assert_eq!(records, commits, "{kind}: one group commit per record");
+            assert!(records <= 1, "{kind} appended {records} records");
+            if records == 1 {
+                assert_ne!(lane_of(&sample_request(kind, &lanes)), Lane::Inline);
+                mutating.push(*kind);
+            }
+        }
+        assert_eq!(
+            mutating,
+            [
+                "CreatePuddle",
+                "FreePuddle",
+                "CreatePool",
+                "DropPool",
+                "RegLogSpace",
+                "RegisterPtrMap",
+                "ImportPool",
+                "MarkRewritten"
+            ]
+        );
+        let stats = daemon.stats();
+        assert_eq!((stats.pools, stats.puddles), (3, 8 + 8 + 1 + 1));
+        crate::Invariants::assert_all(daemon.registry());
     }
 }

@@ -4,13 +4,16 @@
 //! mutation persists incrementally (§4.2). Here that is one append-only
 //! file, `meta/registry.wal`:
 //!
-//! * every registry mutation appends one checksummed, length-prefixed
-//!   [`RegistryOp`] record (framing modeled on `puddles_logfmt::entry`: the
-//!   checksum covers the header fields and the payload, so a torn append is
-//!   detected and the tail discarded) — O(record) per mutation;
-//! * **group commit**: concurrent mutators enqueue records under their
-//!   registry shard locks and a single *leader* thread writes and fsyncs
-//!   the whole batch, so N concurrent mutations cost one `fdatasync`;
+//! * **a record is a request**: every registry transaction
+//!   ([`crate::registry::Registry::transact`]) appends one checksummed,
+//!   length-prefixed record holding *all* of its [`RegistryOp`]s (framing
+//!   modeled on `puddles_logfmt::entry`: the checksum covers the header
+//!   fields and the payload, so a torn append is detected and the tail
+//!   discarded — the whole request, never half of it) — O(request) per
+//!   mutation;
+//! * **group commit**: concurrent mutators enqueue records under the
+//!   registry's write lock and a single *leader* thread writes and fsyncs
+//!   the whole batch, so N concurrent requests cost one `fdatasync`;
 //! * a **checkpoint is a compaction** ([`Wal::compact`]): past a byte
 //!   threshold the registry atomically replaces the file with `[Snapshot
 //!   header][one Put* record per live table entry][the records enqueued
@@ -18,8 +21,9 @@
 //!   by the workspace's one write-temp + fsync + rename
 //!   ([`PmDir::write_meta`]): no second file, format or rename;
 //! * recovery replays the file from its first byte (tolerating a torn
-//!   final record) before the registry's reconcile pass. Offline, the same
-//!   `Wal::open(..)?.take_initial_replay()` lists every record (`Debug`).
+//!   final record) through [`apply_op`] — the function the live registry
+//!   mutates through, so the two cannot diverge. Offline, the same
+//!   `Wal::open(..)?.take_initial_replay()` lists every op (`Debug`).
 //!
 //! # Record layout
 //!
@@ -28,16 +32,19 @@
 //! [payload: len bytes][zero pad to 8 bytes]
 //! ```
 //!
-//! The payload is a **binary-encoded** [`RegistryOp`]: a version byte
-//! ([`WAL_BINARY_VERSION`]), a variant tag, then the fields as fixed-width
-//! little-endian integers and length-prefixed strings. A record that passes
-//! its checksum but carries another version byte or an unknown tag was
-//! written by a different build: [`Wal::open`] refuses the file rather than
-//! dropping it (see [`WAL_BINARY_VERSION`] for the upgrade rule).
+//! The payload is a version byte ([`WAL_BINARY_VERSION`]) followed by one
+//! or more **binary-encoded** [`RegistryOp`]s back to back, decoded until
+//! the payload is exhausted: each a variant tag, then the fields as
+//! fixed-width little-endian integers and length-prefixed strings. A record
+//! that passes its checksum but carries another version byte, an unknown
+//! tag or trailing bytes was written by a different build: [`Wal::open`]
+//! refuses the file rather than dropping it (see [`WAL_BINARY_VERSION`] for
+//! the upgrade rule).
 //!
-//! `seq` counts records along the stream and never resets; a snapshot's
-//! records all carry the sequence of their cut, so compacting an unchanged
-//! registry twice writes the same bytes.
+//! `seq` counts records along the stream and never resets (the ops of one
+//! record share its `seq`); a snapshot's records all carry the sequence of
+//! their cut, so compacting an unchanged registry twice writes the same
+//! bytes.
 //!
 //! Only an *append* can be torn. The snapshot span — the header and the
 //! records it declares — was fsynced before its rename, so a short or
@@ -73,8 +80,13 @@ pub const RECORD_HEADER_SIZE: usize = 24;
 const RECORD_ALIGN: usize = 8;
 
 /// Upper bound on a single record's payload; guards decode against a
-/// corrupt length prefix.
-const MAX_RECORD: usize = 16 << 20;
+/// corrupt length prefix. A record is a request, so this also bounds what
+/// one request may change: a transaction over it is refused, typed
+/// ([`PmError::RecordTooLarge`]), before anything is logged or applied. The
+/// request that gets there first is `ImportPool`: each imported puddle's
+/// `PutPuddle` carries the import's whole translation table, so its record
+/// is ~24·N² bytes — about 800 puddles.
+pub const MAX_RECORD: usize = 16 << 20;
 
 /// Default size of the WAL's tail at which the registry compacts it.
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 1 << 20;
@@ -90,12 +102,13 @@ pub const DEFAULT_HARD_CEILING_FACTOR: u64 = 8;
 /// through the registry and keeps a clone for `Stats`.
 pub type WalHandle = Arc<Wal>;
 
-/// One registry mutation, as persisted in the WAL.
+/// One edit of one registry table; a request's transaction is a batch of
+/// them in one WAL record.
 ///
 /// Ops are **idempotent puts and removes** keyed like the registry tables,
-/// so replaying a prefix of the WAL (after a torn tail) always lands on a
-/// state the load-time reconcile can finish healing. The puts carry every
-/// field of every table, so a snapshot is one put per live entry.
+/// and a record holds a whole request, so replaying a prefix of the WAL
+/// (after a torn tail) always lands on a request boundary. The puts carry
+/// every field of every table, so a snapshot is one put per live entry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegistryOp {
     /// Insert or replace a puddle record.
@@ -151,7 +164,9 @@ pub enum RegistryOp {
     },
 }
 
-/// Applies one replayed op to the registry state being loaded.
+/// Applies one op to a registry state: the one implementation of every
+/// table edit, run by replay on the state being loaded and by
+/// [`crate::registry::Registry::transact`] on the live one.
 ///
 /// No op touches `free_list`/`next_offset`: the space allocator is never
 /// persisted, and the reconcile pass that follows replay derives both from
@@ -242,9 +257,13 @@ pub fn snapshot_ops(data: &RegistryData) -> impl Iterator<Item = RegistryOp> + '
 /// delete every puddle as an orphan.
 ///
 /// `0x02` was `0x01` without the allocator's extent records (tags 10, 11);
-/// `0x03` adds the [`RegistryOp::Snapshot`] header (tag 12) and with it
-/// retired the separate JSON checkpoint.
-pub const WAL_BINARY_VERSION: u8 = 0x03;
+/// `0x03` added the [`RegistryOp::Snapshot`] header (tag 12) and with it
+/// retired the separate JSON checkpoint; `0x04` made a record a whole
+/// request — several ops behind one version byte. A `0x03` file decodes
+/// op for op, but it logged one record per table edit, so its tail may end
+/// between the edits of one request, which only the load-time membership
+/// healing of that build could finish: this one has none and refuses it.
+pub const WAL_BINARY_VERSION: u8 = 0x04;
 
 /// Variant tags of the binary [`RegistryOp`] encoding. Stable on-disk
 /// values: append only, never renumber.
@@ -288,84 +307,93 @@ fn put_purpose(out: &mut Vec<u8>, p: PuddlePurpose) {
     });
 }
 
-/// Encodes one op as a versioned binary payload.
-pub fn encode_op(op: &RegistryOp) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+/// Encodes `ops` as one record payload: the version byte, then the ops back
+/// to back.
+pub fn encode_ops(ops: &[RegistryOp]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64 * ops.len());
     out.push(WAL_BINARY_VERSION);
+    for op in ops {
+        encode_op(&mut out, op);
+    }
+    out
+}
+
+/// Appends one op — variant tag, then fields — to a payload.
+fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
     match op {
         RegistryOp::PutPuddle(rec) => {
             out.push(tag::PUT_PUDDLE);
-            put_u128(&mut out, rec.id.0);
-            put_u64(&mut out, rec.size);
-            put_u64(&mut out, rec.offset);
-            put_str(&mut out, &rec.file);
-            put_purpose(&mut out, rec.purpose);
-            put_u32(&mut out, rec.owner_uid);
-            put_u32(&mut out, rec.owner_gid);
-            put_u32(&mut out, rec.mode);
+            put_u128(out, rec.id.0);
+            put_u64(out, rec.size);
+            put_u64(out, rec.offset);
+            put_str(out, &rec.file);
+            put_purpose(out, rec.purpose);
+            put_u32(out, rec.owner_uid);
+            put_u32(out, rec.owner_gid);
+            put_u32(out, rec.mode);
             match &rec.pool {
                 Some(pool) => {
                     out.push(1);
-                    put_str(&mut out, pool);
+                    put_str(out, pool);
                 }
                 None => out.push(0),
             }
             out.push(rec.needs_rewrite as u8);
-            put_u32(&mut out, rec.translations.len() as u32);
+            put_u32(out, rec.translations.len() as u32);
             for t in &rec.translations {
-                put_u64(&mut out, t.old_addr);
-                put_u64(&mut out, t.new_addr);
-                put_u64(&mut out, t.len);
+                put_u64(out, t.old_addr);
+                put_u64(out, t.new_addr);
+                put_u64(out, t.len);
             }
         }
         RegistryOp::DropPuddle { id } => {
             out.push(tag::DROP_PUDDLE);
-            put_u128(&mut out, id.0);
+            put_u128(out, id.0);
         }
         RegistryOp::PutPool(rec) => {
             out.push(tag::PUT_POOL);
-            put_str(&mut out, &rec.name);
-            put_u128(&mut out, rec.root.0);
-            put_u32(&mut out, rec.puddles.len() as u32);
+            put_str(out, &rec.name);
+            put_u128(out, rec.root.0);
+            put_u32(out, rec.puddles.len() as u32);
             for id in &rec.puddles {
-                put_u128(&mut out, id.0);
+                put_u128(out, id.0);
             }
         }
         RegistryOp::DropPool { name } => {
             out.push(tag::DROP_POOL);
-            put_str(&mut out, name);
+            put_str(out, name);
         }
         RegistryOp::AddPoolMember { pool, id } => {
             out.push(tag::ADD_POOL_MEMBER);
-            put_str(&mut out, pool);
-            put_u128(&mut out, id.0);
+            put_str(out, pool);
+            put_u128(out, id.0);
         }
         RegistryOp::RemovePoolMember { pool, id } => {
             out.push(tag::REMOVE_POOL_MEMBER);
-            put_str(&mut out, pool);
-            put_u128(&mut out, id.0);
+            put_str(out, pool);
+            put_u128(out, id.0);
         }
         RegistryOp::PutPtrMap(decl) => {
             out.push(tag::PUT_PTR_MAP);
-            put_u64(&mut out, decl.type_id);
-            put_str(&mut out, &decl.type_name);
-            put_u64(&mut out, decl.size);
-            put_u32(&mut out, decl.fields.len() as u32);
+            put_u64(out, decl.type_id);
+            put_str(out, &decl.type_name);
+            put_u64(out, decl.size);
+            put_u32(out, decl.fields.len() as u32);
             for f in &decl.fields {
-                put_u64(&mut out, f.offset);
-                put_u64(&mut out, f.target_type);
+                put_u64(out, f.offset);
+                put_u64(out, f.target_type);
             }
         }
         RegistryOp::PutLogSpace(rec) => {
             out.push(tag::PUT_LOG_SPACE);
-            put_u128(&mut out, rec.puddle.0);
-            put_u32(&mut out, rec.owner_uid);
-            put_u32(&mut out, rec.owner_gid);
+            put_u128(out, rec.puddle.0);
+            put_u32(out, rec.owner_uid);
+            put_u32(out, rec.owner_gid);
             out.push(rec.invalid as u8);
         }
         RegistryOp::InvalidateLogSpace { puddle } => {
             out.push(tag::INVALIDATE_LOG_SPACE);
-            put_u128(&mut out, puddle.0);
+            put_u128(out, puddle.0);
         }
         RegistryOp::Snapshot {
             space_base,
@@ -374,13 +402,12 @@ pub fn encode_op(op: &RegistryOp) -> Vec<u8> {
             span_bytes,
         } => {
             out.push(tag::SNAPSHOT);
-            put_u64(&mut out, *space_base);
-            put_u64(&mut out, *space_size);
-            put_u64(&mut out, *next_seq);
-            put_u64(&mut out, *span_bytes);
+            put_u64(out, *space_base);
+            put_u64(out, *space_size);
+            put_u64(out, *next_seq);
+            put_u64(out, *span_bytes);
         }
     }
-    out
 }
 
 /// Bounds-checked sequential reader over a binary payload.
@@ -447,14 +474,25 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Decodes one record payload; `None` for anything but a well-formed
-/// [`WAL_BINARY_VERSION`] record.
-pub fn decode_op(payload: &[u8]) -> Option<RegistryOp> {
+/// Decodes one record payload into its ops; `None` for anything but a
+/// well-formed [`WAL_BINARY_VERSION`] record. One op that does not decode —
+/// or bytes left over that are not an op: a writer/reader format mismatch —
+/// fails the whole record rather than silently ignoring data.
+pub fn decode_ops(payload: &[u8]) -> Option<Vec<RegistryOp>> {
     let mut r = Reader::new(payload);
     if r.u8()? != WAL_BINARY_VERSION {
         return None;
     }
-    let op = match r.u8()? {
+    let mut ops = vec![decode_op(&mut r)?];
+    while !r.done() {
+        ops.push(decode_op(&mut r)?);
+    }
+    Some(ops)
+}
+
+/// Decodes the op at the reader's position.
+fn decode_op(r: &mut Reader<'_>) -> Option<RegistryOp> {
+    Some(match r.u8()? {
         tag::PUT_PUDDLE => {
             let id = PuddleId(r.u128()?);
             let size = r.u64()?;
@@ -550,10 +588,7 @@ pub fn decode_op(payload: &[u8]) -> Option<RegistryOp> {
             span_bytes: r.u64()?,
         },
         _ => return None,
-    };
-    // Trailing bytes mean a writer/reader format mismatch: reject rather
-    // than silently ignoring data.
-    r.done().then_some(op)
+    })
 }
 
 /// Checksum over a record's header fields and payload (seeded FNV-1a: the
@@ -587,7 +622,7 @@ fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 fn encode_snapshot(data: &RegistryData, cut_seq: u64) -> Result<Vec<u8>> {
     let mut span = Vec::new();
     for op in snapshot_ops(data) {
-        let payload = encode_op(&op);
+        let payload = encode_ops(&[op]);
         if payload.len() > MAX_RECORD {
             return Err(PmError::Corruption("snapshot record too large".into()));
         }
@@ -599,12 +634,12 @@ fn encode_snapshot(data: &RegistryData, cut_seq: u64) -> Result<Vec<u8>> {
         next_seq: data.next_seq,
         span_bytes: span.len() as u64,
     };
-    let mut bytes = encode_record(cut_seq, &encode_op(&header));
+    let mut bytes = encode_record(cut_seq, &encode_ops(&[header]));
     bytes.extend_from_slice(&span);
     Ok(bytes)
 }
 
-/// Decoded records with their sequence numbers, in file order.
+/// Decoded ops, each with the sequence number of its record, in file order.
 type Records = Vec<(u64, RegistryOp)>;
 
 /// The framed record at the start of `bytes` as `(seq, payload, bytes
@@ -642,7 +677,7 @@ fn decode_records(bytes: &[u8]) -> Result<(Records, usize, usize)> {
                  first record or the {span_end}-byte snapshot span: damage, not a torn append"
             )));
         };
-        let Some(op) = decode_op(payload) else {
+        let Some(batch) = decode_ops(payload) else {
             return Err(PmError::Corruption(format!(
                 "metadata WAL record seq {seq} at byte {pos} is intact but not decodable by \
                  this build (payload starts {:02x?}, expected version byte \
@@ -651,17 +686,21 @@ fn decode_records(bytes: &[u8]) -> Result<(Records, usize, usize)> {
                 &payload[..payload.len().min(2)]
             )));
         };
-        if let RegistryOp::Snapshot { span_bytes, .. } = op {
+        let header = batch.iter().find_map(|op| match op {
+            RegistryOp::Snapshot { span_bytes, .. } => Some(*span_bytes),
+            _ => None,
+        });
+        if let Some(span_bytes) = header {
             span_end = usize::try_from(span_bytes).map_or(usize::MAX, |n| n.saturating_add(total));
-            if pos != 0 || span_end > bytes.len() {
+            if pos != 0 || batch.len() != 1 || span_end > bytes.len() {
                 return Err(PmError::Corruption(format!(
                     "metadata WAL snapshot header at byte {pos} spans to byte {span_end} of {}: \
-                     only the first record may be one, and its span is never cut short",
+                     only the first record may be one, alone in it, and its span is never cut short",
                     bytes.len()
                 )));
             }
         }
-        ops.push((seq, op));
+        ops.extend(batch.into_iter().map(|op| (seq, op)));
         pos += total;
     }
     Ok((ops, pos, span_end))
@@ -849,22 +888,21 @@ impl Wal {
         )
     }
 
-    /// Enqueues one record, returning its commit ticket. The record is
-    /// *not* durable until [`Wal::flush`] (or a later ticket's flush)
-    /// returns.
+    /// Enqueues `ops` as **one** record, returning its commit ticket. The
+    /// record is *not* durable until [`Wal::flush`] (or a later ticket's
+    /// flush) returns.
     ///
-    /// Call while holding the registry shard lock that serializes the
-    /// mutation, so conflicting ops enqueue in their application order.
-    /// A record that cannot be enqueued (encode failure, oversized payload)
-    /// **poisons** the WAL: the caller has typically already mutated the
-    /// in-memory tables, so the log can no longer represent them — every
-    /// later flush must fail rather than acknowledge a lost mutation.
-    pub fn submit(&self, op: &RegistryOp) -> Result<u64> {
-        let payload = encode_op(op);
+    /// The registry calls this under its write lock, before it applies the
+    /// ops, so records enqueue in application order and a refusal here — a
+    /// payload over [`MAX_RECORD`], a poisoned WAL — leaves tables, buffer
+    /// and tickets as they were.
+    pub fn submit_batch(&self, ops: &[RegistryOp]) -> Result<u64> {
+        let payload = encode_ops(ops);
         if payload.len() > MAX_RECORD {
-            self.state.lock().unwrap().poisoned = true;
-            self.durable.notify_all();
-            return Err(PmError::Corruption("wal record too large".into()));
+            return Err(PmError::RecordTooLarge {
+                len: payload.len(),
+                max: MAX_RECORD,
+            });
         }
         let mut state = self.state.lock().unwrap();
         if state.poisoned {
@@ -877,6 +915,11 @@ impl Wal {
         state.buf.extend_from_slice(&rec);
         state.pending_hi += 1;
         Ok(state.pending_hi)
+    }
+
+    /// [`Wal::submit_batch`] of one op.
+    pub fn submit(&self, op: &RegistryOp) -> Result<u64> {
+        self.submit_batch(std::slice::from_ref(op))
     }
 
     /// Makes every record enqueued so far durable (group commit): the first
@@ -975,10 +1018,10 @@ impl Wal {
     }
 
     /// Logical end-of-stream position and next record sequence — the
-    /// checkpoint *cut*. Call while holding every registry shard lock so
-    /// the cut is a consistent snapshot boundary: every record at a
-    /// position below the cut is reflected in the snapshot, every one at
-    /// or above it is not.
+    /// checkpoint *cut*. Call while holding the registry's lock so the cut
+    /// is a consistent snapshot boundary: every record at a position below
+    /// the cut is reflected in the snapshot, every one at or above it is
+    /// not.
     pub fn position(&self) -> (u64, u64) {
         let state = self.state.lock().unwrap();
         (state.stream_pos, state.next_seq)
@@ -1132,6 +1175,11 @@ mod tests {
         })
     }
 
+    /// The record payload of a batch of one.
+    fn payload(op: &RegistryOp) -> Vec<u8> {
+        encode_ops(std::slice::from_ref(op))
+    }
+
     fn wal() -> (tempfile::TempDir, PmDir, Wal) {
         let tmp = tempfile::tempdir().unwrap();
         let pm = PmDir::open(tmp.path()).unwrap();
@@ -1232,59 +1280,96 @@ mod tests {
     #[test]
     fn binary_encoding_roundtrips_every_variant() {
         for op in all_ops() {
-            let payload = encode_op(&op);
+            let payload = payload(&op);
             assert_eq!(payload[0], WAL_BINARY_VERSION);
-            let back = decode_op(&payload).unwrap_or_else(|| panic!("decode failed for {op:?}"));
-            assert_eq!(back, op);
+            let back = decode_ops(&payload).unwrap_or_else(|| panic!("decode failed for {op:?}"));
+            assert_eq!(back, vec![op]);
+        }
+        // A batch is its ops back to back behind one version byte: every
+        // variant in one record, and every rotation of it (each variant
+        // first, last, and next to every other).
+        let mut batch = all_ops();
+        for _ in 0..batch.len() {
+            batch.rotate_left(1);
+            let payload = encode_ops(&batch);
+            let singles: usize = batch.iter().map(|op| self::payload(op).len() - 1).sum();
+            assert_eq!(payload.len(), 1 + singles);
+            assert_eq!(decode_ops(&payload).as_ref(), Some(&batch));
         }
     }
 
     #[test]
     fn binary_decoding_rejects_truncated_and_oversized_payloads() {
         for op in all_ops() {
-            let payload = encode_op(&op);
+            let payload = payload(&op);
             // Any strict prefix must fail (no partial decode)...
             for cut in 1..payload.len() {
                 assert!(
-                    decode_op(&payload[..cut]).is_none(),
+                    decode_ops(&payload[..cut]).is_none(),
                     "prefix {cut} of {op:?} decoded"
                 );
             }
             // ...and so must trailing garbage.
             let mut long = payload.clone();
             long.push(0);
-            assert!(decode_op(&long).is_none());
+            assert!(decode_ops(&long).is_none());
         }
-        assert!(decode_op(&[]).is_none());
-        assert!(decode_op(&[WAL_BINARY_VERSION, 0xEE]).is_none());
+        assert!(decode_ops(&[]).is_none());
+        assert!(
+            decode_ops(&[WAL_BINARY_VERSION]).is_none(),
+            "an empty batch"
+        );
+        assert!(decode_ops(&[WAL_BINARY_VERSION, 0xEE]).is_none());
+        // One op that does not decode fails its whole batch, wherever it
+        // sits; so do bytes left over behind the last op.
+        for bad_at in 0..3 {
+            let mut batch = vec![WAL_BINARY_VERSION];
+            for i in 0..3 {
+                let op = payload(&sample_op(i));
+                batch.extend_from_slice(if i == bad_at { &[0xEE] } else { &op[1..] });
+            }
+            assert!(decode_ops(&batch).is_none(), "bad op at {bad_at}");
+        }
+        let mut trailing = encode_ops(&[sample_op(1), sample_op(2)]);
+        trailing.extend_from_slice(&[0; 3]);
+        assert!(decode_ops(&trailing).is_none());
         // The reserved tags stay undecodable under the current version too.
         for reserved in [10, 11] {
             let mut payload = vec![WAL_BINARY_VERSION, reserved];
             payload.extend_from_slice(&[0; 16]);
-            assert!(decode_op(&payload).is_none());
+            assert!(decode_ops(&payload).is_none());
         }
     }
 
     /// A record that passes its checksum but is not this build's encoding
-    /// (another version byte — a later build's or the previous `0x02` —, a
-    /// version `0x01` extent grant, or a pre-binary daemon's JSON payload)
-    /// is not a torn tail: opening must fail and leave every byte in place,
-    /// not truncate the record and the good one behind it.
+    /// (another version byte — a later build's, the previous `0x03`'s
+    /// single-op record, `0x02`'s —, a version `0x01` extent grant, a
+    /// pre-binary daemon's JSON payload, a batch with one undecodable op
+    /// or with trailing bytes) is not a torn tail: opening must fail and
+    /// leave every byte in place, not truncate the record and the good one
+    /// behind it.
     #[test]
     fn undecodable_checksum_valid_record_fails_open_and_keeps_the_file() {
-        let mut future = encode_op(&sample_op(5));
+        let mut future = payload(&sample_op(5));
         future[0] = 0x7f;
-        let mut previous = encode_op(&sample_op(5));
-        previous[0] = 0x02;
+        let mut previous = payload(&sample_op(5));
+        previous[0] = 0x03;
+        let mut older = payload(&sample_op(5));
+        older[0] = 0x02;
         // What a `0x01` daemon logged per grant: tag 10, offset, length.
         let mut v1_grant = vec![0x01, 10];
         v1_grant.extend_from_slice(&(1u64 << 30).to_le_bytes());
         v1_grant.extend_from_slice(&4096u64.to_le_bytes());
         let json = SAMPLE_OP_7_JSON.as_bytes().to_vec();
-        for foreign in [future, previous, v1_grant, json] {
-            let mut bytes = encode_record(0, &encode_op(&sample_op(4)));
+        let mut bad_op = encode_ops(&[sample_op(5), sample_op(7)]);
+        bad_op.push(0xEE);
+        bad_op.extend_from_slice(&payload(&sample_op(8))[1..]);
+        let mut trailing = encode_ops(&[sample_op(5), sample_op(7)]);
+        trailing.extend_from_slice(&[0; 5]);
+        for foreign in [future, previous, older, v1_grant, json, bad_op, trailing] {
+            let mut bytes = encode_record(0, &payload(&sample_op(4)));
             bytes.extend_from_slice(&encode_record(1, &foreign));
-            bytes.extend_from_slice(&encode_record(2, &encode_op(&sample_op(6))));
+            bytes.extend_from_slice(&encode_record(2, &payload(&sample_op(6))));
             assert!(decode_records(&bytes).is_err());
 
             let tmp = tempfile::tempdir().unwrap();
@@ -1304,7 +1389,7 @@ mod tests {
         // PutPuddle carries a 32-char file name, so the string dominates
         // and the shrink is ~2.6x; ops without long strings shrink more.
         let json = SAMPLE_OP_7_JSON.len();
-        let binary = encode_op(&sample_op(7)).len();
+        let binary = payload(&sample_op(7)).len();
         assert!(
             binary * 2 <= json,
             "expected >= 2x shrink, got json {json} B vs binary {binary} B"
@@ -1315,7 +1400,7 @@ mod tests {
         };
         let json =
             r#"{"AddPoolMember":{"pool":"p","id":"00000010000000000000000000000000"}}"#.len();
-        let binary = encode_op(&op).len();
+        let binary = payload(&op).len();
         assert!(
             binary * 2 <= json,
             "AddPoolMember: json {json} B vs binary {binary} B"
@@ -1324,7 +1409,7 @@ mod tests {
 
     #[test]
     fn record_roundtrip_and_alignment() {
-        let payload = encode_op(&sample_op(7));
+        let payload = payload(&sample_op(7));
         let rec = encode_record(3, &payload);
         assert_eq!(rec.len() % RECORD_ALIGN, 0);
         let (records, valid_len, snapshot_len) = decode_records(&rec).unwrap();
@@ -1334,8 +1419,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_discarded_but_prefix_survives() {
-        let a = encode_record(0, &encode_op(&sample_op(1)));
-        let b = encode_record(1, &encode_op(&sample_op(2)));
+        let a = encode_record(0, &payload(&sample_op(1)));
+        let b = encode_record(1, &payload(&sample_op(2)));
         let mut bytes = a.clone();
         bytes.extend_from_slice(&b[..b.len() - 5]);
         let (records, valid_len, _) = decode_records(&bytes).unwrap();
@@ -1644,13 +1729,22 @@ mod tests {
     fn a_snapshot_header_anywhere_but_first_is_refused() {
         let (_tmp, pm, bytes, span_end) = compacted_file();
         // A whole compacted file appended to a plain record...
-        let mut second = encode_record(0, &encode_op(&sample_op(9)));
+        let mut second = encode_record(0, &payload(&sample_op(9)));
         second.extend_from_slice(&bytes);
         assert_refused_untouched(&pm, &second, "only the first record");
         // ...and a header in the tail of a compacted one.
         let mut nested = bytes.clone();
         nested.extend_from_slice(&bytes[..span_end]);
         assert_refused_untouched(&pm, &nested, "only the first record");
+        // ...and one that shares its record with another op.
+        let header = RegistryOp::Snapshot {
+            space_base: 0,
+            space_size: 1 << 30,
+            next_seq: 0,
+            span_bytes: 0,
+        };
+        let shared = encode_record(0, &encode_ops(&[header, sample_op(9)]));
+        assert_refused_untouched(&pm, &shared, "only the first record");
     }
 
     /// A directory that still holds the JSON checkpoint of the builds
@@ -1661,7 +1755,7 @@ mod tests {
         let pm = PmDir::open(tmp.path()).unwrap();
         fs::write(pm.meta_path("registry.json"), b"{}").unwrap();
         // A torn tail that an accepted open would have healed.
-        let torn = &encode_record(0, &encode_op(&sample_op(1)))[..40];
+        let torn = &encode_record(0, &payload(&sample_op(1)))[..40];
         fs::write(pm.meta_path(WAL_FILE), torn).unwrap();
         match Wal::open(&pm) {
             Err(PmError::Corruption(msg)) => {

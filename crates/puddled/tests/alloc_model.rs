@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 use puddled::registry::{PuddleRecord, Registry};
+use puddled::RegistryOp;
 use puddles_pmem::pmdir::PmDir;
-use puddles_pmem::PAGE_SIZE;
+use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::{PuddleId, PuddlePurpose};
 
 const SPACE: u64 = 1 << 30;
@@ -36,6 +37,15 @@ fn record(reg: &Registry, pages: u64) -> PuddleRecord {
     }
 }
 
+/// One registry transaction of `batch`.
+fn transact(reg: &Registry, batch: Vec<RegistryOp>) {
+    reg.transact(|_, ops| {
+        ops.extend(batch);
+        Ok::<_, PmError>(())
+    })
+    .unwrap();
+}
+
 /// Applies one randomized op stream to a registry: even selectors allocate
 /// (1–31 pages) and register the puddle, odd selectors drop one live puddle
 /// (unregister + free). Returns the surviving `(id, offset, len)` grants.
@@ -58,11 +68,11 @@ fn run_ops(reg: &Registry, ops: &[(u8, u16)]) -> Vec<(PuddleId, u64, u64)> {
                 );
             }
             live.push((rec.id, off, len));
-            reg.register_puddle(rec).unwrap();
+            transact(reg, rec.put_ops());
         } else {
             let victim = arg as usize % live.len();
             let (id, off, len) = live.swap_remove(victim);
-            reg.unregister_puddle(id).unwrap();
+            transact(reg, vec![RegistryOp::DropPuddle { id }]);
             reg.free_space(off, len);
         }
     }
@@ -107,7 +117,7 @@ proptest! {
         reg.set_coalesce_threshold(8);
         let live = run_ops(&reg, &ops);
         for (id, off, len) in live {
-            reg.unregister_puddle(id).unwrap();
+            transact(&reg, vec![RegistryOp::DropPuddle { id }]);
             reg.free_space(off, len);
         }
         reg.force_coalesce();

@@ -165,6 +165,28 @@ fn pool_and_puddle_lifecycle() {
     let pool = expect_pool(daemon.handle(USER_A, Request::OpenPool { name: "db".into() }));
     assert_eq!(pool.puddles.len(), 1);
 
+    // No request may leave a pool without its root, or a puddle in a pool
+    // that does not exist; a refused create leaves no file behind.
+    let free_root = Request::FreePuddle {
+        id: pool.root_puddle,
+    };
+    match daemon.handle(USER_A, free_root) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::InvalidRequest),
+        other => panic!("expected error, got {other:?}"),
+    }
+    let homeless = Request::CreatePuddle {
+        size: 1 << 20,
+        pool: Some("no-such-pool".into()),
+        purpose: PuddlePurpose::Data,
+        mode: 0o640,
+    };
+    match daemon.handle(USER_A, homeless) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::NotFound),
+        other => panic!("expected error, got {other:?}"),
+    }
+    assert_eq!(daemon.pm_dir().list_puddles().unwrap().len(), 1);
+    puddled::Invariants::assert_all(daemon.registry());
+
     // Dropping the pool removes everything.
     assert_eq!(
         daemon.handle(USER_A, Request::DropPool { name: "db".into() }),
@@ -198,6 +220,9 @@ fn duplicate_pool_names_are_rejected() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::AlreadyExists),
         other => panic!("expected error, got {other:?}"),
     }
+    // The loser's root puddle — prepared before the name check — is gone.
+    assert_eq!(daemon.pm_dir().list_puddles().unwrap().len(), 1);
+    assert_eq!(daemon.registry().snapshot().puddles.len(), 1);
 }
 
 #[test]
@@ -258,6 +283,37 @@ fn access_control_is_enforced() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::PermissionDenied),
         other => panic!("expected denial, got {other:?}"),
     }
+    // DropPool is all or nothing on the ACL check: one member the caller
+    // cannot write refuses the drop with the pool and every member intact.
+    let foreign = expect_puddle(daemon.handle(
+        USER_B,
+        Request::CreatePuddle {
+            size: 1 << 20,
+            pool: Some("private".into()),
+            purpose: PuddlePurpose::Data,
+            mode: 0o600,
+        },
+    ));
+    let before = daemon.registry().snapshot();
+    let drop = Request::DropPool {
+        name: "private".into(),
+    };
+    match daemon.handle(USER_A, drop.clone()) {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::PermissionDenied),
+        other => panic!("expected denial, got {other:?}"),
+    }
+    let after = daemon.registry().snapshot();
+    assert_eq!(
+        (&after.pools, &after.puddles),
+        (&before.pools, &before.puddles)
+    );
+    assert_eq!(
+        after.pools["private"].puddles,
+        [pool.root_puddle, foreign.id]
+    );
+    let root = Credentials { uid: 0, gid: 0 };
+    assert_eq!(daemon.handle(root, drop), Response::Ok);
+    assert_eq!(daemon.registry().snapshot().puddles.len(), 1);
 }
 
 #[test]
@@ -425,6 +481,62 @@ fn export_and_import_assign_new_ids_and_translations() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::AlreadyExists),
         other => panic!("unexpected {other:?}"),
     }
+
+    // An import is one transaction: one that fails half-way through its
+    // copies, or would not fit one WAL record, leaves no record, no file
+    // and no granted space behind, and the daemon keeps committing.
+    let state = || {
+        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
+            panic!("no stats");
+        };
+        let files = daemon.pm_dir().list_puddles().unwrap();
+        (stats.pools, stats.puddles, stats.space_free_bytes, files)
+    };
+    let before = state();
+    let import = |src: &std::path::Path| {
+        let req = Request::ImportPool {
+            src: src.to_string_lossy().into_owned(),
+            new_name: "refused".into(),
+        };
+        match daemon.handle(USER_A, req) {
+            Response::Error { code, .. } => code,
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let manifest_bytes = std::fs::read(dest.join("manifest.json")).unwrap();
+    let mut manifest: puddled::importexport::ExportManifest =
+        serde_json::from_slice(&manifest_bytes).unwrap();
+    // The second puddle's file is missing from the export.
+    let broken = tmp.path().join("broken");
+    std::fs::create_dir(&broken).unwrap();
+    std::fs::write(broken.join("manifest.json"), &manifest_bytes).unwrap();
+    let first = &manifest.puddles[0].file;
+    std::fs::copy(dest.join(first), broken.join(first)).unwrap();
+    assert_eq!(import(&broken), ErrorCode::Internal);
+    assert_eq!(state(), before);
+    // 900 puddles: each record would carry 900 translations, ~19 MB in all.
+    // The manifest alone says so — there is no puddle file to copy here.
+    let template = manifest.puddles[0].clone();
+    manifest.puddles = (0..900)
+        .map(|i| puddled::importexport::ExportedPuddle {
+            id: PuddleId(manifest.root.0 + i),
+            size: 2 * 4096,
+            ..template.clone()
+        })
+        .collect();
+    let huge = tmp.path().join("huge");
+    std::fs::create_dir(&huge).unwrap();
+    let manifest_bytes = serde_json::to_vec_pretty(&manifest).unwrap();
+    std::fs::write(huge.join("manifest.json"), manifest_bytes).unwrap();
+    assert_eq!(import(&huge), ErrorCode::InvalidRequest);
+    assert_eq!(state(), before);
+    let next = Request::CreatePool {
+        name: "next".into(),
+        root_size: 1 << 20,
+        mode: 0o600,
+    };
+    expect_pool(daemon.handle(USER_A, next));
+    puddled::Invariants::assert_all(daemon.registry());
 }
 
 /// Builds a data puddle, a log-space puddle and a log puddle by hand (the
@@ -739,7 +851,7 @@ fn concurrent_clients_create_pools_transact_and_translate() {
                 })
                 .unwrap();
                 // Interleave read-mostly translation lookups: these run
-                // under the puddle table's shared read lock.
+                // under the registry's shared read lock.
                 for _ in 0..LOOKUPS_PER_TX {
                     match lookups
                         .call(Request::GetRelocation { id: root_puddle })
@@ -815,6 +927,96 @@ fn concurrent_clients_create_pools_transact_and_translate() {
 /// Shutdown must stay bounded even while a client is streaming well-formed
 /// requests back-to-back (the handler checks the flag between frames) and
 /// another stalled mid-frame.
+/// Creates racing a drop of their pool: the pool check, the membership and
+/// the record of a `CreatePuddle` are one transaction, and so is a
+/// `DropPool` with all its members — so every create either lands before
+/// the drop and is dropped with the pool, or after it and is `NotFound`.
+/// No puddle survives the pool and none is left behind on disk.
+#[test]
+fn creates_racing_a_drop_are_dropped_with_the_pool_or_not_found() {
+    use std::sync::Barrier;
+    const CREATORS: usize = 8;
+    const CREATES: usize = 4;
+    let (_tmp, daemon) = start_daemon();
+    let stats = || match daemon.handle(USER_A, Request::Stats) {
+        Response::Stats(stats) => stats,
+        other => panic!("unexpected {other:?}"),
+    };
+    let start = stats();
+    let (mut landed, mut refused) = (0, 0);
+    for _round in 0..16 {
+        let create = Request::CreatePool {
+            name: "race".into(),
+            root_size: 2 * 4096,
+            mode: 0o600,
+        };
+        expect_pool(daemon.handle(USER_A, create));
+        // The creators are released at once; the drop goes out when the
+        // first create has landed, with the others in flight around it.
+        let barrier = Barrier::new(CREATORS);
+        let (landed_tx, landed_rx) = std::sync::mpsc::channel();
+        let created: Vec<PuddleId> = std::thread::scope(|scope| {
+            let creators: Vec<_> = (0..CREATORS)
+                .map(|_| {
+                    let landed_tx = landed_tx.clone();
+                    let barrier = &barrier;
+                    let daemon = &daemon;
+                    scope.spawn(move || {
+                        barrier.wait();
+                        let mut created = Vec::new();
+                        for _ in 0..CREATES {
+                            let join = Request::CreatePuddle {
+                                size: 2 * 4096,
+                                pool: Some("race".into()),
+                                purpose: PuddlePurpose::Data,
+                                mode: 0o600,
+                            };
+                            match daemon.handle(USER_A, join) {
+                                Response::Puddle(info) => {
+                                    created.push(info.id);
+                                    landed_tx.send(()).unwrap();
+                                }
+                                Response::Error { code, .. } => {
+                                    assert_eq!(code, ErrorCode::NotFound)
+                                }
+                                other => panic!("unexpected {other:?}"),
+                            }
+                        }
+                        created
+                    })
+                })
+                .collect();
+            landed_rx.recv().unwrap();
+            let drop = Request::DropPool {
+                name: "race".into(),
+            };
+            assert_eq!(daemon.handle(USER_A, drop), Response::Ok);
+            creators
+                .into_iter()
+                .flat_map(|t| t.join().unwrap())
+                .collect()
+        });
+        landed += created.len();
+        refused += CREATORS * CREATES - created.len();
+        for id in created {
+            assert!(
+                daemon.registry().puddle(id).is_none(),
+                "puddle {id} outlived its pool"
+            );
+        }
+        let now = stats();
+        assert_eq!(
+            (now.puddles, now.pools, now.space_used),
+            (start.puddles, start.pools, start.space_used)
+        );
+        assert!(daemon.pm_dir().list_puddles().unwrap().is_empty());
+        puddled::Invariants::assert_all(daemon.registry());
+    }
+    assert!(landed >= 16, "a create landed before each drop");
+    // Not an assertion on the scheduler: a record of what the rounds saw.
+    eprintln!("creates dropped with their pool: {landed}, refused NotFound: {refused}");
+}
+
 #[test]
 fn shutdown_is_bounded_under_busy_and_stalled_clients() {
     use std::io::Write;
