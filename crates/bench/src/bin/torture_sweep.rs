@@ -5,7 +5,7 @@
 //! this binary is meant for long nightly runs:
 //!
 //! ```text
-//! torture_sweep [--seeds N] [--start SEED] [--threads N] [--json]
+//! torture_sweep [--seeds N] [--start SEED] [--threads N] [--json] [--replay-check]
 //! ```
 //!
 //! On a failure it prints the seed + fault trace, writes
@@ -62,13 +62,10 @@ fn parse_args() -> Result<Args, String> {
             // The determinism gate: run each seed twice, fail on the first
             // fault-trace or history divergence.
             "--replay-check" => args.opts.replay_check = true,
-            // Free-running wall-clock trials (connection-reset coverage,
-            // no replay guarantee).
-            "--wall-clock" => args.opts.wall_clock = true,
             "--help" | "-h" => {
                 println!(
                     "usage: torture_sweep [--seeds N] [--start SEED] [--threads N] \
-                     [--json] [--replay-check] [--wall-clock]"
+                     [--json] [--replay-check]"
                 );
                 exit(0);
             }
@@ -101,17 +98,21 @@ fn main() {
             let injected: u64 = reports.iter().map(|r| r.injected).sum();
             let acked: u64 = reports.iter().map(|r| r.acked_ops).sum();
             let kills: usize = reports.iter().map(|r| r.kills).sum();
+            // Counted apart from the other faults: resets are the one class
+            // a change to the daemon's request path can stop drawing.
+            let resets: usize = reports.iter().map(|r| r.conn_resets()).sum();
             if args.json {
                 println!(
                     "{{\"seeds\": {}, \"start\": {}, \"injected_faults\": {injected}, \
-                     \"acked_ops\": {acked}, \"mid_phase_kills\": {kills}}}",
+                     \"conn_resets\": {resets}, \"acked_ops\": {acked}, \
+                     \"mid_phase_kills\": {kills}}}",
                     reports.len(),
                     args.start
                 );
             } else {
                 println!(
-                    "torture_sweep: {} seeds passed (start {}): {injected} faults injected, \
-                     {acked} ops acknowledged, {kills} mid-phase kills",
+                    "torture_sweep: {} seeds passed (start {}): {injected} faults injected \
+                     ({resets} conn.io resets), {acked} ops acknowledged, {kills} mid-phase kills",
                     reports.len(),
                     args.start
                 );

@@ -3,30 +3,28 @@
 //!
 //! One trial = one `TORTURE_SEED`. The seed derives *everything* random in
 //! the trial — the daemon's [`FaultPlan`] (short/torn writes, injected
-//! EIO/ENOSPC, dropped fsyncs), the per-client workload mix, the kill
-//! schedule, retry jitter, and (in the default deterministic mode) the
-//! *interleaving*: the trial runs on a seeded [`VirtualClock`] and a
-//! cooperative scheduler ([`CoopSched`]) that grants exactly one client
-//! thread the right to run between explicit yield points at daemon round
-//! trips. Two runs of the same seed therefore replay the same fault trace
-//! and the same operation history, byte for byte — a failing seed
-//! reproduces from the printed number alone.
+//! EIO/ENOSPC, dropped fsyncs, connection resets), the per-client workload
+//! mix, the kill schedule, retry jitter, and the *interleaving*: every
+//! trial runs on a seeded [`VirtualClock`] and a cooperative scheduler
+//! ([`CoopSched`]) that grants exactly one client thread the right to run
+//! between explicit yield points at daemon round trips. Two runs of the
+//! same seed therefore replay the same fault trace and the same operation
+//! history, byte for byte — a failing seed reproduces from the printed
+//! number alone. There is no other mode.
 //!
-//! Setting [`TortureConfig::deterministic`] to `false` restores the
-//! free-running wall-clock harness: client threads race for real, the kill
-//! schedule is a timed fuse, and connection resets ([`FaultProfile::
-//! conn_reset_ppm`]) are live. Deterministic runs zero `conn_reset_ppm`:
-//! reset decisions are drawn per kernel socket event, and the *number* of
-//! socket events per request depends on kernel timing, so they cannot be
-//! replayed. Wall-clock mode is where reset coverage lives.
+//! Connection resets ([`FaultProfile::conn_reset_ppm`]) are inside that
+//! envelope: the daemon draws them per *request* — once before it
+//! executes (the request never ran), once before its response is queued
+//! (the mutation stands, the acknowledgement is lost) — so their number
+//! is a function of the request sequence, not of how many socket events
+//! the kernel delivered it in.
 //!
 //! A trial runs several *phases*. Each phase starts the daemon and its UDS
 //! server, unleashes `clients` threads doing a mixed workload (counter
 //! transactions on a per-client pool, ephemeral pool create/drop, stats and
 //! reads), then tears the daemon down — either gracefully after the clients
 //! finish, or abruptly mid-work on seeds that schedule a kill (after a
-//! seeded number of scheduler yields in deterministic mode, after a seeded
-//! number of milliseconds in wall-clock mode). Between phases the harness
+//! seeded number of scheduler yields). Between phases the harness
 //! restarts the daemon with faults quiesced, runs recovery, and checks:
 //!
 //! * the shared structural layer — [`puddled::Invariants`]: registry /
@@ -86,11 +84,6 @@ pub struct TortureConfig {
     pub ops_per_client: usize,
     /// Fault probabilities for the daemon's I/O plane.
     pub profile: FaultProfile,
-    /// `true` (the default): run on a seeded virtual clock under the
-    /// cooperative scheduler, so the seed replays the exact execution.
-    /// `false`: free-running threads on the wall clock — more concurrency
-    /// stress (and live connection resets), no replay guarantee.
-    pub deterministic: bool,
 }
 
 impl TortureConfig {
@@ -101,13 +94,15 @@ impl TortureConfig {
         let mut r = Splitmix(seed ^ 0x7073_7465_7374_5f61);
         let transient = 10_000 + (r.next() % 40_000) as u32;
         let mut profile = FaultProfile::transient(transient);
+        // `transient` resets connections at its storage rate; a trial draws
+        // resets twice per request, so they get a rate of their own below.
+        profile.conn_reset_ppm = 0;
         // One trial in four injects ENOSPC (rare: each occurrence poisons
         // the WAL until the next restart, so more would starve the phase).
         if r.next().is_multiple_of(4) {
             profile.write_enospc_ppm = 200;
         }
-        // One in two injects connection resets (wall-clock mode only; the
-        // deterministic harness zeroes this, see the module docs).
+        // One in two injects connection resets, at 2k–10k ppm a draw.
         if r.next().is_multiple_of(2) {
             profile.conn_reset_ppm = 2_000 + (r.next() % 8_000) as u32;
         }
@@ -117,7 +112,6 @@ impl TortureConfig {
             phases: 2 + (r.next() % 2) as usize,
             ops_per_client: 20 + (r.next() % 32) as usize,
             profile,
-            deterministic: true,
         }
     }
 }
@@ -134,18 +128,27 @@ pub struct TortureReport {
     /// Phases that ended in a mid-work kill.
     pub kills: usize,
     /// The full fault trace (`site#occurrence: fault`, in injection order).
-    /// Byte-identical across same-seed deterministic runs.
+    /// Byte-identical across same-seed runs.
     pub fault_trace: Vec<String>,
     /// The scheduled operation history (`p<phase> c<client> <op> <outcome>`,
-    /// in execution order). Byte-identical across same-seed deterministic
-    /// runs; unordered (racy) in wall-clock mode.
+    /// in execution order). Byte-identical across same-seed runs.
     pub history: Vec<String>,
     /// The observability trace-ring dump (rendered [`puddles_pmem::obs::
     /// TraceEvent`] lines: request start/end, WAL commits, checkpoints,
     /// coalesce passes, injections, reconnects) across all phases of the
     /// trial — one hub survives the kill/restart cycles. Byte-identical
-    /// across same-seed deterministic runs.
+    /// across same-seed runs.
     pub trace_dump: Vec<String>,
+}
+
+impl TortureReport {
+    /// Connection resets among the injected faults (`conn.io#…: reset`
+    /// lines of the fault trace) — reported per sweep, so a gate that
+    /// silently stopped covering them is visible.
+    pub fn conn_resets(&self) -> usize {
+        let resets = self.fault_trace.iter();
+        resets.filter(|line| line.starts_with("conn.io#")).count()
+    }
 }
 
 /// A failed trial: the violation plus everything needed to reproduce it.
@@ -249,7 +252,7 @@ impl Drop for TrialDir {
     }
 }
 
-/// Cooperative scheduler for deterministic trials: exactly one client
+/// The trial's cooperative scheduler: exactly one client
 /// thread runs between yield points, and which one runs next is a seeded
 /// draw over the runnable set — so the interleaving is a pure function of
 /// the trial seed.
@@ -400,25 +403,21 @@ impl CoopSched {
 /// `PuddleClient` local in [`client_phase`]: locals drop in reverse order,
 /// so the client (whose `Drop` frees spare logs — daemon round trips)
 /// still holds the run token while it disconnects.
-struct SchedGuard<'a> {
-    sched: Option<&'a CoopSched>,
+struct SchedGuard {
+    sched: Arc<CoopSched>,
     idx: usize,
 }
 
-impl<'a> SchedGuard<'a> {
-    fn new(sched: Option<&'a CoopSched>, idx: usize) -> SchedGuard<'a> {
-        if let Some(s) = sched {
-            s.register(idx);
-        }
+impl SchedGuard {
+    fn new(sched: Arc<CoopSched>, idx: usize) -> SchedGuard {
+        sched.register(idx);
         SchedGuard { sched, idx }
     }
 }
 
-impl Drop for SchedGuard<'_> {
+impl Drop for SchedGuard {
     fn drop(&mut self) {
-        if let Some(s) = self.sched {
-            s.finish(self.idx);
-        }
+        self.sched.finish(self.idx);
     }
 }
 
@@ -436,7 +435,7 @@ struct Shadow {
     acked_ops: u64,
     /// Execution-ordered operation log (`p<phase> c<client> <op> <outcome>`).
     /// Deliberately free of paths, durations, and counter *readings* — only
-    /// seed-derived facts — so same-seed deterministic runs match exactly.
+    /// seed-derived facts — so same-seed runs match exactly.
     history: Vec<String>,
 }
 
@@ -447,7 +446,7 @@ struct ClientCtx {
     space: Arc<puddled::GlobalSpace>,
     shadow: Arc<Mutex<Shadow>>,
     stop: Arc<AtomicBool>,
-    sched: Option<Arc<CoopSched>>,
+    sched: Arc<CoopSched>,
     clock: Clock,
     idx: usize,
     phase: usize,
@@ -456,12 +455,10 @@ struct ClientCtx {
 }
 
 impl ClientCtx {
-    /// A yield point: in deterministic mode, surrenders the run token
-    /// before the next daemon round trip; in wall-clock mode, a no-op.
+    /// A yield point: surrenders the run token before the next daemon
+    /// round trip.
     fn yield_point(&self) {
-        if let Some(s) = &self.sched {
-            s.yield_now(self.idx);
-        }
+        self.sched.yield_now(self.idx);
     }
 
     /// Appends one operation record to the trial history.
@@ -479,7 +476,7 @@ impl ClientCtx {
 fn client_phase(mut ctx: ClientCtx) {
     // Drops last (declared first): the PuddleClient below must disconnect
     // while this client still holds the scheduler's run token.
-    let _turn = SchedGuard::new(ctx.sched.as_deref(), ctx.idx);
+    let _turn = SchedGuard::new(Arc::clone(&ctx.sched), ctx.idx);
 
     // Short per-op deadlines: after a scheduled mid-phase kill every call
     // fails, and the thread must notice `stop` quickly rather than sit out
@@ -587,20 +584,11 @@ fn client_phase(mut ctx: ClientCtx) {
 
 /// Runs one seeded torture trial.
 pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure> {
-    // Deterministic trials run on a seeded virtual clock; reset decisions
-    // are per-socket-event (kernel-timing-dependent) and must stay off for
-    // the replay guarantee to hold (module docs).
-    let mut profile = config.profile;
-    let clock = if config.deterministic {
-        profile.conn_reset_ppm = 0;
-        Clock::simulated(config.seed)
-    } else {
-        Clock::real()
-    };
-    let plan = FaultPlan::new(config.seed, profile);
+    let clock = Clock::simulated(config.seed);
+    let plan = FaultPlan::new(config.seed, config.profile);
     // One metrics hub for the whole trial: passed to every daemon
     // incarnation so the trace ring and histograms span the kill/restart
-    // cycles. On the virtual clock the dump is seed-deterministic.
+    // cycles. On the virtual clock the dump is a function of the seed.
     let metrics = Metrics::new(clock.clone());
     let shadow = Arc::new(Mutex::new(Shadow {
         counters: vec![(0, 0); config.clients],
@@ -652,19 +640,14 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
                 .map_err(|e| fail(format!("phase {phase}: server start: {e}")))?,
         );
 
-        // The kill schedule: some phases chop the daemon down mid-work. In
-        // deterministic mode the draw is a yield budget (scheduler time);
-        // in wall-clock mode, milliseconds on a fuse. Same draws either
-        // way, so a seed's config is mode-independent.
+        // The kill schedule: some phases chop the daemon down mid-work,
+        // after a yield budget (scheduler time) runs out.
         let kill_after = (!rng.next().is_multiple_of(3)).then(|| 10 + rng.next() % 60);
-
-        let sched = config.deterministic.then(|| {
-            CoopSched::new(
-                config.seed ^ ((phase as u64) << 8) ^ 0x5ced,
-                config.clients,
-                kill_after,
-            )
-        });
+        let sched = CoopSched::new(
+            config.seed ^ ((phase as u64) << 8) ^ 0x5ced,
+            config.clients,
+            kill_after,
+        );
         let stop = Arc::new(AtomicBool::new(false));
         let workers: Vec<_> = (0..config.clients)
             .map(|idx| {
@@ -673,7 +656,7 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
                     space: daemon.global_space(),
                     shadow: Arc::clone(&shadow),
                     stop: Arc::clone(&stop),
-                    sched: sched.clone(),
+                    sched: Arc::clone(&sched),
                     clock: clock.clone(),
                     idx,
                     phase,
@@ -684,21 +667,14 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
             })
             .collect();
 
-        if let Some(sched) = &sched {
-            // Deterministic: wait for the yield budget to run out (every
-            // client parked at a yield point — a quiesced instant the seed
-            // always reproduces) or for all clients to finish first.
-            if sched.wait_kill_or_done() {
-                stop.store(true, Ordering::Relaxed);
-                server = None; // Abrupt: in-flight connections reset.
-                kills += 1;
-                sched.resume();
-            }
-        } else if let Some(ms) = kill_after {
-            clock.sleep(Duration::from_millis(ms));
+        // Wait for the yield budget to run out (every client parked at a
+        // yield point — a quiesced instant the seed always reproduces) or
+        // for all clients to finish first.
+        if sched.wait_kill_or_done() {
             stop.store(true, Ordering::Relaxed);
-            server = None;
+            server = None; // Abrupt: in-flight connections reset.
             kills += 1;
+            sched.resume();
         }
         for worker in workers {
             worker
@@ -798,11 +774,7 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
 /// Sweep-level switches for [`run_sweep_with`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SweepOptions {
-    /// Run trials free-running on the wall clock instead of the
-    /// deterministic scheduler (restores connection-reset coverage,
-    /// forfeits replay).
-    pub wall_clock: bool,
-    /// Run every (deterministic) trial twice and fail on the first
+    /// Run every trial twice and fail on the first
     /// fault-trace or history divergence — the CI determinism gate.
     pub replay_check: bool,
 }
@@ -852,13 +824,10 @@ pub fn run_sweep_with(
                 if trial >= trials || failure.lock().unwrap().is_some() {
                     return;
                 }
-                let mut config = TortureConfig::from_seed(base_seed.wrapping_add(trial));
-                if opts.wall_clock {
-                    config.deterministic = false;
-                }
+                let config = TortureConfig::from_seed(base_seed.wrapping_add(trial));
                 match run_trial(&config) {
                     Ok(report) => {
-                        if opts.replay_check && config.deterministic {
+                        if opts.replay_check {
                             match run_trial(&config) {
                                 Ok(replay)
                                     if replay.fault_trace != report.fault_trace

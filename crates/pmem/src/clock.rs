@@ -1,9 +1,10 @@
 //! Time as a value: a swappable clock so tests can own the timeline.
 //!
-//! Every time consumer in the stack (background timer wheel, WAL
-//! checkpoint staleness, reactor drain/shutdown deadlines, client retry
-//! backoff, the torture kill schedule) reads time through a [`Clock`]
-//! instead of calling `Instant::now()` or `thread::sleep` directly:
+//! Every time consumer in the stack (latency series, the reported WAL
+//! checkpoint age, reactor drain/shutdown deadlines, client retry
+//! backoff) reads time through a [`Clock`] instead of calling
+//! `Instant::now()` or `thread::sleep` directly. Nothing *branches* on
+//! which kind of clock it was handed — there is no accessor to ask:
 //!
 //! - [`Clock::real`] is wall time: `now()` is the elapsed `Duration` since
 //!   a lazily-anchored process epoch, `sleep` is `thread::sleep`, and
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// Real poll tick used by passive virtual waits (see module docs): short
 /// enough that virtual-time tests feel instant, long enough not to burn a
-/// core while a background thread idles.
+/// core while a waiting thread idles.
 const VIRTUAL_POLL: Duration = Duration::from_millis(1);
 
 /// A source of time: real (wall clock) or simulated (virtual timeline).
@@ -71,11 +72,6 @@ impl Clock {
     /// auto-advance enabled (see module docs). Clones share the timeline.
     pub fn simulated(seed: u64) -> Clock {
         Clock(Source::Virtual(VirtualClock::new(seed)))
-    }
-
-    /// `true` for simulated clocks.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self.0, Source::Virtual(_))
     }
 
     /// The underlying virtual clock, if simulated — for tests and

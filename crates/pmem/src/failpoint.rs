@@ -240,8 +240,18 @@ pub mod names {
 mod tests {
     use super::*;
 
+    /// The registry is process-global and the harness runs a module's tests
+    /// in parallel: one test's `clear_all()` would disarm (and zero the
+    /// fast-path count under) another's points. Every test here holds this
+    /// for its whole body; poison-tolerant, so one failure is not eight.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn unarmed_points_never_fire() {
+        let _serial = serial();
         clear_all();
         assert!(!should_fail("nope"));
         assert!(fired().is_empty());
@@ -249,6 +259,7 @@ mod tests {
 
     #[test]
     fn armed_point_fires_once_after_count() {
+        let _serial = serial();
         clear_all();
         arm("p", 2);
         assert!(!should_fail("p"));
@@ -262,6 +273,7 @@ mod tests {
 
     #[test]
     fn disarm_prevents_firing() {
+        let _serial = serial();
         clear_all();
         arm("q", 0);
         disarm("q");
@@ -271,6 +283,7 @@ mod tests {
 
     #[test]
     fn scoped_points_are_invisible_to_other_threads() {
+        let _serial = serial();
         clear_all();
         arm_scoped("s", 0);
         // Another thread neither fires nor consumes the scoped point...
@@ -284,6 +297,7 @@ mod tests {
 
     #[test]
     fn scoped_points_on_distinct_threads_are_independent() {
+        let _serial = serial();
         clear_all();
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -306,6 +320,7 @@ mod tests {
 
     #[test]
     fn scoped_guard_clears_on_panic() {
+        let _serial = serial();
         // A trial that panics mid-body must not leak its scoped entry: the
         // guard's drop runs during unwinding, so a later probe on the same
         // thread (the only thread the entry could ever fire on) sees it
@@ -326,6 +341,7 @@ mod tests {
 
     #[test]
     fn scoped_guard_clears_on_normal_drop() {
+        let _serial = serial();
         let hit = std::thread::spawn(|| {
             {
                 let _guard = scoped_clear_guard();
@@ -340,6 +356,7 @@ mod tests {
 
     #[test]
     fn clear_current_thread_spares_global_and_foreign_points() {
+        let _serial = serial();
         clear_all();
         arm("g", 0);
         arm_scoped("mine", 0);

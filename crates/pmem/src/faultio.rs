@@ -3,10 +3,11 @@
 //! A [`FaultPlan`] is a deterministic oracle the I/O layers consult before
 //! risky operations: metadata-file replacement ([`FaultSite::MetaWrite`]),
 //! WAL batch writes and syncs ([`FaultSite::WalWrite`], [`FaultSite::WalSync`]),
-//! puddle-file creation/deletion, and per-connection socket events. Every
-//! decision is a pure function of `(seed, site, per-site call counter)`, so
-//! a trial that replays the same sequence of calls at a site sees the same
-//! faults — the reproducibility contract behind `TORTURE_SEED`.
+//! puddle-file creation/deletion, and a daemon connection before and after
+//! each request it carries ([`FaultSite::ConnIo`]). Every decision is a
+//! pure function of `(seed, site, per-site call counter)`, so a trial that
+//! replays the same sequence of calls at a site sees the same faults — the
+//! reproducibility contract behind `TORTURE_SEED`.
 //!
 //! The plan records every injected fault in an in-memory **fault trace**
 //! (`"wal.write#12: short 512/4096"`), which the torture harness prints on
@@ -95,7 +96,9 @@ pub enum FaultSite {
     PuddleCreate,
     /// Puddle-file deletion.
     PuddleDelete,
-    /// Per-event socket I/O on a daemon connection (reset injection).
+    /// A daemon connection, consulted per *request* — once before the
+    /// request executes, once before its response is queued — never per
+    /// socket event, whose count is kernel timing (reset injection).
     ConnIo,
 }
 
@@ -306,8 +309,9 @@ impl FaultPlan {
         None
     }
 
-    /// Whether to reset a daemon connection at this socket event.
-    pub fn on_conn_event(&self) -> bool {
+    /// Whether to reset a daemon connection at this point of a request (see
+    /// [`FaultSite::ConnIo`]).
+    pub fn on_conn_request(&self) -> bool {
         if !self.enabled.load(Ordering::Relaxed) {
             return false;
         }
@@ -377,7 +381,7 @@ mod tests {
         for _ in 0..1000 {
             assert!(plan.on_write(FaultSite::WalWrite, 4096).is_none());
             assert!(plan.on_sync(FaultSite::WalSync).is_none());
-            assert!(!plan.on_conn_event());
+            assert!(!plan.on_conn_request());
         }
         assert_eq!(plan.injected(), 0);
         assert!(plan.trace().is_empty());

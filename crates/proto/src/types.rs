@@ -276,14 +276,6 @@ pub struct DaemonStats {
     pub wal_records: u64,
     /// Registry checkpoints written since the daemon started.
     pub checkpoints: u64,
-    /// Checkpoints executed by the background scheduler (off the request
-    /// path — the steady state).
-    pub checkpoints_background: u64,
-    /// Checkpoints forced inline on the request path because the WAL passed
-    /// its hard ceiling (the background scheduler fell behind).
-    pub checkpoints_forced_inline: u64,
-    /// Tasks completed by the daemon's background scheduler.
-    pub background_tasks_executed: u64,
     /// Milliseconds since the last registry checkpoint.
     pub checkpoint_age_ms: u64,
     /// Orphan puddle files deleted by the startup directory sweep.

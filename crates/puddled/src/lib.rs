@@ -20,7 +20,6 @@
 
 pub mod acl;
 pub mod alloc;
-pub mod background;
 pub mod gspace;
 pub mod importexport;
 pub mod invariants;
@@ -32,7 +31,6 @@ pub mod uds;
 pub mod wal;
 
 pub use alloc::{AllocStats, SpaceAlloc};
-pub use background::Background;
 pub use gspace::GlobalSpace;
 pub use invariants::Invariants;
 pub use layout::{PuddleHeader, LOG_REGION_OFFSET, PUDDLE_HEADER_SIZE, PUDDLE_MAGIC};

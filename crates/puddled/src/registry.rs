@@ -15,8 +15,10 @@
 //! enqueued record), so steady-state persistence is O(request), not
 //! O(registry).
 //!
-//! When the WAL's tail passes a byte threshold the registry **checkpoints by
-//! compacting it** ([`Registry::checkpoint`]): one atomic replace of the
+//! The [`Registry::commit`] that finds the WAL's tail past a byte threshold
+//! **checkpoints by compacting it** ([`Registry::checkpoint`]), on its own
+//! thread, before it returns — there is no other trigger on the request
+//! path and no thread to hand it to: one atomic replace of the
 //! file with a snapshot header, one put record per live table entry, and
 //! the records enqueued after the snapshot's cut. Loading is the reverse:
 //! replay the one file (tolerating a torn final record — a whole request),
@@ -44,14 +46,18 @@
 //! free lists behind its own mutex with **lazy coalescing** (alloc and free
 //! are O(1); the deferred merge pass runs on the free that trips the
 //! threshold) — is derived state: never logged, rebuilt from the puddle
-//! table by [`reconcile`] at every load. Checkpoints copy the tables under
-//! a short read lock while holding a dedicated checkpoint lock, so
-//! concurrent checkpoints serialize but nobody is blocked for the encoding
-//! or the I/O.
+//! table by [`reconcile`] at every load.
+//!
+//! A checkpoint holds the dedicated checkpoint lock (taken first, never
+//! while holding the tables lock: concurrent checkpoints serialize, a
+//! crossing commit that finds one running skips), copies the tables under
+//! a short read lock, encodes with no lock at all, and then takes the
+//! WAL's group-commit writer role for the file replace — lookups and
+//! transactions proceed throughout; only *commits* wait, as they would
+//! behind any other group-commit leader.
 
 use crate::acl;
 use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc};
-use crate::background::Background;
 use crate::wal::{self, RegistryOp, Wal, WalHandle};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use puddles_pmem::obs::TraceEventKind;
@@ -60,8 +66,8 @@ use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, PAGE_SIZE};
 use puddles_proto::{Credentials, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Persistent record of one puddle.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,19 +206,6 @@ pub struct Registry {
     next_seq: AtomicU64,
     /// One checkpoint (snapshot + WAL compaction) at a time.
     ckpt_lock: Mutex<()>,
-    /// Background executor for threshold-triggered checkpoints (the daemon
-    /// attaches one via [`Registry::enable_background_checkpoints`]; bare
-    /// registries — tests, benches — checkpoint inline as before). The
-    /// `Weak` is this registry's own handle, captured by submitted tasks.
-    background: Mutex<Option<(Background, Weak<Registry>)>>,
-    /// `true` while a background checkpoint is queued or running; dedups
-    /// submissions so a burst of commits enqueues one checkpoint, not N.
-    ckpt_pending: AtomicBool,
-    /// Checkpoints completed by the background scheduler.
-    background_checkpoints: AtomicU64,
-    /// Checkpoints forced inline on the request path because the WAL passed
-    /// the hard ceiling (the background scheduler fell behind).
-    forced_inline_checkpoints: AtomicU64,
 }
 
 /// Derives the space allocator's state from a replayed puddle table.
@@ -283,10 +276,6 @@ impl Registry {
             next_seq: AtomicU64::new(data.next_seq),
             tables: RwLock::new(data),
             ckpt_lock: Mutex::new(()),
-            background: Mutex::new(None),
-            ckpt_pending: AtomicBool::new(false),
-            background_checkpoints: AtomicU64::new(0),
-            forced_inline_checkpoints: AtomicU64::new(0),
         };
         reg.checkpoint()?;
         Ok(reg)
@@ -295,40 +284,6 @@ impl Registry {
     /// Returns the registry's WAL handle (stats, tests).
     pub fn wal(&self) -> &WalHandle {
         &self.wal
-    }
-
-    /// Routes threshold-triggered checkpoints to `bg` instead of running
-    /// them inline on whichever request trips the byte threshold. Tasks hold
-    /// only a `Weak` back-reference, so the scheduler never keeps a dropped
-    /// registry alive.
-    pub fn enable_background_checkpoints(self: &Arc<Self>, bg: Background) {
-        *self.background.lock() = Some((bg, Arc::downgrade(self)));
-    }
-
-    /// `(background, forced_inline)` checkpoint counters — how often the
-    /// byte threshold was absorbed off the request path vs. paid inline
-    /// because the WAL passed the hard ceiling.
-    pub fn checkpoint_counters(&self) -> (u64, u64) {
-        (
-            self.background_checkpoints.load(Ordering::Relaxed),
-            self.forced_inline_checkpoints.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Checkpoints if records have sat uncheckpointed longer than
-    /// `max_age_ms` — the **age-based** trigger the daemon's periodic
-    /// background hook fires, complementing the byte threshold: a quiet daemon
-    /// whose trickle of mutations never reaches the threshold still gets
-    /// its WAL folded away, bounding replay work at the next start. Returns
-    /// `true` if a checkpoint ran (counted as a background checkpoint).
-    pub fn checkpoint_if_stale(&self, max_age_ms: u64) -> Result<bool> {
-        let stats = self.wal.stats();
-        if stats.records == 0 || stats.checkpoint_age_ms < max_age_ms {
-            return Ok(false);
-        }
-        self.checkpoint()?;
-        self.background_checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(true)
     }
 
     /// Runs one registry transaction — the only way the tables change.
@@ -364,13 +319,28 @@ impl Registry {
     /// Makes every transaction performed so far durable: one group commit
     /// covers this thread's record and any enqueued concurrently. The
     /// service layer calls this once per client request, after the
-    /// request's transaction. Also checkpoints when the WAL has outgrown
-    /// its threshold; a checkpoint that fails then is not the request's
-    /// failure — the flush made the mutation durable, and an `Err` would
-    /// have the client retry an operation that took effect.
+    /// request's transaction.
+    ///
+    /// The commit that finds the WAL's tail past its byte threshold also
+    /// checkpoints, on this thread, before it returns — the one trigger
+    /// there is, on every clock and with or without a daemon around the
+    /// registry. [`Wal::compact`] holds the group-commit writer role for
+    /// its whole run, so concurrent committers wait behind it whichever
+    /// thread runs it; handing it to another thread would spare this one
+    /// request and nobody else. A commit that finds a checkpoint already
+    /// running skips (that one's cut may predate this record; the next
+    /// crossing commit re-trips). A checkpoint that fails is not the
+    /// request's failure — the flush made the mutation durable, and an
+    /// `Err` would have the client retry an operation that took effect —
+    /// and leaves the WAL usable: the next crossing commit retries, with
+    /// no back-off.
     pub fn commit(&self) -> Result<()> {
         self.wal.flush()?;
-        self.maybe_checkpoint();
+        if self.wal.should_checkpoint() {
+            if let Some(guard) = self.ckpt_lock.try_lock() {
+                let _ = self.checkpoint_locked(guard);
+            }
+        }
         Ok(())
     }
 
@@ -419,65 +389,6 @@ impl Registry {
     pub fn checkpoint(&self) -> Result<()> {
         let guard = self.ckpt_lock.lock();
         self.checkpoint_locked(guard)
-    }
-
-    /// Handles a WAL that outgrew its checkpoint threshold. In steady state
-    /// (a [`Background`] is attached) the triggering request only *enqueues*
-    /// a checkpoint and returns — the latency lands on the scheduler, not
-    /// the request path. Two fallbacks keep the WAL bounded and bare
-    /// registries working:
-    ///
-    /// * past the **hard ceiling** (threshold × factor) the checkpoint runs
-    ///   inline even with a scheduler attached — it has fallen behind, and
-    ///   unbounded WAL growth would make every recovery slower;
-    /// * with no scheduler (tests, benches, tools) the old inline-on-trip
-    ///   behaviour is preserved (contended trips skip; the next commit
-    ///   re-trips).
-    fn maybe_checkpoint(&self) {
-        if !self.wal.should_checkpoint() {
-            return;
-        }
-        if self.wal.past_hard_ceiling() {
-            let guard = self.ckpt_lock.lock();
-            // Re-check under the lock: a checkpoint that just finished may
-            // already have cut the WAL back below the ceiling.
-            if self.wal.past_hard_ceiling() {
-                self.forced_inline_checkpoints
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = self.checkpoint_locked(guard);
-            }
-            return;
-        }
-        if self.submit_background_checkpoint() {
-            return;
-        }
-        if let Some(guard) = self.ckpt_lock.try_lock() {
-            let _ = self.checkpoint_locked(guard);
-        }
-    }
-
-    /// Enqueues one checkpoint on the attached background scheduler.
-    /// Returns `false` when none is attached; dedups while one is pending.
-    fn submit_background_checkpoint(&self) -> bool {
-        let background = self.background.lock();
-        let Some((bg, weak)) = &*background else {
-            return false;
-        };
-        if self.ckpt_pending.swap(true, Ordering::SeqCst) {
-            return true;
-        }
-        let weak = weak.clone();
-        bg.submit(Box::new(move || {
-            let Some(reg) = weak.upgrade() else { return };
-            let result = reg.checkpoint();
-            // Clear the dedup flag *after* the checkpoint so commits racing
-            // it enqueue a fresh one only once this one's cut is taken.
-            reg.ckpt_pending.store(false, Ordering::SeqCst);
-            if result.is_ok() {
-                reg.background_checkpoints.fetch_add(1, Ordering::Relaxed);
-            }
-        }));
-        true
     }
 
     /// One checkpoint, whoever triggered it; its outcome is recorded here
@@ -972,21 +883,26 @@ mod tests {
     }
 
     #[test]
-    fn stale_records_are_checkpointed_by_age_not_just_bytes() {
+    fn a_commit_that_finds_the_lock_free_leaves_the_tail_under_the_threshold() {
         let (_tmp, reg) = registry();
-        // Far below the byte threshold: the trickle case.
+        reg.wal().set_checkpoint_threshold(256);
+        for _ in 0..40 {
+            transact(&reg, record(&reg, None).put_ops());
+            reg.commit().unwrap();
+            assert!(reg.wal().stats().bytes < 256);
+        }
+        assert!(reg.wal().stats().checkpoints >= 2);
+        // A commit that finds a checkpoint running skips; the next one
+        // that crosses with the lock free folds the tail away.
+        let running = reg.ckpt_lock.lock();
+        while reg.wal().stats().bytes < 256 {
+            transact(&reg, record(&reg, None).put_ops());
+            reg.commit().unwrap();
+        }
+        drop(running);
         transact(&reg, record(&reg, None).put_ops());
         reg.commit().unwrap();
-        assert!(reg.wal().stats().records > 0);
-        // Young records are left alone...
-        assert!(!reg.checkpoint_if_stale(u64::MAX).unwrap());
-        assert!(reg.wal().stats().records > 0);
-        // ...stale ones are folded into a checkpoint (age floor 0 makes
-        // "stale" immediate for the test).
-        assert!(reg.checkpoint_if_stale(0).unwrap());
         assert_eq!(reg.wal().stats().records, 0);
-        // Nothing pending: the next age check is a no-op.
-        assert!(!reg.checkpoint_if_stale(0).unwrap());
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! one [`Registry::commit`], and only then deletes files.
 
 use crate::acl;
-use crate::background::Background;
 use crate::gspace::GlobalSpace;
 use crate::importexport;
 use crate::recovery;
@@ -29,13 +28,6 @@ use puddles_proto::{
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// How often the background scheduler re-checks WAL checkpoint age.
-const CHECKPOINT_AGE_CHECK_INTERVAL: std::time::Duration = std::time::Duration::from_secs(2);
-
-/// Records older than this get checkpointed even below the byte threshold
-/// (bounds the WAL replay a restart of a *quiet* daemon must do).
-const MAX_CHECKPOINT_AGE_MS: u64 = 30_000;
 
 /// Default per-connection in-flight window granted to clients that do not
 /// request one (matches `uds::MAX_PIPELINED_REQUESTS`).
@@ -70,11 +62,9 @@ pub struct DaemonConfig {
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Time source for the background scheduler, WAL checkpoint age, and the
-    /// UDS server's deadlines. A *virtual* clock additionally switches the
-    /// daemon into deterministic mode: checkpoints run inline on the
-    /// request thread (instead of riding the background scheduler) and the
-    /// age-based checkpoint check is not armed, so WAL traffic is a pure
+    /// Time source for latency series, the reported WAL checkpoint age and
+    /// the UDS server's deadlines. The daemon *reads* time and never acts on
+    /// it: on a real and on a virtual clock alike, WAL traffic is a pure
     /// function of the request sequence — the property the torture
     /// harness's replay guarantee rests on.
     pub clock: Clock,
@@ -133,8 +123,7 @@ impl DaemonConfig {
         self
     }
 
-    /// Reads time from `clock`. A virtual clock also enables deterministic
-    /// mode (see the `clock` field docs).
+    /// Reads time from `clock` (see the `clock` field docs).
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
         self
@@ -207,13 +196,8 @@ pub struct DaemonInner {
     /// for lookups and for a transaction's checks and apply — never across
     /// I/O. The metadata WAL it persists through is reachable via
     /// [`Registry::wal`] (`Stats` reads WAL length and checkpoint age from
-    /// it). Shared (`Arc`) because the background scheduler's checkpoint
-    /// tasks hold a weak handle to it.
-    pub(crate) registry: Arc<Registry>,
-    /// Background task scheduler: WAL checkpoints (and any future deferred
-    /// maintenance) run here instead of on the request path. Drained on
-    /// daemon drop.
-    pub(crate) background: Background,
+    /// it).
+    pub(crate) registry: Registry,
     /// Orphan puddle files deleted by the startup directory sweep.
     pub(crate) orphans_swept: AtomicU64,
     /// Log puddles referenced by no log space, reclaimed at startup (the
@@ -244,14 +228,6 @@ pub struct DaemonInner {
     /// [`request_kind_index`] — resolved once so [`Daemon::handle`] records
     /// without touching the series-registry lock.
     pub(crate) service_series: Vec<Arc<ShardedHistogram>>,
-}
-
-impl Drop for DaemonInner {
-    fn drop(&mut self) {
-        // Drain-on-shutdown: a checkpoint enqueued moments before the last
-        // daemon handle dropped still lands on disk.
-        self.background.shutdown();
-    }
 }
 
 /// The Puddles daemon: a privileged service managing every puddle on the
@@ -386,34 +362,14 @@ impl Daemon {
             config.clock.clone(),
             Arc::clone(&metrics),
         )?);
-        let registry = Arc::new(Registry::load_or_create_with_wal(
-            wal,
-            gspace.base() as u64,
-            gspace.size() as u64,
-        )?);
-        let background = Background::start_with_clock("puddled-bg", config.clock.clone());
-        if !config.clock.is_virtual() {
-            registry.enable_background_checkpoints(background.clone());
-            // Weak: the registry holds a scheduler handle of its own, so a
-            // strong one here would be a cycle.
-            let stale = Arc::downgrade(&registry);
-            background.set_periodic(CHECKPOINT_AGE_CHECK_INTERVAL, move || {
-                if let Some(reg) = stale.upgrade() {
-                    let _ = reg.checkpoint_if_stale(MAX_CHECKPOINT_AGE_MS);
-                }
-            });
-        }
-        // Deterministic mode (virtual clock): no background handle on the
-        // registry, so threshold checkpoints run inline on the request
-        // thread in request order, and no age check — the WAL's write
-        // sequence replays exactly per seed.
+        let registry =
+            Registry::load_or_create_with_wal(wal, gspace.base() as u64, gspace.size() as u64)?;
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
                 config,
                 pmdir,
                 gspace,
                 registry,
-                background,
                 orphans_swept: AtomicU64::new(0),
                 log_puddles_swept: AtomicU64::new(0),
                 logspace_puddles_swept: AtomicU64::new(0),
@@ -457,12 +413,6 @@ impl Daemon {
             .logspace_puddles_swept
             .store(ls_swept, Ordering::Relaxed);
         Ok(daemon)
-    }
-
-    /// The daemon's background task scheduler (tests use its pause/resume
-    /// knobs to pin down checkpoint scheduling deterministically).
-    pub fn background(&self) -> &Background {
-        &self.inner.background
     }
 
     /// The metadata WAL handle (tests and tools tune thresholds through it).
@@ -509,7 +459,7 @@ impl Daemon {
     }
 
     /// Returns the metadata registry (consistency checks, tests).
-    pub fn registry(&self) -> &Arc<Registry> {
+    pub fn registry(&self) -> &Registry {
         &self.inner.registry
     }
 
@@ -740,7 +690,6 @@ impl Daemon {
             )
         });
         let wal = reg.wal().stats();
-        let (checkpoints_background, checkpoints_forced_inline) = reg.checkpoint_counters();
         let alloc = reg.alloc_stats();
         let io = self.inner.pmdir.io_stats();
         puddles_proto::DaemonStats {
@@ -753,9 +702,6 @@ impl Daemon {
             wal_bytes: wal.bytes,
             wal_records: wal.records,
             checkpoints: wal.checkpoints,
-            checkpoints_background,
-            checkpoints_forced_inline,
-            background_tasks_executed: self.inner.background.executed(),
             checkpoint_age_ms: wal.checkpoint_age_ms,
             orphan_files_swept: self.inner.orphans_swept.load(Ordering::Relaxed),
             log_puddles_swept: self.inner.log_puddles_swept.load(Ordering::Relaxed),
@@ -1179,7 +1125,7 @@ mod tests {
         let tmp = tempfile::tempdir().unwrap();
         let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
         // No checkpoint may truncate the WAL between the two readings.
-        daemon.background().pause();
+        daemon.wal().set_checkpoint_threshold(u64::MAX);
         let creds = Credentials::current_process();
         let create = Request::CreatePool {
             name: "lanes".into(),
@@ -1219,6 +1165,62 @@ mod tests {
             ]
         );
     }
+
+    /// No mode: the daemon reads its clock and never acts on it, so the
+    /// same request sequence leaves the same WAL traffic — records, bytes
+    /// and checkpoints, after every request — on a real clock (production)
+    /// and on a virtual one (every torture trial and the replay gate).
+    #[test]
+    fn wal_traffic_is_the_same_on_a_real_and_a_virtual_clock() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let traffic = |clock: Clock| {
+            let tmp = tempfile::tempdir().unwrap();
+            let config = DaemonConfig::for_testing(tmp.path()).with_clock(clock);
+            let daemon = Daemon::start(config).unwrap();
+            daemon.wal().set_checkpoint_threshold(256);
+            let creds = Credentials::current_process();
+            let mut rng = StdRng::seed_from_u64(23);
+            let mut pools: Vec<PoolInfo> = Vec::new();
+            let mut seen = Vec::new();
+            for i in 0..120u64 {
+                let pool = pools.first().cloned();
+                let req = match (rng.gen_range(0..6), pool) {
+                    (0, Some(pool)) => sample_request("CreatePuddle", &pool),
+                    (1, Some(pool)) => sample_request("OpenPool", &pool),
+                    (2, Some(pool)) if pools.len() > 2 => {
+                        pools.remove(0);
+                        sample_request("DropPool", &pool)
+                    }
+                    (3, _) => Request::RegisterPtrMap {
+                        decl: PtrMapDecl {
+                            type_id: i,
+                            type_name: format!("clock::{i}"),
+                            size: 64,
+                            fields: Vec::new(),
+                        },
+                    },
+                    _ => Request::CreatePool {
+                        name: format!("clock-{i}"),
+                        root_size: 1 << 20,
+                        mode: 0o600,
+                    },
+                };
+                match daemon.handle(creds, req) {
+                    Response::Error { code, message } => panic!("{code:?}: {message}"),
+                    Response::Pool(pool) if !pools.iter().any(|p| p.name == pool.name) => {
+                        pools.push(pool)
+                    }
+                    _ => {}
+                }
+                let stats = daemon.stats();
+                seen.push((stats.wal_records, stats.wal_bytes, stats.checkpoints));
+            }
+            assert!(seen.last().unwrap().2 >= 10, "{seen:?}");
+            seen
+        };
+        assert_eq!(traffic(Clock::real()), traffic(Clock::simulated(1)));
+    }
+
     /// The other half of the table: a request that changes metadata is
     /// exactly one WAL record and, uncontended, one group commit — however
     /// many table entries it touches — and every other kind logs nothing.
@@ -1228,7 +1230,7 @@ mod tests {
         let tmp = tempfile::tempdir().unwrap();
         let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path().join("pm"))).unwrap();
         // No checkpoint may fold records away between two readings.
-        daemon.background().pause();
+        daemon.wal().set_checkpoint_threshold(u64::MAX);
         let creds = Credentials::current_process();
         let call = |req: Request| match daemon.handle(creds, req) {
             Response::Error { code, message } => panic!("{code:?}: {message}"),

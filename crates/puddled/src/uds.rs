@@ -1027,16 +1027,6 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        // Torture only: a fault plan may reset this connection mid-stream —
-        // the peer sees an abrupt close, exactly like a crashed daemon
-        // thread or a dropped socket.
-        if let Some(plan) = self.shared.daemon.pm_dir().fault_plan() {
-            if plan.on_conn_event() {
-                conn.dead = true;
-                self.after_io(token);
-                return;
-            }
-        }
         if event.error {
             // EPOLLERR / EPOLLHUP: the peer is gone in both directions, so
             // no queued response is deliverable. (A graceful half-close
@@ -1120,7 +1110,9 @@ impl Reactor {
                 continue;
             };
             conn.in_flight = conn.in_flight.saturating_sub(1);
-            if bytes.is_empty() {
+            // An injected reset here is the one *after* execution: the
+            // mutation stands, its acknowledgement is lost.
+            if bytes.is_empty() || reset_injected(&self.shared) {
                 conn.dead = true;
             } else {
                 conn.out_tail().extend_from_slice(&bytes);
@@ -1257,6 +1249,19 @@ fn parse_frames(conn: &mut Conn) -> bool {
     }
 }
 
+/// Torture only: whether the daemon's fault plan resets a connection now —
+/// the peer sees an abrupt close, exactly like a crashed daemon thread or a
+/// dropped socket. Consulted twice per request, at the two points whose
+/// count is a function of the request sequence rather than of kernel
+/// timing (how many epoll events a request's bytes arrive in is not): when
+/// [`dispatch_ready`] pops the request, and when its response is about to
+/// be appended to the connection's output buffer. So a seed replays its
+/// resets byte for byte.
+fn reset_injected(shared: &Shared) -> bool {
+    let plan = shared.daemon.pm_dir().fault_plan();
+    plan.is_some_and(|plan| plan.on_conn_request())
+}
+
 /// Runs or hands off a connection's parsed requests, in arrival order, up
 /// to its negotiated in-flight window and only while its parked output is
 /// below [`OUT_HIGH_WATER`] (what is held back stays in `pending` and
@@ -1271,6 +1276,12 @@ fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) 
             let Some((req_id, req)) = conn.pending.pop_front() else {
                 break;
             };
+            // An injected reset here is the one *before* execution: the
+            // request never ran.
+            if reset_injected(shared) {
+                conn.dead = true;
+                return;
+            }
             let creds = conn.creds.unwrap_or_else(Credentials::current_process);
             match lane_of(&req) {
                 Lane::Inline => {
@@ -1278,7 +1289,10 @@ fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) 
                     me.requests.fetch_add(1, Ordering::Relaxed);
                     shared.obs.inline.fetch_add(1, Ordering::Relaxed);
                     let resp = shared.daemon.handle_traced(creds, req, req_id);
-                    if encode_response(conn.out_tail(), req_id, resp).is_err() {
+                    // (Or *after* it, for a request that ran right here.)
+                    if reset_injected(shared)
+                        || encode_response(conn.out_tail(), req_id, resp).is_err()
+                    {
                         conn.dead = true;
                         return;
                     }
@@ -1411,5 +1425,74 @@ mod tests {
         assert_eq!(rest, (0..=stats).collect::<Vec<_>>());
         drop((stuck, other));
         server.shutdown();
+    }
+
+    /// One `CreatePool` over a connection the fault plan resets at exactly
+    /// one of its two draws — `[before, after]` execution. Returns whether
+    /// the pool exists afterwards; asserts that the caller read EOF and
+    /// that the daemon serves a reconnect.
+    fn pool_exists_after_a_reset(draws: [bool; 2]) -> bool {
+        use puddles_pmem::faultio::{FaultPlan, FaultProfile};
+        // Draws are a pure function of (seed, call number): probe for the
+        // seed whose first two come out as asked.
+        let profile = FaultProfile {
+            conn_reset_ppm: 500_000,
+            ..FaultProfile::default()
+        };
+        let drawn = |seed| {
+            let probe = FaultPlan::new(seed, profile);
+            [probe.on_conn_request(), probe.on_conn_request()]
+        };
+        let seed = (0..).find(|seed| drawn(*seed) == draws).unwrap();
+        let plan = FaultPlan::new(seed, profile);
+        plan.set_enabled(false);
+
+        let tmp = tempfile::tempdir().unwrap();
+        let config = DaemonConfig::for_testing(tmp.path()).with_fault_plan(Arc::clone(&plan));
+        let daemon = Daemon::start(config).unwrap();
+        let socket = tmp.path().join("reset.sock");
+        let mut server = UdsServer::start(daemon.clone(), &socket).unwrap();
+        let creds = Credentials::current_process();
+        let connect = || {
+            let stream = UnixStream::connect(&socket).unwrap();
+            BlockingConn::handshake(stream, Request::hello(creds)).unwrap()
+        };
+        let mut conn = connect();
+        plan.set_enabled(true);
+        let create = Request::CreatePool {
+            name: "reset".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        };
+        let eof = conn.call(create).unwrap_err();
+        assert_eq!(eof.kind(), io::ErrorKind::UnexpectedEof, "{eof}");
+        plan.set_enabled(false);
+        assert_eq!(plan.trace().len(), 1, "{:?}", plan.trace());
+        assert!(plan.trace()[0].ends_with(": reset"), "{:?}", plan.trace());
+
+        let open = Request::OpenPool {
+            name: "reset".into(),
+        };
+        let exists = match connect().call(open).unwrap() {
+            Response::Pool(_) => true,
+            Response::Error { code, .. } => {
+                assert_eq!(code, puddles_proto::ErrorCode::NotFound);
+                false
+            }
+            other => panic!("unexpected {other:?}"),
+        };
+        server.shutdown();
+        assert_eq!(daemon.registry().snapshot().pools.len(), exists as usize);
+        exists
+    }
+
+    #[test]
+    fn a_reset_before_execution_means_the_request_never_ran() {
+        assert!(!pool_exists_after_a_reset([true, false]));
+    }
+
+    #[test]
+    fn a_reset_after_execution_loses_only_the_acknowledgement() {
+        assert!(pool_exists_after_a_reset([false, true]));
     }
 }

@@ -91,13 +91,6 @@ pub const MAX_RECORD: usize = 16 << 20;
 /// Default size of the WAL's tail at which the registry compacts it.
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 1 << 20;
 
-/// Multiplier on the checkpoint threshold giving the **hard ceiling**: past
-/// it the registry checkpoints inline on the request path even when a
-/// background checkpoint is queued (the scheduler has fallen behind and the
-/// WAL must not grow without bound). Overridable per WAL with
-/// [`Wal::set_checkpoint_hard_ceiling`].
-pub const DEFAULT_HARD_CEILING_FACTOR: u64 = 8;
-
 /// A shared handle to the daemon's metadata WAL; `service` threads one
 /// through the registry and keeps a clone for `Stats`.
 pub type WalHandle = Arc<Wal>;
@@ -775,13 +768,11 @@ pub struct Wal {
     /// Signalled when `durable_hi` advances or the leader role frees up.
     durable: Condvar,
     checkpoint_threshold: AtomicU64,
-    /// Explicit hard ceiling; 0 means "threshold × [`DEFAULT_HARD_CEILING_FACTOR`]".
-    checkpoint_hard_ceiling: AtomicU64,
     /// The records decoded by [`Wal::open`]'s scan, retained so the
     /// registry's replay does not read and decode the file a second time;
     /// taken once by [`Wal::take_initial_replay`].
     initial_replay: Mutex<Option<Records>>,
-    /// Time source for checkpoint age/staleness; virtual under torture.
+    /// Time source for the reported checkpoint age; virtual under torture.
     clock: Clock,
     /// Observability hub: group-commit flush latency lands in the
     /// `wal.flush` series, each durable batch in the trace ring. The
@@ -803,8 +794,8 @@ impl Wal {
     }
 
     /// [`Wal::open`], reading checkpoint age from `clock` (virtual under
-    /// the torture harness, so staleness is part of the replayed timeline)
-    /// and recording into an existing observability hub (the daemon's, so
+    /// the torture harness, so the reported age is part of the replayed
+    /// timeline) and recording into an existing observability hub (the daemon's, so
     /// WAL series merge into one `GetMetrics` view).
     pub fn open_with_obs(pmdir: &PmDir, clock: Clock, obs: Arc<Metrics>) -> Result<Wal> {
         if pmdir.meta_path("registry.json").try_exists()? {
@@ -853,7 +844,6 @@ impl Wal {
             }),
             durable: Condvar::new(),
             checkpoint_threshold: AtomicU64::new(DEFAULT_CHECKPOINT_BYTES),
-            checkpoint_hard_ceiling: AtomicU64::new(0),
             initial_replay: Mutex::new(Some(records)),
             clock,
             obs,
@@ -1113,28 +1103,6 @@ impl Wal {
     /// benchmarks use small values to exercise the checkpoint path).
     pub fn set_checkpoint_threshold(&self, bytes: u64) {
         self.checkpoint_threshold.store(bytes, Ordering::Relaxed);
-    }
-
-    /// `true` once the uncheckpointed WAL has outgrown the hard ceiling —
-    /// the point where deferring to a background checkpoint stops being
-    /// acceptable and the triggering request must absorb the latency.
-    pub fn past_hard_ceiling(&self) -> bool {
-        let explicit = self.checkpoint_hard_ceiling.load(Ordering::Relaxed);
-        let ceiling = if explicit != 0 {
-            explicit
-        } else {
-            self.checkpoint_threshold
-                .load(Ordering::Relaxed)
-                .saturating_mul(DEFAULT_HARD_CEILING_FACTOR)
-        };
-        let state = self.state.lock().unwrap();
-        !state.poisoned && state.stream_pos - state.tail_base >= ceiling
-    }
-
-    /// Overrides the hard ceiling (0 restores the default of threshold ×
-    /// [`DEFAULT_HARD_CEILING_FACTOR`]).
-    pub fn set_checkpoint_hard_ceiling(&self, bytes: u64) {
-        self.checkpoint_hard_ceiling.store(bytes, Ordering::Relaxed);
     }
 
     /// Current WAL statistics.

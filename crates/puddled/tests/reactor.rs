@@ -1,8 +1,8 @@
 //! Reactor-runtime edge cases: frame reassembly over the wire, slow-reader
 //! isolation, connection counts beyond the old thread cap, half-close
-//! semantics, the background checkpoint path (async landing, drain on
-//! shutdown, forced-inline fallback, crash during a background checkpoint),
-//! and the pipelined runtime (out-of-order completion across dispatch lanes,
+//! semantics, the checkpoint on the crossing commit (landed on return, a
+//! kill before its rename, eight connections mutating across it), and the
+//! pipelined runtime (out-of-order completion across dispatch lanes,
 //! pipelined backpressure on the inline path, an inline request waiting its
 //! turn behind a full window, cross-reactor shutdown, refusal of peers that
 //! skip the preamble, `Busy` rejection at the connection cap).
@@ -16,6 +16,7 @@ use puddles_proto::{
 };
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::Ordering::Relaxed;
 use std::time::{Duration, Instant};
 
 fn start_server() -> (tempfile::TempDir, Daemon, UdsServer, std::path::PathBuf) {
@@ -44,15 +45,6 @@ fn recv_sorted(conn: &mut Conn, n: usize) -> Vec<(u64, Response)> {
     let mut got: Vec<(u64, Response)> = (0..n).map(|_| conn.recv().unwrap()).collect();
     got.sort_by_key(|(req_id, _)| *req_id);
     got
-}
-
-/// Serializes the tests that exercise checkpoint thresholds or global
-/// failpoints: checkpoints fire on daemon background threads, so a
-/// concurrently running checkpoint-heavy test could consume another test's
-/// armed point or skew its counters.
-fn checkpoint_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
@@ -226,201 +218,134 @@ fn half_close_drains_pending_responses() {
     server.shutdown();
 }
 
-/// The acceptance check for inline-checkpoint removal: a commit that trips
-/// the byte threshold returns immediately and the checkpoint lands
-/// *asynchronously* (observed via the background counter; `Stats` requests
-/// never checkpoint, so the increment can only come from the scheduler).
-#[test]
-fn threshold_checkpoints_land_asynchronously() {
-    let _guard = checkpoint_lock();
-    let tmp = tempfile::tempdir().unwrap();
-    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-    daemon.wal().set_checkpoint_threshold(64);
-    let creds = Credentials::current_process();
-    match daemon.handle(
-        creds,
+fn create_pool(daemon: &Daemon, name: &str) -> Response {
+    daemon.handle(
+        Credentials::current_process(),
         Request::CreatePool {
-            name: "async-ckpt".into(),
+            name: name.into(),
             root_size: 1 << 20,
             mode: 0o600,
         },
-    ) {
-        Response::Pool(_) => {}
-        other => panic!("unexpected {other:?}"),
-    }
-    wait_until("background checkpoint", || {
-        stats(&daemon).checkpoints_background >= 1
-    });
-    let s = stats(&daemon);
-    assert_eq!(
-        s.checkpoints_forced_inline, 0,
-        "steady state must never fall back to inline: {s:?}"
-    );
-    assert!(s.background_tasks_executed >= 1);
+    )
 }
 
-/// Drain-on-shutdown: a checkpoint still *queued* (scheduler paused) when
-/// the last daemon handle drops must run before the worker exits — the WAL
-/// is compacted on disk and the state reloads from its snapshot.
+/// A commit that crosses the byte threshold has checkpointed when it
+/// returns: no thread to wait for, nothing to poll.
 #[test]
-fn shutdown_drains_pending_background_checkpoints() {
-    let _guard = checkpoint_lock();
+fn a_commit_that_crosses_the_threshold_has_checkpointed_when_it_returns() {
     let tmp = tempfile::tempdir().unwrap();
-    let config = DaemonConfig::for_testing(tmp.path());
-    let wal_path = tmp.path().join("meta").join("registry.wal");
-    {
-        let daemon = Daemon::start(config.clone()).unwrap();
-        daemon.background().pause();
-        daemon.wal().set_checkpoint_threshold(1);
-        // Keep the forced-inline fallback out of the way: this test needs
-        // the checkpoint to still be *queued* when the daemon drops.
-        daemon.wal().set_checkpoint_hard_ceiling(u64::MAX);
-        let creds = Credentials::current_process();
-        match daemon.handle(
-            creds,
-            Request::CreatePool {
-                name: "drain".into(),
-                root_size: 1 << 20,
-                mode: 0o600,
-            },
-        ) {
-            Response::Pool(_) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(
-            daemon.background().pending() >= 1,
-            "paused scheduler must hold the queued checkpoint"
-        );
-        assert!(
-            std::fs::metadata(&wal_path).unwrap().len() > 0,
-            "records must still sit in the WAL while the checkpoint is queued"
-        );
-        // Last handle drops here: Drop drains the scheduler.
-    }
-    let pm = puddles_pmem::pmdir::PmDir::open(tmp.path()).unwrap();
-    assert_eq!(
-        puddled::Wal::open(&pm).unwrap().stats().records,
-        0,
-        "the drained checkpoint must have left no record past its snapshot"
-    );
-    let daemon = Daemon::start(config).unwrap();
-    match daemon.handle(
-        Credentials::current_process(),
-        Request::OpenPool {
-            name: "drain".into(),
-        },
-    ) {
-        Response::Pool(_) => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+    daemon.wal().set_checkpoint_threshold(64);
+    let before = stats(&daemon);
+    let resp = create_pool(&daemon, "crossing");
+    assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+    let after = stats(&daemon);
+    assert_eq!(after.checkpoints, before.checkpoints + 1, "{after:?}");
+    assert!(after.wal_bytes < 64, "{after:?}");
 }
 
-/// Kill during a *background* checkpoint, at its one boundary: the
-/// compacted file is written and fsynced beside the WAL but not yet renamed
-/// over it. Restart must replay the untouched WAL to exactly the pre-kill
-/// state and ignore the temp file left behind.
+/// Kill during a checkpoint, at its one boundary: the compacted file is
+/// written and fsynced beside the WAL but not yet renamed over it. The
+/// request whose commit ran it is still acknowledged, the failure is
+/// counted, the WAL stays usable (the next crossing commit checkpoints),
+/// and a restart replays the untouched WAL to exactly the pre-kill state,
+/// ignoring the temp file left behind.
 #[test]
-fn kill_during_background_checkpoint_still_replays_registry() {
-    let _guard = checkpoint_lock();
-    failpoint::clear_all();
+fn kill_during_a_checkpoint_still_replays_registry() {
+    // The checkpoint runs on the thread whose commit crossed — this one —
+    // so the point is armed for this thread alone.
+    let _disarm = failpoint::scoped_clear_guard();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
-    let expected_puddles;
+    let stale_tmp = tmp.path().join("meta").join("registry.wal.tmp");
+    let failed = |daemon: &Daemon| daemon.metrics().counter("checkpoint.failed").load(Relaxed);
+    let expected;
     {
         let daemon = Daemon::start(config.clone()).unwrap();
         daemon.wal().set_checkpoint_threshold(64);
-        failpoint::arm(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
-        let creds = Credentials::current_process();
-        match daemon.handle(
-            creds,
-            Request::CreatePool {
-                name: "bg-crash".into(),
-                root_size: 1 << 20,
-                mode: 0o600,
-            },
-        ) {
-            Response::Pool(_) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        // The commit above queued a background checkpoint; wait for it to
-        // hit the crash point (temp file written, rename skipped).
-        wait_until("background checkpoint crash", || {
-            failpoint::fired()
-                .iter()
-                .any(|name| name == failpoint::names::META_WRITE_BEFORE_RENAME)
-        });
-        expected_puddles = stats(&daemon).puddles;
-        // "Kill": drop with no further mutations (nothing is pending, so
-        // the drop-drain cannot paper over the interrupted checkpoint).
+        let before = stats(&daemon);
+        failpoint::arm_scoped(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
+        let resp = create_pool(&daemon, "ckpt-crash");
+        assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+        assert_eq!(failed(&daemon), 1);
+        assert!(stale_tmp.exists(), "the crash must leave its temp file");
+        let after = stats(&daemon);
+        assert_eq!(after.checkpoints, before.checkpoints, "{after:?}");
+        assert!(after.wal_bytes >= 64, "the WAL is as the commit left it");
+
+        // Not wedged: the next crossing commit retries and succeeds.
+        let resp = create_pool(&daemon, "ckpt-retry");
+        assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+        let retried = stats(&daemon);
+        assert_eq!(retried.checkpoints, before.checkpoints + 1, "{retried:?}");
+        assert_eq!((retried.wal_records, failed(&daemon)), (0, 1));
+
+        // Kill with the checkpoint interrupted again, the WAL holding the
+        // one record it never folded.
+        failpoint::arm_scoped(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
+        let resp = create_pool(&daemon, "ckpt-killed");
+        assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
+        assert_eq!(failed(&daemon), 2);
+        assert!(stale_tmp.exists());
+        expected = daemon.registry().snapshot();
     }
-    failpoint::clear_all();
-    let stale_tmp = tmp.path().join("meta").join("registry.wal.tmp");
-    assert!(stale_tmp.exists(), "the crash must leave its temp file");
 
     let daemon = Daemon::start(config).unwrap();
     assert!(
         !stale_tmp.exists(),
         "the load-time checkpoint overwrites and renames the stale temp file"
     );
-    let s = stats(&daemon);
-    assert_eq!(s.puddles, expected_puddles, "{s:?}");
-    match daemon.handle(
-        Credentials::current_process(),
-        Request::OpenPool {
-            name: "bg-crash".into(),
-        },
-    ) {
-        Response::Pool(_) => {}
-        other => panic!("unexpected {other:?}"),
-    }
+    assert_eq!(daemon.registry().snapshot(), expected);
+    assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
 }
 
-/// The hard ceiling: with the scheduler wedged (paused) and the WAL grown
-/// far past the threshold, commits stop deferring and pay the checkpoint
-/// inline — the WAL must never grow without bound.
+/// `ckpt_lock`, the tables lock and the WAL's writer role cannot deadlock:
+/// eight connections mutate through a server whose every third or fourth
+/// commit checkpoints on the worker that ran it.
 #[test]
-fn wal_past_hard_ceiling_forces_inline_checkpoint() {
-    let _guard = checkpoint_lock();
+fn concurrent_mutations_across_inline_checkpoints_all_land() {
     let tmp = tempfile::tempdir().unwrap();
-    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-    daemon.background().pause();
-    daemon.wal().set_checkpoint_threshold(64); // ceiling: 8 * 64 = 512 B
-    let creds = Credentials::current_process();
-    let mut forced = 0;
-    for i in 0..64 {
-        match daemon.handle(
-            creds,
-            Request::CreatePool {
-                name: format!("ceiling-{i}"),
-                root_size: 1 << 20,
-                mode: 0o600,
-            },
-        ) {
-            Response::Pool(_) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        forced = stats(&daemon).checkpoints_forced_inline;
-        if forced >= 1 {
-            break;
-        }
+    let config = DaemonConfig::for_testing(tmp.path());
+    let daemon = Daemon::start(config.clone()).unwrap();
+    daemon.wal().set_checkpoint_threshold(256);
+    let socket = tmp.path().join("reactor.sock");
+    let mut server = UdsServer::start(daemon.clone(), &socket).unwrap();
+    const THREADS: u64 = 8;
+    const MUTATIONS: u64 = 50;
+    let clients: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let socket = socket.clone();
+            std::thread::spawn(move || {
+                let mut conn = hello(&socket);
+                for i in 0..MUTATIONS {
+                    let type_id = t * MUTATIONS + i;
+                    let decl = PtrMapDecl {
+                        type_id,
+                        type_name: format!("ckpt::{type_id}"),
+                        size: 64,
+                        fields: vec![PtrField {
+                            offset: 8,
+                            target_type: type_id,
+                        }],
+                    };
+                    let resp = conn.call(Request::RegisterPtrMap { decl }).unwrap();
+                    assert!(matches!(resp, Response::Ok), "{resp:?}");
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().unwrap();
     }
-    assert!(
-        forced >= 1,
-        "a paused scheduler must trigger the forced-inline fallback"
-    );
-    daemon.background().resume();
-    // Everything created along the way survived the mixed checkpoint modes.
-    for i in 0..=0 {
-        match daemon.handle(
-            creds,
-            Request::OpenPool {
-                name: format!("ceiling-{i}"),
-            },
-        ) {
-            Response::Pool(_) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-    }
+    server.shutdown();
+    let s = stats(&daemon);
+    assert_eq!(s.ptr_maps, THREADS * MUTATIONS, "{s:?}");
+    assert!(s.checkpoints >= 1, "{s:?}");
+    assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
+    let live = daemon.registry().snapshot();
+    drop((server, daemon));
+    let reloaded = Daemon::start(config).unwrap();
+    assert_eq!(reloaded.registry().snapshot(), live);
 }
 
 /// A peer that opens with anything but the preamble — here a pre-`PUD2`

@@ -17,14 +17,20 @@ use puddles::torture::{env_u64, run_sweep, run_trial, TortureConfig};
 
 /// The replay guarantee, in-tree: one seed, two runs, byte-identical
 /// fault traces, operation histories, and observability trace-ring
-/// dumps. (The deep CI gate is `torture_sweep --replay-check`.)
+/// dumps — on a seed that injects connection resets, the one fault class
+/// drawn on the daemon's request path rather than under its storage. (The
+/// deep CI gate is `torture_sweep --replay-check`.)
 #[test]
 fn same_seed_replays_identical_execution() {
-    let seed = env_u64("TORTURE_SEED", 0x7011_70BE);
-    let config = TortureConfig::from_seed(seed);
-    assert!(config.deterministic, "from_seed must default deterministic");
+    let config = TortureConfig::from_seed(0x7011_70C0);
+    assert!(config.profile.conn_reset_ppm > 0, "{config:?}");
     let first = run_trial(&config).unwrap_or_else(|f| panic!("{f}"));
     let second = run_trial(&config).unwrap_or_else(|f| panic!("{f}"));
+    assert!(
+        first.conn_resets() >= 1,
+        "the pinned seed must hold a `conn.io#…: reset` line: {:?}",
+        first.fault_trace
+    );
     assert!(
         !first.history.is_empty(),
         "the trial must actually record operations"

@@ -706,7 +706,6 @@ fn check_every_cut_of_a_history(seed: u64) {
     {
         let daemon = Daemon::start(config.clone()).unwrap();
         // The tail only grows: no compaction moves a byte under the cuts.
-        daemon.background().pause();
         daemon.wal().set_checkpoint_threshold(u64::MAX);
         let record = |states: &mut Vec<RegistryData>| {
             let grown =
