@@ -16,7 +16,8 @@
 //!
 //! Output rows: `metadata_ops,puddles,<operation>,<parameter>,<ops_per_sec>`.
 
-use puddled::registry::{PuddleRecord, Registry};
+use puddled::registry::{PuddleRecord, Registry, Rewrite};
+use puddled::RegistryOp;
 use puddles_bench::{emit_header, emit_row, secs, Scale};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
@@ -29,27 +30,25 @@ fn fresh_registry(dir: &std::path::Path) -> Registry {
 }
 
 fn record(reg: &Registry) -> PuddleRecord {
-    let id = reg.fresh_id();
     let offset = reg.alloc_space(PAGE_SIZE as u64).expect("alloc");
     PuddleRecord {
-        id,
+        id: reg.fresh_id(),
         size: PAGE_SIZE as u64,
         offset,
-        file: id.to_hex(),
         purpose: PuddlePurpose::Data,
         owner_uid: 1,
         owner_gid: 1,
         mode: 0o600,
         pool: None,
-        needs_rewrite: false,
-        translations: vec![],
+        old_addr: 0,
+        rewrite: Rewrite::Clean,
     }
 }
 
 /// The transaction every cell times: one puddle record put.
 fn register(reg: &Registry, rec: PuddleRecord) {
     reg.transact(|_, ops| {
-        ops.extend(rec.put_ops());
+        ops.push(RegistryOp::PutPuddle(rec));
         Ok::<_, PmError>(())
     })
     .expect("register");

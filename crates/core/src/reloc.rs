@@ -34,11 +34,19 @@ pub struct RewriteStats {
 
 /// Rewrites every pointer in the puddle managed by `alloc` according to
 /// `translations`, using `types` to locate pointer fields.
+/// The ranges are disjoint (one per puddle), so the table is sorted once and
+/// each pointer binary-searched for the last range starting at or below it.
 pub fn rewrite_puddle(
     alloc: &PuddleAlloc,
     translations: &[Translation],
     types: &TypeRegistry,
 ) -> RewriteStats {
+    let mut table = translations.to_vec();
+    table.sort_unstable_by_key(|t| t.old_addr);
+    let translate = |value: u64| {
+        let after = table.partition_point(|t| t.old_addr <= value);
+        table[..after].last().and_then(|t| t.translate(value))
+    };
     let mut stats = RewriteStats::default();
     for obj in alloc.walk() {
         stats.objects += 1;
@@ -59,7 +67,7 @@ pub fn rewrite_puddle(
             if value == 0 {
                 continue;
             }
-            match translations.iter().find_map(|t| t.translate(value)) {
+            match translate(value) {
                 Some(new_value) if new_value != value => {
                     // SAFETY: as above; the slot is writable.
                     unsafe { std::ptr::write_unaligned(slot, new_value) };

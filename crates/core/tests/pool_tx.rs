@@ -1049,6 +1049,196 @@ fn export_import_rewrites_pointers_and_keeps_both_copies_open() {
     );
 }
 
+/// A manifest holds one address per puddle. An imported pool with only its
+/// root mapped has rewritten members pointing at new addresses and pending
+/// ones pointing at the exporter's: no manifest describes that, so the
+/// export is refused — before a directory exists — until every member has
+/// been mapped.
+#[test]
+fn a_pool_awaiting_rewrite_is_not_exported_until_it_is_mapped() {
+    let (tmp, _config, _daemon, client) = setup();
+    let small = PoolOptions::default().puddle_size(64 << 10);
+    let pool = client.create_pool("source", small).unwrap();
+    pool.tx(|tx| {
+        pool.create_root(
+            tx,
+            ListRoot {
+                head: PmPtr::null(),
+                len: 0,
+            },
+        )
+    })
+    .unwrap();
+    let mut pushed = 0;
+    while pool.puddle_count() < 3 {
+        push_front(&pool, pushed);
+        pushed += 1;
+    }
+    let original = list_values(&pool);
+    let dir = |name: &str| tmp.path().join(name);
+    client.export_pool("source", dir("first")).unwrap();
+
+    // Importing maps the root, and nothing else.
+    let copy = client.import_pool(dir("first"), "copy").unwrap();
+    assert_eq!((copy.mapped_count(), copy.puddle_count()), (1, 3));
+    match client.export_pool("copy", dir("refused")) {
+        Err(Error::Daemon(e)) => {
+            assert_eq!(e.code, puddles_proto::ErrorCode::InvalidRequest);
+            assert!(e.message.contains("2 of the 3 puddles"), "{e}");
+            assert!(e.message.contains("ensure_all_mapped"), "{e}");
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert!(
+        !dir("refused").exists(),
+        "refused before anything is copied"
+    );
+
+    copy.ensure_all_mapped().unwrap();
+    client.export_pool("copy", dir("second")).unwrap();
+    let again = client.import_pool(dir("second"), "again").unwrap();
+    assert_eq!(list_values(&again), original);
+    assert_eq!(list_values(&copy), original);
+}
+
+/// The sorted table against the scan it replaced: 2,000 disjoint ranges in
+/// no order, pointers at both edges of ranges, inside them, in the gaps
+/// between and outside all — each ends up where `iter().find_map(translate)`
+/// sends it. (Here, not beside `reloc.rs`'s own tests: one of those arms
+/// `RELOC_MID_REWRITE` process-wide, and 4,000 objects would walk into it.)
+#[test]
+fn binary_search_translates_exactly_as_the_linear_scan() {
+    use puddles::{rewrite_puddle, NoLog, PuddleAlloc, TypeRegistry};
+    use puddles_proto::Translation;
+    let mut buf = vec![0u8; 1 << 20];
+    // SAFETY: `buf` outlives the allocator and its storage does not move.
+    let alloc = unsafe { PuddleAlloc::new(buf.as_mut_ptr() as usize, buf.len()) };
+    alloc.init();
+    let mut types = TypeRegistry::new();
+    types.insert_type::<Node>();
+    let mut translations: Vec<Translation> = (0..2000u64)
+        .map(|i| Translation {
+            old_addr: 0x1000_0000 + i * 0x3000,
+            new_addr: 0x9_0000_0000 - i * 0x5000,
+            len: 0x2000,
+        })
+        .collect();
+    // A fixed shuffle: the caller's order is not the sorted one.
+    for i in 0..translations.len() {
+        translations.swap(i, (i * 7919 + 13) % 2000);
+    }
+    let mut expected = Vec::new();
+    for i in 0..4000u64 {
+        let range = 0x1000_0000 + (i * 37 % 2002) * 0x3000 - 0x3000;
+        let value = range + [0, 1, 0x1fff, 0x2000, 0x2fff, 0x17c8][(i % 6) as usize];
+        let size = std::mem::size_of::<Node>();
+        let node = alloc.alloc(size, Node::type_id(), &mut NoLog).unwrap() as *mut Node;
+        // SAFETY: a fresh allocation of `Node`'s size inside `buf`.
+        unsafe { (*node).next = PmPtr::from_addr(value) };
+        let scanned = translations.iter().find_map(|t| t.translate(value));
+        expected.push((node, scanned.unwrap_or(value)));
+    }
+    let stats = rewrite_puddle(&alloc, &translations, &types);
+    assert_eq!(stats.objects, 4000);
+    assert!(
+        stats.rewritten > 2000 && stats.untranslated > 1000,
+        "{stats:?}"
+    );
+    for (node, want) in expected {
+        // SAFETY: as above; `buf` is still alive.
+        assert_eq!(unsafe { (*node).next.addr() }, want);
+    }
+}
+
+#[repr(C)]
+struct Wide {
+    next: PmPtr<Wide>,
+    pad: [u8; 256],
+}
+impl_pm_type!(Wide, "pool_tx::Wide", [next => Wide]);
+
+/// An import's record is one fixed-size put per member, its relocation
+/// table computed per pool: 5,000 members — 600 MB of stored tables before,
+/// refused at ~800 — import, relocate, map and drop.
+#[test]
+fn a_five_thousand_member_import_is_one_record() {
+    use puddled::importexport::{ExportManifest, ExportedPuddle, MANIFEST_FILE};
+    use puddles_proto::{Credentials, Request, Response};
+    const MEMBERS: u64 = 5000;
+    const SIZE: u64 = 2 * 4096;
+    const EXPORTED_AT: u64 = 0x7e00_0000_0000;
+    let (tmp, _config, daemon, client) = setup();
+    // The one source file: a two-page puddle whose root object points
+    // 0x1100 bytes into where the *last* member was "exported" at.
+    let target = EXPORTED_AT + (MEMBERS - 1) * SIZE + 0x1100;
+    let seed = client
+        .create_pool("seed", PoolOptions::default().puddle_size(SIZE))
+        .unwrap();
+    seed.tx(|tx| {
+        let root = Wide {
+            next: PmPtr::from_addr(target),
+            pad: [0; 256],
+        };
+        seed.create_root(tx, root)
+    })
+    .unwrap();
+    let export = tmp.path().join("export");
+    client.export_pool("seed", &export).unwrap();
+    let manifest_bytes = std::fs::read(export.join(MANIFEST_FILE)).unwrap();
+    let mut manifest: ExportManifest = serde_json::from_slice(&manifest_bytes).unwrap();
+    let template = manifest.puddles[0].clone();
+    assert_eq!(template.size, SIZE);
+    manifest.root = PuddleId(1);
+    manifest.puddles = (0..MEMBERS)
+        .map(|i| ExportedPuddle {
+            id: PuddleId(1 + i as u128),
+            assigned_addr: EXPORTED_AT + i * SIZE,
+            ..template.clone()
+        })
+        .collect();
+    std::fs::write(
+        export.join(MANIFEST_FILE),
+        serde_json::to_vec(&manifest).unwrap(),
+    )
+    .unwrap();
+
+    let creds = Credentials::current_process();
+    let files = daemon.pm_dir().list_puddles().unwrap();
+    let records = daemon.wal().stats().records;
+    let import = Request::ImportPool {
+        src: export.to_string_lossy().into_owned(),
+        new_name: "big".into(),
+    };
+    let (info, translations) = match daemon.handle(creds, import) {
+        Response::Imported { pool, translations } => (pool, translations),
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(daemon.wal().stats().records, records + 1);
+    let imported = daemon.pm_dir().list_puddles().unwrap().len();
+    assert_eq!((imported - files.len()) as u64, MEMBERS);
+    assert_eq!(info.puddles.len() as u64, MEMBERS);
+    assert_eq!(translations.len() as u64, MEMBERS);
+    let last = *info.puddles.last().unwrap();
+    match daemon.handle(creds, Request::GetRelocation { id: last }) {
+        Response::Relocation {
+            needs_rewrite: true,
+            translations: table,
+        } => assert_eq!(table, translations),
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // Mapping the root rewrites its pointer into the last member.
+    let big = client.open_pool("big").unwrap();
+    let root: PmPtr<Wide> = big.root().unwrap();
+    let rewritten = translations.last().unwrap().new_addr + 0x1100;
+    assert_eq!(big.deref(root).unwrap().next.addr(), rewritten);
+    drop(big);
+
+    client.drop_pool("big").unwrap();
+    assert_eq!(daemon.pm_dir().list_puddles().unwrap(), files);
+    assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
+}
+
 #[test]
 fn cross_pool_transaction_updates_two_pools_atomically() {
     let (_tmp, _config, _daemon, client) = setup();
@@ -1231,13 +1421,13 @@ impl LogImage {
         let read = |record: &puddled::registry::PuddleRecord| {
             let (_, path) = daemon
                 .pm_dir()
-                .open_puddle_file(&record.file, record.size as usize)
+                .open_puddle_file(&record.file(), record.size as usize)
                 .unwrap();
             std::fs::read(path).unwrap()
         };
-        let puddles = registry.puddles_snapshot();
+        let puddles = registry.snapshot().puddles;
         let mut log_spaces = puddles
-            .iter()
+            .values()
             .filter(|p| p.purpose == PuddlePurpose::LogSpace);
         let mut ls_image = read(log_spaces.next().expect("a log space"));
         assert!(log_spaces.next().is_none(), "one client, one log space");

@@ -10,7 +10,8 @@
 //! request's edits are one WAL record applied under one lock, so there is
 //! no torn state between tables for a load to heal (and
 //! [`crate::registry`]'s load heals none — it only derives the allocator
-//! from the puddle table). Any violation found here is a bug in a request
+//! from the puddle table, as replay derives each pool's member index).
+//! Any violation found here is a bug in a request
 //! handler or in recovery, never an expected intermediate state.
 //!
 //! [`Invariants::check_data`] returns violations as strings rather than
@@ -22,7 +23,7 @@ use crate::registry::{Registry, RegistryData};
 use puddles_pmem::util::align_up;
 use puddles_pmem::PAGE_SIZE;
 use puddles_proto::PuddleId;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 /// Namespace for registry consistency checks (see the module docs).
 pub struct Invariants;
@@ -52,11 +53,12 @@ impl Invariants {
 
     /// Runs every structural check against one registry snapshot.
     ///
-    /// * **Pool shape** — each pool's root exists, is listed as a member,
-    ///   and every member record exists and names the pool back
-    ///   (membership is symmetric in both directions).
-    /// * **No orphaned puddles** — a puddle naming a pool appears in that
-    ///   pool's member list.
+    /// * **Pool shape** — each pool's root exists and names the pool; every
+    ///   puddle naming a pool names a live one.
+    /// * **The member index is derived** — each pool's `puddles` equals the
+    ///   list the puddle table implies ([`derived_members`]): membership is
+    ///   stored once, in the records' `pool` field, so the index can be
+    ///   wrong only if it went stale.
     /// * **Extent geometry** — puddle extents are page-aligned, disjoint,
     ///   inside `[PAGE_SIZE, space_size)`, and below the bump pointer.
     /// * **Allocator accounting** — free-list extents are disjoint from
@@ -67,46 +69,26 @@ impl Invariants {
     ///   live puddle (recovery invalidates the rest).
     pub fn check_data(data: &RegistryData) -> Vec<String> {
         let mut violations = Vec::new();
-        let live_ids: BTreeSet<PuddleId> = data.puddles.values().map(|p| p.id).collect();
-
-        // Pool shape + symmetric membership.
-        for pool in data.pools.values() {
-            if !live_ids.contains(&pool.root) {
-                violations.push(format!("pool {}: root {} missing", pool.name, pool.root));
-            }
-            if !pool.puddles.contains(&pool.root) {
-                violations.push(format!("pool {}: root not a member", pool.name));
-            }
-            let mut seen = BTreeSet::new();
-            for id in &pool.puddles {
-                if !seen.insert(*id) {
-                    violations.push(format!("pool {}: duplicate member {id}", pool.name));
+        let derived = derived_members(data);
+        for (name, pool) in &data.pools {
+            match data.puddles.get(&pool.root) {
+                None => violations.push(format!("pool {name}: root {} missing", pool.root)),
+                Some(root) if root.pool.as_ref() != Some(name) => {
+                    violations.push(format!("pool {name}: root names pool {:?}", root.pool))
                 }
-                match data.puddles.get(id) {
-                    None => {
-                        violations.push(format!("pool {}: lists missing puddle {id}", pool.name))
-                    }
-                    Some(member) if member.pool.as_deref() != Some(pool.name.as_str()) => {
-                        violations.push(format!(
-                            "pool {}: member {id} names pool {:?}",
-                            pool.name, member.pool
-                        ));
-                    }
-                    Some(_) => {}
-                }
+                Some(_) => {}
+            }
+            let derived = derived.get(name.as_str()).map_or(&[][..], |list| list);
+            if pool.puddles != derived {
+                violations.push(format!(
+                    "pool {name}: stale member index {:?}, the puddle table implies {derived:?}",
+                    pool.puddles
+                ));
             }
         }
-        for rec in data.puddles.values() {
-            if let Some(pool_name) = &rec.pool {
-                match data.pools.get(pool_name) {
-                    None => violations
-                        .push(format!("puddle {}: names missing pool {pool_name}", rec.id)),
-                    Some(pool) if !pool.puddles.contains(&rec.id) => violations.push(format!(
-                        "puddle {}: orphaned — not in pool {pool_name}'s member list",
-                        rec.id
-                    )),
-                    Some(_) => {}
-                }
+        for (pool, members) in &derived {
+            if !data.pools.contains_key(*pool) {
+                violations.push(format!("puddles {members:?}: name missing pool {pool}"));
             }
         }
 
@@ -170,7 +152,7 @@ impl Invariants {
 
         // No orphaned log chains: a valid log space must name a live puddle.
         for ls in &data.log_spaces {
-            if !ls.invalid && !live_ids.contains(&ls.puddle) {
+            if !ls.invalid && !data.puddles.contains_key(&ls.puddle) {
                 violations.push(format!(
                     "log space {}: valid but its puddle is gone",
                     ls.puddle
@@ -182,10 +164,26 @@ impl Invariants {
     }
 }
 
+/// Every pool's members as the puddle table implies them, keyed by the name
+/// the records carry: the puddles naming it, in member order
+/// (`wal::member_key`) — what `pools[name].puddles` must equal.
+pub fn derived_members(data: &RegistryData) -> BTreeMap<&str, Vec<PuddleId>> {
+    let mut members: BTreeMap<&str, Vec<PuddleId>> = BTreeMap::new();
+    for rec in data.puddles.values() {
+        if let Some(pool) = &rec.pool {
+            members.entry(pool).or_default().push(rec.id);
+        }
+    }
+    for list in members.values_mut() {
+        list.sort_unstable_by_key(crate::wal::member_key);
+    }
+    members
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord};
+    use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Rewrite};
     use puddles_proto::PuddlePurpose;
 
     fn rec(seq: u64, offset: u64, pool: Option<&str>) -> PuddleRecord {
@@ -194,14 +192,13 @@ mod tests {
             id,
             size: PAGE_SIZE as u64,
             offset,
-            file: id.to_hex(),
             purpose: PuddlePurpose::Data,
             owner_uid: 1,
             owner_gid: 1,
             mode: 0o600,
             pool: pool.map(String::from),
-            needs_rewrite: false,
-            translations: vec![],
+            old_addr: 0,
+            rewrite: Rewrite::Clean,
         }
     }
 
@@ -217,7 +214,6 @@ mod tests {
         data.pools.insert(
             "p".into(),
             PoolRecord {
-                name: "p".into(),
                 root: root.id,
                 puddles: vec![root.id, member.id],
             },
@@ -244,16 +240,53 @@ mod tests {
         );
     }
 
+    /// The index is derived state: edited by hand — a member missing, one
+    /// too many, two out of order — it no longer matches the puddle table.
     #[test]
-    fn asymmetric_membership_is_reported() {
+    fn a_stale_member_index_is_reported() {
+        let stale = |edit: fn(&mut Vec<PuddleId>)| {
+            let mut data = base_data();
+            edit(&mut data.pools.get_mut("p").unwrap().puddles);
+            Invariants::check_data(&data)
+        };
+        for edit in [
+            (|m| m.truncate(1)) as fn(&mut Vec<PuddleId>),
+            |m| m.push(PuddleId(7)),
+            |m| m.reverse(),
+        ] {
+            let violations = stale(edit);
+            assert!(
+                violations.iter().any(|v| v.contains("stale member index")),
+                "{violations:?}"
+            );
+        }
+        // A puddle that joined without `apply_op` hearing of it.
         let mut data = base_data();
-        // A puddle claiming membership the pool does not echo.
         let stray = rec(4, 4 * (PAGE_SIZE as u64), Some("p"));
         data.next_offset = 5 * PAGE_SIZE as u64;
         data.puddles.insert(stray.id, stray);
         let violations = Invariants::check_data(&data);
         assert!(
-            violations.iter().any(|v| v.contains("orphaned")),
+            violations.iter().any(|v| v.contains("stale member index")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn a_dead_pool_and_a_foreign_root_are_reported() {
+        let mut data = base_data();
+        let loose = rec(4, 4 * (PAGE_SIZE as u64), Some("gone"));
+        data.next_offset = 5 * PAGE_SIZE as u64;
+        data.puddles.insert(loose.id, loose);
+        data.puddles.get_mut(&PuddleId(1)).unwrap().pool = None;
+        data.pools.get_mut("p").unwrap().puddles.remove(0);
+        let violations = Invariants::check_data(&data);
+        assert!(
+            violations.iter().any(|v| v.contains("missing pool gone")),
+            "{violations:?}"
+        );
+        assert!(
+            violations.iter().any(|v| v.contains("root names pool")),
             "{violations:?}"
         );
     }

@@ -40,8 +40,10 @@ pub fn run_recovery(inner: &DaemonInner) -> Result<RecoveryReport> {
 
     // Snapshot the records we need so no registry lock is held across
     // mapping operations.
-    let log_spaces = inner.registry.log_spaces_snapshot();
-    let all_puddles: Vec<PuddleRecord> = inner.registry.puddles_snapshot();
+    let log_spaces = inner.registry.read(|data| data.log_spaces.clone());
+    let all_puddles: Vec<PuddleRecord> = inner
+        .registry
+        .read(|data| data.puddles.values().cloned().collect());
 
     let mut invalidated = Vec::new();
     let mut reclaimed = Vec::new();
@@ -89,7 +91,7 @@ fn drop_puddles(inner: &DaemonInner, ids: &[PuddleId], invalidate: &[PuddleId]) 
             .iter()
             .filter_map(|id| data.puddles.get(id).cloned())
             .collect();
-        ops.extend(dropped.iter().flat_map(PuddleRecord::drop_ops));
+        ops.extend(dropped.iter().map(|r| RegistryOp::DropPuddle { id: r.id }));
         ops.extend(
             invalidate
                 .iter()
@@ -114,8 +116,7 @@ fn drop_puddles(inner: &DaemonInner, ids: &[PuddleId], invalidate: &[PuddleId]) 
 /// briefly in this window on every chain extension. Returns the number of
 /// puddles reclaimed.
 pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64> {
-    let log_spaces = inner.registry.log_spaces_snapshot();
-    let all_puddles: Vec<PuddleRecord> = inner.registry.puddles_snapshot();
+    let log_spaces = inner.registry.read(|data| data.log_spaces.clone());
     let gspace = &inner.gspace;
     let mut referenced: std::collections::BTreeSet<u128> = std::collections::BTreeSet::new();
     // Walk every log space (including invalidated ones: their logs are kept
@@ -156,11 +157,14 @@ pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64>
             return Ok(0);
         }
     }
-    let unreferenced: Vec<PuddleId> = all_puddles
-        .iter()
-        .filter(|r| r.purpose == PuddlePurpose::Log && !referenced.contains(&r.id.0))
-        .map(|r| r.id)
-        .collect();
+    let unreferenced: Vec<PuddleId> = inner.registry.read(|data| {
+        let logs = data
+            .puddles
+            .values()
+            .filter(|r| r.purpose == PuddlePurpose::Log);
+        let unreferenced = logs.filter(|r| !referenced.contains(&r.id.0));
+        unreferenced.map(|r| r.id).collect()
+    });
     drop_puddles(inner, &unreferenced, &[])
 }
 
@@ -205,10 +209,7 @@ pub(crate) fn sweep_unregistered_logspace_puddles(inner: &DaemonInner) -> Result
 pub(crate) fn sweep_orphan_files(inner: &DaemonInner) -> Result<u64> {
     let live: std::collections::BTreeSet<String> = inner
         .registry
-        .puddles_snapshot()
-        .into_iter()
-        .map(|p| p.file)
-        .collect();
+        .read(|data| data.puddles.values().map(PuddleRecord::file).collect());
     let mut swept = 0;
     for name in inner.pmdir.list_puddles()? {
         if !live.contains(&name) && inner.pmdir.delete_puddle_file(&name).is_ok() {
@@ -424,7 +425,7 @@ fn map_record(
 ) -> Result<usize> {
     let (file, _) = inner
         .pmdir
-        .open_puddle_file(&record.file, record.size as usize)?;
+        .open_puddle_file(&record.file(), record.size as usize)?;
     let addr = gspace.map_puddle(
         &file,
         record.offset as usize,

@@ -46,7 +46,9 @@
 //! free lists behind its own mutex with **lazy coalescing** (alloc and free
 //! are O(1); the deferred merge pass runs on the free that trips the
 //! threshold) — is derived state: never logged, rebuilt from the puddle
-//! table by [`reconcile`] at every load.
+//! table by [`reconcile`] at every load. So is whatever else that table
+//! implies — a pool's member list, a puddle's file name and relocation
+//! table: a record stores only what no other record does.
 //!
 //! A checkpoint holds the dedicated checkpoint lock (taken first, never
 //! while holding the tables lock: concurrent checkpoints serialize, a
@@ -64,12 +66,27 @@ use puddles_pmem::obs::TraceEventKind;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, PAGE_SIZE};
-use puddles_proto::{Credentials, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
+use puddles_proto::{Credentials, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Persistent record of one puddle.
+/// Which addresses a puddle's pointers are written for: one byte of its
+/// record, as numbered (the wire's `needs_rewrite` is "not `Clean`").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rewrite {
+    /// The address the puddle maps at.
+    Clean = 0,
+    /// The exporter's — the `old_addr`s of its pool's members: imported,
+    /// not mapped since.
+    Import = 1,
+    /// The space's previous base, [`RegistryData::moved_from`].
+    BaseMove = 2,
+}
+
+/// Persistent record of one puddle: only what no other record implies. The
+/// file name is the id, membership is `pool`, the relocation table is
+/// computed ([`Registry::relocation`]) — fixed-size but for the pool's name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PuddleRecord {
     /// The puddle's UUID.
@@ -78,8 +95,6 @@ pub struct PuddleRecord {
     pub size: u64,
     /// Offset of the puddle within the global puddle space.
     pub offset: u64,
-    /// Name of the backing file inside the PM directory.
-    pub file: String,
     /// What the puddle is used for.
     pub purpose: PuddlePurpose,
     /// Owning user id.
@@ -88,13 +103,14 @@ pub struct PuddleRecord {
     pub owner_gid: u32,
     /// UNIX-like permission bits.
     pub mode: u32,
-    /// The pool this puddle belongs to, if any.
+    /// The pool this puddle belongs to, if any: the one copy of membership.
     pub pool: Option<String>,
-    /// `true` if the puddle's pointers must be rewritten before use.
-    pub needs_rewrite: bool,
-    /// Old→new translations to apply while rewriting (the persisted
-    /// "frontier" state of §4.2).
-    pub translations: Vec<Translation>,
+    /// The address the puddle was exported at; 0 = never imported. Outlives
+    /// its own rewrite: pool members still awaiting theirs point here (the
+    /// persisted "frontier" of §4.2 is `rewrite`, a byte per member).
+    pub old_addr: u64,
+    /// Whether the puddle's pointers must be rewritten before use.
+    pub rewrite: Rewrite,
 }
 
 impl PuddleRecord {
@@ -104,48 +120,23 @@ impl PuddleRecord {
         acl::check(creds, self.owner_uid, self.owner_gid, self.mode, access)
     }
 
-    /// The ops that add this puddle: its record and, when it names a pool,
-    /// its membership (an O(1) delta — logging the whole member list would
-    /// make building an N-puddle pool O(N²) WAL traffic). The transaction
-    /// checks that the pool exists.
-    pub fn put_ops(&self) -> Vec<RegistryOp> {
-        let mut ops = vec![RegistryOp::PutPuddle(self.clone())];
-        if let Some(pool) = self.pool.clone() {
-            ops.push(RegistryOp::AddPoolMember { pool, id: self.id });
-        }
-        ops
-    }
-
-    /// The ops that remove this puddle: its record and its pool membership.
-    pub fn drop_ops(&self) -> Vec<RegistryOp> {
-        let mut ops = vec![RegistryOp::DropPuddle { id: self.id }];
-        if let Some(pool) = self.pool.clone() {
-            ops.push(RegistryOp::RemovePoolMember { pool, id: self.id });
-        }
-        ops
+    /// Name of the backing file inside the PM directory: the id in hex.
+    pub fn file(&self) -> String {
+        self.id.to_hex()
     }
 }
 
-/// Persistent record of one pool.
+/// One pool, under its name in [`RegistryData::pools`]. `root` is the record
+/// ([`RegistryOp::PutPool`]); `puddles` is an index over the puddle table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PoolRecord {
-    /// Pool name.
-    pub name: String,
     /// Root puddle UUID.
     pub root: PuddleId,
-    /// All puddles in the pool, root first.
+    /// The puddles naming this pool, by ascending sequence number (an id's
+    /// low 64 bits: creation order; manifest order for an import). Never
+    /// logged: [`wal::apply_op`] alone keeps it — live and replayed — a
+    /// function of the puddle table.
     pub puddles: Vec<PuddleId>,
-}
-
-impl PoolRecord {
-    /// Converts the record into the protocol representation.
-    pub fn to_info(&self) -> PoolInfo {
-        PoolInfo {
-            name: self.name.clone(),
-            root_puddle: self.root,
-            puddles: self.puddles.clone(),
-        }
-    }
 }
 
 /// Persistent record of a registered log space.
@@ -173,6 +164,9 @@ pub struct RegistryData {
     pub space_base: u64,
     /// Size of the global space.
     pub space_size: u64,
+    /// The base the space had before its last move (0 = it never moved):
+    /// what the pointers of a [`Rewrite::BaseMove`] puddle still assume.
+    pub moved_from: u64,
     /// Bump pointer for address allocation (offset within the space).
     /// Derived from the puddle table, like `free_list`; never persisted.
     /// The live value leaves both empty — the allocator owns them — and
@@ -190,6 +184,29 @@ pub struct RegistryData {
     pub log_spaces: Vec<LogSpaceRecord>,
     /// Monotonic counter used to derive fresh UUIDs.
     pub next_seq: u64,
+}
+
+impl RegistryData {
+    /// Pool `name`'s member records in index order (none: unknown pool).
+    pub fn members<'a>(&'a self, name: &str) -> impl Iterator<Item = &'a PuddleRecord> {
+        let ids = self.pools.get(name).map_or(&[][..], |pool| &pool.puddles);
+        ids.iter().filter_map(|id| self.puddles.get(id))
+    }
+}
+
+/// The translations a pool's imported `members` imply, in their order: the
+/// address each was exported at → where it sits in a space at `space_base`.
+/// Members created in the pool since (`old_addr` 0) have none.
+pub fn import_table<'a>(
+    space_base: u64,
+    members: impl Iterator<Item = &'a PuddleRecord>,
+) -> Vec<Translation> {
+    let translate = |m: &PuddleRecord| Translation {
+        old_addr: m.old_addr,
+        new_addr: space_base + m.offset,
+        len: m.size,
+    };
+    members.filter(|m| m.old_addr != 0).map(translate).collect()
 }
 
 /// The registry state machine plus its persistence handle. All methods take
@@ -494,53 +511,53 @@ impl Registry {
         self.tables.read().puddles.get(&id).cloned()
     }
 
-    /// Clones every puddle record (recovery, relocation, export).
-    pub fn puddles_snapshot(&self) -> Vec<PuddleRecord> {
-        self.tables.read().puddles.values().cloned().collect()
-    }
-
-    /// Looks up a pool by name (clones under the shared read lock).
-    pub fn pool(&self, name: &str) -> Option<PoolRecord> {
-        self.tables.read().pools.get(name).cloned()
-    }
-
-    /// Returns every registered pointer map.
-    pub fn ptr_maps(&self) -> Vec<PtrMapDecl> {
-        self.tables.read().ptr_maps.values().cloned().collect()
-    }
-
-    /// Clones every registered log space.
-    pub fn log_spaces_snapshot(&self) -> Vec<LogSpaceRecord> {
-        self.tables.read().log_spaces.clone()
-    }
-
     // -- Relocation ---------------------------------------------------------
 
+    /// Whether puddle `id` (`None`: unknown) awaits a pointer rewrite, and
+    /// the old→new table for it — computed, never stored. Pending from an
+    /// import: where each imported member of its pool was exported → where
+    /// it sits now, whatever the base by now. From a base move: the whole
+    /// space, from the base it left.
+    pub fn relocation(&self, id: PuddleId) -> Option<(bool, Vec<Translation>)> {
+        let data = self.tables.read();
+        let record = data.puddles.get(&id)?;
+        let table = match record.rewrite {
+            Rewrite::Clean => Vec::new(),
+            Rewrite::Import => {
+                let pool = record.pool.as_deref().unwrap_or_default();
+                import_table(data.space_base, data.members(pool))
+            }
+            Rewrite::BaseMove => vec![Translation {
+                old_addr: data.moved_from,
+                new_addr: data.space_base,
+                len: data.space_size,
+            }],
+        };
+        Some((record.rewrite != Rewrite::Clean, table))
+    }
+
     /// If the global space landed at a different base than the recorded one,
-    /// marks every puddle for pointer rewrite with the corresponding
-    /// translation and records the new base. Returns `true` if the base
-    /// moved.
+    /// marks every clean puddle [`Rewrite::BaseMove`] and records the new
+    /// base and the one it left. Returns `true` if the base moved.
     ///
-    /// A base move shifts every puddle by the same delta, so a single
-    /// whole-space translation covers all cross-puddle pointers — per-record
-    /// state stays O(1) regardless of the puddle count (a per-extent table
-    /// here would make the registry O(N²) after a move). Import keeps
-    /// per-extent tables because imported puddles land at unrelated offsets.
+    /// A base move shifts every puddle by the same delta, so one
+    /// whole-space translation — derived from `moved_from` — covers a puddle
+    /// that was clean. One still pending from an import stays so: its
+    /// pointers hold the exporter's addresses, and its derived table targets
+    /// the new base from here on. Caveat: a second move overwrites
+    /// `moved_from` under the puddles still pending from the first.
     pub fn apply_base_relocation(&self, new_base: u64) -> Result<bool> {
         {
             let mut tables = self.tables.write();
             if tables.space_base == new_base {
                 return Ok(false);
             }
-            let whole_space = Translation {
-                old_addr: tables.space_base,
-                new_addr: new_base,
-                len: tables.space_size,
-            };
             for p in tables.puddles.values_mut() {
-                p.needs_rewrite = true;
-                p.translations = vec![whole_space];
+                if p.rewrite == Rewrite::Clean {
+                    p.rewrite = Rewrite::BaseMove;
+                }
             }
+            tables.moved_from = tables.space_base;
             tables.space_base = new_base;
         }
         // A base move is a rare, startup-only event that touches every
@@ -577,15 +594,23 @@ mod tests {
 
     /// A pool named `name` whose root is `root` — `CreatePool`'s record.
     fn put_pool(reg: &Registry, name: &str, root: PuddleRecord) {
-        let pool = PoolRecord {
+        let pool = RegistryOp::PutPool {
             name: name.into(),
             root: root.id,
-            puddles: vec![root.id],
         };
-        transact(
-            reg,
-            vec![RegistryOp::PutPool(pool), RegistryOp::PutPuddle(root)],
-        );
+        transact(reg, vec![pool, RegistryOp::PutPuddle(root)]);
+    }
+
+    fn members(reg: &Registry, pool: &str) -> Vec<PuddleId> {
+        reg.read(|data| data.pools[pool].puddles.clone())
+    }
+
+    fn put(rec: &PuddleRecord) -> Vec<RegistryOp> {
+        vec![RegistryOp::PutPuddle(rec.clone())]
+    }
+
+    fn drop_puddle(rec: &PuddleRecord) -> Vec<RegistryOp> {
+        vec![RegistryOp::DropPuddle { id: rec.id }]
     }
 
     fn record(reg: &Registry, pool: Option<&str>) -> PuddleRecord {
@@ -595,14 +620,13 @@ mod tests {
             id,
             size: PAGE_SIZE as u64,
             offset,
-            file: id.to_hex(),
             purpose: PuddlePurpose::Data,
             owner_uid: 1,
             owner_gid: 2,
             mode: 0o600,
             pool: pool.map(String::from),
-            needs_rewrite: false,
-            translations: vec![],
+            old_addr: 0,
+            rewrite: Rewrite::Clean,
         }
     }
 
@@ -710,7 +734,7 @@ mod tests {
         }
         let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
         assert!(reg.puddle(id).is_some());
-        assert_eq!(reg.pool("p").unwrap().puddles, vec![id]);
+        assert_eq!(members(&reg, "p"), vec![id]);
         assert_eq!(reg.snapshot().space_base, 7);
     }
 
@@ -753,11 +777,11 @@ mod tests {
             };
             transact(&reg, vec![RegistryOp::PutLogSpace(space)]);
         }
-        let spaces = reg.log_spaces_snapshot();
+        let spaces = reg.snapshot().log_spaces;
         assert_eq!(spaces.len(), 1);
         assert_eq!(spaces[0].owner_uid, 2);
         transact(&reg, vec![RegistryOp::InvalidateLogSpace { puddle: id }]);
-        assert!(reg.log_spaces_snapshot()[0].invalid);
+        assert!(reg.snapshot().log_spaces[0].invalid);
     }
 
     /// A transaction is all or nothing: an `Err` from its closure, or a
@@ -769,7 +793,7 @@ mod tests {
         let tmp = tempfile::tempdir().unwrap();
         let pm = PmDir::open(tmp.path()).unwrap();
         let reg = Registry::load_or_create(&pm, 7, 1 << 30).unwrap();
-        transact(&reg, record(&reg, None).put_ops());
+        transact(&reg, put(&record(&reg, None)));
         reg.commit().unwrap();
         let rec = record(&reg, None);
         let state = || {
@@ -781,7 +805,7 @@ mod tests {
 
         let refused = reg.transact(|data, ops| {
             assert_eq!(data.puddles.len(), 1, "checks run against the tables");
-            ops.extend(rec.put_ops());
+            ops.extend(put(&rec));
             Err::<(), _>(PmError::Corruption("the closure's check failed".into()))
         });
         assert!(matches!(refused, Err(PmError::Corruption(_))));
@@ -792,7 +816,7 @@ mod tests {
             fields: vec![],
         });
         let oversized = reg.transact(|_, ops| {
-            ops.extend(rec.put_ops());
+            ops.extend(put(&rec));
             ops.push(huge);
             Ok::<_, PmError>(())
         });
@@ -803,7 +827,7 @@ mod tests {
         assert_eq!(state(), before);
         reg.free_space(rec.offset, rec.size);
 
-        transact(&reg, record(&reg, None).put_ops());
+        transact(&reg, put(&record(&reg, None)));
         reg.commit().expect("the WAL must not be poisoned");
         let live = reg.snapshot();
         assert_eq!(live.puddles.len(), 2);
@@ -812,48 +836,92 @@ mod tests {
         assert_eq!(reg.snapshot(), live);
     }
 
+    /// Membership is the record's `pool` field; the pool's list follows it.
     #[test]
-    fn put_ops_and_drop_ops_keep_pool_membership_symmetric() {
+    fn a_puddle_record_is_its_pool_membership() {
         let (_tmp, reg) = registry();
         let root = record(&reg, Some("p"));
         let root_id = root.id;
         put_pool(&reg, "p", root);
-        let rec = record(&reg, Some("p"));
-        let id = rec.id;
-        transact(&reg, rec.put_ops());
-        assert_eq!(reg.pool("p").unwrap().puddles, vec![root_id, id]);
+        // Ids drawn in one order, recorded in the other: the list is by
+        // sequence number whichever transaction came first.
+        let (first, second) = (record(&reg, Some("p")), record(&reg, Some("p")));
+        transact(&reg, put(&second));
+        transact(&reg, put(&first));
+        let in_order = vec![root_id, first.id, second.id];
+        assert_eq!(members(&reg, "p"), in_order);
         crate::Invariants::assert_all(&reg);
-        transact(&reg, rec.drop_ops());
-        assert_eq!(reg.pool("p").unwrap().puddles, vec![root_id]);
-        assert!(reg.puddle(id).is_none());
+        // Replacing a record (`MarkRewritten`) is not joining twice.
+        transact(&reg, put(&first));
+        assert_eq!(members(&reg, "p"), in_order);
+        transact(&reg, drop_puddle(&first));
+        assert_eq!(members(&reg, "p"), vec![root_id, second.id]);
+        assert!(reg.puddle(first.id).is_none());
         crate::Invariants::assert_all(&reg);
-        // Without a pool there is no membership to log.
-        assert_eq!(record(&reg, None).put_ops().len(), 1);
     }
 
+    /// A base move marks clean puddles for one whole-space translation; a
+    /// puddle still pending from an import stays so, and its table — the
+    /// exporter's addresses of its pool's imported members — targets the
+    /// new base.
     #[test]
     fn base_relocation_marks_all_puddles() {
         let (_tmp, reg) = registry();
-        let rec = record(&reg, None);
-        let id = rec.id;
-        let offset = rec.offset;
-        transact(&reg, rec.put_ops());
+        let clean = record(&reg, None);
+        transact(&reg, put(&clean));
+        let imported = |old_addr, rewrite| PuddleRecord {
+            old_addr,
+            rewrite,
+            ..record(&reg, Some("imp"))
+        };
+        let pending = imported(0x7000_0000, Rewrite::Import);
+        let rewritten = imported(0x7100_0000, Rewrite::Clean);
+        let (pending_id, rewritten_id) = (pending.id, rewritten.id);
+        put_pool(&reg, "imp", pending.clone());
+        transact(&reg, put(&rewritten));
+        let joined = record(&reg, Some("imp")); // created in the pool since
+        transact(&reg, put(&joined));
+
         let old_base = reg.read(|data| data.space_base);
+        let import_table = |base: u64| -> Vec<Translation> {
+            [&pending, &rewritten]
+                .map(|r| Translation {
+                    old_addr: r.old_addr,
+                    new_addr: base + r.offset,
+                    len: r.size,
+                })
+                .to_vec()
+        };
+        assert_eq!(
+            reg.relocation(pending_id),
+            Some((true, import_table(old_base)))
+        );
+        assert_eq!(reg.relocation(rewritten_id), Some((false, vec![])));
+        assert_eq!(reg.relocation(PuddleId(0)), None);
+
         assert!(!reg.apply_base_relocation(old_base).unwrap());
         let new_base = old_base + (1 << 30);
         assert!(reg.apply_base_relocation(new_base).unwrap());
-        let p = reg.puddle(id).unwrap();
-        assert!(p.needs_rewrite);
-        // One whole-space translation (O(1) per record), which still
-        // translates this puddle's own addresses correctly.
-        assert_eq!(p.translations.len(), 1);
-        let t = p.translations[0];
+        assert_eq!(reg.read(|data| data.space_base), new_base);
+        // One whole-space translation (nothing stored per record), which
+        // translates the puddle's own addresses correctly.
+        let whole_space = Translation {
+            old_addr: old_base,
+            new_addr: new_base,
+            len: 1 << 30,
+        };
+        for id in [clean.id, rewritten_id, joined.id] {
+            assert_eq!(reg.relocation(id), Some((true, vec![whole_space])));
+        }
         assert_eq!(
-            t.translate(old_base + offset),
-            Some(new_base + offset),
+            whole_space.translate(old_base + clean.offset),
+            Some(new_base + clean.offset),
             "whole-space translation must cover the puddle's extent"
         );
-        assert_eq!(reg.read(|data| data.space_base), new_base);
+        assert_eq!(
+            reg.relocation(pending_id),
+            Some((true, import_table(new_base)))
+        );
     }
 
     /// The allocator is derived at load, from the puddle table alone: an
@@ -869,9 +937,9 @@ mod tests {
             let leaked = record(&reg, None);
             let survivor = record(&reg, None);
             survivor_offset = survivor.offset;
-            transact(&reg, leaked.put_ops());
-            transact(&reg, survivor.put_ops());
-            transact(&reg, leaked.drop_ops()); // free_space "lost"
+            transact(&reg, put(&leaked));
+            transact(&reg, put(&survivor));
+            transact(&reg, drop_puddle(&leaked)); // free_space "lost"
             reg.commit().unwrap();
         }
         let reg = Registry::load_or_create(&pm, 0, 1 << 30).unwrap();
@@ -887,7 +955,7 @@ mod tests {
         let (_tmp, reg) = registry();
         reg.wal().set_checkpoint_threshold(256);
         for _ in 0..40 {
-            transact(&reg, record(&reg, None).put_ops());
+            transact(&reg, put(&record(&reg, None)));
             reg.commit().unwrap();
             assert!(reg.wal().stats().bytes < 256);
         }
@@ -896,11 +964,11 @@ mod tests {
         // that crosses with the lock free folds the tail away.
         let running = reg.ckpt_lock.lock();
         while reg.wal().stats().bytes < 256 {
-            transact(&reg, record(&reg, None).put_ops());
+            transact(&reg, put(&record(&reg, None)));
             reg.commit().unwrap();
         }
         drop(running);
-        transact(&reg, record(&reg, None).put_ops());
+        transact(&reg, put(&record(&reg, None)));
         reg.commit().unwrap();
         assert_eq!(reg.wal().stats().records, 0);
     }
@@ -918,7 +986,7 @@ mod tests {
                     for _ in 0..50 {
                         let rec = record(&reg, None);
                         offsets.push((rec.offset, rec.size));
-                        transact(&reg, rec.put_ops());
+                        transact(&reg, put(&rec));
                     }
                     offsets
                 })

@@ -13,7 +13,7 @@ use crate::acl;
 use crate::gspace::GlobalSpace;
 use crate::importexport;
 use crate::recovery;
-use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, Registry, RegistryData};
+use crate::registry::{LogSpaceRecord, PuddleRecord, Registry, RegistryData, Rewrite};
 use crate::wal::{RegistryOp, Wal, WalHandle};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
@@ -22,8 +22,8 @@ use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, DEFAULT_SPACE_BASE, PAGE_SIZE};
 use puddles_proto::{
-    CounterSnapshot, Credentials, Endpoint, ErrorCode, MetricsReport, PuddleId, PuddleInfo,
-    PuddlePurpose, Request, Response, SeriesSnapshot,
+    CounterSnapshot, Credentials, Endpoint, ErrorCode, MetricsReport, PoolInfo, PuddleId,
+    PuddleInfo, PuddlePurpose, Request, Response, SeriesSnapshot,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -570,7 +570,10 @@ impl Daemon {
                 reg.commit()?;
                 Ok(Response::Ok)
             }
-            Request::GetPtrMaps => Ok(Response::PtrMaps(self.inner.registry.ptr_maps())),
+            Request::GetPtrMaps => {
+                let maps = |data: &RegistryData| data.ptr_maps.values().cloned().collect();
+                Ok(Response::PtrMaps(self.inner.registry.read(maps)))
+            }
             Request::ExportPool { name, dest } => {
                 importexport::export_pool(&self.inner, creds, &name, &dest)?;
                 Ok(Response::Ok)
@@ -582,19 +585,20 @@ impl Daemon {
             }
             Request::GetRelocation { id } => {
                 // Read-mostly path: the registry's shared read lock only.
-                let p = self.inner.registry.puddle(id).ok_or_else(no_such_puddle)?;
+                let relocation = self.inner.registry.relocation(id);
+                let (needs_rewrite, translations) = relocation.ok_or_else(no_such_puddle)?;
                 Ok(Response::Relocation {
-                    needs_rewrite: p.needs_rewrite,
-                    translations: p.translations,
+                    needs_rewrite,
+                    translations,
                 })
             }
             Request::MarkRewritten { id } => {
                 let reg = &self.inner.registry;
                 reg.transact(|data, ops| {
                     let record = data.puddles.get(&id).ok_or_else(no_such_puddle)?;
+                    // `old_addr` stays: pending pool members still point at it.
                     ops.push(RegistryOp::PutPuddle(PuddleRecord {
-                        needs_rewrite: false,
-                        translations: Vec::new(),
+                        rewrite: Rewrite::Clean,
                         ..record.clone()
                     }));
                     Ok::<_, DaemonError>(())
@@ -747,14 +751,14 @@ impl Daemon {
             path: self
                 .inner
                 .pmdir
-                .puddle_path(&record.file)
+                .puddle_path(&record.file())
                 .to_string_lossy()
                 .into_owned(),
             purpose: record.purpose,
             owner_uid: record.owner_uid,
             owner_gid: record.owner_gid,
             mode: record.mode,
-            needs_rewrite: record.needs_rewrite,
+            needs_rewrite: record.rewrite != Rewrite::Clean,
             writable,
         }
     }
@@ -775,24 +779,24 @@ impl Daemon {
         let offset = reg.alloc_space(size).map_err(|_| {
             DaemonError::new(ErrorCode::OutOfSpace, "global puddle space exhausted")
         })?;
-        let file = id.to_hex();
-        if let Err(e) = self.inner.pmdir.create_puddle_file(&file, size as usize) {
-            reg.free_space(offset, size);
-            return Err(DaemonError::from(e));
-        }
-        Ok(PuddleRecord {
+        let record = PuddleRecord {
             id,
             size,
             offset,
-            file,
             purpose,
             owner_uid: creds.uid,
             owner_gid: creds.gid,
             mode,
             pool,
-            needs_rewrite: false,
-            translations: Vec::new(),
-        })
+            old_addr: 0,
+            rewrite: Rewrite::Clean,
+        };
+        let pmdir = &self.inner.pmdir;
+        if let Err(e) = pmdir.create_puddle_file(&record.file(), size as usize) {
+            reg.free_space(offset, size);
+            return Err(DaemonError::from(e));
+        }
+        Ok(record)
     }
 
     /// Runs the transaction that records a prepared puddle, then commits
@@ -807,7 +811,7 @@ impl Daemon {
         let reg = &self.inner.registry;
         if let Err(e) = reg.transact(tx) {
             reg.free_space(record.offset, record.size);
-            let _ = self.inner.pmdir.delete_puddle_file(&record.file);
+            let _ = self.inner.pmdir.delete_puddle_file(&record.file());
             return Err(e);
         }
         Ok(reg.commit()?)
@@ -822,9 +826,9 @@ impl Daemon {
         mode: u32,
     ) -> DaemonResult<PuddleInfo> {
         let record = self.prepare_puddle(creds, size, pool, purpose, mode)?;
-        // The pool check and the membership are one transaction with the
-        // record: a concurrent DropPool either takes the new puddle with it
-        // or makes this `NotFound`.
+        // The pool check is one transaction with the record, whose `pool`
+        // field is the membership: a concurrent DropPool either takes the
+        // new puddle with it or makes this `NotFound`.
         self.record_prepared(&record, |data, ops| {
             if let Some(name) = &record.pool {
                 if !data.pools.contains_key(name) {
@@ -834,7 +838,7 @@ impl Daemon {
                     ));
                 }
             }
-            ops.extend(record.put_ops());
+            ops.push(RegistryOp::PutPuddle(record.clone()));
             Ok(())
         })?;
         Ok(self.puddle_info(&record, true))
@@ -868,17 +872,14 @@ impl Daemon {
                 return Err(DaemonError::new(ErrorCode::PermissionDenied, "not owner"));
             }
             // A pool without its root is a state no request may leave.
-            let pool = record.pool.as_ref().and_then(|name| data.pools.get(name));
-            if let Some(pool) = pool.filter(|pool| pool.root == id) {
+            let name = record.pool.as_deref().unwrap_or_default();
+            if data.pools.get(name).is_some_and(|pool| pool.root == id) {
                 return Err(DaemonError::new(
                     ErrorCode::InvalidRequest,
-                    format!(
-                        "puddle {id} is the root of pool `{}`: drop the pool",
-                        pool.name
-                    ),
+                    format!("puddle {id} is the root of pool `{name}`: drop the pool"),
                 ));
             }
-            ops.extend(record.drop_ops());
+            ops.push(RegistryOp::DropPuddle { id });
             Ok(record.clone())
         })?;
         let dropped = [record];
@@ -892,28 +893,31 @@ impl Daemon {
         name: &str,
         root_size: u64,
         mode: u32,
-    ) -> DaemonResult<puddles_proto::PoolInfo> {
-        let pool = Some(name.to_string());
+    ) -> DaemonResult<PoolInfo> {
+        let name = name.to_string();
+        let pool = Some(name.clone());
         let root = self.prepare_puddle(creds, root_size, pool, PuddlePurpose::Data, mode)?;
-        let pool = PoolRecord {
-            name: name.to_string(),
-            root: root.id,
-            puddles: vec![root.id],
-        };
         // The name check and both records are one transaction, so
         // concurrent same-name creates race safely: exactly one wins.
         self.record_prepared(&root, |data, ops| {
-            if data.pools.contains_key(name) {
-                return Err(pool_exists(name));
+            if data.pools.contains_key(&name) {
+                return Err(pool_exists(&name));
             }
-            ops.push(RegistryOp::PutPool(pool.clone()));
+            ops.push(RegistryOp::PutPool {
+                name: name.clone(),
+                root: root.id,
+            });
             ops.push(RegistryOp::PutPuddle(root.clone()));
             Ok(())
         })?;
-        Ok(pool.to_info())
+        Ok(PoolInfo {
+            name,
+            root_puddle: root.id,
+            puddles: vec![root.id],
+        })
     }
 
-    fn open_pool(&self, creds: Credentials, name: &str) -> DaemonResult<puddles_proto::PoolInfo> {
+    fn open_pool(&self, creds: Credentials, name: &str) -> DaemonResult<PoolInfo> {
         self.inner.registry.read(|data| {
             let pool = data.pools.get(name).ok_or_else(|| {
                 DaemonError::new(ErrorCode::NotFound, format!("pool `{name}` not found"))
@@ -928,7 +932,11 @@ impl Daemon {
                     "pool access denied",
                 ));
             }
-            Ok(pool.to_info())
+            Ok(PoolInfo {
+                name: name.to_string(),
+                root_puddle: pool.root,
+                puddles: pool.puddles.clone(),
+            })
         })
     }
 
@@ -936,15 +944,10 @@ impl Daemon {
         // All or nothing: the check that the caller may delete every member
         // and the ops that remove them see one member list.
         let members = self.inner.registry.transact(|data, ops| {
-            let pool = data
-                .pools
-                .get(name)
-                .ok_or_else(|| DaemonError::new(ErrorCode::NotFound, "pool not found"))?;
-            let members: Vec<PuddleRecord> = pool
-                .puddles
-                .iter()
-                .filter_map(|id| data.puddles.get(id).cloned())
-                .collect();
+            if !data.pools.contains_key(name) {
+                return Err(DaemonError::new(ErrorCode::NotFound, "pool not found"));
+            }
+            let members: Vec<PuddleRecord> = data.members(name).cloned().collect();
             if let Some(denied) = members
                 .iter()
                 .find(|m| !m.allows(creds, acl::Access::Write))
@@ -1014,7 +1017,7 @@ impl DaemonInner {
     pub(crate) fn unlink(&self, records: &[PuddleRecord]) -> Result<()> {
         records
             .iter()
-            .map(|record| self.pmdir.delete_puddle_file(&record.file))
+            .map(|record| self.pmdir.delete_puddle_file(&record.file()))
             .fold(Ok(()), Result::and)
     }
 }
@@ -1059,7 +1062,7 @@ impl Endpoint for LocalEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puddles_proto::{PoolInfo, PtrMapDecl};
+    use puddles_proto::PtrMapDecl;
 
     /// One request of the named [`REQUEST_KINDS`] row. The inline kinds are
     /// well-formed against `pool` (they are executed); the rest only have
@@ -1237,32 +1240,36 @@ mod tests {
             resp => resp,
         };
         let dir = |name: &str| tmp.path().join(name).to_string_lossy().into_owned();
-        // Two pools of eight members, one of them exported; a log-space
-        // puddle waiting to be registered.
+        // Two pools of eight members, one of them exported, and an exported
+        // one of 64; a log-space puddle waiting to be registered.
         let named = |name: &str| PoolInfo {
             name: name.into(),
             root_puddle: PuddleId(0),
             puddles: Vec::new(),
         };
-        let pool_of_8 = |name: &str| {
+        let pool_of = |name: &str, members: usize| {
             let Response::Pool(pool) = call(sample_request("CreatePool", &named(name))) else {
                 panic!("pool creation failed");
             };
-            for _ in 1..8 {
+            for _ in 1..members {
                 call(sample_request("CreatePuddle", &pool));
             }
             let Response::Pool(pool) = call(sample_request("OpenPool", &pool)) else {
                 panic!("pool open failed");
             };
-            assert_eq!(pool.puddles.len(), 8);
+            assert_eq!(pool.puddles.len(), members);
             pool
         };
-        let lanes = pool_of_8("lanes");
-        let doomed = pool_of_8("doomed");
-        call(Request::ExportPool {
-            name: lanes.name.clone(),
-            dest: dir("export"),
-        });
+        let lanes = pool_of("lanes", 8);
+        let doomed = pool_of("doomed", 8);
+        let export = |name: &str, dest: &str| {
+            call(Request::ExportPool {
+                name: name.into(),
+                dest: dir(dest),
+            })
+        };
+        export("lanes", "export");
+        export(&pool_of("sixty-four", 64).name, "export-64");
         let Response::Puddle(log_space) = call(Request::CreatePuddle {
             size: 1 << 20,
             pool: None,
@@ -1274,6 +1281,7 @@ mod tests {
 
         let flushes = daemon.metrics().series("wal.flush");
         let mut mutating = Vec::new();
+        let mut wal_bytes = std::collections::BTreeMap::new();
         println!("| request | WAL records | group commits | WAL bytes |\n|---|---|---|---|");
         for (kind, _) in REQUEST_KINDS.iter() {
             let req = match *kind {
@@ -1306,6 +1314,7 @@ mod tests {
             if records == 1 {
                 assert_ne!(lane_of(&sample_request(kind, &lanes)), Lane::Inline);
                 mutating.push(*kind);
+                wal_bytes.insert(*kind, bytes);
             }
         }
         assert_eq!(
@@ -1321,8 +1330,29 @@ mod tests {
                 "MarkRewritten"
             ]
         );
+        // A record holds what the tables do not imply, so these are fixed
+        // costs (next to the pool's name), and an import is linear in its
+        // members: 8x the puddles is under 8x the bytes (it was ~46x when
+        // every member carried the whole translation table).
+        for (kind, bound) in [
+            ("CreatePuddle", 96),
+            ("FreePuddle", 48),
+            ("CreatePool", 120),
+            ("MarkRewritten", 96),
+            ("ImportPool", 700),
+        ] {
+            assert!(wal_bytes[kind] <= bound, "{kind}: {} B", wal_bytes[kind]);
+        }
+        let before = daemon.stats().wal_bytes;
+        call(Request::ImportPool {
+            src: dir("export-64"),
+            new_name: "imported-64".into(),
+        });
+        let import_64 = daemon.stats().wal_bytes - before;
+        println!("| `ImportPool` (64 members) | 1 | 1 | {import_64} |");
+        assert!(import_64 < 8 * wal_bytes["ImportPool"], "{import_64} B");
         let stats = daemon.stats();
-        assert_eq!((stats.pools, stats.puddles), (3, 8 + 8 + 1 + 1));
+        assert_eq!((stats.pools, stats.puddles), (5, 8 + 8 + 64 + 64 + 1 + 1));
         crate::Invariants::assert_all(daemon.registry());
     }
 }

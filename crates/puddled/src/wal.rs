@@ -53,14 +53,14 @@
 //! file as it is, because healing it would drop the registry and the
 //! startup sweep would then delete every puddle file.
 
-use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, RegistryData};
+use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, RegistryData, Rewrite};
 use puddles_pmem::checksum::{fnv1a64, fnv1a64_with_seed};
 use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::faultio::FaultSite;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
-use puddles_proto::{PtrField, PtrMapDecl, PuddleId, PuddlePurpose, Translation};
+use puddles_proto::{PtrField, PtrMapDecl, PuddleId, PuddlePurpose};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -83,9 +83,8 @@ const RECORD_ALIGN: usize = 8;
 /// corrupt length prefix. A record is a request, so this also bounds what
 /// one request may change: a transaction over it is refused, typed
 /// ([`PmError::RecordTooLarge`]), before anything is logged or applied. The
-/// request that gets there first is `ImportPool`: each imported puddle's
-/// `PutPuddle` carries the import's whole translation table, so its record
-/// is ~24·N² bytes — about 800 puddles.
+/// request that gets there first is `ImportPool`, one fixed-size `PutPuddle`
+/// (60 bytes + the pool's name) per member: about 240,000 puddles.
 pub const MAX_RECORD: usize = 16 << 20;
 
 /// Default size of the WAL's tail at which the registry compacts it.
@@ -101,38 +100,31 @@ pub type WalHandle = Arc<Wal>;
 /// Ops are **idempotent puts and removes** keyed like the registry tables,
 /// and a record holds a whole request, so replaying a prefix of the WAL
 /// (after a torn tail) always lands on a request boundary. The puts carry
-/// every field of every table, so a snapshot is one put per live entry.
+/// every *stored* field of every table, so a snapshot is one put per live
+/// entry; what the tables imply — member lists, file names, relocation
+/// tables — no op carries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegistryOp {
-    /// Insert or replace a puddle record.
+    /// Insert or replace a puddle record; its `pool` field is how a puddle
+    /// joins a pool.
     PutPuddle(PuddleRecord),
-    /// Remove a puddle record.
+    /// Remove a puddle record, and the puddle from its pool.
     DropPuddle {
         /// The removed puddle.
         id: PuddleId,
     },
-    /// Insert or replace a pool record (pool creation, root assignment;
-    /// membership churn uses the O(1) delta ops below so a large pool does
-    /// not make every registration log its whole member list).
-    PutPool(PoolRecord),
-    /// Remove a pool record.
+    /// Create a pool, or re-root an existing one. A transaction puts a pool
+    /// *before* the puddles that name it.
+    PutPool {
+        /// The pool's name.
+        name: String,
+        /// Its root puddle.
+        root: PuddleId,
+    },
+    /// Remove a pool record; the transaction drops its members with it.
     DropPool {
         /// The removed pool's name.
         name: String,
-    },
-    /// Append one puddle to a pool's member list.
-    AddPoolMember {
-        /// The pool gaining a member.
-        pool: String,
-        /// The joining puddle.
-        id: PuddleId,
-    },
-    /// Remove one puddle from a pool's member list.
-    RemovePoolMember {
-        /// The pool losing a member.
-        pool: String,
-        /// The leaving puddle.
-        id: PuddleId,
     },
     /// Register (or replace) a pointer map.
     PutPtrMap(PtrMapDecl),
@@ -150,6 +142,8 @@ pub enum RegistryOp {
         space_base: u64,
         /// Size of the global space.
         space_size: u64,
+        /// [`RegistryData::moved_from`]: the base before the last move.
+        moved_from: u64,
         /// The registry's id counter at the cut.
         next_seq: u64,
         /// Bytes of snapshot records that follow; none may be torn.
@@ -157,9 +151,39 @@ pub enum RegistryOp {
     },
 }
 
+/// A pool's member order: ascending sequence number (an id's low 64 bits),
+/// the whole id breaking ties between ids of different daemons.
+pub(crate) fn member_key(id: &PuddleId) -> (u64, u128) {
+    (id.0 as u64, id.0)
+}
+
+/// Puts `id` into (`member`) or takes it out of the member index of `pool`,
+/// at its sorted slot, if that pool is live.
+fn set_member(data: &mut RegistryData, pool: Option<&str>, id: PuddleId, member: bool) {
+    let Some(pool) = pool.and_then(|name| data.pools.get_mut(name)) else {
+        return;
+    };
+    let slot = pool
+        .puddles
+        .binary_search_by_key(&member_key(&id), member_key);
+    match (slot, member) {
+        (Err(at), true) => pool.puddles.insert(at, id),
+        (Ok(at), false) => drop(pool.puddles.remove(at)),
+        _ => {}
+    }
+}
+
 /// Applies one op to a registry state: the one implementation of every
 /// table edit, run by replay on the state being loaded and by
 /// [`crate::registry::Registry::transact`] on the live one.
+///
+/// `PutPuddle` and `DropPuddle` also keep the member index
+/// `pools[..].puddles` in step with the records' `pool` fields — here and
+/// nowhere else, so it is a function of the puddle table however a state
+/// was reached, given the two rules every transaction keeps (and
+/// [`crate::Invariants`] checks): a pool is put before the puddles naming
+/// it and dropped with them. A member joins at its sorted slot: the end,
+/// for ids in creation order and in the order [`snapshot_ops`] emits.
 ///
 /// No op touches `free_list`/`next_offset`: the space allocator is never
 /// persisted, and the reconcile pass that follows replay derives both from
@@ -169,28 +193,25 @@ pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
     match op {
         RegistryOp::PutPuddle(rec) => {
             data.next_seq = data.next_seq.max(rec.id.0 as u64);
-            data.puddles.insert(rec.id, rec.clone());
+            let old = data.puddles.insert(rec.id, rec.clone());
+            let old_pool = old.as_ref().and_then(|old| old.pool.as_deref());
+            if old.is_none() || old_pool != rec.pool.as_deref() {
+                set_member(data, old_pool, rec.id, false);
+                set_member(data, rec.pool.as_deref(), rec.id, true);
+            }
         }
         RegistryOp::DropPuddle { id } => {
-            data.puddles.remove(id);
+            if let Some(old) = data.puddles.remove(id) {
+                set_member(data, old.pool.as_deref(), *id, false);
+            }
         }
-        RegistryOp::PutPool(rec) => {
-            data.pools.insert(rec.name.clone(), rec.clone());
+        RegistryOp::PutPool { name, root } => {
+            let (root, puddles) = (*root, Vec::new());
+            let new = || PoolRecord { root, puddles };
+            data.pools.entry(name.clone()).or_insert_with(new).root = root;
         }
         RegistryOp::DropPool { name } => {
             data.pools.remove(name);
-        }
-        RegistryOp::AddPoolMember { pool, id } => {
-            if let Some(record) = data.pools.get_mut(pool) {
-                if !record.puddles.contains(id) {
-                    record.puddles.push(*id);
-                }
-            }
-        }
-        RegistryOp::RemovePoolMember { pool, id } => {
-            if let Some(record) = data.pools.get_mut(pool) {
-                record.puddles.retain(|member| member != id);
-            }
         }
         RegistryOp::PutPtrMap(decl) => {
             data.ptr_maps.insert(decl.type_id, decl.clone());
@@ -209,22 +230,31 @@ pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
         RegistryOp::Snapshot {
             space_base,
             space_size,
+            moved_from,
             next_seq,
             ..
         } => {
             data.space_base = *space_base;
             data.space_size = *space_size;
+            data.moved_from = *moved_from;
             data.next_seq = data.next_seq.max(*next_seq);
         }
     }
 }
 
 /// The inverse of [`apply_op`]: the puts that rebuild `data`'s four tables
-/// on an empty registry. The derived `free_list`/`next_offset` have no
+/// on an empty registry — the pools first, then the puddles in member
+/// order, so replay appends each at the end of the index it joins and no
+/// record grows with a pool. The derived `free_list`/`next_offset` have no
 /// record; the scalars ride the header [`Wal::compact`] puts in front.
 pub fn snapshot_ops(data: &RegistryData) -> impl Iterator<Item = RegistryOp> + '_ {
-    let pools = data.pools.values().cloned().map(RegistryOp::PutPool);
-    let puddles = data.puddles.values().cloned().map(RegistryOp::PutPuddle);
+    let pools = data.pools.iter().map(|(name, pool)| RegistryOp::PutPool {
+        name: name.clone(),
+        root: pool.root,
+    });
+    let mut puddles: Vec<&PuddleRecord> = data.puddles.values().collect();
+    puddles.sort_unstable_by_key(|rec| member_key(&rec.id));
+    let puddles = puddles.into_iter().cloned().map(RegistryOp::PutPuddle);
     let ptr_maps = data.ptr_maps.values().cloned().map(RegistryOp::PutPtrMap);
     let log_spaces = data.log_spaces.iter().cloned().map(RegistryOp::PutLogSpace);
     pools.chain(puddles).chain(ptr_maps).chain(log_spaces)
@@ -252,11 +282,13 @@ pub fn snapshot_ops(data: &RegistryData) -> impl Iterator<Item = RegistryOp> + '
 /// `0x02` was `0x01` without the allocator's extent records (tags 10, 11);
 /// `0x03` added the [`RegistryOp::Snapshot`] header (tag 12) and with it
 /// retired the separate JSON checkpoint; `0x04` made a record a whole
-/// request — several ops behind one version byte. A `0x03` file decodes
-/// op for op, but it logged one record per table edit, so its tail may end
-/// between the edits of one request, which only the load-time membership
-/// healing of that build could finish: this one has none and refuses it.
-pub const WAL_BINARY_VERSION: u8 = 0x04;
+/// request — several ops behind one version byte (a `0x03` tail may end
+/// between the edits of one request, which only that build's load-time
+/// healing could finish); `0x05` stopped storing what the puddle table
+/// implies — `PutPuddle` traded file name and translation table for
+/// `old_addr` and a rewrite state, `PutPool` and tags 5, 6 the member
+/// list — and added `moved_from` to the header.
+pub const WAL_BINARY_VERSION: u8 = 0x05;
 
 /// Variant tags of the binary [`RegistryOp`] encoding. Stable on-disk
 /// values: append only, never renumber.
@@ -265,8 +297,8 @@ mod tag {
     pub const DROP_PUDDLE: u8 = 2;
     pub const PUT_POOL: u8 = 3;
     pub const DROP_POOL: u8 = 4;
-    pub const ADD_POOL_MEMBER: u8 = 5;
-    pub const REMOVE_POOL_MEMBER: u8 = 6;
+    // 5 and 6 were the pool-membership delta ops up to version 0x04:
+    // reserved, never reused.
     pub const PUT_PTR_MAP: u8 = 7;
     pub const PUT_LOG_SPACE: u8 = 8;
     pub const INVALIDATE_LOG_SPACE: u8 = 9;
@@ -300,15 +332,21 @@ fn put_purpose(out: &mut Vec<u8>, p: PuddlePurpose) {
     });
 }
 
-/// Encodes `ops` as one record payload: the version byte, then the ops back
-/// to back.
-pub fn encode_ops(ops: &[RegistryOp]) -> Vec<u8> {
+/// Encodes `ops` as one record payload — the version byte, then the ops back
+/// to back — or refuses, typed, one over [`MAX_RECORD`].
+pub fn encode_ops(ops: &[RegistryOp]) -> Result<Vec<u8>> {
     let mut out = Vec::with_capacity(64 * ops.len());
     out.push(WAL_BINARY_VERSION);
     for op in ops {
         encode_op(&mut out, op);
     }
-    out
+    if out.len() > MAX_RECORD {
+        return Err(PmError::RecordTooLarge {
+            len: out.len(),
+            max: MAX_RECORD,
+        });
+    }
+    Ok(out)
 }
 
 /// Appends one op — variant tag, then fields — to a payload.
@@ -319,7 +357,6 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
             put_u128(out, rec.id.0);
             put_u64(out, rec.size);
             put_u64(out, rec.offset);
-            put_str(out, &rec.file);
             put_purpose(out, rec.purpose);
             put_u32(out, rec.owner_uid);
             put_u32(out, rec.owner_gid);
@@ -331,40 +368,21 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
                 }
                 None => out.push(0),
             }
-            out.push(rec.needs_rewrite as u8);
-            put_u32(out, rec.translations.len() as u32);
-            for t in &rec.translations {
-                put_u64(out, t.old_addr);
-                put_u64(out, t.new_addr);
-                put_u64(out, t.len);
-            }
+            put_u64(out, rec.old_addr);
+            out.push(rec.rewrite as u8);
         }
         RegistryOp::DropPuddle { id } => {
             out.push(tag::DROP_PUDDLE);
             put_u128(out, id.0);
         }
-        RegistryOp::PutPool(rec) => {
+        RegistryOp::PutPool { name, root } => {
             out.push(tag::PUT_POOL);
-            put_str(out, &rec.name);
-            put_u128(out, rec.root.0);
-            put_u32(out, rec.puddles.len() as u32);
-            for id in &rec.puddles {
-                put_u128(out, id.0);
-            }
+            put_str(out, name);
+            put_u128(out, root.0);
         }
         RegistryOp::DropPool { name } => {
             out.push(tag::DROP_POOL);
             put_str(out, name);
-        }
-        RegistryOp::AddPoolMember { pool, id } => {
-            out.push(tag::ADD_POOL_MEMBER);
-            put_str(out, pool);
-            put_u128(out, id.0);
-        }
-        RegistryOp::RemovePoolMember { pool, id } => {
-            out.push(tag::REMOVE_POOL_MEMBER);
-            put_str(out, pool);
-            put_u128(out, id.0);
         }
         RegistryOp::PutPtrMap(decl) => {
             out.push(tag::PUT_PTR_MAP);
@@ -391,12 +409,14 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
         RegistryOp::Snapshot {
             space_base,
             space_size,
+            moved_from,
             next_seq,
             span_bytes,
         } => {
             out.push(tag::SNAPSHOT);
             put_u64(out, *space_base);
             put_u64(out, *space_size);
+            put_u64(out, *moved_from);
             put_u64(out, *next_seq);
             put_u64(out, *span_bytes);
         }
@@ -486,66 +506,31 @@ pub fn decode_ops(payload: &[u8]) -> Option<Vec<RegistryOp>> {
 /// Decodes the op at the reader's position.
 fn decode_op(r: &mut Reader<'_>) -> Option<RegistryOp> {
     Some(match r.u8()? {
-        tag::PUT_PUDDLE => {
-            let id = PuddleId(r.u128()?);
-            let size = r.u64()?;
-            let offset = r.u64()?;
-            let file = r.string()?;
-            let purpose = r.purpose()?;
-            let owner_uid = r.u32()?;
-            let owner_gid = r.u32()?;
-            let mode = r.u32()?;
-            let pool = if r.bool()? { Some(r.string()?) } else { None };
-            let needs_rewrite = r.bool()?;
-            let n = r.u32()? as usize;
-            let mut translations = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                translations.push(Translation {
-                    old_addr: r.u64()?,
-                    new_addr: r.u64()?,
-                    len: r.u64()?,
-                });
-            }
-            RegistryOp::PutPuddle(PuddleRecord {
-                id,
-                size,
-                offset,
-                file,
-                purpose,
-                owner_uid,
-                owner_gid,
-                mode,
-                pool,
-                needs_rewrite,
-                translations,
-            })
-        }
+        tag::PUT_PUDDLE => RegistryOp::PutPuddle(PuddleRecord {
+            id: PuddleId(r.u128()?),
+            size: r.u64()?,
+            offset: r.u64()?,
+            purpose: r.purpose()?,
+            owner_uid: r.u32()?,
+            owner_gid: r.u32()?,
+            mode: r.u32()?,
+            pool: if r.bool()? { Some(r.string()?) } else { None },
+            old_addr: r.u64()?,
+            rewrite: match r.u8()? {
+                0 => Rewrite::Clean,
+                1 => Rewrite::Import,
+                2 => Rewrite::BaseMove,
+                _ => return None,
+            },
+        }),
         tag::DROP_PUDDLE => RegistryOp::DropPuddle {
             id: PuddleId(r.u128()?),
         },
-        tag::PUT_POOL => {
-            let name = r.string()?;
-            let root = PuddleId(r.u128()?);
-            let n = r.u32()? as usize;
-            let mut puddles = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                puddles.push(PuddleId(r.u128()?));
-            }
-            RegistryOp::PutPool(PoolRecord {
-                name,
-                root,
-                puddles,
-            })
-        }
+        tag::PUT_POOL => RegistryOp::PutPool {
+            name: r.string()?,
+            root: PuddleId(r.u128()?),
+        },
         tag::DROP_POOL => RegistryOp::DropPool { name: r.string()? },
-        tag::ADD_POOL_MEMBER => RegistryOp::AddPoolMember {
-            pool: r.string()?,
-            id: PuddleId(r.u128()?),
-        },
-        tag::REMOVE_POOL_MEMBER => RegistryOp::RemovePoolMember {
-            pool: r.string()?,
-            id: PuddleId(r.u128()?),
-        },
         tag::PUT_PTR_MAP => {
             let type_id = r.u64()?;
             let type_name = r.string()?;
@@ -577,6 +562,7 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RegistryOp> {
         tag::SNAPSHOT => RegistryOp::Snapshot {
             space_base: r.u64()?,
             space_size: r.u64()?,
+            moved_from: r.u64()?,
             next_seq: r.u64()?,
             span_bytes: r.u64()?,
         },
@@ -610,24 +596,21 @@ fn encode_record(seq: u64, payload: &[u8]) -> Vec<u8> {
 
 /// `data` as the front of a compacted file: the [`RegistryOp::Snapshot`]
 /// header, then the records of [`snapshot_ops`], all at sequence `cut_seq`.
-/// Fails on a record over [`MAX_RECORD`] (a pool grown by deltas past a
-/// million members), which [`Wal::open`] would refuse to read back.
+/// Fails on a record over [`MAX_RECORD`] (an oversized pointer map: no put
+/// grows with a pool), which [`Wal::open`] would refuse to read back.
 fn encode_snapshot(data: &RegistryData, cut_seq: u64) -> Result<Vec<u8>> {
     let mut span = Vec::new();
     for op in snapshot_ops(data) {
-        let payload = encode_ops(&[op]);
-        if payload.len() > MAX_RECORD {
-            return Err(PmError::Corruption("snapshot record too large".into()));
-        }
-        span.extend_from_slice(&encode_record(cut_seq, &payload));
+        span.extend_from_slice(&encode_record(cut_seq, &encode_ops(&[op])?));
     }
     let header = RegistryOp::Snapshot {
         space_base: data.space_base,
         space_size: data.space_size,
+        moved_from: data.moved_from,
         next_seq: data.next_seq,
         span_bytes: span.len() as u64,
     };
-    let mut bytes = encode_record(cut_seq, &encode_ops(&[header]));
+    let mut bytes = encode_record(cut_seq, &encode_ops(&[header])?);
     bytes.extend_from_slice(&span);
     Ok(bytes)
 }
@@ -887,13 +870,7 @@ impl Wal {
     /// payload over [`MAX_RECORD`], a poisoned WAL — leaves tables, buffer
     /// and tickets as they were.
     pub fn submit_batch(&self, ops: &[RegistryOp]) -> Result<u64> {
-        let payload = encode_ops(ops);
-        if payload.len() > MAX_RECORD {
-            return Err(PmError::RecordTooLarge {
-                len: payload.len(),
-                max: MAX_RECORD,
-            });
-        }
+        let payload = encode_ops(ops)?;
         let mut state = self.state.lock().unwrap();
         if state.poisoned {
             return Err(Self::poisoned_err());
@@ -1132,20 +1109,19 @@ mod tests {
             id: PuddleId(n as u128),
             size: 4096,
             offset: 4096 * n,
-            file: format!("{n:032x}"),
             purpose: PuddlePurpose::Data,
             owner_uid: 1,
             owner_gid: 1,
             mode: 0o600,
             pool: None,
-            needs_rewrite: false,
-            translations: vec![],
+            old_addr: 0,
+            rewrite: Rewrite::Clean,
         })
     }
 
     /// The record payload of a batch of one.
     fn payload(op: &RegistryOp) -> Vec<u8> {
-        encode_ops(std::slice::from_ref(op))
+        encode_ops(std::slice::from_ref(op)).unwrap()
     }
 
     fn wal() -> (tempfile::TempDir, PmDir, Wal) {
@@ -1162,43 +1138,22 @@ mod tests {
                 id: PuddleId(0xDEAD_BEEF_0123),
                 size: 1 << 20,
                 offset: 4096,
-                file: "0000deadbeef".into(),
                 purpose: PuddlePurpose::LogSpace,
                 owner_uid: 1000,
                 owner_gid: 1001,
                 mode: 0o640,
                 pool: Some("pool-ü".into()),
-                needs_rewrite: true,
-                translations: vec![
-                    Translation {
-                        old_addr: 1,
-                        new_addr: 2,
-                        len: 3,
-                    },
-                    Translation {
-                        old_addr: u64::MAX,
-                        new_addr: 0,
-                        len: 7,
-                    },
-                ],
+                old_addr: u64::MAX,
+                rewrite: Rewrite::BaseMove,
             }),
             RegistryOp::DropPuddle {
                 id: PuddleId(u128::MAX),
             },
-            RegistryOp::PutPool(PoolRecord {
+            RegistryOp::PutPool {
                 name: String::new(),
                 root: PuddleId(9),
-                puddles: vec![PuddleId(9), PuddleId(10)],
-            }),
+            },
             RegistryOp::DropPool { name: "p".into() },
-            RegistryOp::AddPoolMember {
-                pool: "q".into(),
-                id: PuddleId(11),
-            },
-            RegistryOp::RemovePoolMember {
-                pool: "q".into(),
-                id: PuddleId(11),
-            },
             RegistryOp::PutPtrMap(PtrMapDecl {
                 type_id: 42,
                 type_name: "crate::Node".into(),
@@ -1220,6 +1175,7 @@ mod tests {
             RegistryOp::Snapshot {
                 space_base: 0x5000_0000_0000,
                 space_size: 1 << 40,
+                moved_from: 0x4000_0000_0000,
                 next_seq: u64::MAX,
                 span_bytes: 4096,
             },
@@ -1259,7 +1215,7 @@ mod tests {
         let mut batch = all_ops();
         for _ in 0..batch.len() {
             batch.rotate_left(1);
-            let payload = encode_ops(&batch);
+            let payload = encode_ops(&batch).unwrap();
             let singles: usize = batch.iter().map(|op| self::payload(op).len() - 1).sum();
             assert_eq!(payload.len(), 1 + singles);
             assert_eq!(decode_ops(&payload).as_ref(), Some(&batch));
@@ -1298,19 +1254,33 @@ mod tests {
             }
             assert!(decode_ops(&batch).is_none(), "bad op at {bad_at}");
         }
-        let mut trailing = encode_ops(&[sample_op(1), sample_op(2)]);
+        let mut trailing = encode_ops(&[sample_op(1), sample_op(2)]).unwrap();
         trailing.extend_from_slice(&[0; 3]);
         assert!(decode_ops(&trailing).is_none());
         // The reserved tags stay undecodable under the current version too.
-        for reserved in [10, 11] {
+        for reserved in [5, 6, 10, 11] {
             let mut payload = vec![WAL_BINARY_VERSION, reserved];
-            payload.extend_from_slice(&[0; 16]);
+            payload.extend_from_slice(&[0; 20]);
             assert!(decode_ops(&payload).is_none());
         }
     }
 
+    /// What a `0x04` daemon logged for `sample_op(n)`: the file name behind
+    /// the offset, a `needs_rewrite` byte and an empty translation table
+    /// where `old_addr` and the rewrite state are now.
+    fn v4_put_puddle(n: u64) -> Vec<u8> {
+        let mut out = vec![0x04, 1];
+        put_u128(&mut out, n as u128);
+        put_u64(&mut out, 4096);
+        put_u64(&mut out, 4096 * n);
+        put_str(&mut out, &format!("{n:032x}"));
+        out.extend_from_slice(&[0; 1 + 3 * 4 + 1 + 1 + 4]);
+        out
+    }
+
     /// A record that passes its checksum but is not this build's encoding
-    /// (another version byte — a later build's, the previous `0x03`'s
+    /// (another version byte — a later build's, the previous `0x04`'s
+    /// record with its stored file name and translation table, `0x03`'s
     /// single-op record, `0x02`'s —, a version `0x01` extent grant, a
     /// pre-binary daemon's JSON payload, a batch with one undecodable op
     /// or with trailing bytes) is not a torn tail: opening must fail and
@@ -1320,8 +1290,9 @@ mod tests {
     fn undecodable_checksum_valid_record_fails_open_and_keeps_the_file() {
         let mut future = payload(&sample_op(5));
         future[0] = 0x7f;
-        let mut previous = payload(&sample_op(5));
-        previous[0] = 0x03;
+        let previous = v4_put_puddle(5);
+        let mut v3 = payload(&sample_op(5));
+        v3[0] = 0x03;
         let mut older = payload(&sample_op(5));
         older[0] = 0x02;
         // What a `0x01` daemon logged per grant: tag 10, offset, length.
@@ -1329,12 +1300,14 @@ mod tests {
         v1_grant.extend_from_slice(&(1u64 << 30).to_le_bytes());
         v1_grant.extend_from_slice(&4096u64.to_le_bytes());
         let json = SAMPLE_OP_7_JSON.as_bytes().to_vec();
-        let mut bad_op = encode_ops(&[sample_op(5), sample_op(7)]);
+        let mut bad_op = encode_ops(&[sample_op(5), sample_op(7)]).unwrap();
         bad_op.push(0xEE);
         bad_op.extend_from_slice(&payload(&sample_op(8))[1..]);
-        let mut trailing = encode_ops(&[sample_op(5), sample_op(7)]);
+        let mut trailing = encode_ops(&[sample_op(5), sample_op(7)]).unwrap();
         trailing.extend_from_slice(&[0; 5]);
-        for foreign in [future, previous, older, v1_grant, json, bad_op, trailing] {
+        for foreign in [
+            future, previous, v3, older, v1_grant, json, bad_op, trailing,
+        ] {
             let mut bytes = encode_record(0, &payload(&sample_op(4)));
             bytes.extend_from_slice(&encode_record(1, &foreign));
             bytes.extend_from_slice(&encode_record(2, &payload(&sample_op(6))));
@@ -1354,24 +1327,22 @@ mod tests {
 
     #[test]
     fn binary_records_are_much_smaller_than_json() {
-        // PutPuddle carries a 32-char file name, so the string dominates
-        // and the shrink is ~2.6x; ops without long strings shrink more.
+        // A pool-less PutPuddle is 61 fixed bytes; the JSON spelled out
+        // every field name, the id twice and an empty translation table.
         let json = SAMPLE_OP_7_JSON.len();
         let binary = payload(&sample_op(7)).len();
         assert!(
-            binary * 2 <= json,
-            "expected >= 2x shrink, got json {json} B vs binary {binary} B"
+            binary * 4 <= json,
+            "expected >= 4x shrink, got json {json} B vs binary {binary} B"
         );
-        let op = RegistryOp::AddPoolMember {
-            pool: "p".into(),
+        let op = RegistryOp::DropPuddle {
             id: PuddleId(1 << 100),
         };
-        let json =
-            r#"{"AddPoolMember":{"pool":"p","id":"00000010000000000000000000000000"}}"#.len();
+        let json = r#"{"DropPuddle":{"id":"00000010000000000000000000000000"}}"#.len();
         let binary = payload(&op).len();
         assert!(
             binary * 2 <= json,
-            "AddPoolMember: json {json} B vs binary {binary} B"
+            "DropPuddle: json {json} B vs binary {binary} B"
         );
     }
 
@@ -1502,39 +1473,46 @@ mod tests {
         );
     }
 
-    /// One op out of a small key universe, so random sequences collide:
-    /// puts replace, drops hit, deltas find (or miss) their pool.
-    fn arbitrary_op(kind: u8, arg: u16) -> RegistryOp {
-        let id = PuddleId(1 + (arg % 6) as u128);
-        let pool = ["a", "b", "c"][(arg / 6 % 3) as usize].to_string();
-        match kind % 9 {
-            0 => RegistryOp::PutPuddle(PuddleRecord {
+    /// One request's ops out of a small key universe, so random sequences
+    /// collide: puts replace (and move a puddle between pools), drops hit,
+    /// ids tie on their sequence number and join mid-index. Made
+    /// well-formed against `model`, the state so far, the way every
+    /// transaction is: a put names a live pool or none, and a pool is
+    /// dropped together with its members.
+    fn arbitrary_request(model: &RegistryData, kind: u8, arg: u16) -> Vec<RegistryOp> {
+        let id = PuddleId((((arg % 2) as u128) << 64) | (1 + (arg / 2 % 4) as u128));
+        let pool = ["a", "b", "c"][(arg / 8 % 3) as usize].to_string();
+        let put = |pool: Option<String>| {
+            RegistryOp::PutPuddle(PuddleRecord {
+                id,
                 mode: arg as u32,
-                pool: arg.is_multiple_of(2).then(|| pool.clone()),
-                needs_rewrite: arg.is_multiple_of(5),
-                translations: vec![
-                    Translation {
-                        old_addr: arg as u64,
-                        new_addr: 1,
-                        len: 2
-                    };
-                    (arg % 3) as usize
-                ],
+                pool,
+                old_addr: (arg % 3) as u64 * 4096,
+                rewrite: [Rewrite::Clean, Rewrite::Import, Rewrite::BaseMove]
+                    [(arg % 5 % 3) as usize],
                 ..match sample_op(id.0 as u64) {
                     RegistryOp::PutPuddle(rec) => rec,
                     _ => unreachable!(),
                 }
-            }),
-            1 => RegistryOp::DropPuddle { id },
-            2 => RegistryOp::PutPool(PoolRecord {
+            })
+        };
+        vec![match kind % 8 {
+            0 => put(None),
+            1 => put(model.pools.contains_key(&pool).then_some(pool)),
+            2 => RegistryOp::DropPuddle { id },
+            3 => RegistryOp::PutPool {
                 name: pool,
                 root: id,
-                puddles: (0..arg % 4).map(|n| PuddleId(1 + n as u128)).collect(),
-            }),
-            3 => RegistryOp::DropPool { name: pool },
-            4 => RegistryOp::AddPoolMember { pool, id },
-            5 => RegistryOp::RemovePoolMember { pool, id },
-            6 => RegistryOp::PutPtrMap(PtrMapDecl {
+            },
+            4 => {
+                let members = model.pools.get(&pool).map_or(&[][..], |p| &p.puddles);
+                let members = members.iter().map(|&id| RegistryOp::DropPuddle { id });
+                return [RegistryOp::DropPool { name: pool }]
+                    .into_iter()
+                    .chain(members)
+                    .collect();
+            }
+            5 => RegistryOp::PutPtrMap(PtrMapDecl {
                 type_id: (arg % 4) as u64,
                 type_name: format!("T{arg}"),
                 size: 8 * (1 + arg as u64 % 4),
@@ -1546,14 +1524,14 @@ mod tests {
                     (arg % 2) as usize
                 ],
             }),
-            7 => RegistryOp::PutLogSpace(LogSpaceRecord {
+            6 => RegistryOp::PutLogSpace(LogSpaceRecord {
                 puddle: id,
                 owner_uid: arg as u32,
                 owner_gid: 1,
                 invalid: arg.is_multiple_of(7),
             }),
             _ => RegistryOp::InvalidateLogSpace { puddle: id },
-        }
+        }]
     }
 
     proptest::proptest! {
@@ -1561,25 +1539,33 @@ mod tests {
 
         /// A snapshot is a WAL that happens to be minimal: replaying
         /// `compact(state at the cut) ++ tail` lands on the state replaying
-        /// every record lands on, wherever the cut falls and whether or not
-        /// the records around it had reached the file; and compaction is a
-        /// function of the state — twice in a row writes the same bytes.
+        /// every record lands on — member indexes included, and each equal
+        /// to the list the puddle table implies —, wherever the cut falls
+        /// and whether or not the records around it had reached the file;
+        /// and compaction is a function of the state — twice in a row
+        /// writes the same bytes.
         #[test]
         fn compaction_replays_to_the_state_of_the_full_log(
-            case in (proptest::collection::vec((0u8..9, 0u16..4096), 1..80), 0usize..80)
+            case in (proptest::collection::vec((0u8..8, 0u16..4096), 1..80), 0usize..80)
         ) {
-            let ops: Vec<RegistryOp> = case.0.iter().map(|&(k, a)| arbitrary_op(k, a)).collect();
-            let cut = case.1.min(ops.len());
+            let mut model = state_of(&[]);
+            let requests: Vec<Vec<RegistryOp>> = case.0.iter().map(|&(kind, arg)| {
+                let request = arbitrary_request(&model, kind, arg);
+                request.iter().for_each(|op| apply_op(&mut model, op));
+                request
+            }).collect();
+            let full = model;
+            let cut = case.1.min(requests.len());
             let (_tmp, pm, wal) = wal();
-            for i in 0..=ops.len() {
+            for i in 0..=requests.len() {
                 if i == cut {
                     // A checkpoint taken here, in full: snapshot, cut,
                     // compaction — with whatever is still buffered.
                     let (cut_pos, cut_seq) = wal.position();
-                    wal.compact(&state_of(&ops[..cut]), cut_pos, cut_seq).unwrap();
+                    wal.compact(&state_of(&requests[..cut].concat()), cut_pos, cut_seq).unwrap();
                 }
-                if let Some(op) = ops.get(i) {
-                    wal.submit(op).unwrap();
+                if let Some(request) = requests.get(i) {
+                    wal.submit_batch(request).unwrap();
                 }
                 if i % 3 == 0 {
                     wal.flush().unwrap();
@@ -1587,15 +1573,20 @@ mod tests {
             }
             wal.flush().unwrap();
             drop(wal);
-            let full = state_of(&ops);
             let replayed = replay_ops(&pm);
             let mut data = RegistryData::default();
             for op in &replayed {
                 apply_op(&mut data, op);
             }
             proptest::prop_assert_eq!(&data, &full);
+            let derived = crate::invariants::derived_members(&data);
+            for (name, pool) in &data.pools {
+                let derived = derived.get(name.as_str()).cloned().unwrap_or_default();
+                proptest::prop_assert_eq!(&pool.puddles, &derived);
+            }
             // The file is the snapshot plus exactly the post-cut records.
-            proptest::prop_assert_eq!(&replayed[replayed.len() - (ops.len() - cut)..], &ops[cut..]);
+            let tail = requests[cut..].concat();
+            proptest::prop_assert_eq!(&replayed[replayed.len() - tail.len()..], &tail[..]);
 
             let wal = Wal::open(&pm).unwrap();
             let path = pm.meta_path(WAL_FILE);
@@ -1708,10 +1699,11 @@ mod tests {
         let header = RegistryOp::Snapshot {
             space_base: 0,
             space_size: 1 << 30,
+            moved_from: 0,
             next_seq: 0,
             span_bytes: 0,
         };
-        let shared = encode_record(0, &encode_ops(&[header, sample_op(9)]));
+        let shared = encode_record(0, &encode_ops(&[header, sample_op(9)]).unwrap());
         assert_refused_untouched(&pm, &shared, "only the first record");
     }
 
@@ -1756,7 +1748,7 @@ mod tests {
         let err = wal
             .compact(&state_of(&[huge]), cut_pos, cut_seq)
             .unwrap_err();
-        assert!(matches!(err, PmError::Corruption(_)), "{err:?}");
+        assert!(matches!(err, PmError::RecordTooLarge { .. }), "{err:?}");
         assert_eq!(fs::read(pm.meta_path(WAL_FILE)).unwrap(), before);
         wal.submit(&sample_op(2)).unwrap();
         wal.flush().unwrap();

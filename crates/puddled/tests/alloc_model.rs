@@ -6,7 +6,7 @@
 //! histories, here on randomized ones).
 
 use proptest::prelude::*;
-use puddled::registry::{PuddleRecord, Registry};
+use puddled::registry::{PuddleRecord, Registry, Rewrite};
 use puddled::RegistryOp;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
@@ -19,21 +19,19 @@ fn open_registry(pm: &PmDir) -> Registry {
 }
 
 fn record(reg: &Registry, pages: u64) -> PuddleRecord {
-    let id = reg.fresh_id();
     let size = pages * PAGE_SIZE as u64;
     let offset = reg.alloc_space(size).unwrap();
     PuddleRecord {
-        id,
+        id: reg.fresh_id(),
         size,
         offset,
-        file: id.to_hex(),
         purpose: PuddlePurpose::Data,
         owner_uid: 1,
         owner_gid: 1,
         mode: 0o600,
         pool: None,
-        needs_rewrite: false,
-        translations: vec![],
+        old_addr: 0,
+        rewrite: Rewrite::Clean,
     }
 }
 
@@ -68,7 +66,7 @@ fn run_ops(reg: &Registry, ops: &[(u8, u16)]) -> Vec<(PuddleId, u64, u64)> {
                 );
             }
             live.push((rec.id, off, len));
-            transact(reg, rec.put_ops());
+            transact(reg, vec![RegistryOp::PutPuddle(rec)]);
         } else {
             let victim = arg as usize % live.len();
             let (id, off, len) = live.swap_remove(victim);

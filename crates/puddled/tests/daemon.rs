@@ -482,9 +482,11 @@ fn export_and_import_assign_new_ids_and_translations() {
         other => panic!("unexpected {other:?}"),
     }
 
-    // An import is one transaction: one that fails half-way through its
-    // copies, or would not fit one WAL record, leaves no record, no file
-    // and no granted space behind, and the daemon keeps committing.
+    // An import is one transaction: one that would not fit one WAL record
+    // leaves no record, no file and no granted space behind, and the daemon
+    // keeps committing. The manifest alone fixes the record's size — one
+    // fixed-size put per member next to the pool's name, so linear: a
+    // 4 KiB name times 4,200 members is past the 16 MiB limit.
     let state = || {
         let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
             panic!("no stats");
@@ -493,42 +495,34 @@ fn export_and_import_assign_new_ids_and_translations() {
         (stats.pools, stats.puddles, stats.space_free_bytes, files)
     };
     let before = state();
-    let import = |src: &std::path::Path| {
-        let req = Request::ImportPool {
-            src: src.to_string_lossy().into_owned(),
-            new_name: "refused".into(),
-        };
-        match daemon.handle(USER_A, req) {
-            Response::Error { code, .. } => code,
-            other => panic!("unexpected {other:?}"),
-        }
-    };
     let manifest_bytes = std::fs::read(dest.join("manifest.json")).unwrap();
     let mut manifest: puddled::importexport::ExportManifest =
         serde_json::from_slice(&manifest_bytes).unwrap();
-    // The second puddle's file is missing from the export.
-    let broken = tmp.path().join("broken");
-    std::fs::create_dir(&broken).unwrap();
-    std::fs::write(broken.join("manifest.json"), &manifest_bytes).unwrap();
-    let first = &manifest.puddles[0].file;
-    std::fs::copy(dest.join(first), broken.join(first)).unwrap();
-    assert_eq!(import(&broken), ErrorCode::Internal);
-    assert_eq!(state(), before);
-    // 900 puddles: each record would carry 900 translations, ~19 MB in all.
-    // The manifest alone says so — there is no puddle file to copy here.
     let template = manifest.puddles[0].clone();
-    manifest.puddles = (0..900)
+    manifest.puddles = (0..4200)
         .map(|i| puddled::importexport::ExportedPuddle {
             id: PuddleId(manifest.root.0 + i),
             size: 2 * 4096,
+            file: "member.pud".into(),
             ..template.clone()
         })
         .collect();
     let huge = tmp.path().join("huge");
     std::fs::create_dir(&huge).unwrap();
-    let manifest_bytes = serde_json::to_vec_pretty(&manifest).unwrap();
+    std::fs::write(huge.join("member.pud"), vec![0u8; 2 * 4096]).unwrap();
+    let manifest_bytes = serde_json::to_vec(&manifest).unwrap();
     std::fs::write(huge.join("manifest.json"), manifest_bytes).unwrap();
-    assert_eq!(import(&huge), ErrorCode::InvalidRequest);
+    let req = Request::ImportPool {
+        src: huge.to_string_lossy().into_owned(),
+        new_name: "r".repeat(4096),
+    };
+    match daemon.handle(USER_A, req) {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::InvalidRequest);
+            assert!(message.contains("metadata record of"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
     assert_eq!(state(), before);
     let next = Request::CreatePool {
         name: "next".into(),
@@ -536,6 +530,185 @@ fn export_and_import_assign_new_ids_and_translations() {
         mode: 0o600,
     };
     expect_pool(daemon.handle(USER_A, next));
+    puddled::Invariants::assert_all(daemon.registry());
+}
+
+/// `manifest.json` is input: an import checks it against the files it names
+/// before it grants space or copies anything, and refuses, typed, a manifest
+/// that does not check out — no file in `puddles/`, no space, no record.
+#[test]
+fn import_refuses_a_manifest_that_does_not_check_out() {
+    use puddled::importexport::{ExportManifest, ExportedPuddle};
+    let (tmp, daemon) = start_daemon();
+    let page = 4096u64;
+    let src = tmp.path().join("export");
+    std::fs::create_dir(&src).unwrap();
+    std::fs::write(src.join("member.pud"), vec![0u8; 2 * page as usize]).unwrap();
+    // Where `../outside.pud` and an absolute name would lead.
+    let outside = tmp.path().join("outside.pud");
+    std::fs::write(&outside, vec![0u8; 2 * page as usize]).unwrap();
+    let member = |id: u128, file: &str, size: u64| ExportedPuddle {
+        id: PuddleId(id),
+        size,
+        assigned_addr: 0x7e00_0000_0000 + id as u64 * (1 << 20),
+        file: file.into(),
+        mode: 0o600,
+    };
+    let good = member(1, "member.pud", 2 * page);
+    let absolute = outside.to_string_lossy().into_owned();
+    // What the refusal must name, the manifest's root, its second entry.
+    let at = |assigned_addr: u64| ExportedPuddle {
+        assigned_addr,
+        ..member(2, "member.pud", 2 * page)
+    };
+    let bad: [(&str, u128, ExportedPuddle); 9] = [
+        ("`../outside.pud`", 1, member(2, "../outside.pud", 2 * page)),
+        ("outside.pud`", 1, member(2, &absolute, 2 * page)),
+        ("found None", 1, member(2, "absent.pud", 2 * page)),
+        ("8200 bytes", 1, member(2, "member.pud", 2 * page + 8)),
+        ("4096 bytes", 1, member(2, "member.pud", page)),
+        ("found Some(8192)", 1, member(2, "member.pud", 4 * page)),
+        ("at 0xffffffffffffefff:", 1, at(u64::MAX - page)),
+        // 0 is a record's "never imported": it would drop out of the table.
+        ("at 0x0:", 1, at(0)),
+        (
+            "root not in puddle list",
+            9,
+            member(2, "member.pud", 2 * page),
+        ),
+    ];
+    let state = || {
+        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
+            panic!("no stats");
+        };
+        let files = daemon.pm_dir().list_puddles().unwrap();
+        let frontier = daemon.registry().snapshot().next_offset;
+        (
+            stats.space_used,
+            frontier,
+            stats.wal_records,
+            stats.pools,
+            files,
+        )
+    };
+    let before = state();
+    let import = || {
+        daemon.handle(
+            USER_A,
+            Request::ImportPool {
+                src: src.to_string_lossy().into_owned(),
+                new_name: "in".into(),
+            },
+        )
+    };
+    for (what, root, second) in bad {
+        let manifest = ExportManifest {
+            pool: "out".into(),
+            root: PuddleId(root),
+            puddles: vec![good.clone(), second],
+            ptr_maps: Vec::new(),
+        };
+        let bytes = serde_json::to_vec(&manifest).unwrap();
+        std::fs::write(src.join("manifest.json"), bytes).unwrap();
+        match import() {
+            Response::Error { code, message } => {
+                assert_eq!(code, ErrorCode::InvalidRequest, "{what}: {message}");
+                assert!(message.contains(what), "{what}: {message}");
+            }
+            other => panic!("{what}: unexpected {other:?}"),
+        }
+        assert_eq!(state(), before, "{what}");
+    }
+    // The same directory with a manifest that checks out imports.
+    let manifest = ExportManifest {
+        pool: "out".into(),
+        root: PuddleId(1),
+        puddles: vec![good.clone(), member(2, "member.pud", 2 * page)],
+        ptr_maps: Vec::new(),
+    };
+    let bytes = serde_json::to_vec(&manifest).unwrap();
+    std::fs::write(src.join("manifest.json"), bytes).unwrap();
+    assert!(matches!(import(), Response::Imported { .. }));
+    puddled::Invariants::assert_all(daemon.registry());
+}
+
+/// The other way an import is turned away: after its files are copied, by
+/// the transaction itself (here the WAL refuses it — a full device poisoned
+/// it one request earlier). Every copy is deleted again and every grant
+/// returned: no file, no space, no record.
+#[test]
+fn an_import_refused_after_its_copies_deletes_them_and_returns_the_space() {
+    use puddles_pmem::faultio::{FaultPlan, FaultProfile};
+    let full_device = FaultProfile {
+        write_enospc_ppm: 1_000_000,
+        ..FaultProfile::default()
+    };
+    let plan = FaultPlan::new(1, full_device);
+    plan.set_enabled(false);
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path()).with_fault_plan(plan.clone());
+    let daemon = Daemon::start(config).unwrap();
+    let pool = expect_pool(daemon.handle(
+        USER_A,
+        Request::CreatePool {
+            name: "orig".into(),
+            root_size: 1 << 20,
+            mode: 0o600,
+        },
+    ));
+    expect_puddle(daemon.handle(
+        USER_A,
+        Request::CreatePuddle {
+            size: 1 << 20,
+            pool: Some(pool.name.clone()),
+            purpose: PuddlePurpose::Data,
+            mode: 0o600,
+        },
+    ));
+    let dest = tmp.path().join("export");
+    let export = Request::ExportPool {
+        name: pool.name.clone(),
+        dest: dest.to_string_lossy().into_owned(),
+    };
+    assert_eq!(daemon.handle(USER_A, export), Response::Ok);
+
+    plan.set_enabled(true);
+    let decl = puddles_proto::PtrMapDecl {
+        type_id: 7,
+        type_name: "T".into(),
+        size: 16,
+        fields: Vec::new(),
+    };
+    let resp = daemon.handle(USER_A, Request::RegisterPtrMap { decl });
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    plan.set_enabled(false);
+
+    // Records, files, and the allocator (a grant not returned would leave
+    // the bump frontier past the last puddle).
+    let state = || {
+        let data = daemon.registry().snapshot();
+        let files = daemon.pm_dir().list_puddles().unwrap();
+        (
+            data.pools,
+            data.puddles,
+            files,
+            data.next_offset,
+            data.free_list,
+        )
+    };
+    let before = state();
+    let import = Request::ImportPool {
+        src: dest.to_string_lossy().into_owned(),
+        new_name: "copy".into(),
+    };
+    // Refused where the record is enqueued: past the manifest check, the
+    // grants and both copies.
+    match daemon.handle(USER_A, import) {
+        Response::Error { message, .. } => assert!(message.contains("poisoned"), "{message}"),
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(state(), before);
+    assert_eq!(before.2.len(), 2);
     puddled::Invariants::assert_all(daemon.registry());
 }
 

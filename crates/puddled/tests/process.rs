@@ -198,8 +198,9 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
     let reg = Registry::load_or_create(&pm, SPACE_BASE, SPACE_SIZE).unwrap();
     assert_eq!(puddled::Invariants::check_all(&reg), Vec::<String>::new());
     let mut extents: Vec<(u64, u64)> = reg
-        .puddles_snapshot()
-        .iter()
+        .snapshot()
+        .puddles
+        .values()
         .map(|p| (p.offset, p.size.next_multiple_of(PAGE)))
         .collect();
     extents.sort_unstable();

@@ -393,16 +393,27 @@ fn a_peer_that_closes_mid_preamble_releases_its_slot() {
     server.shutdown();
 }
 
-/// Out-of-order completion across dispatch lanes: a heavyweight bulk-lane
-/// request (`ExportPool` of a multi-megabyte pool) pipelined *before* a
-/// burst of pings must not delay them — the pings ride the fast lane's
-/// reserved workers and their responses overtake the export's on the same
-/// connection, paired by id.
+/// The two-lane queue's reason to exist: as many bulk-lane requests as the
+/// worker pool can have threads (its clamp's ceiling, 8 — each an
+/// `ExportPool` of a 16 MiB pool) pipelined *before* eight fast-lane
+/// `RegisterPtrMap`s must not capture every worker. Each export is made to
+/// hold its worker for as long as the test likes — where its one file copy
+/// goes there is a FIFO, which opens only once the test reads the other
+/// end — so this is no race: on a single queue, or with every worker
+/// willing to take bulk work, all of them (2 or 8) sit in an export and no
+/// registration ever runs. With the fast lane's reserved workers the
+/// registrations run, commit, and their responses overtake the exports' on
+/// the same connection, paired by id: all eight are acknowledged before
+/// the first export is. (`Ping`, which this test used to send, has run
+/// inline on the reactor since PR 15 and never met the queue.)
 #[test]
-fn bulk_lane_requests_do_not_starve_pipelined_pings() {
+fn a_full_bulk_lane_does_not_hold_up_fast_lane_registrations() {
+    extern "C" {
+        fn mkfifo(path: *const std::ffi::c_char, mode: u32) -> i32;
+    }
     let (tmp, daemon, mut server, socket) = start_server();
     let creds = Credentials::current_process();
-    match daemon.handle(
+    let pool = match daemon.handle(
         creds,
         Request::CreatePool {
             name: "bulky".into(),
@@ -410,46 +421,82 @@ fn bulk_lane_requests_do_not_starve_pipelined_pings() {
             mode: 0o600,
         },
     ) {
-        Response::Pool(_) => {}
+        Response::Pool(pool) => pool,
         other => panic!("unexpected {other:?}"),
-    }
+    };
 
+    const EXPORTS: u64 = 8;
+    const REGISTRATIONS: u64 = 8;
     let mut conn = hello(&socket);
-    conn.send(
-        1,
-        Request::ExportPool {
-            name: "bulky".into(),
-            dest: tmp
-                .path()
-                .join("bulk-export")
-                .to_string_lossy()
-                .into_owned(),
-        },
-    )
-    .unwrap();
-    const PINGS: u64 = 8;
-    for req_id in 2..2 + PINGS {
-        conn.send(req_id, Request::Ping).unwrap();
+    let mut fifos = Vec::new();
+    for req_id in 0..EXPORTS {
+        let dest = tmp.path().join(format!("bulk-export-{req_id}"));
+        std::fs::create_dir(&dest).unwrap();
+        let fifo = dest.join(format!("{}.pud", pool.root_puddle.to_hex()));
+        let path = std::ffi::CString::new(fifo.to_str().unwrap()).unwrap();
+        // SAFETY: `path` is a NUL-terminated string that outlives the call.
+        assert_eq!(unsafe { mkfifo(path.as_ptr(), 0o600) }, 0);
+        fifos.push(fifo);
+        conn.send(
+            req_id,
+            Request::ExportPool {
+                name: "bulky".into(),
+                dest: dest.to_string_lossy().into_owned(),
+            },
+        )
+        .unwrap();
+    }
+    for req_id in EXPORTS..EXPORTS + REGISTRATIONS {
+        let decl = PtrMapDecl {
+            type_id: 3000 + req_id,
+            type_name: format!("lanes::T{req_id}"),
+            size: 16,
+            fields: Vec::new(),
+        };
+        conn.send(req_id, Request::RegisterPtrMap { decl }).unwrap();
     }
 
-    let mut order = Vec::new();
-    for _ in 0..1 + PINGS {
-        let (req_id, resp) = conn.recv().unwrap();
-        if req_id == 1 {
-            assert!(matches!(resp, Response::Ok), "{resp:?}");
-        } else {
-            assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
+    // No export can answer yet, so whatever arrives is a registration; if
+    // none can run, the reads time out instead of hanging the test.
+    let patience = Some(Duration::from_secs(10));
+    conn.stream().set_read_timeout(patience).unwrap();
+    let mut first = Vec::new();
+    while first.len() < REGISTRATIONS as usize {
+        match conn.recv() {
+            Ok(answer) => first.push(answer),
+            Err(_) => break,
         }
-        order.push(req_id);
     }
-    let mut ids = order.clone();
-    ids.sort_unstable();
-    assert_eq!(ids, (1..2 + PINGS).collect::<Vec<_>>());
-    assert_ne!(
-        order.first(),
-        Some(&1),
-        "a 16 MiB export completed before every fast-lane ping — \
-         bulk work is not riding the background lane: {order:?}"
+    // Let the exports go, whatever was seen above (a failure must not
+    // leave workers stuck for `shutdown` to wait on): a reader per FIFO,
+    // which returns once its export has opened, filled and closed it.
+    for fifo in fifos {
+        std::thread::spawn(move || {
+            let mut reader = std::fs::File::open(fifo).unwrap();
+            std::io::copy(&mut reader, &mut std::io::sink()).unwrap();
+        });
+    }
+    let mut rest = Vec::new();
+    while first.len() + rest.len() < (EXPORTS + REGISTRATIONS) as usize {
+        rest.push(conn.recv().unwrap());
+    }
+    let ids = |answers: &[(u64, Response)]| {
+        let mut ids = Vec::new();
+        for (req_id, resp) in answers {
+            assert!(matches!(resp, Response::Ok), "{req_id}: {resp:?}");
+            ids.push(*req_id);
+        }
+        ids.sort_unstable();
+        ids
+    };
+    assert_eq!(
+        (ids(&first), ids(&rest)),
+        (
+            (EXPORTS..EXPORTS + REGISTRATIONS).collect(),
+            (0..EXPORTS).collect()
+        ),
+        "the registrations waited behind the exports — bulk work is not \
+         confined to its lane's workers"
     );
     server.shutdown();
 }

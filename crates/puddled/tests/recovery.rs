@@ -240,14 +240,15 @@ fn a_never_initialised_log_area_stays_clean() {
 fn log_header_bytes(daemon: &Daemon) -> Vec<u8> {
     let logs: Vec<_> = daemon
         .registry()
-        .puddles_snapshot()
-        .into_iter()
+        .snapshot()
+        .puddles
+        .into_values()
         .filter(|p| p.purpose == PuddlePurpose::Log)
         .collect();
     assert_eq!(logs.len(), 1);
     let (_, path) = daemon
         .pm_dir()
-        .open_puddle_file(&logs[0].file, logs[0].size as usize)
+        .open_puddle_file(&logs[0].file(), logs[0].size as usize)
         .unwrap();
     std::fs::read(path).unwrap()[LOG_REGION_OFFSET..LOG_REGION_OFFSET + LOG_HEADER_SIZE].to_vec()
 }

@@ -7,14 +7,14 @@
 //! satisfies its invariants (and, where the scenario pins it down, equals
 //! the exact pre-crash state).
 
-use puddled::registry::{PoolRecord, PuddleRecord, Registry, RegistryData};
+use puddled::registry::{PuddleRecord, Registry, RegistryData, Rewrite};
 use puddled::{Daemon, DaemonConfig, RegistryOp, Wal};
 use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::{
     DaemonStats, Endpoint, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Request,
-    Response,
+    Response, Translation,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -36,21 +36,27 @@ fn open_registry(pm: &PmDir) -> Registry {
 }
 
 fn record(reg: &Registry, pool: Option<&str>) -> PuddleRecord {
-    let id = reg.fresh_id();
     let offset = reg.alloc_space(PAGE_SIZE as u64).unwrap();
     PuddleRecord {
-        id,
+        id: reg.fresh_id(),
         size: PAGE_SIZE as u64,
         offset,
-        file: id.to_hex(),
         purpose: PuddlePurpose::Data,
         owner_uid: 1,
         owner_gid: 2,
         mode: 0o600,
         pool: pool.map(String::from),
-        needs_rewrite: false,
-        translations: vec![],
+        old_addr: 0,
+        rewrite: Rewrite::Clean,
     }
+}
+
+fn put(rec: &PuddleRecord) -> Vec<RegistryOp> {
+    vec![RegistryOp::PutPuddle(rec.clone())]
+}
+
+fn drop_puddle(rec: &PuddleRecord) -> Vec<RegistryOp> {
+    vec![RegistryOp::DropPuddle { id: rec.id }]
 }
 
 /// One registry transaction of `batch` — what a daemon request is.
@@ -68,19 +74,15 @@ fn transact(reg: &Registry, batch: Vec<RegistryOp>) {
 fn build_pool(reg: &Registry, name: &str, members: usize) -> Vec<PuddleId> {
     let root = record(reg, Some(name));
     let mut ids = vec![root.id];
-    let pool = PoolRecord {
+    let pool = RegistryOp::PutPool {
         name: name.into(),
         root: root.id,
-        puddles: ids.clone(),
     };
-    transact(
-        reg,
-        vec![RegistryOp::PutPool(pool), RegistryOp::PutPuddle(root)],
-    );
+    transact(reg, vec![pool, RegistryOp::PutPuddle(root)]);
     for _ in 1..members {
         let rec = record(reg, Some(name));
         ids.push(rec.id);
-        transact(reg, rec.put_ops());
+        transact(reg, put(&rec));
     }
     ids
 }
@@ -108,13 +110,13 @@ fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
         // comparison would not be bit-exact).
         build_pool(&reg, "alpha", 3);
         let loose = record(&reg, None);
-        transact(&reg, loose.put_ops());
+        transact(&reg, put(&loose));
         let beta = build_pool(&reg, "beta", 3);
         build_pool(&reg, "gamma", 3);
         let mut updated = reg.puddle(beta[1]).unwrap();
         updated.mode = 0o640;
         transact(&reg, vec![RegistryOp::PutPuddle(updated)]);
-        transact(&reg, loose.drop_ops());
+        transact(&reg, drop_puddle(&loose));
         reg.free_space(loose.offset, loose.size);
         let ptr_map = puddles_proto::PtrMapDecl {
             type_id: 42,
@@ -175,7 +177,7 @@ fn torn_tail_record_is_discarded_and_prior_state_survives() {
 
         // The next mutation's WAL record is torn mid-append.
         failpoint::arm(names::WAL_APPEND_TORN, 0);
-        transact(&reg, record(&reg, None).put_ops());
+        transact(&reg, put(&record(&reg, None)));
         let err = reg.commit().unwrap_err();
         assert!(
             matches!(err, PmError::CrashInjected(_)),
@@ -208,7 +210,7 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
         // Include a drop so naive double-replay of the un-truncated WAL
         // would resurrect state the checkpoint no longer has.
         let victim = reg.puddle(p1[2]).unwrap();
-        transact(&reg, victim.drop_ops());
+        transact(&reg, drop_puddle(&victim));
         reg.free_space(victim.offset, victim.size);
         reg.commit().unwrap();
         before = reg.snapshot();
@@ -262,7 +264,7 @@ fn a_failed_checkpoint_does_not_wedge_the_registry() {
             reg.commit().unwrap();
             // Enqueued but not committed: the failed compaction takes these
             // records out of the buffer and must put them back.
-            transact(&reg, record(&reg, None).put_ops());
+            transact(&reg, put(&record(&reg, None)));
             let wal_file = std::fs::read(pm.meta_path("registry.wal")).unwrap();
 
             plan.set_enabled(true);
@@ -364,7 +366,7 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
                         // Refused once the crash has poisoned the WAL.
                         if reg
                             .transact(|_, ops| {
-                                ops.extend(rec.put_ops());
+                                ops.extend(put(&rec));
                                 Ok::<_, PmError>(())
                             })
                             .is_err()
@@ -416,7 +418,7 @@ fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
     reg.wal().set_checkpoint_threshold(4 * 1024);
     let baseline = reg.wal().stats().checkpoints;
     for _ in 0..64 {
-        transact(&reg, record(&reg, None).put_ops());
+        transact(&reg, put(&record(&reg, None)));
         reg.commit().unwrap();
     }
     let stats = reg.wal().stats();
@@ -661,6 +663,161 @@ fn a_torn_drop_pool_did_not_happen() {
     }
 }
 
+/// A pool's member list is stored nowhere: `apply_op` derives it from the
+/// puddle records, live, replaying a tail and replaying a compaction alike.
+/// Interleaved creates and frees, then the list a client gets from each of
+/// the three — the same, root included, in creation order.
+#[test]
+fn a_pools_member_order_survives_replay_and_compaction() {
+    let _guard = lock_failpoints();
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path());
+    let live;
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        daemon.wal().set_checkpoint_threshold(u64::MAX);
+        call(&daemon, create_pool("ordered"));
+        call(&daemon, create_pool("other"));
+        let mut created = Vec::new();
+        for round in 0..12 {
+            let pool = if round % 4 == 3 { "other" } else { "ordered" };
+            match call(&daemon, create_puddle(Some(pool), PuddlePurpose::Data)) {
+                Response::Puddle(info) if pool == "ordered" => created.push(info.id),
+                _ => {}
+            }
+            if round % 3 == 2 {
+                // From the middle: what is left keeps its order.
+                let id = created.remove(created.len() / 2);
+                assert_eq!(call(&daemon, Request::FreePuddle { id }), Response::Ok);
+            }
+        }
+        live = open_pool(&daemon, "ordered");
+        assert_eq!(live.puddles[0], live.root_puddle);
+        assert_eq!(live.puddles[1..], created[..]);
+        assert!(
+            stats(&daemon).wal_records > 12,
+            "the tail holds the history"
+        );
+    }
+    {
+        // Replays the tail, op by op.
+        let daemon = Daemon::start(config.clone()).unwrap();
+        assert_eq!(open_pool(&daemon, "ordered"), live);
+        assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
+        daemon.checkpoint().unwrap();
+        assert_eq!(stats(&daemon).wal_records, 0);
+    }
+    // Replays the compaction: each pool, then its members.
+    let daemon = Daemon::start(config).unwrap();
+    assert_eq!(open_pool(&daemon, "ordered"), live);
+    assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
+}
+
+/// Writes an export directory by hand: `members` as `(id, exported at)`,
+/// the first the root, each naming one zero-filled two-page file.
+fn hand_built_export(dir: &Path, members: &[(u128, u64)]) {
+    use puddled::importexport::{ExportManifest, ExportedPuddle, MANIFEST_FILE};
+    std::fs::create_dir_all(dir).unwrap();
+    std::fs::write(dir.join("member.pud"), vec![0u8; 2 * PAGE_SIZE]).unwrap();
+    let manifest = ExportManifest {
+        pool: "exported".into(),
+        root: PuddleId(members[0].0),
+        puddles: members
+            .iter()
+            .map(|&(id, assigned_addr)| ExportedPuddle {
+                id: PuddleId(id),
+                size: 2 * PAGE_SIZE as u64,
+                assigned_addr,
+                file: "member.pud".into(),
+                mode: 0o600,
+            })
+            .collect(),
+        ptr_maps: Vec::new(),
+    };
+    let bytes = serde_json::to_vec(&manifest).unwrap();
+    std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
+}
+
+fn relocation(daemon: &Daemon, id: PuddleId) -> (bool, Vec<Translation>) {
+    match call(daemon, Request::GetRelocation { id }) {
+        Response::Relocation {
+            needs_rewrite,
+            translations,
+        } => (needs_rewrite, translations),
+        other => panic!("unexpected response {other:?}"),
+    }
+}
+
+/// An imported pool nobody has mapped yet holds the *exporter's* addresses.
+/// A daemon restarted on another base must keep translating those — to the
+/// new base — not the base it left; a puddle that was clean gets exactly
+/// the whole-space shift.
+#[test]
+fn a_base_move_keeps_translating_a_pending_imports_exporter_addresses() {
+    let _guard = lock_failpoints();
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path().join("pm"));
+    let exported_at = [0x7e00_0000_0000u64, 0x7e00_0100_0000];
+    let export = tmp.path().join("export");
+    hand_built_export(&export, &[(1, exported_at[0]), (2, exported_at[1])]);
+    let (members, offsets, clean);
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        clean = match call(&daemon, create_pool("local")) {
+            Response::Pool(pool) => pool.root_puddle,
+            other => panic!("unexpected response {other:?}"),
+        };
+        let import = Request::ImportPool {
+            src: export.to_string_lossy().into_owned(),
+            new_name: "imported".into(),
+        };
+        members = match call(&daemon, import) {
+            Response::Imported { pool, .. } => pool.puddles,
+            other => panic!("unexpected response {other:?}"),
+        };
+        let base = config.space_base.unwrap() as u64;
+        offsets = [clean, members[0], members[1]].map(|id| {
+            let get = Request::GetPuddle {
+                id,
+                writable: false,
+            };
+            match call(&daemon, get) {
+                Response::Puddle(info) => info.assigned_addr - base,
+                other => panic!("unexpected response {other:?}"),
+            }
+        });
+        let (pending, table) = relocation(&daemon, members[1]);
+        assert!(pending);
+        assert_eq!(table[0].translate(exported_at[0]), Some(base + offsets[1]));
+    }
+    // Nothing was mapped. The same directory, another base.
+    let moved = DaemonConfig {
+        pm_dir: config.pm_dir.clone(),
+        ..DaemonConfig::for_testing("")
+    };
+    let (old_base, new_base) = (config.space_base.unwrap(), moved.space_base.unwrap());
+    assert_ne!(old_base, new_base);
+    let space_size = moved.space_size as u64;
+    let daemon = Daemon::start(moved).unwrap();
+    let expected: Vec<Translation> = (0..2)
+        .map(|i| Translation {
+            old_addr: exported_at[i],
+            new_addr: new_base as u64 + offsets[i + 1],
+            len: 2 * PAGE_SIZE as u64,
+        })
+        .collect();
+    for &member in &members {
+        assert_eq!(relocation(&daemon, member), (true, expected.clone()));
+    }
+    let whole_space = Translation {
+        old_addr: old_base as u64,
+        new_addr: new_base as u64,
+        len: space_size,
+    };
+    assert_eq!(relocation(&daemon, clean), (true, vec![whole_space]));
+    assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
+}
+
 /// Copies a PM directory (`meta/` and `puddles/`, one level each).
 fn copy_pm_dir(from: &Path, to: &Path) {
     for sub in ["meta", "puddles"] {
@@ -679,7 +836,7 @@ fn restart_and_check(config: &DaemonConfig, what: &str) -> RegistryData {
     let violations = puddled::Invariants::check_all(daemon.registry());
     assert!(violations.is_empty(), "{what}: {violations:?}");
     let data = daemon.registry().snapshot();
-    let mut files: Vec<String> = data.puddles.values().map(|p| p.file.clone()).collect();
+    let mut files: Vec<String> = data.puddles.values().map(PuddleRecord::file).collect();
     files.sort();
     assert_eq!(daemon.pm_dir().list_puddles().unwrap(), files, "{what}");
     data
