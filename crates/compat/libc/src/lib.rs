@@ -4,8 +4,9 @@
 //! exactly the C types, constants, and functions the workspace uses:
 //! memory mapping (`mmap`/`munmap`/`msync`), `SO_PEERCRED` credential
 //! lookup on UNIX sockets, epoll readiness notification + `eventfd` wakeups
-//! (the `compat/polling` poller), and `RLIMIT_NOFILE` adjustment (the
-//! connection-scaling bench). Constant values match the Linux UAPI headers.
+//! (the `compat/polling` poller), `RLIMIT_NOFILE` adjustment (the
+//! connection-scaling bench), and `lseek`'s hole reporting (sparse puddle
+//! copies). Constant values match the Linux UAPI headers.
 
 #![allow(non_camel_case_types)]
 
@@ -88,6 +89,12 @@ pub const EFD_NONBLOCK: c_int = 0x800;
 // Resource limits (sys/resource.h).
 pub const RLIMIT_NOFILE: c_int = 7;
 
+// lseek whence values for hole reporting (linux/fs.h), and the errno
+// SEEK_DATA returns when no data follows the offset.
+pub const SEEK_DATA: c_int = 3;
+pub const SEEK_HOLE: c_int = 4;
+pub const ENXIO: c_int = 6;
+
 /// Resource limit pair (`struct rlimit`, 64-bit fields on LP64 Linux).
 #[repr(C)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +136,7 @@ extern "C" {
     pub fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t;
     pub fn write(fd: c_int, buf: *const c_void, count: size_t) -> ssize_t;
     pub fn close(fd: c_int) -> c_int;
+    pub fn lseek(fd: c_int, offset: off_t, whence: c_int) -> off_t;
     pub fn getrlimit(resource: c_int, rlim: *mut rlimit) -> c_int;
     pub fn setrlimit(resource: c_int, rlim: *const rlimit) -> c_int;
 }

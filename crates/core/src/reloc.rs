@@ -237,9 +237,12 @@ mod tests {
             new_addr: 0x8000_0000,
             len: 0x1000,
         }];
-        puddles_pmem::failpoint::arm(puddles_pmem::failpoint::names::RELOC_MID_REWRITE, 1);
+        // Scoped to this thread: a global arm trips whichever reloc test
+        // reaches the point first.
+        use puddles_pmem::failpoint::{self, names};
+        failpoint::arm_scoped(names::RELOC_MID_REWRITE, 1);
         let s1 = rewrite_puddle(&h.alloc, &translations, &reg);
-        puddles_pmem::failpoint::clear_all();
+        failpoint::clear_current_thread();
         assert!(s1.rewritten < 4, "crash should interrupt the rewrite");
         // Resume: the remaining pointers get rewritten; already-rewritten
         // ones are untouched (their values no longer match the old range).

@@ -92,7 +92,9 @@ pub enum FaultSite {
     /// checkpoint — a compaction of the metadata WAL — and the WAL's
     /// torn-tail heal at open. A fault here aborts before the rename.
     MetaWrite,
-    /// Puddle-file creation (allocate + zero-fill + sync).
+    /// Puddle-file creation (allocate + zero-fill + sync), including a
+    /// puddle copied in or out by relocation, and the manifest an export
+    /// writes after its copies.
     PuddleCreate,
     /// Puddle-file deletion.
     PuddleDelete,

@@ -8,12 +8,21 @@
 //! [`PmDir::meta_path`] and replaces wholesale through
 //! [`PmDir::write_meta`], the only write-temp + fsync + `rename` in the
 //! workspace.
+//!
+//! A puddle file comes into being one way, whether it is created empty
+//! ([`PmDir::create_puddle_file`]) or copied — into `puddles/` by an
+//! import, out of it by an export ([`PmDir::copy_puddle_file`]): sized,
+//! filled, synced, under [`FaultSite::PuddleCreate`] and the retry budget.
+//! Puddle files are sparse (a fresh one is all hole), and a copy writes
+//! only the source's data extents, so relocating a puddle costs what it
+//! holds, not how big it is.
 
 use crate::failpoint::{self, names};
 use crate::faultio::{self, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES};
 use crate::{PmError, Result, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -75,9 +84,10 @@ impl PmDir {
     /// storage error (injected `EIO`, `Interrupted`) is retried up to
     /// [`MAX_IO_RETRIES`] times after `undo` cleans up the failed attempt's
     /// partial state; anything else — including `ENOSPC`, which retrying
-    /// cannot fix — surfaces immediately. Every write under this directory
-    /// goes through it, the metadata WAL's appends included, so there is
-    /// one budget and one set of counters.
+    /// cannot fix — surfaces immediately. Every write this directory makes
+    /// goes through it — puddle files created, copied in or out, deleted;
+    /// the metadata WAL's appends and replacements; an export's manifest —
+    /// so there is one budget and one set of counters.
     pub fn with_io_retries<T>(
         &self,
         mut op: impl FnMut() -> Result<T>,
@@ -177,44 +187,71 @@ impl PmDir {
         // `create_new` makes a duplicate name an error, which must survive
         // the retry wrapper: only *failed* attempts remove their partial
         // file, so a pre-existing puddle still rejects cleanly.
+        let mut open = OpenOptions::new();
+        open.read(true).write(true).create_new(true);
+        self.make_puddle_file(&path, size as u64, &open, |_| Ok(0))?;
+        Ok(path)
+    }
+
+    /// Copies the puddle file `src` to `dest`, which is created, or
+    /// truncated if it exists, and synced before this returns. Only the
+    /// source's data extents (`SEEK_DATA`/`SEEK_HOLE`) are read and
+    /// written; its holes stay holes, which read back as zeros, so the copy
+    /// is byte-identical whatever the puddle holds. A filesystem that does
+    /// not report holes has one extent, the whole file. Returns the data
+    /// bytes copied, not the file's length.
+    ///
+    /// Both directions of relocation come through here: an export copies
+    /// out of `puddles/`, an import into it. Bytes stored through a live
+    /// `MAP_SHARED` mapping are copied whether or not they were `msync`ed:
+    /// the copy reads the page cache the mapping writes.
+    pub fn copy_puddle_file(&self, src: &Path, dest: &Path) -> Result<u64> {
+        let from = File::open(src)?;
+        let len = from.metadata()?.len();
+        let mut open = OpenOptions::new();
+        open.write(true).create(true).truncate(true);
+        self.make_puddle_file(dest, len, &open, |to| copy_data(&from, to, len))
+    }
+
+    /// Makes the puddle file `path`: opens it with `open`, sizes it to
+    /// `size` bytes of holes, lets `fill` write into it and syncs it, with
+    /// [`FaultSite::PuddleCreate`] consulted before the first step and
+    /// before the sync, all inside the retry budget. A failed attempt
+    /// removes the file. Returns what `fill` returned.
+    fn make_puddle_file(
+        &self,
+        path: &Path,
+        size: u64,
+        open: &OpenOptions,
+        mut fill: impl FnMut(&mut File) -> io::Result<u64>,
+    ) -> Result<u64> {
+        let eio = || faultio::eio(FaultSite::PuddleCreate).into();
         self.with_io_retries(
             || {
-                match self.write_fault(FaultSite::PuddleCreate, size) {
-                    Some(WriteFault::Eio) => {
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into())
-                    }
+                match self.write_fault(FaultSite::PuddleCreate, size as usize) {
+                    Some(WriteFault::Eio) => return Err(eio()),
                     Some(WriteFault::Enospc) => return Err(faultio::enospc().into()),
                     Some(WriteFault::Short(keep)) => {
                         // Torn create: the file exists but is shorter than
                         // the puddle it was meant to back; the retry (or
                         // the caller's rollback) removes it.
-                        let file = OpenOptions::new()
-                            .read(true)
-                            .write(true)
-                            .create_new(true)
-                            .open(&path)?;
-                        let _ = file.set_len(keep as u64);
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into());
+                        let _ = open.open(path)?.set_len(keep as u64);
+                        return Err(eio());
                     }
                     None => {}
                 }
-                let file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create_new(true)
-                    .open(&path)?;
-                file.set_len(size as u64)?;
+                let mut file = open.open(path)?;
+                file.set_len(size)?;
+                let filled = fill(&mut file)?;
                 match self.sync_fault(FaultSite::PuddleCreate) {
-                    Some(SyncFault::Eio) => {
-                        return Err(faultio::eio(FaultSite::PuddleCreate).into())
-                    }
+                    Some(SyncFault::Eio) => return Err(eio()),
                     Some(SyncFault::Dropped) => {}
                     None => file.sync_all()?,
                 }
-                Ok(path.clone())
+                Ok(filled)
             },
             || {
-                let _ = fs::remove_file(&path);
+                let _ = fs::remove_file(path);
             },
         )
     }
@@ -251,12 +288,6 @@ impl PmDir {
     /// Returns `true` if a puddle file with this name exists.
     pub fn puddle_exists(&self, name: &str) -> bool {
         self.puddle_path(name).exists()
-    }
-
-    /// Copies a puddle file into an arbitrary destination path (used by pool
-    /// export).
-    pub fn copy_puddle_file(&self, name: &str, dest: &Path) -> Result<u64> {
-        Ok(fs::copy(self.puddle_path(name), dest)?)
     }
 
     /// Lists the names of all puddle files.
@@ -314,6 +345,44 @@ impl PmDir {
 /// `true` for substrate errors the bounded retry budget applies to.
 fn is_transient_pm(e: &PmError) -> bool {
     matches!(e, PmError::Io(io) if faultio::is_transient_io(io))
+}
+
+/// Copies the first `len` bytes of `from` into `to`, which holds `len`
+/// bytes of holes, one data extent at a time; returns the bytes copied.
+/// `io::copy` over a `take` is `copy_file_range`, so no byte passes
+/// through user space.
+fn copy_data(mut from: &File, to: &mut File, len: u64) -> io::Result<u64> {
+    let (mut at, mut copied) = (0, 0);
+    while let Some((start, end)) = next_data(from, at, len)? {
+        from.seek(SeekFrom::Start(start))?;
+        to.seek(SeekFrom::Start(start))?;
+        copied += io::copy(&mut from.take(end - start), to)?;
+        at = end;
+    }
+    Ok(copied)
+}
+
+/// The first data extent of `file` at or after `at`, clipped to `len`;
+/// `None` when only holes follow. `EINVAL` from `SEEK_DATA` — a filesystem
+/// that does not report holes — makes the rest of the file one extent.
+fn next_data(file: &File, at: u64, len: u64) -> io::Result<Option<(u64, u64)>> {
+    let seek = |offset: u64, whence| {
+        // SAFETY: `lseek` on a descriptor `file` keeps open; it moves only
+        // that descriptor's offset, which every caller re-seeks.
+        let pos = unsafe { libc::lseek(file.as_raw_fd(), offset as libc::off_t, whence) };
+        u64::try_from(pos).map_err(|_| io::Error::last_os_error())
+    };
+    if at >= len {
+        return Ok(None);
+    }
+    let start = match seek(at, libc::SEEK_DATA) {
+        Ok(start) if start < len => start,
+        Ok(_) => return Ok(None),
+        Err(e) if e.raw_os_error() == Some(libc::ENXIO) => return Ok(None),
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => return Ok(Some((at, len))),
+        Err(e) => return Err(e),
+    };
+    Ok(Some((start, seek(start, libc::SEEK_HOLE)?.min(len))))
 }
 
 #[cfg(test)]
@@ -421,6 +490,109 @@ mod tests {
                 .load(std::sync::atomic::Ordering::Relaxed),
             1
         );
+    }
+
+    const PAGES: usize = 64;
+
+    /// A `PAGES`-page file at `path`: each listed page filled with its own
+    /// non-zero byte, holes everywhere else.
+    fn sparse_file(path: &Path, data_pages: &[usize]) {
+        use std::os::unix::fs::FileExt;
+        let file = File::create(path).unwrap();
+        file.set_len((PAGES * PAGE_SIZE) as u64).unwrap();
+        for &page in data_pages {
+            let fill = vec![page as u8 + 1; PAGE_SIZE];
+            file.write_all_at(&fill, (page * PAGE_SIZE) as u64).unwrap();
+        }
+    }
+
+    /// Bytes the filesystem has allocated to `path`.
+    fn allocated(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(path).unwrap().blocks() * 512
+    }
+
+    /// Whether the filesystem reports a hole in `path` before its end: the
+    /// allocation and count checks hold only where it does.
+    fn reports_hole(path: &Path) -> bool {
+        let file = File::open(path).unwrap();
+        let len = file.metadata().unwrap().len();
+        // SAFETY: `lseek` on an open descriptor.
+        let hole = unsafe { libc::lseek(file.as_raw_fd(), 0, libc::SEEK_HOLE) };
+        (0..len as i64).contains(&hole)
+    }
+
+    #[test]
+    fn a_copy_is_byte_identical_and_keeps_the_holes() {
+        let (tmp, pm) = dir();
+        let sources: [(&str, Vec<usize>); 5] = [
+            ("all hole", vec![]),
+            ("first page", vec![0]),
+            ("last page", vec![PAGES - 1]),
+            ("both ends", vec![0, 1, PAGES - 2, PAGES - 1]),
+            ("dense", (0..PAGES).collect()),
+        ];
+        for (what, pages) in sources {
+            let (src, dest) = (tmp.path().join("src"), tmp.path().join("dest"));
+            let _ = fs::remove_file(&dest);
+            sparse_file(&src, &pages);
+            let copied = pm.copy_puddle_file(&src, &dest).unwrap();
+            assert_eq!(fs::read(&dest).unwrap(), fs::read(&src).unwrap(), "{what}");
+            if reports_hole(&src) {
+                let (have, limit) = (allocated(&dest), allocated(&src) + PAGE_SIZE as u64);
+                assert!(
+                    have <= limit,
+                    "{what}: {have} B allocated, source + 4 KiB {limit}"
+                );
+                assert_eq!(copied, (pages.len() * PAGE_SIZE) as u64, "{what}");
+            } else {
+                assert_eq!(copied, (PAGES * PAGE_SIZE) as u64, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_copy_carries_unsynced_stores_through_a_shared_mapping() {
+        let (tmp, pm) = dir();
+        let (src, dest) = (tmp.path().join("mapped"), tmp.path().join("copy"));
+        sparse_file(&src, &[0]);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(&src)
+            .unwrap();
+        let len = PAGES * PAGE_SIZE;
+        let base = crate::space::VaReservation::map_file_anywhere(&file, len, true).unwrap();
+        // SAFETY: `base` maps `len` writable bytes of `file`; no other
+        // reference into the mapping exists.
+        unsafe {
+            let bytes = std::slice::from_raw_parts_mut(base as *mut u8, len);
+            bytes[3 * PAGE_SIZE..4 * PAGE_SIZE].fill(0xab);
+            bytes[len - 1] = 0xcd;
+        }
+        pm.copy_puddle_file(&src, &dest).unwrap();
+        // SAFETY: the mapping above, unmapped once.
+        unsafe { crate::space::VaReservation::unmap_anywhere(base, len).unwrap() };
+        let copy = fs::read(&dest).unwrap();
+        assert!(copy[3 * PAGE_SIZE..4 * PAGE_SIZE]
+            .iter()
+            .all(|&b| b == 0xab));
+        assert_eq!(copy[len - 1], 0xcd);
+        assert_eq!(copy, fs::read(&src).unwrap());
+    }
+
+    #[test]
+    fn a_copy_over_a_dense_file_leaves_exactly_the_source() {
+        let (tmp, pm) = dir();
+        let (src, dest) = (tmp.path().join("src"), tmp.path().join("dest"));
+        sparse_file(&src, &[0, PAGES - 1]);
+        fs::write(&dest, vec![0xffu8; 2 * PAGES * PAGE_SIZE]).unwrap();
+        let copied = pm.copy_puddle_file(&src, &dest).unwrap();
+        assert_eq!(fs::read(&dest).unwrap(), fs::read(&src).unwrap());
+        if reports_hole(&src) {
+            assert_eq!(copied, 2 * PAGE_SIZE as u64);
+            assert!(allocated(&dest) <= allocated(&src) + PAGE_SIZE as u64);
+        }
     }
 
     #[test]

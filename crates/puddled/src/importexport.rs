@@ -3,7 +3,12 @@
 //!
 //! Export copies a pool's puddle files plus a manifest (pool structure,
 //! assigned addresses, pointer maps) into a directory; the data keeps its
-//! raw in-memory representation — no serialization. A manifest holds one
+//! raw in-memory representation — no serialization. Both directions copy
+//! through [`PmDir::copy_puddle_file`](puddles_pmem::pmdir::PmDir::copy_puddle_file),
+//! which writes only a puddle's data extents and syncs the copy, so a file
+//! is durable before anything names it: an import's record follows its
+//! copies, an export's manifest is written last, after every file, and a
+//! re-export first removes the manifest it replaces. A manifest holds one
 //! address per puddle, so a pool with members still awaiting a pointer
 //! rewrite (some pointing at new addresses, some at old) is refused until
 //! it has been mapped. Import checks the manifest against the files it
@@ -17,14 +22,17 @@ use crate::acl;
 use crate::registry::{import_table, PuddleRecord, Rewrite};
 use crate::service::{pool_exists, DaemonError, DaemonInner, DaemonResult};
 use crate::wal::{self, RegistryOp};
+use puddles_pmem::faultio::FaultSite;
 use puddles_pmem::PAGE_SIZE;
 use puddles_proto::{
     Credentials, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation,
 };
 use serde::{Deserialize, Serialize};
 use std::ffi::OsStr;
-use std::fs;
+use std::fs::{self, File};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 
 /// One puddle inside an export manifest.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -56,6 +64,24 @@ pub struct ExportManifest {
 
 /// File name of the manifest inside an export directory.
 pub const MANIFEST_FILE: &str = "manifest.json";
+
+/// Copies one puddle file and counts it into `copy.files` and `copy.bytes`
+/// (the data bytes copied, which follow what the puddle holds).
+fn copy_puddle(inner: &DaemonInner, src: &Path, dest: &Path) -> DaemonResult<()> {
+    let bytes = inner.pmdir.copy_puddle_file(src, dest)?;
+    let metrics = &inner.metrics;
+    metrics
+        .counter("copy.files")
+        .fetch_add(1, Ordering::Relaxed);
+    metrics
+        .counter("copy.bytes")
+        .fetch_add(bytes, Ordering::Relaxed);
+    Ok(())
+}
+
+fn internal(e: impl ToString) -> DaemonError {
+    DaemonError::new(ErrorCode::Internal, e.to_string())
+}
 
 /// Exports `pool_name` into directory `dest`. Refuses, before anything is
 /// created or copied, a pool with a member still awaiting a pointer rewrite.
@@ -94,7 +120,14 @@ pub(crate) fn export_pool(
     })?;
 
     let dest = Path::new(dest).to_path_buf();
-    fs::create_dir_all(&dest).map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
+    fs::create_dir_all(&dest).map_err(internal)?;
+    // A manifest names finished files only: the one this export replaces
+    // goes before the first file it names is overwritten.
+    let manifest_path = dest.join(MANIFEST_FILE);
+    match fs::remove_file(&manifest_path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => return Err(internal(e)),
+        _ => {}
+    }
     let base = inner.gspace.base() as u64;
     let mut manifest = ExportManifest {
         pool: pool_name.to_string(),
@@ -104,10 +137,8 @@ pub(crate) fn export_pool(
     };
     for record in &records {
         let file_name = format!("{}.pud", record.id.to_hex());
-        inner
-            .pmdir
-            .copy_puddle_file(&record.file(), &dest.join(&file_name))
-            .map_err(DaemonError::from)?;
+        let src = inner.pmdir.puddle_path(&record.file());
+        copy_puddle(inner, &src, &dest.join(&file_name))?;
         manifest.puddles.push(ExportedPuddle {
             id: record.id,
             size: record.size,
@@ -116,10 +147,21 @@ pub(crate) fn export_pool(
             mode: record.mode,
         });
     }
-    let manifest_bytes = serde_json::to_vec_pretty(&manifest)
-        .map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
-    fs::write(dest.join(MANIFEST_FILE), manifest_bytes)
-        .map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
+    let manifest_bytes = serde_json::to_vec_pretty(&manifest).map_err(internal)?;
+    let pmdir = &inner.pmdir;
+    let sites = (FaultSite::PuddleCreate, FaultSite::PuddleCreate);
+    let written = pmdir.with_io_retries(
+        || {
+            let file = File::create(&manifest_path)?;
+            pmdir.write_synced(&file, &manifest_bytes, sites, File::sync_all)
+        },
+        || {},
+    );
+    // A manifest that did not make it whole must not be read as one.
+    if written.is_err() {
+        let _ = fs::remove_file(&manifest_path);
+    }
+    written?;
     Ok(dest)
 }
 
@@ -223,11 +265,8 @@ pub(crate) fn import_pool(
         wal::encode_ops(&import)?;
         for (record, exported) in records.iter().zip(&manifest.puddles) {
             copied += 1;
-            fs::copy(
-                src.join(&exported.file),
-                inner.pmdir.puddle_path(&record.file()),
-            )
-            .map_err(|e| DaemonError::new(ErrorCode::Internal, e.to_string()))?;
+            let dest = inner.pmdir.puddle_path(&record.file());
+            copy_puddle(inner, &src.join(&exported.file), &dest)?;
         }
         reg.transact(|data, ops| {
             if data.pools.contains_key(new_name) {

@@ -712,6 +712,159 @@ fn an_import_refused_after_its_copies_deletes_them_and_returns_the_space() {
     puddled::Invariants::assert_all(daemon.registry());
 }
 
+/// A daemon whose every sync fails while `plan` is enabled (it starts
+/// disabled), holding pool `orig`, a 1 MiB root plus one 1 MiB member.
+fn daemon_with_failing_syncs() -> (
+    tempfile::TempDir,
+    Daemon,
+    std::sync::Arc<puddles_pmem::faultio::FaultPlan>,
+) {
+    use puddles_pmem::faultio::{FaultPlan, FaultProfile};
+    let failing_syncs = FaultProfile {
+        sync_eio_ppm: 1_000_000,
+        ..FaultProfile::default()
+    };
+    let plan = FaultPlan::new(1, failing_syncs);
+    plan.set_enabled(false);
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path()).with_fault_plan(plan.clone());
+    let daemon = Daemon::start(config).unwrap();
+    let create = Request::CreatePool {
+        name: "orig".into(),
+        root_size: 1 << 20,
+        mode: 0o600,
+    };
+    expect_pool(daemon.handle(USER_A, create));
+    expect_puddle(daemon.handle(
+        USER_A,
+        Request::CreatePuddle {
+            size: 1 << 20,
+            pool: Some("orig".into()),
+            purpose: PuddlePurpose::Data,
+            mode: 0o600,
+        },
+    ));
+    (tmp, daemon, plan)
+}
+
+/// Asserts `resp` is the refusal of a copy whose sync failed past the retry
+/// budget: typed, naming the injected fault.
+fn assert_refused_by_failing_sync(resp: Response) {
+    match resp {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Internal, "{message}");
+            assert!(
+                message.contains("injected EIO at puddle.create"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+}
+
+/// An import's copies are synced, inside the retry budget, before its
+/// record names them: with every sync failing the budget runs out on the
+/// first copy, and the import is refused with no file, no space, no pool
+/// and no record left behind.
+#[test]
+fn a_failing_sync_refuses_an_import_and_leaves_no_trace() {
+    let (tmp, daemon, plan) = daemon_with_failing_syncs();
+    let dest = tmp.path().join("export");
+    let export = Request::ExportPool {
+        name: "orig".into(),
+        dest: dest.to_string_lossy().into_owned(),
+    };
+    assert_eq!(daemon.handle(USER_A, export), Response::Ok);
+    let state = || {
+        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
+            panic!("no stats");
+        };
+        let files = daemon.pm_dir().list_puddles().unwrap();
+        (
+            stats.pools,
+            stats.wal_records,
+            stats.space_free_bytes,
+            files,
+        )
+    };
+    let before = state();
+    let retries = daemon.pm_dir().io_stats().io_retries();
+    plan.set_enabled(true);
+    let import = Request::ImportPool {
+        src: dest.to_string_lossy().into_owned(),
+        new_name: "copy".into(),
+    };
+    assert_refused_by_failing_sync(daemon.handle(USER_A, import));
+    plan.set_enabled(false);
+    assert_eq!(
+        daemon.pm_dir().io_stats().io_retries() - retries,
+        puddles_pmem::faultio::MAX_IO_RETRIES as u64
+    );
+    assert_eq!(state(), before);
+    puddled::Invariants::assert_all(daemon.registry());
+}
+
+/// An export's manifest is written last, after every file it names is
+/// synced: with every sync failing the export is refused and the
+/// destination holds no manifest — neither a fresh one nor one a previous
+/// export left there.
+#[test]
+fn a_failing_sync_refuses_an_export_and_writes_no_manifest() {
+    let (tmp, daemon, plan) = daemon_with_failing_syncs();
+    let dest = tmp.path().join("export");
+    let export = || Request::ExportPool {
+        name: "orig".into(),
+        dest: dest.to_string_lossy().into_owned(),
+    };
+    for previous_export in [false, true] {
+        if previous_export {
+            assert_eq!(daemon.handle(USER_A, export()), Response::Ok);
+            assert!(dest.join("manifest.json").exists());
+        }
+        plan.set_enabled(true);
+        assert_refused_by_failing_sync(daemon.handle(USER_A, export()));
+        plan.set_enabled(false);
+        assert!(!dest.join("manifest.json").exists(), "{previous_export}");
+    }
+}
+
+/// What a copy costs follows what a puddle holds: a 1 MiB root with one
+/// page written copies at most that page and its header, out and back in.
+#[test]
+fn copy_counters_follow_the_data_not_the_puddle_size() {
+    use std::os::unix::fs::FileExt;
+    let (tmp, daemon) = start_daemon();
+    let create = Request::CreatePool {
+        name: "orig".into(),
+        root_size: 1 << 20,
+        mode: 0o600,
+    };
+    let pool = expect_pool(daemon.handle(USER_A, create));
+    let root = daemon.pm_dir().puddle_path(&pool.root_puddle.to_hex());
+    let file = std::fs::OpenOptions::new().write(true).open(root).unwrap();
+    file.write_all_at(&[0x5a; 4096], 64 * 4096).unwrap();
+    let dest = tmp.path().join("export");
+    let export = Request::ExportPool {
+        name: "orig".into(),
+        dest: dest.to_string_lossy().into_owned(),
+    };
+    assert_eq!(daemon.handle(USER_A, export), Response::Ok);
+    let import = Request::ImportPool {
+        src: dest.to_string_lossy().into_owned(),
+        new_name: "copy".into(),
+    };
+    assert!(matches!(
+        daemon.handle(USER_A, import),
+        Response::Imported { .. }
+    ));
+    let Response::Metrics(report) = daemon.handle(USER_A, Request::GetMetrics) else {
+        panic!("no metrics");
+    };
+    assert_eq!(report.counter("copy.files"), Some(2));
+    let bytes = report.counter("copy.bytes").unwrap();
+    assert!(bytes <= 2 * 8192, "{bytes} B copied");
+}
+
 /// Builds a data puddle, a log-space puddle and a log puddle by hand (the
 /// client library normally does this), writes an incomplete transaction,
 /// and checks that daemon recovery rolls it back even though the "writer

@@ -395,11 +395,11 @@ fn a_peer_that_closes_mid_preamble_releases_its_slot() {
 
 /// The two-lane queue's reason to exist: as many bulk-lane requests as the
 /// worker pool can have threads (its clamp's ceiling, 8 — each an
-/// `ExportPool` of a 16 MiB pool) pipelined *before* eight fast-lane
+/// `ExportPool` of its own 16 MiB pool) pipelined *before* eight fast-lane
 /// `RegisterPtrMap`s must not capture every worker. Each export is made to
 /// hold its worker for as long as the test likes — where its one file copy
-/// goes there is a FIFO, which opens only once the test reads the other
-/// end — so this is no race: on a single queue, or with every worker
+/// comes from there is a FIFO, which opens only once the test opens the
+/// other end — so this is no race: on a single queue, or with every worker
 /// willing to take bulk work, all of them (2 or 8) sit in an export and no
 /// registration ever runs. With the fast lane's reserved workers the
 /// registrations run, commit, and their responses overtake the exports' on
@@ -413,38 +413,31 @@ fn a_full_bulk_lane_does_not_hold_up_fast_lane_registrations() {
     }
     let (tmp, daemon, mut server, socket) = start_server();
     let creds = Credentials::current_process();
-    let pool = match daemon.handle(
-        creds,
-        Request::CreatePool {
-            name: "bulky".into(),
-            root_size: 16 << 20,
-            mode: 0o600,
-        },
-    ) {
-        Response::Pool(pool) => pool,
-        other => panic!("unexpected {other:?}"),
-    };
-
     const EXPORTS: u64 = 8;
     const REGISTRATIONS: u64 = 8;
     let mut conn = hello(&socket);
     let mut fifos = Vec::new();
     for req_id in 0..EXPORTS {
-        let dest = tmp.path().join(format!("bulk-export-{req_id}"));
-        std::fs::create_dir(&dest).unwrap();
-        let fifo = dest.join(format!("{}.pud", pool.root_puddle.to_hex()));
+        let name = format!("bulky{req_id}");
+        let create = Request::CreatePool {
+            name: name.clone(),
+            root_size: 16 << 20,
+            mode: 0o600,
+        };
+        let pool = match daemon.handle(creds, create) {
+            Response::Pool(pool) => pool,
+            other => panic!("unexpected {other:?}"),
+        };
+        let fifo = daemon.pm_dir().puddle_path(&pool.root_puddle.to_hex());
+        std::fs::remove_file(&fifo).unwrap();
         let path = std::ffi::CString::new(fifo.to_str().unwrap()).unwrap();
         // SAFETY: `path` is a NUL-terminated string that outlives the call.
         assert_eq!(unsafe { mkfifo(path.as_ptr(), 0o600) }, 0);
         fifos.push(fifo);
-        conn.send(
-            req_id,
-            Request::ExportPool {
-                name: "bulky".into(),
-                dest: dest.to_string_lossy().into_owned(),
-            },
-        )
-        .unwrap();
+        let dest = tmp.path().join(format!("bulk-export-{req_id}"));
+        let dest = dest.to_string_lossy().into_owned();
+        conn.send(req_id, Request::ExportPool { name, dest })
+            .unwrap();
     }
     for req_id in EXPORTS..EXPORTS + REGISTRATIONS {
         let decl = PtrMapDecl {
@@ -468,12 +461,12 @@ fn a_full_bulk_lane_does_not_hold_up_fast_lane_registrations() {
         }
     }
     // Let the exports go, whatever was seen above (a failure must not
-    // leave workers stuck for `shutdown` to wait on): a reader per FIFO,
-    // which returns once its export has opened, filled and closed it.
+    // leave workers stuck for `shutdown` to wait on): a writer per FIFO,
+    // which opens once its export has opened the other end and closes at
+    // once, so the export copies an empty file.
     for fifo in fifos {
         std::thread::spawn(move || {
-            let mut reader = std::fs::File::open(fifo).unwrap();
-            std::io::copy(&mut reader, &mut std::io::sink()).unwrap();
+            std::fs::OpenOptions::new().write(true).open(fifo).unwrap();
         });
     }
     let mut rest = Vec::new();
