@@ -253,6 +253,21 @@ impl MetricsReport {
             .find(|c| c.name == name)
             .map(|c| c.value)
     }
+
+    /// The `reactor.<i>.<what>` counters in reactor order: one entry per
+    /// running reactor, none when no socket server is attached.
+    pub fn per_reactor(&self, what: &str) -> Vec<u64> {
+        let mut rows: Vec<(usize, u64)> = self
+            .counters
+            .iter()
+            .filter_map(|c| {
+                let (i, name) = c.name.strip_prefix("reactor.")?.split_once('.')?;
+                (name == what).then_some((i.parse().ok()?, c.value))
+            })
+            .collect();
+        rows.sort_unstable();
+        rows.into_iter().map(|(_, value)| value).collect()
+    }
 }
 
 /// Daemon statistics (puddle/pool counts and space usage).

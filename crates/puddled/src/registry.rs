@@ -452,8 +452,18 @@ impl Registry {
     /// `PutPuddle` record that uses it, and a grant lost to a crash is
     /// reclaimed by [`reconcile`] (an extent no puddle record covers is
     /// free by definition).
+    ///
+    /// Under allocation pressure — no extent fits until adjacent free ones
+    /// merge — one forced coalesce pass runs before the allocation is
+    /// declared impossible.
     pub fn alloc_space(&self, size: u64) -> Result<u64> {
-        self.alloc.alloc(size)
+        self.alloc.alloc(size).or_else(|full| {
+            if self.timed_coalesce(CoalesceKind::ForcedInline) {
+                self.alloc.alloc(size)
+            } else {
+                Err(full)
+            }
+        })
     }
 
     /// Returns `size` bytes at `offset` to the free lists — an O(1) push;
@@ -468,13 +478,19 @@ impl Registry {
         // arena's only lock for its whole sort, so there is nothing to gain
         // by handing it to another one.
         if self.alloc.wants_coalesce() {
-            self.timed_coalesce(CoalesceKind::Lazy, "lazy");
+            self.timed_coalesce(CoalesceKind::Lazy);
         }
     }
 
-    /// Runs one coalesce pass, timing it into the `alloc.coalesce` series
-    /// and marking it in the trace ring (`a` = 1 if the pass merged).
-    fn timed_coalesce(&self, kind: CoalesceKind, detail: &'static str) -> bool {
+    /// Runs one coalesce pass — every pass there is goes through here —
+    /// timing it into the `alloc.coalesce` series and marking it in the
+    /// trace ring (`a` = 1 if the pass merged); a pass that merged counts
+    /// one `alloc.coalesce.lazy` or `alloc.coalesce.forced`.
+    fn timed_coalesce(&self, kind: CoalesceKind) -> bool {
+        let (detail, counter) = match kind {
+            CoalesceKind::Lazy => ("lazy", "alloc.coalesce.lazy"),
+            CoalesceKind::ForcedInline => ("forced", "alloc.coalesce.forced"),
+        };
         let clock = self.wal.clock();
         let obs = self.wal.obs();
         let start = clock.now();
@@ -482,13 +498,16 @@ impl Registry {
         obs.series("alloc.coalesce")
             .record_duration(clock.now() - start);
         obs.trace(TraceEventKind::Coalesce, detail, merged as u64, 0);
+        if merged {
+            obs.counter(counter).fetch_add(1, Ordering::Relaxed);
+        }
         merged
     }
 
     /// Runs a coalesce pass immediately (tests, tools); counted as
     /// forced-inline. Returns `false` when there was nothing to merge.
     pub fn force_coalesce(&self) -> bool {
-        self.timed_coalesce(CoalesceKind::ForcedInline, "forced")
+        self.timed_coalesce(CoalesceKind::ForcedInline)
     }
 
     /// Overrides the free-extent count that triggers a lazy coalesce pass
@@ -709,6 +728,39 @@ mod tests {
             runs - runs_after_first_storm <= 3,
             "coalesce re-triggered on nearly every free: {stats:?}"
         );
+    }
+
+    /// An allocation that fits only once adjacent free extents merge runs
+    /// its forced pass like every other pass: one `alloc.coalesce` sample,
+    /// one `coalesce forced` trace event, one `alloc.coalesce.forced`.
+    #[test]
+    fn an_allocation_pressure_coalesce_is_timed_traced_and_counted() {
+        const P: u64 = PAGE_SIZE as u64;
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        // Eight pages past the reserved first one, all granted; four
+        // adjacent ones freed, unmerged.
+        let reg = Registry::load_or_create(&pm, 0, 9 * P).unwrap();
+        let offs: Vec<u64> = (0..8).map(|_| reg.alloc_space(P).unwrap()).collect();
+        for &off in &offs[2..6] {
+            reg.free_space(off, P);
+        }
+        let obs = reg.wal().obs();
+        let passes = || obs.series("alloc.coalesce").snapshot().count;
+        let forced = || obs.counter("alloc.coalesce.forced").load(Ordering::Relaxed);
+        let before = passes();
+        assert_eq!(reg.alloc_space(4 * P).unwrap(), offs[2]);
+        assert_eq!((passes(), forced()), (before + 1, 1));
+        let traced: Vec<u64> = obs
+            .trace_events()
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::Coalesce && e.detail == "forced")
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(traced, [1], "one pass, and it merged");
+        // Full again with nothing to merge: typed, and no pass counted.
+        assert!(reg.alloc_space(P).is_err());
+        assert_eq!(forced(), 1);
     }
 
     #[test]

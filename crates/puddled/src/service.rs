@@ -195,31 +195,16 @@ pub struct DaemonInner {
     /// The metadata registry: one state machine behind one lock, held only
     /// for lookups and for a transaction's checks and apply — never across
     /// I/O. The metadata WAL it persists through is reachable via
-    /// [`Registry::wal`] (`Stats` reads WAL length and checkpoint age from
-    /// it).
+    /// [`Registry::wal`] (`GetMetrics` reads the WAL tail from it).
     pub(crate) registry: Registry,
-    /// Orphan puddle files deleted by the startup directory sweep.
-    pub(crate) orphans_swept: AtomicU64,
-    /// Log puddles referenced by no log space, reclaimed at startup (the
-    /// crash window between allocating a chain segment and registering it).
-    pub(crate) log_puddles_swept: AtomicU64,
-    /// LogSpace puddles with no log-space registration, reclaimed at
-    /// startup (the crash window inside `ensure_logspace`, between the
-    /// puddle allocation and `RegLogSpace`).
-    pub(crate) logspace_puddles_swept: AtomicU64,
-    /// Connections the UDS acceptor rejected at the connection cap with a
-    /// `Busy` frame.
-    pub(crate) connections_rejected: AtomicU64,
-    /// `Hello` messages flagged `reconnect: true` (clients re-dialing after
-    /// a dropped or reset connection).
-    pub(crate) client_reconnects: AtomicU64,
     /// Per-reactor live-connection counters, registered by the UDS server
-    /// at start and cleared at its shutdown; surfaced in `Stats` so
-    /// accept-time placement skew is observable. Empty when no socket
-    /// server is attached (in-process endpoints only).
+    /// at start and cleared at its shutdown; reported as
+    /// `reactor.<i>.connections` so accept-time placement skew is
+    /// observable. Empty when no socket server is attached (in-process
+    /// endpoints only).
     pub(crate) reactor_loads: std::sync::Mutex<Vec<Arc<AtomicUsize>>>,
     /// Per-reactor handled-request counters, registered alongside
-    /// [`DaemonInner::reactor_loads`]; surfaced in `Stats` and `GetMetrics`
+    /// [`DaemonInner::reactor_loads`]; reported as `reactor.<i>.requests`
     /// so *served traffic* skew is observable, not just placement.
     pub(crate) reactor_requests: std::sync::Mutex<Vec<Arc<AtomicU64>>>,
     /// The observability hub: latency series, counters, and the trace ring.
@@ -357,6 +342,11 @@ impl Daemon {
             // requests and WAL commits they perturbed.
             plan.attach_obs(Arc::clone(&metrics));
         }
+        // Counted where they happen (a reconnecting `Hello`, a connection
+        // turned away at the cap); created now so every report lists them.
+        for counter in ["client_reconnects", "connections_rejected"] {
+            metrics.counter(counter);
+        }
         let wal: WalHandle = Arc::new(Wal::open_with_obs(
             &pmdir,
             config.clock.clone(),
@@ -370,11 +360,6 @@ impl Daemon {
                 pmdir,
                 gspace,
                 registry,
-                orphans_swept: AtomicU64::new(0),
-                log_puddles_swept: AtomicU64::new(0),
-                logspace_puddles_swept: AtomicU64::new(0),
-                connections_rejected: AtomicU64::new(0),
-                client_reconnects: AtomicU64::new(0),
                 reactor_loads: std::sync::Mutex::new(Vec::new()),
                 reactor_requests: std::sync::Mutex::new(Vec::new()),
                 metrics,
@@ -389,8 +374,11 @@ impl Daemon {
         // it does not know about — a crash between a file and its record
         // (a create whose record never became durable, a drop whose files
         // were not unlinked yet) leaves exactly those behind.
-        let swept = recovery::sweep_orphan_files(&daemon.inner)?;
-        daemon.inner.orphans_swept.store(swept, Ordering::Relaxed);
+        let swept = |counter| daemon.inner.metrics.counter(counter);
+        swept("sweep.orphan_files").fetch_add(
+            recovery::sweep_orphan_files(&daemon.inner)?,
+            Ordering::Relaxed,
+        );
         if daemon.inner.config.auto_recover {
             let _ = recovery::run_recovery(&daemon.inner)?;
         }
@@ -398,20 +386,18 @@ impl Daemon {
         // between allocating a chain segment and registering it). Startup
         // only: once clients connect, a live chain extension is briefly in
         // exactly this state.
-        let logs_swept = recovery::sweep_unreferenced_log_puddles(&daemon.inner)?;
-        daemon
-            .inner
-            .log_puddles_swept
-            .store(logs_swept, Ordering::Relaxed);
+        swept("sweep.log_puddles").fetch_add(
+            recovery::sweep_unreferenced_log_puddles(&daemon.inner)?,
+            Ordering::Relaxed,
+        );
         // Likewise for LogSpace puddles that never made it into the
         // registry's log-space table (a crash inside `ensure_logspace`
         // between the allocation and `RegLogSpace`): unreachable forever,
         // safe to reclaim before any client connects.
-        let ls_swept = recovery::sweep_unregistered_logspace_puddles(&daemon.inner)?;
-        daemon
-            .inner
-            .logspace_puddles_swept
-            .store(ls_swept, Ordering::Relaxed);
+        swept("sweep.logspace_puddles").fetch_add(
+            recovery::sweep_unregistered_logspace_puddles(&daemon.inner)?,
+            Ordering::Relaxed,
+        );
         Ok(daemon)
     }
 
@@ -426,7 +412,7 @@ impl Daemon {
     }
 
     /// Registers the UDS server's per-reactor live-connection counters for
-    /// `Stats` reporting; an empty vector detaches (server shutdown).
+    /// `GetMetrics` to report; an empty vector detaches (server shutdown).
     pub(crate) fn attach_reactor_loads(&self, loads: Vec<Arc<AtomicUsize>>) {
         *self.inner.reactor_loads.lock().unwrap() = loads;
     }
@@ -516,7 +502,8 @@ impl Daemon {
                 ..
             } => {
                 if reconnect {
-                    self.inner.client_reconnects.fetch_add(1, Ordering::Relaxed);
+                    let reconnects = self.inner.metrics.counter("client_reconnects");
+                    reconnects.fetch_add(1, Ordering::Relaxed);
                     self.inner
                         .metrics
                         .trace(TraceEventKind::Reconnect, "", 0, 0);
@@ -616,44 +603,62 @@ impl Daemon {
     }
 
     /// Builds the `GetMetrics` response: per-series quantiles plus every
-    /// counter, name-sorted so successive snapshots diff cleanly.
-    fn metrics_report(&self) -> MetricsReport {
-        let snap = self.inner.metrics.snapshot();
+    /// counter, name-sorted so successive snapshots diff cleanly. Events
+    /// are counted in the hub where they happen; state is read here, at
+    /// report time, under one registry read lock so the tables, the
+    /// allocator and the WAL tail describe the same moment.
+    pub(crate) fn metrics_report(&self) -> MetricsReport {
+        let inner = &self.inner;
+        let snap = inner.metrics.snapshot();
         let series = snap
             .series
             .into_iter()
             .map(|(name, h)| series_snapshot(name, &h))
             .collect();
-        let mut counters: Vec<CounterSnapshot> = snap
-            .counters
-            .into_iter()
-            .map(|(name, value)| CounterSnapshot { name, value })
-            .collect();
-        counters.push(CounterSnapshot {
-            name: "client_reconnects".into(),
-            value: self.inner.client_reconnects.load(Ordering::Relaxed),
+        let reg = &inner.registry;
+        let state = reg.read(|data| {
+            let alloc = reg.alloc_stats();
+            let wal = reg.wal().stats();
+            let io = inner.pmdir.io_stats();
+            [
+                ("registry.puddles", data.puddles.len() as u64),
+                ("registry.pools", data.pools.len() as u64),
+                ("registry.ptr_maps", data.ptr_maps.len() as u64),
+                ("registry.log_spaces", data.log_spaces.len() as u64),
+                (
+                    "space.used_bytes",
+                    data.puddles.values().map(|p| p.size).sum(),
+                ),
+                ("space.total_bytes", inner.gspace.size() as u64),
+                ("alloc.free_bytes", alloc.free_bytes),
+                ("alloc.free_extents", alloc.free_extents),
+                ("alloc.fragmentation_bp", alloc.fragmentation_bp),
+                ("wal.tail_bytes", wal.bytes),
+                ("wal.tail_records", wal.records),
+                ("io.retries", io.io_retries()),
+                ("io.transient_errors", io.transient_io_errors()),
+                ("io.enospc_rejections", io.enospc_rejections()),
+            ]
         });
-        counters.push(CounterSnapshot {
-            name: "connections_rejected".into(),
-            value: self.inner.connections_rejected.load(Ordering::Relaxed),
-        });
-        for (i, count) in self
-            .inner
-            .reactor_requests
-            .lock()
-            .unwrap()
-            .iter()
-            .enumerate()
-        {
-            counters.push(CounterSnapshot {
-                name: format!("reactor.{i}.requests"),
-                value: count.load(Ordering::Relaxed),
-            });
+        let mut counters = snap.counters;
+        counters.extend(state.map(|(name, value)| (name.to_string(), value)));
+        for (i, load) in inner.reactor_loads.lock().unwrap().iter().enumerate() {
+            let value = load.load(Ordering::Relaxed) as u64;
+            counters.push((format!("reactor.{i}.connections"), value));
         }
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
+        for (i, count) in inner.reactor_requests.lock().unwrap().iter().enumerate() {
+            counters.push((
+                format!("reactor.{i}.requests"),
+                count.load(Ordering::Relaxed),
+            ));
+        }
+        counters.sort();
         MetricsReport {
             series,
-            counters,
+            counters: counters
+                .into_iter()
+                .map(|(name, value)| CounterSnapshot { name, value })
+                .collect(),
             trace_buffered: self.inner.metrics.trace_events().len() as u64,
             trace_dropped: self.inner.metrics.trace_dropped(),
         }
@@ -696,6 +701,7 @@ impl Daemon {
         let wal = reg.wal().stats();
         let alloc = reg.alloc_stats();
         let io = self.inner.pmdir.io_stats();
+        let counter = |name| self.inner.metrics.counter(name).load(Ordering::Relaxed);
         puddles_proto::DaemonStats {
             puddles,
             pools,
@@ -707,10 +713,10 @@ impl Daemon {
             wal_records: wal.records,
             checkpoints: wal.checkpoints,
             checkpoint_age_ms: wal.checkpoint_age_ms,
-            orphan_files_swept: self.inner.orphans_swept.load(Ordering::Relaxed),
-            log_puddles_swept: self.inner.log_puddles_swept.load(Ordering::Relaxed),
-            logspace_puddles_swept: self.inner.logspace_puddles_swept.load(Ordering::Relaxed),
-            connections_rejected: self.inner.connections_rejected.load(Ordering::Relaxed),
+            orphan_files_swept: counter("sweep.orphan_files"),
+            log_puddles_swept: counter("sweep.log_puddles"),
+            logspace_puddles_swept: counter("sweep.logspace_puddles"),
+            connections_rejected: counter("connections_rejected"),
             space_free_bytes: alloc.free_bytes,
             free_extents: alloc.free_extents,
             fragmentation_bp: alloc.fragmentation_bp,
@@ -718,7 +724,7 @@ impl Daemon {
             forced_inline_coalesces: alloc.forced_inline_coalesces,
             io_retries: io.io_retries(),
             transient_io_errors: io.transient_io_errors(),
-            client_reconnects: self.inner.client_reconnects.load(Ordering::Relaxed),
+            client_reconnects: counter("client_reconnects"),
             enospc_rejections: io.enospc_rejections(),
             reactor_connections: {
                 let loads = self.inner.reactor_loads.lock().unwrap();
@@ -733,14 +739,6 @@ impl Daemon {
             },
             reactors: self.inner.reactor_loads.lock().unwrap().len() as u64,
         }
-    }
-
-    /// Records one connection turned away at the connection cap (the UDS
-    /// acceptor calls this after writing the `Busy` frame).
-    pub(crate) fn note_rejected_connection(&self) {
-        self.inner
-            .connections_rejected
-            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub(crate) fn puddle_info(&self, record: &PuddleRecord, writable: bool) -> PuddleInfo {

@@ -304,6 +304,9 @@ struct UdsObs {
     out_parked_hwm: Arc<AtomicU64>,
     /// `stage.queue`: how long a queued request waited for a worker.
     stage_queue: Arc<ShardedHistogram>,
+    /// `connections_rejected`: connections turned away at the cap with a
+    /// `Busy` frame.
+    rejected: Arc<AtomicU64>,
 }
 
 /// State shared between the acceptor, the reactors, the workers, and the
@@ -427,6 +430,7 @@ impl UdsServer {
             queued: metrics.counter("uds.queued"),
             out_parked_hwm: metrics.counter("uds.out_parked_hwm"),
             stage_queue: metrics.series("stage.queue"),
+            rejected: metrics.counter("connections_rejected"),
         };
         let shared = Arc::new(Shared {
             daemon,
@@ -788,7 +792,7 @@ impl Acceptor {
             _ => {
                 let mut stream = stream;
                 let _ = stream.write(&self.busy_frame);
-                self.shared.daemon.note_rejected_connection();
+                self.shared.obs.rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         };

@@ -11,8 +11,8 @@ use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
 use puddles_pmem::failpoint;
 use puddles_proto::frame::encode_frame;
 use puddles_proto::{
-    read_frame, write_frame, BlockingConn, Credentials, ErrorCode, PtrField, PtrMapDecl, Request,
-    RequestEnvelope, Response, ServerFrame,
+    read_frame, write_frame, BlockingConn, Credentials, ErrorCode, MetricsReport, PtrField,
+    PtrMapDecl, PuddlePurpose, Request, RequestEnvelope, Response, ServerFrame,
 };
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -60,6 +60,148 @@ fn stats(daemon: &Daemon) -> puddles_proto::DaemonStats {
         Response::Stats(stats) => stats,
         other => panic!("unexpected {other:?}"),
     }
+}
+
+fn metrics(daemon: &Daemon) -> MetricsReport {
+    match daemon.handle(Credentials::current_process(), Request::GetMetrics) {
+        Response::Metrics(report) => report,
+        other => panic!("unexpected {other:?}"),
+    }
+}
+
+/// Every field `Stats` reported is a `GetMetrics` row, and the two agree
+/// when read from one daemon: a socket server on two reactors, a rejected
+/// and a reconnecting client, a swept orphan, checkpoints, a fragmented
+/// allocator and both kinds of coalesce pass behind it.
+#[test]
+fn every_stats_field_is_a_metric() {
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path());
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        let orphan = daemon.pm_dir().create_puddle_file("00000000deadbeef", 8192);
+        orphan.unwrap();
+    }
+    let daemon = Daemon::start(config).unwrap();
+    daemon.wal().set_checkpoint_threshold(512);
+    daemon.registry().set_coalesce_threshold(2);
+    let socket = tmp.path().join("equivalence.sock");
+    let server_config = ServerConfig {
+        max_connections: 3,
+        reactors: 2,
+    };
+    let mut server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
+    let mut conns: Vec<Conn> = (0..3).map(|_| hello(&socket)).collect();
+    let mut extra = UnixStream::connect(&socket).unwrap();
+    assert!(read_frame::<_, Response>(&mut extra).is_ok(), "Busy");
+    assert!(read_frame::<_, Response>(&mut extra).is_err(), "EOF");
+    let reconnect = Request::Hello {
+        creds: Credentials::current_process(),
+        max_in_flight: 0,
+        reconnect: true,
+    };
+    assert!(matches!(
+        conns[1].call(reconnect).unwrap(),
+        Response::Welcome { .. }
+    ));
+
+    let conn = &mut conns[0];
+    let create = Request::CreatePool {
+        name: "p".into(),
+        root_size: 1 << 20,
+        mode: 0o600,
+    };
+    assert!(matches!(conn.call(create).unwrap(), Response::Pool(_)));
+    let mut puddles = Vec::new();
+    for _ in 0..8 {
+        let create = Request::CreatePuddle {
+            size: 2 * 4096,
+            pool: Some("p".into()),
+            purpose: PuddlePurpose::Data,
+            mode: 0o600,
+        };
+        let Response::Puddle(info) = conn.call(create).unwrap() else {
+            panic!("puddle creation failed");
+        };
+        puddles.push(info.id);
+    }
+    for id in puddles.iter().step_by(2) {
+        assert_eq!(
+            conn.call(Request::FreePuddle { id: *id }).unwrap(),
+            Response::Ok
+        );
+    }
+    for type_id in 0..4 {
+        let decl = PtrMapDecl {
+            type_id,
+            type_name: format!("equivalence::{type_id}"),
+            size: 64,
+            fields: Vec::new(),
+        };
+        assert_eq!(
+            conn.call(Request::RegisterPtrMap { decl }).unwrap(),
+            Response::Ok
+        );
+    }
+    let log_space = Request::CreatePuddle {
+        size: 1 << 20,
+        pool: None,
+        purpose: PuddlePurpose::LogSpace,
+        mode: 0o600,
+    };
+    let Response::Puddle(log_space) = conn.call(log_space).unwrap() else {
+        panic!("log-space creation failed");
+    };
+    let register = Request::RegLogSpace {
+        puddle: log_space.id,
+    };
+    assert_eq!(conn.call(register).unwrap(), Response::Ok);
+    assert!(daemon.registry().force_coalesce());
+
+    let (s, m) = (stats(&daemon), metrics(&daemon));
+    assert!(
+        s.checkpoints > 1 && s.lazy_coalesce_runs > 0 && s.fragmentation_bp > 0,
+        "{s:?}"
+    );
+    assert_eq!(
+        (s.orphan_files_swept, s.connections_rejected),
+        (1, 1),
+        "{s:?}"
+    );
+    let rows = [
+        (s.puddles, "registry.puddles"),
+        (s.pools, "registry.pools"),
+        (s.ptr_maps, "registry.ptr_maps"),
+        (s.log_spaces, "registry.log_spaces"),
+        (s.space_used, "space.used_bytes"),
+        (s.space_total, "space.total_bytes"),
+        (s.space_free_bytes, "alloc.free_bytes"),
+        (s.free_extents, "alloc.free_extents"),
+        (s.fragmentation_bp, "alloc.fragmentation_bp"),
+        (s.wal_bytes, "wal.tail_bytes"),
+        (s.wal_records, "wal.tail_records"),
+        (s.io_retries, "io.retries"),
+        (s.transient_io_errors, "io.transient_errors"),
+        (s.enospc_rejections, "io.enospc_rejections"),
+        (s.orphan_files_swept, "sweep.orphan_files"),
+        (s.log_puddles_swept, "sweep.log_puddles"),
+        (s.logspace_puddles_swept, "sweep.logspace_puddles"),
+        (s.client_reconnects, "client_reconnects"),
+        (s.connections_rejected, "connections_rejected"),
+        (s.lazy_coalesce_runs, "alloc.coalesce.lazy"),
+        (s.forced_inline_coalesces, "alloc.coalesce.forced"),
+    ];
+    for (old, name) in rows {
+        assert_eq!(m.counter(name), Some(old), "{name}");
+    }
+    let checkpoints = m.series("checkpoint").map(|s| s.count);
+    assert_eq!(checkpoints, Some(s.checkpoints));
+    assert_eq!(m.per_reactor("connections"), s.reactor_connections);
+    assert_eq!(m.per_reactor("requests"), s.reactor_requests);
+    assert_eq!(m.per_reactor("connections").len() as u64, s.reactors);
+    assert_eq!(s.reactors, 2);
+    drop(conns);
+    server.shutdown();
 }
 
 /// Frames arriving split at arbitrary byte boundaries — including a
