@@ -330,16 +330,17 @@ impl PuddleClient {
         }
     }
 
-    /// Fetches daemon statistics.
+    /// The six daemon values the repo benchmark reads, taken from
+    /// [`PuddleClient::metrics`]. Only the benchmark calls it; the next
+    /// change that may edit the benchmark ports it to `metrics` and deletes
+    /// this.
     pub fn stats(&self) -> Result<puddles_proto::DaemonStats> {
-        match self.inner.call(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(Error::UnexpectedResponse(format!("{other:?}"))),
-        }
+        self.metrics().map(|r| puddles_proto::DaemonStats::from(&r))
     }
 
     /// Fetches the daemon's metrics report: latency-series quantiles
-    /// (service, WAL flush, checkpoint, coalesce) plus counters.
+    /// (service, WAL flush, checkpoint, coalesce) plus counters — every
+    /// event count and every piece of state the daemon reports.
     pub fn metrics(&self) -> Result<puddles_proto::MetricsReport> {
         match self.inner.call(&Request::GetMetrics)? {
             Response::Metrics(report) => Ok(report),

@@ -564,9 +564,9 @@ fn client_phase(mut ctx: ClientCtx) {
                     }
                 }
             }
-            // Idempotent reads: stats, pool open, ping.
+            // Idempotent reads: metrics, pool open, ping.
             7 => {
-                let ok = client.stats().is_ok();
+                let ok = client.metrics().is_ok();
                 ctx.record("stats", ok);
                 if ok {
                     ctx.shadow.lock().unwrap().acked_ops += 1;

@@ -67,7 +67,6 @@ fn is_idempotent(req: &Request) -> bool {
             | Request::MarkRewritten { .. }
             | Request::ExportPool { .. }
             | Request::Recover
-            | Request::Stats
             | Request::GetMetrics
     )
 }
@@ -724,7 +723,7 @@ mod tests {
     #[test]
     fn only_idempotent_requests_are_retried() {
         assert!(is_idempotent(&Request::Ping));
-        assert!(is_idempotent(&Request::Stats));
+        assert!(is_idempotent(&Request::GetMetrics));
         assert!(is_idempotent(&Request::OpenPool { name: "p".into() }));
         assert!(!is_idempotent(&Request::CreatePool {
             name: "p".into(),

@@ -503,12 +503,13 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        let puddles = client.stats().unwrap().puddles;
+        let puddles = || client.metrics().unwrap().counter("registry.puddles");
+        let parked = puddles();
         // ...which the next thread recycles as its log: reset, unarmed.
         std::thread::scope(|s| {
             s.spawn(|| {
                 client.inner.thread_log().unwrap();
-                assert_eq!(client.stats().unwrap().puddles, puddles, "recycled");
+                assert_eq!(puddles(), parked, "recycled");
                 assert_eq!(fences_in(one_add), 3);
                 assert_eq!(fences_in(one_add), 2);
             });

@@ -72,6 +72,14 @@ fn list_values(pool: &puddles::Pool) -> Vec<u64> {
     out
 }
 
+/// One of the daemon's `GetMetrics` counters, as `client` reads it.
+fn counter(client: &PuddleClient, name: &str) -> u64 {
+    let report = client.metrics().unwrap();
+    report
+        .counter(name)
+        .unwrap_or_else(|| panic!("no `{name}`"))
+}
+
 #[test]
 fn transactional_updates_survive_reopen() {
     let (_tmp, config, daemon, client) = setup();
@@ -635,7 +643,7 @@ fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
     let addr = pool.tx(|tx| pool.alloc_raw(tx, region, 0)).unwrap();
     // SAFETY: fresh allocation in a writable mapping.
     unsafe { std::ptr::write_bytes(addr as *mut u8, 0x11, region) };
-    let puddles_before = client.stats().unwrap().puddles;
+    let puddles_before = counter(&client, "registry.puddles");
 
     pool.tx(|tx| {
         let free = tx.log_free_bytes();
@@ -661,7 +669,7 @@ fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
     // SAFETY: `addr` is a live `region`-byte allocation.
     let first = unsafe { std::slice::from_raw_parts(addr as *const u8, 8) };
     assert_eq!(first, &[0x22; 8]);
-    assert_eq!(client.stats().unwrap().puddles, puddles_before + 1);
+    assert_eq!(counter(&client, "registry.puddles"), puddles_before + 1);
 
     // A second chaining transaction reuses the spare instead of allocating:
     // the daemon-side puddle count stays flat.
@@ -673,7 +681,7 @@ fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
         Ok(())
     })
     .unwrap();
-    assert_eq!(client.stats().unwrap().puddles, puddles_before + 1);
+    assert_eq!(counter(&client, "registry.puddles"), puddles_before + 1);
 }
 
 #[test]
@@ -703,12 +711,12 @@ fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
     };
     let segments = chain_tx(150 * 1024);
     assert!(segments >= 3, "150 KiB undo must chain 64 KiB segments");
-    let parked = observer.stats().unwrap().puddles;
+    let parked = counter(&observer, "registry.puddles");
     // Subsequent chain-heavy transactions run entirely out of the cache up
     // to its capacity: the daemon-side puddle count stays flat.
     for _ in 0..3 {
         assert!(chain_tx(120 * 1024) >= 2);
-        assert_eq!(observer.stats().unwrap().puddles, parked);
+        assert_eq!(counter(&observer, "registry.puddles"), parked);
     }
 
     // Changing the segment size invalidates parked spares: the next
@@ -717,10 +725,10 @@ fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
     assert!(chain_tx(80 * 1024) >= 2);
 
     // Disconnect: the cache is dropped and every parked puddle is freed.
-    let before_drop = observer.stats().unwrap().puddles;
+    let before_drop = counter(&observer, "registry.puddles");
     drop(pool);
     drop(client);
-    let after_drop = observer.stats().unwrap().puddles;
+    let after_drop = counter(&observer, "registry.puddles");
     assert!(
         after_drop < before_drop,
         "disconnect must free parked spares ({before_drop} -> {after_drop})"
@@ -868,7 +876,7 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
             x if x == failpoint::names::LOG_CHAIN_ALLOC_CRASH => {
                 // The never-registered segment was already swept at startup.
                 assert!(
-                    client.stats().unwrap().log_puddles_swept >= 1,
+                    counter(&client, "sweep.log_puddles") >= 1,
                     "alloc-crash puddle must be swept at startup"
                 );
                 assert_eq!(report.chain_tails_reclaimed, 0);
@@ -1393,11 +1401,10 @@ fn type_ids_and_pointer_maps_are_registered_with_the_daemon() {
     })
     .unwrap();
     push_front(&pool, 1);
-    let stats = client.stats().unwrap();
+    let ptr_maps = counter(&client, "registry.ptr_maps");
     assert!(
-        stats.ptr_maps >= 2,
-        "expected ListRoot and Node maps, got {}",
-        stats.ptr_maps
+        ptr_maps >= 2,
+        "expected ListRoot and Node maps, got {ptr_maps}"
     );
     // The maps round-trip through the daemon with the right offsets.
     let node_decl = Node::decl();

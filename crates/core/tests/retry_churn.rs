@@ -78,7 +78,8 @@ fn a_refused_top_up_dial_falls_through_to_the_live_connection() {
         client.ping().expect("ping over the one granted connection");
     }
     // Every call tried one top-up and the daemon turned each away...
-    assert!(client.stats().unwrap().connections_rejected >= 20);
+    let rejected = client.metrics().unwrap().counter("connections_rejected");
+    assert!(rejected >= Some(20), "{rejected:?}");
     // ...but none of them was retried: backoff is for an empty pool only.
     let retries = client
         .client_metrics()

@@ -35,7 +35,7 @@ pub const MAX_IO_RETRIES: usize = 4;
 
 /// Counters for the robustness surfaces, shared (via `Arc`) by every clone
 /// of a [`crate::pmdir::PmDir`] and the layers deriving file access from
-/// it; surfaced through the daemon's `Stats` response.
+/// it; the daemon's `GetMetrics` reports them as `io.*`.
 #[derive(Debug, Default)]
 pub struct IoStats {
     /// Storage operations retried after a transient error.

@@ -39,7 +39,7 @@ pub enum Request {
         #[serde(default)]
         max_in_flight: u32,
         /// `true` when this `Hello` re-establishes a connection the client
-        /// already had (retry/backoff path); counted in daemon stats.
+        /// already had (retry/backoff path); counted as `client_reconnects`.
         #[serde(default)]
         reconnect: bool,
     },
@@ -125,11 +125,9 @@ pub enum Request {
     },
     /// Runs crash recovery immediately (normally done at daemon start).
     Recover,
-    /// Returns daemon statistics.
-    Stats,
-    /// Returns the daemon's latency histograms and counters (the
-    /// observability plane; `Stats` keeps the flat counter set for older
-    /// clients).
+    /// Returns the daemon's latency histograms and counters: the one way
+    /// its state — table sizes, space, the WAL tail, sweeps, reactors —
+    /// leaves the daemon.
     GetMetrics,
     /// A no-op round trip, used to measure daemon latency (§5.1).
     Ping,
@@ -176,8 +174,6 @@ pub enum Response {
     },
     /// Outcome of a recovery pass.
     Recovered(RecoveryReport),
-    /// Daemon statistics.
-    Stats(DaemonStats),
     /// Histogram snapshots and counters (reply to `GetMetrics`).
     Metrics(MetricsReport),
     /// The request failed.
@@ -487,24 +483,16 @@ mod tests {
         assert_eq!(report.trace_dropped, 0);
     }
 
-    /// `reactor_connections` shipped as a fixed `[u64; 4]` before it became
-    /// a length-`reactors` `Vec`; frames in the old shape (and frames
-    /// without the reactor fields at all) must still decode.
+    /// `Stats` folded into `GetMetrics`: its frame is an unknown request
+    /// now, which the daemon answers like any undecodable envelope, by
+    /// closing the connection.
     #[test]
-    fn stats_frames_with_fixed_reactor_array_still_parse() {
-        let json = serde_json::to_string(&Response::Stats(DaemonStats::default())).unwrap();
-        let old_fixed = json
-            .replace(
-                "\"reactor_connections\":[]",
-                "\"reactor_connections\":[0,3,0,0]",
-            )
-            .replace("\"reactor_requests\":[],", "");
-        let back: Response = serde_json::from_str(&old_fixed).unwrap();
-        let Response::Stats(stats) = back else {
-            panic!("expected Stats, got {back:?}");
-        };
-        assert_eq!(stats.reactor_connections, vec![0, 3, 0, 0]);
-        assert!(stats.reactor_requests.is_empty(), "absent field defaults");
+    fn a_stats_request_no_longer_decodes() {
+        let stats = r#"{"req_id":1,"req":"Stats"}"#;
+        assert!(serde_json::from_str::<RequestEnvelope>(stats).is_err());
+        let metrics = r#"{"req_id":1,"req":"GetMetrics"}"#;
+        let env: RequestEnvelope = serde_json::from_str(metrics).unwrap();
+        assert_eq!(env.req, Request::GetMetrics);
     }
 
     #[test]

@@ -270,82 +270,38 @@ impl MetricsReport {
     }
 }
 
-/// Daemon statistics (puddle/pool counts and space usage).
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+/// The six [`MetricsReport`] values the repo benchmark reads, under the
+/// names it reads them by. Not on the wire: a view of a report, kept only
+/// until the next benchmark-typed change ports the benchmark to
+/// `MetricsReport` and deletes it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DaemonStats {
-    /// Number of live puddles.
+    /// `registry.puddles`: live puddles.
     pub puddles: u64,
-    /// Number of pools.
+    /// `registry.pools`: pools.
     pub pools: u64,
-    /// Number of registered pointer maps.
+    /// `registry.ptr_maps`: registered pointer maps.
     pub ptr_maps: u64,
-    /// Number of registered log spaces.
-    pub log_spaces: u64,
-    /// Bytes of global puddle space handed out.
-    pub space_used: u64,
-    /// Total bytes of global puddle space.
-    pub space_total: u64,
-    /// Bytes of metadata WAL not yet covered by a checkpoint.
-    pub wal_bytes: u64,
-    /// Metadata-WAL records not yet covered by a checkpoint.
-    pub wal_records: u64,
-    /// Registry checkpoints written since the daemon started.
+    /// The `checkpoint` series' count: checkpoints written into the hub.
     pub checkpoints: u64,
-    /// Milliseconds since the last registry checkpoint.
-    pub checkpoint_age_ms: u64,
-    /// Orphan puddle files deleted by the startup directory sweep.
-    pub orphan_files_swept: u64,
-    /// Log puddles referenced by no log space, reclaimed at startup (the
-    /// crash window between allocating a chain segment and registering it).
-    pub log_puddles_swept: u64,
-    /// LogSpace puddles with no log-space registration, reclaimed at
-    /// startup (the crash window between allocation and `RegLogSpace`).
-    pub logspace_puddles_swept: u64,
-    /// Connections rejected at the connection cap with a `Busy` frame.
-    pub connections_rejected: u64,
-    /// Bytes on the space allocator's free lists (fragmented free space
-    /// below the bump frontier, canonical merged view).
-    pub space_free_bytes: u64,
-    /// Free extents in the allocator's canonical view.
-    pub free_extents: u64,
-    /// External fragmentation of the free space in basis points:
-    /// `10000 × (1 − largest_free_extent / free_bytes)`; 0 when the free
-    /// space is contiguous or empty.
+    /// `alloc.fragmentation_bp`: external fragmentation of the free space.
     pub fragmentation_bp: u64,
-    /// Lazy (threshold-triggered) allocator coalesce passes run.
-    pub lazy_coalesce_runs: u64,
-    /// Allocator coalesce passes forced inline (hard ceiling or allocation
-    /// pressure).
-    pub forced_inline_coalesces: u64,
-    /// Storage operations retried after a transient I/O error (WAL appends,
-    /// metadata writes, puddle-file creation/deletion).
-    pub io_retries: u64,
-    /// Transient storage errors observed (each retry attempt counts one).
-    pub transient_io_errors: u64,
-    /// `Hello` messages flagged as reconnections (clients re-dialing after
-    /// a dropped or reset connection).
-    pub client_reconnects: u64,
-    /// Operations refused with a typed out-of-space error instead of
-    /// poisoning the WAL or panicking.
-    pub enospc_rejections: u64,
-    /// Live connections currently placed on each reactor (one entry per
-    /// running reactor; empty when no socket server is attached). Makes
-    /// accept-time placement skew observable: placement is least-loaded at
-    /// accept only and connections never migrate, so a long-lived hot
-    /// connection shows up here as a lopsided row.
-    #[serde(default)]
-    pub reactor_connections: Vec<u64>,
-    /// Requests dispatched from each reactor's connections since the
-    /// socket server started (same indexing as `reactor_connections`).
-    /// Placement skew shows where connections *sit*; this shows where the
-    /// *work* goes — a balanced placement row with a lopsided request row
-    /// is exactly the long-lived-hot-connection case.
-    #[serde(default)]
+    /// `reactor.<i>.requests`, in reactor order.
     pub reactor_requests: Vec<u64>,
-    /// Reactor threads the attached socket server is running (0 when no
-    /// socket server is attached, e.g. in-process endpoints).
-    #[serde(default)]
-    pub reactors: u64,
+}
+
+impl From<&MetricsReport> for DaemonStats {
+    fn from(report: &MetricsReport) -> Self {
+        let counter = |name| report.counter(name).unwrap_or_default();
+        DaemonStats {
+            puddles: counter("registry.puddles"),
+            pools: counter("registry.pools"),
+            ptr_maps: counter("registry.ptr_maps"),
+            checkpoints: report.series("checkpoint").map_or(0, |s| s.count),
+            fragmentation_bp: counter("alloc.fragmentation_bp"),
+            reactor_requests: report.per_reactor("requests"),
+        }
+    }
 }
 
 /// Machine-readable error categories returned by the daemon.
@@ -397,6 +353,52 @@ mod tests {
         let a = Credentials::current_process();
         let b = Credentials::current_process();
         assert_eq!(a, b);
+    }
+
+    /// The benchmark's view of a report: counters by name, checkpoints as
+    /// the series count, reactors by index (not by name order, where
+    /// `reactor.10` sorts before `reactor.2`).
+    #[test]
+    fn daemon_stats_are_read_from_a_metrics_report() {
+        let counter = |name: &str, value| CounterSnapshot {
+            name: name.into(),
+            value,
+        };
+        let mut counters = vec![
+            counter("alloc.fragmentation_bp", 2_500),
+            counter("registry.pools", 2),
+            counter("registry.ptr_maps", 3),
+            counter("registry.puddles", 9),
+        ];
+        counters.extend((0..11).map(|i| counter(&format!("reactor.{i}.requests"), i)));
+        counters.push(counter("reactor.0.connections", 5));
+        counters.sort_by(|a, b| a.name.cmp(&b.name));
+        let report = MetricsReport {
+            series: vec![SeriesSnapshot {
+                name: "checkpoint".into(),
+                count: 4,
+                ..SeriesSnapshot::default()
+            }],
+            counters,
+            ..MetricsReport::default()
+        };
+        let stats = DaemonStats::from(&report);
+        assert_eq!(
+            stats,
+            DaemonStats {
+                puddles: 9,
+                pools: 2,
+                ptr_maps: 3,
+                checkpoints: 4,
+                fragmentation_bp: 2_500,
+                reactor_requests: (0..11).collect(),
+            }
+        );
+        assert_eq!(report.per_reactor("connections"), [5]);
+        assert_eq!(
+            DaemonStats::from(&MetricsReport::default()),
+            DaemonStats::default()
+        );
     }
 
     #[test]

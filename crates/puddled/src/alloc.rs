@@ -17,9 +17,10 @@
 //!   A deferred merge pass (collect, sort, merge, re-bin, and absorb any
 //!   extent touching the bump frontier back into it) runs on the free that
 //!   takes the free-extent count past a threshold (re-armed relative to
-//!   what the last pass could not merge), and *forced* when an allocation
-//!   would otherwise fail. The pass holds the arena's only lock for its
-//!   whole sort whichever thread runs it, so it is not handed to another.
+//!   what the last pass could not merge), and *forced* by the registry when
+//!   an allocation would otherwise fail. The pass holds the arena's only
+//!   lock for its whole sort whichever thread runs it, so it is not handed
+//!   to another.
 //!
 //! One lock guards all of it, on purpose: every grant is followed by the
 //! `PutPuddle` that uses it, which enqueues under the WAL's single lock, so
@@ -54,18 +55,8 @@ const FLOOR_SCAN: usize = 8;
 /// Default free-extent count that triggers a lazy coalesce pass.
 pub const DEFAULT_COALESCE_THRESHOLD: u64 = 1024;
 
-/// Why a coalesce pass ran (the registry's counters distinguish the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CoalesceKind {
-    /// Threshold-triggered, on the free that tripped it (amortized O(1)
-    /// per free).
-    Lazy,
-    /// Forced: an allocation would otherwise fail, or a caller asked
-    /// (`Registry::force_coalesce`).
-    ForcedInline,
-}
-
-/// Allocator observability, surfaced through the daemon's `Stats` response.
+/// The allocator's state as `GetMetrics` reports it (`alloc.*`); how many
+/// coalesce passes ran is the registry's to count, which runs them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// Bytes sitting on free lists below the bump frontier (canonical view:
@@ -79,10 +70,6 @@ pub struct AllocStats {
     /// `10000 × (1 − largest_free / free_bytes)`. 0 when the free space is
     /// one extent (or there is none); approaches 10000 as it shatters.
     pub fragmentation_bp: u64,
-    /// Lazy (threshold-triggered) coalesce passes run.
-    pub lazy_coalesce_runs: u64,
-    /// Coalesce passes forced (allocation pressure, or asked for).
-    pub forced_inline_coalesces: u64,
 }
 
 /// Everything the lock guards: the bump frontier and the segregated
@@ -135,8 +122,6 @@ pub struct SpaceAlloc {
     /// genuinely cannot merge must not re-run an O(n log n) pass on every
     /// subsequent free.
     coalesce_floor: AtomicU64,
-    lazy_coalesces: AtomicU64,
-    forced_coalesces: AtomicU64,
 }
 
 impl std::fmt::Debug for SpaceAlloc {
@@ -208,8 +193,6 @@ impl SpaceAlloc {
             // the first pass's residue so recovery into a fragmented heap
             // doesn't trip an immediate (useless) pass.
             coalesce_floor: AtomicU64::new(count),
-            lazy_coalesces: AtomicU64::new(0),
-            forced_coalesces: AtomicU64::new(0),
         }
     }
 
@@ -251,18 +234,14 @@ impl SpaceAlloc {
 
     /// Runs one coalesce pass: replaces the buckets' contents with their
     /// canonical form (sorted, merged, the extent touching the bump
-    /// frontier absorbed back into it). Returns `false`, and counts no
-    /// pass, when there was nothing to merge.
-    pub fn coalesce(&self, kind: CoalesceKind) -> bool {
+    /// frontier absorbed back into it). Returns `false` when there was
+    /// nothing to merge.
+    pub fn coalesce(&self) -> bool {
         let mut arena = self.arena.lock();
         if self.bucket_extents.load(Ordering::Relaxed) == 0 {
             self.coalesce_floor.store(0, Ordering::Relaxed);
             return false;
         }
-        match kind {
-            CoalesceKind::Lazy => self.lazy_coalesces.fetch_add(1, Ordering::Relaxed),
-            CoalesceKind::ForcedInline => self.forced_coalesces.fetch_add(1, Ordering::Relaxed),
-        };
         let (merged, next_offset) = arena.canonical();
         arena.next_offset = next_offset;
         arena.buckets.iter_mut().for_each(Vec::clear);
@@ -322,8 +301,6 @@ impl SpaceAlloc {
             free_extents: free_list.len() as u64,
             largest_free,
             fragmentation_bp,
-            lazy_coalesce_runs: self.lazy_coalesces.load(Ordering::Relaxed),
-            forced_inline_coalesces: self.forced_coalesces.load(Ordering::Relaxed),
         }
     }
 }
@@ -364,7 +341,7 @@ mod tests {
         // request cannot use them yet...
         assert_eq!(alloc.bucket_extents(), 2);
         // ...until a merge pass runs.
-        assert!(alloc.coalesce(CoalesceKind::ForcedInline));
+        assert!(alloc.coalesce());
         let c = alloc.alloc(2 * P).unwrap();
         assert_eq!(c, a);
     }
@@ -390,7 +367,7 @@ mod tests {
         let offs: Vec<u64> = (0..8).map(|_| alloc.alloc(P).unwrap()).collect();
         // Truly full, nothing binned: the typed error, and nothing to merge.
         assert!(matches!(alloc.alloc(P), Err(PmError::OutOfRange { .. })));
-        assert!(!alloc.coalesce(CoalesceKind::ForcedInline));
+        assert!(!alloc.coalesce());
         // Four adjacent one-page frees: no binned extent fits four pages
         // until a pass merges them (the registry runs it: see
         // `Registry::alloc_space`).
@@ -402,7 +379,7 @@ mod tests {
             Err(PmError::OutOfRange { .. })
         ));
         assert_eq!(alloc.bucket_extents(), 4);
-        assert!(alloc.coalesce(CoalesceKind::ForcedInline));
+        assert!(alloc.coalesce());
         assert_eq!(alloc.alloc(4 * P).unwrap(), offs[2]);
         assert_eq!(alloc.bucket_extents(), 0);
     }
@@ -443,7 +420,7 @@ mod tests {
                         let off = alloc
                             .alloc(len)
                             .or_else(|_| {
-                                alloc.coalesce(CoalesceKind::ForcedInline);
+                                alloc.coalesce();
                                 alloc.alloc(len)
                             })
                             .unwrap();
@@ -463,7 +440,7 @@ mod tests {
         });
         // Everything is free again: one forced pass folds it all back into
         // the frontier.
-        assert!(alloc.coalesce(CoalesceKind::ForcedInline));
+        assert!(alloc.coalesce());
         assert_eq!(alloc.canonical(), (Vec::new(), P));
         assert_eq!(alloc.bucket_extents(), 0);
     }

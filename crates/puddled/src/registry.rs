@@ -59,7 +59,7 @@
 //! behind any other group-commit leader.
 
 use crate::acl;
-use crate::alloc::{AllocStats, CoalesceKind, SpaceAlloc};
+use crate::alloc::{AllocStats, SpaceAlloc};
 use crate::wal::{self, RegistryOp, Wal, WalHandle};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use puddles_pmem::obs::TraceEventKind;
@@ -207,6 +207,15 @@ pub fn import_table<'a>(
         len: m.size,
     };
     members.filter(|m| m.old_addr != 0).map(translate).collect()
+}
+
+/// Why an allocator coalesce pass ran.
+#[derive(Debug, Clone, Copy)]
+enum Coalesce {
+    /// Threshold-triggered, on the free that tripped it.
+    Lazy,
+    /// An allocation found no fit, or a caller asked.
+    Forced,
 }
 
 /// The registry state machine plus its persistence handle. All methods take
@@ -362,9 +371,9 @@ impl Registry {
     }
 
     /// Runs `f` on the tables under the read lock: any lookup that needs
-    /// more than one entry to agree (a pool and its members, the counts of
-    /// `Stats`). `f` should clone what it needs and return — the rule for
-    /// transactions holds for readers too.
+    /// more than one entry to agree (a pool and its members, the state
+    /// `GetMetrics` reports). `f` should clone what it needs and return —
+    /// the rule for transactions holds for readers too.
     pub fn read<T>(&self, f: impl FnOnce(&RegistryData) -> T) -> T {
         f(&self.tables.read())
     }
@@ -458,7 +467,7 @@ impl Registry {
     /// declared impossible.
     pub fn alloc_space(&self, size: u64) -> Result<u64> {
         self.alloc.alloc(size).or_else(|full| {
-            if self.timed_coalesce(CoalesceKind::ForcedInline) {
+            if self.force_coalesce() {
                 self.alloc.alloc(size)
             } else {
                 Err(full)
@@ -478,7 +487,7 @@ impl Registry {
         // arena's only lock for its whole sort, so there is nothing to gain
         // by handing it to another one.
         if self.alloc.wants_coalesce() {
-            self.timed_coalesce(CoalesceKind::Lazy);
+            self.timed_coalesce(Coalesce::Lazy);
         }
     }
 
@@ -486,15 +495,15 @@ impl Registry {
     /// timing it into the `alloc.coalesce` series and marking it in the
     /// trace ring (`a` = 1 if the pass merged); a pass that merged counts
     /// one `alloc.coalesce.lazy` or `alloc.coalesce.forced`.
-    fn timed_coalesce(&self, kind: CoalesceKind) -> bool {
+    fn timed_coalesce(&self, kind: Coalesce) -> bool {
         let (detail, counter) = match kind {
-            CoalesceKind::Lazy => ("lazy", "alloc.coalesce.lazy"),
-            CoalesceKind::ForcedInline => ("forced", "alloc.coalesce.forced"),
+            Coalesce::Lazy => ("lazy", "alloc.coalesce.lazy"),
+            Coalesce::Forced => ("forced", "alloc.coalesce.forced"),
         };
         let clock = self.wal.clock();
         let obs = self.wal.obs();
         let start = clock.now();
-        let merged = self.alloc.coalesce(kind);
+        let merged = self.alloc.coalesce();
         obs.series("alloc.coalesce")
             .record_duration(clock.now() - start);
         obs.trace(TraceEventKind::Coalesce, detail, merged as u64, 0);
@@ -504,10 +513,10 @@ impl Registry {
         merged
     }
 
-    /// Runs a coalesce pass immediately (tests, tools); counted as
-    /// forced-inline. Returns `false` when there was nothing to merge.
+    /// Runs a forced coalesce pass now: an allocation found no fit, or a
+    /// test or tool asked. Returns `false` when there was nothing to merge.
     pub fn force_coalesce(&self) -> bool {
-        self.timed_coalesce(CoalesceKind::ForcedInline)
+        self.timed_coalesce(Coalesce::Forced)
     }
 
     /// Overrides the free-extent count that triggers a lazy coalesce pass
@@ -516,7 +525,7 @@ impl Registry {
         self.alloc.set_coalesce_threshold(threshold);
     }
 
-    /// Allocator observability counters for the daemon's `Stats` response.
+    /// The allocator's state, for the daemon's `GetMetrics` (`alloc.*`).
     pub fn alloc_stats(&self) -> AllocStats {
         self.alloc.stats()
     }
@@ -702,31 +711,29 @@ mod tests {
         for &off in &offs {
             reg.free_space(off, PAGE_SIZE as u64);
         }
-        let stats = reg.alloc_stats();
+        let obs = reg.wal().obs();
+        let runs = |kind| obs.counter(kind).load(Ordering::Relaxed);
         // The free that trips the threshold runs the pass (counted as
         // lazy). The trigger re-arms relative to the
         // previous pass's residue, so not every free past the fourth merges
         // — but the count must sit well below the eight raw frees.
-        assert!(
-            stats.lazy_coalesce_runs >= 1,
-            "threshold never tripped: {stats:?}"
-        );
+        assert!(runs("alloc.coalesce.lazy") >= 1, "threshold never tripped");
+        let stats = reg.alloc_stats();
         assert!(stats.free_extents <= 5, "frees were not merged: {stats:?}");
         // A fragmented residue must not re-trigger on every free: a second
         // identical storm may merge again, but the pass count stays bounded
         // by the re-arm schedule instead of growing one-per-free.
-        let runs_after_first_storm = stats.lazy_coalesce_runs + stats.forced_inline_coalesces;
+        let passes = || runs("alloc.coalesce.lazy") + runs("alloc.coalesce.forced");
+        let runs_after_first_storm = passes();
         let offs: Vec<u64> = (0..8)
             .map(|_| reg.alloc_space(PAGE_SIZE as u64).unwrap())
             .collect();
         for &off in &offs {
             reg.free_space(off, PAGE_SIZE as u64);
         }
-        let stats = reg.alloc_stats();
-        let runs = stats.lazy_coalesce_runs + stats.forced_inline_coalesces;
         assert!(
-            runs - runs_after_first_storm <= 3,
-            "coalesce re-triggered on nearly every free: {stats:?}"
+            passes() - runs_after_first_storm <= 3,
+            "coalesce re-triggered on nearly every free"
         );
     }
 
@@ -1011,7 +1018,7 @@ mod tests {
             reg.commit().unwrap();
             assert!(reg.wal().stats().bytes < 256);
         }
-        assert!(reg.wal().stats().checkpoints >= 2);
+        assert!(reg.wal().obs().series("checkpoint").snapshot().count >= 2);
         // A commit that finds a checkpoint running skips; the next one
         // that crosses with the lock free folds the tail away.
         let running = reg.ckpt_lock.lock();

@@ -62,11 +62,11 @@ pub struct DaemonConfig {
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Time source for latency series, the reported WAL checkpoint age and
-    /// the UDS server's deadlines. The daemon *reads* time and never acts on
-    /// it: on a real and on a virtual clock alike, WAL traffic is a pure
-    /// function of the request sequence — the property the torture
-    /// harness's replay guarantee rests on.
+    /// Time source for latency series, trace stamps and the UDS server's
+    /// deadlines. The daemon *reads* time and never acts on it: on a real
+    /// and on a virtual clock alike, WAL traffic and every `GetMetrics`
+    /// count are a pure function of the request sequence — the property
+    /// the torture harness's replay guarantee rests on.
     pub clock: Clock,
     /// Observability hub to record into; `None` creates a fresh one. The
     /// torture harness passes one in so histograms and the trace ring
@@ -141,7 +141,7 @@ impl DaemonConfig {
 /// events and the histogram series its service latency lands in. Indexed
 /// by [`request_kind_index`]; the daemon pre-resolves one series handle per
 /// entry at startup so the hot path never takes the series-registry lock.
-pub(crate) const REQUEST_KINDS: [(&str, &str); 18] = [
+pub(crate) const REQUEST_KINDS: [(&str, &str); 17] = [
     ("Hello", "service.Hello"),
     ("Ping", "service.Ping"),
     ("CreatePuddle", "service.CreatePuddle"),
@@ -158,7 +158,6 @@ pub(crate) const REQUEST_KINDS: [(&str, &str); 18] = [
     ("GetRelocation", "service.GetRelocation"),
     ("MarkRewritten", "service.MarkRewritten"),
     ("Recover", "service.Recover"),
-    ("Stats", "service.Stats"),
     ("GetMetrics", "service.GetMetrics"),
 ];
 
@@ -181,8 +180,7 @@ pub(crate) fn request_kind_index(req: &Request) -> usize {
         Request::GetRelocation { .. } => 13,
         Request::MarkRewritten { .. } => 14,
         Request::Recover => 15,
-        Request::Stats => 16,
-        Request::GetMetrics => 17,
+        Request::GetMetrics => 16,
     }
 }
 
@@ -266,8 +264,8 @@ pub(crate) enum Lane {
     /// (a writer holds the lock for its checks and apply only).
     Inline,
     /// Small mutations that end in a WAL group commit (registrations,
-    /// puddle create/free), plus `Stats`/`GetMetrics`, which sort the
-    /// allocator's free list and walk every histogram series.
+    /// puddle create/free), plus `GetMetrics`, which sorts the allocator's
+    /// free list and walks every histogram series.
     Fast,
     /// Heavyweight operations that copy puddle contents or replay logs:
     /// pool import/export/creation/deletion and recovery. A burst of them
@@ -297,7 +295,6 @@ pub(crate) fn lane_of(req: &Request) -> Lane {
         | Request::RegLogSpace { .. }
         | Request::RegisterPtrMap { .. }
         | Request::MarkRewritten { .. }
-        | Request::Stats
         | Request::GetMetrics => Lane::Fast,
     }
 }
@@ -597,7 +594,6 @@ impl Daemon {
                 let report = recovery::run_recovery(&self.inner)?;
                 Ok(Response::Recovered(report))
             }
-            Request::Stats => Ok(Response::Stats(self.stats())),
             Request::GetMetrics => Ok(Response::Metrics(self.metrics_report())),
         }
     }
@@ -684,60 +680,6 @@ impl Daemon {
             space_base: self.inner.gspace.base() as u64,
             space_size: self.inner.gspace.size() as u64,
             max_in_flight: self.granted_in_flight(requested_in_flight),
-        }
-    }
-
-    fn stats(&self) -> puddles_proto::DaemonStats {
-        let reg = &self.inner.registry;
-        let (puddles, space_used, pools, ptr_maps, log_spaces) = reg.read(|data| {
-            (
-                data.puddles.len() as u64,
-                data.puddles.values().map(|p| p.size).sum::<u64>(),
-                data.pools.len() as u64,
-                data.ptr_maps.len() as u64,
-                data.log_spaces.len() as u64,
-            )
-        });
-        let wal = reg.wal().stats();
-        let alloc = reg.alloc_stats();
-        let io = self.inner.pmdir.io_stats();
-        let counter = |name| self.inner.metrics.counter(name).load(Ordering::Relaxed);
-        puddles_proto::DaemonStats {
-            puddles,
-            pools,
-            ptr_maps,
-            log_spaces,
-            space_used,
-            space_total: self.inner.gspace.size() as u64,
-            wal_bytes: wal.bytes,
-            wal_records: wal.records,
-            checkpoints: wal.checkpoints,
-            checkpoint_age_ms: wal.checkpoint_age_ms,
-            orphan_files_swept: counter("sweep.orphan_files"),
-            log_puddles_swept: counter("sweep.log_puddles"),
-            logspace_puddles_swept: counter("sweep.logspace_puddles"),
-            connections_rejected: counter("connections_rejected"),
-            space_free_bytes: alloc.free_bytes,
-            free_extents: alloc.free_extents,
-            fragmentation_bp: alloc.fragmentation_bp,
-            lazy_coalesce_runs: alloc.lazy_coalesce_runs,
-            forced_inline_coalesces: alloc.forced_inline_coalesces,
-            io_retries: io.io_retries(),
-            transient_io_errors: io.transient_io_errors(),
-            client_reconnects: counter("client_reconnects"),
-            enospc_rejections: io.enospc_rejections(),
-            reactor_connections: {
-                let loads = self.inner.reactor_loads.lock().unwrap();
-                loads
-                    .iter()
-                    .map(|l| l.load(Ordering::Relaxed) as u64)
-                    .collect()
-            },
-            reactor_requests: {
-                let counts = self.inner.reactor_requests.lock().unwrap();
-                counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
-            },
-            reactors: self.inner.reactor_loads.lock().unwrap().len() as u64,
         }
     }
 
@@ -1112,7 +1054,6 @@ mod tests {
             "GetRelocation" => Request::GetRelocation { id },
             "MarkRewritten" => Request::MarkRewritten { id },
             "Recover" => Request::Recover,
-            "Stats" => Request::Stats,
             "GetMetrics" => Request::GetMetrics,
             other => panic!("no sample request for kind `{other}`: add one"),
         }
@@ -1143,13 +1084,12 @@ mod tests {
             if lane_of(&req) != Lane::Inline {
                 continue;
             }
-            let before = daemon.stats();
+            let before = daemon.wal().stats();
             let resp = daemon.handle(creds, req);
             assert!(!matches!(resp, Response::Error { .. }), "{kind}: {resp:?}");
-            let after = daemon.stats();
             assert_eq!(
-                (after.wal_records, after.wal_bytes),
-                (before.wal_records, before.wal_bytes),
+                daemon.wal().stats(),
+                before,
                 "{kind} runs on a reactor but appended to the WAL"
             );
             inline.push(*kind);
@@ -1168,9 +1108,10 @@ mod tests {
     }
 
     /// No mode: the daemon reads its clock and never acts on it, so the
-    /// same request sequence leaves the same WAL traffic — records, bytes
-    /// and checkpoints, after every request — on a real clock (production)
-    /// and on a virtual one (every torture trial and the replay gate).
+    /// same request sequence leaves the same WAL traffic — and the same
+    /// `GetMetrics` counters and series counts, after every request — on a
+    /// real clock (production) and on a virtual one (every torture trial
+    /// and the replay gate). Only durations may differ.
     #[test]
     fn wal_traffic_is_the_same_on_a_real_and_a_virtual_clock() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -1213,10 +1154,21 @@ mod tests {
                     }
                     _ => {}
                 }
-                let stats = daemon.stats();
-                seen.push((stats.wal_records, stats.wal_bytes, stats.checkpoints));
+                let report = daemon.metrics_report();
+                let counts: Vec<(String, u64)> = report
+                    .series
+                    .into_iter()
+                    .map(|s| (s.name, s.count))
+                    .collect();
+                seen.push((report.counters, counts));
             }
-            assert!(seen.last().unwrap().2 >= 10, "{seen:?}");
+            let (counters, counts) = seen.last().unwrap();
+            let checkpoints = counts.iter().find(|(name, _)| name == "checkpoint");
+            assert!(
+                checkpoints.is_some_and(|(_, count)| *count >= 10),
+                "{counts:?}"
+            );
+            assert!(counters.iter().any(|c| c.name == "wal.tail_bytes"));
             seen
         };
         assert_eq!(traffic(Clock::real()), traffic(Clock::simulated(1)));
@@ -1301,10 +1253,13 @@ mod tests {
                 },
                 _ => sample_request(kind, &lanes),
             };
-            let before = (daemon.stats(), flushes.snapshot().count);
+            let before = (daemon.wal().stats(), flushes.snapshot().count);
             call(req);
-            let records = daemon.stats().wal_records - before.0.wal_records;
-            let bytes = daemon.stats().wal_bytes - before.0.wal_bytes;
+            let after = daemon.wal().stats();
+            let (records, bytes) = (
+                after.records - before.0.records,
+                after.bytes - before.0.bytes,
+            );
             let commits = flushes.snapshot().count - before.1;
             println!("| `{kind}` | {records} | {commits} | {bytes} |");
             assert_eq!(records, commits, "{kind}: one group commit per record");
@@ -1341,16 +1296,17 @@ mod tests {
         ] {
             assert!(wal_bytes[kind] <= bound, "{kind}: {} B", wal_bytes[kind]);
         }
-        let before = daemon.stats().wal_bytes;
+        let before = daemon.wal().stats().bytes;
         call(Request::ImportPool {
             src: dir("export-64"),
             new_name: "imported-64".into(),
         });
-        let import_64 = daemon.stats().wal_bytes - before;
+        let import_64 = daemon.wal().stats().bytes - before;
         println!("| `ImportPool` (64 members) | 1 | 1 | {import_64} |");
         assert!(import_64 < 8 * wal_bytes["ImportPool"], "{import_64} B");
-        let stats = daemon.stats();
-        assert_eq!((stats.pools, stats.puddles), (5, 8 + 8 + 64 + 64 + 1 + 1));
+        let report = daemon.metrics_report();
+        let tables = ["registry.pools", "registry.puddles"].map(|name| report.counter(name));
+        assert_eq!(tables, [Some(5), Some(8 + 8 + 64 + 64 + 1 + 1)]);
         crate::Invariants::assert_all(daemon.registry());
     }
 }

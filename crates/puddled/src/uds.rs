@@ -41,7 +41,7 @@
 //!   creation/deletion, recovery) ride the bulk lane, which only a
 //!   reserved minority of workers prefer; the remaining workers serve the
 //!   fast lane exclusively — small mutations that end in a WAL group
-//!   commit, plus `Stats`/`GetMetrics` — so a burst of imports can never
+//!   commit, plus `GetMetrics` — so a burst of imports can never
 //!   starve them. Workers push the encoded response to the owning
 //!   reactor's completion queue and wake it.
 //!
@@ -272,11 +272,12 @@ struct ReactorShared {
     /// it has not registered yet: the acceptor increments at handoff, the
     /// reactor decrements on close, so the global cap check never races a
     /// not-yet-registered socket past the limit. Behind an `Arc` because
-    /// the daemon's `Stats` reports it (per-reactor placement skew).
+    /// `GetMetrics` reports it (`reactor.<i>.connections`: per-reactor
+    /// placement skew).
     active: Arc<AtomicUsize>,
     /// Requests handled on behalf of this reactor's connections. Behind an
-    /// `Arc` because `Stats`/`GetMetrics` report it (per-reactor *served
-    /// traffic* skew, complementing the placement counter above).
+    /// `Arc` because `GetMetrics` reports it (`reactor.<i>.requests`:
+    /// *served traffic* skew, complementing the placement counter above).
     requests: Arc<AtomicU64>,
 }
 
@@ -443,8 +444,8 @@ impl UdsServer {
             reactor_exits: ExitLatch::new(),
             worker_exits: ExitLatch::new(),
         });
-        // Publish the per-reactor connection counters for `Stats`
-        // (reactor-skew observability); detached again at shutdown.
+        // Publish the per-reactor counters for `GetMetrics` (reactor-skew
+        // observability); detached again at shutdown.
         shared.daemon.attach_reactor_loads(
             shared
                 .reactors
@@ -1357,8 +1358,8 @@ mod tests {
     use puddles_proto::BlockingConn;
 
     /// Liveness of the inline path while every worker is occupied by a
-    /// request that cannot finish: `Stats` reads the reactor-load table,
-    /// whose lock the test holds, so each worker that takes one stays in
+    /// request that cannot finish: `GetMetrics` reads the reactor-load
+    /// table, whose lock the test holds, so each worker that takes one stays in
     /// it, and whatever is queued behind them on either lane is taken by
     /// nobody. Inline requests — on another connection and behind the stuck
     /// ones on the same connection — are answered all the same, and the
@@ -1385,11 +1386,11 @@ mod tests {
 
         let reactor_loads = daemon.inner.reactor_loads.lock().unwrap();
         let mut stuck = connect();
-        // One `Stats` per worker, and some that stay in the fast lane.
+        // One `GetMetrics` per worker, and some that stay in the fast lane.
         let workers = server.workers.len() as u64;
-        let stats = workers + 4;
-        for req_id in 0..stats {
-            stuck.send(req_id, Request::Stats).unwrap();
+        let reads = workers + 4;
+        for req_id in 0..reads {
+            stuck.send(req_id, Request::GetMetrics).unwrap();
         }
         let popped = || server.shared.obs.stage_queue.snapshot().count;
         while popped() < workers {
@@ -1400,10 +1401,10 @@ mod tests {
             name: "standing".into(),
             dest,
         };
-        stuck.send(stats, export).unwrap();
-        stuck.send(stats + 1, Request::Ping).unwrap();
+        stuck.send(reads, export).unwrap();
+        stuck.send(reads + 1, Request::Ping).unwrap();
         let (req_id, resp) = stuck.recv().unwrap();
-        assert_eq!(req_id, stats + 1, "{resp:?}");
+        assert_eq!(req_id, reads + 1, "{resp:?}");
 
         let mut other = connect();
         let resp = other.call(Request::Ping).unwrap();
@@ -1421,12 +1422,12 @@ mod tests {
         assert!(matches!(resp, Response::Puddle(_)), "{resp:?}");
         // Nothing queued moved in the meantime.
         assert_eq!(popped(), workers);
-        assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), stats + 1);
+        assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), reads + 1);
 
         drop(reactor_loads);
-        let mut rest: Vec<u64> = (0..=stats).map(|_| stuck.recv().unwrap().0).collect();
+        let mut rest: Vec<u64> = (0..=reads).map(|_| stuck.recv().unwrap().0).collect();
         rest.sort_unstable();
-        assert_eq!(rest, (0..=stats).collect::<Vec<_>>());
+        assert_eq!(rest, (0..=reads).collect::<Vec<_>>());
         drop((stuck, other));
         server.shutdown();
     }

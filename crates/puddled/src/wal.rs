@@ -65,7 +65,6 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 use puddles_pmem::clock::Clock;
 use puddles_pmem::obs::{Metrics, TraceEventKind};
@@ -91,7 +90,7 @@ pub const MAX_RECORD: usize = 16 << 20;
 pub const DEFAULT_CHECKPOINT_BYTES: u64 = 1 << 20;
 
 /// A shared handle to the daemon's metadata WAL; `service` threads one
-/// through the registry and keeps a clone for `Stats`.
+/// through the registry, and `GetMetrics` reads the tail from it there.
 pub type WalHandle = Arc<Wal>;
 
 /// One edit of one registry table; a request's transaction is a batch of
@@ -682,7 +681,9 @@ fn decode_records(bytes: &[u8]) -> Result<(Records, usize, usize)> {
     Ok((ops, pos, span_end))
 }
 
-/// WAL health/statistics snapshot reported through `Stats`.
+/// The WAL's tail — what no checkpoint covers yet — as `GetMetrics`
+/// reports it (`wal.tail_*`). How many checkpoints ran is the `checkpoint`
+/// series' count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalStats {
     /// Bytes of WAL not yet covered by a checkpoint (including buffered,
@@ -690,10 +691,6 @@ pub struct WalStats {
     pub bytes: u64,
     /// Records not yet covered by a checkpoint.
     pub records: u64,
-    /// Checkpoints written since the daemon started.
-    pub checkpoints: u64,
-    /// Milliseconds since the last checkpoint (or since startup).
-    pub checkpoint_age_ms: u64,
 }
 
 /// Mutable WAL state: the enqueue buffer and the group-commit bookkeeping.
@@ -731,10 +728,6 @@ struct WalState {
     /// registry may be ahead of the log, so all further WAL traffic is
     /// refused and the daemon must restart and recover.
     poisoned: bool,
-    /// Clock reading when the WAL was last compacted.
-    last_checkpoint: Duration,
-    /// Checkpoints completed since open.
-    checkpoints: u64,
 }
 
 /// The append-only metadata WAL (see the module docs).
@@ -755,7 +748,8 @@ pub struct Wal {
     /// registry's replay does not read and decode the file a second time;
     /// taken once by [`Wal::take_initial_replay`].
     initial_replay: Mutex<Option<Records>>,
-    /// Time source for the reported checkpoint age; virtual under torture.
+    /// Time source for flush and checkpoint latencies; virtual under
+    /// torture.
     clock: Clock,
     /// Observability hub: group-commit flush latency lands in the
     /// `wal.flush` series, each durable batch in the trace ring. The
@@ -776,10 +770,9 @@ impl Wal {
         Wal::open_with_obs(pmdir, Clock::real(), Metrics::new(Clock::real()))
     }
 
-    /// [`Wal::open`], reading checkpoint age from `clock` (virtual under
-    /// the torture harness, so the reported age is part of the replayed
-    /// timeline) and recording into an existing observability hub (the daemon's, so
-    /// WAL series merge into one `GetMetrics` view).
+    /// [`Wal::open`], timing with `clock` (virtual under the torture
+    /// harness) and recording into an existing observability hub (the
+    /// daemon's, so WAL series merge into one `GetMetrics` view).
     pub fn open_with_obs(pmdir: &PmDir, clock: Clock, obs: Arc<Metrics>) -> Result<Wal> {
         if pmdir.meta_path("registry.json").try_exists()? {
             return Err(PmError::Corruption(format!(
@@ -822,8 +815,6 @@ impl Wal {
                 next_seq,
                 cut_seq,
                 poisoned: false,
-                last_checkpoint: clock.now(),
-                checkpoints: 0,
             }),
             durable: Condvar::new(),
             checkpoint_threshold: AtomicU64::new(DEFAULT_CHECKPOINT_BYTES),
@@ -1060,8 +1051,6 @@ impl Wal {
                 state.tail_base = cut_pos;
                 state.snapshot_len = snapshot.len() as u64;
                 state.cut_seq = cut_seq;
-                state.last_checkpoint = self.clock.now();
-                state.checkpoints += 1;
                 Ok(())
             }
         };
@@ -1082,18 +1071,12 @@ impl Wal {
         self.checkpoint_threshold.store(bytes, Ordering::Relaxed);
     }
 
-    /// Current WAL statistics.
+    /// The tail's current length.
     pub fn stats(&self) -> WalStats {
         let state = self.state.lock().unwrap();
         WalStats {
             bytes: state.stream_pos - state.tail_base,
             records: state.next_seq - state.cut_seq,
-            checkpoints: state.checkpoints,
-            checkpoint_age_ms: self
-                .clock
-                .now()
-                .saturating_sub(state.last_checkpoint)
-                .as_millis() as u64,
         }
     }
 }
@@ -1442,8 +1425,7 @@ mod tests {
         wal.submit(&sample_op(2)).unwrap();
         let state = state_of(&[sample_op(1)]);
         wal.compact(&state, cut_pos, cut_seq).unwrap();
-        let stats = wal.stats();
-        assert_eq!((stats.checkpoints, stats.records), (1, 1));
+        assert_eq!(wal.stats().records, 1);
         wal.flush().unwrap();
         wal.submit(&sample_op(3)).unwrap();
         wal.flush().unwrap();
@@ -1775,8 +1757,7 @@ mod tests {
         wal.flush().unwrap();
         wal.submit(&sample_op(2)).unwrap(); // buffered, ticket 2
         let before = fs::read(pm.meta_path(WAL_FILE)).unwrap();
-        let counts = |s: WalStats| (s.bytes, s.records, s.checkpoints);
-        let stats = counts(wal.stats());
+        let stats = wal.stats();
 
         plan.set_enabled(true);
         let (cut_pos, cut_seq) = wal.position();
@@ -1786,7 +1767,7 @@ mod tests {
         assert!(matches!(err, PmError::NoSpace(_)), "got {err:?}");
         assert_eq!(pm.io_stats().enospc_rejections(), 1);
         assert_eq!(fs::read(pm.meta_path(WAL_FILE)).unwrap(), before);
-        assert_eq!(counts(wal.stats()), stats);
+        assert_eq!(wal.stats(), stats);
 
         // The next group commit carries the record the compaction had taken.
         wal.flush().unwrap();

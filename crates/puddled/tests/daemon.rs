@@ -45,6 +45,18 @@ fn expect_pool(resp: Response) -> puddles_proto::PoolInfo {
     }
 }
 
+/// The named `GetMetrics` counters of `daemon`, read in one report.
+fn counters<const N: usize>(daemon: &Daemon, names: [&str; N]) -> [u64; N] {
+    let Response::Metrics(report) = daemon.handle(USER_A, Request::GetMetrics) else {
+        panic!("no metrics");
+    };
+    names.map(|name| {
+        report
+            .counter(name)
+            .unwrap_or_else(|| panic!("no `{name}`"))
+    })
+}
+
 #[test]
 fn hello_reports_global_space() {
     let (_tmp, daemon) = start_daemon();
@@ -94,7 +106,7 @@ fn hello_negotiates_window_within_server_limits() {
 }
 
 /// Reconnect-flagged Hellos (sent by clients re-dialing after a lost
-/// connection) are counted in the daemon stats.
+/// connection) are counted in the daemon's metrics.
 #[test]
 fn reconnect_hellos_are_counted_in_stats() {
     let (_tmp, daemon) = start_daemon();
@@ -108,10 +120,7 @@ fn reconnect_hellos_are_counted_in_stats() {
         })
         .unwrap();
     }
-    match ep.call(&Request::Stats).unwrap() {
-        Response::Stats(stats) => assert_eq!(stats.client_reconnects, 3),
-        other => panic!("unexpected response {other:?}"),
-    }
+    assert_eq!(counters(&daemon, ["client_reconnects"]), [3]);
 }
 
 #[test]
@@ -488,11 +497,11 @@ fn export_and_import_assign_new_ids_and_translations() {
     // fixed-size put per member next to the pool's name, so linear: a
     // 4 KiB name times 4,200 members is past the 16 MiB limit.
     let state = || {
-        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
-            panic!("no stats");
-        };
-        let files = daemon.pm_dir().list_puddles().unwrap();
-        (stats.pools, stats.puddles, stats.space_free_bytes, files)
+        let tables = ["registry.pools", "registry.puddles", "alloc.free_bytes"];
+        (
+            counters(&daemon, tables),
+            daemon.pm_dir().list_puddles().unwrap(),
+        )
     };
     let before = state();
     let manifest_bytes = std::fs::read(dest.join("manifest.json")).unwrap();
@@ -578,18 +587,10 @@ fn import_refuses_a_manifest_that_does_not_check_out() {
         ),
     ];
     let state = || {
-        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
-            panic!("no stats");
-        };
+        let tables = ["space.used_bytes", "wal.tail_records", "registry.pools"];
         let files = daemon.pm_dir().list_puddles().unwrap();
         let frontier = daemon.registry().snapshot().next_offset;
-        (
-            stats.space_used,
-            frontier,
-            stats.wal_records,
-            stats.pools,
-            files,
-        )
+        (counters(&daemon, tables), frontier, files)
     };
     let before = state();
     let import = || {
@@ -776,15 +777,10 @@ fn a_failing_sync_refuses_an_import_and_leaves_no_trace() {
     };
     assert_eq!(daemon.handle(USER_A, export), Response::Ok);
     let state = || {
-        let Response::Stats(stats) = daemon.handle(USER_A, Request::Stats) else {
-            panic!("no stats");
-        };
-        let files = daemon.pm_dir().list_puddles().unwrap();
+        let tables = ["registry.pools", "wal.tail_records", "alloc.free_bytes"];
         (
-            stats.pools,
-            stats.wal_records,
-            stats.space_free_bytes,
-            files,
+            counters(&daemon, tables),
+            daemon.pm_dir().list_puddles().unwrap(),
         )
     };
     let before = state();
@@ -1068,15 +1064,11 @@ fn stats_reflect_daemon_state() {
             mode: 0o600,
         },
     );
-    match daemon.handle(USER_A, Request::Stats) {
-        Response::Stats(stats) => {
-            assert_eq!(stats.pools, 1);
-            assert_eq!(stats.puddles, 1);
-            assert!(stats.space_used >= 1 << 20);
-            assert!(stats.space_total > stats.space_used);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    let tables = ["registry.pools", "registry.puddles"];
+    assert_eq!(counters(&daemon, tables), [1, 1]);
+    let [used, total] = counters(&daemon, ["space.used_bytes", "space.total_bytes"]);
+    assert!(used >= 1 << 20);
+    assert!(total > used);
 }
 
 #[test]
@@ -1212,15 +1204,11 @@ fn concurrent_clients_create_pools_transact_and_translate() {
     // Registry consistency: every pool is present with its counter intact,
     // and no two puddles overlap in the global space.
     let creds = Credentials::current_process();
-    match daemon.handle(creds, Request::Stats) {
-        Response::Stats(stats) => {
-            assert_eq!(stats.pools, THREADS as u64);
-            // Each worker created at least a pool root, a log space, and a
-            // per-thread log puddle.
-            assert!(stats.puddles >= 3 * THREADS as u64);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    let [pools, puddles] = counters(&daemon, ["registry.pools", "registry.puddles"]);
+    assert_eq!(pools, THREADS as u64);
+    // Each worker created at least a pool root, a log space, and a
+    // per-thread log puddle.
+    assert!(puddles >= 3 * THREADS as u64);
     let mut extents: Vec<(u64, u64)> = Vec::new();
     for t in 0..THREADS {
         let pool = expect_pool(daemon.handle(
@@ -1264,11 +1252,13 @@ fn creates_racing_a_drop_are_dropped_with_the_pool_or_not_found() {
     const CREATORS: usize = 8;
     const CREATES: usize = 4;
     let (_tmp, daemon) = start_daemon();
-    let stats = || match daemon.handle(USER_A, Request::Stats) {
-        Response::Stats(stats) => stats,
-        other => panic!("unexpected {other:?}"),
+    let tables = || {
+        counters(
+            &daemon,
+            ["registry.puddles", "registry.pools", "space.used_bytes"],
+        )
     };
-    let start = stats();
+    let start = tables();
     let (mut landed, mut refused) = (0, 0);
     for _round in 0..16 {
         let create = Request::CreatePool {
@@ -1330,11 +1320,7 @@ fn creates_racing_a_drop_are_dropped_with_the_pool_or_not_found() {
                 "puddle {id} outlived its pool"
             );
         }
-        let now = stats();
-        assert_eq!(
-            (now.puddles, now.pools, now.space_used),
-            (start.puddles, start.pools, start.space_used)
-        );
+        assert_eq!(tables(), start);
         assert!(daemon.pm_dir().list_puddles().unwrap().is_empty());
         puddled::Invariants::assert_all(daemon.registry());
     }
@@ -1602,26 +1588,21 @@ fn unregistered_logspace_puddles_are_swept_at_startup() {
         );
         // The leak is visible daemon-side: a LogSpace puddle exists but the
         // log-space table is empty.
-        match daemon.handle(Credentials::current_process(), Request::Stats) {
-            Response::Stats(stats) => {
-                logspace_count = stats.puddles;
-                assert_eq!(stats.log_spaces, 0, "{stats:?}");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let log_spaces;
+        [logspace_count, log_spaces] =
+            counters(&daemon, ["registry.puddles", "registry.log_spaces"]);
+        assert_eq!(log_spaces, 0);
         // The "crashed" client and daemon are dropped without cleanup.
     }
 
     let daemon = Daemon::start(config).unwrap();
-    match daemon.handle(Credentials::current_process(), Request::Stats) {
-        Response::Stats(stats) => {
-            assert_eq!(stats.logspace_puddles_swept, 1, "{stats:?}");
-            assert_eq!(stats.puddles, logspace_count - 1);
-            // The sweep must not have touched the pool.
-            assert_eq!(stats.pools, 1);
-        }
-        other => panic!("unexpected {other:?}"),
-    }
+    let after = [
+        "sweep.logspace_puddles",
+        "registry.puddles",
+        "registry.pools",
+    ];
+    // The sweep must not have touched the pool.
+    assert_eq!(counters(&daemon, after), [1, logspace_count - 1, 1]);
 }
 
 #[test]
@@ -1654,10 +1635,7 @@ fn unreferenced_log_puddles_are_swept_at_startup() {
     drop(daemon);
 
     let daemon = Daemon::start(config).unwrap();
-    match daemon.handle(USER_A, Request::Stats) {
-        Response::Stats(stats) => assert_eq!(stats.log_puddles_swept, 1, "{stats:?}"),
-        other => panic!("unexpected response {other:?}"),
-    }
+    assert_eq!(counters(&daemon, ["sweep.log_puddles"]), [1]);
     assert!(matches!(
         daemon.handle(
             USER_A,

@@ -86,10 +86,11 @@ fn a_client_process_drives_a_spawned_puddled_and_puddle_stat_reads_it() {
         .expect("transaction");
     }
     assert_eq!(pool.deref(root).unwrap().value, 10);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.pools, 1);
+    let report = client.metrics().expect("metrics");
+    assert_eq!(report.counter("registry.pools"), Some(1));
     // Root puddle, log space, this thread's log.
-    assert!(stats.puddles >= 3, "{stats:?}");
+    let puddles = report.counter("registry.puddles");
+    assert!(puddles >= Some(3), "{puddles:?}");
 
     // `puddle-stat` against the same daemon: the CreatePool above must have
     // been timed, and the table must render.
@@ -118,7 +119,8 @@ fn a_client_process_drives_a_spawned_puddled_and_puddle_stat_reads_it() {
 
     drop(pool);
     client.drop_pool("proc").expect("drop pool");
-    assert_eq!(client.stats().unwrap().pools, 0);
+    let pools = client.metrics().unwrap().counter("registry.pools");
+    assert_eq!(pools, Some(0));
 }
 
 /// The space allocator is derived state: a daemon killed (`SIGKILL`) in the
@@ -189,10 +191,15 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
     // Restart over the same directory and ask the daemon what is free.
     std::fs::remove_file(&socket).unwrap();
     let daemon = spawn_puddled(&pm_dir, &socket);
-    let Response::Stats(stats) = connect().call(Request::Stats).expect("stats") else {
-        panic!("expected Stats");
+    let Response::Metrics(report) = connect().call(Request::GetMetrics).expect("metrics") else {
+        panic!("expected Metrics");
     };
     drop(daemon);
+    let counter = |name| {
+        report
+            .counter(name)
+            .unwrap_or_else(|| panic!("no `{name}`"))
+    };
 
     // The puddle table it restarted from, and the gaps between its extents.
     let reg = Registry::load_or_create(&pm, SPACE_BASE, SPACE_SIZE).unwrap();
@@ -204,7 +211,7 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
         .map(|p| (p.offset, p.size.next_multiple_of(PAGE)))
         .collect();
     extents.sort_unstable();
-    assert_eq!(extents.len() as u64, stats.puddles);
+    assert_eq!(extents.len() as u64, counter("registry.puddles"));
     let (mut cursor, mut gaps) = (PAGE, Vec::new());
     for (offset, len) in extents {
         if offset > cursor {
@@ -215,9 +222,10 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
     assert!(gaps.len() > 1, "the storm left no holes: {gaps:?}");
     let free: u64 = gaps.iter().sum();
     let largest = *gaps.iter().max().unwrap();
-    assert_eq!(stats.space_free_bytes, free);
-    assert_eq!(stats.free_extents, gaps.len() as u64);
-    assert_eq!(stats.fragmentation_bp, 10_000 - largest * 10_000 / free);
+    assert_eq!(counter("alloc.free_bytes"), free);
+    assert_eq!(counter("alloc.free_extents"), gaps.len() as u64);
+    let fragmentation = 10_000 - largest * 10_000 / free;
+    assert_eq!(counter("alloc.fragmentation_bp"), fragmentation);
 }
 
 /// Every file under `root` with its contents.

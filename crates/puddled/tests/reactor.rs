@@ -55,13 +55,6 @@ fn wait_until(what: &str, mut pred: impl FnMut() -> bool) {
     }
 }
 
-fn stats(daemon: &Daemon) -> puddles_proto::DaemonStats {
-    match daemon.handle(Credentials::current_process(), Request::Stats) {
-        Response::Stats(stats) => stats,
-        other => panic!("unexpected {other:?}"),
-    }
-}
-
 fn metrics(daemon: &Daemon) -> MetricsReport {
     match daemon.handle(Credentials::current_process(), Request::GetMetrics) {
         Response::Metrics(report) => report,
@@ -69,10 +62,21 @@ fn metrics(daemon: &Daemon) -> MetricsReport {
     }
 }
 
-/// Every field `Stats` reported is a `GetMetrics` row, and the two agree
-/// when read from one daemon: a socket server on two reactors, a rejected
-/// and a reconnecting client, a swept orphan, checkpoints, a fragmented
-/// allocator and both kinds of coalesce pass behind it.
+/// One `GetMetrics` counter.
+fn counter(daemon: &Daemon, name: &str) -> u64 {
+    metrics(daemon).counter(name).expect(name)
+}
+
+/// Checkpoints the daemon has written: its `checkpoint` series' count.
+fn checkpoints(daemon: &Daemon) -> u64 {
+    metrics(daemon).series("checkpoint").map_or(0, |s| s.count)
+}
+
+/// Every field the retired `Stats` request reported is a `GetMetrics` row
+/// (their values were checked equal, both read from one daemon, before
+/// `Stats` went): here a socket server on two reactors, a rejected and a
+/// reconnecting client, a swept orphan, checkpoints, a fragmented
+/// allocator and both kinds of coalesce pass stand behind each row.
 #[test]
 fn every_stats_field_is_a_metric() {
     let tmp = tempfile::tempdir().unwrap();
@@ -158,48 +162,49 @@ fn every_stats_field_is_a_metric() {
     assert_eq!(conn.call(register).unwrap(), Response::Ok);
     assert!(daemon.registry().force_coalesce());
 
-    let (s, m) = (stats(&daemon), metrics(&daemon));
-    assert!(
-        s.checkpoints > 1 && s.lazy_coalesce_runs > 0 && s.fragmentation_bp > 0,
-        "{s:?}"
-    );
-    assert_eq!(
-        (s.orphan_files_swept, s.connections_rejected),
-        (1, 1),
-        "{s:?}"
-    );
-    let rows = [
-        (s.puddles, "registry.puddles"),
-        (s.pools, "registry.pools"),
-        (s.ptr_maps, "registry.ptr_maps"),
-        (s.log_spaces, "registry.log_spaces"),
-        (s.space_used, "space.used_bytes"),
-        (s.space_total, "space.total_bytes"),
-        (s.space_free_bytes, "alloc.free_bytes"),
-        (s.free_extents, "alloc.free_extents"),
-        (s.fragmentation_bp, "alloc.fragmentation_bp"),
-        (s.wal_bytes, "wal.tail_bytes"),
-        (s.wal_records, "wal.tail_records"),
-        (s.io_retries, "io.retries"),
-        (s.transient_io_errors, "io.transient_errors"),
-        (s.enospc_rejections, "io.enospc_rejections"),
-        (s.orphan_files_swept, "sweep.orphan_files"),
-        (s.log_puddles_swept, "sweep.log_puddles"),
-        (s.logspace_puddles_swept, "sweep.logspace_puddles"),
-        (s.client_reconnects, "client_reconnects"),
-        (s.connections_rejected, "connections_rejected"),
-        (s.lazy_coalesce_runs, "alloc.coalesce.lazy"),
-        (s.forced_inline_coalesces, "alloc.coalesce.forced"),
+    // The state rows, against their sources; the event rows, against what
+    // this test did.
+    let m = metrics(&daemon);
+    let counter = |name| m.counter(name).unwrap_or_else(|| panic!("no `{name}`"));
+    let data = daemon.registry().snapshot();
+    let tables = [
+        ("registry.puddles", data.puddles.len() as u64),
+        ("registry.pools", 1),
+        ("registry.ptr_maps", 4),
+        ("registry.log_spaces", 1),
+        (
+            "space.used_bytes",
+            data.puddles.values().map(|p| p.size).sum(),
+        ),
+        ("space.total_bytes", daemon.global_space().size() as u64),
+        ("wal.tail_bytes", daemon.wal().stats().bytes),
+        ("wal.tail_records", daemon.wal().stats().records),
+        ("sweep.orphan_files", 1),
+        ("connections_rejected", 1),
+        ("client_reconnects", 1),
     ];
-    for (old, name) in rows {
-        assert_eq!(m.counter(name), Some(old), "{name}");
+    for (name, value) in tables {
+        assert_eq!(counter(name), value, "{name}");
     }
-    let checkpoints = m.series("checkpoint").map(|s| s.count);
-    assert_eq!(checkpoints, Some(s.checkpoints));
-    assert_eq!(m.per_reactor("connections"), s.reactor_connections);
-    assert_eq!(m.per_reactor("requests"), s.reactor_requests);
-    assert_eq!(m.per_reactor("connections").len() as u64, s.reactors);
-    assert_eq!(s.reactors, 2);
+    let free = data.free_list.iter().map(|&(_, len)| len).sum::<u64>();
+    assert_eq!(counter("alloc.free_bytes"), free);
+    assert_eq!(counter("alloc.free_extents"), data.free_list.len() as u64);
+    assert!(counter("alloc.fragmentation_bp") > 0);
+    assert!(counter("alloc.coalesce.lazy") > 0);
+    assert!(counter("alloc.coalesce.forced") > 0);
+    for name in [
+        "io.retries",
+        "io.transient_errors",
+        "io.enospc_rejections",
+        "sweep.log_puddles",
+        "sweep.logspace_puddles",
+    ] {
+        assert_eq!(counter(name), 0, "{name}");
+    }
+    assert!(m.series("checkpoint").is_some_and(|s| s.count > 1));
+    let connections = m.per_reactor("connections");
+    assert_eq!((connections.len(), connections.iter().sum()), (2, 3));
+    assert_eq!(m.per_reactor("requests").len(), 2);
     drop(conns);
     server.shutdown();
 }
@@ -378,12 +383,11 @@ fn a_commit_that_crosses_the_threshold_has_checkpointed_when_it_returns() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     daemon.wal().set_checkpoint_threshold(64);
-    let before = stats(&daemon);
+    let before = checkpoints(&daemon);
     let resp = create_pool(&daemon, "crossing");
     assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
-    let after = stats(&daemon);
-    assert_eq!(after.checkpoints, before.checkpoints + 1, "{after:?}");
-    assert!(after.wal_bytes < 64, "{after:?}");
+    assert_eq!(checkpoints(&daemon), before + 1);
+    assert!(counter(&daemon, "wal.tail_bytes") < 64);
 }
 
 /// Kill during a checkpoint, at its one boundary: the compacted file is
@@ -405,22 +409,22 @@ fn kill_during_a_checkpoint_still_replays_registry() {
     {
         let daemon = Daemon::start(config.clone()).unwrap();
         daemon.wal().set_checkpoint_threshold(64);
-        let before = stats(&daemon);
+        let before = checkpoints(&daemon);
         failpoint::arm_scoped(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
         let resp = create_pool(&daemon, "ckpt-crash");
         assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
         assert_eq!(failed(&daemon), 1);
         assert!(stale_tmp.exists(), "the crash must leave its temp file");
-        let after = stats(&daemon);
-        assert_eq!(after.checkpoints, before.checkpoints, "{after:?}");
-        assert!(after.wal_bytes >= 64, "the WAL is as the commit left it");
+        assert_eq!(checkpoints(&daemon), before);
+        let tail = counter(&daemon, "wal.tail_bytes");
+        assert!(tail >= 64, "the WAL is as the commit left it");
 
         // Not wedged: the next crossing commit retries and succeeds.
         let resp = create_pool(&daemon, "ckpt-retry");
         assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
-        let retried = stats(&daemon);
-        assert_eq!(retried.checkpoints, before.checkpoints + 1, "{retried:?}");
-        assert_eq!((retried.wal_records, failed(&daemon)), (0, 1));
+        assert_eq!(checkpoints(&daemon), before + 1);
+        let records = counter(&daemon, "wal.tail_records");
+        assert_eq!((records, failed(&daemon)), (0, 1));
 
         // Kill with the checkpoint interrupted again, the WAL holding the
         // one record it never folded.
@@ -480,9 +484,8 @@ fn concurrent_mutations_across_inline_checkpoints_all_land() {
         client.join().unwrap();
     }
     server.shutdown();
-    let s = stats(&daemon);
-    assert_eq!(s.ptr_maps, THREADS * MUTATIONS, "{s:?}");
-    assert!(s.checkpoints >= 1, "{s:?}");
+    assert_eq!(counter(&daemon, "registry.ptr_maps"), THREADS * MUTATIONS);
+    assert!(checkpoints(&daemon) >= 1);
     assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
     let live = daemon.registry().snapshot();
     drop((server, daemon));
@@ -811,7 +814,7 @@ fn cross_reactor_shutdown_drains_in_flight_responses() {
 
 /// At the connection cap the daemon does not silently drop the socket: the
 /// extra client receives a `Busy` error frame before the close, and the
-/// rejection is counted in `Stats`.
+/// rejection is counted (`connections_rejected`).
 #[test]
 fn connection_cap_rejects_with_a_busy_frame() {
     let tmp = tempfile::tempdir().unwrap();
@@ -845,13 +848,13 @@ fn connection_cap_rejects_with_a_busy_frame() {
         read_frame::<_, Response>(&mut extra).is_err(),
         "EOF after Busy"
     );
-    assert!(stats(&daemon).connections_rejected >= 1);
+    assert!(counter(&daemon, "connections_rejected") >= 1);
     server.shutdown();
 }
 
-/// The PR 6 reactor-skew caveat is observable: `Stats` carries live
-/// per-reactor connection counts that track accept placement and drain
-/// back to zero when connections close.
+/// Reactor placement skew is observable: `GetMetrics` carries live
+/// per-reactor connection counts (`reactor.<i>.connections`) that track
+/// accept placement and drain back to zero when connections close.
 #[test]
 fn stats_expose_per_reactor_connection_counts() {
     let tmp = tempfile::tempdir().unwrap();
@@ -867,27 +870,22 @@ fn stats_expose_per_reactor_connection_counts() {
     )
     .unwrap();
 
-    let s = stats(&daemon);
-    assert_eq!(s.reactors, 2, "reactor count must surface in stats");
-    assert_eq!(s.reactor_connections.iter().sum::<u64>(), 0);
+    let connections = || metrics(&daemon).per_reactor("connections");
+    assert_eq!(connections(), [0, 0], "one row per reactor");
 
     // Each hello round-trips, so the connection is registered with its
     // reactor before the next connect (placement is least-loaded).
     let held: Vec<Conn> = (0..4).map(|_| hello(&socket)).collect();
     wait_until("connections counted per reactor", || {
-        stats(&daemon).reactor_connections.iter().sum::<u64>() == 4
+        connections().iter().sum::<u64>() == 4
     });
-    let s = stats(&daemon);
     // Least-loaded placement over two reactors must split 4 connections
     // evenly — this is exactly the skew the counters exist to expose.
-    assert_eq!(s.reactor_connections[0], 2, "{:?}", s.reactor_connections);
-    assert_eq!(s.reactor_connections[1], 2, "{:?}", s.reactor_connections);
+    assert_eq!(connections(), [2, 2]);
 
     drop(held);
-    wait_until("counts drain after close", || {
-        stats(&daemon).reactor_connections.iter().sum::<u64>() == 0
-    });
+    wait_until("counts drain after close", || connections() == [0, 0]);
     server.shutdown();
     // Detached at shutdown: a stopped server reports no reactors.
-    assert_eq!(stats(&daemon).reactors, 0);
+    assert!(connections().is_empty());
 }

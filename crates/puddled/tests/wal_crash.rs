@@ -13,8 +13,8 @@ use puddles_pmem::failpoint::{self, names};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::{
-    DaemonStats, Endpoint, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Request,
-    Response, Translation,
+    Endpoint, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Request, Response,
+    Translation,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -33,6 +33,11 @@ fn lock_failpoints() -> std::sync::MutexGuard<'static, ()> {
 
 fn open_registry(pm: &PmDir) -> Registry {
     Registry::load_or_create(pm, 0x5000_0000_0000, 1 << 30).unwrap()
+}
+
+/// Checkpoints `reg` has written: its `checkpoint` series' count.
+fn checkpoints(reg: &Registry) -> u64 {
+    reg.wal().obs().series("checkpoint").snapshot().count
 }
 
 fn record(reg: &Registry, pool: Option<&str>) -> PuddleRecord {
@@ -313,7 +318,7 @@ fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
         // A bare registry checkpoints inline on the commit that trips the
         // threshold: every commit, here.
         reg.wal().set_checkpoint_threshold(1);
-        let checkpoints = reg.wal().stats().checkpoints;
+        let before = checkpoints(&reg);
         failpoint::arm(names::META_WRITE_BEFORE_RENAME, 0);
         build_pool(&reg, "durable", 2);
         reg.commit()
@@ -329,14 +334,15 @@ fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
                 .any(|line| line.contains("ckpt.end failed")),
             "the failure must be in the trace"
         );
-        let stats = reg.wal().stats();
-        assert_eq!(stats.checkpoints, checkpoints);
-        assert!(stats.records > 0);
+        assert_eq!(checkpoints(&reg), before);
+        assert!(reg.wal().stats().records > 0);
 
         build_pool(&reg, "next", 2);
         reg.commit().unwrap();
-        let stats = reg.wal().stats();
-        assert_eq!((stats.checkpoints, stats.records), (checkpoints + 1, 0));
+        assert_eq!(
+            (checkpoints(&reg), reg.wal().stats().records),
+            (before + 1, 0)
+        );
         assert_eq!(failed.load(std::sync::atomic::Ordering::Relaxed), 1);
         live = reg.snapshot();
     }
@@ -416,16 +422,16 @@ fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
     let pm = PmDir::open(tmp.path()).unwrap();
     let reg = open_registry(&pm);
     reg.wal().set_checkpoint_threshold(4 * 1024);
-    let baseline = reg.wal().stats().checkpoints;
+    let baseline = checkpoints(&reg);
     for _ in 0..64 {
         transact(&reg, put(&record(&reg, None)));
         reg.commit().unwrap();
     }
-    let stats = reg.wal().stats();
     assert!(
-        stats.checkpoints > baseline,
+        checkpoints(&reg) > baseline,
         "threshold checkpoint never ran"
     );
+    let stats = reg.wal().stats();
     assert!(
         stats.bytes < 64 * 1024,
         "WAL kept growing past the threshold: {} bytes",
@@ -474,12 +480,7 @@ fn startup_sweep_deletes_orphan_puddle_files() {
         files, legit_files,
         "orphans must be swept, legit files kept"
     );
-    let ep = daemon.endpoint_for_current_process();
-    use puddles_proto::{Endpoint, Request, Response};
-    match ep.call(&Request::Stats).unwrap() {
-        Response::Stats(stats) => assert_eq!(stats.orphan_files_swept, 2),
-        other => panic!("unexpected response {other:?}"),
-    }
+    assert_eq!(counter(&daemon, "sweep.orphan_files"), 2);
 }
 
 /// Damage inside the snapshot span is not a torn tail. A daemon that healed
@@ -545,11 +546,17 @@ fn call(daemon: &Daemon, req: Request) -> Response {
     }
 }
 
-fn stats(daemon: &Daemon) -> DaemonStats {
-    match call(daemon, Request::Stats) {
-        Response::Stats(stats) => stats,
+/// One of the daemon's `GetMetrics` counters.
+fn counter(daemon: &Daemon, name: &str) -> u64 {
+    match call(daemon, Request::GetMetrics) {
+        Response::Metrics(report) => report.counter(name).expect(name),
         other => panic!("unexpected response {other:?}"),
     }
+}
+
+/// The daemon's pool count, puddle count and bytes of space granted.
+fn tables(daemon: &Daemon) -> [u64; 3] {
+    ["registry.pools", "registry.puddles", "space.used_bytes"].map(|name| counter(daemon, name))
 }
 
 fn create_pool(name: &str) -> Request {
@@ -612,9 +619,8 @@ fn a_torn_create_pool_leaves_nothing_behind() {
             assert_eq!(daemon.pm_dir().list_puddles().unwrap().len(), 1);
         }
         let daemon = Daemon::start(config).unwrap();
-        let after = stats(&daemon);
-        assert_eq!((after.pools, after.puddles, after.space_used), (0, 0, 0));
-        assert_eq!(after.orphan_files_swept, 1);
+        assert_eq!(tables(&daemon), [0, 0, 0]);
+        assert_eq!(counter(&daemon, "sweep.orphan_files"), 1);
         assert!(daemon.pm_dir().list_puddles().unwrap().is_empty());
         assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
     }
@@ -640,7 +646,7 @@ fn a_torn_drop_pool_did_not_happen() {
             for _ in 1..8 {
                 call(&daemon, create_puddle(Some("eight"), PuddlePurpose::Data));
             }
-            before = (open_pool(&daemon, "eight"), stats(&daemon).space_used);
+            before = (open_pool(&daemon, "eight"), tables(&daemon));
             assert_eq!(before.0.puddles.len(), 8);
             if !call_torn(&daemon, drop.clone(), nth) {
                 assert_eq!(nth, 1, "DropPool is one group commit");
@@ -648,17 +654,15 @@ fn a_torn_drop_pool_did_not_happen() {
             }
         }
         let daemon = Daemon::start(config).unwrap();
-        let after = stats(&daemon);
-        assert_eq!((after.pools, after.puddles), (1, 8));
-        assert_eq!(after.space_used, before.1);
-        assert_eq!(after.orphan_files_swept, 0);
+        assert_eq!(tables(&daemon), before.1);
+        assert_eq!(before.1[..2], [1, 8]);
+        assert_eq!(counter(&daemon, "sweep.orphan_files"), 0);
         assert_eq!(open_pool(&daemon, "eight"), before.0);
         assert_eq!(daemon.pm_dir().list_puddles().unwrap().len(), 8);
         assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
 
         assert_eq!(call(&daemon, drop.clone()), Response::Ok);
-        let after = stats(&daemon);
-        assert_eq!((after.pools, after.puddles, after.space_used), (0, 0, 0));
+        assert_eq!(tables(&daemon), [0, 0, 0]);
         assert!(daemon.pm_dir().list_puddles().unwrap().is_empty());
     }
 }
@@ -695,7 +699,7 @@ fn a_pools_member_order_survives_replay_and_compaction() {
         assert_eq!(live.puddles[0], live.root_puddle);
         assert_eq!(live.puddles[1..], created[..]);
         assert!(
-            stats(&daemon).wal_records > 12,
+            counter(&daemon, "wal.tail_records") > 12,
             "the tail holds the history"
         );
     }
@@ -705,7 +709,7 @@ fn a_pools_member_order_survives_replay_and_compaction() {
         assert_eq!(open_pool(&daemon, "ordered"), live);
         assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());
         daemon.checkpoint().unwrap();
-        assert_eq!(stats(&daemon).wal_records, 0);
+        assert_eq!(counter(&daemon, "wal.tail_records"), 0);
     }
     // Replays the compaction: each pool, then its members.
     let daemon = Daemon::start(config).unwrap();

@@ -100,8 +100,8 @@ fn pooled_client_connection_survives_a_daemon_server_restart() {
 
     let client = PuddleClient::connect_uds_shared(&socket, daemon.global_space()).unwrap();
     client.ping().unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.pools, 0);
+    let pools = || client.metrics().unwrap().counter("registry.pools");
+    assert_eq!(pools(), Some(0));
 
     // Restart the socket server: every connection the client pooled is now
     // a dead socket. The next call must detect the stale connection and
@@ -112,6 +112,5 @@ fn pooled_client_connection_survives_a_daemon_server_restart() {
     client
         .ping()
         .expect("pooled connection should retry after restart");
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.pools, 0);
+    assert_eq!(pools(), Some(0));
 }
