@@ -369,8 +369,8 @@ fn main() {
         // Quick scale shortens the measurement window, not the population.
         // Each connection costs two fds in this one process (client end +
         // daemon end); if the fd rlimit cannot hold the 10k cell even
-        // after being raised, clamp it rather than wedging the acceptor
-        // against EMFILE.
+        // after being raised, clamp it rather than pushing reactor 0's
+        // accepts into EMFILE backoff.
         let population_cap = ((nofile.saturating_sub(256)) / 2) as usize;
         let big = 10_000.min(population_cap);
         if big < 10_000 {

@@ -30,25 +30,11 @@ use std::thread::ThreadId;
 pub const LOGSPACE_PUDDLE_SIZE: u64 = 64 * 1024;
 /// Size of each per-thread log puddle.
 pub const LOG_PUDDLE_SIZE: u64 = 4 * 1024 * 1024;
-/// Floor on the spare-log cache capacity: even a client that has never
-/// chained parks a couple of puddles (a new thread log, a first chain
-/// extension).
-pub const SPARE_LOG_CACHE_MIN: usize = 2;
-/// Ceiling on the spare-log cache capacity, bounding what an idle client
-/// pins no matter how deep its transactions chain.
+/// Capacity of the spare-log cache, bounding what an idle client pins no
+/// matter how deep its transactions chain. Only chain tails are parked, so
+/// a chain-free client holds none, and a transaction with k tails parks
+/// all k of them up to this bound.
 pub const SPARE_LOG_CACHE_MAX: usize = 16;
-
-/// Spare log puddles a client parks for reuse instead of freeing.
-///
-/// Chained transactions release one tail per extension, so the useful
-/// capacity tracks the deepest chain this client has built: a fixed small
-/// cache makes chain-heavy transactions round-trip to the daemon for most
-/// of their tails, while a fixed large one pins puddles a chain-free client
-/// never uses. `depth_hwm` is the high-water mark of observed chain indexes
-/// (0 until the first chain extension).
-fn spare_capacity_for(depth_hwm: usize) -> usize {
-    depth_hwm.clamp(SPARE_LOG_CACHE_MIN, SPARE_LOG_CACHE_MAX)
-}
 
 /// A connection to the Puddles daemon plus per-client state.
 ///
@@ -79,10 +65,6 @@ pub(crate) struct ClientInner {
     /// extension or a new thread log — skips the daemon round trip *and*
     /// the mmap. Freed for real when the client drops.
     spare_logs: Mutex<Vec<PuddleInfo>>,
-    /// Deepest chain index this client has registered (0 until the first
-    /// chain extension); sizes the spare-log cache adaptively — see
-    /// [`spare_capacity_for`].
-    chain_depth_hwm: std::sync::atomic::AtomicUsize,
     /// Client-local observability counters (retries, reconnects, pipeline
     /// depth), shared with the endpoint; all-zero for in-process endpoints.
     client_metrics: Arc<ClientMetrics>,
@@ -220,7 +202,6 @@ impl PuddleClient {
                 thread_logs: RwLock::new(HashMap::new()),
                 log_puddle_size: std::sync::atomic::AtomicU64::new(LOG_PUDDLE_SIZE),
                 spare_logs: Mutex::new(Vec::new()),
-                chain_depth_hwm: std::sync::atomic::AtomicUsize::new(0),
                 client_metrics,
             }),
         })
@@ -544,12 +525,6 @@ impl ClientInner {
         log_id: u64,
         chain_index: u32,
     ) -> Result<()> {
-        if chain_index > 0 {
-            // Observed chain depth feeds the spare-cache capacity: a client
-            // that chains to depth d wants ~d parked tails.
-            self.chain_depth_hwm
-                .fetch_max(chain_index as usize, std::sync::atomic::Ordering::Relaxed);
-        }
         let logging = self.logging.lock();
         match &logging.logspace {
             Some(ls) => ls
@@ -583,12 +558,8 @@ impl ClientInner {
             }
         }
         if info.size == self.log_puddle_size() {
-            let capacity = spare_capacity_for(
-                self.chain_depth_hwm
-                    .load(std::sync::atomic::Ordering::Relaxed),
-            );
             let mut spares = self.spare_logs.lock();
-            if spares.len() < capacity {
+            if spares.len() < SPARE_LOG_CACHE_MAX {
                 spares.push(info.clone());
                 return;
             }
@@ -650,25 +621,5 @@ impl Drop for ClientInner {
         for info in &spares {
             self.free_log_segment(info);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn spare_capacity_tracks_chain_depth() {
-        // Below the floor (chain-free clients, shallow chains).
-        assert_eq!(spare_capacity_for(0), SPARE_LOG_CACHE_MIN);
-        assert_eq!(spare_capacity_for(1), SPARE_LOG_CACHE_MIN);
-        // Tracking observed depth in the adaptive band.
-        assert_eq!(spare_capacity_for(3), 3);
-        assert_eq!(spare_capacity_for(9), 9);
-        // Capped at the ceiling.
-        assert_eq!(
-            spare_capacity_for(SPARE_LOG_CACHE_MAX + 50),
-            SPARE_LOG_CACHE_MAX
-        );
     }
 }

@@ -281,7 +281,7 @@ impl RetryPolicy {
 }
 
 /// Connections a [`PipelinedEndpoint`] multiplexes calls over. Each
-/// carries up to the connection's negotiated window of in-flight requests,
+/// carries up to the daemon's fixed window of 64 in-flight requests,
 /// so a couple of sockets serve many concurrent callers; the second one
 /// puts concurrent callers on a second daemon reactor, and a lone caller is
 /// no slower for it (measured: ROADMAP D).
@@ -653,11 +653,7 @@ impl PipelinedEndpoint {
                 .reconnects
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
-        let hello = Request::Hello {
-            creds,
-            max_in_flight: 0,
-            reconnect,
-        };
+        let hello = Request::Hello { creds, reconnect };
         // Handshake round trip: proves the daemon accepted the connection
         // (a cap rejection fails here, not on a later caller) and fixes the
         // connection's credentials daemon-side.
@@ -1194,7 +1190,6 @@ mod tests {
                                 Request::Hello { .. } => Response::Welcome {
                                     space_base: 0x5000_0000_0000,
                                     space_size: 1 << 30,
-                                    max_in_flight: 64,
                                 },
                                 Request::Ping if pings_to_drop > 0 => {
                                     pings_to_drop -= 1;

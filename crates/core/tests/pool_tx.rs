@@ -874,9 +874,11 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
         let report = client.recover().unwrap();
         match fp {
             x if x == failpoint::names::LOG_CHAIN_ALLOC_CRASH => {
-                // The never-registered segment was already swept at startup.
-                assert!(
-                    counter(&client, "sweep.log_puddles") >= 1,
+                // The never-registered segment — and nothing else: the log
+                // space is registered — was already swept at startup.
+                assert_eq!(
+                    counter(&client, "sweep.log_puddles"),
+                    1,
                     "alloc-crash puddle must be swept at startup"
                 );
                 assert_eq!(report.chain_tails_reclaimed, 0);

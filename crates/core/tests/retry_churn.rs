@@ -1,7 +1,7 @@
 //! Client retry/backoff against a daemon at its connection cap.
 //!
-//! The acceptor answers connections beyond `max_connections` with a `Busy`
-//! frame and closes — which the client maps to a transient
+//! The daemon (reactor 0, which owns the listener) answers connections
+//! beyond `max_connections` with a `Busy` frame and closes — which the client maps to a transient
 //! `ConnectionRefused` and retries with bounded exponential backoff. Under
 //! connection churn (clients connecting, working briefly, and leaving) a
 //! waiting client must eventually land in a freed slot rather than fail on

@@ -32,12 +32,6 @@ pub enum Request {
     Hello {
         /// Client credentials used for access-control decisions.
         creds: Credentials,
-        /// Requested per-connection in-flight request window (pipelining).
-        /// `0` asks for the server default; the server clamps to its
-        /// configured maximum and reports the grant in `Welcome`.
-        /// Defaulted so `Hello` frames from older clients still parse.
-        #[serde(default)]
-        max_in_flight: u32,
         /// `true` when this `Hello` re-establishes a connection the client
         /// already had (retry/backoff path); counted as `client_reconnects`.
         #[serde(default)]
@@ -138,19 +132,14 @@ pub enum Request {
 pub enum Response {
     /// Generic success.
     Ok,
-    /// Reply to `Hello`: where this machine's global puddle space lives,
-    /// plus the granted connection parameters.
+    /// Reply to `Hello`: where this machine's global puddle space lives.
+    /// Every connection may pipeline up to the daemon's fixed window of 64
+    /// requests.
     Welcome {
         /// Base virtual address of the global puddle space.
         space_base: u64,
         /// Size of the global puddle space in bytes.
         space_size: u64,
-        /// Granted per-connection in-flight window (the requested value
-        /// clamped to the server's configured maximum). Defaulted (`0` = no
-        /// grant information) so a `Welcome` from an older daemon still
-        /// parses.
-        #[serde(default)]
-        max_in_flight: u32,
     },
     /// A puddle was created or opened.
     Puddle(PuddleInfo),
@@ -248,12 +237,10 @@ impl Deserialize for ServerFrame {
 }
 
 impl Request {
-    /// A `Hello` with default connection parameters (server picks the
-    /// window) on a fresh, first-time connection.
+    /// A `Hello` on a fresh, first-time connection.
     pub fn hello(creds: Credentials) -> Request {
         Request::Hello {
             creds,
-            max_in_flight: 0,
             reconnect: false,
         }
     }
@@ -380,7 +367,6 @@ mod tests {
                     uid: 1000,
                     gid: 100,
                 },
-                max_in_flight: 64,
                 reconnect: true,
             },
             Request::hello(Credentials { uid: 1, gid: 2 }),
@@ -414,31 +400,28 @@ mod tests {
         }
     }
 
-    /// `Hello`/`Welcome` grew negotiation fields after the wire format
-    /// shipped; frames from peers that predate them must still parse, with
-    /// the absent fields falling back to "server default" semantics.
+    /// The short `Hello` parses, and `Hello`/`Welcome` frames carrying a
+    /// key these types do not know (such as the window fields peers sent
+    /// while the window was negotiated) parse with the key ignored.
     #[test]
-    fn hello_and_welcome_without_negotiation_fields_still_parse() {
-        let old_hello = r#"{"Hello":{"creds":{"uid":1000,"gid":100}}}"#;
-        let req: Request = serde_json::from_str(old_hello).unwrap();
-        assert_eq!(
-            req,
-            Request::hello(Credentials {
-                uid: 1000,
-                gid: 100
-            })
-        );
+    fn hello_and_welcome_ignore_keys_they_do_not_know() {
+        let hello = Request::hello(Credentials {
+            uid: 1000,
+            gid: 100,
+        });
+        for frame in [
+            r#"{"Hello":{"creds":{"uid":1000,"gid":100}}}"#,
+            r#"{"Hello":{"creds":{"uid":1000,"gid":100},"window":8}}"#,
+        ] {
+            assert_eq!(serde_json::from_str::<Request>(frame).unwrap(), hello);
+        }
 
-        let old_welcome = r#"{"Welcome":{"space_base":4096,"space_size":8192}}"#;
-        let resp: Response = serde_json::from_str(old_welcome).unwrap();
-        assert_eq!(
-            resp,
-            Response::Welcome {
-                space_base: 4096,
-                space_size: 8192,
-                max_in_flight: 0,
-            }
-        );
+        let welcome = Response::Welcome {
+            space_base: 4096,
+            space_size: 8192,
+        };
+        let frame = r#"{"Welcome":{"space_base":4096,"space_size":8192,"window":64}}"#;
+        assert_eq!(serde_json::from_str::<Response>(frame).unwrap(), welcome);
     }
 
     /// `GetMetrics` rides the envelope like every other request, and
@@ -515,7 +498,6 @@ mod tests {
             resp: Response::Welcome {
                 space_base: 0x1000,
                 space_size: 0x2000,
-                max_in_flight: 64,
             },
         };
         let json = serde_json::to_string(&env).unwrap();

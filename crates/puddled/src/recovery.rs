@@ -84,7 +84,8 @@ pub fn run_recovery(inner: &DaemonInner) -> Result<RecoveryReport> {
 /// and marks the log spaces `invalidate` invalid, then makes it durable and
 /// deletes the dropped puddles' files (best-effort: a file left behind has
 /// no record, and the startup sweep deletes it). Recovery's reclaimed chain
-/// tails and the startup sweeps end here. Returns the number dropped.
+/// tails and the startup sweep of unreachable log puddles end here. Returns
+/// the number dropped.
 fn drop_puddles(inner: &DaemonInner, ids: &[PuddleId], invalidate: &[PuddleId]) -> Result<u64> {
     let dropped = inner.registry.transact(|data, ops| {
         let dropped: Vec<PuddleRecord> = ids
@@ -106,19 +107,23 @@ fn drop_puddles(inner: &DaemonInner, ids: &[PuddleId], invalidate: &[PuddleId]) 
     Ok(dropped.len() as u64)
 }
 
-/// Reclaims log puddles that no log space references.
+/// Reclaims the log puddles nothing can reach: `Log` puddles that no log
+/// space references, and `LogSpace` puddles that have no `LogSpaceRecord`.
 ///
-/// The chain-extension crash window leaves exactly this state: the daemon
+/// Two client crash windows leave them. A chain extension: the daemon
 /// allocated the next segment but the client crashed before registering it
-/// in its log space, so no recovery pass (and no client) can ever reach the
-/// puddle again. Run at daemon startup only — after registry load and
-/// recovery, before any client connects — because a *live* client is
-/// briefly in this window on every chain extension. Returns the number of
-/// puddles reclaimed.
-pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64> {
+/// in its log space. `ensure_logspace`: the daemon allocated the log-space
+/// puddle but the client crashed before `RegLogSpace`. No recovery pass
+/// (recovery walks *registered* log spaces only) and no client can ever
+/// reach such a puddle again. Run at daemon startup only — after registry
+/// load and recovery, before any client connects — because a *live* client
+/// is briefly in each window. One transaction drops both kinds; returns the
+/// number of puddles reclaimed.
+pub(crate) fn sweep_unreachable_log_puddles(inner: &DaemonInner) -> Result<u64> {
     let log_spaces = inner.registry.read(|data| data.log_spaces.clone());
     let gspace = &inner.gspace;
     let mut referenced: std::collections::BTreeSet<u128> = std::collections::BTreeSet::new();
+    let mut references_known = true;
     // Walk every log space (including invalidated ones: their logs are kept
     // as evidence) and collect the puddles they reference.
     for ls in &log_spaces {
@@ -151,44 +156,24 @@ pub(crate) fn sweep_unreferenced_log_puddles(inner: &DaemonInner) -> Result<u64>
         }
         if map_result.is_err() {
             // A log space we cannot read may reference any log puddle: with
-            // its references unknown, deleting "unreferenced" puddles could
-            // destroy a live undo log. Skip the sweep entirely — leaking a
+            // its references unknown, deleting "unreferenced" `Log` puddles
+            // could destroy a live undo log, so none is dropped — leaking a
             // puddle until the space heals is recoverable, deletion is not.
-            return Ok(0);
+            // Unregistered `LogSpace` puddles need only the registry.
+            references_known = false;
+            break;
         }
     }
-    let unreferenced: Vec<PuddleId> = inner.registry.read(|data| {
-        let logs = data
-            .puddles
-            .values()
-            .filter(|r| r.purpose == PuddlePurpose::Log);
-        let unreferenced = logs.filter(|r| !referenced.contains(&r.id.0));
-        unreferenced.map(|r| r.id).collect()
-    });
-    drop_puddles(inner, &unreferenced, &[])
-}
-
-/// Reclaims `LogSpace`-purpose puddles that have no [`LogSpaceRecord`].
-///
-/// `ensure_logspace` on the client first allocates the puddle, then
-/// registers it with `RegLogSpace`; a crash in between leaves a LogSpace
-/// puddle the registry's log-space table never heard of. No recovery pass
-/// walks it (recovery iterates *registered* log spaces) and no client can
-/// reach it (the crashed client's handle died with it), so — like the
-/// unregistered-`Log` case above — only this startup sweep can reclaim it.
-/// Run after registry load + recovery, before any client connects (a live
-/// client is briefly in exactly this window while creating its log space).
-/// Returns the number of puddles reclaimed.
-pub(crate) fn sweep_unregistered_logspace_puddles(inner: &DaemonInner) -> Result<u64> {
-    let unregistered: Vec<PuddleId> = inner.registry.read(|data| {
+    let unreachable: Vec<PuddleId> = inner.registry.read(|data| {
         let is_registered = |id| data.log_spaces.iter().any(|ls| ls.puddle == id);
-        data.puddles
-            .values()
-            .filter(|r| r.purpose == PuddlePurpose::LogSpace && !is_registered(r.id))
-            .map(|r| r.id)
-            .collect()
+        let unreachable = data.puddles.values().filter(|r| match r.purpose {
+            PuddlePurpose::Log => references_known && !referenced.contains(&r.id.0),
+            PuddlePurpose::LogSpace => !is_registered(r.id),
+            _ => false,
+        });
+        unreachable.map(|r| r.id).collect()
     });
-    drop_puddles(inner, &unregistered, &[])
+    drop_puddles(inner, &unreachable, &[])
 }
 
 /// Deletes puddle files that have no registry record.

@@ -29,22 +29,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default per-connection in-flight window granted to clients that do not
-/// request one (matches `uds::MAX_PIPELINED_REQUESTS`).
-pub const DEFAULT_MAX_IN_FLIGHT: u32 = 64;
-
-/// The deterministic clamp behind Hello/Welcome negotiation: `0` means
-/// "server default", anything else is clamped into `[1, configured_max]`.
-/// Both the UDS connection (enforcing the window) and the service (reporting
-/// the grant in `Welcome`) apply this same function, so they cannot drift.
-pub fn grant_limit(requested: u32, default: u32, configured_max: u32) -> u32 {
-    if requested == 0 {
-        default.min(configured_max).max(1)
-    } else {
-        requested.clamp(1, configured_max.max(1))
-    }
-}
-
 /// Configuration for a daemon instance (one per "machine").
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
@@ -56,9 +40,6 @@ pub struct DaemonConfig {
     pub space_size: usize,
     /// Run crash recovery automatically at startup (the paper's behaviour).
     pub auto_recover: bool,
-    /// Hard ceiling for the per-connection in-flight window a client may
-    /// negotiate in `Hello` (the server clamps requests above it).
-    pub max_in_flight: u32,
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
@@ -83,7 +64,6 @@ impl DaemonConfig {
             space_base: Some(DEFAULT_SPACE_BASE),
             space_size: puddles_pmem::DEFAULT_SPACE_SIZE,
             auto_recover: true,
-            max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             fault_plan: None,
             clock: Clock::real(),
             metrics: None,
@@ -103,7 +83,6 @@ impl DaemonConfig {
             space_base: Some(base),
             space_size,
             auto_recover: true,
-            max_in_flight: DEFAULT_MAX_IN_FLIGHT,
             fault_plan: None,
             clock: Clock::real(),
             metrics: None,
@@ -379,20 +358,12 @@ impl Daemon {
         if daemon.inner.config.auto_recover {
             let _ = recovery::run_recovery(&daemon.inner)?;
         }
-        // Reclaim log puddles no log space references (the crash window
-        // between allocating a chain segment and registering it). Startup
-        // only: once clients connect, a live chain extension is briefly in
-        // exactly this state.
+        // Reclaim log and log-space puddles nothing can reach (a client
+        // crash between allocating one and registering it). Startup only:
+        // once clients connect, a live client is briefly in exactly this
+        // state.
         swept("sweep.log_puddles").fetch_add(
-            recovery::sweep_unreferenced_log_puddles(&daemon.inner)?,
-            Ordering::Relaxed,
-        );
-        // Likewise for LogSpace puddles that never made it into the
-        // registry's log-space table (a crash inside `ensure_logspace`
-        // between the allocation and `RegLogSpace`): unreachable forever,
-        // safe to reclaim before any client connects.
-        swept("sweep.logspace_puddles").fetch_add(
-            recovery::sweep_unregistered_logspace_puddles(&daemon.inner)?,
+            recovery::sweep_unreachable_log_puddles(&daemon.inner)?,
             Ordering::Relaxed,
         );
         Ok(daemon)
@@ -493,11 +464,7 @@ impl Daemon {
 
     fn dispatch(&self, creds: Credentials, req: Request) -> DaemonResult<Response> {
         match req {
-            Request::Hello {
-                max_in_flight,
-                reconnect,
-                ..
-            } => {
+            Request::Hello { reconnect, .. } => {
                 if reconnect {
                     let reconnects = self.inner.metrics.counter("client_reconnects");
                     reconnects.fetch_add(1, Ordering::Relaxed);
@@ -505,9 +472,9 @@ impl Daemon {
                         .metrics
                         .trace(TraceEventKind::Reconnect, "", 0, 0);
                 }
-                Ok(self.welcome(max_in_flight))
+                Ok(self.welcome())
             }
-            Request::Ping => Ok(self.welcome(0)),
+            Request::Ping => Ok(self.welcome()),
             Request::CreatePuddle {
                 size,
                 pool,
@@ -660,26 +627,10 @@ impl Daemon {
         }
     }
 
-    /// The per-connection in-flight window granted for a requested value.
-    /// The single source of truth: `Welcome` reports this number and the
-    /// UDS reactor enforces it, so the two can never disagree.
-    pub(crate) fn granted_in_flight(&self, requested: u32) -> u32 {
-        grant_limit(requested, DEFAULT_MAX_IN_FLIGHT, self.in_flight_cap())
-    }
-
-    /// The ceiling a connection's window can be negotiated up to.
-    pub(crate) fn in_flight_cap(&self) -> u32 {
-        self.inner
-            .config
-            .max_in_flight
-            .min(crate::uds::MAX_PIPELINED_REQUESTS as u32)
-    }
-
-    fn welcome(&self, requested_in_flight: u32) -> Response {
+    fn welcome(&self) -> Response {
         Response::Welcome {
             space_base: self.inner.gspace.base() as u64,
             space_size: self.inner.gspace.size() as u64,
-            max_in_flight: self.granted_in_flight(requested_in_flight),
         }
     }
 
@@ -1014,7 +965,6 @@ mod tests {
         match kind {
             "Hello" => Request::Hello {
                 creds,
-                max_in_flight: 8,
                 reconnect: true,
             },
             "Ping" => Request::Ping,

@@ -13,11 +13,6 @@
 //! and a request runs on whichever of the two `service::lane_of` places its
 //! kind:
 //!
-//! * One **acceptor thread** owns the nonblocking listener. Each accepted
-//!   socket is handed to the least-loaded reactor whose slice of the
-//!   connection budget has room; at the global connection cap the acceptor
-//!   writes a [`puddles_proto::ErrorCode::Busy`] error frame and closes the
-//!   socket, so clients can back off instead of parsing a bare EOF.
 //! * **N reactor threads** (default `min(cores, 4)`, see [`ServerConfig`])
 //!   each own a private poller, waker, and connection table: a reactor
 //!   reads whatever bytes its sockets have, feeds them to an incremental
@@ -25,8 +20,13 @@
 //!   at arbitrary byte boundaries reassemble transparently), and flushes
 //!   response bytes, parking partial writes in a per-connection output
 //!   buffer until the socket drains. Reactors never touch each other's
-//!   connections, so accept/decode/write work scales with cores instead of
+//!   connections, so decode/write work scales with cores instead of
 //!   funneling through one event loop.
+//! * **Reactor 0 also owns the nonblocking listener.** Each accepted
+//!   socket is handed to the least-loaded reactor; at the global connection
+//!   cap reactor 0 writes a [`puddles_proto::ErrorCode::Busy`] error frame
+//!   and closes the socket, so clients can back off instead of parsing a
+//!   bare EOF.
 //! * **Inline requests run on the reactor that decoded them.** The
 //!   criterion is strict: the request takes shared registry locks and
 //!   nothing else — it can never wait on the WAL, an `fsync`, a file copy,
@@ -60,7 +60,8 @@
 //!
 //! Three bounds keep a misbehaving peer from ballooning daemon memory: the
 //! global connection cap (excess connections are turned away with a `Busy`
-//! frame), a per-connection cap on parsed-plus-in-flight requests, and a
+//! frame), a per-connection cap on parsed-plus-in-flight requests (the one
+//! fixed window, [`MAX_PIPELINED_REQUESTS`]), and a
 //! per-connection output high-water mark — a client that stops reading its
 //! responses (or pipelines without reading) has its *read* interest dropped
 //! **and its parsed requests left undispatched** until the output buffer
@@ -71,14 +72,14 @@
 //!
 //! # Shutdown
 //!
-//! [`UdsServer::shutdown`] is graceful and *bounded*: the acceptor stops,
-//! every reactor drops idle connections immediately, gives in-flight
+//! [`UdsServer::shutdown`] is graceful and *bounded*: reactor 0 closes the
+//! listener, every reactor drops idle connections immediately, gives in-flight
 //! requests and partially written responses [`SHUTDOWN_GRACE`] to finish,
 //! then force-drops stragglers; the worker pool is drained and joined
 //! (detached past the deadline, so a pathological request cannot wedge the
 //! process).
 
-use crate::service::{grant_limit, lane_of, Daemon, Lane, DEFAULT_MAX_IN_FLIGHT};
+use crate::service::{lane_of, Daemon, Lane};
 use polling::{Event, Interest, Poller, Waker};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::obs::ShardedHistogram;
@@ -109,11 +110,11 @@ pub const MAX_REACTORS: usize = 4;
 /// finish once shutdown is requested.
 const SHUTDOWN_GRACE: Duration = Duration::from_secs(5);
 
-/// Requests a single connection may have parsed-but-undispatched plus in
-/// flight at once; above this the connection's read interest is dropped
-/// until completions drain (its socket fills; the kernel pushes back on the
-/// client). This is also the useful upper bound on a client's pipeline
-/// depth.
+/// Every connection's window: the requests it may have parsed-but-
+/// undispatched plus in flight at once; above this the connection's read
+/// interest is dropped until completions drain (its socket fills; the
+/// kernel pushes back on the client). This is also the useful upper bound
+/// on a client's pipeline depth.
 pub const MAX_PIPELINED_REQUESTS: usize = 64;
 
 /// Per-connection output high-water mark: once this many bytes are parked
@@ -124,9 +125,9 @@ const OUT_HIGH_WATER: usize = 1 << 20;
 /// Largest chunk a reactor reads per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Acceptor poll-token namespace: listener plus waker.
+/// Listener token (reactor 0's poller only).
 const TOKEN_LISTENER: u64 = 0;
-/// Waker token (used by the acceptor's and every reactor's poller).
+/// Waker token (every reactor's poller).
 const TOKEN_WAKER: u64 = 1;
 /// First token handed to a connection (per-reactor token space).
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -134,8 +135,8 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// Runtime shape of a [`UdsServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Bound on simultaneous connections across all reactors; beyond it the
-    /// acceptor answers with a `Busy` frame and closes.
+    /// Bound on simultaneous connections across all reactors; beyond it
+    /// reactor 0 answers with a `Busy` frame and closes.
     pub max_connections: usize,
     /// Number of reactor (event-loop) threads. Clamped to
     /// `1..=`[`MAX_REACTORS`].
@@ -259,19 +260,20 @@ impl WorkQueue {
     }
 }
 
-/// Per-reactor state shared with the acceptor and the workers.
+/// Per-reactor state shared with reactor 0 (placement) and the workers.
 struct ReactorShared {
     /// Wakes this reactor's poller (new incoming connection or completion).
     waker: Waker,
-    /// Sockets handed off by the acceptor, not yet registered.
+    /// Sockets handed off by reactor 0, not yet registered.
     incoming: Mutex<Vec<(UnixStream, Option<Credentials>)>>,
     /// Completed responses: `(conn token, encoded frame)`. Workers push,
     /// the reactor drains after a waker event.
     completions: Mutex<Vec<(u64, Vec<u8>)>>,
     /// Connections owned by this reactor, **including** handed-off sockets
-    /// it has not registered yet: the acceptor increments at handoff, the
-    /// reactor decrements on close, so the global cap check never races a
-    /// not-yet-registered socket past the limit. Behind an `Arc` because
+    /// it has not registered yet: reactor 0 — the only thread that
+    /// increments — counts at handoff, the owning reactor decrements on
+    /// close, so the global cap check never races a not-yet-registered
+    /// socket past the limit. Behind an `Arc` because
     /// `GetMetrics` reports it (`reactor.<i>.connections`: per-reactor
     /// placement skew).
     active: Arc<AtomicUsize>,
@@ -310,20 +312,16 @@ struct UdsObs {
     rejected: Arc<AtomicU64>,
 }
 
-/// State shared between the acceptor, the reactors, the workers, and the
-/// server handle.
+/// State shared between the reactors, the workers, and the server handle.
 struct Shared {
     daemon: Daemon,
     obs: UdsObs,
     shutdown: AtomicBool,
-    /// Wakes the acceptor's poller (shutdown).
-    acceptor_waker: Waker,
     queue: WorkQueue,
     reactors: Vec<Arc<ReactorShared>>,
     /// Exit latches per thread group: each runtime thread signals its
     /// latch on the way out, so shutdown waits on a condvar instead of
     /// spin-polling `JoinHandle::is_finished` every 5 ms.
-    acceptor_exits: ExitLatch,
     reactor_exits: ExitLatch,
     worker_exits: ExitLatch,
 }
@@ -388,7 +386,6 @@ impl Drop for ExitGuard<'_> {
 pub struct UdsServer {
     path: PathBuf,
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -437,10 +434,8 @@ impl UdsServer {
             daemon,
             obs,
             shutdown: AtomicBool::new(false),
-            acceptor_waker: Waker::new()?,
             queue: WorkQueue::new(),
             reactors: reactor_shared,
-            acceptor_exits: ExitLatch::new(),
             reactor_exits: ExitLatch::new(),
             worker_exits: ExitLatch::new(),
         });
@@ -487,15 +482,18 @@ impl UdsServer {
             );
         }
 
+        // Reactor 0 accepts for every reactor.
+        let mut listener = Some(Listener::new(listener, max_connections)?);
         let mut reactors = Vec::with_capacity(reactor_count);
         for index in 0..reactor_count {
             let shared = Arc::clone(&shared);
+            let listener = listener.take();
             reactors.push(
                 std::thread::Builder::new()
                     .name(format!("puddled-reactor-{index}"))
                     .spawn(move || {
                         let _exit = ExitGuard(&shared.reactor_exits);
-                        let mut r = match Reactor::new(Arc::clone(&shared), index) {
+                        let mut r = match Reactor::new(Arc::clone(&shared), index, listener) {
                             Ok(r) => r,
                             Err(_) => return,
                         };
@@ -504,23 +502,9 @@ impl UdsServer {
             );
         }
 
-        let acceptor_shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("puddled-acceptor".into())
-            .spawn(move || {
-                let _exit = ExitGuard(&acceptor_shared.acceptor_exits);
-                let mut a =
-                    match Acceptor::new(Arc::clone(&acceptor_shared), listener, max_connections) {
-                        Ok(a) => a,
-                        Err(_) => return,
-                    };
-                a.run();
-            })?;
-
         Ok(UdsServer {
             path,
             shared,
-            acceptor: Some(acceptor),
             reactors,
             workers,
         })
@@ -541,26 +525,17 @@ impl UdsServer {
     }
 
     /// Stops accepting, disconnects idle clients, lets in-flight requests
-    /// finish within [`SHUTDOWN_GRACE`], and joins the acceptor, reactor,
-    /// and worker threads. The join is *bounded*: any straggler past the
-    /// deadline is detached instead of joined, so a wedged peer or request
-    /// cannot hang the process.
+    /// finish within [`SHUTDOWN_GRACE`], and joins the reactor and worker
+    /// threads. The join is *bounded*: any straggler past the deadline is
+    /// detached instead of joined, so a wedged peer or request cannot hang
+    /// the process.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.acceptor_waker.wake();
         for r in &self.shared.reactors {
             r.waker.wake();
         }
         let clock = self.shared.daemon.clock().clone();
         let deadline = clock.now() + SHUTDOWN_GRACE + Duration::from_secs(2);
-        let out = self.shared.acceptor_exits.wait_all(
-            usize::from(self.acceptor.is_some()),
-            &clock,
-            deadline,
-        );
-        if let Some(handle) = self.acceptor.take() {
-            join_or_detach(handle, out);
-        }
         let out = self
             .shared
             .reactor_exits
@@ -669,163 +644,71 @@ fn peer_credentials(stream: &UnixStream) -> Option<Credentials> {
     }
 }
 
-// -- Acceptor ---------------------------------------------------------------
+// -- Listener ---------------------------------------------------------------
 
-/// The accept loop: owns the listener, places sockets onto reactors.
-struct Acceptor {
-    shared: Arc<Shared>,
-    poller: Poller,
+/// How long accepting pauses after a persistent accept failure.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Reactor 0's accept side: the listener and the connection cap.
+struct Listener {
     listener: UnixListener,
     max_connections: usize,
-    /// The listener is registered with the poller (deregistered while a
-    /// persistent accept failure backs off, so a full backlog does not
-    /// busy-loop on level-triggered accept readiness).
-    accepting: bool,
-    /// Accepting is paused until this clock reading after a persistent
-    /// accept failure (e.g. EMFILE under a low fd rlimit).
-    accept_backoff_until: Option<Duration>,
-    /// The daemon's time source (virtual under torture).
-    clock: Clock,
+    /// Set after a persistent accept failure (e.g. EMFILE under a low fd
+    /// rlimit): the listener is deregistered from the poller until this
+    /// clock reading, so a full backlog does not busy-loop on
+    /// level-triggered accept readiness.
+    backoff_until: Option<Duration>,
     /// Pre-encoded `Busy` rejection frame (a bare response: it is sent
     /// before any request id could have been read, and clients decode bare
     /// frames via `ServerFrame`).
     busy_frame: Vec<u8>,
 }
 
-impl Acceptor {
-    fn new(
-        shared: Arc<Shared>,
-        listener: UnixListener,
-        max_connections: usize,
-    ) -> io::Result<Acceptor> {
-        let poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        poller.add(shared.acceptor_waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
+impl Listener {
+    fn new(listener: UnixListener, max_connections: usize) -> io::Result<Listener> {
         let busy_frame = frame::encode_frame(&Response::Error {
             code: puddles_proto::ErrorCode::Busy,
             message: format!("connection limit reached ({max_connections})"),
         })?;
-        let clock = shared.daemon.clock().clone();
-        Ok(Acceptor {
-            shared,
-            poller,
+        Ok(Listener {
             listener,
             max_connections,
-            accepting: true,
-            accept_backoff_until: None,
-            clock,
+            backoff_until: None,
             busy_frame,
         })
     }
 
-    fn run(&mut self) {
-        let mut events: Vec<Event> = Vec::new();
-        loop {
-            let timeout = self.accept_backoff_until.map(|_| Duration::from_millis(10));
-            let _ = self.poller.wait(&mut events, timeout);
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            if let Some(until) = self.accept_backoff_until {
-                if self.clock.now() >= until {
-                    self.accept_backoff_until = None;
-                    self.resume_accepting();
-                }
-            }
-            for &event in &events {
-                match event.token {
-                    TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKER => {
-                        self.shared.acceptor_waker.drain();
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.place(stream),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Persistent accept failure (e.g. EMFILE under a low fd
-                // rlimit): the level-triggered listener readiness would
-                // fire on every wait while the backlog is non-empty,
-                // spinning the loop hot. Deregister and retry after a
-                // short backoff.
-                Err(_) => {
-                    self.pause_accepting();
-                    self.accept_backoff_until = Some(self.clock.now() + Duration::from_millis(10));
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Routes one accepted socket: least-loaded reactor with room in its
-    /// slice of the budget, or a `Busy` rejection at the global cap.
-    fn place(&mut self, stream: UnixStream) {
+    /// Routes one accepted socket: to the least-loaded reactor, or a `Busy`
+    /// rejection at the global cap.
+    fn place(&self, shared: &Shared, stream: UnixStream) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
-        let n = self.shared.reactors.len();
-        // Per-reactor slice of the budget. Ceiling division: if the total
-        // is below the cap, at least one reactor is below its slice, so a
-        // non-rejected socket always finds a home.
-        let slice = self.max_connections.div_ceil(n);
         let mut total = 0usize;
-        let mut best: Option<(usize, usize)> = None;
-        for (i, r) in self.shared.reactors.iter().enumerate() {
+        let mut best = (0, usize::MAX);
+        for (i, r) in shared.reactors.iter().enumerate() {
             let active = r.active.load(Ordering::Relaxed);
             total += active;
-            if active < slice && best.is_none_or(|(_, b)| active < b) {
-                best = Some((i, active));
+            if active < best.1 {
+                best = (i, active);
             }
         }
-        let target = match best {
-            Some((i, _)) if total < self.max_connections => i,
-            // At (or, transiently, above) the cap: tell the client to back
-            // off. Best-effort — the frame is far smaller than a socket
-            // buffer, so the nonblocking write only fails if the peer is
-            // already gone.
-            _ => {
-                let mut stream = stream;
-                let _ = stream.write(&self.busy_frame);
-                self.shared.obs.rejected.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
+        if total >= self.max_connections {
+            // Tell the client to back off. Best-effort — the frame is far
+            // smaller than a socket buffer, so the nonblocking write only
+            // fails if the peer is already gone.
+            let mut stream = stream;
+            let _ = stream.write(&self.busy_frame);
+            shared.obs.rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let peer = peer_credentials(&stream);
-        let reactor = &self.shared.reactors[target];
+        let reactor = &shared.reactors[best.0];
         // Count the connection *before* the reactor sees it so the cap
         // check above can never race a handed-off socket past the limit.
         reactor.active.fetch_add(1, Ordering::Relaxed);
         reactor.incoming.lock().unwrap().push((stream, peer));
         reactor.waker.wake();
-    }
-
-    fn pause_accepting(&mut self) {
-        if self.accepting {
-            let _ = self.poller.delete(self.listener.as_raw_fd());
-            self.accepting = false;
-        }
-    }
-
-    fn resume_accepting(&mut self) {
-        if !self.accepting
-            && self
-                .poller
-                .add(
-                    self.listener.as_raw_fd(),
-                    TOKEN_LISTENER,
-                    Interest::READABLE,
-                )
-                .is_ok()
-        {
-            self.accepting = true;
-        }
     }
 }
 
@@ -860,16 +743,10 @@ struct Conn {
     /// Interest bits currently registered with the poller.
     reg_readable: bool,
     reg_writable: bool,
-    /// Server-side ceiling on the negotiable in-flight window (the daemon's
-    /// configured max clamped to [`MAX_PIPELINED_REQUESTS`]).
-    cap: u32,
-    /// The in-flight window currently granted to this connection: the
-    /// default grant until a `Hello` negotiates one.
-    window: usize,
 }
 
 impl Conn {
-    fn new(stream: UnixStream, peer: Option<Credentials>, cap: u32) -> Conn {
+    fn new(stream: UnixStream, peer: Option<Credentials>) -> Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(),
@@ -884,8 +761,6 @@ impl Conn {
             dead: false,
             reg_readable: true,
             reg_writable: false,
-            cap,
-            window: grant_limit(0, DEFAULT_MAX_IN_FLIGHT, cap) as usize,
         }
     }
 
@@ -913,7 +788,7 @@ impl Conn {
     fn wants_read(&self) -> bool {
         !self.dead
             && !self.peer_closed
-            && self.pending.len() + self.in_flight < self.window
+            && self.pending.len() + self.in_flight < MAX_PIPELINED_REQUESTS
             && self.out_len() < OUT_HIGH_WATER
     }
 }
@@ -927,6 +802,8 @@ struct Reactor {
     index: usize,
     me: Arc<ReactorShared>,
     poller: Poller,
+    /// Reactor 0's listener, until shutdown closes it; `None` elsewhere.
+    listener: Option<Listener>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Set once shutdown is observed; records the drain deadline (a clock
@@ -943,16 +820,20 @@ struct Reactor {
 }
 
 impl Reactor {
-    fn new(shared: Arc<Shared>, index: usize) -> io::Result<Reactor> {
+    fn new(shared: Arc<Shared>, index: usize, listener: Option<Listener>) -> io::Result<Reactor> {
         let me = Arc::clone(&shared.reactors[index]);
         let poller = Poller::new()?;
         poller.add(me.waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
+        if let Some(l) = &listener {
+            poller.add(l.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+        }
         let clock = shared.daemon.clock().clone();
         Ok(Reactor {
             shared,
             index,
             me,
             poller,
+            listener,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             draining: None,
@@ -966,18 +847,24 @@ impl Reactor {
         let mut events: Vec<Event> = Vec::new();
         loop {
             // While draining, wake at least every 20 ms to check the
-            // deadline; otherwise sleep until an event or waker.
-            let timeout = self.draining.map(|_| Duration::from_millis(20));
+            // deadline; while accepting backs off (never while draining:
+            // the drain closed the listener), every `ACCEPT_BACKOFF` to
+            // resume it; otherwise sleep until an event or waker.
+            let backoff = self.listener.as_ref().and_then(|l| l.backoff_until);
+            let drain_tick = self.draining.map(|_| Duration::from_millis(20));
+            let timeout = drain_tick.or(backoff.map(|_| ACCEPT_BACKOFF));
             let _ = self.poller.wait(&mut events, timeout);
             if self.shared.shutdown.load(Ordering::SeqCst) && self.draining.is_none() {
                 self.begin_drain();
             }
+            self.resume_accepting();
 
             for &event in &events {
                 match event.token {
                     TOKEN_WAKER => {
                         self.me.waker.drain();
                     }
+                    TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_ready(token, event),
                 }
             }
@@ -997,10 +884,51 @@ impl Reactor {
         self.me.active.store(0, Ordering::Relaxed);
     }
 
-    // -- Accept handoff -----------------------------------------------------
+    // -- Accept (reactor 0) and handoff -------------------------------------
 
-    /// Registers sockets the acceptor handed to this reactor. Their
-    /// `active` count was already taken at handoff; undone here on failure.
+    /// Accepts every pending connection and places each on a reactor.
+    fn accept_ready(&mut self) {
+        let Some(l) = self.listener.as_mut() else {
+            return;
+        };
+        loop {
+            match l.listener.accept() {
+                Ok((stream, _)) => l.place(&self.shared, stream),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                // Persistent accept failure (e.g. EMFILE under a low fd
+                // rlimit): the level-triggered listener readiness would
+                // fire on every wait while the backlog is non-empty,
+                // spinning the loop hot. Deregister and retry after a
+                // short backoff.
+                Err(_) => {
+                    let _ = self.poller.delete(l.listener.as_raw_fd());
+                    l.backoff_until = Some(self.clock.now() + ACCEPT_BACKOFF);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Re-registers the listener once its accept backoff has passed.
+    fn resume_accepting(&mut self) {
+        let Some(l) = self.listener.as_mut() else {
+            return;
+        };
+        let fd = l.listener.as_raw_fd();
+        let due = l.backoff_until.is_some_and(|t| self.clock.now() >= t);
+        if due
+            && self
+                .poller
+                .add(fd, TOKEN_LISTENER, Interest::READABLE)
+                .is_ok()
+        {
+            l.backoff_until = None;
+        }
+    }
+
+    /// Registers sockets reactor 0 handed to this reactor. Their `active`
+    /// count was already taken at handoff; undone here on failure.
     fn process_incoming(&mut self) {
         let incoming: Vec<(UnixStream, Option<Credentials>)> =
             std::mem::take(&mut *self.me.incoming.lock().unwrap());
@@ -1021,8 +949,7 @@ impl Reactor {
             }
             // Bytes that raced in before registration are reported by the
             // next level-triggered wait; no eager read needed.
-            let cap = self.shared.daemon.in_flight_cap();
-            self.conns.insert(token, Conn::new(stream, peer, cap));
+            self.conns.insert(token, Conn::new(stream, peer));
         }
     }
 
@@ -1131,6 +1058,9 @@ impl Reactor {
 
     fn begin_drain(&mut self) {
         self.draining = Some(self.clock.now() + SHUTDOWN_GRACE);
+        // Nothing is accepted once shutdown starts: closing the listener
+        // also takes it out of the poller.
+        self.listener = None;
         // Idle connections go immediately; busy ones get the grace period
         // to finish their in-flight requests and flush.
         let idle: Vec<u64> = self
@@ -1244,12 +1174,6 @@ fn parse_frames(conn: &mut Conn) -> bool {
                 (None, _) => Credentials::current_process(),
             });
         }
-        if let Request::Hello { max_in_flight, .. } = &req {
-            // Apply the negotiated window immediately: the same clamp the
-            // service reports in `Welcome`, so enforcement matches the
-            // grant the client is about to read.
-            conn.window = grant_limit(*max_in_flight, DEFAULT_MAX_IN_FLIGHT, conn.cap) as usize;
-        }
         conn.pending.push_back((req_id, req));
     }
 }
@@ -1268,7 +1192,7 @@ fn reset_injected(shared: &Shared) -> bool {
 }
 
 /// Runs or hands off a connection's parsed requests, in arrival order, up
-/// to its negotiated in-flight window and only while its parked output is
+/// to [`MAX_PIPELINED_REQUESTS`] in flight and only while its parked output is
 /// below [`OUT_HIGH_WATER`] (what is held back stays in `pending` and
 /// resumes from the completion or writable event that lifts the bound).
 /// [`Lane::Inline`] requests execute right here, their responses encoded
@@ -1277,7 +1201,7 @@ fn reset_injected(shared: &Shared) -> bool {
 fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) {
     while !conn.dead {
         let mut ran_inline = false;
-        while conn.in_flight < conn.window && conn.out_len() < OUT_HIGH_WATER {
+        while conn.in_flight < MAX_PIPELINED_REQUESTS && conn.out_len() < OUT_HIGH_WATER {
             let Some((req_id, req)) = conn.pending.pop_front() else {
                 break;
             };

@@ -75,36 +75,6 @@ fn hello_reports_global_space() {
     }
 }
 
-/// The server clamps the Hello-negotiated in-flight window to its
-/// configured maximum, and echoes the grant in Welcome.
-#[test]
-fn hello_negotiates_window_within_server_limits() {
-    let (_tmp, daemon) = start_daemon();
-    let ep = daemon.endpoint(USER_A);
-    let grant = |req_window: u32| -> u32 {
-        let resp = ep
-            .call(&Request::Hello {
-                creds: USER_A,
-                max_in_flight: req_window,
-                reconnect: false,
-            })
-            .unwrap();
-        match resp {
-            Response::Welcome { max_in_flight, .. } => max_in_flight,
-            other => panic!("unexpected response {other:?}"),
-        }
-    };
-    // Zero means "server default" (64 in flight).
-    assert_eq!(grant(0), 64);
-    // Modest requests are granted verbatim.
-    assert_eq!(grant(8), 8);
-    // Oversized requests are clamped to the configured maximum
-    // (`for_testing`: 64 in flight).
-    assert_eq!(grant(10_000), 64);
-    // Degenerate requests still grant at least one slot.
-    assert_eq!(grant(1), 1);
-}
-
 /// Reconnect-flagged Hellos (sent by clients re-dialing after a lost
 /// connection) are counted in the daemon's metrics.
 #[test]
@@ -115,7 +85,6 @@ fn reconnect_hellos_are_counted_in_stats() {
     for _ in 0..3 {
         ep.call(&Request::Hello {
             creds: USER_A,
-            max_in_flight: 0,
             reconnect: true,
         })
         .unwrap();
@@ -1596,11 +1565,7 @@ fn unregistered_logspace_puddles_are_swept_at_startup() {
     }
 
     let daemon = Daemon::start(config).unwrap();
-    let after = [
-        "sweep.logspace_puddles",
-        "registry.puddles",
-        "registry.pools",
-    ];
+    let after = ["sweep.log_puddles", "registry.puddles", "registry.pools"];
     // The sweep must not have touched the pool.
     assert_eq!(counters(&daemon, after), [1, logspace_count - 1, 1]);
 }
@@ -1659,4 +1624,48 @@ fn unreferenced_log_puddles_are_swept_at_startup() {
         ),
         Response::Puddle(_)
     ));
+}
+
+/// The one startup sweep keeps its one exception: a log space it cannot
+/// read may reference any `Log` puddle, so none is dropped, while an
+/// unregistered `LogSpace` puddle is known unreachable from the registry
+/// alone and still goes.
+#[test]
+fn an_unreadable_log_space_spares_log_puddles_but_not_unregistered_log_spaces() {
+    let tmp = tempfile::tempdir().unwrap();
+    // No recovery pass: it would refuse to start over the unreadable space.
+    let config = DaemonConfig::for_testing(tmp.path()).no_auto_recover();
+    let daemon = Daemon::start(config.clone()).unwrap();
+    let create = |purpose| {
+        expect_puddle(daemon.handle(
+            USER_A,
+            Request::CreatePuddle {
+                size: 1 << 20,
+                pool: None,
+                purpose,
+                mode: 0o600,
+            },
+        ))
+    };
+    let registered = create(PuddlePurpose::LogSpace);
+    let register = Request::RegLogSpace {
+        puddle: registered.id,
+    };
+    assert_eq!(daemon.handle(USER_A, register), Response::Ok);
+    let log = create(PuddlePurpose::Log);
+    let unregistered = create(PuddlePurpose::LogSpace);
+    drop(daemon);
+    std::fs::remove_file(&registered.path).unwrap();
+
+    let daemon = Daemon::start(config).unwrap();
+    assert_eq!(counters(&daemon, ["sweep.log_puddles"]), [1]);
+    let exists = |id| {
+        let get = Request::GetPuddle {
+            id,
+            writable: false,
+        };
+        matches!(daemon.handle(USER_A, get), Response::Puddle(_))
+    };
+    assert!(exists(log.id), "a possibly referenced log was dropped");
+    assert!(!exists(unregistered.id));
 }

@@ -2,7 +2,8 @@
 //! a client in *another* process that reserves the global puddle space
 //! itself at the base the daemon reports (`PuddleClient::connect_uds`) —
 //! every other test shares the in-process daemon's reservation. The same
-//! live daemon is then inspected with the `puddle-stat` binary.
+//! live daemon is then inspected with the `puddle-stat` binary, and a
+//! spawned daemon's threads are read from `/proc`.
 
 use puddled::registry::Registry;
 use puddles::{impl_pm_type, PmPtr, PoolOptions, PuddleClient};
@@ -37,7 +38,7 @@ impl Drop for Daemon {
     }
 }
 
-fn spawn_puddled(pm_dir: &Path, socket: &Path) -> Daemon {
+fn spawn_puddled(pm_dir: &Path, socket: &Path, flags: &[&str]) -> Daemon {
     let child = Command::new(env!("CARGO_BIN_EXE_puddled"))
         .arg("--pm-dir")
         .arg(pm_dir)
@@ -45,6 +46,7 @@ fn spawn_puddled(pm_dir: &Path, socket: &Path) -> Daemon {
         .arg(socket)
         .args(["--space-base", &format!("{SPACE_BASE:#x}")])
         .args(["--space-size", &SPACE_SIZE.to_string()])
+        .args(flags)
         .stderr(Stdio::null())
         .spawn()
         .expect("spawn puddled");
@@ -60,11 +62,65 @@ fn spawn_puddled(pm_dir: &Path, socket: &Path) -> Daemon {
     daemon
 }
 
+fn handshake(socket: &Path) -> BlockingConn<UnixStream> {
+    let stream = UnixStream::connect(socket).expect("connect");
+    BlockingConn::handshake(stream, Request::hello(Credentials::current_process()))
+        .expect("handshake")
+}
+
+/// The `comm` of every thread of process `pid` (the kernel cuts it to 15
+/// bytes), sorted.
+fn thread_names(pid: u32) -> Vec<String> {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("task list");
+    let mut names: Vec<String> = tasks
+        .map(|task| {
+            let comm = task.expect("task").path().join("comm");
+            let comm = std::fs::read_to_string(comm).expect("comm");
+            comm.trim_end().to_string()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+/// The daemon owns two kinds of thread: one event loop per reactor —
+/// reactor 0 also accepts — and the worker pool. Nothing else runs beside
+/// its main thread.
+#[test]
+fn a_spawned_puddled_runs_its_reactors_and_workers_and_nothing_else() {
+    let tmp = tempfile::tempdir().unwrap();
+    let socket = tmp.path().join("puddled.sock");
+    let daemon = spawn_puddled(&tmp.path().join("pm"), &socket, &["--reactors", "2"]);
+    // A served handshake: whichever thread accepts is running.
+    let _conn = handshake(&socket);
+
+    let pid = daemon.0.id();
+    let count = |names: &[String], name: &str| names.iter().filter(|n| *n == name).count();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut names = thread_names(pid);
+    while count(&names, "puddled-reactor") < 2 {
+        assert!(
+            Instant::now() < deadline,
+            "reactors never started: {names:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+        names = thread_names(pid);
+    }
+    let workers = count(&names, "puddled-worker-");
+    assert!(workers >= 2, "{names:?}");
+    assert_eq!(count(&names, "puddled"), 1, "{names:?}");
+    assert_eq!(
+        names.len(),
+        1 + 2 + workers,
+        "unexpected threads: {names:?}"
+    );
+}
+
 #[test]
 fn a_client_process_drives_a_spawned_puddled_and_puddle_stat_reads_it() {
     let tmp = tempfile::tempdir().unwrap();
     let socket = tmp.path().join("puddled.sock");
-    let _daemon = spawn_puddled(&tmp.path().join("pm"), &socket);
+    let _daemon = spawn_puddled(&tmp.path().join("pm"), &socket, &[]);
 
     // The client maps puddles at the daemon's addresses in its own
     // reservation: native pointers only work if the bases agree.
@@ -132,13 +188,9 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
     const PAGE: u64 = PAGE_SIZE as u64;
     let tmp = tempfile::tempdir().unwrap();
     let (pm_dir, socket) = (tmp.path().join("pm"), tmp.path().join("puddled.sock"));
-    let connect = || {
-        let stream = UnixStream::connect(&socket).expect("connect");
-        BlockingConn::handshake(stream, Request::hello(Credentials::current_process()))
-            .expect("handshake")
-    };
+    let connect = || handshake(&socket);
 
-    let daemon = spawn_puddled(&pm_dir, &socket);
+    let daemon = spawn_puddled(&pm_dir, &socket, &[]);
     let created = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for t in 0..4u64 {
@@ -190,7 +242,7 @@ fn a_puddled_killed_mid_storm_restarts_with_the_allocator_its_puddle_table_impli
 
     // Restart over the same directory and ask the daemon what is free.
     std::fs::remove_file(&socket).unwrap();
-    let daemon = spawn_puddled(&pm_dir, &socket);
+    let daemon = spawn_puddled(&pm_dir, &socket, &[]);
     let Response::Metrics(report) = connect().call(Request::GetMetrics).expect("metrics") else {
         panic!("expected Metrics");
     };
@@ -255,10 +307,8 @@ fn dir_image(root: &Path) -> std::collections::BTreeMap<std::path::PathBuf, Vec<
 fn a_puddled_refuses_a_directory_that_still_holds_a_json_checkpoint() {
     let tmp = tempfile::tempdir().unwrap();
     let (pm_dir, socket) = (tmp.path().join("pm"), tmp.path().join("puddled.sock"));
-    let daemon = spawn_puddled(&pm_dir, &socket);
-    let stream = UnixStream::connect(&socket).expect("connect");
-    let mut conn = BlockingConn::handshake(stream, Request::hello(Credentials::current_process()))
-        .expect("handshake");
+    let daemon = spawn_puddled(&pm_dir, &socket, &[]);
+    let mut conn = handshake(&socket);
     let create = Request::CreatePool {
         name: "precious".into(),
         root_size: 4 * PAGE_SIZE as u64,

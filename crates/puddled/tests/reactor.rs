@@ -7,7 +7,7 @@
 //! turn behind a full window, cross-reactor shutdown, refusal of peers that
 //! skip the preamble, `Busy` rejection at the connection cap).
 
-use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
+use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer, MAX_PIPELINED_REQUESTS};
 use puddles_pmem::failpoint;
 use puddles_proto::frame::encode_frame;
 use puddles_proto::{
@@ -101,7 +101,6 @@ fn every_stats_field_is_a_metric() {
     assert!(read_frame::<_, Response>(&mut extra).is_err(), "EOF");
     let reconnect = Request::Hello {
         creds: Credentials::current_process(),
-        max_in_flight: 0,
         reconnect: true,
     };
     assert!(matches!(
@@ -197,7 +196,6 @@ fn every_stats_field_is_a_metric() {
         "io.transient_errors",
         "io.enospc_rejections",
         "sweep.log_puddles",
-        "sweep.logspace_puddles",
     ] {
         assert_eq!(counter(name), 0, "{name}");
     }
@@ -722,44 +720,29 @@ fn stalled_pipelined_reader_hits_high_water_without_losing_responses() {
 
 /// An inline request parsed behind a full window of worker-bound requests
 /// on the same connection keeps its place in line: it runs — on the
-/// reactor, from the completion event — as soon as one of them finishes.
+/// reactor, from the completion event — as soon as one of them finishes,
+/// so the response that frees the slot is written before the ping's.
 #[test]
 fn an_inline_request_behind_a_full_window_runs_when_a_slot_frees() {
-    let (tmp, daemon, mut server, socket) = start_server();
-    let creds = Credentials::current_process();
-    let create = Request::CreatePool {
-        name: "bulky".into(),
-        root_size: 16 << 20,
-        mode: 0o600,
-    };
-    match daemon.handle(creds, create) {
-        Response::Pool(_) => {}
-        other => panic!("unexpected {other:?}"),
+    let (_tmp, daemon, mut server, socket) = start_server();
+    let mut conn = hello(&socket);
+    let window = MAX_PIPELINED_REQUESTS as u64;
+    // One write, so the ping is parsed in the same round as the requests
+    // that fill the window ahead of it.
+    let mut batch = Vec::new();
+    for req_id in 1..=window {
+        batch.extend_from_slice(&env_frame(req_id, Request::GetMetrics));
     }
-
-    // A window of one: the export alone fills it.
-    let stream = UnixStream::connect(&socket).unwrap();
-    let hello = Request::Hello {
-        creds,
-        max_in_flight: 1,
-        reconnect: false,
-    };
-    let mut conn = BlockingConn::handshake(stream, hello).unwrap();
-    let dest = tmp.path().join("export").to_string_lossy().into_owned();
-    let export = Request::ExportPool {
-        name: "bulky".into(),
-        dest,
-    };
-    // One write, so the ping is parsed in the same round as the export.
-    let mut batch = env_frame(1, export);
-    batch.extend_from_slice(&env_frame(2, Request::Ping));
+    let ping = window + 1;
+    batch.extend_from_slice(&env_frame(ping, Request::Ping));
     conn.stream().write_all(&batch).unwrap();
 
     let (req_id, resp) = conn.recv().unwrap();
-    assert_eq!(req_id, 1, "the ping overtook a full window: {resp:?}");
-    assert!(matches!(resp, Response::Ok), "{resp:?}");
-    let (req_id, resp) = conn.recv().unwrap();
-    assert_eq!(req_id, 2);
+    assert_ne!(req_id, ping, "the ping overtook a full window: {resp:?}");
+    assert!(matches!(resp, Response::Metrics(_)), "{resp:?}");
+    let mut rest = recv_sorted(&mut conn, window as usize);
+    let (req_id, resp) = rest.pop().unwrap();
+    assert_eq!(req_id, ping);
     assert!(matches!(resp, Response::Welcome { .. }), "{resp:?}");
     let inline = daemon.metrics().counter("uds.inline");
     // The handshake and the ping.
