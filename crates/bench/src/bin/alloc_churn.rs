@@ -5,24 +5,24 @@
 //! The seed allocator was first-fit over a flat `Vec` with a full
 //! sort-and-coalesce on every free — O(live extents) per operation — so a
 //! create/drop pair at 100k live puddles cost ~100x the 1k cell. The
-//! segregated-fit allocator with lazy coalescing is O(1) amortized, so
-//! per-op cost must stay **flat** as the population grows; that is this
-//! harness's headline check, enforced in CI with `--assert-flat` (the 100k
-//! cell must stay within 1.5x of the 1k cell per mix).
+//! ordered free map (merged on every free, best fit on every alloc) is
+//! O(log free extents) per operation, so per-op cost must stay **flat**
+//! as the population grows; that is this harness's headline check,
+//! enforced in CI with `--assert-flat` (the 100k cell must stay within
+//! 1.5x of the 1k cell per mix).
 //!
 //! One op is a full create/drop pair through the registry (`free_space` +
 //! `alloc_space`; the allocator is derived state, so neither reaches the
-//! WAL). The lazy-coalesce passes the churn triggers run inline (bare
-//! registry) and are *included* in the measured time — the claim is
-//! amortized O(1), not O(1)-when-nobody-merges.
+//! WAL). Every merge happens inside the free that makes it possible, so
+//! the measured time is the whole cost: there is no deferred pass.
 //!
 //! Size mixes:
 //!
-//! * `uniform` — every extent one page (pure bucket churn);
-//! * `mixed_pow2` — 1..64 pages, power-of-two (seven buckets in play);
+//! * `uniform` — every extent one page (exact-fit churn);
+//! * `mixed_pow2` — 1..64 pages, power-of-two (seven sizes in play);
 //! * `adversarial` — rotating odd sizes (1/7/3/5 pages) so frees rarely
-//!   exactly fit a later alloc: maximal splitting, remainder re-binning,
-//!   and fragmentation pressure on the coalescer.
+//!   exactly fit a later alloc: maximal splitting and merging, and
+//!   fragmentation pressure on best fit.
 //!
 //! Output rows: `alloc_churn,puddles,<mix>_pairs_per_s,<live>,<value>` plus
 //! a `<mix>_frag_bp` row (post-churn fragmentation, basis points), and
@@ -150,7 +150,7 @@ fn main() {
         // then rep 2, ...) and each cell keeps its best window: machine-
         // wide noise lands on all populations instead of deciding the
         // ratio, and an unmeasured warm-up gets every cell to allocator
-        // steady state (first-touch splits done, coalesce re-armed) first.
+        // steady state (first-touch splits done) first.
         let mut open: Vec<Cell> = populations
             .iter()
             .map(|&live_count| {

@@ -69,7 +69,6 @@ pub const EPOLLOUT: u32 = 0x004;
 pub const EPOLLERR: u32 = 0x008;
 pub const EPOLLHUP: u32 = 0x010;
 pub const EPOLLRDHUP: u32 = 0x2000;
-pub const EPOLLET: u32 = 1 << 31;
 
 /// One epoll readiness record. The kernel ABI packs the struct on x86_64
 /// (no padding between `events` and `u64`); other architectures use natural
@@ -123,7 +122,6 @@ extern "C" {
     ) -> c_int;
     pub fn getuid() -> uid_t;
     pub fn getgid() -> gid_t;
-    pub fn getpid() -> pid_t;
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     pub fn epoll_wait(

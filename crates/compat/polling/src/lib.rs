@@ -4,8 +4,8 @@
 //! minimal reactor substrate the daemon needs (see `puddled::uds`):
 //!
 //! * [`Poller`] — an `epoll` instance: register file descriptors with a
-//!   `u64` token and an [`Interest`] (readable / writable), in **level**- or
-//!   **edge**-triggered mode, then [`Poller::wait`] for [`Event`]s;
+//!   `u64` token and an [`Interest`] (readable / writable), level-triggered,
+//!   then [`Poller::wait`] for [`Event`]s;
 //! * [`Waker`] — an `eventfd`-backed cross-thread wakeup: any thread calls
 //!   [`Waker::wake`] and the poller's `wait` returns with the waker's
 //!   token; the poll loop calls [`Waker::drain`] to reset it.
@@ -44,7 +44,7 @@ impl Interest {
         writable: true,
     };
 
-    fn epoll_bits(self, edge: bool) -> u32 {
+    fn epoll_bits(self) -> u32 {
         let mut bits = 0;
         if self.readable {
             // RDHUP rides with read interest only: a registration that
@@ -55,9 +55,6 @@ impl Interest {
         }
         if self.writable {
             bits |= libc::EPOLLOUT;
-        }
-        if edge {
-            bits |= libc::EPOLLET;
         }
         bits
     }
@@ -109,18 +106,12 @@ impl Poller {
 
     /// Registers `fd` for **level-triggered** readiness with `token`.
     pub fn add(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(libc::EPOLL_CTL_ADD, fd, interest.epoll_bits(false), token)
-    }
-
-    /// Registers `fd` for **edge-triggered** readiness with `token` (the
-    /// caller must drain the fd to rearm).
-    pub fn add_edge(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(libc::EPOLL_CTL_ADD, fd, interest.epoll_bits(true), token)
+        self.ctl(libc::EPOLL_CTL_ADD, fd, interest.epoll_bits(), token)
     }
 
     /// Changes an existing registration's interest/token (level-triggered).
     pub fn modify(&self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        self.ctl(libc::EPOLL_CTL_MOD, fd, interest.epoll_bits(false), token)
+        self.ctl(libc::EPOLL_CTL_MOD, fd, interest.epoll_bits(), token)
     }
 
     /// Removes `fd` from the poller. A closed fd is removed by the kernel
@@ -270,32 +261,6 @@ mod tests {
             .wait(&mut events, Some(Duration::from_millis(1)))
             .unwrap();
         assert!(events.is_empty());
-    }
-
-    #[test]
-    fn edge_triggered_fires_once_per_arrival() {
-        let poller = Poller::new().unwrap();
-        let (a, mut b) = pair();
-        poller
-            .add_edge(a.as_raw_fd(), 9, Interest::READABLE)
-            .unwrap();
-        let mut events = Vec::new();
-        b.write_all(b"x").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(100)))
-            .unwrap();
-        assert_eq!(events.len(), 1);
-        // Without reading, the edge does not re-fire...
-        poller
-            .wait(&mut events, Some(Duration::from_millis(10)))
-            .unwrap();
-        assert!(events.is_empty());
-        // ...until more bytes arrive.
-        b.write_all(b"y").unwrap();
-        poller
-            .wait(&mut events, Some(Duration::from_millis(100)))
-            .unwrap();
-        assert_eq!(events.len(), 1);
     }
 
     #[test]

@@ -320,7 +320,7 @@ impl PuddleClient {
     }
 
     /// Fetches the daemon's metrics report: latency-series quantiles
-    /// (service, WAL flush, checkpoint, coalesce) plus counters — every
+    /// (service, queue wait, WAL flush, checkpoint) plus counters — every
     /// event count and every piece of state the daemon reports.
     pub fn metrics(&self) -> Result<puddles_proto::MetricsReport> {
         match self.inner.call(&Request::GetMetrics)? {

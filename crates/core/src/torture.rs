@@ -135,7 +135,7 @@ pub struct TortureReport {
     pub history: Vec<String>,
     /// The observability trace-ring dump (rendered [`puddles_pmem::obs::
     /// TraceEvent`] lines: request start/end, WAL commits, checkpoints,
-    /// coalesce passes, injections, reconnects) across all phases of the
+    /// injections, reconnects, recovery mappings) across all phases of the
     /// trial — one hub survives the kill/restart cycles. Byte-identical
     /// across same-seed runs.
     pub trace_dump: Vec<String>,

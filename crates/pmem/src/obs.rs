@@ -264,7 +264,6 @@ impl ShardedHistogram {
 /// | `ReqStart` / `ReqEnd` | request kind | req_id (0 = local/v1) | — |
 /// | `WalCommit` | — | records in batch | batch bytes |
 /// | `CheckpointBegin` / `CheckpointEnd` | — (`failed` on an end that did not complete) | WAL records at cut | — |
-/// | `Coalesce` | `lazy` / `forced` | 1 if the pass merged | — |
 /// | `Fault` | fault site | per-site occurrence | — |
 /// | `Reconnect` | — | — | — |
 /// | `RecoveryMap` | — | puddles one log space's recovery mapped | writable data puddles indexed for it |
@@ -275,7 +274,6 @@ pub enum TraceEventKind {
     WalCommit,
     CheckpointBegin,
     CheckpointEnd,
-    Coalesce,
     Fault,
     Reconnect,
     RecoveryMap,
@@ -290,7 +288,6 @@ impl TraceEventKind {
             TraceEventKind::WalCommit => "wal.commit",
             TraceEventKind::CheckpointBegin => "ckpt.begin",
             TraceEventKind::CheckpointEnd => "ckpt.end",
-            TraceEventKind::Coalesce => "coalesce",
             TraceEventKind::Fault => "fault",
             TraceEventKind::Reconnect => "reconnect",
             TraceEventKind::RecoveryMap => "recovery.map",
@@ -306,8 +303,8 @@ pub struct TraceEvent {
     /// [`Clock`] timestamp, nanoseconds since the clock's epoch.
     pub at_nanos: u64,
     pub kind: TraceEventKind,
-    /// Static qualifier (request kind, fault site, coalesce mode); may be
-    /// empty.
+    /// Static qualifier (request kind, fault site, checkpoint outcome); may
+    /// be empty.
     pub detail: &'static str,
     pub a: u64,
     pub b: u64,
@@ -595,7 +592,7 @@ mod tests {
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
         // Overflow drops the oldest events of a slot and counts them.
         for i in 0..(TRACE_RING_CAPACITY as u64 + 10) {
-            m.trace(TraceEventKind::Coalesce, "lazy", i, 0);
+            m.trace(TraceEventKind::WalCommit, "", i, 0);
         }
         assert!(m.trace_dropped() > 0);
         let drained = m.drain_trace();

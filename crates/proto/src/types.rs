@@ -198,7 +198,7 @@ pub struct RecoveryReport {
 #[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
 pub struct SeriesSnapshot {
     /// Series name (`service.<RequestKind>`, `wal.flush`, `checkpoint`,
-    /// `alloc.coalesce`, ...).
+    /// `stage.queue`, ...).
     pub name: String,
     /// Values recorded.
     pub count: u64,

@@ -42,13 +42,13 @@
 //! [`Registry::commit`] after the lock is released, and then cleans up
 //! files. There is no second lock to order against.
 //!
-//! The global-space allocator — [`crate::alloc::SpaceAlloc`], segregated
-//! free lists behind its own mutex with **lazy coalescing** (alloc and free
-//! are O(1); the deferred merge pass runs on the free that trips the
-//! threshold) — is derived state: never logged, rebuilt from the puddle
-//! table by [`reconcile`] at every load. So is whatever else that table
-//! implies — a pool's member list, a puddle's file name and relocation
-//! table: a record stores only what no other record does.
+//! The global-space allocator — [`crate::alloc::SpaceAlloc`], one ordered
+//! free map behind its own mutex, merged on every free and best fit on
+//! every alloc (both O(log free extents)) — is derived state: never
+//! logged, rebuilt from the puddle table by [`reconcile`] at every load.
+//! So is whatever else that table implies — a pool's member list, a
+//! puddle's file name and relocation table: a record stores only what no
+//! other record does.
 //!
 //! A checkpoint holds the dedicated checkpoint lock (taken first, never
 //! while holding the tables lock: concurrent checkpoints serialize, a
@@ -207,15 +207,6 @@ pub fn import_table<'a>(
         len: m.size,
     };
     members.filter(|m| m.old_addr != 0).map(translate).collect()
-}
-
-/// Why an allocator coalesce pass ran.
-#[derive(Debug, Clone, Copy)]
-enum Coalesce {
-    /// Threshold-triggered, on the free that tripped it.
-    Lazy,
-    /// An allocation found no fit, or a caller asked.
-    Forced,
 }
 
 /// The registry state machine plus its persistence handle. All methods take
@@ -454,75 +445,23 @@ impl Registry {
     }
 
     /// Allocates `size` bytes of the global space, returning the offset —
-    /// O(1) through the segregated-fit allocator
-    /// ([`crate::alloc::SpaceAlloc`]).
+    /// the best fit of [`crate::alloc::SpaceAlloc`], else its frontier.
     ///
     /// Nothing is logged: the grant becomes durable as the `offset` of the
     /// `PutPuddle` record that uses it, and a grant lost to a crash is
     /// reclaimed by [`reconcile`] (an extent no puddle record covers is
     /// free by definition).
-    ///
-    /// Under allocation pressure — no extent fits until adjacent free ones
-    /// merge — one forced coalesce pass runs before the allocation is
-    /// declared impossible.
     pub fn alloc_space(&self, size: u64) -> Result<u64> {
-        self.alloc.alloc(size).or_else(|full| {
-            if self.force_coalesce() {
-                self.alloc.alloc(size)
-            } else {
-                Err(full)
-            }
-        })
+        self.alloc.alloc(size)
     }
 
-    /// Returns `size` bytes at `offset` to the free lists — an O(1) push;
-    /// merging is deferred to the lazy coalesce pass. Callers free an
-    /// extent only after the transaction that dropped its puddle (or
-    /// without ever having registered one), so the `DropPuddle` precedes
-    /// any `PutPuddle` that reuses the range in the WAL.
+    /// Returns `size` bytes at `offset` to the free map, merged with its
+    /// free neighbours. Callers free an extent only after the transaction
+    /// that dropped its puddle (or without ever having registered one), so
+    /// the `DropPuddle` precedes any `PutPuddle` that reuses the range in
+    /// the WAL.
     pub fn free_space(&self, offset: u64, size: u64) {
         self.alloc.free(offset, size);
-        // The pass runs on the free that trips the threshold (amortized
-        // O(1) per free). Whichever thread ran it, it would hold the
-        // arena's only lock for its whole sort, so there is nothing to gain
-        // by handing it to another one.
-        if self.alloc.wants_coalesce() {
-            self.timed_coalesce(Coalesce::Lazy);
-        }
-    }
-
-    /// Runs one coalesce pass — every pass there is goes through here —
-    /// timing it into the `alloc.coalesce` series and marking it in the
-    /// trace ring (`a` = 1 if the pass merged); a pass that merged counts
-    /// one `alloc.coalesce.lazy` or `alloc.coalesce.forced`.
-    fn timed_coalesce(&self, kind: Coalesce) -> bool {
-        let (detail, counter) = match kind {
-            Coalesce::Lazy => ("lazy", "alloc.coalesce.lazy"),
-            Coalesce::Forced => ("forced", "alloc.coalesce.forced"),
-        };
-        let clock = self.wal.clock();
-        let obs = self.wal.obs();
-        let start = clock.now();
-        let merged = self.alloc.coalesce();
-        obs.series("alloc.coalesce")
-            .record_duration(clock.now() - start);
-        obs.trace(TraceEventKind::Coalesce, detail, merged as u64, 0);
-        if merged {
-            obs.counter(counter).fetch_add(1, Ordering::Relaxed);
-        }
-        merged
-    }
-
-    /// Runs a forced coalesce pass now: an allocation found no fit, or a
-    /// test or tool asked. Returns `false` when there was nothing to merge.
-    pub fn force_coalesce(&self) -> bool {
-        self.timed_coalesce(Coalesce::Forced)
-    }
-
-    /// Overrides the free-extent count that triggers a lazy coalesce pass
-    /// (tests, benches).
-    pub fn set_coalesce_threshold(&self, threshold: u64) {
-        self.alloc.set_coalesce_threshold(threshold);
     }
 
     /// The allocator's state, for the daemon's `GetMetrics` (`alloc.*`).
@@ -677,15 +616,13 @@ mod tests {
         let b = reg.alloc_space(PAGE_SIZE as u64).unwrap();
         reg.free_space(a, PAGE_SIZE as u64);
         reg.free_space(b, PAGE_SIZE as u64);
-        // Frees are lazy (no merge ran yet), but snapshots always serialize
-        // the canonical view: here everything the registry ever allocated is
-        // free again, so the whole region folds back into the bump frontier.
+        // Everything the registry ever allocated is free again, so the
+        // whole region folds back into the bump frontier...
         let snap = reg.snapshot();
         assert!(snap.free_list.is_empty());
         assert_eq!(snap.next_offset, a);
-        // After a merge pass the two adjacent pages satisfy one two-page
-        // allocation at the original offset.
-        assert!(reg.force_coalesce());
+        // ...and the two pages serve one two-page allocation at the
+        // original offset.
         let c = reg.alloc_space(2 * PAGE_SIZE as u64).unwrap();
         assert_eq!(c, a);
     }
@@ -699,75 +636,6 @@ mod tests {
         reg.free_space(off, 3 * PAGE_SIZE as u64);
         let after = reg.wal().stats();
         assert_eq!((after.records, after.bytes), (before.records, before.bytes));
-    }
-
-    #[test]
-    fn coalesce_threshold_triggers_inline_for_bare_registries() {
-        let (_tmp, reg) = registry();
-        reg.set_coalesce_threshold(4);
-        let offs: Vec<u64> = (0..8)
-            .map(|_| reg.alloc_space(PAGE_SIZE as u64).unwrap())
-            .collect();
-        for &off in &offs {
-            reg.free_space(off, PAGE_SIZE as u64);
-        }
-        let obs = reg.wal().obs();
-        let runs = |kind| obs.counter(kind).load(Ordering::Relaxed);
-        // The free that trips the threshold runs the pass (counted as
-        // lazy). The trigger re-arms relative to the
-        // previous pass's residue, so not every free past the fourth merges
-        // — but the count must sit well below the eight raw frees.
-        assert!(runs("alloc.coalesce.lazy") >= 1, "threshold never tripped");
-        let stats = reg.alloc_stats();
-        assert!(stats.free_extents <= 5, "frees were not merged: {stats:?}");
-        // A fragmented residue must not re-trigger on every free: a second
-        // identical storm may merge again, but the pass count stays bounded
-        // by the re-arm schedule instead of growing one-per-free.
-        let passes = || runs("alloc.coalesce.lazy") + runs("alloc.coalesce.forced");
-        let runs_after_first_storm = passes();
-        let offs: Vec<u64> = (0..8)
-            .map(|_| reg.alloc_space(PAGE_SIZE as u64).unwrap())
-            .collect();
-        for &off in &offs {
-            reg.free_space(off, PAGE_SIZE as u64);
-        }
-        assert!(
-            passes() - runs_after_first_storm <= 3,
-            "coalesce re-triggered on nearly every free"
-        );
-    }
-
-    /// An allocation that fits only once adjacent free extents merge runs
-    /// its forced pass like every other pass: one `alloc.coalesce` sample,
-    /// one `coalesce forced` trace event, one `alloc.coalesce.forced`.
-    #[test]
-    fn an_allocation_pressure_coalesce_is_timed_traced_and_counted() {
-        const P: u64 = PAGE_SIZE as u64;
-        let tmp = tempfile::tempdir().unwrap();
-        let pm = PmDir::open(tmp.path()).unwrap();
-        // Eight pages past the reserved first one, all granted; four
-        // adjacent ones freed, unmerged.
-        let reg = Registry::load_or_create(&pm, 0, 9 * P).unwrap();
-        let offs: Vec<u64> = (0..8).map(|_| reg.alloc_space(P).unwrap()).collect();
-        for &off in &offs[2..6] {
-            reg.free_space(off, P);
-        }
-        let obs = reg.wal().obs();
-        let passes = || obs.series("alloc.coalesce").snapshot().count;
-        let forced = || obs.counter("alloc.coalesce.forced").load(Ordering::Relaxed);
-        let before = passes();
-        assert_eq!(reg.alloc_space(4 * P).unwrap(), offs[2]);
-        assert_eq!((passes(), forced()), (before + 1, 1));
-        let traced: Vec<u64> = obs
-            .trace_events()
-            .iter()
-            .filter(|e| e.kind == TraceEventKind::Coalesce && e.detail == "forced")
-            .map(|e| e.a)
-            .collect();
-        assert_eq!(traced, [1], "one pass, and it merged");
-        // Full again with nothing to merge: typed, and no pass counted.
-        assert!(reg.alloc_space(P).is_err());
-        assert_eq!(forced(), 1);
     }
 
     #[test]

@@ -243,8 +243,8 @@ pub(crate) enum Lane {
     /// (a writer holds the lock for its checks and apply only).
     Inline,
     /// Small mutations that end in a WAL group commit (registrations,
-    /// puddle create/free), plus `GetMetrics`, which sorts the allocator's
-    /// free list and walks every histogram series.
+    /// puddle create/free), plus `GetMetrics`, which walks the allocator's
+    /// free map and every histogram series.
     Fast,
     /// Heavyweight operations that copy puddle contents or replay logs:
     /// pool import/export/creation/deletion and recovery. A burst of them

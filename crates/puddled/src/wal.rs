@@ -753,7 +753,7 @@ pub struct Wal {
     clock: Clock,
     /// Observability hub: group-commit flush latency lands in the
     /// `wal.flush` series, each durable batch in the trace ring. The
-    /// registry borrows this handle for checkpoint/coalesce timing too.
+    /// registry borrows this handle for checkpoint timing too.
     obs: Arc<Metrics>,
 }
 

@@ -1,9 +1,11 @@
-//! Property tests pitting the segregated-fit allocator against a reference
+//! Property tests pitting the best-fit allocator against a reference
 //! model: arbitrary alloc/free sequences must never produce overlapping
-//! grants, every freed byte must be reusable, and the registry state a live
-//! allocator serializes must survive a WAL-replay + checkpoint round trip
-//! bit-identically (the same contract `wal_crash.rs` checks on hand-built
-//! histories, here on randomized ones).
+//! grants, the free map must equal the reference model's gaps between the
+//! live extents after every single operation, every freed byte must be
+//! reusable, and the registry state a live allocator serializes must
+//! survive a WAL-replay + checkpoint round trip bit-identically (the same
+//! contract `wal_crash.rs` checks on hand-built histories, here on
+//! randomized ones).
 
 use proptest::prelude::*;
 use puddled::registry::{PuddleRecord, Registry, Rewrite};
@@ -44,9 +46,28 @@ fn transact(reg: &Registry, batch: Vec<RegistryOp>) {
     .unwrap();
 }
 
+/// The reference model of the free space: the gaps between the live
+/// extents above the reserved first page, and the end of the highest one
+/// as the bump frontier. What recovery derives, and what the live
+/// allocator must report after every operation.
+fn reference(live: &[(PuddleId, u64, u64)]) -> (Vec<(u64, u64)>, u64) {
+    let mut extents: Vec<(u64, u64)> = live.iter().map(|&(_, o, l)| (o, l)).collect();
+    extents.sort_unstable();
+    let mut free_list = Vec::new();
+    let mut cursor = PAGE_SIZE as u64;
+    for (off, len) in extents {
+        if off > cursor {
+            free_list.push((cursor, off - cursor));
+        }
+        cursor = off + len;
+    }
+    (free_list, cursor)
+}
+
 /// Applies one randomized op stream to a registry: even selectors allocate
 /// (1–31 pages) and register the puddle, odd selectors drop one live puddle
-/// (unregister + free). Returns the surviving `(id, offset, len)` grants.
+/// (unregister + free). After every op the snapshot's free map must equal
+/// [`reference`]. Returns the surviving `(id, offset, len)` grants.
 fn run_ops(reg: &Registry, ops: &[(u8, u16)]) -> Vec<(PuddleId, u64, u64)> {
     let mut live: Vec<(PuddleId, u64, u64)> = Vec::new();
     for &(kind, arg) in ops {
@@ -73,6 +94,8 @@ fn run_ops(reg: &Registry, ops: &[(u8, u16)]) -> Vec<(PuddleId, u64, u64)> {
             transact(reg, vec![RegistryOp::DropPuddle { id }]);
             reg.free_space(off, len);
         }
+        let snap = reg.snapshot();
+        assert_eq!((snap.free_list, snap.next_offset), reference(&live));
     }
     live
 }
@@ -81,8 +104,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Overlap freedom plus the recovery contract: the canonical state a
-    /// live (lazily coalescing) allocator reports equals what WAL replay +
-    /// reconcile rebuild after an abrupt drop.
+    /// live allocator reports equals what WAL replay + reconcile rebuild
+    /// after an abrupt drop.
     #[test]
     fn random_histories_recover_bit_identically(ops in proptest::collection::vec((0u8..8, 0u16..4096), 1..120)) {
         let tmp = tempfile::tempdir().unwrap();
@@ -90,9 +113,6 @@ proptest! {
         let before;
         {
             let reg = open_registry(&pm);
-            // Low threshold so lazy coalesce passes actually interleave
-            // with the op stream instead of never firing.
-            reg.set_coalesce_threshold(8);
             run_ops(&reg, &ops);
             reg.commit().unwrap();
             before = reg.snapshot();
@@ -104,21 +124,19 @@ proptest! {
         prop_assert_eq!(after, before);
     }
 
-    /// Every freed byte is reusable: after dropping all survivors and one
-    /// forced merge, the allocator is back to a pristine bump state and
-    /// hands out the very first page again.
+    /// Every freed byte is reusable: after dropping all survivors the
+    /// allocator is back to a pristine bump state and hands out the very
+    /// first page again.
     #[test]
     fn frees_are_fully_reusable(ops in proptest::collection::vec((0u8..8, 0u16..4096), 1..120)) {
         let tmp = tempfile::tempdir().unwrap();
         let pm = PmDir::open(tmp.path()).unwrap();
         let reg = open_registry(&pm);
-        reg.set_coalesce_threshold(8);
         let live = run_ops(&reg, &ops);
         for (id, off, len) in live {
             transact(&reg, vec![RegistryOp::DropPuddle { id }]);
             reg.free_space(off, len);
         }
-        reg.force_coalesce();
         let snap = reg.snapshot();
         prop_assert!(snap.free_list.is_empty());
         prop_assert_eq!(snap.next_offset, PAGE_SIZE as u64);

@@ -75,8 +75,8 @@ fn checkpoints(daemon: &Daemon) -> u64 {
 /// Every field the retired `Stats` request reported is a `GetMetrics` row
 /// (their values were checked equal, both read from one daemon, before
 /// `Stats` went): here a socket server on two reactors, a rejected and a
-/// reconnecting client, a swept orphan, checkpoints, a fragmented
-/// allocator and both kinds of coalesce pass stand behind each row.
+/// reconnecting client, a swept orphan, checkpoints and a fragmented
+/// allocator stand behind each row.
 #[test]
 fn every_stats_field_is_a_metric() {
     let tmp = tempfile::tempdir().unwrap();
@@ -88,7 +88,6 @@ fn every_stats_field_is_a_metric() {
     }
     let daemon = Daemon::start(config).unwrap();
     daemon.wal().set_checkpoint_threshold(512);
-    daemon.registry().set_coalesce_threshold(2);
     let socket = tmp.path().join("equivalence.sock");
     let server_config = ServerConfig {
         max_connections: 3,
@@ -159,7 +158,6 @@ fn every_stats_field_is_a_metric() {
         puddle: log_space.id,
     };
     assert_eq!(conn.call(register).unwrap(), Response::Ok);
-    assert!(daemon.registry().force_coalesce());
 
     // The state rows, against their sources; the event rows, against what
     // this test did.
@@ -189,8 +187,6 @@ fn every_stats_field_is_a_metric() {
     assert_eq!(counter("alloc.free_bytes"), free);
     assert_eq!(counter("alloc.free_extents"), data.free_list.len() as u64);
     assert!(counter("alloc.fragmentation_bp") > 0);
-    assert!(counter("alloc.coalesce.lazy") > 0);
-    assert!(counter("alloc.coalesce.forced") > 0);
     for name in [
         "io.retries",
         "io.transient_errors",
