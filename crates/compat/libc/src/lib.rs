@@ -12,11 +12,8 @@
 
 pub use core::ffi::c_void;
 
-pub type c_char = i8;
 pub type c_int = i32;
 pub type c_uint = u32;
-pub type c_long = i64;
-pub type c_ulong = u64;
 pub type size_t = usize;
 pub type ssize_t = isize;
 pub type off_t = i64;
@@ -29,7 +26,6 @@ pub type gid_t = u32;
 pub const PROT_NONE: c_int = 0x0;
 pub const PROT_READ: c_int = 0x1;
 pub const PROT_WRITE: c_int = 0x2;
-pub const PROT_EXEC: c_int = 0x4;
 
 // mmap flags (asm-generic/mman.h, identical on x86_64 and aarch64).
 pub const MAP_SHARED: c_int = 0x01;
@@ -42,8 +38,6 @@ pub const MAP_NORESERVE: c_int = 0x4000;
 pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
 // msync flags.
-pub const MS_ASYNC: c_int = 1;
-pub const MS_INVALIDATE: c_int = 2;
 pub const MS_SYNC: c_int = 4;
 
 // Socket options (asm-generic/socket.h).
@@ -120,8 +114,6 @@ extern "C" {
         optval: *mut c_void,
         optlen: *mut socklen_t,
     ) -> c_int;
-    pub fn getuid() -> uid_t;
-    pub fn getgid() -> gid_t;
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut epoll_event) -> c_int;
     pub fn epoll_wait(
@@ -201,14 +193,5 @@ mod tests {
         let rc = unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) };
         assert_eq!(rc, 0);
         assert!(lim.rlim_cur > 0 && lim.rlim_cur <= lim.rlim_max);
-    }
-
-    #[test]
-    fn uid_gid_are_stable() {
-        // SAFETY: getuid/getgid have no preconditions.
-        unsafe {
-            assert_eq!(getuid(), getuid());
-            assert_eq!(getgid(), getgid());
-        }
     }
 }

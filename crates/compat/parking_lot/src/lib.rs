@@ -21,11 +21,6 @@ impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
         Mutex(sync::Mutex::new(value))
     }
-
-    /// Consumes the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -41,11 +36,6 @@ impl<T: ?Sized> Mutex<T> {
             Err(sync::TryLockError::Poisoned(e)) => Some(e.into_inner()),
             Err(sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -63,11 +53,6 @@ impl<T> RwLock<T> {
     pub const fn new(value: T) -> Self {
         RwLock(sync::RwLock::new(value))
     }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -79,11 +64,6 @@ impl<T: ?Sized> RwLock<T> {
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

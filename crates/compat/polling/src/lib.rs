@@ -38,11 +38,6 @@ impl Interest {
         readable: false,
         writable: true,
     };
-    /// Readable and writable.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
-    };
 
     fn epoll_bits(self) -> u32 {
         let mut bits = 0;

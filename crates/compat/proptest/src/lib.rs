@@ -157,12 +157,6 @@ macro_rules! prop_assert_eq {
     ($($args:tt)*) => { assert_eq!($($args)*) };
 }
 
-/// Asserts inequality inside a property.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)*) => { assert_ne!($($args)*) };
-}
-
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;

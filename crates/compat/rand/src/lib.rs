@@ -14,19 +14,6 @@ use std::ops::Range;
 pub trait RngCore {
     /// Returns the next 64 random bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns 32 random bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills `dest` with random bytes.
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Types that can be sampled uniformly from an [`RngCore`].
@@ -52,28 +39,10 @@ impl Standard for u128 {
     }
 }
 
-impl Standard for i128 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        u128::sample(rng) as i128
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
-    }
-}
-
 impl Standard for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 
@@ -119,7 +88,10 @@ pub trait Rng: RngCore {
 
     /// Fills `dest` with random data.
     fn fill(&mut self, dest: &mut [u8]) {
-        self.fill_bytes(dest)
+        for chunk in dest.chunks_mut(8) {
+            let bytes = self.next_u64().to_le_bytes();
+            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        }
     }
 }
 
@@ -129,11 +101,6 @@ impl<R: RngCore + ?Sized> Rng for R {}
 pub trait SeedableRng: Sized {
     /// Builds the generator from a 64-bit seed.
     fn seed_from_u64(seed: u64) -> Self;
-
-    /// Builds the generator from OS-provided entropy (time + ASLR here).
-    fn from_entropy() -> Self {
-        Self::seed_from_u64(entropy_seed())
-    }
 }
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -235,14 +202,9 @@ pub mod seq {
     }
 }
 
-/// Returns the thread-local generator.
-pub fn thread_rng() -> rngs::StdRng {
-    SeedableRng::from_entropy()
-}
-
 /// Draws one uniformly distributed value from fresh entropy.
 pub fn random<T: Standard>() -> T {
-    T::sample(&mut thread_rng())
+    T::sample(&mut rngs::StdRng::seed_from_u64(entropy_seed()))
 }
 
 #[cfg(test)]

@@ -14,28 +14,9 @@ pub struct TempDir {
 }
 
 impl TempDir {
-    /// Creates a fresh temporary directory under the system temp dir.
-    pub fn new() -> io::Result<TempDir> {
-        tempdir()
-    }
-
     /// The directory's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Persists the directory (it will not be deleted) and returns its path.
-    pub fn keep(self) -> PathBuf {
-        let path = self.path.clone();
-        std::mem::forget(self);
-        path
-    }
-
-    /// Deletes the directory now, reporting errors (drop ignores them).
-    pub fn close(self) -> io::Result<()> {
-        let path = self.path.clone();
-        std::mem::forget(self);
-        std::fs::remove_dir_all(path)
     }
 }
 

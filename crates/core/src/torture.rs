@@ -53,8 +53,8 @@ use puddled::{Daemon, DaemonConfig, Invariants, UdsServer};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::{FaultPlan, FaultProfile};
 use puddles_pmem::obs::Metrics;
+use puddles_proto::json::Value;
 use puddles_proto::PuddlePurpose;
-use serde::Serialize;
 use std::collections::BTreeSet;
 
 use std::path::PathBuf;
@@ -187,15 +187,28 @@ impl std::fmt::Display for TortureFailure {
     }
 }
 
-/// Everything a failing trial leaves behind, serialized to the JSON
-/// artifact named in [`TortureFailure::artifact`].
-#[derive(Debug, Serialize)]
+/// Everything a failing trial leaves behind, written as the JSON artifact
+/// named in [`TortureFailure::artifact`].
+#[derive(Debug)]
 struct FailureArtifact {
     seed: u64,
     message: String,
     fault_trace: Vec<String>,
     history: Vec<String>,
     trace_dump: Vec<String>,
+}
+
+impl FailureArtifact {
+    /// The artifact as JSON: one key per field, the lines as arrays.
+    fn to_json(&self) -> Value {
+        Value::obj([
+            ("seed", self.seed.into()),
+            ("message", self.message.as_str().into()),
+            ("fault_trace", self.fault_trace.clone().into()),
+            ("history", self.history.clone().into()),
+            ("trace_dump", self.trace_dump.clone().into()),
+        ])
+    }
 }
 
 /// Writes the failure artifact under `target/` (falling back to the OS
@@ -209,8 +222,7 @@ fn write_failure_artifact(artifact: &FailureArtifact) -> Option<PathBuf> {
         std::env::temp_dir()
     };
     let path = dir.join(format!("torture_failure_{:x}.json", artifact.seed));
-    let bytes = serde_json::to_vec_pretty(artifact).ok()?;
-    std::fs::write(&path, bytes).ok()?;
+    std::fs::write(&path, artifact.to_json().pretty()).ok()?;
     Some(path)
 }
 
@@ -895,4 +907,43 @@ pub fn env_u64(name: &str, default: u64) -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A failure artifact reparses with every line intact: fault traces and
+    /// history hold quotes, backslashes and whatever a message carried.
+    #[test]
+    fn a_failure_artifact_reparses_from_its_json() {
+        let lines = |tag: &str| vec![format!("{tag} \"quoted\" \\ \u{7} ü"), String::new()];
+        let artifact = FailureArtifact {
+            seed: u64::MAX,
+            message: "invariant \"x\" broke:\n\tpool `p\\q`".into(),
+            fault_trace: lines("wal.write#3: eio"),
+            history: lines("p0 c1 create_pool ok"),
+            trace_dump: Vec::new(),
+        };
+        let doc = Value::parse(artifact.to_json().pretty().as_bytes()).unwrap();
+        assert_eq!(doc.field("seed").and_then(Value::u64), Ok(u64::MAX));
+        assert_eq!(
+            doc.field("message").and_then(Value::str),
+            Ok(artifact.message.as_str())
+        );
+        for (key, want) in [
+            ("fault_trace", &artifact.fault_trace),
+            ("history", &artifact.history),
+            ("trace_dump", &artifact.trace_dump),
+        ] {
+            let got: Vec<&str> = doc
+                .field(key)
+                .and_then(Value::arr)
+                .unwrap()
+                .iter()
+                .map(|line| line.str().unwrap())
+                .collect();
+            assert_eq!(&got, want, "{key}");
+        }
+    }
 }

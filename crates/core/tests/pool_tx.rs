@@ -1195,7 +1195,7 @@ fn a_five_thousand_member_import_is_one_record() {
     let export = tmp.path().join("export");
     client.export_pool("seed", &export).unwrap();
     let manifest_bytes = std::fs::read(export.join(MANIFEST_FILE)).unwrap();
-    let mut manifest: ExportManifest = serde_json::from_slice(&manifest_bytes).unwrap();
+    let mut manifest = ExportManifest::from_json(&manifest_bytes).unwrap();
     let template = manifest.puddles[0].clone();
     assert_eq!(template.size, SIZE);
     manifest.root = PuddleId(1);
@@ -1206,11 +1206,7 @@ fn a_five_thousand_member_import_is_one_record() {
             ..template.clone()
         })
         .collect();
-    std::fs::write(
-        export.join(MANIFEST_FILE),
-        serde_json::to_vec(&manifest).unwrap(),
-    )
-    .unwrap();
+    std::fs::write(export.join(MANIFEST_FILE), manifest.to_json()).unwrap();
 
     let creds = Credentials::current_process();
     let files = daemon.pm_dir().list_puddles().unwrap();

@@ -1,51 +1,55 @@
-//! Length-prefixed JSON framing for the UNIX-domain-socket transport.
+//! Length-prefixed framing for the UNIX-domain-socket transport: a `u32`
+//! little-endian body length, then a body in the binary [`codec`](crate::codec).
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use crate::codec::{Reader, Wire};
 use std::io::{self, Read, Write};
 
 /// Maximum accepted frame size (16 MiB); guards against corrupt prefixes.
 pub const MAX_FRAME: u32 = 16 << 20;
 
-/// Connection preamble.
+/// Connection preamble: `PUD3`, the protocol generation with binary frame
+/// bodies. (The name predates it; `PUD2` opened JSON bodies.)
 ///
 /// A client writes these 4 bytes once, immediately after connecting and
 /// before its first frame; everything after them is `RequestEnvelope` /
-/// `ResponseEnvelope` frames (see the crate docs). The bytes are chosen so
-/// they can never be confused with a frame: interpreted as a little-endian
-/// length prefix they decode to `0x3244_5550`, far above [`MAX_FRAME`], so
-/// a peer that expects a frame rejects the stream instead of misparsing it
-/// (and a frame, whose prefix is always ≤ [`MAX_FRAME`], can never equal
-/// the magic). `preamble_cannot_be_a_length_prefix` pins this down.
-pub const V2_MAGIC: [u8; 4] = *b"PUD2";
+/// `ResponseEnvelope` frames (see the crate docs). A peer of another
+/// generation sends other bytes and is refused before any body is read. The
+/// bytes are chosen so they can never be confused with a frame: interpreted
+/// as a little-endian length prefix they decode to `0x3344_5550`, far above
+/// [`MAX_FRAME`], so a peer that expects a frame rejects the stream instead
+/// of misparsing it (and a frame, whose prefix is always ≤ [`MAX_FRAME`],
+/// can never equal the magic). `preamble_cannot_be_a_length_prefix` pins
+/// this down.
+pub const V2_MAGIC: [u8; 4] = *b"PUD3";
 
-/// Appends one length-prefixed JSON frame (prefix included) to `out`. The
+/// Appends one length-prefixed frame (prefix included) to `out`. The
 /// single place that knows the frame encoding; a server that batches
 /// responses encodes each straight into its connection's output buffer.
 /// On error `out` is left as it was.
-pub fn encode_frame_into<T: Serialize>(out: &mut Vec<u8>, value: &T) -> io::Result<()> {
-    let body = serde_json::to_vec(value).map_err(io::Error::other)?;
-    let len = u32::try_from(body.len()).map_err(|_| io::Error::other("frame too large"))?;
-    if len > MAX_FRAME {
+pub fn encode_frame_into<T: Wire>(out: &mut Vec<u8>, value: &T) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    value.encode(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME as usize {
+        out.truncate(start);
         return Err(io::Error::other("frame too large"));
     }
-    out.reserve(4 + body.len());
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&body);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
     Ok(())
 }
 
-/// Encodes one length-prefixed JSON frame into a byte buffer of its own;
+/// Encodes one length-prefixed frame into a byte buffer of its own;
 /// writers that need custom I/O (e.g. interruptible writes) send these
 /// bytes verbatim.
-pub fn encode_frame<T: Serialize>(value: &T) -> io::Result<Vec<u8>> {
+pub fn encode_frame<T: Wire>(value: &T) -> io::Result<Vec<u8>> {
     let mut bytes = Vec::new();
     encode_frame_into(&mut bytes, value)?;
     Ok(bytes)
 }
 
-/// Writes one length-prefixed JSON frame.
-pub fn write_frame<W: Write, T: Serialize>(writer: &mut W, value: &T) -> io::Result<()> {
+/// Writes one length-prefixed frame.
+pub fn write_frame<W: Write, T: Wire>(writer: &mut W, value: &T) -> io::Result<()> {
     writer.write_all(&encode_frame(value)?)?;
     writer.flush()
 }
@@ -64,9 +68,18 @@ pub fn frame_len(len_buf: [u8; 4]) -> io::Result<usize> {
     Ok(len as usize)
 }
 
-/// Decodes a frame body into a message.
-pub fn decode_frame<T: DeserializeOwned>(body: &[u8]) -> io::Result<T> {
-    serde_json::from_slice(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+/// Decodes a frame body into a message. The body must be exactly one
+/// message: a short one, a trailing byte or an unknown tag is
+/// `InvalidData`.
+pub fn decode_frame<T: Wire>(body: &[u8]) -> io::Result<T> {
+    let mut r = Reader::new(body);
+    match T::decode(&mut r) {
+        Some(value) if r.done() => Ok(value),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "undecodable frame body",
+        )),
+    }
 }
 
 /// Incremental frame decoder for nonblocking transports.
@@ -122,7 +135,7 @@ impl FrameDecoder {
     /// prefix (length beyond [`MAX_FRAME`]) or an undecodable body is an
     /// error; the connection should be dropped — after a framing error the
     /// stream position is unrecoverable.
-    pub fn next_frame<T: DeserializeOwned>(&mut self) -> io::Result<Option<T>> {
+    pub fn next_frame<T: Wire>(&mut self) -> io::Result<Option<T>> {
         if self.buf.len() < 4 {
             return Ok(None);
         }
@@ -136,8 +149,8 @@ impl FrameDecoder {
     }
 }
 
-/// Reads one length-prefixed JSON frame.
-pub fn read_frame<R: Read, T: DeserializeOwned>(reader: &mut R) -> io::Result<T> {
+/// Reads one length-prefixed frame.
+pub fn read_frame<R: Read, T: Wire>(reader: &mut R) -> io::Result<T> {
     let mut len_buf = [0u8; 4];
     reader.read_exact(&mut len_buf)?;
     let len = frame_len(len_buf)?;

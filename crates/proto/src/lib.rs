@@ -5,28 +5,36 @@
 //! The paper's daemon returns puddle file descriptors via
 //! `sendmsg(SCM_RIGHTS)`; this reproduction returns the puddle's file path
 //! instead (see the README's "Substitutions vs. the paper"), so the
-//! protocol is plain serde-serializable data.
+//! protocol is plain data.
 //!
 //! # Wire format
 //!
 //! One framing, one handshake: a client writes the 4-byte
-//! [`frame::V2_MAGIC`] preamble (`PUD2`) once, then length-prefixed JSON
+//! [`frame::V2_MAGIC`] preamble (`PUD3`) once, then length-prefixed
 //! [`RequestEnvelope`] frames; the daemon answers each with a
 //! [`ResponseEnvelope`] echoing its `req_id`, in completion order. The
-//! first request is a [`Request::Hello`]. [`BlockingConn`] is the
-//! smallest client of that protocol (tools and tests); `libpuddles`'
-//! pipelined endpoint is the production one.
+//! first request is a [`Request::Hello`]. Frame bodies are the binary
+//! [`codec`] the daemon's metadata WAL also writes: tag bytes and
+//! fixed-width fields, no field names and no parsing of text. A peer of
+//! another protocol generation is refused at the preamble, so nothing in
+//! a body is optional. [`BlockingConn`] is the smallest client of that
+//! protocol (tools and tests); `libpuddles`' pipelined endpoint is the
+//! production one.
+//!
+//! JSON is left only where people and other programs read or write files
+//! ([`json`]): export manifests, `puddle-stat --json` and torture failure
+//! artifacts.
 
+pub mod codec;
 pub mod frame;
+pub mod json;
 pub mod types;
 
 pub use frame::{read_frame, write_frame};
 pub use types::*;
 
-use serde::{Deserialize, Serialize};
-
 /// A request sent from a client (`libpuddles`) to the daemon (`puddled`).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Introduces the client and its credentials; must be the first message.
     Hello {
@@ -34,7 +42,6 @@ pub enum Request {
         creds: Credentials,
         /// `true` when this `Hello` re-establishes a connection the client
         /// already had (retry/backoff path); counted as `client_reconnects`.
-        #[serde(default)]
         reconnect: bool,
     },
     /// Allocates a new puddle of `size` bytes.
@@ -128,7 +135,7 @@ pub enum Request {
 }
 
 /// A response from the daemon.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Generic success.
     Ok,
@@ -180,7 +187,7 @@ pub enum Response {
 /// practice) and echoed back verbatim in the matching [`ResponseEnvelope`].
 /// The daemon may complete and write responses in any order, so the id is
 /// the only way to pair a response with its request.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestEnvelope {
     /// Client-assigned request id, echoed in the response.
     pub req_id: u64,
@@ -189,7 +196,7 @@ pub struct RequestEnvelope {
 }
 
 /// A response frame: the echoed id plus the response.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResponseEnvelope {
     /// The id of the request this response answers.
     pub req_id: u64,
@@ -203,37 +210,15 @@ pub struct ResponseEnvelope {
 /// daemon emits one bare [`Response`] to a connection it turns away before
 /// reading any request id from it: the `Busy` rejection at the connection
 /// cap, or `InvalidRequest` to a peer that did not open with the preamble.
-/// Decoding is structural — an object carrying a `req_id` key is an
-/// envelope, anything else is a bare response — so no extra tag byte is
-/// needed on the wire.
+/// The frame's first byte says which of the two follows; an encoded
+/// [`ResponseEnvelope`] starts with the envelope's byte, so it decodes as
+/// [`ServerFrame::Enveloped`] as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServerFrame {
     /// An id-tagged response.
     Enveloped(ResponseEnvelope),
     /// A bare response (a pre-handshake rejection).
     Bare(Response),
-}
-
-impl Serialize for ServerFrame {
-    fn serialize(&self) -> serde::Value {
-        match self {
-            ServerFrame::Enveloped(env) => env.serialize(),
-            ServerFrame::Bare(resp) => resp.serialize(),
-        }
-    }
-}
-
-impl Deserialize for ServerFrame {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
-        let is_envelope = v
-            .as_map()
-            .is_some_and(|m| m.iter().any(|(k, _)| k == "req_id"));
-        if is_envelope {
-            Ok(ServerFrame::Enveloped(ResponseEnvelope::deserialize(v)?))
-        } else {
-            Ok(ServerFrame::Bare(Response::deserialize(v)?))
-        }
-    }
 }
 
 impl Request {
@@ -358,124 +343,10 @@ impl<S: std::io::Read + std::io::Write> BlockingConn<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frame::{decode_frame, encode_frame};
 
-    #[test]
-    fn request_roundtrips_through_json() {
-        let reqs = vec![
-            Request::Hello {
-                creds: Credentials {
-                    uid: 1000,
-                    gid: 100,
-                },
-                reconnect: true,
-            },
-            Request::hello(Credentials { uid: 1, gid: 2 }),
-            Request::CreatePuddle {
-                size: 2 << 20,
-                pool: Some("p".into()),
-                purpose: PuddlePurpose::Data,
-                mode: 0o600,
-            },
-            Request::GetPuddle {
-                id: PuddleId(0xdead_beef_dead_beef_dead_beef_dead_beefu128),
-                writable: false,
-            },
-            Request::RegisterPtrMap {
-                decl: PtrMapDecl {
-                    type_id: 42,
-                    type_name: "Node".into(),
-                    size: 16,
-                    fields: vec![PtrField {
-                        offset: 8,
-                        target_type: 42,
-                    }],
-                },
-            },
-            Request::Ping,
-        ];
-        for req in reqs {
-            let json = serde_json::to_string(&req).unwrap();
-            let back: Request = serde_json::from_str(&json).unwrap();
-            assert_eq!(req, back);
-        }
-    }
-
-    /// The short `Hello` parses, and `Hello`/`Welcome` frames carrying a
-    /// key these types do not know (such as the window fields peers sent
-    /// while the window was negotiated) parse with the key ignored.
-    #[test]
-    fn hello_and_welcome_ignore_keys_they_do_not_know() {
-        let hello = Request::hello(Credentials {
-            uid: 1000,
-            gid: 100,
-        });
-        for frame in [
-            r#"{"Hello":{"creds":{"uid":1000,"gid":100}}}"#,
-            r#"{"Hello":{"creds":{"uid":1000,"gid":100},"window":8}}"#,
-        ] {
-            assert_eq!(serde_json::from_str::<Request>(frame).unwrap(), hello);
-        }
-
-        let welcome = Response::Welcome {
-            space_base: 4096,
-            space_size: 8192,
-        };
-        let frame = r#"{"Welcome":{"space_base":4096,"space_size":8192,"window":64}}"#;
-        assert_eq!(serde_json::from_str::<Response>(frame).unwrap(), welcome);
-    }
-
-    /// `GetMetrics` rides the envelope like every other request, and
-    /// reports from peers that predate the trace-ring fields still parse.
-    #[test]
-    fn get_metrics_roundtrips_in_envelopes() {
-        let env = RequestEnvelope {
-            req_id: 9,
-            req: Request::GetMetrics,
-        };
-        let json = serde_json::to_string(&env).unwrap();
-        assert_eq!(serde_json::from_str::<RequestEnvelope>(&json).unwrap(), env);
-
-        let report = MetricsReport {
-            series: vec![SeriesSnapshot {
-                name: "service.Ping".into(),
-                count: 3,
-                sum_nanos: 300,
-                p50_nanos: 100,
-                p90_nanos: 110,
-                p99_nanos: 120,
-                max_nanos: 118,
-            }],
-            counters: vec![CounterSnapshot {
-                name: "client_reconnects".into(),
-                value: 1,
-            }],
-            trace_buffered: 9,
-            trace_dropped: 0,
-        };
-        let env = ResponseEnvelope {
-            req_id: 42,
-            resp: Response::Metrics(report),
-        };
-        let json = serde_json::to_string(&env).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Enveloped(env));
-        // A report without the trace fields (older daemon) still parses.
-        let old = r#"{"series":[],"counters":[]}"#;
-        let report: MetricsReport = serde_json::from_str(old).unwrap();
-        assert_eq!(report.trace_buffered, 0);
-        assert_eq!(report.trace_dropped, 0);
-    }
-
-    /// `Stats` folded into `GetMetrics`: its frame is an unknown request
-    /// now, which the daemon answers like any undecodable envelope, by
-    /// closing the connection.
-    #[test]
-    fn a_stats_request_no_longer_decodes() {
-        let stats = r#"{"req_id":1,"req":"Stats"}"#;
-        assert!(serde_json::from_str::<RequestEnvelope>(stats).is_err());
-        let metrics = r#"{"req_id":1,"req":"GetMetrics"}"#;
-        let env: RequestEnvelope = serde_json::from_str(metrics).unwrap();
-        assert_eq!(env.req, Request::GetMetrics);
+    fn decode_body<T: codec::Wire>(bytes: &[u8]) -> std::io::Result<T> {
+        decode_frame(&bytes[4..])
     }
 
     #[test]
@@ -491,6 +362,9 @@ mod tests {
         assert_eq!(err.code, ErrorCode::PermissionDenied);
     }
 
+    /// An encoded envelope is an enveloped server frame as it is; a bare
+    /// response is one only with the bare discriminator in front, and is
+    /// never taken for an envelope.
     #[test]
     fn server_frame_distinguishes_envelopes_from_bare_responses() {
         let env = ResponseEnvelope {
@@ -500,41 +374,22 @@ mod tests {
                 space_size: 0x2000,
             },
         };
-        let json = serde_json::to_string(&env).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
+        let bytes = encode_frame(&env).unwrap();
+        let frame: ServerFrame = decode_body(&bytes).unwrap();
         assert_eq!(frame, ServerFrame::Enveloped(env));
 
-        let bare = Response::Error {
-            code: ErrorCode::Busy,
-            message: "connection limit reached".into(),
-        };
-        let json = serde_json::to_string(&bare).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(bare));
-
-        let unit = Response::Ok;
-        let json = serde_json::to_string(&unit).unwrap();
-        let frame: ServerFrame = serde_json::from_str(&json).unwrap();
-        assert_eq!(frame, ServerFrame::Bare(unit));
-    }
-
-    #[test]
-    fn request_envelope_roundtrips_through_json() {
-        let env = RequestEnvelope {
-            req_id: u64::MAX,
-            req: Request::OpenPool { name: "p".into() },
-        };
-        let json = serde_json::to_string(&env).unwrap();
-        let back: RequestEnvelope = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, env);
-    }
-
-    #[test]
-    fn puddle_id_json_is_stable_hex() {
-        let id = PuddleId(0x0123_4567_89ab_cdef_0123_4567_89ab_cdefu128);
-        let json = serde_json::to_string(&id).unwrap();
-        assert_eq!(json, "\"0123456789abcdef0123456789abcdef\"");
-        let back: PuddleId = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, id);
+        for bare in [
+            Response::Error {
+                code: ErrorCode::Busy,
+                message: "connection limit reached".into(),
+            },
+            Response::Ok,
+        ] {
+            let bytes = encode_frame(&ServerFrame::Bare(bare.clone())).unwrap();
+            let frame: ServerFrame = decode_body(&bytes).unwrap();
+            assert_eq!(frame, ServerFrame::Bare(bare));
+            let err = decode_body::<ResponseEnvelope>(&bytes).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! Shared data types for the client/daemon protocol.
 
-use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use crate::json;
 
 /// A 128-bit universally unique puddle identifier (§4.3).
 ///
-/// Serialized as a 32-character lowercase hex string so every JSON consumer
-/// (including non-Rust tooling) can parse it.
+/// On the wire and in the WAL it is 16 little-endian bytes; in JSON (an
+/// export manifest) and in file names it is 32 lowercase hex characters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PuddleId(pub u128);
 
@@ -15,9 +15,10 @@ impl PuddleId {
         format!("{:032x}", self.0)
     }
 
-    /// Parses a 32-character hex string.
+    /// Parses a 32-character hex string: exactly 32 hex digits, no sign.
     pub fn from_hex(s: &str) -> Option<Self> {
-        u128::from_str_radix(s, 16).ok().map(PuddleId)
+        let digits = s.len() == 32 && s.bytes().all(|b| b.is_ascii_hexdigit());
+        digits.then(|| PuddleId(u128::from_str_radix(s, 16).expect("32 hex digits")))
     }
 }
 
@@ -27,21 +28,8 @@ impl std::fmt::Display for PuddleId {
     }
 }
 
-impl Serialize for PuddleId {
-    fn serialize(&self) -> Value {
-        Value::Str(self.to_hex())
-    }
-}
-
-impl Deserialize for PuddleId {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let s = String::deserialize(v)?;
-        PuddleId::from_hex(&s).ok_or_else(|| SerdeError::custom("invalid puddle id"))
-    }
-}
-
 /// Client credentials presented in `Hello`, used for access control.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Credentials {
     /// Numeric user id.
     pub uid: u32,
@@ -74,7 +62,7 @@ mod sys {
 
 /// What a puddle is used for; the daemon treats log and log-space puddles
 /// specially during recovery.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PuddlePurpose {
     /// Ordinary data puddle (part of a pool heap).
     Data,
@@ -85,7 +73,7 @@ pub enum PuddlePurpose {
 }
 
 /// Metadata describing one puddle, as returned by the daemon.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PuddleInfo {
     /// The puddle's UUID.
     pub id: PuddleId,
@@ -111,7 +99,7 @@ pub struct PuddleInfo {
 }
 
 /// Metadata describing a pool: a named collection of puddles with a root.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolInfo {
     /// Pool name.
     pub name: String,
@@ -122,7 +110,7 @@ pub struct PoolInfo {
 }
 
 /// One pointer field inside a persistent type.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PtrField {
     /// Byte offset of the pointer within the object.
     pub offset: u64,
@@ -131,7 +119,7 @@ pub struct PtrField {
 }
 
 /// A pointer map registered for a persistent type (§4.2 "Pointer maps").
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PtrMapDecl {
     /// Stable 64-bit type identifier (hash of the type name).
     pub type_id: u64,
@@ -144,7 +132,7 @@ pub struct PtrMapDecl {
 }
 
 /// An old→new address translation produced by relocation on import.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Translation {
     /// Base address the puddle was assigned when it was exported.
     pub old_addr: u64,
@@ -166,7 +154,7 @@ impl Translation {
 }
 
 /// Summary of a recovery pass.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Log spaces examined.
     pub log_spaces: u64,
@@ -188,14 +176,13 @@ pub struct RecoveryReport {
     /// Puddles the pass mapped: each log space, the segments of its chains
     /// and the data puddles that live entries named — not every puddle the
     /// owners could write.
-    #[serde(default)]
     pub puddles_mapped: u64,
 }
 
 /// One latency series in a [`MetricsReport`]: summary quantiles of a
 /// daemon-side log-linear histogram. All time values are nanoseconds of
 /// the daemon's clock (logical nanoseconds under a virtual clock).
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SeriesSnapshot {
     /// Series name (`service.<RequestKind>`, `wal.flush`, `checkpoint`,
     /// `stage.queue`, ...).
@@ -215,7 +202,7 @@ pub struct SeriesSnapshot {
 }
 
 /// One named counter in a [`MetricsReport`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Counter name.
     pub name: String,
@@ -226,17 +213,15 @@ pub struct CounterSnapshot {
 /// Reply to `GetMetrics`: every histogram series and counter the daemon's
 /// observability hub holds, name-sorted. Also produced client-side by the
 /// client's local reporter (retry/pipeline counters).
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsReport {
     /// Latency series, sorted by name.
     pub series: Vec<SeriesSnapshot>,
     /// Counters, sorted by name.
     pub counters: Vec<CounterSnapshot>,
     /// Trace events currently buffered in the daemon's trace ring.
-    #[serde(default)]
     pub trace_buffered: u64,
     /// Trace events dropped to ring-capacity overflow.
-    #[serde(default)]
     pub trace_dropped: u64,
 }
 
@@ -252,6 +237,37 @@ impl MetricsReport {
             .iter()
             .find(|c| c.name == name)
             .map(|c| c.value)
+    }
+
+    /// The report as JSON (`puddle-stat --json`): the field names above,
+    /// each series and counter an object.
+    pub fn to_json(&self) -> json::Value {
+        let series = |s: &SeriesSnapshot| {
+            json::Value::obj([
+                ("name", s.name.as_str().into()),
+                ("count", s.count.into()),
+                ("sum_nanos", s.sum_nanos.into()),
+                ("p50_nanos", s.p50_nanos.into()),
+                ("p90_nanos", s.p90_nanos.into()),
+                ("p99_nanos", s.p99_nanos.into()),
+                ("max_nanos", s.max_nanos.into()),
+            ])
+        };
+        let counter = |c: &CounterSnapshot| {
+            json::Value::obj([("name", c.name.as_str().into()), ("value", c.value.into())])
+        };
+        json::Value::obj([
+            (
+                "series",
+                json::Value::Arr(self.series.iter().map(series).collect()),
+            ),
+            (
+                "counters",
+                json::Value::Arr(self.counters.iter().map(counter).collect()),
+            ),
+            ("trace_buffered", self.trace_buffered.into()),
+            ("trace_dropped", self.trace_dropped.into()),
+        ])
     }
 
     /// The `reactor.<i>.<what>` counters in reactor order: one entry per
@@ -305,7 +321,7 @@ impl From<&MetricsReport> for DaemonStats {
 }
 
 /// Machine-readable error categories returned by the daemon.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The named object does not exist.
     NotFound,
@@ -335,6 +351,35 @@ mod tests {
         assert_eq!(id.to_hex().len(), 32);
     }
 
+    /// Exactly 32 hex digits, as `to_hex` writes them (either case), and
+    /// nothing `u128::from_str_radix` would also take.
+    #[test]
+    fn from_hex_takes_exactly_32_hex_digits() {
+        let id = PuddleId(0x0123_4567_89ab_cdef_0123_4567_89ab_cdef);
+        assert_eq!(
+            PuddleId::from_hex("0123456789abcdef0123456789abcdef"),
+            Some(id)
+        );
+        assert_eq!(
+            PuddleId::from_hex("0123456789ABCDEF0123456789ABCDEF"),
+            Some(id)
+        );
+        let short = "123456789abcdef0123456789abcdef";
+        let signed = "+123456789abcdef0123456789abcdef";
+        for bad in [
+            "7",
+            "+1",
+            "",
+            short,
+            signed,
+            "0x23456789abcdef0123456789abcdef",
+        ] {
+            assert_eq!(PuddleId::from_hex(bad), None, "{bad:?}");
+        }
+        assert_eq!(PuddleId::from_hex(&format!("0{}", id.to_hex())), None);
+        assert_eq!(PuddleId::from_hex(" 123456789abcdef0123456789abcdef"), None);
+    }
+
     #[test]
     fn translation_translates_only_inside_range() {
         let t = Translation {
@@ -353,6 +398,53 @@ mod tests {
         let a = Credentials::current_process();
         let b = Credentials::current_process();
         assert_eq!(a, b);
+    }
+
+    /// `puddle-stat --json` reparses: every series and counter under its
+    /// own name, escapes and all.
+    #[test]
+    fn a_metrics_report_reparses_from_its_json() {
+        let report = MetricsReport {
+            series: vec![SeriesSnapshot {
+                name: "service.\"Ping\"\\\n".into(),
+                count: 3,
+                sum_nanos: 300,
+                p50_nanos: 100,
+                p90_nanos: 110,
+                p99_nanos: 120,
+                max_nanos: u64::MAX,
+            }],
+            counters: vec![CounterSnapshot {
+                name: "reactor.0.requests\u{1}ü".into(),
+                value: 7,
+            }],
+            trace_buffered: 9,
+            trace_dropped: 1,
+        };
+        let text = report.to_json().pretty();
+        let doc = json::Value::parse(text.as_bytes()).unwrap();
+        let series = &doc.field("series").and_then(json::Value::arr).unwrap()[0];
+        let s = &report.series[0];
+        assert_eq!(
+            series.field("name").and_then(json::Value::str),
+            Ok(s.name.as_str())
+        );
+        for (key, value) in [("count", 3), ("p99_nanos", 120), ("max_nanos", u64::MAX)] {
+            assert_eq!(
+                series.field(key).and_then(json::Value::u64),
+                Ok(value),
+                "{key}"
+            );
+        }
+        let counter = &doc.field("counters").and_then(json::Value::arr).unwrap()[0];
+        let name = counter.field("name").and_then(json::Value::str);
+        assert_eq!(name, Ok(report.counters[0].name.as_str()));
+        assert_eq!(counter.field("value").and_then(json::Value::u64), Ok(7));
+        assert_eq!(
+            doc.field("trace_buffered").and_then(json::Value::u64),
+            Ok(9)
+        );
+        assert_eq!(doc.field("trace_dropped").and_then(json::Value::u64), Ok(1));
     }
 
     /// The benchmark's view of a report: counters by name, checkpoints as
@@ -398,42 +490,6 @@ mod tests {
         assert_eq!(
             DaemonStats::from(&MetricsReport::default()),
             DaemonStats::default()
-        );
-    }
-
-    #[test]
-    fn info_types_roundtrip_through_json() {
-        let info = PuddleInfo {
-            id: PuddleId(7),
-            size: 4096,
-            assigned_addr: 0x5000_0000_0000,
-            path: "/tmp/x".into(),
-            purpose: PuddlePurpose::Log,
-            owner_uid: 0,
-            owner_gid: 0,
-            mode: 0o640,
-            needs_rewrite: true,
-            writable: false,
-        };
-        let json = serde_json::to_string(&info).unwrap();
-        let back: PuddleInfo = serde_json::from_str(&json).unwrap();
-        assert_eq!(info, back);
-
-        let report = RecoveryReport {
-            log_spaces: 1,
-            logs: 2,
-            entries_applied: 3,
-            entries_denied: 0,
-            logs_clean: 1,
-            logs_invalidated: 0,
-            chained_logs: 1,
-            chain_tails_reclaimed: 2,
-            puddles_mapped: 4,
-        };
-        let json = serde_json::to_string(&report).unwrap();
-        assert_eq!(
-            serde_json::from_str::<RecoveryReport>(&json).unwrap(),
-            report
         );
     }
 }

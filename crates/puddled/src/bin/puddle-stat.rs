@@ -14,7 +14,8 @@
 //!
 //! * default: a human-readable table on stdout;
 //! * `--json` (optionally followed by a path): the raw
-//!   [`MetricsReport`] as pretty-printed JSON, to stdout or `PATH`;
+//!   [`MetricsReport`] as pretty-printed JSON ([`MetricsReport::to_json`]),
+//!   to stdout or `PATH`;
 //! * `--watch SECS`: poll and re-render every `SECS` seconds until
 //!   interrupted;
 //! * `--require SERIES` (repeatable): exit non-zero unless the named
@@ -169,7 +170,7 @@ fn summary(s: &SeriesSnapshot) -> (u64, u64, u64, u64) {
 
 fn emit(args: &Args, report: &MetricsReport) -> Result<(), String> {
     if args.json {
-        let json = serde_json::to_string_pretty(report).map_err(|e| format!("serialize: {e}"))?;
+        let json = report.to_json().pretty();
         match &args.json_path {
             Some(path) => {
                 let mut file =

@@ -24,10 +24,10 @@ use crate::service::{pool_exists, DaemonError, DaemonInner, DaemonResult};
 use crate::wal::{self, RegistryOp};
 use puddles_pmem::faultio::FaultSite;
 use puddles_pmem::PAGE_SIZE;
+use puddles_proto::json::{self, Value};
 use puddles_proto::{
-    Credentials, ErrorCode, PoolInfo, PtrMapDecl, PuddleId, PuddlePurpose, Translation,
+    Credentials, ErrorCode, PoolInfo, PtrField, PtrMapDecl, PuddleId, PuddlePurpose, Translation,
 };
-use serde::{Deserialize, Serialize};
 use std::ffi::OsStr;
 use std::fs::{self, File};
 use std::io::ErrorKind;
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
 /// One puddle inside an export manifest.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExportedPuddle {
     /// UUID the puddle had on the exporting machine.
     pub id: PuddleId,
@@ -50,7 +50,11 @@ pub struct ExportedPuddle {
 }
 
 /// The manifest written alongside exported puddle files.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// It is JSON, and its shape never changes: it is how a pool moves between
+/// builds as well as machines (a PM directory does not survive a WAL
+/// version change; an export does).
+#[derive(Debug, Clone)]
 pub struct ExportManifest {
     /// Name of the exported pool.
     pub pool: String,
@@ -60,6 +64,103 @@ pub struct ExportManifest {
     pub puddles: Vec<ExportedPuddle>,
     /// Pointer maps needed to rewrite pointers in the pool.
     pub ptr_maps: Vec<PtrMapDecl>,
+}
+
+impl ExportManifest {
+    /// The manifest as `manifest.json` holds it.
+    pub fn to_json(&self) -> Vec<u8> {
+        let puddle = |p: &ExportedPuddle| {
+            Value::obj([
+                ("id", p.id.to_hex().into()),
+                ("size", p.size.into()),
+                ("assigned_addr", p.assigned_addr.into()),
+                ("file", p.file.as_str().into()),
+                ("mode", p.mode.into()),
+            ])
+        };
+        let field = |f: &PtrField| {
+            Value::obj([
+                ("offset", f.offset.into()),
+                ("target_type", f.target_type.into()),
+            ])
+        };
+        let ptr_map = |m: &PtrMapDecl| {
+            Value::obj([
+                ("type_id", m.type_id.into()),
+                ("type_name", m.type_name.as_str().into()),
+                ("size", m.size.into()),
+                ("fields", Value::Arr(m.fields.iter().map(field).collect())),
+            ])
+        };
+        let manifest = Value::obj([
+            ("pool", self.pool.as_str().into()),
+            ("root", self.root.to_hex().into()),
+            (
+                "puddles",
+                Value::Arr(self.puddles.iter().map(puddle).collect()),
+            ),
+            (
+                "ptr_maps",
+                Value::Arr(self.ptr_maps.iter().map(ptr_map).collect()),
+            ),
+        ]);
+        manifest.pretty().into_bytes()
+    }
+
+    /// Reads a `manifest.json`: the shape [`ExportManifest::to_json`]
+    /// writes, keys in any order, unknown keys ignored.
+    pub fn from_json(bytes: &[u8]) -> Result<ExportManifest, json::Error> {
+        let doc = Value::parse(bytes)?;
+        let id = |v: &Value| {
+            let hex = v.str()?;
+            PuddleId::from_hex(hex).ok_or_else(|| json::Error(format!("bad puddle id `{hex}`")))
+        };
+        let puddle = |v: &Value| {
+            let mode = v.field("mode")?.u64()?;
+            Ok(ExportedPuddle {
+                id: id(v.field("id")?)?,
+                size: v.field("size")?.u64()?,
+                assigned_addr: v.field("assigned_addr")?.u64()?,
+                file: v.field("file")?.str()?.to_string(),
+                mode: u32::try_from(mode).map_err(|_| json::Error(format!("mode {mode}")))?,
+            })
+        };
+        let field = |v: &Value| {
+            Ok(PtrField {
+                offset: v.field("offset")?.u64()?,
+                target_type: v.field("target_type")?.u64()?,
+            })
+        };
+        let ptr_map = |v: &Value| {
+            Ok(PtrMapDecl {
+                type_id: v.field("type_id")?.u64()?,
+                type_name: v.field("type_name")?.str()?.to_string(),
+                size: v.field("size")?.u64()?,
+                fields: v
+                    .field("fields")?
+                    .arr()?
+                    .iter()
+                    .map(field)
+                    .collect::<Result<_, _>>()?,
+            })
+        };
+        Ok(ExportManifest {
+            pool: doc.field("pool")?.str()?.to_string(),
+            root: id(doc.field("root")?)?,
+            puddles: doc
+                .field("puddles")?
+                .arr()?
+                .iter()
+                .map(puddle)
+                .collect::<Result<_, _>>()?,
+            ptr_maps: doc
+                .field("ptr_maps")?
+                .arr()?
+                .iter()
+                .map(ptr_map)
+                .collect::<Result<_, _>>()?,
+        })
+    }
 }
 
 /// File name of the manifest inside an export directory.
@@ -147,7 +248,7 @@ pub(crate) fn export_pool(
             mode: record.mode,
         });
     }
-    let manifest_bytes = serde_json::to_vec_pretty(&manifest).map_err(internal)?;
+    let manifest_bytes = manifest.to_json();
     let pmdir = &inner.pmdir;
     let sites = (FaultSite::PuddleCreate, FaultSite::PuddleCreate);
     let written = pmdir.with_io_retries(
@@ -216,7 +317,7 @@ pub(crate) fn import_pool(
     let src = Path::new(src);
     let manifest_bytes = fs::read(src.join(MANIFEST_FILE))
         .map_err(|e| DaemonError::new(ErrorCode::NotFound, format!("manifest: {e}")))?;
-    let manifest: ExportManifest = serde_json::from_slice(&manifest_bytes)
+    let manifest = ExportManifest::from_json(&manifest_bytes)
         .map_err(|e| DaemonError::new(ErrorCode::InvalidRequest, format!("manifest: {e}")))?;
     let root = check_manifest(src, &manifest)?;
     let reg = &inner.registry;

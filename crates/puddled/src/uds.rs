@@ -84,7 +84,9 @@ use polling::{Event, Interest, Poller, Waker};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::obs::ShardedHistogram;
 use puddles_proto::frame::{FrameDecoder, V2_MAGIC};
-use puddles_proto::{frame, Credentials, Request, RequestEnvelope, Response, ResponseEnvelope};
+use puddles_proto::{
+    frame, Credentials, Request, RequestEnvelope, Response, ResponseEnvelope, ServerFrame,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -666,10 +668,10 @@ struct Listener {
 
 impl Listener {
     fn new(listener: UnixListener, max_connections: usize) -> io::Result<Listener> {
-        let busy_frame = frame::encode_frame(&Response::Error {
+        let busy_frame = frame::encode_frame(&ServerFrame::Bare(Response::Error {
             code: puddles_proto::ErrorCode::Busy,
             message: format!("connection limit reached ({max_connections})"),
-        })?;
+        }))?;
         Ok(Listener {
             listener,
             max_connections,
@@ -1136,14 +1138,14 @@ fn parse_frames(conn: &mut Conn) -> bool {
                 conn.decoder.consume(4);
                 conn.preamble_seen = true;
             }
-            // Not this protocol (an old client's bare frame, or noise):
-            // say so in the one frame such a peer can still parse, discard
-            // what it sent, and close once the refusal is written.
+            // Not this protocol (another generation's preamble, a bare
+            // frame, or noise): say so in a bare frame, discard what it
+            // sent, and close once the refusal is written.
             Some(_) => {
-                let refusal = frame::encode_frame(&Response::Error {
+                let refusal = frame::encode_frame(&ServerFrame::Bare(Response::Error {
                     code: puddles_proto::ErrorCode::InvalidRequest,
-                    message: "connection did not start with the PUD2 preamble".into(),
-                });
+                    message: "connection did not start with the PUD3 preamble".into(),
+                }));
                 conn.out.extend_from_slice(&refusal.unwrap_or_default());
                 conn.decoder.consume(conn.decoder.buffered());
                 conn.peer_closed = true;

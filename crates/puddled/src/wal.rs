@@ -60,7 +60,8 @@ use puddles_pmem::faultio::FaultSite;
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
-use puddles_proto::{PtrField, PtrMapDecl, PuddleId, PuddlePurpose};
+use puddles_proto::codec::{put_str, put_u128, put_u32, put_u64, Reader, Wire};
+use puddles_proto::{PtrMapDecl, PuddleId};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -306,31 +307,6 @@ mod tag {
     pub const SNAPSHOT: u8 = 12;
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_purpose(out: &mut Vec<u8>, p: PuddlePurpose) {
-    out.push(match p {
-        PuddlePurpose::Data => 0,
-        PuddlePurpose::Log => 1,
-        PuddlePurpose::LogSpace => 2,
-    });
-}
-
 /// Encodes `ops` as one record payload — the version byte, then the ops back
 /// to back — or refuses, typed, one over [`MAX_RECORD`].
 pub fn encode_ops(ops: &[RegistryOp]) -> Result<Vec<u8>> {
@@ -356,17 +332,11 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
             put_u128(out, rec.id.0);
             put_u64(out, rec.size);
             put_u64(out, rec.offset);
-            put_purpose(out, rec.purpose);
+            rec.purpose.encode(out);
             put_u32(out, rec.owner_uid);
             put_u32(out, rec.owner_gid);
             put_u32(out, rec.mode);
-            match &rec.pool {
-                Some(pool) => {
-                    out.push(1);
-                    put_str(out, pool);
-                }
-                None => out.push(0),
-            }
+            rec.pool.encode(out);
             put_u64(out, rec.old_addr);
             out.push(rec.rewrite as u8);
         }
@@ -385,14 +355,7 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
         }
         RegistryOp::PutPtrMap(decl) => {
             out.push(tag::PUT_PTR_MAP);
-            put_u64(out, decl.type_id);
-            put_str(out, &decl.type_name);
-            put_u64(out, decl.size);
-            put_u32(out, decl.fields.len() as u32);
-            for f in &decl.fields {
-                put_u64(out, f.offset);
-                put_u64(out, f.target_type);
-            }
+            decl.encode(out);
         }
         RegistryOp::PutLogSpace(rec) => {
             out.push(tag::PUT_LOG_SPACE);
@@ -422,70 +385,6 @@ fn encode_op(out: &mut Vec<u8>, op: &RegistryOp) {
     }
 }
 
-/// Bounds-checked sequential reader over a binary payload.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let slice = self.bytes.get(self.pos..self.pos.checked_add(n)?)?;
-        self.pos += n;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        self.take(4)
-            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.take(8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        self.take(16)
-            .map(|b| u128::from_le_bytes(b.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).ok()
-    }
-
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    fn purpose(&mut self) -> Option<PuddlePurpose> {
-        match self.u8()? {
-            0 => Some(PuddlePurpose::Data),
-            1 => Some(PuddlePurpose::Log),
-            2 => Some(PuddlePurpose::LogSpace),
-            _ => None,
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-}
-
 /// Decodes one record payload into its ops; `None` for anything but a
 /// well-formed [`WAL_BINARY_VERSION`] record. One op that does not decode —
 /// or bytes left over that are not an op: a writer/reader format mismatch —
@@ -509,11 +408,11 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RegistryOp> {
             id: PuddleId(r.u128()?),
             size: r.u64()?,
             offset: r.u64()?,
-            purpose: r.purpose()?,
+            purpose: Wire::decode(r)?,
             owner_uid: r.u32()?,
             owner_gid: r.u32()?,
             mode: r.u32()?,
-            pool: if r.bool()? { Some(r.string()?) } else { None },
+            pool: Wire::decode(r)?,
             old_addr: r.u64()?,
             rewrite: match r.u8()? {
                 0 => Rewrite::Clean,
@@ -530,25 +429,7 @@ fn decode_op(r: &mut Reader<'_>) -> Option<RegistryOp> {
             root: PuddleId(r.u128()?),
         },
         tag::DROP_POOL => RegistryOp::DropPool { name: r.string()? },
-        tag::PUT_PTR_MAP => {
-            let type_id = r.u64()?;
-            let type_name = r.string()?;
-            let size = r.u64()?;
-            let n = r.u32()? as usize;
-            let mut fields = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                fields.push(PtrField {
-                    offset: r.u64()?,
-                    target_type: r.u64()?,
-                });
-            }
-            RegistryOp::PutPtrMap(PtrMapDecl {
-                type_id,
-                type_name,
-                size,
-                fields,
-            })
-        }
+        tag::PUT_PTR_MAP => RegistryOp::PutPtrMap(Wire::decode(r)?),
         tag::PUT_LOG_SPACE => RegistryOp::PutLogSpace(LogSpaceRecord {
             puddle: PuddleId(r.u128()?),
             owner_uid: r.u32()?,
@@ -624,8 +505,11 @@ fn next_record(bytes: &[u8]) -> Option<(u64, &[u8], usize)> {
     let (checksum, seq, len, _pad) = (r.u64()?, r.u64()?, r.u32()? as usize, r.u32()?);
     let payload = r.take(len)?;
     r.take(align_up(len, RECORD_ALIGN) - len)?;
-    (len <= MAX_RECORD && checksum == record_checksum(seq, payload))
-        .then_some((seq, payload, r.pos))
+    (len <= MAX_RECORD && checksum == record_checksum(seq, payload)).then_some((
+        seq,
+        payload,
+        RECORD_HEADER_SIZE + align_up(len, RECORD_ALIGN),
+    ))
 }
 
 /// Decodes the records in `bytes`, returning them with the number of bytes
@@ -1085,7 +969,7 @@ impl Wal {
 mod tests {
     use super::*;
     use puddles_pmem::faultio::{FaultPlan, FaultProfile};
-    use puddles_proto::PuddlePurpose;
+    use puddles_proto::{PtrField, PuddlePurpose};
 
     fn sample_op(n: u64) -> RegistryOp {
         RegistryOp::PutPuddle(PuddleRecord {
@@ -1174,9 +1058,9 @@ mod tests {
         replay(pm).into_iter().map(|(_, op)| op).collect()
     }
 
-    /// What `serde_json::to_vec(&sample_op(7))` printed while WAL records
-    /// were JSON (retired in PR 14): the tests' size and foreign-format
-    /// reference, kept as text so no record type needs a serde derive.
+    /// What `sample_op(7)` was as JSON while WAL records were JSON: the
+    /// tests' size and foreign-format reference, kept as text so no record
+    /// type needs a JSON encoding.
     const SAMPLE_OP_7_JSON: &str = concat!(
         r#"{"PutPuddle":{"id":"00000000000000000000000000000007","size":4096,"#,
         r#""offset":28672,"file":"00000000000000000000000000000007","purpose":"Data","#,

@@ -474,8 +474,7 @@ fn export_and_import_assign_new_ids_and_translations() {
     };
     let before = state();
     let manifest_bytes = std::fs::read(dest.join("manifest.json")).unwrap();
-    let mut manifest: puddled::importexport::ExportManifest =
-        serde_json::from_slice(&manifest_bytes).unwrap();
+    let mut manifest = puddled::importexport::ExportManifest::from_json(&manifest_bytes).unwrap();
     let template = manifest.puddles[0].clone();
     manifest.puddles = (0..4200)
         .map(|i| puddled::importexport::ExportedPuddle {
@@ -488,7 +487,7 @@ fn export_and_import_assign_new_ids_and_translations() {
     let huge = tmp.path().join("huge");
     std::fs::create_dir(&huge).unwrap();
     std::fs::write(huge.join("member.pud"), vec![0u8; 2 * 4096]).unwrap();
-    let manifest_bytes = serde_json::to_vec(&manifest).unwrap();
+    let manifest_bytes = manifest.to_json();
     std::fs::write(huge.join("manifest.json"), manifest_bytes).unwrap();
     let req = Request::ImportPool {
         src: huge.to_string_lossy().into_owned(),
@@ -508,6 +507,64 @@ fn export_and_import_assign_new_ids_and_translations() {
         mode: 0o600,
     };
     expect_pool(daemon.handle(USER_A, next));
+    puddled::Invariants::assert_all(daemon.registry());
+}
+
+/// An export written by the build before the binary wire (preamble `PUD2`,
+/// JSON frame bodies) imports on this one: the manifest is how a pool
+/// crosses builds, so its shape never changes. The fixture's pool name
+/// holds a quote, a backslash, a control character and non-ASCII text, and
+/// this build writes it back byte for byte. Every byte-truncation of it is
+/// refused, typed, with nothing granted or copied.
+#[test]
+fn a_manifest_the_json_wire_build_wrote_imports() {
+    use puddled::importexport::{ExportManifest, MANIFEST_FILE};
+    const MANIFEST: &[u8] = include_bytes!("fixtures/json_era_manifest.json");
+    let manifest = ExportManifest::from_json(MANIFEST).unwrap();
+    assert_eq!(manifest.pool, "q\"uote \\back\u{1}ctl pöol-ü 水");
+    assert_eq!(manifest.ptr_maps[0].type_name, "fixture::Node<\"a\\b\">");
+    assert_eq!(manifest.to_json(), MANIFEST);
+
+    let (tmp, daemon) = start_daemon();
+    let src = tmp.path().join("export");
+    std::fs::create_dir(&src).unwrap();
+    for puddle in &manifest.puddles {
+        let file = std::fs::File::create(src.join(&puddle.file)).unwrap();
+        file.set_len(puddle.size).unwrap();
+    }
+    let import = |bytes: &[u8]| {
+        std::fs::write(src.join(MANIFEST_FILE), bytes).unwrap();
+        let src = src.to_string_lossy().into_owned();
+        let new_name = "imported".into();
+        daemon.handle(USER_A, Request::ImportPool { src, new_name })
+    };
+    let state = || {
+        let tables = ["space.used_bytes", "wal.tail_records", "registry.pools"];
+        (
+            counters(&daemon, tables),
+            daemon.pm_dir().list_puddles().unwrap(),
+        )
+    };
+    let before = state();
+    for cut in 0..MANIFEST.len() {
+        match import(&MANIFEST[..cut]) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::InvalidRequest, "{cut}"),
+            other => panic!("{cut} bytes imported: {other:?}"),
+        }
+    }
+    assert_eq!(state(), before);
+    let (pool, translations) = match import(MANIFEST) {
+        Response::Imported { pool, translations } => (pool, translations),
+        other => panic!("unexpected {other:?}"),
+    };
+    assert_eq!(pool.puddles.len(), 2);
+    let exported_at: Vec<u64> = manifest.puddles.iter().map(|p| p.assigned_addr).collect();
+    let old: Vec<u64> = translations.iter().map(|t| t.old_addr).collect();
+    assert_eq!(old, exported_at);
+    match daemon.handle(USER_A, Request::GetPtrMaps) {
+        Response::PtrMaps(maps) => assert_eq!(maps, manifest.ptr_maps),
+        other => panic!("unexpected {other:?}"),
+    }
     puddled::Invariants::assert_all(daemon.registry());
 }
 
@@ -578,7 +635,7 @@ fn import_refuses_a_manifest_that_does_not_check_out() {
             puddles: vec![good.clone(), second],
             ptr_maps: Vec::new(),
         };
-        let bytes = serde_json::to_vec(&manifest).unwrap();
+        let bytes = manifest.to_json();
         std::fs::write(src.join("manifest.json"), bytes).unwrap();
         match import() {
             Response::Error { code, message } => {
@@ -596,7 +653,7 @@ fn import_refuses_a_manifest_that_does_not_check_out() {
         puddles: vec![good.clone(), member(2, "member.pud", 2 * page)],
         ptr_maps: Vec::new(),
     };
-    let bytes = serde_json::to_vec(&manifest).unwrap();
+    let bytes = manifest.to_json();
     std::fs::write(src.join("manifest.json"), bytes).unwrap();
     assert!(matches!(import(), Response::Imported { .. }));
     puddled::Invariants::assert_all(daemon.registry());

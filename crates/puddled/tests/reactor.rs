@@ -96,8 +96,8 @@ fn every_stats_field_is_a_metric() {
     let mut server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
     let mut conns: Vec<Conn> = (0..3).map(|_| hello(&socket)).collect();
     let mut extra = UnixStream::connect(&socket).unwrap();
-    assert!(read_frame::<_, Response>(&mut extra).is_ok(), "Busy");
-    assert!(read_frame::<_, Response>(&mut extra).is_err(), "EOF");
+    assert!(read_frame::<_, ServerFrame>(&mut extra).is_ok(), "Busy");
+    assert!(read_frame::<_, ServerFrame>(&mut extra).is_err(), "EOF");
     let reconnect = Request::Hello {
         creds: Credentials::current_process(),
         reconnect: true,
@@ -487,31 +487,43 @@ fn concurrent_mutations_across_inline_checkpoints_all_land() {
     assert_eq!(reloaded.registry().snapshot(), live);
 }
 
-/// A peer that opens with anything but the preamble — here a pre-`PUD2`
-/// client's bare `Hello` frame — is told so once, in the one framing it can
-/// parse, and closed; it costs the daemon nothing afterwards and the next
-/// well-formed connection is served.
+/// A peer that opens with anything but the preamble — a bare `Hello`
+/// frame, or the previous generation's `PUD2` preamble and JSON body — is
+/// told so once, in a bare frame, and closed; it costs the daemon nothing
+/// afterwards and the next well-formed connection is served.
 #[test]
 fn a_connection_without_the_preamble_gets_one_typed_error_and_eof() {
     let (_tmp, _daemon, mut server, socket) = start_server();
-    let mut old = UnixStream::connect(&socket).unwrap();
-    write_frame(&mut old, &Request::hello(Credentials::current_process())).unwrap();
-    match read_frame::<_, ServerFrame>(&mut old).unwrap() {
-        ServerFrame::Bare(Response::Error { code, message }) => {
-            assert_eq!(code, ErrorCode::InvalidRequest);
-            assert!(message.contains("PUD2"), "{message}");
+    let json_hello = br#"{"req_id":0,"req":{"Hello":{"creds":{"uid":0,"gid":0}}}}"#;
+    let previous = [
+        &b"PUD2"[..],
+        &(json_hello.len() as u32).to_le_bytes(),
+        json_hello,
+    ]
+    .concat();
+    for opening in [None, Some(previous)] {
+        let mut old = UnixStream::connect(&socket).unwrap();
+        match &opening {
+            None => write_frame(&mut old, &Request::hello(Credentials::current_process())).unwrap(),
+            Some(bytes) => old.write_all(bytes).unwrap(),
         }
-        other => panic!("expected a bare InvalidRequest error, got {other:?}"),
+        match read_frame::<_, ServerFrame>(&mut old).unwrap() {
+            ServerFrame::Bare(Response::Error { code, message }) => {
+                assert_eq!(code, ErrorCode::InvalidRequest);
+                assert!(message.contains("PUD3"), "{message}");
+            }
+            other => panic!("expected a bare InvalidRequest error, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(
+            old.read_to_end(&mut rest).unwrap(),
+            0,
+            "EOF after the error"
+        );
+        wait_until("refused connection released", || {
+            server.active_connections() == 0
+        });
     }
-    let mut rest = Vec::new();
-    assert_eq!(
-        old.read_to_end(&mut rest).unwrap(),
-        0,
-        "EOF after the error"
-    );
-    wait_until("refused connection released", || {
-        server.active_connections() == 0
-    });
 
     let mut conn = hello(&socket);
     let resp = conn.call(Request::Ping).unwrap();
@@ -816,15 +828,15 @@ fn connection_cap_rejects_with_a_busy_frame() {
     // The fifth connects at the listener but is turned away with a proper
     // error frame — not a bare EOF.
     let mut extra = UnixStream::connect(&socket).unwrap();
-    match read_frame::<_, Response>(&mut extra).unwrap() {
-        Response::Error { code, message } => {
+    match read_frame::<_, ServerFrame>(&mut extra).unwrap() {
+        ServerFrame::Bare(Response::Error { code, message }) => {
             assert_eq!(code, ErrorCode::Busy);
             assert!(message.contains("connection limit"), "{message}");
         }
         other => panic!("unexpected {other:?}"),
     }
     assert!(
-        read_frame::<_, Response>(&mut extra).is_err(),
+        read_frame::<_, ServerFrame>(&mut extra).is_err(),
         "EOF after Busy"
     );
     assert!(counter(&daemon, "connections_rejected") >= 1);

@@ -738,7 +738,7 @@ fn hand_built_export(dir: &Path, members: &[(u128, u64)]) {
             .collect(),
         ptr_maps: Vec::new(),
     };
-    let bytes = serde_json::to_vec(&manifest).unwrap();
+    let bytes = manifest.to_json();
     std::fs::write(dir.join(MANIFEST_FILE), bytes).unwrap();
 }
 
