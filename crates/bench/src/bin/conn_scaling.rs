@@ -1,10 +1,9 @@
 //! Connection-scaling benchmark for the daemon's reactor runtime.
 //!
 //! The old `UdsServer` spawned one OS thread per connection, hard-capped at
-//! 256; the sharded reactor runtime holds one fd + state machine per
-//! connection, spreads connections across `min(cores, 4)` reactor threads,
-//! and executes requests on a small worker pool. This harness measures two
-//! axes:
+//! 256; the reactor runtime holds one fd + state machine per connection on
+//! its one event loop, and executes requests that may wait on a small
+//! worker pool. This harness measures two axes:
 //!
 //! **Population scaling** — requests/s and p99 latency with 64 / 2048 /
 //! 10000 **concurrently connected** clients in three mixes:
@@ -21,16 +20,14 @@
 //!   takes the WAL-append path while thousands of idle connections hold
 //!   reactor slots.
 //!
-//! **Pipelining × reactors** — clients keep a window of `depth`
-//! enveloped requests in flight per connection against daemons
-//! configured with 1 / 2 / 4 reactors. The `--assert-scaling` flag turns
-//! the headline claim into a hard check: 4 reactors with pipelining must
-//! deliver at least 2x the single-reactor depth-1 baseline.
+//! **Pipelining** — clients keep a window of `depth` (1 / 16 / 64)
+//! enveloped pings in flight per connection. The `--assert-scaling` flag
+//! turns the headline claim into a hard check: the best pipelined row
+//! (depth ≥ 16) must deliver at least 2x the depth-1 baseline.
 //!
 //! Output rows: `conn_scaling,puddles,<op>,<conns>,<v>`. Pass
 //! `--json <path>` to also write `BENCH_conn_scaling.json` for CI.
 
-use puddled::ServerConfig;
 use puddles_bench::{emit_header, emit_row, Scale};
 use puddles_proto::{BlockingConn, Credentials, PtrField, PtrMapDecl, Request, Response};
 use std::collections::HashMap;
@@ -357,19 +354,15 @@ fn main() {
         let daemon =
             puddled::Daemon::start(puddled::DaemonConfig::for_testing(tmp.path())).expect("daemon");
         let socket = tmp.path().join("conn_scaling.sock");
-        let config = ServerConfig {
-            // 10k concurrent connections is the acceptance bar (old hard
-            // cap: 256 threads); leave headroom above it.
-            max_connections: 16384,
-            ..ServerConfig::default()
-        };
+        // 10k concurrent connections is the acceptance bar (old hard cap:
+        // 256 threads); leave headroom above it.
         let _server =
-            puddled::UdsServer::start_with_config(daemon, &socket, config).expect("server");
+            puddled::UdsServer::start_with_max_connections(daemon, &socket, 16384).expect("server");
 
         // Quick scale shortens the measurement window, not the population.
         // Each connection costs two fds in this one process (client end +
         // daemon end); if the fd rlimit cannot hold the 10k cell even
-        // after being raised, clamp it rather than pushing reactor 0's
+        // after being raised, clamp it rather than pushing the reactor's
         // accepts into EMFILE backoff.
         let population_cap = ((nofile.saturating_sub(256)) / 2) as usize;
         let big = 10_000.min(population_cap);
@@ -412,36 +405,29 @@ fn main() {
         }
     }
 
-    // ---- Pipelining x reactors: fresh daemon per reactor count ----------
+    // ---- Pipelining: a fresh daemon, one row per window depth ----------
     let pipelined_conns = 64;
-    let depths: &[usize] = &[1, 16, 64];
-    let reactor_counts: &[usize] = &[1, 2, 4];
     let pipe_duration = Duration::from_millis(scale.pick(300, 2000));
-    let mut pipelined: Vec<(usize, usize, f64)> = Vec::new();
-    for &reactors in reactor_counts {
+    let mut pipelined: Vec<(usize, f64)> = Vec::new();
+    {
         let tmp = tempfile::tempdir().expect("tempdir");
         let daemon =
             puddled::Daemon::start(puddled::DaemonConfig::for_testing(tmp.path())).expect("daemon");
         let socket = tmp.path().join("conn_scaling.sock");
-        let config = ServerConfig {
-            reactors,
-            ..ServerConfig::default()
-        };
-        let _server =
-            puddled::UdsServer::start_with_config(daemon, &socket, config).expect("server");
-        for &depth in depths {
+        let _server = puddled::UdsServer::start(daemon, &socket).expect("server");
+        for depth in [1, 16, 64] {
             let result = run_pipelined(&socket, pipelined_conns, depth, pipe_duration);
             emit_row(
                 "conn_scaling",
                 "puddles",
-                &format!("pipelined_r{reactors}_d{depth}_reqs_per_s"),
+                &format!("pipelined_d{depth}_reqs_per_s"),
                 &pipelined_conns.to_string(),
                 result.reqs_per_s,
             );
             emit_row(
                 "conn_scaling",
                 "puddles",
-                &format!("pipelined_r{reactors}_d{depth}_p99_us"),
+                &format!("pipelined_d{depth}_p99_us"),
                 &pipelined_conns.to_string(),
                 result.p99_us,
             );
@@ -449,12 +435,11 @@ fn main() {
                 &mut json,
                 format!(
                     "    {{\"mix\": \"pipelined\", \"connections\": {pipelined_conns}, \
-                     \"reactors\": {reactors}, \"depth\": {depth}, \
-                     \"reqs_per_s\": {:.1}, \"p99_us\": {:.1}}}",
+                     \"depth\": {depth}, \"reqs_per_s\": {:.1}, \"p99_us\": {:.1}}}",
                     result.reqs_per_s, result.p99_us
                 ),
             );
-            pipelined.push((reactors, depth, result.reqs_per_s));
+            pipelined.push((depth, result.reqs_per_s));
         }
     }
 
@@ -463,25 +448,25 @@ fn main() {
         std::fs::write(&path, json).expect("write bench json");
     }
 
-    // Headline scaling check: 4 reactors + pipelining vs. 1 reactor at
-    // depth 1. Reported always; enforced under `--assert-scaling`.
+    // Headline scaling check: the best pipelined row vs depth 1. Reported
+    // always; enforced under `--assert-scaling`.
     let baseline = pipelined
         .iter()
-        .find(|&&(r, d, _)| r == 1 && d == 1)
-        .map(|&(_, _, v)| v)
+        .find(|&&(d, _)| d == 1)
+        .map(|&(_, v)| v)
         .expect("baseline cell");
     let best = pipelined
         .iter()
-        .filter(|&&(r, d, _)| r == 4 && d >= 16)
-        .map(|&(_, _, v)| v)
+        .filter(|&&(d, _)| d >= 16)
+        .map(|&(_, v)| v)
         .fold(0.0f64, f64::max);
     let ratio = best / baseline;
-    println!("# pipelined 4-reactor best vs 1-reactor depth-1 baseline: {ratio:.2}x");
+    println!("# pipelined best (depth >= 16) vs depth-1 baseline: {ratio:.2}x");
     if assert_scaling {
         assert!(
             ratio >= 2.0,
-            "pipelined 4-reactor throughput ({best:.0} reqs/s) is below 2x the \
-             single-reactor depth-1 baseline ({baseline:.0} reqs/s): {ratio:.2}x"
+            "best pipelined throughput ({best:.0} reqs/s) is below 2x the \
+             depth-1 baseline ({baseline:.0} reqs/s): {ratio:.2}x"
         );
     }
     let _ = std::io::stdout().flush();

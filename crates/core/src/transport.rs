@@ -282,9 +282,9 @@ impl RetryPolicy {
 
 /// Connections a [`PipelinedEndpoint`] multiplexes calls over. Each
 /// carries up to the daemon's fixed window of 64 in-flight requests,
-/// so a couple of sockets serve many concurrent callers; the second one
-/// puts concurrent callers on a second daemon reactor, and a lone caller is
-/// no slower for it (measured: ROADMAP D).
+/// so a couple of sockets serve many concurrent callers. Whether the
+/// second one still earns its place, now that the daemon serves every
+/// connection on one reactor, is not measured (ROADMAP D).
 const PIPELINE_CONNECTIONS: usize = 2;
 
 /// Largest chunk a connection's reader takes per `read` call.

@@ -55,22 +55,12 @@ fn get_metrics_reports_request_series() {
         "trace ring empty after 40+ requests"
     );
 
-    // Counters include the per-reactor request split, and it adds up to
-    // at least the requests this client sent.
-    let reactor_total: u64 = report
-        .counters
-        .iter()
-        .filter(|c| c.name.starts_with("reactor.") && c.name.ends_with(".requests"))
-        .map(|c| c.value)
-        .sum();
-    assert!(
-        reactor_total >= 40,
-        "reactor request counters too small: {reactor_total}"
-    );
-
-    // Where each request ran: pings (and the handshake) on a reactor, the
+    // Where each request ran: pings (and the handshake) on the reactor, the
     // pool creates/drops through the worker queue, whose wait is timed.
+    // Together they add up to at least the requests this client sent.
     let counter = |name: &str| report.counter(name).unwrap_or(0);
+    let handled = counter("uds.inline") + counter("uds.queued");
+    assert!(handled >= 40, "socket server took on too few: {handled}");
     assert!(counter("uds.inline") >= 10, "{report:?}");
     assert!(counter("uds.queued") >= 20, "{report:?}");
     assert_eq!(series_count(&report, "stage.queue"), counter("uds.queued"));

@@ -1,13 +1,13 @@
 //! Client retry/backoff against a daemon at its connection cap.
 //!
-//! The daemon (reactor 0, which owns the listener) answers connections
+//! The daemon's reactor, which owns the listener, answers connections
 //! beyond `max_connections` with a `Busy` frame and closes — which the client maps to a transient
 //! `ConnectionRefused` and retries with bounded exponential backoff. Under
 //! connection churn (clients connecting, working briefly, and leaving) a
 //! waiting client must eventually land in a freed slot rather than fail on
 //! one fixed-delay attempt.
 
-use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
+use puddled::{Daemon, DaemonConfig, UdsServer};
 use puddles::{PuddleClient, RetryPolicy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -21,11 +21,7 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
     // Four connection slots — two clients' worth, each pooling two — for
     // six churning client threads: most dials hit the cap and must back off
     // into a freed slot.
-    let server_config = ServerConfig {
-        max_connections: 4,
-        ..ServerConfig::default()
-    };
-    let _server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
+    let _server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 4).unwrap();
 
     const THREADS: usize = 6;
     const ROUNDS: usize = 8;
@@ -67,11 +63,7 @@ fn a_refused_top_up_dial_falls_through_to_the_live_connection() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("one.sock");
-    let server_config = ServerConfig {
-        max_connections: 1,
-        ..ServerConfig::default()
-    };
-    let _server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
+    let _server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 1).unwrap();
 
     let client = PuddleClient::connect_uds_shared(&socket, daemon.global_space()).unwrap();
     for _ in 0..20 {

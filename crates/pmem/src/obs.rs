@@ -49,7 +49,7 @@ pub const SUB_BUCKETS: usize = 1 << SUB_BUCKET_BITS;
 pub const NUM_BUCKETS: usize = (64 - SUB_BUCKET_BITS as usize) * SUB_BUCKETS + SUB_BUCKETS;
 
 /// Recorder stripes per [`ShardedHistogram`]: enough that the daemon's
-/// reactors + workers spread out, small enough that merge-on-read is cheap.
+/// reactor and workers spread out, small enough that merge-on-read is cheap.
 pub const HISTOGRAM_SHARDS: usize = 8;
 
 /// Per-thread-slot trace ring capacity (events); the oldest events in a

@@ -507,7 +507,7 @@ mod tests {
                     max_nanos: 118,
                 }],
                 counters: vec![CounterSnapshot {
-                    name: "reactor.0.requests".into(),
+                    name: "uds.inline".into(),
                     value: u64::MAX,
                 }],
                 trace_buffered: 9,

@@ -36,9 +36,12 @@ pub use types::*;
 /// A request sent from a client (`libpuddles`) to the daemon (`puddled`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Introduces the client and its credentials; must be the first message.
+    /// Introduces the client; must be the first message.
     Hello {
-        /// Client credentials used for access-control decisions.
+        /// The credentials the client claims. The daemon decides nothing
+        /// on them: a socket connection runs as its kernel-verified peer
+        /// credentials, an in-process endpoint as the ones it was made
+        /// with.
         creds: Credentials,
         /// `true` when this `Hello` re-establishes a connection the client
         /// already had (retry/backoff path); counted as `client_reconnects`.
@@ -127,7 +130,7 @@ pub enum Request {
     /// Runs crash recovery immediately (normally done at daemon start).
     Recover,
     /// Returns the daemon's latency histograms and counters: the one way
-    /// its state — table sizes, space, the WAL tail, sweeps, reactors —
+    /// its state — table sizes, space, the WAL tail, sweeps, connections —
     /// leaves the daemon.
     GetMetrics,
     /// A no-op round trip, used to measure daemon latency (§5.1).

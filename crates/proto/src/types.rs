@@ -269,21 +269,6 @@ impl MetricsReport {
             ("trace_dropped", self.trace_dropped.into()),
         ])
     }
-
-    /// The `reactor.<i>.<what>` counters in reactor order: one entry per
-    /// running reactor, none when no socket server is attached.
-    pub fn per_reactor(&self, what: &str) -> Vec<u64> {
-        let mut rows: Vec<(usize, u64)> = self
-            .counters
-            .iter()
-            .filter_map(|c| {
-                let (i, name) = c.name.strip_prefix("reactor.")?.split_once('.')?;
-                (name == what).then_some((i.parse().ok()?, c.value))
-            })
-            .collect();
-        rows.sort_unstable();
-        rows.into_iter().map(|(_, value)| value).collect()
-    }
 }
 
 /// The six [`MetricsReport`] values the repo benchmark reads, under the
@@ -302,7 +287,8 @@ pub struct DaemonStats {
     pub checkpoints: u64,
     /// `alloc.fragmentation_bp`: external fragmentation of the free space.
     pub fragmentation_bp: u64,
-    /// `reactor.<i>.requests`, in reactor order.
+    /// Requests the socket server took on, as the one element of a
+    /// per-reactor list of the one reactor: `uds.inline + uds.queued`.
     pub reactor_requests: Vec<u64>,
 }
 
@@ -315,7 +301,7 @@ impl From<&MetricsReport> for DaemonStats {
             ptr_maps: counter("registry.ptr_maps"),
             checkpoints: report.series("checkpoint").map_or(0, |s| s.count),
             fragmentation_bp: counter("alloc.fragmentation_bp"),
-            reactor_requests: report.per_reactor("requests"),
+            reactor_requests: vec![counter("uds.inline") + counter("uds.queued")],
         }
     }
 }
@@ -415,7 +401,7 @@ mod tests {
                 max_nanos: u64::MAX,
             }],
             counters: vec![CounterSnapshot {
-                name: "reactor.0.requests\u{1}ü".into(),
+                name: "uds.inline\u{1}ü".into(),
                 value: 7,
             }],
             trace_buffered: 9,
@@ -448,30 +434,29 @@ mod tests {
     }
 
     /// The benchmark's view of a report: counters by name, checkpoints as
-    /// the series count, reactors by index (not by name order, where
-    /// `reactor.10` sorts before `reactor.2`).
+    /// the series count, and the one reactor's requests as a one-element
+    /// list — `uds.inline + uds.queued`, and `[0]` without a socket server.
     #[test]
     fn daemon_stats_are_read_from_a_metrics_report() {
         let counter = |name: &str, value| CounterSnapshot {
             name: name.into(),
             value,
         };
-        let mut counters = vec![
-            counter("alloc.fragmentation_bp", 2_500),
-            counter("registry.pools", 2),
-            counter("registry.ptr_maps", 3),
-            counter("registry.puddles", 9),
-        ];
-        counters.extend((0..11).map(|i| counter(&format!("reactor.{i}.requests"), i)));
-        counters.push(counter("reactor.0.connections", 5));
-        counters.sort_by(|a, b| a.name.cmp(&b.name));
         let report = MetricsReport {
             series: vec![SeriesSnapshot {
                 name: "checkpoint".into(),
                 count: 4,
                 ..SeriesSnapshot::default()
             }],
-            counters,
+            counters: vec![
+                counter("alloc.fragmentation_bp", 2_500),
+                counter("registry.pools", 2),
+                counter("registry.ptr_maps", 3),
+                counter("registry.puddles", 9),
+                counter("uds.connections", 5),
+                counter("uds.inline", 40),
+                counter("uds.queued", 2),
+            ],
             ..MetricsReport::default()
         };
         let stats = DaemonStats::from(&report);
@@ -483,13 +468,15 @@ mod tests {
                 ptr_maps: 3,
                 checkpoints: 4,
                 fragmentation_bp: 2_500,
-                reactor_requests: (0..11).collect(),
+                reactor_requests: vec![42],
             }
         );
-        assert_eq!(report.per_reactor("connections"), [5]);
         assert_eq!(
             DaemonStats::from(&MetricsReport::default()),
-            DaemonStats::default()
+            DaemonStats {
+                reactor_requests: vec![0],
+                ..DaemonStats::default()
+            }
         );
     }
 }

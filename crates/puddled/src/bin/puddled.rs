@@ -5,14 +5,14 @@
 //! ```text
 //! puddled --pm-dir /mnt/pmem0/puddles --socket /run/puddled.sock \
 //!         [--space-size BYTES] [--space-base HEX] [--no-recover]
-//!         [--max-connections N] [--reactors N]
+//!         [--max-connections N]
 //! ```
 //!
 //! Starts the daemon (running crash recovery unless `--no-recover` is
 //! given) and serves client requests on the UNIX-domain socket until the
 //! process is terminated.
 
-use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer};
+use puddled::{Daemon, DaemonConfig, UdsServer, DEFAULT_MAX_CONNECTIONS};
 use std::process::exit;
 
 struct Args {
@@ -21,7 +21,7 @@ struct Args {
     space_size: usize,
     space_base: Option<usize>,
     auto_recover: bool,
-    server: ServerConfig,
+    max_connections: usize,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -31,7 +31,7 @@ fn parse_args() -> Result<Args, String> {
         space_size: puddles_pmem::DEFAULT_SPACE_SIZE,
         space_base: Some(puddles_pmem::DEFAULT_SPACE_BASE),
         auto_recover: true,
-        server: ServerConfig::default(),
+        max_connections: DEFAULT_MAX_CONNECTIONS,
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
@@ -54,24 +54,16 @@ fn parse_args() -> Result<Args, String> {
             }
             "--no-recover" => args.auto_recover = false,
             "--max-connections" => {
-                args.server.max_connections = iter
+                args.max_connections = iter
                     .next()
                     .ok_or("--max-connections needs a value")?
                     .parse()
                     .map_err(|e| format!("bad --max-connections: {e}"))?
             }
-            "--reactors" => {
-                args.server.reactors = iter
-                    .next()
-                    .ok_or("--reactors needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --reactors: {e}"))?
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: puddled --pm-dir DIR --socket PATH [--space-size BYTES] \
-                     [--space-base HEX] [--no-recover] [--max-connections N] \
-                     [--reactors N]"
+                     [--space-base HEX] [--no-recover] [--max-connections N]"
                 );
                 exit(0);
             }
@@ -105,7 +97,8 @@ fn main() {
             exit(1);
         }
     };
-    let _server = match UdsServer::start_with_config(daemon, &args.socket, args.server.clone()) {
+    let server = UdsServer::start_with_max_connections(daemon, &args.socket, args.max_connections);
+    let _server = match server {
         Ok(s) => s,
         Err(e) => {
             eprintln!("puddled: failed to bind {}: {e}", args.socket);

@@ -35,5 +35,5 @@ pub use gspace::GlobalSpace;
 pub use invariants::Invariants;
 pub use layout::{PuddleHeader, LOG_REGION_OFFSET, PUDDLE_HEADER_SIZE, PUDDLE_MAGIC};
 pub use service::{Daemon, DaemonConfig, LocalEndpoint};
-pub use uds::{ServerConfig, UdsServer, DEFAULT_MAX_CONNECTIONS, MAX_PIPELINED_REQUESTS};
+pub use uds::{UdsServer, DEFAULT_MAX_CONNECTIONS, MAX_PIPELINED_REQUESTS};
 pub use wal::{RegistryOp, Wal, WalHandle, WalStats};

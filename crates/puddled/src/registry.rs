@@ -36,7 +36,7 @@
 //! falls between two requests.
 //!
 //! **Nothing inside a transaction may touch a file, wait on the WAL or
-//! grant space.** That rule is what keeps a reactor's inline lookups from
+//! grant space.** That rule is what keeps the reactor's inline lookups from
 //! stalling behind a writer: a request prepares outside the lock (grants
 //! space, creates or copies files), transacts, waits for durability in
 //! [`Registry::commit`] after the lock is released, and then cleans up

@@ -26,7 +26,7 @@ use puddles_proto::{
     PuddleInfo, PuddlePurpose, Request, Response, SeriesSnapshot,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Configuration for a daemon instance (one per "machine").
@@ -174,16 +174,6 @@ pub struct DaemonInner {
     /// I/O. The metadata WAL it persists through is reachable via
     /// [`Registry::wal`] (`GetMetrics` reads the WAL tail from it).
     pub(crate) registry: Registry,
-    /// Per-reactor live-connection counters, registered by the UDS server
-    /// at start and cleared at its shutdown; reported as
-    /// `reactor.<i>.connections` so accept-time placement skew is
-    /// observable. Empty when no socket server is attached (in-process
-    /// endpoints only).
-    pub(crate) reactor_loads: std::sync::Mutex<Vec<Arc<AtomicUsize>>>,
-    /// Per-reactor handled-request counters, registered alongside
-    /// [`DaemonInner::reactor_loads`]; reported as `reactor.<i>.requests`
-    /// so *served traffic* skew is observable, not just placement.
-    pub(crate) reactor_requests: std::sync::Mutex<Vec<Arc<AtomicU64>>>,
     /// The observability hub: latency series, counters, and the trace ring.
     pub(crate) metrics: Arc<Metrics>,
     /// Per-request-kind service-latency series, indexed by
@@ -232,14 +222,14 @@ impl From<PmError> for DaemonError {
 
 pub(crate) type DaemonResult<T> = std::result::Result<T, DaemonError>;
 
-/// Where a request runs (see `crate::uds`): on the reactor that decoded it,
-/// or on a worker through one half of the two-lane queue. [`lane_of`] is the
+/// Where a request runs (see `crate::uds`): on the reactor thread, or on a
+/// worker through one half of the two-lane queue. [`lane_of`] is the
 /// only place this is decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Lane {
     /// Runs on the reactor thread itself. Only for requests that take the
     /// registry's read lock and nothing else: no WAL record, no file, no
-    /// wait on another thread — so a reactor can never stall behind one
+    /// wait on another thread — so the reactor can never stall behind one
     /// (a writer holds the lock for its checks and apply only).
     Inline,
     /// Small mutations that end in a WAL group commit (registrations,
@@ -336,8 +326,6 @@ impl Daemon {
                 pmdir,
                 gspace,
                 registry,
-                reactor_loads: std::sync::Mutex::new(Vec::new()),
-                reactor_requests: std::sync::Mutex::new(Vec::new()),
                 metrics,
                 service_series,
             }),
@@ -377,18 +365,6 @@ impl Daemon {
     /// The daemon's time source (shared with the UDS server's deadlines).
     pub fn clock(&self) -> &Clock {
         &self.inner.config.clock
-    }
-
-    /// Registers the UDS server's per-reactor live-connection counters for
-    /// `GetMetrics` to report; an empty vector detaches (server shutdown).
-    pub(crate) fn attach_reactor_loads(&self, loads: Vec<Arc<AtomicUsize>>) {
-        *self.inner.reactor_loads.lock().unwrap() = loads;
-    }
-
-    /// Registers the UDS server's per-reactor handled-request counters
-    /// (same lifecycle as [`Daemon::attach_reactor_loads`]).
-    pub(crate) fn attach_reactor_requests(&self, counts: Vec<Arc<AtomicU64>>) {
-        *self.inner.reactor_requests.lock().unwrap() = counts;
     }
 
     /// The daemon's observability hub (histogram series, counters, and the
@@ -605,16 +581,6 @@ impl Daemon {
         });
         let mut counters = snap.counters;
         counters.extend(state.map(|(name, value)| (name.to_string(), value)));
-        for (i, load) in inner.reactor_loads.lock().unwrap().iter().enumerate() {
-            let value = load.load(Ordering::Relaxed) as u64;
-            counters.push((format!("reactor.{i}.connections"), value));
-        }
-        for (i, count) in inner.reactor_requests.lock().unwrap().iter().enumerate() {
-            counters.push((
-                format!("reactor.{i}.requests"),
-                count.load(Ordering::Relaxed),
-            ));
-        }
         counters.sort();
         MetricsReport {
             series,
@@ -1009,7 +975,7 @@ mod tests {
         }
     }
 
-    /// `lane_of` against the whole request table: whatever it places on a
+    /// `lane_of` against the whole request table: whatever it places on the
     /// reactor is handled without one WAL record or byte, so a request kind
     /// that commits cannot be inlined by accident.
     #[test]
@@ -1040,7 +1006,7 @@ mod tests {
             assert_eq!(
                 daemon.wal().stats(),
                 before,
-                "{kind} runs on a reactor but appended to the WAL"
+                "{kind} runs on the reactor but appended to the WAL"
             );
             inline.push(*kind);
         }

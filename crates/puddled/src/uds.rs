@@ -3,37 +3,33 @@
 //! The paper's clients talk to `puddled` over a UNIX domain socket and
 //! receive puddle file descriptors via `sendmsg(SCM_RIGHTS)`; here the
 //! responses carry file paths instead (see the README's "Substitutions vs.
-//! the paper"). Credentials are taken from the client's `Hello` message; on
-//! Linux the kernel-verified `SO_PEERCRED` uid/gid are preferred when
-//! available.
+//! the paper"). A connection's only identity is its kernel-verified
+//! `SO_PEERCRED` uid/gid, read at accept: the credentials a `Hello` claims
+//! are ignored, and a socket whose peer credentials cannot be read is
+//! closed unserved.
 //!
 //! # Runtime
 //!
-//! The server is a **sharded epoll runtime plus a two-lane worker pool**,
-//! and a request runs on whichever of the two `service::lane_of` places its
+//! The server is **one epoll event loop plus a two-lane worker pool**, and
+//! a request runs on whichever of the two `service::lane_of` places its
 //! kind:
 //!
-//! * **N reactor threads** (default `min(cores, 4)`, see [`ServerConfig`])
-//!   each own a private poller, waker, and connection table: a reactor
-//!   reads whatever bytes its sockets have, feeds them to an incremental
-//!   frame decoder ([`puddles_proto::frame::FrameDecoder`] — frames split
-//!   at arbitrary byte boundaries reassemble transparently), and flushes
-//!   response bytes, parking partial writes in a per-connection output
-//!   buffer until the socket drains. Reactors never touch each other's
-//!   connections, so decode/write work scales with cores instead of
-//!   funneling through one event loop.
-//! * **Reactor 0 also owns the nonblocking listener.** Each accepted
-//!   socket is handed to the least-loaded reactor; at the global connection
-//!   cap reactor 0 writes a [`puddles_proto::ErrorCode::Busy`] error frame
-//!   and closes the socket, so clients can back off instead of parsing a
-//!   bare EOF.
-//! * **Inline requests run on the reactor that decoded them.** The
-//!   criterion is strict: the request takes shared registry locks and
-//!   nothing else — it can never wait on the WAL, an `fsync`, a file copy,
-//!   recovery or another thread (`Hello`, `Ping`, `OpenPool`, `GetPuddle`,
-//!   `GetPtrMaps`, `GetRelocation`). The reactor executes it, encodes the
-//!   response straight into the connection's output buffer and writes once
-//!   per dispatch round, so such a call costs the daemon one wake-up and a
+//! * **One reactor thread** owns the nonblocking listener, a poller, a
+//!   waker, and every connection: it accepts, reads whatever bytes its
+//!   sockets have, feeds them to an incremental frame decoder
+//!   ([`puddles_proto::frame::FrameDecoder`] — frames split at arbitrary
+//!   byte boundaries reassemble transparently), and flushes response
+//!   bytes, parking partial writes in a per-connection output buffer until
+//!   the socket drains. At the connection cap it writes a
+//!   [`puddles_proto::ErrorCode::Busy`] error frame and closes the socket,
+//!   so clients can back off instead of parsing a bare EOF.
+//! * **Inline requests run on the reactor.** The criterion is strict: the
+//!   request takes shared registry locks and nothing else — it can never
+//!   wait on the WAL, an `fsync`, a file copy, recovery or another thread
+//!   (`Hello`, `Ping`, `OpenPool`, `GetPuddle`, `GetPtrMaps`,
+//!   `GetRelocation`). The reactor executes it, encodes the response
+//!   straight into the connection's output buffer and writes once per
+//!   dispatch round, so such a call costs the daemon one wake-up and a
 //!   pipelined burst of them one `write`. They answer even while every
 //!   worker is busy.
 //! * A **worker pool** executes everything else (`Daemon::handle`) off a
@@ -42,8 +38,8 @@
 //!   reserved minority of workers prefer; the remaining workers serve the
 //!   fast lane exclusively — small mutations that end in a WAL group
 //!   commit, plus `GetMetrics` — so a burst of imports can never
-//!   starve them. Workers push the encoded response to the owning
-//!   reactor's completion queue and wake it.
+//!   starve them. Workers push the encoded response to the reactor's
+//!   completion queue and wake it.
 //!
 //! # Protocol
 //!
@@ -59,7 +55,7 @@
 //! # Backpressure
 //!
 //! Three bounds keep a misbehaving peer from ballooning daemon memory: the
-//! global connection cap (excess connections are turned away with a `Busy`
+//! connection cap (excess connections are turned away with a `Busy`
 //! frame), a per-connection cap on parsed-plus-in-flight requests (the one
 //! fixed window, [`MAX_PIPELINED_REQUESTS`]), and a
 //! per-connection output high-water mark — a client that stops reading its
@@ -72,8 +68,8 @@
 //!
 //! # Shutdown
 //!
-//! [`UdsServer::shutdown`] is graceful and *bounded*: reactor 0 closes the
-//! listener, every reactor drops idle connections immediately, gives in-flight
+//! [`UdsServer::shutdown`] is graceful and *bounded*: the reactor closes
+//! the listener, drops idle connections immediately, gives in-flight
 //! requests and partially written responses [`SHUTDOWN_GRACE`] to finish,
 //! then force-drops stragglers; the worker pool is drained and joined
 //! (detached past the deadline, so a pathological request cannot wedge the
@@ -92,21 +88,16 @@ use std::io::{self, Read, Write};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Default bound on simultaneous client connections. A reactor holds one
+/// Default bound on simultaneous client connections. The reactor holds one
 /// fd and a small state machine per connection — no thread — so this is a
 /// memory/fd bound, not a thread-count bound (the old design capped at 256
 /// threads).
 pub const DEFAULT_MAX_CONNECTIONS: usize = 4096;
-
-/// Hard ceiling on reactor threads (more event loops than this buys
-/// nothing: the worker pool, not event demultiplexing, is the next
-/// bottleneck).
-pub const MAX_REACTORS: usize = 4;
 
 /// How long in-flight requests and partially written responses are given to
 /// finish once shutdown is requested.
@@ -124,49 +115,19 @@ pub const MAX_PIPELINED_REQUESTS: usize = 64;
 /// no further request of it is dispatched until the buffer drains below it.
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Largest chunk a reactor reads per `read` call.
+/// Largest chunk the reactor reads per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Listener token (reactor 0's poller only).
+/// Listener token.
 const TOKEN_LISTENER: u64 = 0;
-/// Waker token (every reactor's poller).
+/// Waker token.
 const TOKEN_WAKER: u64 = 1;
-/// First token handed to a connection (per-reactor token space).
+/// First token handed to a connection.
 const FIRST_CONN_TOKEN: u64 = 2;
-
-/// Runtime shape of a [`UdsServer`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Bound on simultaneous connections across all reactors; beyond it
-    /// reactor 0 answers with a `Busy` frame and closes.
-    pub max_connections: usize,
-    /// Number of reactor (event-loop) threads. Clamped to
-    /// `1..=`[`MAX_REACTORS`].
-    pub reactors: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            max_connections: DEFAULT_MAX_CONNECTIONS,
-            reactors: default_reactor_count(),
-        }
-    }
-}
-
-/// The default reactor count: `min(cores, 4)`, at least 1.
-pub fn default_reactor_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_REACTORS)
-}
 
 /// One request handed to the worker pool.
 struct WorkItem {
-    /// Index of the reactor owning the connection (completion routing).
-    reactor: usize,
-    /// Connection token within that reactor.
+    /// Token of the connection the response goes back to.
     conn: u64,
     /// Request id to echo in the response envelope.
     req_id: u64,
@@ -218,7 +179,7 @@ impl WorkQueue {
         match lane {
             Lane::Fast => q.fast.push_back(item),
             Lane::Bulk => q.bulk.push_back(item),
-            Lane::Inline => unreachable!("inline requests run on their reactor"),
+            Lane::Inline => unreachable!("inline requests run on the reactor"),
         }
         // Consumers are selective (a FastOnly worker skips bulk items), so
         // waking just one waiter could wake a thread that cannot take the
@@ -262,45 +223,13 @@ impl WorkQueue {
     }
 }
 
-/// Per-reactor state shared with reactor 0 (placement) and the workers.
-struct ReactorShared {
-    /// Wakes this reactor's poller (new incoming connection or completion).
-    waker: Waker,
-    /// Sockets handed off by reactor 0, not yet registered.
-    incoming: Mutex<Vec<(UnixStream, Option<Credentials>)>>,
-    /// Completed responses: `(conn token, encoded frame)`. Workers push,
-    /// the reactor drains after a waker event.
-    completions: Mutex<Vec<(u64, Vec<u8>)>>,
-    /// Connections owned by this reactor, **including** handed-off sockets
-    /// it has not registered yet: reactor 0 — the only thread that
-    /// increments — counts at handoff, the owning reactor decrements on
-    /// close, so the global cap check never races a not-yet-registered
-    /// socket past the limit. Behind an `Arc` because
-    /// `GetMetrics` reports it (`reactor.<i>.connections`: per-reactor
-    /// placement skew).
-    active: Arc<AtomicUsize>,
-    /// Requests handled on behalf of this reactor's connections. Behind an
-    /// `Arc` because `GetMetrics` reports it (`reactor.<i>.requests`:
-    /// *served traffic* skew, complementing the placement counter above).
-    requests: Arc<AtomicU64>,
-}
-
-impl ReactorShared {
-    fn new() -> io::Result<ReactorShared> {
-        Ok(ReactorShared {
-            waker: Waker::new()?,
-            incoming: Mutex::new(Vec::new()),
-            completions: Mutex::new(Vec::new()),
-            active: Arc::new(AtomicUsize::new(0)),
-            requests: Arc::new(AtomicU64::new(0)),
-        })
-    }
-}
-
 /// The runtime's own series and counters in the daemon's `obs` registry,
 /// resolved once so the request path never takes the registry lock.
 struct UdsObs {
-    /// `uds.inline`: requests a reactor executed itself.
+    /// `uds.connections`: live connections. The reactor increments it on
+    /// accept, decrements it on close and zeroes it at teardown.
+    connections: Arc<AtomicU64>,
+    /// `uds.inline`: requests the reactor executed itself.
     inline: Arc<AtomicU64>,
     /// `uds.queued`: requests handed to the worker pool.
     queued: Arc<AtomicU64>,
@@ -310,21 +239,25 @@ struct UdsObs {
     /// `stage.queue`: how long a queued request waited for a worker.
     stage_queue: Arc<ShardedHistogram>,
     /// `connections_rejected`: connections turned away at the cap with a
-    /// `Busy` frame.
+    /// `Busy` frame, or because their peer credentials could not be read.
     rejected: Arc<AtomicU64>,
 }
 
-/// State shared between the reactors, the workers, and the server handle.
+/// State shared between the reactor, the workers, and the server handle.
 struct Shared {
     daemon: Daemon,
     obs: UdsObs,
     shutdown: AtomicBool,
     queue: WorkQueue,
-    reactors: Vec<Arc<ReactorShared>>,
+    /// Wakes the reactor's poller (completion or shutdown).
+    waker: Waker,
+    /// Completed responses: `(conn token, encoded frame)`. Workers push,
+    /// the reactor drains after a waker event.
+    completions: Mutex<Vec<(u64, Vec<u8>)>>,
     /// Exit latches per thread group: each runtime thread signals its
     /// latch on the way out, so shutdown waits on a condvar instead of
     /// spin-polling `JoinHandle::is_finished` every 5 ms.
-    reactor_exits: ExitLatch,
+    reactor_exit: ExitLatch,
     worker_exits: ExitLatch,
 }
 
@@ -388,14 +321,13 @@ impl Drop for ExitGuard<'_> {
 pub struct UdsServer {
     path: PathBuf,
     shared: Arc<Shared>,
-    reactors: Vec<JoinHandle<()>>,
+    reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Shared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Shared")
-            .field("reactors", &self.reactors.len())
             .field("shutdown", &self.shutdown.load(Ordering::Relaxed))
             .finish()
     }
@@ -403,29 +335,24 @@ impl std::fmt::Debug for Shared {
 
 impl UdsServer {
     /// Starts serving `daemon` on a socket at `path` (any stale socket file
-    /// is replaced) with the default [`ServerConfig`].
+    /// is replaced), capped at [`DEFAULT_MAX_CONNECTIONS`].
     pub fn start(daemon: Daemon, path: impl AsRef<Path>) -> io::Result<UdsServer> {
-        Self::start_with_config(daemon, path, ServerConfig::default())
+        Self::start_with_max_connections(daemon, path, DEFAULT_MAX_CONNECTIONS)
     }
 
-    /// Starts the server with an explicit runtime shape.
-    pub fn start_with_config(
+    /// Starts the server with an explicit connection cap (at least 1).
+    pub fn start_with_max_connections(
         daemon: Daemon,
         path: impl AsRef<Path>,
-        config: ServerConfig,
+        max_connections: usize,
     ) -> io::Result<UdsServer> {
         let path = path.as_ref().to_path_buf();
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path)?;
         listener.set_nonblocking(true)?;
-        let max_connections = config.max_connections.max(1);
-        let reactor_count = config.reactors.clamp(1, MAX_REACTORS);
-        let mut reactor_shared = Vec::with_capacity(reactor_count);
-        for _ in 0..reactor_count {
-            reactor_shared.push(Arc::new(ReactorShared::new()?));
-        }
         let metrics = daemon.metrics();
         let obs = UdsObs {
+            connections: metrics.counter("uds.connections"),
             inline: metrics.counter("uds.inline"),
             queued: metrics.counter("uds.queued"),
             out_parked_hwm: metrics.counter("uds.out_parked_hwm"),
@@ -437,27 +364,13 @@ impl UdsServer {
             obs,
             shutdown: AtomicBool::new(false),
             queue: WorkQueue::new(),
-            reactors: reactor_shared,
-            reactor_exits: ExitLatch::new(),
+            waker: Waker::new()?,
+            completions: Mutex::new(Vec::new()),
+            reactor_exit: ExitLatch::new(),
             worker_exits: ExitLatch::new(),
         });
-        // Publish the per-reactor counters for `GetMetrics` (reactor-skew
-        // observability); detached again at shutdown.
-        shared.daemon.attach_reactor_loads(
-            shared
-                .reactors
-                .iter()
-                .map(|r| Arc::clone(&r.active))
-                .collect(),
-        );
-        shared.daemon.attach_reactor_requests(
-            shared
-                .reactors
-                .iter()
-                .map(|r| Arc::clone(&r.requests))
-                .collect(),
-        );
 
+        let reactor = Reactor::new(Arc::clone(&shared), listener, max_connections.max(1))?;
         let worker_count = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
@@ -484,30 +397,19 @@ impl UdsServer {
             );
         }
 
-        // Reactor 0 accepts for every reactor.
-        let mut listener = Some(Listener::new(listener, max_connections)?);
-        let mut reactors = Vec::with_capacity(reactor_count);
-        for index in 0..reactor_count {
-            let shared = Arc::clone(&shared);
-            let listener = listener.take();
-            reactors.push(
-                std::thread::Builder::new()
-                    .name(format!("puddled-reactor-{index}"))
-                    .spawn(move || {
-                        let _exit = ExitGuard(&shared.reactor_exits);
-                        let mut r = match Reactor::new(Arc::clone(&shared), index, listener) {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        r.run();
-                    })?,
-            );
-        }
+        let exits = Arc::clone(&shared);
+        let reactor = std::thread::Builder::new()
+            .name("puddled-reactor".into())
+            .spawn(move || {
+                let _exit = ExitGuard(&exits.reactor_exit);
+                let mut reactor = reactor;
+                reactor.run();
+            })?;
 
         Ok(UdsServer {
             path,
             shared,
-            reactors,
+            reactor: Some(reactor),
             workers,
         })
     }
@@ -517,13 +419,9 @@ impl UdsServer {
         &self.path
     }
 
-    /// Number of currently connected clients (summed across reactors).
+    /// Number of currently connected clients (`uds.connections`).
     pub fn active_connections(&self) -> usize {
-        self.shared
-            .reactors
-            .iter()
-            .map(|r| r.active.load(Ordering::Relaxed))
-            .sum()
+        self.shared.obs.connections.load(Ordering::Relaxed) as usize
     }
 
     /// Stops accepting, disconnects idle clients, lets in-flight requests
@@ -533,19 +431,14 @@ impl UdsServer {
     /// the process.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        for r in &self.shared.reactors {
-            r.waker.wake();
-        }
+        self.shared.waker.wake();
         let clock = self.shared.daemon.clock().clone();
         let deadline = clock.now() + SHUTDOWN_GRACE + Duration::from_secs(2);
-        let out = self
-            .shared
-            .reactor_exits
-            .wait_all(self.reactors.len(), &clock, deadline);
-        for handle in self.reactors.drain(..) {
+        if let Some(handle) = self.reactor.take() {
+            let out = self.shared.reactor_exit.wait_all(1, &clock, deadline);
             join_or_detach(handle, out);
         }
-        // The reactors are gone; nothing enqueues work anymore. Drain the
+        // The reactor is gone; nothing enqueues work anymore. Drain the
         // workers (queued requests still execute — their mutations matter
         // even if no connection remains to read the response).
         self.shared.queue.close();
@@ -556,8 +449,6 @@ impl UdsServer {
         for handle in self.workers.drain(..) {
             join_or_detach(handle, out);
         }
-        self.shared.daemon.attach_reactor_loads(Vec::new());
-        self.shared.daemon.attach_reactor_requests(Vec::new());
         let _ = std::fs::remove_file(&self.path);
     }
 }
@@ -587,9 +478,6 @@ fn worker_loop(shared: &Arc<Shared>, role: WorkerRole) {
             .obs
             .stage_queue
             .record_duration(clock.now().saturating_sub(item.enqueued));
-        shared.reactors[item.reactor]
-            .requests
-            .fetch_add(1, Ordering::Relaxed);
         let resp = shared
             .daemon
             .handle_traced(item.creds, item.req, item.req_id);
@@ -597,9 +485,8 @@ fn worker_loop(shared: &Arc<Shared>, role: WorkerRole) {
         // then drops the connection instead of leaving its caller waiting.
         let mut bytes = Vec::new();
         let _ = encode_response(&mut bytes, item.req_id, resp);
-        let target = &shared.reactors[item.reactor];
-        target.completions.lock().unwrap().push((item.conn, bytes));
-        target.waker.wake();
+        shared.completions.lock().unwrap().push((item.conn, bytes));
+        shared.waker.wake();
     }
 }
 
@@ -646,73 +533,8 @@ fn peer_credentials(stream: &UnixStream) -> Option<Credentials> {
     }
 }
 
-// -- Listener ---------------------------------------------------------------
-
 /// How long accepting pauses after a persistent accept failure.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
-
-/// Reactor 0's accept side: the listener and the connection cap.
-struct Listener {
-    listener: UnixListener,
-    max_connections: usize,
-    /// Set after a persistent accept failure (e.g. EMFILE under a low fd
-    /// rlimit): the listener is deregistered from the poller until this
-    /// clock reading, so a full backlog does not busy-loop on
-    /// level-triggered accept readiness.
-    backoff_until: Option<Duration>,
-    /// Pre-encoded `Busy` rejection frame (a bare response: it is sent
-    /// before any request id could have been read, and clients decode bare
-    /// frames via `ServerFrame`).
-    busy_frame: Vec<u8>,
-}
-
-impl Listener {
-    fn new(listener: UnixListener, max_connections: usize) -> io::Result<Listener> {
-        let busy_frame = frame::encode_frame(&ServerFrame::Bare(Response::Error {
-            code: puddles_proto::ErrorCode::Busy,
-            message: format!("connection limit reached ({max_connections})"),
-        }))?;
-        Ok(Listener {
-            listener,
-            max_connections,
-            backoff_until: None,
-            busy_frame,
-        })
-    }
-
-    /// Routes one accepted socket: to the least-loaded reactor, or a `Busy`
-    /// rejection at the global cap.
-    fn place(&self, shared: &Shared, stream: UnixStream) {
-        if stream.set_nonblocking(true).is_err() {
-            return;
-        }
-        let mut total = 0usize;
-        let mut best = (0, usize::MAX);
-        for (i, r) in shared.reactors.iter().enumerate() {
-            let active = r.active.load(Ordering::Relaxed);
-            total += active;
-            if active < best.1 {
-                best = (i, active);
-            }
-        }
-        if total >= self.max_connections {
-            // Tell the client to back off. Best-effort — the frame is far
-            // smaller than a socket buffer, so the nonblocking write only
-            // fails if the peer is already gone.
-            let mut stream = stream;
-            let _ = stream.write(&self.busy_frame);
-            shared.obs.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let peer = peer_credentials(&stream);
-        let reactor = &shared.reactors[best.0];
-        // Count the connection *before* the reactor sees it so the cap
-        // check above can never race a handed-off socket past the limit.
-        reactor.active.fetch_add(1, Ordering::Relaxed);
-        reactor.incoming.lock().unwrap().push((stream, peer));
-        reactor.waker.wake();
-    }
-}
 
 // -- Connections ------------------------------------------------------------
 
@@ -723,11 +545,9 @@ struct Conn {
     /// The peer's first four bytes were the [`V2_MAGIC`] preamble; until
     /// then nothing is decoded.
     preamble_seen: bool,
-    /// Kernel-verified peer credentials captured at accept (when available).
-    peer: Option<Credentials>,
-    /// Effective credentials, fixed by the first frame (peer credentials
-    /// override whatever the client claims in `Hello`).
-    creds: Option<Credentials>,
+    /// The peer's kernel-verified credentials, read at accept: every
+    /// request of this connection runs as them.
+    creds: Credentials,
     /// Parsed requests not yet dispatched: `(req_id, request)`.
     pending: VecDeque<(u64, Request)>,
     /// Requests from this connection currently with the worker pool.
@@ -748,13 +568,12 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: UnixStream, peer: Option<Credentials>) -> Conn {
+    fn new(stream: UnixStream, creds: Credentials) -> Conn {
         Conn {
             stream,
             decoder: FrameDecoder::new(),
             preamble_seen: false,
-            peer,
-            creds: None,
+            creds,
             pending: VecDeque::new(),
             in_flight: 0,
             out: Vec::new(),
@@ -797,15 +616,22 @@ impl Conn {
 
 // -- Reactor ----------------------------------------------------------------
 
-/// One event loop: owns a poller and a shard of the connections.
+/// The event loop: owns the listener, the poller and every connection.
 struct Reactor {
     shared: Arc<Shared>,
-    /// This reactor's slot in `shared.reactors`.
-    index: usize,
-    me: Arc<ReactorShared>,
     poller: Poller,
-    /// Reactor 0's listener, until shutdown closes it; `None` elsewhere.
-    listener: Option<Listener>,
+    /// The listener, until shutdown closes it.
+    listener: Option<UnixListener>,
+    /// Set after a persistent accept failure (e.g. EMFILE under a low fd
+    /// rlimit): the listener is deregistered from the poller until this
+    /// clock reading, so a full backlog does not busy-loop on
+    /// level-triggered accept readiness.
+    accept_backoff: Option<Duration>,
+    max_connections: usize,
+    /// Pre-encoded `Busy` rejection frame (a bare response: it is sent
+    /// before any request id could have been read, and clients decode bare
+    /// frames via `ServerFrame`).
+    busy_frame: Vec<u8>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
     /// Set once shutdown is observed; records the drain deadline (a clock
@@ -816,26 +642,32 @@ struct Reactor {
     /// Poll rounds spent draining: a real-time bound on the drain when a
     /// frozen virtual clock can never reach the deadline.
     drain_rounds: u32,
-    /// Scratch for socket reads, shared by every connection of this reactor
-    /// (allocated once: a stack array would be zero-filled per event).
+    /// Scratch for socket reads, shared by every connection (allocated
+    /// once: a stack array would be zero-filled per event).
     read_buf: Box<[u8]>,
 }
 
 impl Reactor {
-    fn new(shared: Arc<Shared>, index: usize, listener: Option<Listener>) -> io::Result<Reactor> {
-        let me = Arc::clone(&shared.reactors[index]);
+    fn new(
+        shared: Arc<Shared>,
+        listener: UnixListener,
+        max_connections: usize,
+    ) -> io::Result<Reactor> {
         let poller = Poller::new()?;
-        poller.add(me.waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
-        if let Some(l) = &listener {
-            poller.add(l.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        }
+        poller.add(shared.waker.fd(), TOKEN_WAKER, Interest::READABLE)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
+        let busy_frame = frame::encode_frame(&ServerFrame::Bare(Response::Error {
+            code: puddles_proto::ErrorCode::Busy,
+            message: format!("connection limit reached ({max_connections})"),
+        }))?;
         let clock = shared.daemon.clock().clone();
         Ok(Reactor {
             shared,
-            index,
-            me,
             poller,
-            listener,
+            listener: Some(listener),
+            accept_backoff: None,
+            max_connections,
+            busy_frame,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
             draining: None,
@@ -852,9 +684,8 @@ impl Reactor {
             // deadline; while accepting backs off (never while draining:
             // the drain closed the listener), every `ACCEPT_BACKOFF` to
             // resume it; otherwise sleep until an event or waker.
-            let backoff = self.listener.as_ref().and_then(|l| l.backoff_until);
             let drain_tick = self.draining.map(|_| Duration::from_millis(20));
-            let timeout = drain_tick.or(backoff.map(|_| ACCEPT_BACKOFF));
+            let timeout = drain_tick.or(self.accept_backoff.map(|_| ACCEPT_BACKOFF));
             let _ = self.poller.wait(&mut events, timeout);
             if self.shared.shutdown.load(Ordering::SeqCst) && self.draining.is_none() {
                 self.begin_drain();
@@ -864,38 +695,35 @@ impl Reactor {
             for &event in &events {
                 match event.token {
                     TOKEN_WAKER => {
-                        self.me.waker.drain();
+                        self.shared.waker.drain();
                     }
                     TOKEN_LISTENER => self.accept_ready(),
                     token => self.conn_ready(token, event),
                 }
             }
-            // Handoffs and completions may arrive with or without a waker
-            // event in this round (coalesced wakes); drain unconditionally.
-            self.process_incoming();
+            // Completions may arrive with or without a waker event in this
+            // round (coalesced wakes); drain unconditionally.
             self.process_completions();
 
             if self.draining.is_some() && self.drain_finished() {
                 break;
             }
         }
-        // Teardown: connections (and any never-registered handoffs) drop
-        // here, closing their sockets.
+        // Teardown: connections drop here, closing their sockets.
         self.conns.clear();
-        self.me.incoming.lock().unwrap().clear();
-        self.me.active.store(0, Ordering::Relaxed);
+        self.shared.obs.connections.store(0, Ordering::Relaxed);
     }
 
-    // -- Accept (reactor 0) and handoff -------------------------------------
+    // -- Accept -------------------------------------------------------------
 
-    /// Accepts every pending connection and places each on a reactor.
+    /// Accepts every pending connection.
     fn accept_ready(&mut self) {
-        let Some(l) = self.listener.as_mut() else {
-            return;
-        };
         loop {
-            match l.listener.accept() {
-                Ok((stream, _)) => l.place(&self.shared, stream),
+            let Some(listener) = &self.listener else {
+                return;
+            };
+            match listener.accept() {
+                Ok((stream, _)) => self.admit(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 // Persistent accept failure (e.g. EMFILE under a low fd
@@ -904,8 +732,8 @@ impl Reactor {
                 // spinning the loop hot. Deregister and retry after a
                 // short backoff.
                 Err(_) => {
-                    let _ = self.poller.delete(l.listener.as_raw_fd());
-                    l.backoff_until = Some(self.clock.now() + ACCEPT_BACKOFF);
+                    let _ = self.poller.delete(listener.as_raw_fd());
+                    self.accept_backoff = Some(self.clock.now() + ACCEPT_BACKOFF);
                     return;
                 }
             }
@@ -914,45 +742,53 @@ impl Reactor {
 
     /// Re-registers the listener once its accept backoff has passed.
     fn resume_accepting(&mut self) {
-        let Some(l) = self.listener.as_mut() else {
+        let Some(listener) = &self.listener else {
             return;
         };
-        let fd = l.listener.as_raw_fd();
-        let due = l.backoff_until.is_some_and(|t| self.clock.now() >= t);
+        let due = self.accept_backoff.is_some_and(|t| self.clock.now() >= t);
         if due
             && self
                 .poller
-                .add(fd, TOKEN_LISTENER, Interest::READABLE)
+                .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)
                 .is_ok()
         {
-            l.backoff_until = None;
+            self.accept_backoff = None;
         }
     }
 
-    /// Registers sockets reactor 0 handed to this reactor. Their `active`
-    /// count was already taken at handoff; undone here on failure.
-    fn process_incoming(&mut self) {
-        let incoming: Vec<(UnixStream, Option<Credentials>)> =
-            std::mem::take(&mut *self.me.incoming.lock().unwrap());
-        for (stream, peer) in incoming {
-            if self.draining.is_some() {
-                self.me.active.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            let token = self.next_token;
-            self.next_token += 1;
-            if self
-                .poller
-                .add(stream.as_raw_fd(), token, Interest::READABLE)
-                .is_err()
-            {
-                self.me.active.fetch_sub(1, Ordering::Relaxed);
-                continue;
-            }
-            // Bytes that raced in before registration are reported by the
-            // next level-triggered wait; no eager read needed.
-            self.conns.insert(token, Conn::new(stream, peer));
+    /// Registers one accepted socket as a connection, or turns it away: at
+    /// the connection cap with a `Busy` frame, and without a word when its
+    /// peer credentials cannot be read (it would have no identity).
+    fn admit(&mut self, stream: UnixStream) {
+        if stream.set_nonblocking(true).is_err() {
+            return;
         }
+        let rejected = &self.shared.obs.rejected;
+        if self.conns.len() >= self.max_connections {
+            // Tell the client to back off. Best-effort — the frame is far
+            // smaller than a socket buffer, so the nonblocking write only
+            // fails if the peer is already gone.
+            let _ = (&stream).write(&self.busy_frame);
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+        let Some(creds) = peer_credentials(&stream) else {
+            rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        let token = self.next_token;
+        self.next_token += 1;
+        if self
+            .poller
+            .add(stream.as_raw_fd(), token, Interest::READABLE)
+            .is_err()
+        {
+            return;
+        }
+        // Bytes that raced in before registration are reported by the next
+        // level-triggered wait; no eager read needed.
+        self.conns.insert(token, Conn::new(stream, creds));
+        self.shared.obs.connections.fetch_add(1, Ordering::Relaxed);
     }
 
     // -- Connection I/O -----------------------------------------------------
@@ -989,7 +825,7 @@ impl Reactor {
         // Dispatch queued requests unless we are draining (drain finishes
         // in-flight work only).
         if self.draining.is_none() {
-            dispatch_ready(&self.shared, self.index, token, conn);
+            dispatch_ready(&self.shared, token, conn);
         }
         let parked = conn.out_len() as u64;
         if parked > 0 {
@@ -1026,7 +862,7 @@ impl Reactor {
     fn remove_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
             let _ = self.poller.delete(conn.stream.as_raw_fd());
-            self.me.active.fetch_sub(1, Ordering::Relaxed);
+            self.shared.obs.connections.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -1034,7 +870,7 @@ impl Reactor {
 
     fn process_completions(&mut self) {
         let completed: Vec<(u64, Vec<u8>)> =
-            std::mem::take(&mut *self.me.completions.lock().unwrap());
+            std::mem::take(&mut *self.shared.completions.lock().unwrap());
         for (token, bytes) in completed {
             let Some(conn) = self.conns.get_mut(&token) else {
                 // The connection died while its request executed; the
@@ -1157,26 +993,14 @@ fn parse_frames(conn: &mut Conn) -> bool {
         }
     }
     loop {
-        let RequestEnvelope { req_id, req } = match conn.decoder.next_frame() {
-            Ok(Some(env)) => env,
+        match conn.decoder.next_frame() {
+            Ok(Some(RequestEnvelope { req_id, req })) => conn.pending.push_back((req_id, req)),
             Ok(None) => return true,
             Err(_) => {
                 conn.dead = true;
                 return false;
             }
-        };
-        if conn.creds.is_none() {
-            // First frame fixes the connection's credentials:
-            // kernel-verified peer credentials win; otherwise an explicit
-            // Hello is trusted (tests); otherwise fall back to this
-            // process's identity.
-            conn.creds = Some(match (conn.peer, &req) {
-                (Some(peer), _) => peer,
-                (None, Request::Hello { creds, .. }) => *creds,
-                (None, _) => Credentials::current_process(),
-            });
         }
-        conn.pending.push_back((req_id, req));
     }
 }
 
@@ -1200,7 +1024,7 @@ fn reset_injected(shared: &Shared) -> bool {
 /// [`Lane::Inline`] requests execute right here, their responses encoded
 /// into the output buffer and written once per round; the rest go to the
 /// worker pool.
-fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) {
+fn dispatch_ready(shared: &Shared, token: u64, conn: &mut Conn) {
     while !conn.dead {
         let mut ran_inline = false;
         while conn.in_flight < MAX_PIPELINED_REQUESTS && conn.out_len() < OUT_HIGH_WATER {
@@ -1213,13 +1037,10 @@ fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) 
                 conn.dead = true;
                 return;
             }
-            let creds = conn.creds.unwrap_or_else(Credentials::current_process);
             match lane_of(&req) {
                 Lane::Inline => {
-                    let me = &shared.reactors[reactor];
-                    me.requests.fetch_add(1, Ordering::Relaxed);
                     shared.obs.inline.fetch_add(1, Ordering::Relaxed);
-                    let resp = shared.daemon.handle_traced(creds, req, req_id);
+                    let resp = shared.daemon.handle_traced(conn.creds, req, req_id);
                     // (Or *after* it, for a request that ran right here.)
                     if reset_injected(shared)
                         || encode_response(conn.out_tail(), req_id, resp).is_err()
@@ -1235,10 +1056,9 @@ fn dispatch_ready(shared: &Shared, reactor: usize, token: u64, conn: &mut Conn) 
                     shared.queue.push(
                         lane,
                         WorkItem {
-                            reactor,
                             conn: token,
                             req_id,
-                            creds,
+                            creds: conn.creds,
                             req,
                             enqueued: shared.daemon.clock().now(),
                         },
@@ -1284,12 +1104,13 @@ mod tests {
     use puddles_proto::BlockingConn;
 
     /// Liveness of the inline path while every worker is occupied by a
-    /// request that cannot finish: `GetMetrics` reads the reactor-load
-    /// table, whose lock the test holds, so each worker that takes one stays in
+    /// request that cannot finish: `GetMetrics` reads the WAL tail, whose
+    /// state lock the test holds, so each worker that takes one stays in
     /// it, and whatever is queued behind them on either lane is taken by
     /// nobody. Inline requests — on another connection and behind the stuck
-    /// ones on the same connection — are answered all the same, and the
-    /// stuck requests all complete once the lock is released.
+    /// ones on the same connection — never reach the WAL and are answered
+    /// all the same, and the stuck requests all complete once the lock is
+    /// released.
     #[test]
     fn inline_requests_answer_while_every_worker_is_stuck() {
         let tmp = tempfile::tempdir().unwrap();
@@ -1310,7 +1131,7 @@ mod tests {
             BlockingConn::handshake(stream, Request::hello(creds)).unwrap()
         };
 
-        let reactor_loads = daemon.inner.reactor_loads.lock().unwrap();
+        let wal_state = daemon.wal().hold_state_lock();
         let mut stuck = connect();
         // One `GetMetrics` per worker, and some that stay in the fast lane.
         let workers = server.workers.len() as u64;
@@ -1350,12 +1171,52 @@ mod tests {
         assert_eq!(popped(), workers);
         assert_eq!(server.shared.obs.queued.load(Ordering::Relaxed), reads + 1);
 
-        drop(reactor_loads);
+        drop(wal_state);
         let mut rest: Vec<u64> = (0..=reads).map(|_| stuck.recv().unwrap().0).collect();
         rest.sort_unstable();
         assert_eq!(rest, (0..=reads).collect::<Vec<_>>());
         drop((stuck, other));
         server.shutdown();
+    }
+
+    /// A connection still busy when the drain's grace runs out is
+    /// force-dropped at teardown, and `uds.connections` reads 0 all the
+    /// same: its `GetMetrics` waits on a WAL lock the test holds past the
+    /// deadline of a virtual clock the test drives.
+    #[test]
+    fn teardown_zeroes_the_connections_a_drain_leaves_behind() {
+        let tmp = tempfile::tempdir().unwrap();
+        let clock = Clock::simulated(1);
+        let timeline = Arc::clone(clock.virtual_clock().unwrap());
+        timeline.set_auto_advance(false);
+        let config = DaemonConfig::for_testing(tmp.path()).with_clock(clock);
+        let daemon = Daemon::start(config).unwrap();
+        let socket = tmp.path().join("straggler.sock");
+        let server = UdsServer::start(daemon.clone(), &socket).unwrap();
+        let connections = daemon.metrics().counter("uds.connections");
+
+        let wal_state = daemon.wal().hold_state_lock();
+        let stream = UnixStream::connect(&socket).unwrap();
+        let hello = Request::hello(Credentials::current_process());
+        let mut conn = BlockingConn::handshake(stream, hello).unwrap();
+        conn.send(1, Request::GetMetrics).unwrap();
+        while server.shared.obs.stage_queue.snapshot().count == 0 {
+            std::thread::yield_now();
+        }
+        let shutdown = std::thread::spawn(move || {
+            let mut server = server;
+            server.shutdown();
+        });
+        // Small steps: the drain's 5 s grace ends well before shutdown's
+        // own 7 s deadline for the reactor's exit.
+        while !shutdown.is_finished() {
+            timeline.advance(Duration::from_millis(250));
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        shutdown.join().unwrap();
+        assert!(conn.recv().is_err(), "the straggler was not dropped");
+        assert_eq!(connections.load(Ordering::Relaxed), 0);
+        drop(wal_state);
     }
 
     /// One `CreatePool` over a connection the fault plan resets at exactly

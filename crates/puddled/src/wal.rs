@@ -971,6 +971,14 @@ mod tests {
     use puddles_pmem::faultio::{FaultPlan, FaultProfile};
     use puddles_proto::{PtrField, PuddlePurpose};
 
+    impl Wal {
+        /// Holds the state lock until the returned guard drops, so every
+        /// append, group commit and [`Wal::stats`] waits for it.
+        pub(crate) fn hold_state_lock(&self) -> impl Sized + '_ {
+            self.state.lock().unwrap()
+        }
+    }
+
     fn sample_op(n: u64) -> RegistryOp {
         RegistryOp::PutPuddle(PuddleRecord {
             id: PuddleId(n as u128),

@@ -83,35 +83,33 @@ fn thread_names(pid: u32) -> Vec<String> {
     names
 }
 
-/// The daemon owns two kinds of thread: one event loop per reactor —
-/// reactor 0 also accepts — and the worker pool. Nothing else runs beside
-/// its main thread.
+/// The daemon owns two kinds of thread: the one reactor, which accepts,
+/// reads, runs inline requests and writes, and the worker pool. Nothing
+/// else runs beside its main thread.
 #[test]
-fn a_spawned_puddled_runs_its_reactors_and_workers_and_nothing_else() {
+fn a_spawned_puddled_runs_one_reactor_and_its_workers_and_nothing_else() {
     let tmp = tempfile::tempdir().unwrap();
     let socket = tmp.path().join("puddled.sock");
-    let daemon = spawn_puddled(&tmp.path().join("pm"), &socket, &["--reactors", "2"]);
-    // A served handshake: whichever thread accepts is running.
+    let daemon = spawn_puddled(&tmp.path().join("pm"), &socket, &[]);
+    // A served handshake: the reactor is running.
     let _conn = handshake(&socket);
 
-    let pid = daemon.0.id();
+    // A thread carries its parent's `comm` until it has named itself.
     let count = |names: &[String], name: &str| names.iter().filter(|n| *n == name).count();
     let deadline = Instant::now() + Duration::from_secs(30);
-    let mut names = thread_names(pid);
-    while count(&names, "puddled-reactor") < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "reactors never started: {names:?}"
-        );
+    let mut names = thread_names(daemon.0.id());
+    while count(&names, "puddled") > 1 {
+        assert!(Instant::now() < deadline, "threads never named: {names:?}");
         std::thread::sleep(Duration::from_millis(10));
-        names = thread_names(pid);
+        names = thread_names(daemon.0.id());
     }
     let workers = count(&names, "puddled-worker-");
     assert!(workers >= 2, "{names:?}");
+    assert_eq!(count(&names, "puddled-reactor"), 1, "{names:?}");
     assert_eq!(count(&names, "puddled"), 1, "{names:?}");
     assert_eq!(
         names.len(),
-        1 + 2 + workers,
+        1 + 1 + workers,
         "unexpected threads: {names:?}"
     );
 }

@@ -4,10 +4,12 @@
 //! kill before its rename, eight connections mutating across it), and the
 //! pipelined runtime (out-of-order completion across dispatch lanes,
 //! pipelined backpressure on the inline path, an inline request waiting its
-//! turn behind a full window, cross-reactor shutdown, refusal of peers that
-//! skip the preamble, `Busy` rejection at the connection cap).
+//! turn behind a full window, shutdown with responses in flight, refusal
+//! of peers that skip the preamble, `Busy` rejection at the connection
+//! cap), and the peer's kernel-verified identity overriding whatever its
+//! `Hello` claims.
 
-use puddled::{Daemon, DaemonConfig, ServerConfig, UdsServer, MAX_PIPELINED_REQUESTS};
+use puddled::{Daemon, DaemonConfig, UdsServer, MAX_PIPELINED_REQUESTS};
 use puddles_pmem::failpoint;
 use puddles_proto::frame::encode_frame;
 use puddles_proto::{
@@ -74,8 +76,8 @@ fn checkpoints(daemon: &Daemon) -> u64 {
 
 /// Every field the retired `Stats` request reported is a `GetMetrics` row
 /// (their values were checked equal, both read from one daemon, before
-/// `Stats` went): here a socket server on two reactors, a rejected and a
-/// reconnecting client, a swept orphan, checkpoints and a fragmented
+/// `Stats` went): here a socket server, a rejected and a reconnecting
+/// client, a swept orphan, checkpoints and a fragmented
 /// allocator stand behind each row.
 #[test]
 fn every_stats_field_is_a_metric() {
@@ -89,11 +91,7 @@ fn every_stats_field_is_a_metric() {
     let daemon = Daemon::start(config).unwrap();
     daemon.wal().set_checkpoint_threshold(512);
     let socket = tmp.path().join("equivalence.sock");
-    let server_config = ServerConfig {
-        max_connections: 3,
-        reactors: 2,
-    };
-    let mut server = UdsServer::start_with_config(daemon.clone(), &socket, server_config).unwrap();
+    let mut server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 3).unwrap();
     let mut conns: Vec<Conn> = (0..3).map(|_| hello(&socket)).collect();
     let mut extra = UnixStream::connect(&socket).unwrap();
     assert!(read_frame::<_, ServerFrame>(&mut extra).is_ok(), "Busy");
@@ -196,9 +194,12 @@ fn every_stats_field_is_a_metric() {
         assert_eq!(counter(name), 0, "{name}");
     }
     assert!(m.series("checkpoint").is_some_and(|s| s.count > 1));
-    let connections = m.per_reactor("connections");
-    assert_eq!((connections.len(), connections.iter().sum()), (2, 3));
-    assert_eq!(m.per_reactor("requests").len(), 2);
+    assert_eq!(counter("uds.connections"), 3);
+    // Over the socket: four `Hello`s (one a reconnect) ran inline; the
+    // pool, nine puddles, four frees, four registrations and the log-space
+    // registration were queued.
+    let sent = 4 + 1 + 9 + 4 + 4 + 1;
+    assert!(counter("uds.inline") + counter("uds.queued") >= sent);
     drop(conns);
     server.shutdown();
 }
@@ -758,33 +759,22 @@ fn an_inline_request_behind_a_full_window_runs_when_a_slot_frees() {
     server.shutdown();
 }
 
-/// Shutdown with in-flight requests spread across every reactor: each
+/// Shutdown with a request in flight on each of 32 connections: every
 /// connection still receives its response during the drain, then a clean
-/// EOF — no reactor drops another's completions on the floor.
+/// EOF — no completion is dropped on the floor.
 #[test]
-fn cross_reactor_shutdown_drains_in_flight_responses() {
+fn shutdown_drains_in_flight_responses() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("multi.sock");
-    let mut server = UdsServer::start_with_config(
-        daemon,
-        &socket,
-        ServerConfig {
-            reactors: 4,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
+    let mut server = UdsServer::start(daemon, &socket).unwrap();
 
-    // 32 connections land on all four reactors (least-loaded placement:
-    // with a 4096 budget every reactor's slice has room, so the spread is
-    // 8 per reactor).
     let mut streams: Vec<Conn> = (0..32).map(|_| hello(&socket)).collect();
     assert_eq!(server.active_connections(), 32);
     for (i, conn) in streams.iter_mut().enumerate() {
         conn.send(1000 + i as u64, Request::Ping).unwrap();
     }
-    // Let every reactor parse and complete its pings (a request whose bytes
+    // Let the reactor parse and complete every ping (a request whose bytes
     // are still unread in the kernel buffer counts as idle and is dropped
     // at drain start — that part of the contract is deliberate).
     std::thread::sleep(Duration::from_millis(200));
@@ -811,15 +801,7 @@ fn connection_cap_rejects_with_a_busy_frame() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("busy.sock");
-    let mut server = UdsServer::start_with_config(
-        daemon.clone(),
-        &socket,
-        ServerConfig {
-            max_connections: 4,
-            reactors: 2,
-        },
-    )
-    .unwrap();
+    let mut server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 4).unwrap();
 
     // Fill the cap with live connections (the round trip guarantees each is
     // counted before the next connect).
@@ -843,40 +825,60 @@ fn connection_cap_rejects_with_a_busy_frame() {
     server.shutdown();
 }
 
-/// Reactor placement skew is observable: `GetMetrics` carries live
-/// per-reactor connection counts (`reactor.<i>.connections`) that track
-/// accept placement and drain back to zero when connections close.
+/// `uds.connections` is the live connection count: it follows connects
+/// and disconnects, and reads 0 once the server has shut down.
 #[test]
-fn stats_expose_per_reactor_connection_counts() {
-    let tmp = tempfile::tempdir().unwrap();
-    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-    let socket = tmp.path().join("loads.sock");
-    let mut server = UdsServer::start_with_config(
-        daemon.clone(),
-        &socket,
-        ServerConfig {
-            max_connections: 64,
-            reactors: 2,
-        },
-    )
-    .unwrap();
+fn uds_connections_follow_connects_and_disconnects() {
+    let (_tmp, daemon, mut server, socket) = start_server();
+    assert_eq!(counter(&daemon, "uds.connections"), 0);
 
-    let connections = || metrics(&daemon).per_reactor("connections");
-    assert_eq!(connections(), [0, 0], "one row per reactor");
+    // Each hello round-trips, so the connection is counted before the
+    // next connect.
+    let mut held: Vec<Conn> = (0..4).map(|_| hello(&socket)).collect();
+    assert_eq!(counter(&daemon, "uds.connections"), 4);
+    assert_eq!(server.active_connections(), 4);
 
-    // Each hello round-trips, so the connection is registered with its
-    // reactor before the next connect (placement is least-loaded).
-    let held: Vec<Conn> = (0..4).map(|_| hello(&socket)).collect();
-    wait_until("connections counted per reactor", || {
-        connections().iter().sum::<u64>() == 4
+    held.truncate(1);
+    wait_until("three closes counted", || {
+        counter(&daemon, "uds.connections") == 1
     });
-    // Least-loaded placement over two reactors must split 4 connections
-    // evenly — this is exactly the skew the counters exist to expose.
-    assert_eq!(connections(), [2, 2]);
+    assert_eq!(server.active_connections(), 1);
 
-    drop(held);
-    wait_until("counts drain after close", || connections() == [0, 0]);
+    // The one still held is dropped by the shutdown, not by its client.
     server.shutdown();
-    // Detached at shutdown: a stopped server reports no reactors.
-    assert!(connections().is_empty());
+    assert_eq!(counter(&daemon, "uds.connections"), 0);
+    assert_eq!(server.active_connections(), 0);
+    drop(held);
+}
+
+/// A connection is its peer's kernel-verified credentials: a `Hello`
+/// claiming root, or any uid that is not the caller's own, changes
+/// nothing — the pool it creates belongs to the process's real uid.
+#[test]
+fn hello_credentials_never_stand_for_the_peers_own() {
+    let (_tmp, daemon, mut server, socket) = start_server();
+    let real = Credentials::current_process();
+    let claims = [
+        Credentials { uid: 0, gid: 0 },
+        Credentials {
+            uid: real.uid + 1,
+            gid: real.gid + 1,
+        },
+    ];
+    for (i, claimed) in claims.into_iter().enumerate() {
+        let stream = UnixStream::connect(&socket).unwrap();
+        let mut conn = BlockingConn::handshake(stream, Request::hello(claimed)).unwrap();
+        let create = Request::CreatePool {
+            name: format!("claimed{i}"),
+            root_size: 1 << 20,
+            mode: 0o600,
+        };
+        let Response::Pool(pool) = conn.call(create).unwrap() else {
+            panic!("pool creation failed");
+        };
+        let data = daemon.registry().snapshot();
+        let root = &data.puddles[&pool.root_puddle];
+        assert_eq!((root.owner_uid, root.owner_gid), (real.uid, real.gid));
+    }
+    server.shutdown();
 }
