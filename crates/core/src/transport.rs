@@ -1,7 +1,7 @@
 //! The socket transport under a [`PuddleClient`](crate::PuddleClient): what
 //! is retried and when ([`RetryPolicy`], idempotence and transience
 //! classification), the client-local metrics ([`ClientMetrics`]), and the
-//! one socket endpoint — a small pool of pipelined connections.
+//! one socket endpoint — one pipelined connection per client.
 //!
 //! A connection has no thread of its own. Callers share its write half one
 //! frame at a time, and **whoever is waiting reads**: a caller that finds
@@ -13,11 +13,11 @@
 //!
 //! What is re-sent: a request whose frame could not be written was never
 //! delivered (the daemon dispatches complete frames only), so whatever its
-//! kind it is sent again until it is on a fresh connection — nobody reads
-//! an idle connection, so a daemon restart leaves the whole pool stale and
-//! each such failure retires one of them; a request that was
-//! written and whose response was lost may already have been applied, so
-//! only idempotent kinds are re-sent, under the [`RetryPolicy`].
+//! kind it is sent once more on a freshly dialed connection — nobody reads
+//! an idle connection, so a daemon restart is first noticed by the write
+//! that fails on it; a request that was written and whose response was
+//! lost may already have been applied, so only idempotent kinds are
+//! re-sent, under the [`RetryPolicy`].
 
 use parking_lot::Mutex;
 use puddles_pmem::clock::{entropy_seed, Clock};
@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// `true` for I/O failures that a fresh connection may fix: the daemon
-/// closed (or was restarted under) a pooled socket, so a write lands on a
+/// closed (or was restarted under) the client's socket, so a write lands on a
 /// dead peer or a read hits EOF. Logic errors (e.g. a malformed frame) are
 /// not transient — retrying would repeat them.
 fn is_transient(e: &std::io::Error) -> bool {
@@ -45,7 +45,7 @@ fn is_transient(e: &std::io::Error) -> bool {
     )
 }
 
-/// `true` for requests that are safe to resend when a pooled connection
+/// `true` for requests that are safe to resend when the client's connection
 /// dies *after* the request was written but before the response arrived:
 /// reads, and writes whose re-application lands on the same state
 /// (registrations are keyed puts, `MarkRewritten` clears an already-clear
@@ -84,8 +84,10 @@ pub struct ClientMetrics {
     /// Retry attempts actually performed past each operation's first try
     /// (dials and idempotent re-sends alike).
     pub retry_attempts: std::sync::atomic::AtomicU64,
-    /// Re-dials after the first successful handshake (each also flags
-    /// `reconnect` in its `Hello`, so the daemon's count should match).
+    /// Re-dials the daemon accepted after the first successful handshake
+    /// (each also flags `reconnect` in its `Hello`, and the daemon counts a
+    /// `Hello` it served, so the two counts match). Counted once `Welcome`
+    /// is in: a re-dial turned away with `Busy` is not a reconnect.
     pub reconnects: std::sync::atomic::AtomicU64,
     /// High-water mark of requests in flight on one pipelined connection
     /// (how deep the id→slot completion map has grown).
@@ -279,13 +281,6 @@ impl RetryPolicy {
         Duration::from_nanos(nanos / 2 + z % (nanos / 2 + 1))
     }
 }
-
-/// Connections a [`PipelinedEndpoint`] multiplexes calls over. Each
-/// carries up to the daemon's fixed window of 64 in-flight requests,
-/// so a couple of sockets serve many concurrent callers. Whether the
-/// second one still earns its place, now that the daemon serves every
-/// connection on one reactor, is not measured (ROADMAP D).
-const PIPELINE_CONNECTIONS: usize = 2;
 
 /// Largest chunk a connection's reader takes per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -570,21 +565,18 @@ fn bare_frame_error(resp: Response) -> std::io::Error {
 
 /// Client-side endpoint speaking the framed protocol over a UNIX socket.
 ///
-/// Keeps a small pool of connections ([`PIPELINE_CONNECTIONS`]) and spreads
-/// calls round-robin across them; each connection multiplexes any number of
-/// concurrent callers through its id→slot map, so client threads never
-/// wait for each other's round trips. Dead connections are replaced on the
-/// next call; what a failed call re-sends is the module docs' rule.
+/// Holds one connection, which multiplexes any number of concurrent callers
+/// through its id→slot map, so client threads never wait for each other's
+/// round trips. A dead connection is replaced on the next call; what a
+/// failed call re-sends is the module docs' rule.
 pub(crate) struct PipelinedEndpoint {
     path: std::path::PathBuf,
-    pool: Mutex<Vec<Arc<PipeConn>>>,
-    rr: std::sync::atomic::AtomicUsize,
+    /// The connection: `None` until the first dial succeeds, then the last
+    /// one the daemon accepted (possibly dead, until a re-dial replaces it).
+    conn: Mutex<Option<Arc<PipeConn>>>,
     retry: RetryPolicy,
-    /// Set after the first successful handshake; later dials flag
-    /// themselves `reconnect` in `Hello`.
-    connected_once: std::sync::atomic::AtomicBool,
-    /// Client-local reporter, shared with the retry policy and every
-    /// connection in the pool.
+    /// Client-local reporter, shared with the retry policy and the
+    /// connection.
     metrics: Arc<ClientMetrics>,
 }
 
@@ -592,10 +584,8 @@ impl PipelinedEndpoint {
     pub(crate) fn new(path: &Path, retry: RetryPolicy) -> Self {
         PipelinedEndpoint {
             path: path.to_path_buf(),
-            pool: Mutex::new(Vec::new()),
-            rr: std::sync::atomic::AtomicUsize::new(0),
+            conn: Mutex::new(None),
             retry,
-            connected_once: std::sync::atomic::AtomicBool::new(false),
             metrics: Arc::new(ClientMetrics::default()),
         }
     }
@@ -608,58 +598,45 @@ impl PipelinedEndpoint {
         self
     }
 
-    /// Returns a live connection. Only an *empty* pool makes the caller
-    /// wait: its dial is retried under the [`RetryPolicy`] (daemon
-    /// restarting, or its connection cap — the `Busy` rejection surfaces as
+    /// Returns the live connection, dialing one if there is none. A dial is
+    /// retried under the [`RetryPolicy`] (daemon restarting, or its
+    /// connection cap — the `Busy` rejection surfaces as
     /// `ConnectionRefused`) with bounded exponential backoff, so a client at
-    /// the cap gets through once load drains.
+    /// the cap gets through once load drains. The lock covers a single
+    /// dial, never a backoff sleep.
     fn conn(&self) -> std::io::Result<Arc<PipeConn>> {
-        self.retry.run(|_| self.try_conn())
-    }
-
-    /// One pass over the pool: prune dead connections, dial at most one
-    /// replacement towards [`PIPELINE_CONNECTIONS`], pick round-robin. The
-    /// pool lock covers a single dial, never a backoff sleep.
-    fn try_conn(&self) -> std::io::Result<Arc<PipeConn>> {
-        let mut pool = self.pool.lock();
-        pool.retain(|c| !c.is_dead());
-        if pool.len() < PIPELINE_CONNECTIONS {
-            match self.try_connect_conn() {
-                Ok(conn) => pool.push(conn),
-                // A top-up the daemon turned away (its connection cap may
-                // leave fewer slots than the pool wants) costs nothing while
-                // a live connection can carry the call.
-                Err(_) if !pool.is_empty() => {}
-                Err(e) => return Err(e),
+        self.retry.run(|_| {
+            let mut held = self.conn.lock();
+            match &*held {
+                Some(conn) if !conn.is_dead() => Ok(Arc::clone(conn)),
+                // A connection held before makes this dial a reconnect.
+                _ => {
+                    let conn = self.try_connect_conn(held.is_some())?;
+                    *held = Some(Arc::clone(&conn));
+                    Ok(conn)
+                }
             }
-        }
-        let i = self.rr.fetch_add(1, std::sync::atomic::Ordering::Relaxed) % pool.len();
-        Ok(Arc::clone(&pool[i]))
+        })
     }
 
     /// Dials and handshakes one new connection.
-    fn try_connect_conn(&self) -> std::io::Result<Arc<PipeConn>> {
+    fn try_connect_conn(&self, reconnect: bool) -> std::io::Result<Arc<PipeConn>> {
         use std::io::Write;
         let mut stream = UnixStream::connect(&self.path)?;
         // The preamble: everything after it is enveloped frames.
         stream.write_all(&puddles_proto::frame::V2_MAGIC)?;
         let conn = Arc::new(PipeConn::over_stream(stream, Arc::clone(&self.metrics))?);
         let creds = Credentials::current_process();
-        let reconnect = self
-            .connected_once
-            .load(std::sync::atomic::Ordering::Relaxed);
-        if reconnect {
-            self.metrics
-                .reconnects
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
         let hello = Request::Hello { creds, reconnect };
         // Handshake round trip: proves the daemon accepted the connection
         // (a cap rejection fails here, not on a later caller) and fixes the
         // connection's credentials daemon-side.
         conn.call(&hello).map_err(CallError::into_io)?;
-        self.connected_once
-            .store(true, std::sync::atomic::Ordering::Relaxed);
+        if reconnect {
+            self.metrics
+                .reconnects
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         Ok(conn)
     }
 }
@@ -684,15 +661,9 @@ impl Endpoint for PipelinedEndpoint {
         if unsent(&outcome) {
             // The connection had died while it sat idle (daemon restart,
             // stale socket) and the frame never left: nothing was applied,
-            // so a request of any kind goes out again. Nothing notices an
-            // idle connection dying, so the rest of the pool may be just as
-            // stale; each failure retires one of them, and after at most a
-            // pool's worth the request is on a connection dialed for it.
-            let mut stale = self.pool.lock().len();
-            while stale > 0 && unsent(&outcome) {
-                stale -= 1;
-                outcome = self.round_trip(&*self.conn()?, req);
-            }
+            // so a request of any kind goes out again, on a connection
+            // dialed for it.
+            outcome = self.round_trip(&*self.conn()?, req);
         }
         match outcome.map_err(CallError::into_io) {
             Err(e) if is_transient(&e) && is_idempotent(req) => {
@@ -1155,8 +1126,8 @@ mod tests {
         /// (it goes away while the client holds it idle). Each closed
         /// connection is announced on `closed`. The script serves one
         /// connection at a time and stops listening once the last is in (a
-        /// top-up dial past it is refused). Returns after `conns`
-        /// connections.
+        /// dial past it is refused rather than left unanswered). Returns
+        /// after `conns` connections.
         fn scripted_server(
             socket: std::path::PathBuf,
             conns: usize,
@@ -1289,43 +1260,32 @@ mod tests {
 
         /// A request whose frame could not be written was never delivered,
         /// so it is safe to send again whatever its kind: a `CreatePool`
-        /// issued while every pooled connection has been closed by the
-        /// daemon as it sat idle is sent until it is on a fresh one, and is
-        /// created exactly once — with one pooled connection or two, and
-        /// whichever of the two round-robin tries first.
+        /// issued after the daemon closed the connection as it sat idle is
+        /// sent once more, on a freshly dialed connection, and is created
+        /// exactly once.
         #[test]
         fn an_unsent_request_of_any_kind_is_resent_until_a_connection_is_fresh() {
             use std::sync::atomic::Ordering;
-            for (depth, rr_skew) in [(1, 0), (2, 0), (2, 1)] {
-                let tmp = tempfile::tempdir().unwrap();
-                let socket = tmp.path().join("scripted.sock");
-                let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-                let (closed, closed_rx) = std::sync::mpsc::channel();
-                let server =
-                    scripted_server(socket.clone(), depth + 1, Arc::clone(&creates), 0, closed);
+            let tmp = tempfile::tempdir().unwrap();
+            let socket = tmp.path().join("scripted.sock");
+            let creates = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+            let (closed, closed_rx) = std::sync::mpsc::channel();
+            let server = scripted_server(socket.clone(), 2, Arc::clone(&creates), 0, closed);
 
-                let ep = PipelinedEndpoint::new(&socket, fast_retry());
-                for _ in 0..depth {
-                    // Dials one more connection, which the script closes
-                    // once it has answered.
-                    assert!(matches!(ep.call(&Request::Ping), Ok(Response::Ok)));
-                    closed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
-                }
-                assert_eq!(ep.pool.lock().len(), depth);
-                ep.rr.fetch_add(rr_skew, Ordering::Relaxed);
-                let resp = ep.call(&Request::CreatePool {
-                    name: "once".into(),
-                    root_size: 4096,
-                    mode: 0o600,
-                });
-                assert!(
-                    matches!(resp, Ok(Response::Pool(_))),
-                    "depth {depth}, skew {rr_skew}: {resp:?}"
-                );
-                assert_eq!(creates.load(Ordering::SeqCst), 1);
-                drop(ep);
-                server.join().unwrap();
-            }
+            let ep = PipelinedEndpoint::new(&socket, fast_retry());
+            // Dials the connection, which the script closes once it has
+            // answered.
+            assert!(matches!(ep.call(&Request::Ping), Ok(Response::Ok)));
+            closed_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+            let resp = ep.call(&Request::CreatePool {
+                name: "once".into(),
+                root_size: 4096,
+                mode: 0o600,
+            });
+            assert!(matches!(resp, Ok(Response::Pool(_))), "{resp:?}");
+            assert_eq!(creates.load(Ordering::SeqCst), 1);
+            drop(ep);
+            server.join().unwrap();
         }
 
         /// A response whose id matches no waiting caller is a protocol violation:

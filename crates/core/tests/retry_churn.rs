@@ -9,6 +9,8 @@
 
 use puddled::{Daemon, DaemonConfig, UdsServer};
 use puddles::{PuddleClient, RetryPolicy};
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,10 +20,10 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("cap.sock");
-    // Four connection slots — two clients' worth, each pooling two — for
+    // Two connection slots — two clients' worth, one connection each — for
     // six churning client threads: most dials hit the cap and must back off
     // into a freed slot.
-    let _server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 4).unwrap();
+    let _server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 2).unwrap();
 
     const THREADS: usize = 6;
     const ROUNDS: usize = 8;
@@ -54,12 +56,10 @@ fn backoff_wins_a_slot_under_connection_cap_churn() {
     assert_eq!(completed.load(Ordering::Relaxed), THREADS * ROUNDS);
 }
 
-/// A client whose pool wants more connections than the daemon will give it
-/// (it pools two against a one-slot cap) works over the connection it
-/// has: the refused top-up dial neither fails the call nor sends it through
-/// the dial's backoff schedule.
+/// A client holds one connection: against a one-slot cap every call goes
+/// over it, with no dial turned away and none retried.
 #[test]
-fn a_refused_top_up_dial_falls_through_to_the_live_connection() {
+fn a_client_takes_one_connection_slot() {
     let tmp = tempfile::tempdir().unwrap();
     let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
     let socket = tmp.path().join("one.sock");
@@ -69,15 +69,56 @@ fn a_refused_top_up_dial_falls_through_to_the_live_connection() {
     for _ in 0..20 {
         client.ping().expect("ping over the one granted connection");
     }
-    // Every call tried one top-up and the daemon turned each away...
-    let rejected = client.metrics().unwrap().counter("connections_rejected");
-    assert!(rejected >= Some(20), "{rejected:?}");
-    // ...but none of them was retried: backoff is for an empty pool only.
-    let retries = client
-        .client_metrics()
-        .counters
-        .iter()
-        .find(|c| c.name == "client.retry_attempts")
-        .map(|c| c.value);
-    assert_eq!(retries, Some(0));
+    let daemon_side = client.metrics().unwrap();
+    assert_eq!(daemon_side.counter("connections_rejected"), Some(0));
+    assert_eq!(daemon_side.counter("uds.connections"), Some(1));
+    let client_side = client.client_metrics();
+    assert_eq!(client_side.counter("client.retry_attempts"), Some(0));
+}
+
+/// `client.reconnects` counts what the daemon's `client_reconnects` counts:
+/// re-dials the daemon served a `Hello` on. A re-dial turned away at the
+/// cap with `Busy` is neither.
+#[test]
+fn a_redial_turned_away_at_the_cap_is_not_a_reconnect() {
+    let tmp = tempfile::tempdir().unwrap();
+    let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
+    let socket = tmp.path().join("redial.sock");
+    let mut server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 1).unwrap();
+    let retry = RetryPolicy::new(2, Duration::from_secs(2))
+        .with_backoff(Duration::from_micros(100), Duration::from_millis(1));
+    let client =
+        PuddleClient::connect_uds_shared_tuned(&socket, daemon.global_space(), retry).unwrap();
+    client.ping().unwrap();
+    let reconnects = || {
+        let daemon_side = daemon.metrics().counter("client_reconnects");
+        (
+            client.client_metrics().counter("client.reconnects"),
+            Some(daemon_side.load(Ordering::Relaxed)),
+        )
+    };
+
+    // The server restarts under the client's connection...
+    server.shutdown();
+    let server = UdsServer::start_with_max_connections(daemon.clone(), &socket, 1).unwrap();
+    // ...and a raw connection takes the one slot (its `Hello` is answered,
+    // so the reactor has accepted it), so every re-dial is turned away.
+    let mut raw = UnixStream::connect(&socket).unwrap();
+    raw.write_all(&puddles_proto::frame::V2_MAGIC).unwrap();
+    let hello = puddles_proto::RequestEnvelope {
+        req_id: 1,
+        req: puddles_proto::Request::hello(puddles_proto::Credentials::current_process()),
+    };
+    puddles_proto::write_frame(&mut raw, &hello).unwrap();
+    assert!(raw.read(&mut [0u8; 256]).unwrap() > 0, "no Welcome");
+    client.ping().expect_err("the one slot is taken");
+    assert_eq!(reconnects(), (Some(0), Some(0)));
+
+    // The raw connection leaves; the next re-dial is served.
+    drop(raw);
+    while server.active_connections() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    client.ping().expect("a freed slot");
+    assert_eq!(reconnects(), (Some(1), Some(1)));
 }

@@ -103,14 +103,14 @@ fn pooled_client_connection_survives_a_daemon_server_restart() {
     let pools = || client.metrics().unwrap().counter("registry.pools");
     assert_eq!(pools(), Some(0));
 
-    // Restart the socket server: every connection the client pooled is now
-    // a dead socket. The next call must detect the stale connection and
-    // retry once on a fresh one instead of surfacing EOF/EPIPE.
+    // Restart the socket server: the client's connection is now a dead
+    // socket. The next call must detect the stale connection and retry
+    // once on a fresh one instead of surfacing EOF/EPIPE.
     server.shutdown();
     let _server = UdsServer::start(daemon.clone(), &socket).unwrap();
 
     client
         .ping()
-        .expect("pooled connection should retry after restart");
+        .expect("the client's connection should retry after restart");
     assert_eq!(pools(), Some(0));
 }
