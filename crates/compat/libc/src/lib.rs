@@ -2,7 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this crate declares
 //! exactly the C types, constants, and functions the workspace uses:
-//! memory mapping (`mmap`/`munmap`/`msync`), `SO_PEERCRED` credential
+//! memory mapping (`mmap`/`munmap`/`msync`, `madvise` access advice and
+//! `mincore` residency), `SO_PEERCRED` credential
 //! lookup on UNIX sockets, epoll readiness notification + `eventfd` wakeups
 //! (the `compat/polling` poller), `RLIMIT_NOFILE` adjustment (the
 //! connection-scaling bench), and `lseek`'s hole reporting (sparse puddle
@@ -39,6 +40,9 @@ pub const MAP_FAILED: *mut c_void = usize::MAX as *mut c_void;
 
 // msync flags.
 pub const MS_SYNC: c_int = 4;
+
+// madvise advice (asm-generic/mman-common.h).
+pub const MADV_RANDOM: c_int = 1;
 
 // Socket options (asm-generic/socket.h).
 pub const SOL_SOCKET: c_int = 1;
@@ -107,6 +111,8 @@ extern "C" {
     ) -> *mut c_void;
     pub fn munmap(addr: *mut c_void, len: size_t) -> c_int;
     pub fn msync(addr: *mut c_void, len: size_t, flags: c_int) -> c_int;
+    pub fn madvise(addr: *mut c_void, len: size_t, advice: c_int) -> c_int;
+    pub fn mincore(addr: *mut c_void, len: size_t, vec: *mut u8) -> c_int;
     pub fn getsockopt(
         sockfd: c_int,
         level: c_int,

@@ -5,7 +5,7 @@ use crate::client::ClientInner;
 use crate::error::{Error, Result};
 use crate::reloc;
 use puddled::{PuddleHeader, PUDDLE_MAGIC};
-use puddles_pmem::persist;
+use puddles_pmem::{failpoint, persist};
 use puddles_proto::{PuddleId, PuddleInfo, Request, Response};
 use std::sync::Arc;
 
@@ -58,11 +58,17 @@ impl MappedPuddle {
                     puddle.info.id
                 )));
             }
+            // The header's magic is the commit point: the allocator is
+            // persisted first, so a crash in between leaves a puddle the
+            // next map finds fresh and initializes again.
+            puddle.alloc.init();
+            if failpoint::should_fail(failpoint::names::PUDDLE_INIT_CRASH) {
+                return Err(Error::CrashInjected(failpoint::names::PUDDLE_INIT_CRASH));
+            }
             let header = PuddleHeader::new(puddle.info.id, puddle.info.size, addr as u64);
             // SAFETY: mapped writable; header region is exclusively ours
             // until the puddle is published.
             unsafe { header.write_to(addr as *mut u8) };
-            puddle.alloc.init();
         } else if !puddle.alloc.is_initialized() {
             return Err(Error::Corruption(format!(
                 "puddle {} has a header but no allocator metadata",

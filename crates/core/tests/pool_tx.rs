@@ -331,6 +331,46 @@ fn crash_during_commit_is_recovered_by_the_system() {
 }
 
 #[test]
+fn crash_while_a_fresh_root_is_first_mapped_leaves_the_pool_usable() {
+    use puddles_pmem::failpoint;
+    let _guard = failpoint_lock();
+
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path());
+    {
+        let daemon = Daemon::start(config.clone()).unwrap();
+        let client = PuddleClient::connect_local(&daemon).unwrap();
+        // The daemon made the pool and its root durable; the crash lands
+        // halfway through the client's first-map initialization of the root.
+        failpoint::arm_scoped(failpoint::names::PUDDLE_INIT_CRASH, 0);
+        let err = client
+            .create_pool("firstmap", PoolOptions::default())
+            .unwrap_err();
+        failpoint::clear_all();
+        assert!(
+            err.is_injected_crash(),
+            "expected injected crash, got {err}"
+        );
+    }
+
+    let daemon = Daemon::start(config).unwrap();
+    let client = PuddleClient::connect_local(&daemon).unwrap();
+    let pool = client.open_pool("firstmap").unwrap();
+    pool.tx(|tx| {
+        pool.create_root(
+            tx,
+            Counter {
+                value: 7,
+                touched: 1,
+            },
+        )
+    })
+    .unwrap();
+    let root: PmPtr<Counter> = pool.root().unwrap();
+    assert_eq!(pool.deref(root).unwrap().value, 7);
+}
+
+#[test]
 fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
     use puddles_pmem::failpoint;
     let _guard = failpoint_lock();

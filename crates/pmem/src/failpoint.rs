@@ -215,6 +215,11 @@ pub mod names {
     /// is unreachable by recovery and must be swept at the next daemon
     /// startup).
     pub const LOGSPACE_ALLOC_CRASH: &str = "logspace.after_alloc";
+    /// While a client maps a brand-new puddle for the first time: between
+    /// persisting its allocator metadata and its header. The header's magic
+    /// is the commit point, so the next map must find the puddle fresh and
+    /// initialize it again.
+    pub const PUDDLE_INIT_CRASH: &str = "puddle.init.mid";
     /// During transaction body execution, before commit begins.
     pub const TX_BODY: &str = "tx.body";
     /// While the allocator mutates persistent metadata inside a transaction.

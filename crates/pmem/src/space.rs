@@ -175,6 +175,7 @@ impl VaReservation {
         if addr == libc::MAP_FAILED {
             return Err(PmError::Mmap(std::io::Error::last_os_error()));
         }
+        advise_random(addr, len);
         Ok(addr as usize)
     }
 
@@ -208,6 +209,7 @@ impl VaReservation {
         if addr == libc::MAP_FAILED {
             return Err(PmError::Mmap(std::io::Error::last_os_error()));
         }
+        advise_random(addr, len);
         Ok(addr as usize)
     }
 
@@ -269,6 +271,24 @@ impl VaReservation {
         }
         Ok(())
     }
+}
+
+/// Advises a fresh file mapping random-access (`MADV_RANDOM`), so that a
+/// first touch faults in one page instead of a read-ahead window.
+///
+/// Persistent memory under DAX has no page cache: a load faults nothing in
+/// and nothing is read ahead. A file-backed puddle goes through the page
+/// cache, whose read-around on a block device (`read_ahead_kb`, often
+/// several MiB) would zero-fill a whole fresh puddle on its first load and
+/// make the unlink that drops it tear every page down again. Fault-around
+/// of pages already cached is unaffected.
+fn advise_random(addr: *mut libc::c_void, len: usize) {
+    // SAFETY: `[addr, addr + len)` is a mapping this module just made;
+    // MADV_RANDOM changes only the kernel's paging policy for it.
+    let rc = unsafe { libc::madvise(addr, len, libc::MADV_RANDOM) };
+    // Advice on a live mapping cannot fail (EINVAL/ENOMEM need a bad
+    // range); if it ever did, the mapping is still correct, only slower.
+    debug_assert_eq!(rc, 0, "madvise(MADV_RANDOM) on a fresh mapping");
 }
 
 impl Drop for VaReservation {
@@ -364,6 +384,78 @@ mod tests {
             assert_eq!(*(addr as *const u64), 0xdead_beef);
             VaReservation::unmap_anywhere(addr, PAGE_SIZE).unwrap();
         }
+    }
+
+    /// A fresh pool root's size: 2,048 pages of holes.
+    const FRESH_ROOT_LEN: usize = 8 << 20;
+
+    /// The `VmFlags` of the mapping that starts at `addr`, read from
+    /// `/proc/self/smaps`.
+    fn vm_flags(addr: usize) -> String {
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let head = format!("{addr:x}-");
+        let mut lines = smaps.lines().skip_while(|l| !l.starts_with(&head));
+        assert!(lines.next().is_some(), "no mapping starts at {addr:#x}");
+        let flags = lines.find_map(|l| l.strip_prefix("VmFlags:"));
+        flags.expect("smaps entry has a VmFlags line").to_string()
+    }
+
+    /// Pages of `[addr, addr + len)` whose backing is resident, per
+    /// `mincore`.
+    fn resident_pages(addr: usize, len: usize) -> usize {
+        let mut vec = vec![0u8; len.div_ceil(PAGE_SIZE)];
+        // SAFETY: `[addr, addr + len)` is a live mapping and `vec` holds
+        // one byte per page of it.
+        let rc = unsafe { libc::mincore(addr as *mut libc::c_void, len, vec.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore: {}", std::io::Error::last_os_error());
+        vec.iter().filter(|&&b| b & 1 != 0).count()
+    }
+
+    /// Loads one byte of the fresh root mapped at `addr`, then checks the
+    /// mapping is advised random-access and that the load brought in at
+    /// most one fault-around window (16 pages), not a read-ahead window.
+    fn assert_first_load_faults_one_page(addr: usize) {
+        // SAFETY: `addr` is a live readable mapping of FRESH_ROOT_LEN bytes.
+        let byte = unsafe { std::ptr::read_volatile((addr + 4 * PAGE_SIZE) as *const u8) };
+        assert_eq!(byte, 0);
+        let flags = vm_flags(addr);
+        assert!(
+            flags.split_whitespace().any(|f| f == "rr"),
+            "mapping not advised random-access: VmFlags:{flags}"
+        );
+        let resident = resident_pages(addr, FRESH_ROOT_LEN);
+        assert!(
+            resident <= 16,
+            "one load made {resident} of {} pages resident",
+            FRESH_ROOT_LEN / PAGE_SIZE
+        );
+    }
+
+    #[test]
+    fn fixed_mapping_is_advised_random_and_faults_one_page() {
+        let res = VaReservation::reserve(None, 2 * FRESH_ROOT_LEN).unwrap();
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        pm.create_puddle_file("root", FRESH_ROOT_LEN).unwrap();
+        let (file, _) = pm.open_puddle_file("root", FRESH_ROOT_LEN).unwrap();
+        let addr = res
+            .map_file_fixed(FRESH_ROOT_LEN, &file, FRESH_ROOT_LEN, true)
+            .unwrap();
+        assert_first_load_faults_one_page(addr);
+        // SAFETY: no references into the mapping remain.
+        unsafe { res.unmap(FRESH_ROOT_LEN, FRESH_ROOT_LEN).unwrap() };
+    }
+
+    #[test]
+    fn anywhere_mapping_is_advised_random_and_faults_one_page() {
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        pm.create_puddle_file("pool", FRESH_ROOT_LEN).unwrap();
+        let (file, _) = pm.open_puddle_file("pool", FRESH_ROOT_LEN).unwrap();
+        let addr = VaReservation::map_file_anywhere(&file, FRESH_ROOT_LEN, true).unwrap();
+        assert_first_load_faults_one_page(addr);
+        // SAFETY: no references into the mapping remain.
+        unsafe { VaReservation::unmap_anywhere(addr, FRESH_ROOT_LEN).unwrap() };
     }
 
     #[test]

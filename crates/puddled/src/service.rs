@@ -180,6 +180,10 @@ pub struct DaemonInner {
     /// [`request_kind_index`] — resolved once so [`Daemon::handle`] records
     /// without touching the series-registry lock.
     pub(crate) service_series: Vec<Arc<ShardedHistogram>>,
+    /// `stage.file_create`: making one new puddle's backing file.
+    pub(crate) stage_file_create: Arc<ShardedHistogram>,
+    /// `stage.unlink`: deleting one request's released puddle files.
+    pub(crate) stage_unlink: Arc<ShardedHistogram>,
 }
 
 /// The Puddles daemon: a privileged service managing every puddle on the
@@ -326,6 +330,8 @@ impl Daemon {
                 pmdir,
                 gspace,
                 registry,
+                stage_file_create: metrics.series("stage.file_create"),
+                stage_unlink: metrics.series("stage.unlink"),
                 metrics,
                 service_series,
             }),
@@ -648,8 +654,16 @@ impl Daemon {
             old_addr: 0,
             rewrite: Rewrite::Clean,
         };
-        let pmdir = &self.inner.pmdir;
-        if let Err(e) = pmdir.create_puddle_file(&record.file(), size as usize) {
+        let clock = &self.inner.config.clock;
+        let start = clock.now();
+        let created = self
+            .inner
+            .pmdir
+            .create_puddle_file(&record.file(), size as usize);
+        self.inner
+            .stage_file_create
+            .record_duration(clock.now() - start);
+        if let Err(e) = created {
             reg.free_space(offset, size);
             return Err(DaemonError::from(e));
         }
@@ -872,10 +886,14 @@ impl DaemonInner {
     /// and reports the first failure. The file it leaves behind has no
     /// record: the next startup sweeps it.
     pub(crate) fn unlink(&self, records: &[PuddleRecord]) -> Result<()> {
-        records
+        let start = self.config.clock.now();
+        let unlinked = records
             .iter()
             .map(|record| self.pmdir.delete_puddle_file(&record.file()))
-            .fold(Ok(()), Result::and)
+            .fold(Ok(()), Result::and);
+        self.stage_unlink
+            .record_duration(self.config.clock.now() - start);
+        unlinked
     }
 }
 
@@ -1088,6 +1106,39 @@ mod tests {
             seen
         };
         assert_eq!(traffic(Clock::real()), traffic(Clock::simulated(1)));
+    }
+
+    /// The file layers of a pool's life are priced on their own: one
+    /// `CreatePool` makes one file and one `DropPool` unlinks its members
+    /// once, each a sample on the daemon's clock in `GetMetrics`.
+    #[test]
+    fn pool_create_and_drop_each_record_one_file_stage_sample() {
+        let tmp = tempfile::tempdir().unwrap();
+        let config = DaemonConfig::for_testing(tmp.path()).with_clock(Clock::simulated(5));
+        let daemon = Daemon::start(config).unwrap();
+        let creds = Credentials::current_process();
+        let stage_counts = || {
+            let Response::Metrics(report) = daemon.handle(creds, Request::GetMetrics) else {
+                panic!("GetMetrics did not answer Metrics");
+            };
+            ["stage.file_create", "stage.unlink"].map(|name| {
+                report
+                    .series(name)
+                    .unwrap_or_else(|| panic!("no `{name}` series"))
+                    .count
+            })
+        };
+        assert_eq!(stage_counts(), [0, 0]);
+        let pool = PoolInfo {
+            name: "staged".into(),
+            root_puddle: PuddleId(0),
+            puddles: Vec::new(),
+        };
+        for kind in ["CreatePool", "DropPool"] {
+            let resp = daemon.handle(creds, sample_request(kind, &pool));
+            assert!(!matches!(resp, Response::Error { .. }), "{kind}: {resp:?}");
+        }
+        assert_eq!(stage_counts(), [1, 1]);
     }
 
     /// The other half of the table: a request that changes metadata is
