@@ -4,12 +4,13 @@
 //! one socket endpoint — one pipelined connection per client.
 //!
 //! A connection has no thread of its own. Callers share its write half one
-//! frame at a time, and **whoever is waiting reads**: a caller that finds
-//! the read half free takes it (the *leader*), routes every response frame
-//! it reads to the caller waiting on that `req_id`, returns as soon as its
-//! own has arrived, and on the way out wakes one caller still waiting to
-//! take over. So a depth-1 call is one `write` and one `read` on the
-//! calling thread, and deeper pipelines still complete out of order.
+//! frame at a time, and **whoever finds the socket free reads**: a caller
+//! whose response is not in yet waits while another caller is reading, and
+//! otherwise reads the socket once itself, hands every response frame that
+//! read completed to the caller awaiting its `req_id`, and looks again. So
+//! a depth-1 call is one `write` and one `read` on the calling thread, and
+//! deeper pipelines still complete out of order: a slow request holds up
+//! only its own caller.
 //!
 //! What is re-sent: a request whose frame could not be written was never
 //! delivered (the daemon dispatches complete frames only), so whatever its
@@ -90,7 +91,8 @@ pub struct ClientMetrics {
     /// is in: a re-dial turned away with `Busy` is not a reconnect.
     pub reconnects: std::sync::atomic::AtomicU64,
     /// High-water mark of requests in flight on one pipelined connection
-    /// (how deep the id→slot completion map has grown).
+    /// (calls that had written, or were about to write, their frame and
+    /// did not yet have their response).
     pub pipeline_depth_hwm: std::sync::atomic::AtomicU64,
 }
 
@@ -227,13 +229,13 @@ impl RetryPolicy {
     }
 
     /// Runs `op` until it succeeds, fails non-transiently, or the attempt /
-    /// deadline budget is spent. `op` receives the 0-based attempt number;
-    /// attempts past the first follow a backoff sleep.
-    fn run<T>(&self, mut op: impl FnMut(u32) -> std::io::Result<T>) -> std::io::Result<T> {
+    /// deadline budget is spent; attempts past the first follow a backoff
+    /// sleep.
+    fn run<T>(&self, mut op: impl FnMut() -> std::io::Result<T>) -> std::io::Result<T> {
         let start = self.clock.now();
         let mut attempt = 0u32;
         loop {
-            match op(attempt) {
+            match op() {
                 Ok(v) => return Ok(v),
                 Err(e) if !is_transient(&e) => return Err(e),
                 Err(e) => {
@@ -312,39 +314,16 @@ impl CallError {
     }
 }
 
-/// One caller's place in a connection's completion map.
-struct Slot {
-    /// The outcome, set by whichever caller was reading when it arrived.
-    result: Option<std::io::Result<Response>>,
-    /// Wakes the owner: its result is in, or it should take the read half.
-    wake: Arc<std::sync::Condvar>,
-}
-
-/// What callers of one connection coordinate through.
+/// What the callers of one connection coordinate through.
 struct Waiting {
-    /// Callers whose response has not been handed over, by request id.
-    slots: HashMap<u64, Slot>,
-    /// Some caller holds the read half and is routing frames.
-    has_leader: bool,
+    /// Every call in flight, by request id: `None` until its outcome is in.
+    /// Only the call itself removes its entry.
+    answers: HashMap<u64, Option<std::io::Result<Response>>>,
+    /// A caller is reading the socket for everyone.
+    reading: bool,
 }
 
-impl Waiting {
-    /// With the read half free, wakes one caller whose response is still
-    /// out to take it. The caller picked may not be parked yet (its slot is
-    /// in the map from before it writes its frame): then it finds the read
-    /// half free when it gets there, or, if its write fails, passes the
-    /// wake-up on through here.
-    fn wake_next_leader(&self) {
-        if self.has_leader {
-            return;
-        }
-        if let Some(next) = self.slots.values().find(|s| s.result.is_none()) {
-            next.wake.notify_one();
-        }
-    }
-}
-
-/// The read half of a connection; whoever leads owns it for the duration.
+/// The read half of a connection, used by whichever caller is reading.
 struct ReadHalf {
     stream: UnixStream,
     decoder: puddles_proto::frame::FrameDecoder,
@@ -352,17 +331,21 @@ struct ReadHalf {
     buf: Box<[u8]>,
 }
 
-/// One connection: a shared write half, a read half that the waiting
-/// callers pass among themselves, and the id→slot completion map that pairs
-/// out-of-order responses with their callers.
+/// One connection: a shared write half, a read half that whichever caller
+/// finds it free reads for everyone, and the answers by request id that
+/// pair out-of-order responses with their callers.
 struct PipeConn {
     /// Write half (a `try_clone` of the socket). The lock covers one whole
     /// frame write, so concurrent callers never interleave frame bytes.
     writer: Mutex<UnixStream>,
-    /// Only the current leader locks this, so it is never contended; the
-    /// mutex is what lets leadership move between threads.
+    /// Locked only by the caller that set [`Waiting::reading`], so never
+    /// contended; the mutex is what lets the read half move between
+    /// threads.
     reader: Mutex<ReadHalf>,
     waiting: std::sync::Mutex<Waiting>,
+    /// Signalled when a reader is done: answers may be in, and the read
+    /// half is free.
+    answered: std::sync::Condvar,
     next_id: std::sync::atomic::AtomicU64,
     /// A read or write failed (EOF, I/O error, protocol violation): no
     /// future call on this connection can complete. The endpoint replaces
@@ -383,9 +366,10 @@ impl PipeConn {
             }),
             writer: Mutex::new(stream),
             waiting: std::sync::Mutex::new(Waiting {
-                slots: HashMap::new(),
-                has_leader: false,
+                answers: HashMap::new(),
+                reading: false,
             }),
+            answered: std::sync::Condvar::new(),
             next_id: std::sync::atomic::AtomicU64::new(1),
             dead: std::sync::atomic::AtomicBool::new(false),
             metrics,
@@ -406,6 +390,7 @@ impl PipeConn {
     /// reading the socket itself whenever nobody else is (see the module
     /// docs). Any number of calls may be in flight concurrently.
     fn call(&self, req: &Request) -> Result<Response, CallError> {
+        use std::io::Write;
         if self.is_dead() {
             return Err(CallError::Unsent(std::io::Error::new(
                 std::io::ErrorKind::BrokenPipe,
@@ -415,63 +400,74 @@ impl PipeConn {
         let req_id = self
             .next_id
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let wake = Arc::new(std::sync::Condvar::new());
+        // Encoded before the connection is touched: a request too big for
+        // one frame fails its own caller and leaves the connection up.
+        let frame = puddles_proto::frame::encode_frame(&puddles_proto::RequestEnvelope {
+            req_id,
+            req: req.clone(),
+        })
+        .map_err(CallError::Unsent)?;
         let in_flight = {
             let mut waiting = self.waiting();
-            let slot = Slot {
-                result: None,
-                wake: Arc::clone(&wake),
-            };
-            waiting.slots.insert(req_id, slot);
-            waiting.slots.len() as u64
+            waiting.answers.insert(req_id, None);
+            waiting.answers.len() as u64
         };
         self.metrics
             .pipeline_depth_hwm
             .fetch_max(in_flight, std::sync::atomic::Ordering::Relaxed);
-        let env = puddles_proto::RequestEnvelope {
-            req_id,
-            req: req.clone(),
-        };
-        let written = {
-            let mut writer = self.writer.lock();
-            puddles_proto::write_frame(&mut *writer, &env)
-        };
-        if let Err(e) = written {
-            self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
-            let mut waiting = self.waiting();
-            waiting.slots.remove(&req_id);
+        if let Err(e) = self.writer.lock().write_all(&frame) {
             // Callers already waiting learn of it from the read half: the
-            // peer that refused this write has closed on them too. But a
-            // leader on its way out may have picked this caller to read
-            // next while it was still writing; hand that on, or nobody is
-            // left reading.
-            waiting.wake_next_leader();
+            // peer that refused this write has closed on them too.
+            self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
+            self.waiting().answers.remove(&req_id);
             return Err(CallError::Unsent(e));
         }
 
         let mut waiting = self.waiting();
         loop {
-            let slot = waiting.slots.get_mut(&req_id).expect("own slot");
-            if let Some(result) = slot.result.take() {
-                waiting.slots.remove(&req_id);
-                return result.map_err(CallError::Unanswered);
+            if let Some(answer) = waiting.answers.get_mut(&req_id).and_then(Option::take) {
+                waiting.answers.remove(&req_id);
+                return answer.map_err(CallError::Unanswered);
             }
-            if waiting.has_leader {
-                waiting = wake.wait(waiting).unwrap_or_else(|e| e.into_inner());
-            } else {
-                waiting.has_leader = true;
-                drop(waiting);
-                self.lead(req_id);
-                waiting = self.waiting();
+            if waiting.reading {
+                waiting = self
+                    .answered
+                    .wait(waiting)
+                    .unwrap_or_else(|e| e.into_inner());
+                continue;
+            }
+            waiting.reading = true;
+            drop(waiting);
+            let outcome = self.read_batch();
+            waiting = self.waiting();
+            waiting.reading = false;
+            if let Err(failure) = outcome {
+                // The stream position is lost (or the peer is gone):
+                // nothing more can arrive. Fail every call still waiting,
+                // exactly once each.
+                self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
+                for answer in waiting.answers.values_mut().filter(|a| a.is_none()) {
+                    *answer = Some(Err(std::io::Error::new(
+                        failure.kind(),
+                        failure.to_string(),
+                    )));
+                }
+            }
+            // Only other callers can be waiting, and each has an entry.
+            // Alone, skip the notify: it is a syscall even with nobody to
+            // wake.
+            if waiting.answers.len() > 1 {
+                self.answered.notify_all();
             }
         }
     }
 
-    /// Leads: owns the read half and hands every response to its slot,
-    /// until the one for `own_id` is in (or the connection fails, which
-    /// fails every waiting caller, this one included). On the way out, one
-    /// caller still waiting is woken to lead next.
-    fn lead(&self, own_id: u64) {
+    /// Reads the socket once and hands every complete response frame to
+    /// its entry in the answers (so no complete frame is left buffered for
+    /// the next batch, which reads first too). An error means the
+    /// connection is lost: it failed, closed, sent a bare frame or answered
+    /// an id nobody awaits.
+    fn read_batch(&self) -> std::io::Result<()> {
         use std::io::Read;
         let mut half = self.reader.lock();
         let ReadHalf {
@@ -479,67 +475,32 @@ impl PipeConn {
             decoder,
             buf,
         } = &mut *half;
-        let failure = 'lead: loop {
-            // Frames a previous leader read but left undecoded come first.
-            let mut own_arrived = false;
-            loop {
-                match decoder.next_frame::<puddles_proto::ServerFrame>() {
-                    Ok(Some(puddles_proto::ServerFrame::Enveloped(env))) => {
-                        let mut waiting = self.waiting();
-                        let Some(slot) = waiting.slots.get_mut(&env.req_id) else {
-                            break 'lead std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!("response for unknown req_id {}", env.req_id),
-                            );
-                        };
-                        slot.result = Some(Ok(env.resp));
-                        if env.req_id == own_id {
-                            own_arrived = true;
-                        } else {
-                            slot.wake.notify_one();
-                        }
-                    }
-                    Ok(Some(puddles_proto::ServerFrame::Bare(resp))) => {
-                        break 'lead bare_frame_error(resp)
-                    }
-                    Ok(None) => break,
-                    Err(e) => break 'lead e,
-                }
+        match stream.read(buf) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "daemon closed the connection",
+                ))
             }
-            if own_arrived {
-                drop(half);
-                let mut waiting = self.waiting();
-                waiting.has_leader = false;
-                waiting.wake_next_leader();
-                return;
-            }
-            match stream.read(buf) {
-                Ok(0) => {
-                    break 'lead std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "daemon closed the connection",
-                    )
-                }
-                Ok(n) => decoder.feed(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => break 'lead e,
-            }
-        };
-        drop(half);
-        // The stream position is lost (or the peer is gone): nothing more
-        // can arrive. Fail everyone still waiting, exactly once each.
-        self.dead.store(true, std::sync::atomic::Ordering::Relaxed);
-        let mut waiting = self.waiting();
-        waiting.has_leader = false;
-        for slot in waiting.slots.values_mut() {
-            if slot.result.is_none() {
-                slot.result = Some(Err(std::io::Error::new(
-                    failure.kind(),
-                    failure.to_string(),
-                )));
-                slot.wake.notify_one();
-            }
+            Ok(n) => decoder.feed(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
+        while let Some(frame) = decoder.next_frame::<puddles_proto::ServerFrame>()? {
+            let env = match frame {
+                puddles_proto::ServerFrame::Enveloped(env) => env,
+                puddles_proto::ServerFrame::Bare(resp) => return Err(bare_frame_error(resp)),
+            };
+            let mut waiting = self.waiting();
+            let Some(answer) = waiting.answers.get_mut(&env.req_id) else {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("response for unknown req_id {}", env.req_id),
+                ));
+            };
+            *answer = Some(Ok(env.resp));
+        }
+        Ok(())
     }
 }
 
@@ -566,8 +527,8 @@ fn bare_frame_error(resp: Response) -> std::io::Error {
 /// Client-side endpoint speaking the framed protocol over a UNIX socket.
 ///
 /// Holds one connection, which multiplexes any number of concurrent callers
-/// through its id→slot map, so client threads never wait for each other's
-/// round trips. A dead connection is replaced on the next call; what a
+/// by request id, so client threads never wait for each other's round
+/// trips. A dead connection is replaced on the next call; what a
 /// failed call re-sends is the module docs' rule.
 pub(crate) struct PipelinedEndpoint {
     path: std::path::PathBuf,
@@ -605,7 +566,7 @@ impl PipelinedEndpoint {
     /// the cap gets through once load drains. The lock covers a single
     /// dial, never a backoff sleep.
     fn conn(&self) -> std::io::Result<Arc<PipeConn>> {
-        self.retry.run(|_| {
+        self.retry.run(|| {
             let mut held = self.conn.lock();
             match &*held {
                 Some(conn) if !conn.is_dead() => Ok(Arc::clone(conn)),
@@ -672,7 +633,7 @@ impl Endpoint for PipelinedEndpoint {
                 // only the response, so only idempotent requests are
                 // re-sent — each retry on a connection that just handshook,
                 // under the backoff policy.
-                self.retry.run(|_| {
+                self.retry.run(|| {
                     self.round_trip(&*self.conn()?, req)
                         .map_err(CallError::into_io)
                 })
@@ -738,7 +699,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut calls = 0u32;
-        let result = policy.run(|_| {
+        let result = policy.run(|| {
             calls += 1;
             if calls < 3 {
                 Err(Error::new(ErrorKind::BrokenPipe, "flaky"))
@@ -755,7 +716,7 @@ mod tests {
         let policy = RetryPolicy::default();
         let mut calls = 0u32;
         let err = policy
-            .run(|_| -> std::io::Result<()> {
+            .run(|| -> std::io::Result<()> {
                 calls += 1;
                 Err(Error::new(ErrorKind::PermissionDenied, "no"))
             })
@@ -775,7 +736,7 @@ mod tests {
         };
         let mut calls = 0u32;
         let err = policy
-            .run(|_| -> std::io::Result<()> {
+            .run(|| -> std::io::Result<()> {
                 calls += 1;
                 Err(Error::new(ErrorKind::ConnectionReset, "down"))
             })
@@ -802,7 +763,7 @@ mod tests {
         .with_clock(clock.clone());
         let mut calls = 0u32;
         let err = policy
-            .run(|_| -> std::io::Result<()> {
+            .run(|| -> std::io::Result<()> {
                 calls += 1;
                 Err(Error::new(ErrorKind::BrokenPipe, "down"))
             })
@@ -951,14 +912,15 @@ mod tests {
             reqs
         }
 
-        /// Leadership hand-off, one forced step at a time: the first leader
-        /// is answered first and leaves with every other caller still
-        /// waiting; after that each response (reverse arrival order) is
-        /// written only once the previous caller has returned, so at every
-        /// step somebody must be reading or the test times out. A promotion
-        /// lost anywhere strands the callers behind it.
+        /// The free socket is taken up, one forced step at a time: the
+        /// first reader is answered first and leaves with every other
+        /// caller still waiting; after that each response (reverse arrival
+        /// order) is written only once the previous caller has returned, so
+        /// at every step some waiting caller must find the socket free and
+        /// read, or the test times out. A wake-up lost anywhere strands the
+        /// callers behind it.
         #[test]
-        fn leadership_passes_on_until_the_last_caller_is_answered() {
+        fn a_waiting_caller_reads_once_the_socket_is_free_until_the_last_is_answered() {
             use std::sync::mpsc;
             const N: usize = 6;
             let (client_sock, mut server_sock) = UnixStream::pair().unwrap();
@@ -979,9 +941,9 @@ mod tests {
 
             let mut callers = vec![spawn_caller(0)];
             let mut reqs = read_requests(&mut server_sock, 1);
-            // Caller 0 wrote its frame; wait until it also holds the read
-            // half, so that the others find a leader and park behind it.
-            while !conn.waiting().has_leader {
+            // Caller 0 wrote its frame; wait until it is also reading, so
+            // that the others find the socket taken and park.
+            while !conn.waiting().reading {
                 std::thread::yield_now();
             }
             callers.extend((1..N).map(spawn_caller));
@@ -1011,18 +973,18 @@ mod tests {
                 caller.join().unwrap();
             }
             let waiting = conn.waiting();
-            assert!(waiting.slots.is_empty() && !waiting.has_leader);
+            assert!(waiting.answers.is_empty() && !waiting.reading);
         }
 
-        /// A departing leader may hand the read half to a caller that is
-        /// still writing its frame. If that write then fails (the peer
-        /// answered the leader and closed), the hand-off must move on to a
-        /// caller that is parked, or nobody ever reads the EOF. Which
-        /// caller a leader picks is the map's iteration order, so several
-        /// writers are held mid-write, over several rounds, to make sure
-        /// one of them is picked.
+        /// Callers still writing their frames when the reader leaves must
+        /// not strand a caller that is parked: if their writes fail (the
+        /// peer answered the reader and closed), they leave without
+        /// reading, and the parked caller must still find the socket free
+        /// and read the EOF itself. Several writers are held mid-write,
+        /// over several rounds, so that their failures interleave with the
+        /// reader's departure.
         #[test]
-        fn a_promoted_caller_whose_write_fails_passes_leadership_on() {
+        fn a_failed_write_does_not_strand_a_parked_caller() {
             use std::sync::mpsc;
             const WRITERS: usize = 4;
             for round in 0..8 {
@@ -1032,30 +994,30 @@ mod tests {
                     let conn = Arc::clone(conn);
                     std::thread::spawn(move || conn.call(&Request::Ping))
                 };
-                let slots = |n: usize| {
-                    while conn.waiting().slots.len() < n {
+                let entries = |n: usize| {
+                    while conn.waiting().answers.len() < n {
                         std::thread::yield_now();
                     }
                 };
 
-                let leader = call(&conn);
+                let reader = call(&conn);
                 let first = read_requests(&mut server_sock, 1).remove(0);
-                while !conn.waiting().has_leader {
+                while !conn.waiting().reading {
                     std::thread::yield_now();
                 }
-                // Parks behind the leader once its frame is out.
+                // Parks behind the reader once its frame is out.
                 let (parked_tx, parked_rx) = mpsc::channel();
                 let parked = {
                     let conn = Arc::clone(&conn);
                     std::thread::spawn(move || parked_tx.send(conn.call(&Request::Ping)).unwrap())
                 };
                 read_requests(&mut server_sock, 1);
-                // These take their slots, then block on the write half.
+                // These take their entries, then block on the write half.
                 let write_half = conn.writer.lock();
                 let writers: Vec<_> = (0..WRITERS).map(|_| call(&conn)).collect();
-                slots(2 + WRITERS);
+                entries(2 + WRITERS);
 
-                // The leader is answered and the peer goes away.
+                // The reader is answered and the peer goes away.
                 let resp = ResponseEnvelope {
                     req_id: first.req_id,
                     resp: Response::Ok,
@@ -1064,7 +1026,7 @@ mod tests {
                     .write_all(&frame::encode_frame(&resp).unwrap())
                     .unwrap();
                 drop(server_sock);
-                assert!(matches!(leader.join().unwrap(), Ok(Response::Ok)));
+                assert!(matches!(reader.join().unwrap(), Ok(Response::Ok)));
                 drop(write_half);
 
                 for writer in writers {
@@ -1077,13 +1039,13 @@ mod tests {
                     other => panic!("round {round}: the parked caller got {other:?}"),
                 }
                 parked.join().unwrap();
-                assert!(conn.waiting().slots.is_empty());
+                assert!(conn.waiting().answers.is_empty());
             }
         }
 
         /// The daemon going away mid-pipeline fails every caller parked on
-        /// the connection — leader and followers alike — once each, as
-        /// undelivered-response errors; nobody is left waiting.
+        /// the connection — the one reading and those waiting alike — once
+        /// each, as undelivered-response errors; nobody is left waiting.
         #[test]
         fn eof_mid_pipeline_fails_every_parked_caller_once() {
             const N: usize = 6;
@@ -1107,7 +1069,7 @@ mod tests {
                 }
             }
             assert!(conn.is_dead());
-            assert!(conn.waiting().slots.is_empty());
+            assert!(conn.waiting().answers.is_empty());
             // And the dead connection refuses new calls without sending.
             assert!(matches!(
                 conn.call(&Request::Ping),
