@@ -6,6 +6,18 @@
 //! when it runs out of space, maps member puddles on demand (the explicit
 //! stand-in for the paper's page-fault-driven mapping), and exposes the
 //! pool's *root object* stored in the root puddle.
+//!
+//! What a checked read costs ([`Pool::deref`], [`Pool::ensure_mapped`])
+//! depends on where the address lies:
+//!
+//! * in the root puddle: two compares against the root's span, with no
+//!   lock. The root is mapped at open and held for the pool's lifetime, so
+//!   [`Pool::root`] reads it without a lock too;
+//! * in another mapped member: one lock of the pool's state and a scan of
+//!   the mapped members;
+//! * anywhere else, a miss: the member holding the address is looked up
+//!   and mapped, under the pool's map lock, not its state lock, so reads of
+//!   mapped members never wait behind the daemon calls a mapping makes.
 
 use crate::alloc::MetaLogger;
 use crate::client::ClientInner;
@@ -67,7 +79,14 @@ struct PoolState {
 pub struct Pool {
     client: Arc<ClientInner>,
     options: PoolOptions,
+    /// The root puddle, mapped at open for the pool's lifetime; it is also
+    /// in `PoolState::mapped`. Read without a lock.
+    root: Arc<MappedPuddle>,
     state: Mutex<PoolState>,
+    /// Held while a member is mapped, so one thread maps it and the others
+    /// find it mapped: a fresh member's allocator is laid out once, a
+    /// relocated member's pointers are rewritten once.
+    map_lock: Mutex<()>,
 }
 
 impl std::fmt::Debug for Pool {
@@ -87,21 +106,23 @@ impl Pool {
         info: PoolInfo,
         options: PoolOptions,
     ) -> Result<Pool> {
-        let root = info.root_puddle;
-        let pool = Pool {
-            client,
-            options,
-            state: Mutex::new(PoolState {
-                info,
-                infos: HashMap::new(),
-                mapped: HashMap::new(),
-                alloc_cursor: 0,
-            }),
-        };
         // The root puddle is mapped eagerly: it holds the root object and is
         // the entry point for on-demand mapping of the rest of the pool.
-        pool.map_puddle(root)?;
-        Ok(pool)
+        let root_info = client.get_puddle(info.root_puddle)?;
+        let root = MappedPuddle::map(Arc::clone(&client), root_info.clone())?;
+        let state = PoolState {
+            info,
+            infos: HashMap::from([(root.id(), root_info)]),
+            mapped: HashMap::from([(root.id(), Arc::clone(&root))]),
+            alloc_cursor: 0,
+        };
+        Ok(Pool {
+            client,
+            options,
+            root,
+            state: Mutex::new(state),
+            map_lock: Mutex::new(()),
+        })
     }
 
     /// The pool's name.
@@ -138,27 +159,30 @@ impl Pool {
         Ok(info)
     }
 
+    fn mapped(&self, id: PuddleId) -> Option<Arc<MappedPuddle>> {
+        self.state.lock().mapped.get(&id).cloned()
+    }
+
     /// Maps a member puddle (idempotent), returning its handle.
     pub fn map_puddle(&self, id: PuddleId) -> Result<Arc<MappedPuddle>> {
-        {
-            let state = self.state.lock();
-            if let Some(p) = state.mapped.get(&id) {
-                return Ok(Arc::clone(p));
-            }
+        if let Some(p) = self.mapped(id) {
+            return Ok(p);
+        }
+        let _mapping = self.map_lock.lock();
+        if let Some(p) = self.mapped(id) {
+            return Ok(p);
         }
         let info = self.puddle_info(id)?;
         let mapped = MappedPuddle::map(Arc::clone(&self.client), info)?;
-        let mut state = self.state.lock();
-        let entry = state
-            .mapped
-            .entry(id)
-            .or_insert_with(|| Arc::clone(&mapped));
-        Ok(Arc::clone(entry))
+        self.state.lock().mapped.insert(id, Arc::clone(&mapped));
+        Ok(mapped)
     }
 
-    /// Maps every puddle in the pool (pre-faulting; hot loops that
-    /// dereference [`PmPtr`] directly call this once instead of paying an
-    /// `ensure_mapped` check per access).
+    /// Maps every member of the pool, so that no later
+    /// [`deref`](Self::deref) into one misses: one into the root stays
+    /// lock-free and one into any other member takes one lock. Call it once
+    /// before dereferencing [`PmPtr`]s directly, with no check, and before
+    /// exporting an imported pool, whose members must all be rewritten.
     pub fn ensure_all_mapped(&self) -> Result<()> {
         let ids: Vec<PuddleId> = self.state.lock().info.puddles.clone();
         for id in ids {
@@ -169,20 +193,17 @@ impl Pool {
 
     /// The root puddle of the pool.
     pub fn root_puddle(&self) -> Arc<MappedPuddle> {
-        let root = self.state.lock().info.root_puddle;
-        self.map_puddle(root)
-            .expect("root puddle was mapped at open")
+        Arc::clone(&self.root)
     }
 
     /// Returns the pool's root object pointer, or `None` if no root has been
-    /// created yet.
+    /// created yet. Takes no lock.
     pub fn root<T: PmType>(&self) -> Option<PmPtr<T>> {
-        let root = self.root_puddle();
-        let off = root.root_offset();
+        let off = self.root.root_offset();
         if off == 0 {
             None
         } else {
-            Some(PmPtr::from_addr(root.addr() as u64 + off))
+            Some(PmPtr::from_addr(self.root.addr() as u64 + off))
         }
     }
 
@@ -190,7 +211,7 @@ impl Pool {
     /// it in the puddle header.
     pub fn create_root<T: PmType>(&self, tx: &mut Transaction<'_>, value: T) -> Result<PmPtr<T>> {
         self.client.register_type::<T>()?;
-        let root = self.root_puddle();
+        let root = &self.root;
         if !root.writable() {
             return Err(Error::Corruption("root puddle is read-only".into()));
         }
@@ -254,14 +275,17 @@ impl Pool {
             Response::Puddle(info) => info,
             other => return Err(Error::UnexpectedResponse(format!("{other:?}"))),
         };
-        {
-            let mut state = self.state.lock();
-            state.info.puddles.push(info.id);
-            state.infos.insert(info.id, info.clone());
-            state.alloc_cursor = state.info.puddles.len() - 1;
-        }
-        let puddle = self.map_puddle(info.id)?;
-        puddle.alloc().alloc(size, type_id, tx)
+        self.state.lock().infos.insert(info.id, info.clone());
+        // The new member serves this allocation before other threads can
+        // see it: published first, it could be filled by them and fail an
+        // allocation it was grown for.
+        let addr = self
+            .map_puddle(info.id)
+            .and_then(|puddle| puddle.alloc().alloc(size, type_id, tx));
+        let mut state = self.state.lock();
+        state.info.puddles.push(info.id);
+        state.alloc_cursor = state.info.puddles.len() - 1;
+        addr
     }
 
     /// Frees an object previously allocated from this pool.
@@ -279,25 +303,28 @@ impl Pool {
 
     /// Ensures the puddle containing `addr` is mapped (the explicit
     /// equivalent of the paper's fault-driven frontier mapping), returning
-    /// an error if the address belongs to no member puddle.
+    /// an error if the address belongs to no member puddle. Lock-free for
+    /// the root; see the module docs for the rest.
     pub fn ensure_mapped(&self, addr: u64) -> Result<()> {
-        self.puddle_containing(addr as usize)?
+        let at = addr as usize;
+        if self.root.contains(at) || self.state.lock().mapped.values().any(|p| p.contains(at)) {
+            return Ok(());
+        }
+        self.map_containing(at)?
             .map(|_| ())
             .ok_or(Error::InvalidAddress(addr))
     }
 
     /// Finds (mapping on demand) the member puddle containing `addr`.
     pub fn puddle_containing(&self, addr: usize) -> Result<Option<Arc<MappedPuddle>>> {
-        // Fast path: already mapped.
-        {
-            let state = self.state.lock();
-            for p in state.mapped.values() {
-                if p.contains(addr) {
-                    return Ok(Some(Arc::clone(p)));
-                }
-            }
+        if let Some(p) = self.state.lock().mapped.values().find(|p| p.contains(addr)) {
+            return Ok(Some(Arc::clone(p)));
         }
-        // Slow path: consult puddle metadata and map on demand.
+        self.map_containing(addr)
+    }
+
+    /// The miss path: consults puddle metadata and maps on demand.
+    fn map_containing(&self, addr: usize) -> Result<Option<Arc<MappedPuddle>>> {
         let ids: Vec<PuddleId> = self.state.lock().info.puddles.clone();
         for id in ids {
             let info = self.puddle_info(id)?;
@@ -310,6 +337,11 @@ impl Pool {
     }
 
     /// Dereferences a persistent pointer, mapping its puddle if needed.
+    ///
+    /// The check costs two compares and no lock for an address in the root
+    /// puddle, one lock for one in another mapped member, and a mapping on
+    /// a miss (module docs). Null, and an address in no member, are
+    /// [`Error::InvalidAddress`].
     pub fn deref<T>(&self, ptr: PmPtr<T>) -> Result<&T> {
         if ptr.is_null() {
             return Err(Error::InvalidAddress(0));
@@ -321,8 +353,8 @@ impl Pool {
     }
 
     /// Mutably dereferences a persistent pointer, mapping its puddle if
-    /// needed. The caller is responsible for undo-logging the object before
-    /// modifying it.
+    /// needed, with [`deref`](Self::deref)'s check. The caller is
+    /// responsible for undo-logging the object before modifying it.
     #[allow(clippy::mut_from_ref)]
     pub fn deref_mut<T>(&self, ptr: PmPtr<T>) -> Result<&mut T> {
         if ptr.is_null() {
