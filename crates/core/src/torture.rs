@@ -4,10 +4,11 @@
 //! One trial = one `TORTURE_SEED`. The seed derives *everything* random in
 //! the trial — the daemon's [`FaultPlan`] (short/torn writes, injected
 //! EIO/ENOSPC, dropped fsyncs, connection resets), the per-client workload
-//! mix, the kill schedule, retry jitter, and the *interleaving*: every
-//! trial runs on a seeded [`VirtualClock`] and a cooperative scheduler
-//! ([`CoopSched`]) that grants exactly one client thread the right to run
-//! between explicit yield points at daemon round trips. Two runs of the
+//! mix, the kill schedule, retry jitter, and the *interleaving*: a
+//! cooperative scheduler ([`CoopSched`]) grants exactly one client thread
+//! the right to run between explicit yield points at daemon round trips.
+//! Time is a [`VirtualClock`] the seed does not touch: it starts at zero
+//! and moves only by the retry backoff sleeps the run takes. Two runs of the
 //! same seed therefore replay the same fault trace and the same operation
 //! history, byte for byte — a failing seed reproduces from the printed
 //! number alone. There is no other mode.
@@ -53,6 +54,7 @@ use puddled::{Daemon, DaemonConfig, Invariants, UdsServer};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::{FaultPlan, FaultProfile};
 use puddles_pmem::obs::Metrics;
+use puddles_pmem::util::{mix64, GOLDEN};
 use puddles_proto::json::Value;
 use puddles_proto::PuddlePurpose;
 use std::collections::BTreeSet;
@@ -74,7 +76,7 @@ crate::impl_pm_type!(TortureCounter, "torture::Counter", []);
 #[derive(Debug, Clone)]
 pub struct TortureConfig {
     /// The trial seed — drives the fault plan, workload, kill schedule,
-    /// virtual clock, and client interleaving.
+    /// retry jitter, and client interleaving.
     pub seed: u64,
     /// Concurrent client threads per phase.
     pub clients: usize,
@@ -232,11 +234,8 @@ struct Splitmix(u64);
 
 impl Splitmix {
     fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        self.0 = self.0.wrapping_add(GOLDEN);
+        mix64(self.0)
     }
 }
 
@@ -596,7 +595,7 @@ fn client_phase(mut ctx: ClientCtx) {
 
 /// Runs one seeded torture trial.
 pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure> {
-    let clock = Clock::simulated(config.seed);
+    let clock = Clock::simulated();
     let plan = FaultPlan::new(config.seed, config.profile);
     // One metrics hub for the whole trial: passed to every daemon
     // incarnation so the trace ring and histograms span the kill/restart

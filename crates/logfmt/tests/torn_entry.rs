@@ -1,14 +1,13 @@
-//! Torn-write detection by the entry checksum, on the cache-line model of
-//! [`ShadowBuffer`]: entries before the last are flushed, the last one is
-//! still dirty, and the power fails. Whatever part of the last entry did
-//! not reach PM — any one of its cache lines, or any single bit — the
-//! entry must fail `verify` and the validity scan must stop in front of it.
+//! Torn-write detection by the entry checksum, on a cache-line model:
+//! entries before the last are flushed, the last one is still dirty, and
+//! the power fails. Whatever part of the last entry did not reach PM — any
+//! one of its cache lines, or any single bit — the entry must fail `verify`
+//! and the validity scan must stop in front of it.
 
 use proptest::prelude::*;
 use puddles_logfmt::entry::{ENTRY_ALIGN, ENTRY_HEADER_SIZE};
 use puddles_logfmt::log::LOG_HEADER_SIZE;
 use puddles_logfmt::{EntryKind, LogEntryHeader, LogRef, LogWriter, ReplayOrder, SEQ_UNDO};
-use puddles_pmem::shadow::ShadowBuffer;
 use puddles_pmem::util::align_up;
 use puddles_pmem::CACHELINE;
 
@@ -69,13 +68,12 @@ proptest! {
         // nothing a crash could lose).
         let end = last_off + ENTRY_HEADER_SIZE + last_len;
 
-        // Everything before the last entry is durable; the last is dirty.
-        let mut shadow = ShadowBuffer::new(LOG_BYTES);
-        shadow.write(0, &buf[..last_off]);
-        shadow.flush_all();
-        shadow.write(last_off, &buf[last_off..end]);
-        let durable = shadow.durable_image();
-        let intact = shadow.working_image();
+        // Everything before the last entry is durable; the last is dirty:
+        // it is in the cache (the intact image), not yet in PM.
+        let mut durable = vec![0u8; LOG_BYTES];
+        durable[..last_off].copy_from_slice(&buf[..last_off]);
+        let mut intact = durable.clone();
+        intact[last_off..end].copy_from_slice(&buf[last_off..end]);
         let (hdr, data) = entry_at(&intact, last_off, last_len);
         prop_assert!(hdr.verify(data), "the intact entry verifies");
         prop_assert_eq!(scanned(&mut intact.clone()), sizes.len());

@@ -11,31 +11,25 @@
 //!   timed condvar waits are real timed waits. Production behaviour is
 //!   unchanged.
 //! - [`Clock::simulated`] wraps a [`VirtualClock`]: a logical timeline
-//!   that only moves when something advances it. Timers registered on it
-//!   fire in deterministic order — earliest deadline first, ties broken
-//!   by registration order — so the same seed replays the same execution.
+//!   that only moves when something advances it.
 //!
 //! `Clock` is a concrete cloneable value (not a trait object) so it can
 //! expose generic methods like [`Clock::wait_timeout`] and be stored in
 //! configs without boxing. Cloning is cheap; clones of a simulated clock
 //! share one timeline.
 //!
-//! # Auto-advance
+//! # Virtual time
 //!
-//! A [`VirtualClock`] in auto-advance mode (the default for
-//! [`Clock::simulated`]) lets sleepers pull time forward: when a sleeping
-//! thread holds the *earliest* pending timer, it advances `now` to its
-//! own deadline and wakes. Sleeps cost no wall time, yet wakeups stay
-//! ordered — with one runnable thread at a time (the torture harness's
-//! cooperative scheduler) the timeline is a pure function of the
-//! workload. Passive waiters ([`Clock::wait_timeout`]) never pull time
-//! forward; they poll the virtual timeline with a short real-time tick
-//! and report whether their virtual deadline has passed.
+//! A virtual timeline has no timers. A sleep *is* an advance: it moves
+//! `now` forward by its own duration and returns at once, so sleeps cost
+//! no wall time and back-to-back sleeps add up. The clock does not order
+//! threads — under torture the cooperative scheduler lets one client run
+//! at a time, so the timeline is a pure function of the workload. Passive
+//! waiters ([`Clock::wait_timeout`]) never move time; they poll the
+//! virtual timeline with a short real-time tick and report whether their
+//! virtual deadline has passed.
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -68,10 +62,10 @@ impl Clock {
         Clock(Source::Real)
     }
 
-    /// A fresh virtual timeline seeded for reproducibility, with
-    /// auto-advance enabled (see module docs). Clones share the timeline.
-    pub fn simulated(seed: u64) -> Clock {
-        Clock(Source::Virtual(VirtualClock::new(seed)))
+    /// A fresh virtual timeline at zero (see module docs). Clones share
+    /// the timeline.
+    pub fn simulated() -> Clock {
+        Clock(Source::Virtual(VirtualClock::new()))
     }
 
     /// The underlying virtual clock, if simulated — for tests and
@@ -92,13 +86,12 @@ impl Clock {
     }
 
     /// Blocks the calling thread for `dur` of *this clock's* time. On a
-    /// virtual clock in auto-advance mode this returns promptly in real
-    /// time while consuming `dur` of virtual time, with deterministic
-    /// ordering between concurrent sleepers.
+    /// virtual clock this is [`VirtualClock::advance`]: it returns at once,
+    /// having moved the timeline forward by `dur`.
     pub fn sleep(&self, dur: Duration) {
         match &self.0 {
             Source::Real => std::thread::sleep(dur),
-            Source::Virtual(vc) => vc.sleep(dur),
+            Source::Virtual(vc) => vc.advance(dur),
         }
     }
 
@@ -144,143 +137,29 @@ pub fn entropy_seed() -> u64 {
         .finish()
 }
 
-/// A logical timeline with deterministically ordered timers. Usually
-/// handled through [`Clock::simulated`]; see the module docs.
+/// A logical timeline: a `Duration` that moves only when advanced.
+/// Usually handled through [`Clock::simulated`]; see the module docs.
 #[derive(Debug)]
 pub struct VirtualClock {
-    seed: u64,
-    state: Mutex<VState>,
-    wake: Condvar,
-    auto_advance: AtomicBool,
-}
-
-#[derive(Debug)]
-struct VState {
-    now: Duration,
-    /// Next timer id; ids double as the registration-order tie-break.
-    next_id: u64,
-    /// Pending timers, ordered `(deadline, id)` — the firing order.
-    pending: BTreeMap<(Duration, u64), ()>,
-    /// Timers that have fired and not yet been claimed by their sleeper.
-    fired: BTreeSet<u64>,
-    /// Every fired timer id, in firing order — the deterministic wake log.
-    fired_log: Vec<u64>,
+    now: Mutex<Duration>,
 }
 
 impl VirtualClock {
-    /// A fresh timeline at `now == 0` with auto-advance enabled.
-    pub fn new(seed: u64) -> Arc<VirtualClock> {
+    /// A fresh timeline at `now == 0`.
+    pub fn new() -> Arc<VirtualClock> {
         Arc::new(VirtualClock {
-            seed,
-            state: Mutex::new(VState {
-                now: Duration::ZERO,
-                next_id: 0,
-                pending: BTreeMap::new(),
-                fired: BTreeSet::new(),
-                fired_log: Vec::new(),
-            }),
-            wake: Condvar::new(),
-            auto_advance: AtomicBool::new(true),
+            now: Mutex::new(Duration::ZERO),
         })
-    }
-
-    /// The seed this timeline was created with (recorded for traces).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Enables or disables auto-advance (see module docs). Tests that
-    /// drive time explicitly via [`VirtualClock::advance`] turn it off.
-    pub fn set_auto_advance(&self, on: bool) {
-        self.auto_advance.store(on, Ordering::SeqCst);
     }
 
     /// Current virtual time.
     pub fn now(&self) -> Duration {
-        self.state.lock().unwrap().now
+        *self.now.lock().unwrap()
     }
 
-    /// Registers a timer `delay` from now, returning its id. The timer
-    /// fires when the timeline reaches its deadline — earliest deadline
-    /// first, ties in registration (id) order.
-    pub fn register_timer(&self, delay: Duration) -> u64 {
-        let mut st = self.state.lock().unwrap();
-        let id = st.next_id;
-        st.next_id += 1;
-        let deadline = st.now + delay;
-        if delay.is_zero() {
-            // Already due: fires immediately, keeping the log ordered.
-            st.fired.insert(id);
-            st.fired_log.push(id);
-        } else {
-            st.pending.insert((deadline, id), ());
-        }
-        id
-    }
-
-    /// Moves the timeline forward by `by`, firing every timer whose
-    /// deadline is reached, in deterministic order, and waking sleepers.
+    /// Moves the timeline forward by `by`.
     pub fn advance(&self, by: Duration) {
-        let mut st = self.state.lock().unwrap();
-        Self::advance_locked(&mut st, by);
-        self.wake.notify_all();
-    }
-
-    fn advance_locked(st: &mut VState, by: Duration) {
-        st.now += by;
-        while let Some((&(deadline, id), ())) = st.pending.iter().next() {
-            if deadline > st.now {
-                break;
-            }
-            st.pending.remove(&(deadline, id));
-            st.fired.insert(id);
-            st.fired_log.push(id);
-        }
-    }
-
-    /// The ids of every fired timer so far, in firing order.
-    pub fn fired_order(&self) -> Vec<u64> {
-        self.state.lock().unwrap().fired_log.clone()
-    }
-
-    /// `true` once timer `id` has fired.
-    pub fn has_fired(&self, id: u64) -> bool {
-        let st = self.state.lock().unwrap();
-        st.fired.contains(&id) || st.fired_log.contains(&id)
-    }
-
-    /// How many timers have ever been registered (sleeps included) — lets
-    /// tests gate on registration order without exposing internals.
-    pub fn timers_registered(&self) -> u64 {
-        self.state.lock().unwrap().next_id
-    }
-
-    /// Sleeps `dur` of virtual time: registers a timer and blocks until it
-    /// fires. Under auto-advance, the sleeper holding the earliest pending
-    /// timer pulls `now` to its own deadline, so sleeps cost no wall time
-    /// but still wake in deterministic `(deadline, registration)` order.
-    pub fn sleep(&self, dur: Duration) {
-        if dur.is_zero() {
-            return;
-        }
-        let mut st = self.state.lock().unwrap();
-        let id = st.next_id;
-        st.next_id += 1;
-        let deadline = st.now + dur;
-        st.pending.insert((deadline, id), ());
-        loop {
-            if st.fired.remove(&id) {
-                return;
-            }
-            let earliest = st.pending.keys().next() == Some(&(deadline, id));
-            if earliest && self.auto_advance.load(Ordering::SeqCst) {
-                let by = deadline - st.now;
-                Self::advance_locked(&mut st, by);
-                self.wake.notify_all();
-                continue;
-            }
-            st = self.wake.wait(st).unwrap();
-        }
+        *self.now.lock().unwrap() += by;
     }
 }
 
@@ -299,9 +178,8 @@ mod tests {
 
     #[test]
     fn virtual_now_only_moves_on_advance() {
-        let clock = Clock::simulated(1);
+        let clock = Clock::simulated();
         let vc = clock.virtual_clock().unwrap();
-        vc.set_auto_advance(false);
         assert_eq!(clock.now(), Duration::ZERO);
         vc.advance(Duration::from_millis(250));
         assert_eq!(clock.now(), Duration::from_millis(250));
@@ -313,107 +191,53 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_deadline_order() {
-        let vc = VirtualClock::new(7);
-        vc.set_auto_advance(false);
-        let late = vc.register_timer(Duration::from_millis(20));
-        let early = vc.register_timer(Duration::from_millis(5));
-        let mid = vc.register_timer(Duration::from_millis(10));
-        vc.advance(Duration::from_millis(50));
-        assert_eq!(vc.fired_order(), vec![early, mid, late]);
-    }
-
-    #[test]
-    fn equal_deadlines_tie_break_by_registration_order() {
-        let vc = VirtualClock::new(7);
-        vc.set_auto_advance(false);
-        let ids: Vec<u64> = (0..8)
-            .map(|_| vc.register_timer(Duration::from_millis(10)))
-            .collect();
-        vc.advance(Duration::from_millis(10));
-        assert_eq!(vc.fired_order(), ids);
-    }
-
-    #[test]
-    fn partial_advance_fires_only_due_timers() {
-        let vc = VirtualClock::new(7);
-        vc.set_auto_advance(false);
-        let early = vc.register_timer(Duration::from_millis(5));
-        let late = vc.register_timer(Duration::from_millis(500));
-        vc.advance(Duration::from_millis(5));
-        assert_eq!(vc.fired_order(), vec![early]);
-        assert!(!vc.has_fired(late));
-        vc.advance(Duration::from_millis(495));
-        assert_eq!(vc.fired_order(), vec![early, late]);
-    }
-
-    #[test]
-    fn auto_advance_sleep_consumes_virtual_time_instantly() {
-        let clock = Clock::simulated(3);
+    fn virtual_sleep_consumes_virtual_time_instantly() {
+        let clock = Clock::simulated();
+        let wall = Instant::now();
         clock.sleep(Duration::from_secs(3600));
         assert_eq!(clock.now(), Duration::from_secs(3600));
+        assert!(wall.elapsed() < Duration::from_secs(1));
     }
 
     #[test]
-    fn concurrent_sleepers_fire_in_deadline_order() {
-        // Three threads park with distinct delays, registration order
-        // gated so ids are assigned 0 (300ms), 1 (200ms), 2 (100ms). One
-        // advance must fire them earliest-deadline-first: [2, 1, 0].
-        let clock = Clock::simulated(9);
-        let vc = clock.virtual_clock().unwrap().clone();
-        vc.set_auto_advance(false);
-        let delays = [300u64, 200, 100];
-        let mut handles = Vec::new();
-        for (i, ms) in delays.into_iter().enumerate() {
-            let clock = clock.clone();
-            handles.push(std::thread::spawn(move || {
-                let vc = clock.virtual_clock().unwrap();
-                while vc.timers_registered() != i as u64 {
-                    std::thread::yield_now();
-                }
-                vc.sleep(Duration::from_millis(ms));
-            }));
-        }
-        while vc.timers_registered() != 3 {
-            std::thread::yield_now();
-        }
-        vc.advance(Duration::from_secs(1));
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(vc.fired_order(), vec![2, 1, 0]);
-        assert_eq!(clock.now(), Duration::from_secs(1));
-    }
-
-    #[test]
-    fn staggered_auto_advance_sleeps_accumulate_time() {
-        // Sequential sleeps under auto-advance: each jumps the timeline by
-        // its own delay, so virtual time is the running sum.
-        let clock = Clock::simulated(11);
-        let delays = [300u64, 200, 100];
-        let mut handles = Vec::new();
-        for (i, ms) in delays.into_iter().enumerate() {
-            let clock = clock.clone();
-            handles.push(std::thread::spawn(move || {
-                let vc = clock.virtual_clock().unwrap();
-                while vc.timers_registered() != i as u64 {
-                    std::thread::yield_now();
-                }
-                vc.sleep(Duration::from_millis(ms));
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
+    fn sequential_virtual_sleeps_accumulate_time() {
+        // Each sleep jumps the timeline by its own delay, so virtual time
+        // is the running sum.
+        let clock = Clock::simulated();
+        let mut elapsed = Duration::ZERO;
+        for ms in [300u64, 200, 100] {
+            clock.sleep(Duration::from_millis(ms));
+            elapsed += Duration::from_millis(ms);
+            assert_eq!(clock.now(), elapsed);
         }
         assert_eq!(clock.now(), Duration::from_millis(600));
-        assert_eq!(clock.virtual_clock().unwrap().fired_order(), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn concurrent_virtual_sleeps_lose_no_time() {
+        // Sleepers on clones of one clock all move the shared timeline:
+        // no advance is lost, whatever the interleaving.
+        let clock = Clock::simulated();
+        let handles: Vec<_> = (1..=4u64)
+            .map(|ms| {
+                let clock = clock.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..100 {
+                        clock.sleep(Duration::from_millis(ms));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(clock.now(), Duration::from_millis(100 * (1 + 2 + 3 + 4)));
     }
 
     #[test]
     fn wait_timeout_reports_virtual_deadline() {
-        let clock = Clock::simulated(5);
+        let clock = Clock::simulated();
         let vc = clock.virtual_clock().unwrap().clone();
-        vc.set_auto_advance(false);
         let lock = Mutex::new(());
         let cv = Condvar::new();
         // Deadline not reached: the poll returns without timing out.
@@ -439,15 +263,6 @@ mod tests {
         drop(guard);
         advancer.join().unwrap();
         assert!(vc.now() >= deadline);
-    }
-
-    #[test]
-    fn zero_delay_timer_fires_immediately() {
-        let vc = VirtualClock::new(2);
-        vc.set_auto_advance(false);
-        let id = vc.register_timer(Duration::ZERO);
-        assert!(vc.has_fired(id));
-        assert_eq!(vc.fired_order(), vec![id]);
     }
 
     #[test]

@@ -71,20 +71,6 @@ pub fn arm_scoped(name: &str, after: usize) {
     arm_key((name.to_string(), Some(std::thread::current().id())), after);
 }
 
-/// Disarms `name` (both the global entry and the calling thread's scoped
-/// entry); does nothing if it was not armed.
-pub fn disarm(name: &str) {
-    let mut reg = registry().lock();
-    for key in [
-        (name.to_string(), None),
-        (name.to_string(), Some(std::thread::current().id())),
-    ] {
-        if reg.points.remove(&key).is_some() {
-            ARMED.fetch_sub(1, Ordering::SeqCst);
-        }
-    }
-}
-
 /// Disarms every failpoint and clears the hit log.
 pub fn clear_all() {
     let mut reg = registry().lock();
@@ -220,8 +206,6 @@ pub mod names {
     /// is the commit point, so the next map must find the puddle fresh and
     /// initialize it again.
     pub const PUDDLE_INIT_CRASH: &str = "puddle.init.mid";
-    /// During transaction body execution, before commit begins.
-    pub const TX_BODY: &str = "tx.body";
     /// While the allocator mutates persistent metadata inside a transaction.
     pub const ALLOC_METADATA: &str = "alloc.metadata";
     /// While the daemon rewrites pointers during relocation.
@@ -273,16 +257,6 @@ mod tests {
         // Disarmed after firing.
         assert!(!should_fail("p"));
         assert_eq!(fired(), vec!["p".to_string()]);
-        clear_all();
-    }
-
-    #[test]
-    fn disarm_prevents_firing() {
-        let _serial = serial();
-        clear_all();
-        arm("q", 0);
-        disarm("q");
-        assert!(!should_fail("q"));
         clear_all();
     }
 

@@ -18,6 +18,7 @@
 //! torture trials with different seeds never see each other's faults. Code
 //! paths that never attach a plan pay one `Option` check.
 
+use crate::util::{splitmix64, GOLDEN};
 use parking_lot::Mutex;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -247,8 +248,7 @@ impl FaultPlan {
     /// `(call_number, draw)`.
     fn draw(&self, site: FaultSite) -> (u64, u64) {
         let n = self.counters[site.index()].fetch_add(1, Ordering::Relaxed);
-        let mixed =
-            splitmix64(self.seed ^ (site.index() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ n);
+        let mixed = splitmix64(self.seed ^ (site.index() as u64).wrapping_mul(GOLDEN) ^ n);
         (n, mixed % 1_000_000)
     }
 
@@ -356,16 +356,6 @@ pub fn is_transient_io(e: &io::Error) -> bool {
     e.raw_os_error() == Some(EIO)
         || e.kind() == io::ErrorKind::Interrupted
         || e.to_string().contains("injected EIO")
-}
-
-/// SplitMix64: the standard 64-bit mixer (public-domain constants); good
-/// avalanche from sequential inputs, no state, no dependencies.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -15,14 +15,13 @@
 //! * [`faultio`] — the seeded fault-injection plane: short/torn writes,
 //!   `EIO`/`ENOSPC`, dropped fsyncs, and connection resets, reproducible
 //!   from one `TORTURE_SEED` and logged as a per-trial fault trace.
-//! * [`shadow::ShadowBuffer`] — a working/durable twin buffer that models
-//!   loss of unflushed cache lines for torn-write property tests.
 //! * [`checksum`] — the log-entry checksum (four CRC32C lanes folded to 64
 //!   bits: SSE4.2 `crc32` where the CPU has it, bit-identical tables where
 //!   it does not) and FNV-1a for type ids and WAL records.
 //! * [`clock`] — time as a value: a [`clock::Clock`] that is wall time in
-//!   production and a seeded deterministic [`clock::VirtualClock`] under
-//!   test, so a torture seed replays the same execution.
+//!   production and a [`clock::VirtualClock`] under test — a timeline that
+//!   moves only when advanced, so a torture seed replays the same
+//!   execution.
 //! * [`obs`] — the observability plane: lock-free mergeable log-linear
 //!   latency histograms and a structured trace ring, stamped by a
 //!   [`clock::Clock`] so simulated runs produce deterministic timelines.
@@ -35,7 +34,6 @@ pub mod faultio;
 pub mod obs;
 pub mod persist;
 pub mod pmdir;
-pub mod shadow;
 pub mod space;
 pub mod util;
 

@@ -401,12 +401,6 @@ impl Metrics {
         )
     }
 
-    /// Records one duration into the named series (registry lock per call;
-    /// hot paths should hold the [`Metrics::series`] handle instead).
-    pub fn record(&self, name: &'static str, d: Duration) {
-        self.series(name).record_duration(d);
-    }
-
     /// The named counter, created on first use.
     pub fn counter(&self, name: &'static str) -> Arc<AtomicU64> {
         Arc::clone(
@@ -448,16 +442,6 @@ impl Metrics {
         let mut events: Vec<TraceEvent> = Vec::new();
         for shard in &self.trace_shards {
             events.extend(shard.ring.lock().iter().cloned());
-        }
-        events.sort_by_key(|e| e.seq);
-        events
-    }
-
-    /// [`Metrics::trace_events`], then empties every ring.
-    pub fn drain_trace(&self) -> Vec<TraceEvent> {
-        let mut events: Vec<TraceEvent> = Vec::new();
-        for shard in &self.trace_shards {
-            events.append(&mut shard.ring.lock().drain(..).collect());
         }
         events.sort_by_key(|e| e.seq);
         events
@@ -578,7 +562,7 @@ mod tests {
 
     #[test]
     fn trace_ring_orders_and_drops() {
-        let m = Metrics::new(Clock::simulated(7));
+        let m = Metrics::new(Clock::simulated());
         m.trace(TraceEventKind::ReqStart, "Ping", 1, 0);
         m.trace(TraceEventKind::WalCommit, "", 3, 128);
         m.trace(TraceEventKind::ReqEnd, "Ping", 1, 0);
@@ -595,17 +579,14 @@ mod tests {
             m.trace(TraceEventKind::WalCommit, "", i, 0);
         }
         assert!(m.trace_dropped() > 0);
-        let drained = m.drain_trace();
-        assert!(!drained.is_empty());
-        assert!(m.trace_events().is_empty(), "drain must empty the rings");
     }
 
     #[test]
     fn snapshot_is_name_sorted_and_counts_match() {
-        let m = Metrics::new(Clock::simulated(1));
-        m.record("zeta", Duration::from_nanos(10));
-        m.record("alpha", Duration::from_nanos(20));
-        m.record("alpha", Duration::from_nanos(30));
+        let m = Metrics::new(Clock::simulated());
+        m.series("zeta").record_duration(Duration::from_nanos(10));
+        m.series("alpha").record_duration(Duration::from_nanos(20));
+        m.series("alpha").record_duration(Duration::from_nanos(30));
         m.counter("hits").fetch_add(5, Ordering::Relaxed);
         let snap = m.snapshot();
         let names: Vec<&str> = snap.series.iter().map(|(n, _)| n.as_str()).collect();
@@ -618,7 +599,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_stamps_are_logical_time() {
-        let clock = Clock::simulated(3);
+        let clock = Clock::simulated();
         let m = Metrics::new(clock.clone());
         m.trace(TraceEventKind::CheckpointBegin, "", 0, 0);
         clock.sleep(Duration::from_millis(5));

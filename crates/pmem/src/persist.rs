@@ -169,11 +169,6 @@ pub fn persist_obj<T>(obj: &T) {
     persist(obj as *const T as *const u8, std::mem::size_of::<T>());
 }
 
-/// Flushes (without fencing) a typed value in place.
-pub fn flush_obj<T>(obj: &T) {
-    flush(obj as *const T as *const u8, std::mem::size_of::<T>());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +217,5 @@ mod tests {
             c: [3; 3],
         };
         persist_obj(&odd);
-        flush_obj(&odd);
     }
 }

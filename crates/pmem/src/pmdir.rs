@@ -285,11 +285,6 @@ impl PmDir {
         )
     }
 
-    /// Returns `true` if a puddle file with this name exists.
-    pub fn puddle_exists(&self, name: &str) -> bool {
-        self.puddle_path(name).exists()
-    }
-
     /// Lists the names of all puddle files.
     pub fn list_puddles(&self) -> Result<Vec<String>> {
         let mut names = Vec::new();
@@ -433,8 +428,8 @@ mod tests {
         assert_eq!(pm.list_puddles().unwrap(), vec!["a", "b"]);
         pm.delete_puddle_file("a").unwrap();
         assert_eq!(pm.list_puddles().unwrap(), vec!["b"]);
-        assert!(!pm.puddle_exists("a"));
-        assert!(pm.puddle_exists("b"));
+        assert!(!pm.puddle_path("a").exists());
+        assert!(pm.puddle_path("b").exists());
     }
 
     #[test]
@@ -456,7 +451,7 @@ mod tests {
                 format!("gen-{i}").as_bytes()
             );
             pm.delete_puddle_file(&name).unwrap();
-            assert!(!pm.puddle_exists(&name));
+            assert!(!pm.puddle_path(&name).exists());
         }
         assert!(plan.injected() > 0, "30% rates must inject across 150 ops");
         assert!(
@@ -483,7 +478,7 @@ mod tests {
             Err(PmError::NoSpace(_)) => {}
             other => panic!("expected NoSpace, got {other:?}"),
         }
-        assert!(!pm.puddle_exists("p"));
+        assert!(!pm.puddle_path("p").exists());
         assert_eq!(
             pm.io_stats()
                 .enospc_rejections

@@ -257,20 +257,6 @@ impl VaReservation {
         }
         Ok(())
     }
-
-    /// Synchronizes a mapped range back to its file (best effort; the
-    /// reproduction's crash model does not rely on it).
-    pub fn msync(&self, offset: usize, len: usize) -> Result<()> {
-        self.check_range(offset, len)?;
-        let target = (self.base + offset) as *mut libc::c_void;
-        // SAFETY: range checked above and currently mapped (msync on a
-        // PROT_NONE placeholder returns an error which we surface).
-        let rc = unsafe { libc::msync(target, len, libc::MS_SYNC) };
-        if rc != 0 {
-            return Err(PmError::Mmap(std::io::Error::last_os_error()));
-        }
-        Ok(())
-    }
 }
 
 /// Advises a fresh file mapping random-access (`MADV_RANDOM`), so that a
@@ -355,7 +341,6 @@ mod tests {
         unsafe {
             std::ptr::write_bytes(addr as *mut u8, 0xAB, 4 * PAGE_SIZE);
         }
-        res.msync(8 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap();
         // SAFETY: no references into the mapping remain.
         unsafe { res.unmap(8 * PAGE_SIZE, 4 * PAGE_SIZE).unwrap() };
 

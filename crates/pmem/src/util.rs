@@ -1,4 +1,5 @@
-//! Small alignment and arithmetic helpers shared across the workspace.
+//! Small helpers shared across the workspace: alignment and the one
+//! SplitMix64 mixer.
 
 /// Rounds `value` up to the next multiple of `align`.
 ///
@@ -16,26 +17,26 @@ pub const fn align_up(value: usize, align: usize) -> usize {
     (value + align - 1) & !(align - 1)
 }
 
-/// Rounds `value` down to the previous multiple of `align`.
-///
-/// `align` must be a power of two.
+/// SplitMix64's increment: 2^64 divided by the golden ratio, rounded to
+/// odd.
+pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's finalizer (public-domain constants): a bijection on `u64`
+/// with good avalanche, so sequential or XOR-combined inputs come out
+/// decorrelated. The workspace's one copy; the generators that need random
+/// bits (fault plans, torture, retry jitter) draw through it.
 #[inline]
-pub const fn align_down(value: usize, align: usize) -> usize {
-    debug_assert!(align.is_power_of_two());
-    value & !(align - 1)
+pub const fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
-/// Returns `true` if `value` is a multiple of `align`.
+/// One SplitMix64 draw keyed by `x`: `mix64(x + GOLDEN)`. A generator
+/// whose state steps by [`GOLDEN`] returns `mix64(state)` after each step.
 #[inline]
-pub const fn is_aligned(value: usize, align: usize) -> bool {
-    value.is_multiple_of(align)
-}
-
-/// Returns the smallest power of two greater than or equal to `value`
-/// (and at least `min`).
-#[inline]
-pub fn next_pow2_at_least(value: usize, min: usize) -> usize {
-    value.max(min).next_power_of_two()
+pub const fn splitmix64(x: u64) -> u64 {
+    mix64(x.wrapping_add(GOLDEN))
 }
 
 #[cfg(test)]
@@ -51,24 +52,11 @@ mod tests {
     }
 
     #[test]
-    fn align_down_rounds_to_multiple() {
-        assert_eq!(align_down(0, 64), 0);
-        assert_eq!(align_down(63, 64), 0);
-        assert_eq!(align_down(64, 64), 64);
-        assert_eq!(align_down(127, 64), 64);
-    }
-
-    #[test]
-    fn is_aligned_checks_multiples() {
-        assert!(is_aligned(0, 4096));
-        assert!(is_aligned(8192, 4096));
-        assert!(!is_aligned(8193, 4096));
-    }
-
-    #[test]
-    fn next_pow2_honours_minimum() {
-        assert_eq!(next_pow2_at_least(3, 16), 16);
-        assert_eq!(next_pow2_at_least(17, 16), 32);
-        assert_eq!(next_pow2_at_least(1024, 16), 1024);
+    fn splitmix64_matches_the_reference_stream() {
+        // The first outputs of the reference SplitMix64 generator seeded
+        // with 0 (state += GOLDEN, then the finalizer).
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(GOLDEN), 0x6e78_9e6a_a1b9_65f4);
+        assert_eq!(mix64(0), 0);
     }
 }

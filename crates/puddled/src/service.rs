@@ -1105,7 +1105,7 @@ mod tests {
             assert!(counters.iter().any(|c| c.name == "wal.tail_bytes"));
             seen
         };
-        assert_eq!(traffic(Clock::real()), traffic(Clock::simulated(1)));
+        assert_eq!(traffic(Clock::real()), traffic(Clock::simulated()));
     }
 
     /// The file layers of a pool's life are priced on their own: one
@@ -1114,7 +1114,7 @@ mod tests {
     #[test]
     fn pool_create_and_drop_each_record_one_file_stage_sample() {
         let tmp = tempfile::tempdir().unwrap();
-        let config = DaemonConfig::for_testing(tmp.path()).with_clock(Clock::simulated(5));
+        let config = DaemonConfig::for_testing(tmp.path()).with_clock(Clock::simulated());
         let daemon = Daemon::start(config).unwrap();
         let creds = Credentials::current_process();
         let stage_counts = || {

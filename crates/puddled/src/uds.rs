@@ -1186,9 +1186,8 @@ mod tests {
     #[test]
     fn teardown_zeroes_the_connections_a_drain_leaves_behind() {
         let tmp = tempfile::tempdir().unwrap();
-        let clock = Clock::simulated(1);
+        let clock = Clock::simulated();
         let timeline = Arc::clone(clock.virtual_clock().unwrap());
-        timeline.set_auto_advance(false);
         let config = DaemonConfig::for_testing(tmp.path()).with_clock(clock);
         let daemon = Daemon::start(config).unwrap();
         let socket = tmp.path().join("straggler.sock");

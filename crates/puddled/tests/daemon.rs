@@ -1604,10 +1604,12 @@ fn unregistered_logspace_puddles_are_swept_at_startup() {
         let client = PuddleClient::connect_local(&daemon).unwrap();
         let pool = client.create_pool("ls", PoolOptions::default()).unwrap();
         // First transaction ever on this client: it must create the log
-        // space — crash between the allocation and the registration.
-        failpoint::arm(failpoint::names::LOGSPACE_ALLOC_CRASH, 0);
+        // space — crash between the allocation and the registration. The
+        // transaction runs on this thread, so the failpoint is armed for it
+        // alone: other tests' clients in this binary must not trip it.
+        failpoint::arm_scoped(failpoint::names::LOGSPACE_ALLOC_CRASH, 0);
         let err = pool.tx(|_tx| Ok(())).unwrap_err();
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         assert!(
             err.is_injected_crash(),
             "expected injected crash, got {err}"
