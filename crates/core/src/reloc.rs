@@ -237,8 +237,6 @@ mod tests {
             new_addr: 0x8000_0000,
             len: 0x1000,
         }];
-        // Scoped to this thread: a global arm trips whichever reloc test
-        // reaches the point first.
         use puddles_pmem::failpoint::{self, names};
         failpoint::arm_scoped(names::RELOC_MID_REWRITE, 1);
         let s1 = rewrite_puddle(&h.alloc, &translations, &reg);

@@ -1,5 +1,9 @@
 //! End-to-end tests of the client library: pools, allocation, transactions,
 //! aborts, crash injection + system recovery, and relocation on import.
+//!
+//! Crash points are armed on the test's own thread (`failpoint::arm_scoped`)
+//! and live there only, so the crash tests run in parallel with the rest,
+//! with no lock between them.
 
 use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
 use puddles::{impl_pm_type, Error, PmPtr, PmType, PoolOptions, PuddleClient};
@@ -27,16 +31,6 @@ struct ListRoot {
     len: u64,
 }
 impl_pm_type!(ListRoot, "pool_tx::ListRoot", [head => Node]);
-
-/// Serializes the tests that arm failpoints AND the append-heavy chaining
-/// tests. The arms are thread-scoped (`arm_scoped`), so a transaction on
-/// another test's thread — not every test takes this lock — can neither
-/// consume a countdown (e.g. `LOG_APPEND_CRASH` after N) nor crash on it;
-/// the lock keeps `clear_all` of one test from disarming another's.
-fn failpoint_lock() -> parking_lot::MutexGuard<'static, ()> {
-    static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    LOCK.lock()
-}
 
 fn setup() -> (tempfile::TempDir, DaemonConfig, Daemon, PuddleClient) {
     let tmp = tempfile::tempdir().unwrap();
@@ -252,7 +246,6 @@ fn pool_grows_beyond_one_puddle() {
 #[test]
 fn crash_during_commit_is_recovered_by_the_system() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     let failpoints = [
         failpoint::names::COMMIT_AFTER_UNDO_FLUSH,
@@ -293,7 +286,7 @@ fn crash_during_commit_is_recovered_by_the_system() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(
                 err.is_injected_crash(),
                 "{fp}: expected injected crash, got {err}"
@@ -333,7 +326,6 @@ fn crash_during_commit_is_recovered_by_the_system() {
 #[test]
 fn crash_while_a_fresh_root_is_first_mapped_leaves_the_pool_usable() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
@@ -346,7 +338,7 @@ fn crash_while_a_fresh_root_is_first_mapped_leaves_the_pool_usable() {
         let err = client
             .create_pool("firstmap", PoolOptions::default())
             .unwrap_err();
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         assert!(
             err.is_injected_crash(),
             "expected injected crash, got {err}"
@@ -373,7 +365,6 @@ fn crash_while_a_fresh_root_is_first_mapped_leaves_the_pool_usable() {
 #[test]
 fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // The volatile-cursor log keeps no durable head pointer: after a crash
     // mid-body, recovery must replay exactly the checksummed prefix of
@@ -413,7 +404,7 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(err.is_injected_crash(), "n={n}: got {err}");
         }
 
@@ -434,7 +425,6 @@ fn crash_after_unfenced_appends_rolls_back_exactly_the_logged_prefix() {
 #[test]
 fn torn_append_is_cut_off_by_the_recovery_scan() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // The third append is torn (header durable, last payload byte not): the
     // recovery scan must stop in front of it and roll back exactly the two
@@ -471,7 +461,7 @@ fn torn_append_is_cut_off_by_the_recovery_scan() {
                 tx.add_range(region, 64) // torn: this append is the crash
             })
             .unwrap_err();
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         assert!(err.is_injected_crash(), "got {err}");
     }
 
@@ -585,7 +575,6 @@ fn relogging_a_covered_range_appends_nothing() {
 
 #[test]
 fn oversized_transaction_chains_and_tx_too_large_needs_daemon_refusal() {
-    let _guard = failpoint_lock();
     let (_tmp, _config, _daemon, client) = setup();
     let pool = client.create_pool("huge", PoolOptions::default()).unwrap();
     // Redo-log more bytes than one 4 MiB log puddle can hold: since PR 4
@@ -610,7 +599,6 @@ fn oversized_transaction_chains_and_tx_too_large_needs_daemon_refusal() {
 
 #[test]
 fn tx_too_large_is_raised_only_when_the_daemon_refuses_a_log_puddle() {
-    let _guard = failpoint_lock();
     // A daemon with a deliberately tiny global space: the pool, log space,
     // thread log and a couple of chained segments fit, then CreatePuddle
     // fails with OutOfSpace — only then may TxTooLarge surface.
@@ -672,7 +660,6 @@ fn tx_too_large_is_raised_only_when_the_daemon_refuses_a_log_puddle() {
 
 #[test]
 fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
-    let _guard = failpoint_lock();
     // The capacity-accounting regression: fill the log to exactly
     // free_bytes == 0, then one more entry must chain (not fail), and the
     // chained segment must be released back to the daemon after commit.
@@ -726,7 +713,6 @@ fn transaction_one_entry_past_a_full_segment_commits_via_chaining() {
 
 #[test]
 fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
-    let _guard = failpoint_lock();
     let (_tmp, _config, daemon, client) = setup();
     // A second client observes daemon state after the first disconnects.
     let observer = PuddleClient::connect_local(&daemon).unwrap();
@@ -777,7 +763,6 @@ fn spare_log_cache_parks_tails_and_frees_them_on_disconnect() {
 
 #[test]
 fn max_segment_payload_chains_and_oversized_payload_is_rejected() {
-    let _guard = failpoint_lock();
     // Boundary of the never-fits check: when the active segment is full, a
     // payload of *exactly* a fresh segment's capacity must chain and
     // commit; one byte more can never fit any segment and must be
@@ -880,7 +865,6 @@ fn assert_chain_rolled_back(pool: &puddles::Pool, addr: usize, context: &str) {
 #[test]
 fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // Crash (a) after the daemon allocated the next chain segment but
     // before it was registered — the unreferenced puddle is swept at the
@@ -904,7 +888,7 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
 
             failpoint::arm_scoped(fp, 0);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(err.is_injected_crash(), "{fp}: got {err}");
         }
 
@@ -939,7 +923,6 @@ fn crash_during_chain_extension_is_recovered_and_tails_reclaimed() {
 #[test]
 fn mixed_chained_transaction_rolls_forward_from_the_redo_stage() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // Undo and redo entries interleaved across several 64 KiB segments; the
     // crash hits after the redo stage was published, before or one entry
@@ -977,7 +960,7 @@ fn mixed_chained_transaction_rolls_forward_from_the_redo_stage() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(err.is_injected_crash(), "{fp}: got {err}");
         }
 
@@ -1004,7 +987,6 @@ fn mixed_chained_transaction_rolls_forward_from_the_redo_stage() {
 #[test]
 fn crash_mid_chain_rolls_back_across_segment_boundaries() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // Crash after N unfenced appends with N chosen to land in the *second*
     // chain segment: recovery must stitch (log_id, chain_index) segments,
@@ -1024,7 +1006,7 @@ fn crash_mid_chain_rolls_back_across_segment_boundaries() {
 
             failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
             let err = pool.tx(chain_crash_body(&pool, root, addr)).unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(err.is_injected_crash(), "n={n}: got {err}");
         }
 
@@ -1656,7 +1638,6 @@ fn single_segment_commit_arms_the_log_and_a_chained_one_does_not() {
 #[test]
 fn crash_on_an_armed_log_rolls_back_that_transaction_only() {
     use puddles_pmem::failpoint;
-    let _guard = failpoint_lock();
 
     // Transaction N commits two logged stores; N+1 (started on the armed
     // log, no header write) logs and overwrites `value`, then crashes
@@ -1699,7 +1680,7 @@ fn crash_on_an_armed_log_rolls_back_that_transaction_only() {
                     Ok(())
                 })
                 .unwrap_err();
-            failpoint::clear_all();
+            failpoint::clear_current_thread();
             assert!(err.is_injected_crash(), "got {err}");
         }
 

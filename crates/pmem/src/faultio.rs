@@ -1,4 +1,5 @@
-//! Seeded fault-injection plane for torture testing.
+//! Seeded fault-injection plane for torture testing, and the daemon's
+//! crash points.
 //!
 //! A [`FaultPlan`] is a deterministic oracle the I/O layers consult before
 //! risky operations: metadata-file replacement ([`FaultSite::MetaWrite`]),
@@ -9,15 +10,23 @@
 //! replays the same sequence of calls at a site sees the same faults — the
 //! reproducibility contract behind `TORTURE_SEED`.
 //!
-//! The plan records every injected fault in an in-memory **fault trace**
-//! (`"wal.write#12: short 512/4096"`), which the torture harness prints on
-//! failure so a red trial is diagnosable from its seed alone.
+//! A plan also carries the daemon's crash points ([`CrashPoint`]), armed
+//! by [`FaultPlan::arm_crash`] and counted down by the rule the library's
+//! thread-armed points follow ([`crate::failpoint`]). Checking an arm draws
+//! nothing from the seeded streams, so arming one shifts no fault.
+//!
+//! The plan records every injected fault and every fired crash in an
+//! in-memory **fault trace** (`"wal.write#12: short 512/4096"`,
+//! `"wal.append.torn: crash"`): the daemon's one record of what fired,
+//! which the torture harness prints on failure so a red trial is
+//! diagnosable from its seed alone.
 //!
 //! Plans are *per daemon instance*, not process-global: a plan rides an
 //! `Arc` inside [`crate::pmdir::PmDir`] (which is `Clone`), so parallel
-//! torture trials with different seeds never see each other's faults. Code
-//! paths that never attach a plan pay one `Option` check.
+//! trials never see each other's faults or crashes. Code paths that never
+//! attach a plan pay one `Option` check.
 
+use crate::failpoint::Countdowns;
 use crate::util::{splitmix64, GOLDEN};
 use parking_lot::Mutex;
 use std::io;
@@ -132,6 +141,36 @@ impl FaultSite {
     }
 }
 
+/// The daemon's crash points, armed on its [`FaultPlan`] — never on a
+/// thread, as the library's [`crate::failpoint::names`] are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// While the metadata-WAL group-commit leader writes a batch: only a
+    /// prefix of the batch reaches the file (some records durable, the last
+    /// one torn).
+    WalMidGroupCommit,
+    /// While a metadata-WAL record is appended: the record's tail bytes are
+    /// lost (models a torn append, like the client log's torn append).
+    WalAppendTorn,
+    /// Inside `PmDir::write_meta`, after the temp file is written and
+    /// fsynced, before it is renamed over its target — the one boundary a
+    /// metadata-WAL compaction (a checkpoint) has. The old file must still
+    /// be whole, and the temp file left behind must be ignored and
+    /// overwritten.
+    MetaWriteBeforeRename,
+}
+
+impl CrashPoint {
+    /// Stable name used in the fault trace and in `CrashInjected` errors.
+    pub fn name(self) -> &'static str {
+        match self {
+            CrashPoint::WalMidGroupCommit => "wal.group_commit.mid",
+            CrashPoint::WalAppendTorn => "wal.append.torn",
+            CrashPoint::MetaWriteBeforeRename => "meta.write.before_rename",
+        }
+    }
+}
+
 /// Fault probabilities in parts-per-million of consulted operations.
 /// All-zero (the default) injects nothing.
 #[derive(Debug, Clone, Copy, Default)]
@@ -187,7 +226,8 @@ pub enum SyncFault {
     Dropped,
 }
 
-/// One seeded fault schedule plus its trace. See the module docs.
+/// One seeded fault schedule, the armed crashes, and their trace. See the
+/// module docs.
 #[derive(Debug)]
 pub struct FaultPlan {
     seed: u64,
@@ -195,6 +235,7 @@ pub struct FaultPlan {
     counters: [AtomicU64; SITE_COUNT],
     injected: AtomicU64,
     enabled: AtomicBool,
+    crashes: Mutex<Countdowns<CrashPoint>>,
     trace: Mutex<Vec<String>>,
     /// Optional observability hub: every injection also lands in its trace
     /// ring (as a `fault` event), so a torture timeline interleaves faults
@@ -211,6 +252,7 @@ impl FaultPlan {
             counters: Default::default(),
             injected: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
+            crashes: Mutex::new(Countdowns::new()),
             trace: Mutex::new(Vec::new()),
             obs: Mutex::new(None),
         })
@@ -227,19 +269,21 @@ impl FaultPlan {
         self.seed
     }
 
-    /// Pauses (`false`) or resumes (`true`) injection. The torture harness
-    /// disables the plan during recovery/verification phases so invariant
-    /// checks observe the daemon, not the injector.
+    /// Pauses (`false`) or resumes (`true`) seeded injection; armed crashes
+    /// fire either way. The torture harness disables the plan during
+    /// recovery/verification phases so invariant checks observe the daemon,
+    /// not the injector.
     pub fn set_enabled(&self, enabled: bool) {
         self.enabled.store(enabled, Ordering::SeqCst);
     }
 
-    /// Total faults injected so far.
+    /// Total faults injected and crashes fired so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// The fault trace: one line per injected fault, in injection order.
+    /// The fault trace: one line per injected fault or fired crash, in
+    /// order.
     pub fn trace(&self) -> Vec<String> {
         self.trace.lock().clone()
     }
@@ -253,13 +297,31 @@ impl FaultPlan {
     }
 
     fn record(&self, site: FaultSite, n: u64, what: &str) {
+        self.log(format!("{}#{n}: {what}", site.name()), site.name(), n);
+    }
+
+    fn log(&self, line: String, name: &'static str, n: u64) {
         self.injected.fetch_add(1, Ordering::Relaxed);
-        self.trace
-            .lock()
-            .push(format!("{}#{n}: {what}", site.name()));
+        self.trace.lock().push(line);
         if let Some(obs) = self.obs.lock().as_ref() {
-            obs.trace(crate::obs::TraceEventKind::Fault, site.name(), n, 0);
+            obs.trace(crate::obs::TraceEventKind::Fault, name, n, 0);
         }
+    }
+
+    /// Arms `point`: its `after`-th check fires (`after == 0` fires on the
+    /// first), then it is disarmed. Re-arming restarts the countdown.
+    pub fn arm_crash(&self, point: CrashPoint, after: usize) {
+        self.crashes.lock().arm(point, after);
+    }
+
+    /// Whether the daemon crashes at `point` now: counts one check of an
+    /// armed point and traces it when it fires. Draws nothing.
+    pub fn should_crash(&self, point: CrashPoint) -> bool {
+        let fired = self.crashes.lock().fire(&point);
+        if fired {
+            self.log(format!("{}: crash", point.name()), point.name(), 0);
+        }
+        fired
     }
 
     /// Consults the schedule before a write of `len` bytes at `site`.
@@ -424,6 +486,42 @@ mod tests {
                 b.on_write(FaultSite::MetaWrite, 512)
             );
         }
+    }
+
+    #[test]
+    fn an_unfired_crash_arm_draws_the_same_faults() {
+        // Checking an arm draws nothing: a plan whose arm is checked before
+        // every write replays the unarmed plan's faults and trace exactly.
+        let armed = FaultPlan::new(5, noisy());
+        let plain = FaultPlan::new(5, noisy());
+        armed.arm_crash(CrashPoint::WalAppendTorn, usize::MAX);
+        for i in 0..500 {
+            assert!(!armed.should_crash(CrashPoint::WalAppendTorn));
+            assert!(!armed.should_crash(CrashPoint::MetaWriteBeforeRename));
+            assert_eq!(
+                armed.on_write(FaultSite::WalWrite, 64 + i),
+                plain.on_write(FaultSite::WalWrite, 64 + i)
+            );
+            assert_eq!(armed.on_conn_request(), plain.on_conn_request());
+        }
+        assert_eq!(armed.trace(), plain.trace());
+        assert!(plain.injected() > 0);
+    }
+
+    #[test]
+    fn armed_crash_fires_once_after_count_and_is_traced() {
+        let plan = FaultPlan::new(0, FaultProfile::default());
+        // Seeded injection paused; a scripted crash still fires.
+        plan.set_enabled(false);
+        plan.arm_crash(CrashPoint::WalMidGroupCommit, 2);
+        assert!(!plan.should_crash(CrashPoint::WalMidGroupCommit));
+        assert!(!plan.should_crash(CrashPoint::WalAppendTorn));
+        assert!(!plan.should_crash(CrashPoint::WalMidGroupCommit));
+        assert!(plan.should_crash(CrashPoint::WalMidGroupCommit));
+        // Disarmed after firing.
+        assert!(!plan.should_crash(CrashPoint::WalMidGroupCommit));
+        assert_eq!(plan.trace(), vec!["wal.group_commit.mid: crash"]);
+        assert_eq!(plan.injected(), 1);
     }
 
     #[test]

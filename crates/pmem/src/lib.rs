@@ -10,11 +10,12 @@
 //!   puddle files plus atomically-updated metadata files.
 //! * [`persist`] — cache-line flush and store-fence primitives (`clwb` /
 //!   `clflush` when available, portable fences otherwise).
-//! * [`failpoint`] — named crash-injection points used by the transaction
-//!   commit path, the allocator and the daemon to simulate power failures.
+//! * [`failpoint`] — the library's named crash points (commit stages, log
+//!   appends, the allocator), armed per thread to simulate power failures.
 //! * [`faultio`] — the seeded fault-injection plane: short/torn writes,
 //!   `EIO`/`ENOSPC`, dropped fsyncs, and connection resets, reproducible
-//!   from one `TORTURE_SEED` and logged as a per-trial fault trace.
+//!   from one `TORTURE_SEED`, plus the daemon's armed crash points; all
+//!   logged as a per-daemon fault trace.
 //! * [`checksum`] — the log-entry checksum (four CRC32C lanes folded to 64
 //!   bits: SSE4.2 `crc32` where the CPU has it, bit-identical tables where
 //!   it does not) and FNV-1a for type ids and WAL records.

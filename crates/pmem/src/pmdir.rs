@@ -17,8 +17,9 @@
 //! only the source's data extents, so relocating a puddle costs what it
 //! holds, not how big it is.
 
-use crate::failpoint::{self, names};
-use crate::faultio::{self, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES};
+use crate::faultio::{
+    self, CrashPoint, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES,
+};
 use crate::{PmError, Result, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -70,6 +71,12 @@ impl PmDir {
     /// The I/O robustness counters shared by every clone of this handle.
     pub fn io_stats(&self) -> &Arc<IoStats> {
         &self.stats
+    }
+
+    /// Whether the daemon crashes at `point` now (see
+    /// [`FaultPlan::should_crash`]); never without a plan.
+    pub fn should_crash(&self, point: CrashPoint) -> bool {
+        self.fault.as_ref().is_some_and(|p| p.should_crash(point))
     }
 
     fn write_fault(&self, site: FaultSite, len: usize) -> Option<WriteFault> {
@@ -319,8 +326,9 @@ impl PmDir {
             || {
                 let sites = (FaultSite::MetaWrite, FaultSite::MetaWrite);
                 self.write_synced(&File::create(&tmp)?, bytes, sites, File::sync_all)?;
-                if failpoint::should_fail(names::META_WRITE_BEFORE_RENAME) {
-                    return Err(PmError::CrashInjected(names::META_WRITE_BEFORE_RENAME));
+                let crash = CrashPoint::MetaWriteBeforeRename;
+                if self.should_crash(crash) {
+                    return Err(PmError::CrashInjected(crash.name()));
                 }
                 fs::rename(&tmp, &dst)?;
                 Ok(())

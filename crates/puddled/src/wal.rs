@@ -55,8 +55,7 @@
 
 use crate::registry::{LogSpaceRecord, PoolRecord, PuddleRecord, RegistryData, Rewrite};
 use puddles_pmem::checksum::{fnv1a64, fnv1a64_with_seed};
-use puddles_pmem::failpoint::{self, names};
-use puddles_pmem::faultio::FaultSite;
+use puddles_pmem::faultio::{CrashPoint, FaultSite};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
@@ -828,20 +827,21 @@ impl Wal {
     fn write_batch(&self, batch: &[u8]) -> Result<()> {
         let guard = self.io.lock().unwrap();
         let mut file: &File = &guard;
-        if failpoint::should_fail(names::WAL_MID_GROUP_COMMIT) {
+        for (crash, cut) in [
             // Persist only a prefix of the batch: earlier records of the
             // group survive, the record the cut lands in is torn.
-            let cut = batch.len() / 2;
-            file.write_all(&batch[..cut])?;
-            let _ = file.sync_data();
-            return Err(PmError::CrashInjected(names::WAL_MID_GROUP_COMMIT));
-        }
-        if failpoint::should_fail(names::WAL_APPEND_TORN) {
+            (CrashPoint::WalMidGroupCommit, batch.len() / 2),
             // Lose the tail of the last record only.
-            let cut = batch.len() - (batch.len() / 4).max(1).min(batch.len());
-            file.write_all(&batch[..cut])?;
-            let _ = file.sync_data();
-            return Err(PmError::CrashInjected(names::WAL_APPEND_TORN));
+            (
+                CrashPoint::WalAppendTorn,
+                batch.len() - (batch.len() / 4).max(1).min(batch.len()),
+            ),
+        ] {
+            if self.pmdir.should_crash(crash) {
+                file.write_all(&batch[..cut])?;
+                let _ = file.sync_data();
+                return Err(PmError::CrashInjected(crash.name()));
+            }
         }
         let start = file.metadata()?.len();
         // Winds back to the batch start; the file is in append mode, so a

@@ -10,7 +10,7 @@
 //! `Hello` claims.
 
 use puddled::{Daemon, DaemonConfig, UdsServer, MAX_PIPELINED_REQUESTS};
-use puddles_pmem::failpoint;
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 use puddles_proto::frame::encode_frame;
 use puddles_proto::{
     read_frame, write_frame, BlockingConn, Credentials, ErrorCode, MetricsReport, PtrField,
@@ -19,6 +19,7 @@ use puddles_proto::{
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn start_server() -> (tempfile::TempDir, Daemon, UdsServer, std::path::PathBuf) {
@@ -393,19 +394,17 @@ fn a_commit_that_crosses_the_threshold_has_checkpointed_when_it_returns() {
 /// ignoring the temp file left behind.
 #[test]
 fn kill_during_a_checkpoint_still_replays_registry() {
-    // The checkpoint runs on the thread whose commit crossed — this one —
-    // so the point is armed for this thread alone.
-    let _disarm = failpoint::scoped_clear_guard();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
+    let plan = FaultPlan::new(0, FaultProfile::default());
     let stale_tmp = tmp.path().join("meta").join("registry.wal.tmp");
     let failed = |daemon: &Daemon| daemon.metrics().counter("checkpoint.failed").load(Relaxed);
     let expected;
     {
-        let daemon = Daemon::start(config.clone()).unwrap();
+        let daemon = Daemon::start(config.clone().with_fault_plan(Arc::clone(&plan))).unwrap();
         daemon.wal().set_checkpoint_threshold(64);
         let before = checkpoints(&daemon);
-        failpoint::arm_scoped(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
+        plan.arm_crash(CrashPoint::MetaWriteBeforeRename, 0);
         let resp = create_pool(&daemon, "ckpt-crash");
         assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
         assert_eq!(failed(&daemon), 1);
@@ -423,11 +422,12 @@ fn kill_during_a_checkpoint_still_replays_registry() {
 
         // Kill with the checkpoint interrupted again, the WAL holding the
         // one record it never folded.
-        failpoint::arm_scoped(failpoint::names::META_WRITE_BEFORE_RENAME, 0);
+        plan.arm_crash(CrashPoint::MetaWriteBeforeRename, 0);
         let resp = create_pool(&daemon, "ckpt-killed");
         assert!(matches!(resp, Response::Pool(_)), "{resp:?}");
         assert_eq!(failed(&daemon), 2);
         assert!(stale_tmp.exists());
+        assert_eq!(plan.trace(), ["meta.write.before_rename: crash"; 2]);
         expected = daemon.registry().snapshot();
     }
 

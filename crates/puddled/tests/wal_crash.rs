@@ -1,4 +1,4 @@
-//! Failpoint-driven crash-injection tests for the metadata WAL.
+//! Crash-injection tests for the metadata WAL.
 //!
 //! Follows the black-box consistency-checking discipline of the paper's
 //! correctness evaluation (§5.1) — and of Biswas et al.'s snapshot-isolation
@@ -6,10 +6,13 @@
 //! daemon from the on-disk state alone, and assert the recovered registry
 //! satisfies its invariants (and, where the scenario pins it down, equals
 //! the exact pre-crash state).
+//!
+//! A crash is armed on the fault plan of the registry or daemon it crashes
+//! ([`CrashPoint`]), so these tests run in parallel, each on its own plan.
 
 use puddled::registry::{PuddleRecord, Registry, RegistryData, Rewrite};
 use puddled::{Daemon, DaemonConfig, RegistryOp, Wal};
-use puddles_pmem::failpoint::{self, names};
+use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::{PmError, PAGE_SIZE};
 use puddles_proto::{
@@ -19,16 +22,18 @@ use puddles_proto::{
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Failpoints are process-global; tests that arm them must not interleave.
-static FP_LOCK: Mutex<()> = Mutex::new(());
+/// A plan that injects no seeded fault: it only carries armed crashes.
+fn crash_plan() -> Arc<FaultPlan> {
+    FaultPlan::new(0, FaultProfile::default())
+}
 
-fn lock_failpoints() -> std::sync::MutexGuard<'static, ()> {
-    let guard = FP_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    failpoint::clear_all();
-    guard
+/// A PM directory on `root` whose layers consult `plan`.
+fn pm_with(root: &Path, plan: &Arc<FaultPlan>) -> PmDir {
+    PmDir::open(root).unwrap().with_fault_plan(Arc::clone(plan))
 }
 
 fn open_registry(pm: &PmDir) -> Registry {
@@ -101,7 +106,6 @@ fn assert_consistent(data: &RegistryData) {
 
 #[test]
 fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let pm = PmDir::open(tmp.path()).unwrap();
     let before;
@@ -150,8 +154,7 @@ fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
             records[0]
         );
         // One record per transaction, however many ops each carried.
-        let tail: std::collections::BTreeSet<u64> =
-            records[1..].iter().map(|(seq, _)| *seq).collect();
+        let tail: BTreeSet<u64> = records[1..].iter().map(|(seq, _)| *seq).collect();
         assert_eq!(tail.len() as u64, reg.wal().stats().records);
         assert!(records.len() > 1 + tail.len() && tail.len() >= 10);
         // The registry is dropped without a checkpoint — recovery must
@@ -170,9 +173,9 @@ fn recovery_roundtrips_a_registry_bit_identically_through_the_wal() {
 
 #[test]
 fn torn_tail_record_is_discarded_and_prior_state_survives() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let plan = crash_plan();
+    let pm = pm_with(tmp.path(), &plan);
     let before;
     {
         let reg = open_registry(&pm);
@@ -181,14 +184,13 @@ fn torn_tail_record_is_discarded_and_prior_state_survives() {
         before = reg.snapshot();
 
         // The next mutation's WAL record is torn mid-append.
-        failpoint::arm(names::WAL_APPEND_TORN, 0);
+        plan.arm_crash(CrashPoint::WalAppendTorn, 0);
         transact(&reg, put(&record(&reg, None)));
         let err = reg.commit().unwrap_err();
         assert!(
             matches!(err, PmError::CrashInjected(_)),
             "expected injected crash, got {err}"
         );
-        failpoint::clear_all();
         // Once torn, the WAL refuses further traffic until restart.
         assert!(reg.commit().is_err());
     }
@@ -203,9 +205,9 @@ fn torn_tail_record_is_discarded_and_prior_state_survives() {
 
 #[test]
 fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let plan = crash_plan();
+    let pm = pm_with(tmp.path(), &plan);
     let before;
     {
         let reg = open_registry(&pm);
@@ -220,10 +222,9 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
         reg.commit().unwrap();
         before = reg.snapshot();
 
-        failpoint::arm(names::META_WRITE_BEFORE_RENAME, 0);
+        plan.arm_crash(CrashPoint::MetaWriteBeforeRename, 0);
         let err = reg.checkpoint().unwrap_err();
         assert!(matches!(err, PmError::CrashInjected(_)));
-        failpoint::clear_all();
         // The compacted file was written beside the WAL; the WAL itself
         // was not replaced.
         assert!(pm.meta_path("registry.wal.tmp").exists());
@@ -245,8 +246,6 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
 /// commits, and a reload lands on the live state.
 #[test]
 fn a_failed_checkpoint_does_not_wedge_the_registry() {
-    use puddles_pmem::faultio::{FaultPlan, FaultProfile};
-    let _guard = lock_failpoints();
     let enospc = FaultProfile {
         write_enospc_ppm: 1_000_000,
         ..FaultProfile::default()
@@ -309,9 +308,9 @@ fn a_failed_checkpoint_does_not_wedge_the_registry() {
 /// failure is counted and traced, and the next commit's trigger retries.
 #[test]
 fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let plan = crash_plan();
+    let pm = pm_with(tmp.path(), &plan);
     let live;
     {
         let reg = open_registry(&pm);
@@ -319,11 +318,11 @@ fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
         // threshold: every commit, here.
         reg.wal().set_checkpoint_threshold(1);
         let before = checkpoints(&reg);
-        failpoint::arm(names::META_WRITE_BEFORE_RENAME, 0);
+        plan.arm_crash(CrashPoint::MetaWriteBeforeRename, 0);
         build_pool(&reg, "durable", 2);
         reg.commit()
             .expect("the flush succeeded; the checkpoint's failure is not the request's");
-        assert_eq!(failpoint::fired(), vec![names::META_WRITE_BEFORE_RENAME]);
+        assert_eq!(plan.trace(), vec!["meta.write.before_rename: crash"]);
         let failed = reg.wal().obs().counter("checkpoint.failed");
         assert_eq!(failed.load(std::sync::atomic::Ordering::Relaxed), 1);
         assert!(
@@ -353,14 +352,14 @@ fn commit_does_not_report_a_failed_checkpoint_as_its_own() {
 
 #[test]
 fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
-    let pm = PmDir::open(tmp.path()).unwrap();
+    let plan = crash_plan();
+    let pm = pm_with(tmp.path(), &plan);
     let acked = Arc::new(Mutex::new(Vec::new()));
     {
         let reg = Arc::new(open_registry(&pm));
         // Let a couple of batches commit cleanly, then tear one mid-write.
-        failpoint::arm(names::WAL_MID_GROUP_COMMIT, 3);
+        plan.arm_crash(CrashPoint::WalMidGroupCommit, 3);
         let threads: Vec<_> = (0..4)
             .map(|_| {
                 let reg = Arc::clone(&reg);
@@ -393,11 +392,9 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
         for t in threads {
             t.join().unwrap();
         }
-        let fired = failpoint::fired();
-        failpoint::clear_all();
         assert_eq!(
-            fired,
-            vec![names::WAL_MID_GROUP_COMMIT.to_string()],
+            plan.trace(),
+            vec!["wal.group_commit.mid: crash"],
             "the crash must actually have been injected"
         );
     }
@@ -415,9 +412,57 @@ fn crash_mid_group_commit_keeps_every_acknowledged_mutation() {
     }
 }
 
+/// A crash belongs to the registry it is armed for. Two registries, each
+/// on its own directory, commit side by side; A's plan tears A's sixth
+/// append. A acknowledged exactly five records and reopens on them; B,
+/// whose plan is unarmed, commits every record and reopens whole.
+#[test]
+fn a_crash_armed_on_one_plan_tears_that_registry_alone() {
+    const COMMITS: usize = 40;
+    let tmps = [tempfile::tempdir().unwrap(), tempfile::tempdir().unwrap()];
+    let plans = [crash_plan(), crash_plan()];
+    let pms = [0, 1].map(|i| pm_with(tmps[i].path(), &plans[i]));
+    let regs = pms.each_ref().map(open_registry);
+    plans[0].arm_crash(CrashPoint::WalAppendTorn, 5);
+    let start = std::sync::Barrier::new(2);
+    let acked = std::thread::scope(|scope| {
+        let threads = regs.each_ref().map(|reg| {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                let mut acked = Vec::new();
+                for _ in 0..COMMITS {
+                    let rec = record(reg, None);
+                    transact(reg, put(&rec));
+                    match reg.commit() {
+                        Ok(()) => acked.push(rec.id),
+                        Err(err) => {
+                            assert!(matches!(err, PmError::CrashInjected(_)), "{err}");
+                            break;
+                        }
+                    }
+                }
+                acked
+            })
+        });
+        threads.map(|t| t.join().unwrap())
+    });
+    assert_eq!(plans[0].trace(), vec!["wal.append.torn: crash"]);
+    assert!(plans[1].trace().is_empty());
+    assert_eq!((acked[0].len(), acked[1].len()), (5, COMMITS));
+    let live_b = regs[1].snapshot();
+    drop(regs);
+
+    let reopened = pms.each_ref().map(|pm| open_registry(pm).snapshot());
+    let ids: BTreeSet<&PuddleId> = reopened[0].puddles.keys().collect();
+    assert_eq!(ids, acked[0].iter().collect(), "A: its acked records only");
+    assert_eq!(reopened[1], live_b, "B reopens whole");
+    assert_eq!(reopened[1].puddles.len(), COMMITS);
+    reopened.iter().for_each(assert_consistent);
+}
+
 #[test]
 fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let pm = PmDir::open(tmp.path()).unwrap();
     let reg = open_registry(&pm);
@@ -445,7 +490,6 @@ fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
 
 #[test]
 fn startup_sweep_deletes_orphan_puddle_files() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
     let legit_files: Vec<String>;
@@ -490,7 +534,6 @@ fn startup_sweep_deletes_orphan_puddle_files() {
 #[test]
 fn damage_inside_the_snapshot_refuses_startup_and_sweeps_nothing() {
     use puddles_proto::{Endpoint, Request, Response};
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
     let pm = PmDir::open(tmp.path()).unwrap();
@@ -559,6 +602,11 @@ fn tables(daemon: &Daemon) -> [u64; 3] {
     ["registry.pools", "registry.puddles", "space.used_bytes"].map(|name| counter(daemon, name))
 }
 
+/// `config` with a plan of its own, for [`call_torn`].
+fn with_crash_plan(config: &DaemonConfig) -> DaemonConfig {
+    config.clone().with_fault_plan(crash_plan())
+}
+
 fn create_pool(name: &str) -> Request {
     Request::CreatePool {
         name: name.into(),
@@ -587,11 +635,12 @@ fn open_pool(daemon: &Daemon, name: &str) -> PoolInfo {
 /// Sends `req` with the WAL armed to tear its `nth` group commit: that
 /// append is cut short on disk, the request fails, the daemon is dead.
 /// Returns `false` — the request went through — if it makes no `nth` one.
+/// `daemon` must have been started with a fault plan ([`with_crash_plan`]).
 fn call_torn(daemon: &Daemon, req: Request, nth: usize) -> bool {
-    failpoint::arm(names::WAL_APPEND_TORN, nth);
+    let plan = daemon.pm_dir().fault_plan().expect("started with a plan");
+    plan.arm_crash(CrashPoint::WalAppendTorn, nth);
     let resp = daemon.endpoint_for_current_process().call(&req).unwrap();
-    let fired = !failpoint::fired().is_empty();
-    failpoint::clear_all();
+    let fired = !plan.trace().is_empty();
     match &resp {
         Response::Error { code, .. } => assert!(fired && *code == ErrorCode::Internal, "{resp:?}"),
         _ => assert!(!fired, "{resp:?}"),
@@ -606,12 +655,11 @@ fn call_torn(daemon: &Daemon, req: Request, nth: usize) -> bool {
 /// and its file is the startup sweep's.
 #[test]
 fn a_torn_create_pool_leaves_nothing_behind() {
-    let _guard = lock_failpoints();
     for nth in 0.. {
         let tmp = tempfile::tempdir().unwrap();
         let config = DaemonConfig::for_testing(tmp.path());
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let daemon = Daemon::start(with_crash_plan(&config)).unwrap();
             if !call_torn(&daemon, create_pool("torn"), nth) {
                 assert_eq!(nth, 1, "CreatePool is one group commit");
                 break;
@@ -632,7 +680,6 @@ fn a_torn_create_pool_leaves_nothing_behind() {
 /// members are back — and it can simply be retried.
 #[test]
 fn a_torn_drop_pool_did_not_happen() {
-    let _guard = lock_failpoints();
     let drop = Request::DropPool {
         name: "eight".into(),
     };
@@ -641,7 +688,7 @@ fn a_torn_drop_pool_did_not_happen() {
         let config = DaemonConfig::for_testing(tmp.path());
         let before;
         {
-            let daemon = Daemon::start(config.clone()).unwrap();
+            let daemon = Daemon::start(with_crash_plan(&config)).unwrap();
             call(&daemon, create_pool("eight"));
             for _ in 1..8 {
                 call(&daemon, create_puddle(Some("eight"), PuddlePurpose::Data));
@@ -673,7 +720,6 @@ fn a_torn_drop_pool_did_not_happen() {
 /// the three — the same, root included, in creation order.
 #[test]
 fn a_pools_member_order_survives_replay_and_compaction() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path());
     let live;
@@ -758,7 +804,6 @@ fn relocation(daemon: &Daemon, id: PuddleId) -> (bool, Vec<Translation>) {
 /// the whole-space shift.
 #[test]
 fn a_base_move_keeps_translating_a_pending_imports_exporter_addresses() {
-    let _guard = lock_failpoints();
     let tmp = tempfile::tempdir().unwrap();
     let config = DaemonConfig::for_testing(tmp.path().join("pm"));
     let exported_at = [0x7e00_0000_0000u64, 0x7e00_0100_0000];
@@ -1004,7 +1049,6 @@ fn check_every_cut_of_a_history(seed: u64) {
 /// already be a whole state.
 #[test]
 fn a_wal_cut_at_any_byte_restarts_on_a_request_boundary() {
-    let _guard = lock_failpoints();
     // Thousands of restarts each: side by side, on a space of their own.
     std::thread::scope(|scope| {
         for seed in [11, 12] {

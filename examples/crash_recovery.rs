@@ -40,8 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })?;
         let root: PmPtr<Account> = pool.root().unwrap();
 
-        // Crash in the middle of the commit sequence.
-        failpoint::arm(failpoint::names::COMMIT_AFTER_UNDO_FLUSH, 0);
+        // Crash in the middle of the commit sequence. The commit runs on
+        // this thread, so the crash point is armed for this thread.
+        failpoint::arm_scoped(failpoint::names::COMMIT_AFTER_UNDO_FLUSH, 0);
         let err = pool
             .tx(|tx| {
                 let acc = pool.deref_mut(root)?;
@@ -50,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ok(())
             })
             .unwrap_err();
-        failpoint::clear_all();
+        failpoint::clear_current_thread();
         println!("writer crashed mid-commit: {err}");
         // The writer process is gone; it never performs recovery.
     }

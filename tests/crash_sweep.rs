@@ -21,9 +21,10 @@
 //! Trials run **in parallel** (`PUDDLES_CRASH_SWEEP_THREADS`, default:
 //! available parallelism, capped at 8): each trial owns a private PM dir
 //! and a unique global-space slot (`DaemonConfig::for_testing`), and its
-//! crash points are armed **thread-scoped** (`failpoint::arm_scoped`), so
-//! concurrent trials can neither trip nor consume one another's
-//! failpoints. Worker threads pull trial indices from a shared counter, so
+//! crash points are armed on its worker's thread (`failpoint::arm_scoped`:
+//! the library's crash points are thread-local), so concurrent trials can
+//! neither trip nor consume one another's points, and checking one takes
+//! no lock. Worker threads pull trial indices from a shared counter, so
 //! seeds stay `base + trial` regardless of thread count — a failure
 //! reproduces identically single-threaded.
 
