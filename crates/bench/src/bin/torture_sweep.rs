@@ -1,6 +1,6 @@
 //! Deep torture sweep driver for CI and soak runs.
 //!
-//! Runs many seeded torture trials (see `puddles::torture`) and reports
+//! Runs many seeded torture trials (see `puddles_bench::torture`) and reports
 //! per-trial fault/ack statistics. Unlike the bounded `cargo test` sweep
 //! this binary is meant for long nightly runs:
 //!
@@ -11,7 +11,7 @@
 //! On a failure it prints the seed + fault trace, writes
 //! `target/torture_seed.txt` (uploaded by CI), and exits nonzero.
 
-use puddles::torture::{run_sweep_with, SweepOptions, TortureFailure};
+use puddles_bench::torture::{run_sweep_with, SweepOptions, TortureFailure};
 use std::process::exit;
 
 struct Args {

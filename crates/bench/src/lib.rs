@@ -2,10 +2,13 @@
 //!
 //! Every table and figure in the paper's evaluation has a corresponding
 //! binary in `src/bin/`; this module holds the scaling / timing / output
-//! plumbing they share.
+//! plumbing they share, and [`torture`], the seeded fault/kill harness that
+//! drives the library and the daemon together.
 //!
 //! All binaries run **scaled-down sizes by default** so the whole harness
 //! completes in minutes on a laptop; pass `--full` for paper-scale runs.
+
+pub mod torture;
 
 use std::time::{Duration, Instant};
 

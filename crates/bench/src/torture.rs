@@ -43,14 +43,16 @@
 //! vacuous. Recovery-under-fault is covered separately by the failpoint
 //! crash tests (`wal_crash`, `crash_sweep`).
 //!
-//! Consumed by `crates/puddled/tests/torture.rs` (bounded in-tree sweep +
-//! the same-seed replay gate) and the `torture_sweep` bench binary (deep
-//! CI sweeps, `--replay-check` determinism gate).
+//! It drives both sides, the client library and the daemon, so it lives in
+//! this crate rather than in either of them. Consumed by
+//! `crates/bench/tests/torture.rs` (bounded in-tree sweep + the same-seed
+//! replay gate) and the `torture_sweep` bin (deep CI sweeps,
+//! `--replay-check` determinism gate).
 //!
 //! [`VirtualClock`]: puddles_pmem::clock::VirtualClock
 
-use crate::{PoolOptions, PuddleClient, RetryPolicy};
 use puddled::{Daemon, DaemonConfig, Invariants, UdsServer};
+use puddles::{PoolOptions, PuddleClient, RetryPolicy};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::{FaultPlan, FaultProfile};
 use puddles_pmem::obs::Metrics;
@@ -69,7 +71,7 @@ use std::time::Duration;
 struct TortureCounter {
     value: u64,
 }
-crate::impl_pm_type!(TortureCounter, "torture::Counter", []);
+puddles::impl_pm_type!(TortureCounter, "torture::Counter", []);
 
 /// Everything one torture trial needs; derived from the seed by
 /// [`TortureConfig::from_seed`], overridable for focused tests.
@@ -454,7 +456,7 @@ struct Shadow {
 /// stays readable.
 struct ClientCtx {
     socket: PathBuf,
-    space: Arc<puddled::GlobalSpace>,
+    space: Arc<puddles_pmem::space::GlobalSpace>,
     shadow: Arc<Mutex<Shadow>>,
     stop: Arc<AtomicBool>,
     sched: Arc<CoopSched>,

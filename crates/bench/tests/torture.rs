@@ -1,8 +1,8 @@
 //! The in-tree torture sweep: seeded fault injection + kill/restart +
 //! invariant checks, bounded for `cargo test`.
 //!
-//! The harness itself lives in `puddles::torture` (shared with the
-//! `torture_sweep` bench binary, which CI uses for deep sweeps). Knobs:
+//! The harness itself lives in `puddles_bench::torture` (shared with the
+//! `torture_sweep` bin, which CI uses for deep sweeps). Knobs:
 //!
 //! * `TORTURE_SEED` — base seed (trial `i` runs seed `base + i`);
 //! * `TORTURE_TRIALS` — trial count (default 25);
@@ -13,7 +13,7 @@
 //! `TORTURE_SEED=<seed> TORTURE_TRIALS=1`. The failing seed is also
 //! written to `target/torture_seed.txt` for CI artifact upload.
 
-use puddles::torture::{env_u64, run_sweep, run_trial, TortureConfig};
+use puddles_bench::torture::{env_u64, run_sweep, run_trial, TortureConfig};
 
 /// The replay guarantee, in-tree: one seed, two runs, byte-identical
 /// fault traces, operation histories, and observability trace-ring

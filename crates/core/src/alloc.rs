@@ -36,7 +36,7 @@ pub const SLAB_CLASSES: [usize; 5] = [16, 32, 64, 128, 256];
 
 /// Offset of the allocator region within a puddle (right after the fixed
 /// puddle header).
-pub const ALLOC_REGION_OFFSET: usize = puddled::PUDDLE_HEADER_SIZE;
+pub const ALLOC_REGION_OFFSET: usize = puddles_logfmt::PUDDLE_HEADER_SIZE;
 
 const ALLOC_MAGIC: u64 = 0x5055_4444_414c_4c31; // "PUDDALL1"
 

@@ -13,12 +13,12 @@ use crate::transport::{ClientMetrics, PipelinedEndpoint, RetryPolicy};
 use crate::tx::{self, Transaction};
 use crate::types::{PmType, TypeRegistry};
 use parking_lot::{Mutex, RwLock};
-use puddled::{Daemon, GlobalSpace, LOG_REGION_OFFSET};
-use puddles_logfmt::{LogRef, LogSpaceRef, LogWriter};
+use puddles_logfmt::{LogRef, LogSpaceRef, LogWriter, LOG_REGION_OFFSET};
 use puddles_pmem::failpoint;
+use puddles_pmem::space::GlobalSpace;
 use puddles_proto::{
-    Credentials, Endpoint, PoolInfo, PuddleId, PuddleInfo, PuddlePurpose, RecoveryReport, Request,
-    Response,
+    Credentials, Endpoint, LocalDaemon, PoolInfo, PuddleId, PuddleInfo, PuddlePurpose,
+    RecoveryReport, Request, Response,
 };
 use std::collections::{HashMap, HashSet};
 use std::fs::OpenOptions;
@@ -72,14 +72,8 @@ pub(crate) struct ClientInner {
 
 #[derive(Default)]
 struct LoggingState {
-    logspace: Option<MappedLogSpace>,
+    logspace: Option<LogSpaceRef>,
     next_log_id: u64,
-}
-
-struct MappedLogSpace {
-    #[allow(dead_code)]
-    info: PuddleInfo,
-    ls: LogSpaceRef,
 }
 
 /// One thread's cached log and the per-transaction state that is cleared,
@@ -87,8 +81,6 @@ struct MappedLogSpace {
 /// only one that looks its entry up and holds the entry's lock for the
 /// length of a transaction; the mapping lives for the client's lifetime.
 pub(crate) struct ThreadLog {
-    #[allow(dead_code)]
-    info: PuddleInfo,
     /// The log-space `log_id` this thread's log was registered under; chain
     /// segments added mid-transaction register under the same id with
     /// ascending `chain_index`.
@@ -102,19 +94,21 @@ pub(crate) struct ThreadLog {
 }
 
 impl PuddleClient {
-    /// Connects to an in-process daemon with this process's credentials.
-    pub fn connect_local(daemon: &Daemon) -> Result<Self> {
+    /// Connects to an in-process daemon (`puddled::Daemon`) with this
+    /// process's credentials.
+    pub fn connect_local(daemon: &impl LocalDaemon<Space = GlobalSpace>) -> Result<Self> {
         Self::connect_local_as(daemon, Credentials::current_process())
     }
 
     /// Connects to an in-process daemon presenting explicit credentials
     /// (used by tests to model multiple users).
-    pub fn connect_local_as(daemon: &Daemon, creds: Credentials) -> Result<Self> {
-        let endpoint = Box::new(daemon.endpoint(creds));
-        let gspace = daemon.global_space();
+    pub fn connect_local_as(
+        daemon: &impl LocalDaemon<Space = GlobalSpace>,
+        creds: Credentials,
+    ) -> Result<Self> {
         Self::finish_connect(
-            endpoint,
-            Some(gspace),
+            daemon.endpoint(creds),
+            Some(daemon.space()),
             creds,
             Arc::new(ClientMetrics::default()),
         )
@@ -460,7 +454,6 @@ impl ClientInner {
         }
         self.register_log_segment(&info, log_id, 0)?;
         let tl = Arc::new(Mutex::new(ThreadLog {
-            info,
             log_id,
             writer: LogWriter::new(log),
             undo_set: IntervalSet::new(),
@@ -528,7 +521,6 @@ impl ClientInner {
         let logging = self.logging.lock();
         match &logging.logspace {
             Some(ls) => ls
-                .ls
                 .register(info.id.0, log_id, chain_index)
                 .map_err(Error::from),
             None => Err(Error::Corruption(
@@ -554,7 +546,7 @@ impl ClientInner {
         {
             let logging = self.logging.lock();
             if let Some(ls) = &logging.logspace {
-                ls.ls.unregister(info.id.0);
+                ls.unregister(info.id.0);
             }
         }
         if info.size == self.log_puddle_size() {
@@ -604,7 +596,7 @@ impl ClientInner {
             };
             ls.init();
             self.call(&Request::RegLogSpace { puddle: info.id })?;
-            logging.logspace = Some(MappedLogSpace { info, ls });
+            logging.logspace = Some(ls);
         }
         logging.next_log_id += 1;
         Ok(logging.next_log_id)

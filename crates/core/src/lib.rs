@@ -56,7 +56,6 @@ pub mod pool;
 pub mod ptr;
 pub mod puddle;
 pub mod reloc;
-pub mod torture;
 pub mod transport;
 pub mod tx;
 pub mod types;

@@ -101,14 +101,18 @@ impl ClientMetrics {
     /// The series and counters as a wire-shaped report.
     pub fn report(&self) -> puddles_proto::MetricsReport {
         use std::sync::atomic::Ordering::Relaxed;
+        let rtt = self.rtt.snapshot();
         let counter = |name: &str, value: u64| puddles_proto::CounterSnapshot {
             name: name.to_string(),
             value,
         };
         puddles_proto::MetricsReport {
-            series: vec![puddled::service::series_snapshot(
+            series: vec![puddles_proto::SeriesSnapshot::from_histogram(
                 "client.rtt".to_string(),
-                &self.rtt.snapshot(),
+                rtt.count,
+                rtt.sum,
+                rtt.max,
+                |p| rtt.percentile(p),
             )],
             counters: vec![
                 counter(

@@ -135,7 +135,7 @@ impl<'c> Transaction<'c> {
             Ok(()) => Ok(()),
             Err(PmError::LogFull { need, free }) => {
                 let segment_capacity =
-                    self.client.log_puddle_size() as usize - puddled::LOG_REGION_OFFSET;
+                    self.client.log_puddle_size() as usize - puddles_logfmt::LOG_REGION_OFFSET;
                 if data.len() > segment_payload_capacity(segment_capacity) {
                     // No fresh segment could ever hold this payload; chaining
                     // would allocate puddles forever without making progress.

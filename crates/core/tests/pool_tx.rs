@@ -5,9 +5,11 @@
 //! and live there only, so the crash tests run in parallel with the rest,
 //! with no lock between them.
 
-use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
+use puddled::{Daemon, DaemonConfig};
 use puddles::{impl_pm_type, Error, PmPtr, PmType, PoolOptions, PuddleClient};
-use puddles_logfmt::{collect_live, LogRef, LogSpaceRef, RANGE_DONE, RANGE_EXEC};
+use puddles_logfmt::{
+    collect_live, LogRef, LogSpaceRef, LOG_REGION_OFFSET, RANGE_DONE, RANGE_EXEC,
+};
 use puddles_pmem::persist;
 use puddles_proto::{PuddleId, PuddlePurpose};
 
@@ -769,7 +771,7 @@ fn max_segment_payload_chains_and_oversized_payload_is_rejected() {
     // TxTooLarge (without looping on chain extensions).
     let (_tmp, _config, _daemon, client) = setup();
     client.set_log_puddle_size(64 * 1024);
-    let segment_capacity = 64 * 1024 - puddled::LOG_REGION_OFFSET;
+    let segment_capacity = 64 * 1024 - LOG_REGION_OFFSET;
     let max_payload = puddles_logfmt::segment_payload_capacity(segment_capacity);
     let pool = client
         .create_pool("maxpay", PoolOptions::default())

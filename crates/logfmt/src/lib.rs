@@ -47,6 +47,18 @@ pub use replay::{
     ReplayStats, ReplayTarget,
 };
 
+/// Size of the header page at the start of every puddle.
+///
+/// The paper configures 4 KiB of header per 2 MiB of heap; this reproduction
+/// reserves a fixed 4 KiB identity header and places the (size-dependent)
+/// allocator metadata at the start of the heap, which keeps the daemon's
+/// view of the layout independent of the heap size.
+pub const PUDDLE_HEADER_SIZE: usize = 4096;
+
+/// Offset (from the puddle base) at which log / log-space structures start
+/// inside log puddles: immediately after the header.
+pub const LOG_REGION_OFFSET: usize = PUDDLE_HEADER_SIZE;
+
 /// Sequence number assigned to undo entries in the hybrid-logging scheme.
 pub const SEQ_UNDO: u32 = 1;
 /// Sequence number assigned to redo entries in the hybrid-logging scheme.

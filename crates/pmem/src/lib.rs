@@ -5,7 +5,9 @@
 //!
 //! * [`space::VaReservation`] — a large reserved virtual-address range (the
 //!   *global puddle space*) into which puddle files are mapped with
-//!   `MAP_FIXED`, so persistent data keeps stable native-pointer addresses.
+//!   `MAP_FIXED`, so persistent data keeps stable native-pointer addresses;
+//!   [`space::GlobalSpace`] counts the mappings the daemon and an
+//!   in-process client share in it.
 //! * [`pmdir::PmDir`] — the "DAX filesystem": a directory of fixed-size
 //!   puddle files plus atomically-updated metadata files.
 //! * [`persist`] — cache-line flush and store-fence primitives (`clwb` /

@@ -12,6 +12,8 @@
 //! puddle files only triggers the normal pointer-rewrite path.
 
 use crate::{PmError, Result, PAGE_SIZE};
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::fs::File;
 use std::os::unix::io::AsRawFd;
 use std::ptr;
@@ -287,6 +289,142 @@ impl Drop for VaReservation {
     }
 }
 
+/// State of one mapped puddle inside the global space.
+#[derive(Debug)]
+struct Mapping {
+    len: usize,
+    writable: bool,
+    refcount: usize,
+}
+
+/// The reserved global puddle space plus the set of currently mapped
+/// puddles.
+///
+/// A daemon owns one per "machine". In-process clients share it via `Arc`;
+/// out-of-process clients reserve their own at the base the daemon reports
+/// in `Welcome`. Mappings are reference counted, so the daemon's recovery
+/// pass and the client library can map the same puddle without tripping
+/// over each other.
+#[derive(Debug)]
+pub struct GlobalSpace {
+    reservation: VaReservation,
+    mappings: Mutex<HashMap<usize, Mapping>>,
+}
+
+impl GlobalSpace {
+    /// Reserves a global space of `size` bytes, preferably at `base_hint`.
+    pub fn reserve(base_hint: Option<usize>, size: usize) -> Result<Self> {
+        let reservation = VaReservation::reserve(base_hint, size)?;
+        Ok(GlobalSpace {
+            reservation,
+            mappings: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Returns the base virtual address of the space.
+    pub fn base(&self) -> usize {
+        self.reservation.base()
+    }
+
+    /// Returns the size of the space in bytes.
+    pub fn size(&self) -> usize {
+        self.reservation.len()
+    }
+
+    /// Translates an offset within the space to a virtual address.
+    pub fn addr_of(&self, offset: usize) -> usize {
+        self.base() + offset
+    }
+
+    /// Translates a virtual address inside the space back to an offset.
+    pub fn offset_of(&self, addr: usize) -> Option<usize> {
+        if addr >= self.base() && addr < self.base() + self.size() {
+            Some(addr - self.base())
+        } else {
+            None
+        }
+    }
+
+    /// Returns `true` if the puddle at `offset` is currently mapped.
+    pub fn is_mapped(&self, offset: usize) -> bool {
+        self.mappings.lock().contains_key(&offset)
+    }
+
+    /// Maps `len` bytes of `file` at `offset` within the space.
+    ///
+    /// If the puddle is already mapped the reference count is bumped; a
+    /// read-only mapping is upgraded to read-write when `writable` is
+    /// requested. Returns the puddle's virtual address.
+    pub fn map_puddle(
+        &self,
+        file: &File,
+        offset: usize,
+        len: usize,
+        writable: bool,
+    ) -> Result<usize> {
+        if !offset.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
+            return Err(PmError::Misaligned {
+                value: offset | len,
+                align: PAGE_SIZE,
+            });
+        }
+        let mut mappings = self.mappings.lock();
+        if let Some(m) = mappings.get_mut(&offset) {
+            if m.len != len {
+                return Err(PmError::Corruption(format!(
+                    "puddle at offset {offset:#x} already mapped with length {:#x}, requested {len:#x}",
+                    m.len
+                )));
+            }
+            if writable && !m.writable {
+                self.reservation.map_file_fixed(offset, file, len, true)?;
+                m.writable = true;
+            }
+            m.refcount += 1;
+            return Ok(self.addr_of(offset));
+        }
+        let addr = self
+            .reservation
+            .map_file_fixed(offset, file, len, writable)?;
+        mappings.insert(
+            offset,
+            Mapping {
+                len,
+                writable,
+                refcount: 1,
+            },
+        );
+        Ok(addr)
+    }
+
+    /// Releases one reference to the puddle mapped at `offset`, unmapping it
+    /// when the count reaches zero.
+    ///
+    /// # Safety
+    ///
+    /// When this drops the last reference, no live references or raw-pointer
+    /// accesses into the puddle's range may remain.
+    pub unsafe fn unmap_puddle(&self, offset: usize) -> Result<()> {
+        let mut mappings = self.mappings.lock();
+        let Some(m) = mappings.get_mut(&offset) else {
+            return Err(PmError::OutOfRange { offset, len: 0 });
+        };
+        m.refcount -= 1;
+        if m.refcount == 0 {
+            let len = m.len;
+            mappings.remove(&offset);
+            // SAFETY: last reference gone per the caller contract.
+            unsafe { self.reservation.unmap(offset, len)? };
+        }
+        Ok(())
+    }
+
+    /// Returns the number of distinct puddles currently mapped.
+    pub fn mapped_count(&self) -> usize {
+        self.mappings.lock().len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,5 +596,71 @@ mod tests {
         assert_eq!(v, 0);
         // SAFETY: no references remain.
         unsafe { res.unmap(0, PAGE_SIZE).unwrap() };
+    }
+
+    fn global_space() -> (tempfile::TempDir, PmDir, GlobalSpace) {
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        let space = GlobalSpace::reserve(None, 1 << 26).unwrap();
+        (tmp, pm, space)
+    }
+
+    #[test]
+    fn map_refcount_and_unmap() {
+        let (_tmp, pm, space) = global_space();
+        pm.create_puddle_file("p", 4 * PAGE_SIZE).unwrap();
+        let (file, _) = pm.open_puddle_file("p", 4 * PAGE_SIZE).unwrap();
+        let addr1 = space.map_puddle(&file, 0, 4 * PAGE_SIZE, true).unwrap();
+        let addr2 = space.map_puddle(&file, 0, 4 * PAGE_SIZE, false).unwrap();
+        assert_eq!(addr1, addr2);
+        assert_eq!(space.mapped_count(), 1);
+        assert!(space.is_mapped(0));
+        // SAFETY: no outstanding references into the mapping.
+        unsafe {
+            space.unmap_puddle(0).unwrap();
+            assert!(space.is_mapped(0));
+            space.unmap_puddle(0).unwrap();
+        }
+        assert!(!space.is_mapped(0));
+        assert!(unsafe { space.unmap_puddle(0) }.is_err());
+    }
+
+    #[test]
+    fn read_only_then_write_upgrade() {
+        let (_tmp, pm, space) = global_space();
+        pm.create_puddle_file("p", PAGE_SIZE).unwrap();
+        let (file, _) = pm.open_puddle_file("p", PAGE_SIZE).unwrap();
+        let addr = space
+            .map_puddle(&file, PAGE_SIZE, PAGE_SIZE, false)
+            .unwrap();
+        // Upgrade to writable on second map.
+        let addr2 = space.map_puddle(&file, PAGE_SIZE, PAGE_SIZE, true).unwrap();
+        assert_eq!(addr, addr2);
+        // SAFETY: mapping is now writable and exclusively ours.
+        unsafe { *(addr as *mut u64) = 77 };
+        // SAFETY: drop both references; no accesses remain.
+        unsafe {
+            space.unmap_puddle(PAGE_SIZE).unwrap();
+            space.unmap_puddle(PAGE_SIZE).unwrap();
+        }
+    }
+
+    #[test]
+    fn offset_addr_translation() {
+        let (_tmp, _pm, space) = global_space();
+        let base = space.base();
+        assert_eq!(space.addr_of(0x2000), base + 0x2000);
+        assert_eq!(space.offset_of(base + 0x2000), Some(0x2000));
+        assert_eq!(space.offset_of(base - 1), None);
+        assert_eq!(space.offset_of(base + space.size()), None);
+    }
+
+    #[test]
+    fn misaligned_map_is_rejected() {
+        let (_tmp, pm, space) = global_space();
+        pm.create_puddle_file("p", PAGE_SIZE).unwrap();
+        let (file, _) = pm.open_puddle_file("p", PAGE_SIZE).unwrap();
+        assert!(space.map_puddle(&file, 5, PAGE_SIZE, true).is_err());
+        assert!(space.map_puddle(&file, 0, 100, true).is_err());
     }
 }

@@ -263,11 +263,26 @@ impl std::error::Error for ProtoError {}
 
 /// A bidirectional request/response channel to the daemon.
 ///
-/// Implemented by the in-process endpoint (`puddled::LocalEndpoint`) and by
-/// the UNIX-domain-socket client (`puddles::transport::PipelinedEndpoint`).
+/// Implemented by the in-process endpoint (`puddled::LocalEndpoint`, handed
+/// out through [`LocalDaemon`]) and by the UNIX-domain-socket client
+/// (`puddles::transport::PipelinedEndpoint`). The client library reaches
+/// the daemon only through this trait, so it does not link the daemon.
 pub trait Endpoint: Send + Sync {
     /// Sends one request and waits for its response.
     fn call(&self, req: &Request) -> std::io::Result<Response>;
+}
+
+/// A daemon running in the client's own process: what
+/// `puddles::PuddleClient::connect_local` needs of it. Implemented by
+/// `puddled::Daemon`.
+pub trait LocalDaemon {
+    /// The daemon's global puddle space (`puddles_pmem::space::GlobalSpace`;
+    /// an associated type because this crate depends on nothing).
+    type Space;
+    /// An endpoint whose requests run as `creds`.
+    fn endpoint(&self, creds: Credentials) -> Box<dyn Endpoint>;
+    /// The global space the daemon reserved, for the client to share.
+    fn space(&self) -> std::sync::Arc<Self::Space>;
 }
 
 /// A blocking connection to the daemon over any byte stream: the preamble

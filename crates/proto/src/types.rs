@@ -201,6 +201,30 @@ pub struct SeriesSnapshot {
     pub max_nanos: u64,
 }
 
+impl SeriesSnapshot {
+    /// One histogram as the wire reports it: the single place that picks
+    /// which quantiles a series carries (the daemon's `GetMetrics` and the
+    /// client-local reporter both go through it). `percentile(p)` is the
+    /// histogram's value at `p` percent.
+    pub fn from_histogram(
+        name: String,
+        count: u64,
+        sum_nanos: u64,
+        max_nanos: u64,
+        percentile: impl Fn(f64) -> u64,
+    ) -> Self {
+        SeriesSnapshot {
+            name,
+            count,
+            sum_nanos,
+            p50_nanos: percentile(50.0),
+            p90_nanos: percentile(90.0),
+            p99_nanos: percentile(99.0),
+            max_nanos,
+        }
+    }
+}
+
 /// One named counter in a [`MetricsReport`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSnapshot {

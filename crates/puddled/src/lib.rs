@@ -7,7 +7,7 @@
 //! * it owns every puddle file on the machine and enforces UNIX-like access
 //!   control ([`acl`]);
 //! * it allocates puddles and assigns them addresses in the machine-wide
-//!   global puddle space ([`gspace`], [`registry`]);
+//!   global puddle space ([`registry`]);
 //! * it records client log spaces and pointer maps, and replays
 //!   crash-consistency logs *before any application maps the data*
 //!   ([`recovery`]);
@@ -20,10 +20,8 @@
 
 pub mod acl;
 pub mod alloc;
-pub mod gspace;
 pub mod importexport;
 pub mod invariants;
-pub mod layout;
 pub mod recovery;
 pub mod registry;
 pub mod service;
@@ -31,9 +29,7 @@ pub mod uds;
 pub mod wal;
 
 pub use alloc::{AllocStats, SpaceAlloc};
-pub use gspace::GlobalSpace;
 pub use invariants::Invariants;
-pub use layout::{PuddleHeader, LOG_REGION_OFFSET, PUDDLE_HEADER_SIZE, PUDDLE_MAGIC};
 pub use service::{Daemon, DaemonConfig, LocalEndpoint};
 pub use uds::{UdsServer, DEFAULT_MAX_CONNECTIONS, MAX_PIPELINED_REQUESTS};
 pub use wal::{RegistryOp, Wal, WalHandle, WalStats};

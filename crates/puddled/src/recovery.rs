@@ -18,17 +18,16 @@
 //! event). Log spaces are recovered one after another: the order between
 //! two clients' logs is undefined until writes to a puddle are arbitrated.
 
-use crate::gspace::GlobalSpace;
-use crate::layout::LOG_REGION_OFFSET;
 use crate::registry::PuddleRecord;
 use crate::service::DaemonInner;
 use crate::wal::RegistryOp;
 use puddles_logfmt::log::LOG_MAGIC;
 use puddles_logfmt::{
-    chain_iter, collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef, RANGE_DONE,
-    RANGE_EXEC,
+    chain_iter, collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef,
+    LOG_REGION_OFFSET, RANGE_DONE, RANGE_EXEC,
 };
 use puddles_pmem::obs::TraceEventKind;
+use puddles_pmem::space::GlobalSpace;
 use puddles_pmem::Result;
 use puddles_proto::{Credentials, PuddleId, PuddlePurpose, RecoveryReport};
 use std::collections::HashMap;

@@ -10,20 +10,20 @@
 //! one [`Registry::commit`], and only then deletes files.
 
 use crate::acl;
-use crate::gspace::GlobalSpace;
 use crate::importexport;
 use crate::recovery;
 use crate::registry::{LogSpaceRecord, PuddleRecord, Registry, RegistryData, Rewrite};
 use crate::wal::{RegistryOp, Wal, WalHandle};
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
-use puddles_pmem::obs::{HistogramSnapshot, Metrics, ShardedHistogram, TraceEventKind};
+use puddles_pmem::obs::{Metrics, ShardedHistogram, TraceEventKind};
 use puddles_pmem::pmdir::PmDir;
+use puddles_pmem::space::GlobalSpace;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, DEFAULT_SPACE_BASE, PAGE_SIZE};
 use puddles_proto::{
-    CounterSnapshot, Credentials, Endpoint, ErrorCode, MetricsReport, PoolInfo, PuddleId,
-    PuddleInfo, PuddlePurpose, Request, Response, SeriesSnapshot,
+    CounterSnapshot, Credentials, Endpoint, ErrorCode, LocalDaemon, MetricsReport, PoolInfo,
+    PuddleId, PuddleInfo, PuddlePurpose, Request, Response, SeriesSnapshot,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -269,21 +269,6 @@ pub(crate) fn lane_of(req: &Request) -> Lane {
         | Request::RegisterPtrMap { .. }
         | Request::MarkRewritten { .. }
         | Request::GetMetrics => Lane::Fast,
-    }
-}
-
-/// One histogram as the wire reports it: the single place that picks which
-/// quantiles a [`SeriesSnapshot`] carries (the daemon's `GetMetrics` and the
-/// client-local reporter both go through it).
-pub fn series_snapshot(name: String, h: &HistogramSnapshot) -> SeriesSnapshot {
-    SeriesSnapshot {
-        name,
-        count: h.count,
-        sum_nanos: h.sum,
-        p50_nanos: h.percentile(50.0),
-        p90_nanos: h.percentile(90.0),
-        p99_nanos: h.percentile(99.0),
-        max_nanos: h.max,
     }
 }
 
@@ -558,7 +543,9 @@ impl Daemon {
         let series = snap
             .series
             .into_iter()
-            .map(|(name, h)| series_snapshot(name, &h))
+            .map(|(name, h)| {
+                SeriesSnapshot::from_histogram(name, h.count, h.sum, h.max, |p| h.percentile(p))
+            })
             .collect();
         let reg = &inner.registry;
         let state = reg.read(|data| {
@@ -915,22 +902,21 @@ pub struct LocalEndpoint {
     creds: Credentials,
 }
 
-impl LocalEndpoint {
-    /// Returns the daemon behind this endpoint (in-process clients use it to
-    /// share the global space).
-    pub fn daemon(&self) -> &Daemon {
-        &self.daemon
-    }
-
-    /// Returns the credentials this endpoint presents.
-    pub fn credentials(&self) -> Credentials {
-        self.creds
-    }
-}
-
 impl Endpoint for LocalEndpoint {
     fn call(&self, req: &Request) -> std::io::Result<Response> {
         Ok(self.daemon.handle(self.creds, req.clone()))
+    }
+}
+
+impl LocalDaemon for Daemon {
+    type Space = GlobalSpace;
+
+    fn endpoint(&self, creds: Credentials) -> Box<dyn Endpoint> {
+        Box::new(Daemon::endpoint(self, creds))
+    }
+
+    fn space(&self) -> Arc<GlobalSpace> {
+        self.global_space()
     }
 }
 

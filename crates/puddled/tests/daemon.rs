@@ -1,9 +1,10 @@
 //! Daemon-level integration tests: puddle/pool lifecycle, access control,
 //! export/import, system-supported recovery, and the UDS server.
 
-use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
+use puddled::{Daemon, DaemonConfig};
 use puddles_logfmt::{
-    EntryKind, LogRef, LogSpaceRef, ReplayOrder, RANGE_DONE, RANGE_EXEC, SEQ_UNDO,
+    EntryKind, LogRef, LogSpaceRef, ReplayOrder, LOG_REGION_OFFSET, RANGE_DONE, RANGE_EXEC,
+    SEQ_UNDO,
 };
 use puddles_proto::{Credentials, Endpoint, ErrorCode, PuddleId, PuddlePurpose, Request, Response};
 

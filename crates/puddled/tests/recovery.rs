@@ -2,11 +2,11 @@
 //! could have touched, refuses a log it cannot read instead of taking it
 //! for an empty one, and leaves a log armed for its next transaction alone.
 
-use puddled::{Daemon, DaemonConfig, LOG_REGION_OFFSET};
+use puddled::{Daemon, DaemonConfig};
 use puddles_logfmt::log::{LOG_HEADER_SIZE, LOG_MAGIC};
 use puddles_logfmt::{
-    EntryKind, LogRef, LogSpaceRef, LogWriter, ReplayOrder, RANGE_DONE, RANGE_EXEC, SEQ_REDO,
-    SEQ_UNDO,
+    EntryKind, LogRef, LogSpaceRef, LogWriter, ReplayOrder, LOG_REGION_OFFSET, RANGE_DONE,
+    RANGE_EXEC, SEQ_REDO, SEQ_UNDO,
 };
 use puddles_pmem::obs::TraceEventKind;
 use puddles_proto::{Credentials, PuddleInfo, PuddlePurpose, RecoveryReport, Request, Response};

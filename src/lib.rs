@@ -1,1 +1,1 @@
-//! Root crate re-exporting the workspace (examples and integration tests live here).
+//! Root package hosting the workspace-level examples and full-system tests; it has no code of its own (the `puddles` library lives in `crates/core`).
