@@ -1,10 +1,38 @@
-//! Fig. 10: order-8 B-tree — insert / delete / search for Puddles and
-//! PMDK-sim (8-byte keys and values).
+//! Fig. 10: order-8 B-tree — insert / delete / search for Puddles, PMDK-sim
+//! and Romulus-sim (8-byte keys and values). One tree, written once over
+//! `PmHeap`, runs on each library.
 
-use pm_datastructures::btree::{PmdkBTree, PuddlesBTree};
+use pm_datastructures::btree::{BNode, BTree, BTreeRoot, PmdkBTree, PuddlesBTree, RomulusBTree};
+use pm_datastructures::heap::{Object, PmHeap};
 use puddles_bench::{emit_header, emit_row, secs, test_env, Scale};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+
+fn run<H: PmHeap>(system: &str, tree: BTree<H>, keys: &[u64])
+where
+    BNode<H>: Object<H>,
+    BTreeRoot<H>: Object<H>,
+{
+    let n = keys.len();
+    let insert = secs(|| {
+        for &k in keys {
+            tree.insert(k, k).unwrap();
+        }
+    });
+    let search = secs(|| {
+        for &k in keys {
+            std::hint::black_box(tree.search(k));
+        }
+    });
+    let delete = secs(|| {
+        for &k in &keys[..n / 2] {
+            tree.delete(k).unwrap();
+        }
+    });
+    emit_row("fig10", system, "insert_s", &n.to_string(), insert);
+    emit_row("fig10", system, "delete_s", &(n / 2).to_string(), delete);
+    emit_row("fig10", system, "search_s", &n.to_string(), search);
+}
 
 fn main() {
     let scale = Scale::from_args();
@@ -13,52 +41,24 @@ fn main() {
     keys.shuffle(&mut rand::rngs::StdRng::seed_from_u64(1));
     emit_header();
 
-    // Puddles.
-    {
-        let (_tmp, _daemon, client) = test_env();
-        let tree = PuddlesBTree::new(&client, "fig10").unwrap();
-        let insert = secs(|| {
-            for &k in &keys {
-                tree.insert(k, k).unwrap();
-            }
-        });
-        let search = secs(|| {
-            for &k in &keys {
-                std::hint::black_box(tree.search(k));
-            }
-        });
-        let delete = secs(|| {
-            for &k in keys.iter().take((n / 2) as usize) {
-                tree.delete(k).unwrap();
-            }
-        });
-        emit_row("fig10", "puddles", "insert_s", &n.to_string(), insert);
-        emit_row("fig10", "puddles", "delete_s", &(n / 2).to_string(), delete);
-        emit_row("fig10", "puddles", "search_s", &n.to_string(), search);
-    }
+    let (_tmp, _daemon, client) = test_env();
+    run(
+        "puddles",
+        PuddlesBTree::new(&client, "fig10").unwrap(),
+        &keys,
+    );
 
-    // PMDK-sim.
-    {
-        let tmp = tempfile::tempdir().unwrap();
-        let pool_size = (n as usize * 300).max(64 << 20);
-        let tree = PmdkBTree::create(tmp.path().join("fig10.pmdk"), pool_size).unwrap();
-        let insert = secs(|| {
-            for &k in &keys {
-                tree.insert(k, k).unwrap();
-            }
-        });
-        let search = secs(|| {
-            for &k in &keys {
-                std::hint::black_box(tree.search(k));
-            }
-        });
-        let delete = secs(|| {
-            for &k in keys.iter().take((n / 2) as usize) {
-                tree.delete(k).unwrap();
-            }
-        });
-        emit_row("fig10", "pmdk", "insert_s", &n.to_string(), insert);
-        emit_row("fig10", "pmdk", "delete_s", &(n / 2).to_string(), delete);
-        emit_row("fig10", "pmdk", "search_s", &n.to_string(), search);
-    }
+    let tmp = tempfile::tempdir().unwrap();
+    let pool_size = (n as usize * 300).max(64 << 20);
+    let path = |file| tmp.path().join(file);
+    run(
+        "pmdk",
+        PmdkBTree::create(path("fig10.pmdk"), pool_size).unwrap(),
+        &keys,
+    );
+    run(
+        "romulus",
+        RomulusBTree::create(path("fig10.rom"), pool_size).unwrap(),
+        &keys,
+    );
 }

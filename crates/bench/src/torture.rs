@@ -5,7 +5,7 @@
 //! the trial — the daemon's [`FaultPlan`] (short/torn writes, injected
 //! EIO/ENOSPC, dropped fsyncs, connection resets), the per-client workload
 //! mix, the kill schedule, retry jitter, and the *interleaving*: a
-//! cooperative scheduler ([`CoopSched`]) grants exactly one client thread
+//! cooperative scheduler (`CoopSched`) grants exactly one client thread
 //! the right to run between explicit yield points at daemon round trips.
 //! Time is a [`VirtualClock`] the seed does not touch: it starts at zero
 //! and moves only by the retry backoff sleeps the run takes. Two runs of the

@@ -198,7 +198,7 @@ impl Pool {
 
     /// Returns the pool's root object pointer, or `None` if no root has been
     /// created yet. Takes no lock.
-    pub fn root<T: PmType>(&self) -> Option<PmPtr<T>> {
+    pub fn root<T>(&self) -> Option<PmPtr<T>> {
         let off = self.root.root_offset();
         if off == 0 {
             None

@@ -75,7 +75,7 @@ fn is_idempotent(req: &Request) -> bool {
 
 /// Client-local observability, shared by the endpoint, its retry policy,
 /// and every pipelined connection. Surfaced through
-/// [`PuddleClient::client_metrics`] in the same report shape the daemon's
+/// [`crate::PuddleClient::client_metrics`] in the same report shape the daemon's
 /// `GetMetrics` uses, so one consumer renders both sides.
 #[derive(Debug, Default)]
 pub struct ClientMetrics {
@@ -134,9 +134,9 @@ impl ClientMetrics {
 /// One policy instance covers every retryable edge of a client endpoint —
 /// dialing the daemon (refused while it restarts, `Busy` at the connection
 /// cap) and re-sending idempotent requests after a mid-pipeline connection
-/// loss. Only errors [`is_transient`] classifies as connection-level are
+/// loss. Only errors `is_transient` classifies as connection-level are
 /// retried; the caller is responsible for never handing a non-idempotent
-/// request to [`RetryPolicy::run`].
+/// request to `RetryPolicy::run`.
 #[derive(Debug)]
 pub struct RetryPolicy {
     /// Total attempts (the first try plus retries); at least 1.

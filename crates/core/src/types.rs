@@ -5,7 +5,7 @@
 //! registers, per type, a *pointer map*: the offsets of the pointer fields
 //! inside objects of that type. C++ derives the id from `typeid()`; Rust has
 //! no equivalent reflection, so persistent types implement the [`PmType`]
-//! trait (usually through the [`impl_pm_type!`] macro), declaring a stable
+//! trait (usually through the [`impl_pm_type!`](crate::impl_pm_type) macro), declaring a stable
 //! type name and the pointer-field offsets via `core::mem::offset_of!`.
 
 use puddles_pmem::checksum::type_id_for_name;

@@ -1,12 +1,18 @@
-//! The `simplekv` key-value store driven by YCSB (Fig. 11), implemented for
-//! Puddles, PMDK-sim and Romulus-sim.
+//! The `simplekv` key-value store driven by YCSB (Fig. 11), written once
+//! over [`PmHeap`], for Puddles, PMDK-sim and Romulus-sim.
 //!
 //! The store is a fixed-size hash table of chained entries with 8-byte keys
 //! and 64-byte values, matching the PMDK `simplekv` example the paper
 //! evaluates. Scans (workload E) read `scan_len` consecutive keys through
-//! point lookups, as the hash-map layout has no ordered iteration.
+//! point lookups, as the hash-map layout has no ordered iteration. A `put`
+//! that updates logs the 64-byte value; one that inserts logs the bucket
+//! slot and the count.
 
-use puddles::{impl_pm_type, PmPtr, Pool, PoolOptions, PuddleClient};
+use crate::heap::{Object, PmHeap};
+use pmdk_sim::PmdkPool;
+use puddles::{impl_pm_type, Pool, PoolOptions, PuddleClient};
+use romulus_sim::RomulusPool;
+use std::path::Path;
 use ycsb::{Operation, Request};
 
 /// Value size in bytes.
@@ -30,33 +36,45 @@ pub fn value_for(key: u64, tag: u8) -> Value {
     v
 }
 
-// ---------------------------------------------------------------------
-// Puddles implementation.
-// ---------------------------------------------------------------------
-
 /// One chained entry.
 #[repr(C)]
-pub struct PEntry {
+pub struct Entry<H: PmHeap> {
     key: u64,
     value: Value,
-    next: PmPtr<PEntry>,
+    next: H::Ptr<Entry<H>>,
 }
-impl_pm_type!(PEntry, "datastructures::kv::PEntry", [next => PEntry]);
 
 /// The KV root: a bucket table of entry pointers.
 #[repr(C)]
-pub struct PKvRoot {
-    buckets: PmPtr<PmPtr<PEntry>>,
+pub struct KvRoot<H: PmHeap> {
+    buckets: H::Ptr<H::Ptr<Entry<H>>>,
     nbuckets: u64,
     count: u64,
 }
+
+/// An entry in a puddle.
+pub type PEntry = Entry<Pool>;
+impl_pm_type!(PEntry, "datastructures::kv::PEntry", [next => PEntry]);
+/// The KV root in a puddle.
+pub type PKvRoot = KvRoot<Pool>;
 impl_pm_type!(PKvRoot, "datastructures::kv::PKvRoot", [buckets => ()]);
+/// An entry in a PMDK pool (fat pointers).
+pub type MEntry = Entry<PmdkPool>;
+/// The KV root in a PMDK pool.
+pub type MKvRoot = KvRoot<PmdkPool>;
+
+/// Hash-map KV store over heap `H`.
+pub struct Kv<H: PmHeap> {
+    heap: H,
+    root: H::Ptr<KvRoot<H>>,
+}
 
 /// Hash-map KV store over the Puddles library.
-pub struct PuddlesKv {
-    client: PuddleClient,
-    pool: Pool,
-}
+pub type PuddlesKv = Kv<Pool>;
+/// Hash-map KV store over the PMDK baseline.
+pub type PmdkKv = Kv<PmdkPool>;
+/// Hash-map KV store over the Romulus baseline.
+pub type RomulusKv = Kv<RomulusPool>;
 
 impl PuddlesKv {
     /// Creates (or opens) the store in pool `name`.
@@ -64,181 +82,60 @@ impl PuddlesKv {
         // The bucket table is one large allocation, so use puddles big
         // enough to hold it.
         let options = PoolOptions::default().puddle_size(16 << 20);
-        let pool = client.open_or_create_pool(name, options)?;
-        if pool.root::<PKvRoot>().is_none() {
-            pool.tx(|tx| {
-                let table_bytes = BUCKETS * std::mem::size_of::<PmPtr<PEntry>>();
-                let table = pool.alloc_raw(tx, table_bytes, 0)?;
-                // SAFETY: fresh allocation of `table_bytes` writable bytes.
-                unsafe { std::ptr::write_bytes(table as *mut u8, 0, table_bytes) };
-                pool.create_root(
-                    tx,
-                    PKvRoot {
-                        buckets: PmPtr::from_addr(table as u64),
-                        nbuckets: BUCKETS as u64,
-                        count: 0,
-                    },
-                )?;
-                Ok(())
-            })?;
-        }
-        Ok(PuddlesKv {
-            client: client.clone(),
-            pool,
-        })
+        Self::open(client.open_or_create_pool(name, options)?)
     }
-
-    fn root(&self) -> PmPtr<PKvRoot> {
-        self.pool.root().expect("root created in new()")
-    }
-
-    fn bucket_slot(&self, key: u64) -> *mut PmPtr<PEntry> {
-        let root = self.pool.deref(self.root()).expect("root mapped");
-        let table = root.buckets.addr() as *mut PmPtr<PEntry>;
-        // SAFETY: the table has BUCKETS slots and bucket_of < BUCKETS.
-        unsafe { table.add(bucket_of(key)) }
-    }
-
-    /// Reads the value stored for `key`.
-    pub fn get(&self, key: u64) -> Option<Value> {
-        // SAFETY: the bucket table and entries stay mapped while the pool is
-        // open; this is the native-pointer read path.
-        unsafe {
-            let mut cur = *self.bucket_slot(key);
-            while !cur.is_null() {
-                let entry = cur.as_ref();
-                if entry.key == key {
-                    return Some(entry.value);
-                }
-                cur = entry.next;
-            }
-        }
-        None
-    }
-
-    /// Inserts or updates `key` → `value`.
-    pub fn put(&self, key: u64, value: &Value) -> puddles::Result<()> {
-        let root = self.root();
-        self.client.tx(|tx| {
-            let slot = self.bucket_slot(key);
-            // SAFETY: slot points into the mapped bucket table.
-            let head = unsafe { *slot };
-            let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: live entry.
-                let entry = unsafe { cur.as_mut() };
-                if entry.key == key {
-                    tx.add(&entry.value)?;
-                    entry.value = *value;
-                    return Ok(());
-                }
-                cur = entry.next;
-            }
-            let entry = self.pool.alloc_value(
-                tx,
-                PEntry {
-                    key,
-                    value: *value,
-                    next: head,
-                },
-            )?;
-            tx.add_range(slot as usize, std::mem::size_of::<PmPtr<PEntry>>())?;
-            // SAFETY: as above.
-            unsafe { *slot = entry };
-            let r = self.pool.deref_mut(root)?;
-            let count = r.count + 1;
-            tx.set(&mut r.count, count)?;
-            Ok(())
-        })
-    }
-
-    /// Number of records stored.
-    pub fn len(&self) -> u64 {
-        self.pool.deref(self.root()).map(|r| r.count).unwrap_or(0)
-    }
-
-    /// Returns `true` if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Executes one YCSB request.
-    pub fn execute(&self, req: &Request) -> puddles::Result<u64> {
-        execute_generic(
-            req,
-            |k| self.get(k).map(|v| v[8] as u64),
-            |k, v| self.put(k, v),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// PMDK-sim implementation.
-// ---------------------------------------------------------------------
-
-/// One chained entry (fat pointers).
-#[repr(C)]
-pub struct MEntry {
-    key: u64,
-    value: Value,
-    next: pmdk_sim::Toid<MEntry>,
-}
-
-/// The PMDK KV root.
-#[repr(C)]
-pub struct MKvRoot {
-    buckets: pmdk_sim::PmdkOid,
-    nbuckets: u64,
-    count: u64,
-}
-
-/// Hash-map KV store over the PMDK baseline.
-pub struct PmdkKv {
-    pool: pmdk_sim::PmdkPool,
 }
 
 impl PmdkKv {
     /// Creates the store in a new pool file at `path`.
-    pub fn create(path: impl AsRef<std::path::Path>, pool_size: usize) -> pmdk_sim::Result<Self> {
-        let pool = pmdk_sim::PmdkPool::create(path, pool_size)?;
-        pool.tx(|tx| {
-            let table_bytes = BUCKETS * std::mem::size_of::<pmdk_sim::Toid<MEntry>>();
-            let table = tx.alloc_raw(table_bytes)?;
-            // SAFETY: fresh allocation of `table_bytes` bytes.
-            unsafe { std::ptr::write_bytes(table.direct(), 0, table_bytes) };
-            let root = tx.alloc(MKvRoot {
-                buckets: table,
-                nbuckets: BUCKETS as u64,
+    pub fn create(path: impl AsRef<Path>, pool_size: usize) -> pmdk_sim::Result<Self> {
+        Self::open(PmdkPool::create(path, pool_size)?)
+    }
+}
+
+impl RomulusKv {
+    /// Creates the store in a new pool file at `path`.
+    pub fn create(path: impl AsRef<Path>, region_size: usize) -> romulus_sim::Result<Self> {
+        Self::open(RomulusPool::create(path, region_size)?)
+    }
+}
+
+impl<H: PmHeap> Kv<H>
+where
+    Entry<H>: Object<H>,
+    KvRoot<H>: Object<H>,
+{
+    /// The store rooted in `heap`, created empty if the heap has no root.
+    fn open(heap: H) -> Result<Self, H::Error> {
+        let root = heap.root_or_create(|tx| {
+            let table_bytes = BUCKETS * std::mem::size_of::<H::Ptr<Entry<H>>>();
+            let buckets = heap.alloc_zeroed(tx, table_bytes)?;
+            let nbuckets = BUCKETS as u64;
+            Ok(KvRoot {
+                buckets,
+                nbuckets,
                 count: 0,
-            })?;
-            tx.set_root(root)?;
-            Ok(())
+            })
         })?;
-        Ok(PmdkKv { pool })
+        Ok(Kv { heap, root })
     }
 
-    fn root(&self) -> pmdk_sim::Toid<MKvRoot> {
-        self.pool.root()
+    fn bucket_slot(&self, key: u64) -> *mut H::Ptr<Entry<H>> {
+        // SAFETY: the root is live while the heap is open.
+        let root = unsafe { &*self.heap.at(self.root) };
+        // SAFETY: the table has BUCKETS slots and bucket_of < BUCKETS.
+        unsafe { self.heap.at(root.buckets).add(bucket_of(key)) }
     }
 
-    fn bucket_slot(&self, key: u64) -> *mut pmdk_sim::Toid<MEntry> {
-        // SAFETY: root object is live.
-        let root = unsafe { self.root().as_ref() };
-        // The table itself is reached through a fat pointer (one translation
-        // per access), then indexed.
-        let table = root.buckets.direct() as *mut pmdk_sim::Toid<MEntry>;
-        // SAFETY: the table has BUCKETS slots.
-        unsafe { table.add(bucket_of(key)) }
-    }
-
-    /// Reads the value stored for `key`; every chain hop pays a fat-pointer
-    /// translation.
+    /// Reads the value stored for `key`; every chain hop is one
+    /// dereference of the heap's pointer.
     pub fn get(&self, key: u64) -> Option<Value> {
-        // SAFETY: table and entries are live while the pool is open.
+        // SAFETY: the bucket table and entries stay live while the heap is
+        // open.
         unsafe {
             let mut cur = *self.bucket_slot(key);
-            while !cur.is_null() {
-                let entry = cur.as_ref();
+            while !H::is_null(cur) {
+                let entry = &*self.heap.at(cur);
                 if entry.key == key {
                     return Some(entry.value);
                 }
@@ -249,42 +146,40 @@ impl PmdkKv {
     }
 
     /// Inserts or updates `key` → `value`.
-    pub fn put(&self, key: u64, value: &Value) -> pmdk_sim::Result<()> {
-        self.pool.tx(|tx| {
+    pub fn put(&self, key: u64, value: &Value) -> Result<(), H::Error> {
+        let heap = &self.heap;
+        heap.tx(|tx| {
             let slot = self.bucket_slot(key);
             // SAFETY: slot points into the live bucket table.
             let head = unsafe { *slot };
             let mut cur = head;
-            while !cur.is_null() {
-                // SAFETY: live entry.
-                let entry = unsafe { cur.as_mut() };
+            while !H::is_null(cur) {
+                // SAFETY: a live entry, not otherwise borrowed.
+                let entry = unsafe { &mut *heap.at(cur) };
                 if entry.key == key {
-                    tx.add(&entry.value)?;
-                    entry.value = *value;
-                    return Ok(());
+                    return heap.set(tx, &mut entry.value, *value);
                 }
                 cur = entry.next;
             }
-            let entry = tx.alloc(MEntry {
+            let entry = Entry {
                 key,
                 value: *value,
                 next: head,
-            })?;
-            tx.log_range(slot as usize, std::mem::size_of::<pmdk_sim::Toid<MEntry>>())?;
+            };
+            let entry = heap.alloc(tx, entry)?;
             // SAFETY: as above.
-            unsafe { *slot = entry };
-            // SAFETY: root object is live.
-            let root = unsafe { self.root().as_mut() };
-            tx.add(&root.count)?;
-            root.count += 1;
-            Ok(())
+            heap.set(tx, unsafe { &mut *slot }, entry)?;
+            // SAFETY: the root is live and not otherwise borrowed.
+            let root = unsafe { &mut *heap.at(self.root) };
+            let count = root.count + 1;
+            heap.set(tx, &mut root.count, count)
         })
     }
 
     /// Number of records stored.
     pub fn len(&self) -> u64 {
-        // SAFETY: root object is live.
-        unsafe { self.root().as_ref() }.count
+        // SAFETY: the root is live while the heap is open.
+        unsafe { &*self.heap.at(self.root) }.count
     }
 
     /// Returns `true` if the store is empty.
@@ -292,160 +187,40 @@ impl PmdkKv {
         self.len() == 0
     }
 
-    /// Executes one YCSB request.
-    pub fn execute(&self, req: &Request) -> pmdk_sim::Result<u64> {
-        execute_generic(
-            req,
-            |k| self.get(k).map(|v| v[8] as u64),
-            |k, v| self.put(k, v),
-        )
-    }
-}
-
-// ---------------------------------------------------------------------
-// Romulus-sim implementation.
-// ---------------------------------------------------------------------
-
-const RENTRY_KEY: u64 = 0;
-const RENTRY_VALUE: u64 = 8;
-const RENTRY_NEXT: u64 = 8 + VALUE_SIZE as u64;
-const RENTRY_SIZE: usize = 16 + VALUE_SIZE;
-
-/// Hash-map KV store over the Romulus baseline.
-pub struct RomulusKv {
-    pool: romulus_sim::RomulusPool,
-    table_off: u64,
-    count: std::sync::atomic::AtomicU64,
-}
-
-impl RomulusKv {
-    /// Creates the store in a new pool file at `path`.
-    pub fn create(
-        path: impl AsRef<std::path::Path>,
-        region_size: usize,
-    ) -> romulus_sim::pool::Result<Self> {
-        let pool = romulus_sim::RomulusPool::create(path, region_size)?;
-        let table_off = pool.tx(|tx| {
-            let table = tx.alloc(BUCKETS * 8)?;
-            tx.store_bytes(table, &vec![0u8; BUCKETS * 8]);
-            tx.set_root(table);
-            Ok(table)
-        })?;
-        Ok(RomulusKv {
-            pool,
-            table_off,
-            count: std::sync::atomic::AtomicU64::new(0),
-        })
-    }
-
-    fn slot_off(&self, key: u64) -> u64 {
-        self.table_off + (bucket_of(key) * 8) as u64
-    }
-
-    /// Reads the value stored for `key`.
-    pub fn get(&self, key: u64) -> Option<Value> {
-        // SAFETY: offsets were produced by this store's allocator.
-        unsafe {
-            let mut cur = std::ptr::read_unaligned(self.pool.at::<u64>(self.slot_off(key)));
-            while cur != 0 {
-                let k = std::ptr::read_unaligned(self.pool.at::<u64>(cur + RENTRY_KEY));
-                if k == key {
-                    return Some(std::ptr::read_unaligned(
-                        self.pool.at::<Value>(cur + RENTRY_VALUE),
-                    ));
+    /// Executes one YCSB request, mapping each operation onto `get` and
+    /// `put` the same way for every library.
+    pub fn execute(&self, req: &Request) -> Result<u64, H::Error> {
+        let tag = |k| self.get(k).map(|v| v[8] as u64).unwrap_or(0);
+        let mut acc = 0u64;
+        match req.op {
+            Operation::Read => acc = tag(req.key),
+            Operation::Update | Operation::Insert => self.put(req.key, &value_for(req.key, 1))?,
+            Operation::Scan => {
+                for k in req.key..req.key + req.scan_len {
+                    acc = acc.wrapping_add(tag(k));
                 }
-                cur = std::ptr::read_unaligned(self.pool.at::<u64>(cur + RENTRY_NEXT));
+            }
+            Operation::ReadModifyWrite => {
+                let next = (tag(req.key) as u8).wrapping_add(1);
+                self.put(req.key, &value_for(req.key, next))?;
             }
         }
-        None
+        Ok(acc)
     }
-
-    /// Inserts or updates `key` → `value`.
-    pub fn put(&self, key: u64, value: &Value) -> romulus_sim::pool::Result<()> {
-        let slot = self.slot_off(key);
-        self.pool.tx(|tx| {
-            let head: u64 = tx.load(slot);
-            let mut cur = head;
-            while cur != 0 {
-                let k: u64 = tx.load(cur + RENTRY_KEY);
-                if k == key {
-                    tx.store_bytes(cur + RENTRY_VALUE, value);
-                    return Ok(());
-                }
-                cur = tx.load(cur + RENTRY_NEXT);
-            }
-            let entry = tx.alloc(RENTRY_SIZE)?;
-            tx.store(entry + RENTRY_KEY, key);
-            tx.store_bytes(entry + RENTRY_VALUE, value);
-            tx.store(entry + RENTRY_NEXT, head);
-            tx.store(slot, entry);
-            self.count
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            Ok(())
-        })
-    }
-
-    /// Number of records stored (volatile counter).
-    pub fn len(&self) -> u64 {
-        self.count.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Returns `true` if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Executes one YCSB request.
-    pub fn execute(&self, req: &Request) -> romulus_sim::pool::Result<u64> {
-        execute_generic(
-            req,
-            |k| self.get(k).map(|v| v[8] as u64),
-            |k, v| self.put(k, v),
-        )
-    }
-}
-
-/// Shared YCSB request dispatch: maps each operation onto the store's
-/// get/put primitives the same way for every library.
-fn execute_generic<E>(
-    req: &Request,
-    get: impl Fn(u64) -> Option<u64>,
-    put: impl Fn(u64, &Value) -> Result<(), E>,
-) -> Result<u64, E> {
-    let mut acc = 0u64;
-    match req.op {
-        Operation::Read => {
-            acc = get(req.key).unwrap_or(0);
-        }
-        Operation::Update | Operation::Insert => {
-            put(req.key, &value_for(req.key, 1))?;
-        }
-        Operation::Scan => {
-            for k in req.key..req.key + req.scan_len {
-                acc = acc.wrapping_add(get(k).unwrap_or(0));
-            }
-        }
-        Operation::ReadModifyWrite => {
-            let tag = get(req.key).unwrap_or(0) as u8;
-            put(req.key, &value_for(req.key, tag.wrapping_add(1)))?;
-        }
-    }
-    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puddled::{Daemon, DaemonConfig};
+    use crate::heap::testing;
     use std::collections::HashMap;
     use ycsb::Workload;
 
-    #[test]
-    fn puddles_kv_matches_a_hashmap_model() {
-        let tmp = tempfile::tempdir().unwrap();
-        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-        let client = PuddleClient::connect_local(&daemon).unwrap();
-        let kv = PuddlesKv::new(&client, "kv").unwrap();
+    fn matches_a_hashmap_model<H: PmHeap>(kv: Kv<H>)
+    where
+        Entry<H>: Object<H>,
+        KvRoot<H>: Object<H>,
+    {
         let mut model: HashMap<u64, Value> = HashMap::new();
         for k in 0..2000u64 {
             let v = value_for(k, (k % 7) as u8);
@@ -465,10 +240,26 @@ mod tests {
     }
 
     #[test]
-    fn pmdk_and_romulus_kv_agree_with_puddles_on_ycsb_a() {
+    fn puddles_kv_matches_a_hashmap_model() {
+        let (_tmp, _daemon, client) = testing::puddles();
+        matches_a_hashmap_model(PuddlesKv::new(&client, "kv").unwrap());
+    }
+
+    #[test]
+    fn pmdk_kv_matches_a_hashmap_model() {
         let tmp = tempfile::tempdir().unwrap();
-        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-        let client = PuddleClient::connect_local(&daemon).unwrap();
+        matches_a_hashmap_model(PmdkKv::create(tmp.path().join("kv.pmdk"), 64 << 20).unwrap());
+    }
+
+    #[test]
+    fn romulus_kv_matches_a_hashmap_model() {
+        let tmp = tempfile::tempdir().unwrap();
+        matches_a_hashmap_model(RomulusKv::create(tmp.path().join("kv.rom"), 64 << 20).unwrap());
+    }
+
+    #[test]
+    fn pmdk_and_romulus_kv_agree_with_puddles_on_ycsb_a() {
+        let (tmp, _daemon, client) = testing::puddles();
         let p = PuddlesKv::new(&client, "ycsb").unwrap();
         let m = PmdkKv::create(tmp.path().join("kv.pmdk"), 64 << 20).unwrap();
         let r = RomulusKv::create(tmp.path().join("kv.rom"), 64 << 20).unwrap();
@@ -489,5 +280,30 @@ mod tests {
             assert_eq!(p.get(k), m.get(k), "pmdk key {k}");
             assert_eq!(p.get(k), r.get(k), "romulus key {k}");
         }
+    }
+
+    /// Cache lines flushed and fences issued by the calling thread in `f`.
+    fn persisted(f: impl FnOnce()) -> (u64, u64) {
+        use puddles_pmem::persist::thread_counts;
+        let before = thread_counts();
+        f();
+        let after = thread_counts();
+        (
+            after.lines_flushed - before.lines_flushed,
+            after.fences - before.fences,
+        )
+    }
+
+    #[test]
+    fn puddles_kv_put_and_get_persist_pinned_line_and_fence_counts() {
+        // An update logs the value (one undo entry, 2 fences); an insert
+        // allocates, then logs the slot and the count (4 fences); a get
+        // persists nothing. `kv_update` pays exactly these.
+        let (_tmp, _daemon, client) = testing::puddles();
+        let kv = PuddlesKv::new(&client, "persist").unwrap();
+        kv.put(1, &value_for(1, 0)).unwrap();
+        assert_eq!(persisted(|| kv.put(2, &value_for(2, 0)).unwrap()), (12, 4));
+        assert_eq!(persisted(|| kv.put(2, &value_for(2, 1)).unwrap()), (6, 2));
+        assert_eq!(persisted(|| assert!(kv.get(2).is_some())), (0, 0));
     }
 }

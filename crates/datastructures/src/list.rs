@@ -1,263 +1,157 @@
-//! Singly linked lists (Fig. 9): insert a tail node, delete a node, sum all
-//! values — implemented for Puddles, PMDK-sim and Romulus-sim.
+//! Singly linked list (Fig. 9): insert a tail node, delete a node, sum all
+//! values — written once over [`PmHeap`], for Puddles, PMDK-sim and
+//! Romulus-sim.
 //!
 //! Deletion removes the *head* node so the operation is O(1) on a singly
 //! linked list (deleting the true tail would be O(n) per operation and make
 //! the 10 M-operation benchmark quadratic); insert and traversal match the
-//! paper.
+//! paper. Every store undo-logs (or, on Romulus-sim, records) the one field
+//! it changes, and a deleted node is freed.
 
-use puddles::{impl_pm_type, PmPtr, Pool, PuddleClient};
+use crate::heap::{Object, PmHeap};
+use pmdk_sim::PmdkPool;
+use puddles::{impl_pm_type, Pool, PuddleClient};
+use romulus_sim::RomulusPool;
+use std::path::Path;
 
-// ---------------------------------------------------------------------
-// Puddles implementation (native pointers).
-// ---------------------------------------------------------------------
-
-/// A linked-list node stored in a puddle.
+/// A linked-list node.
 #[repr(C)]
-pub struct PNode {
+pub struct ListNode<H: PmHeap> {
     /// Payload.
     pub value: u64,
-    /// Next node (native pointer).
-    pub next: PmPtr<PNode>,
+    /// Next node.
+    pub next: H::Ptr<ListNode<H>>,
 }
-impl_pm_type!(PNode, "datastructures::list::PNode", [next => PNode]);
 
-/// The list root stored in the pool's root puddle.
+/// The list root, the heap's root object.
 #[repr(C)]
-pub struct PListRoot {
+pub struct ListRoot<H: PmHeap> {
     /// First node.
-    pub head: PmPtr<PNode>,
+    pub head: H::Ptr<ListNode<H>>,
     /// Last node.
-    pub tail: PmPtr<PNode>,
+    pub tail: H::Ptr<ListNode<H>>,
     /// Number of nodes.
     pub len: u64,
 }
+
+/// A list node in a puddle (next is a native pointer).
+pub type PNode = ListNode<Pool>;
+impl_pm_type!(PNode, "datastructures::list::PNode", [next => PNode]);
+/// The list root in a puddle.
+pub type PListRoot = ListRoot<Pool>;
 impl_pm_type!(
     PListRoot,
     "datastructures::list::PListRoot",
     [head => PNode, tail => PNode]
 );
+/// A list node in a PMDK pool (next is a 16-byte fat pointer).
+pub type MNode = ListNode<PmdkPool>;
+/// The list root in a PMDK pool.
+pub type MListRoot = ListRoot<PmdkPool>;
 
-/// Singly linked list over the Puddles library.
-pub struct PuddlesList {
-    client: PuddleClient,
-    pool: Pool,
+/// Singly linked list over heap `H`.
+pub struct List<H: PmHeap> {
+    heap: H,
+    root: H::Ptr<ListRoot<H>>,
 }
+
+/// Singly linked list over the Puddles library (native pointers).
+pub type PuddlesList = List<Pool>;
+/// Singly linked list over the PMDK baseline (fat pointers).
+pub type PmdkList = List<PmdkPool>;
+/// Singly linked list over the Romulus baseline (offsets into the main
+/// replica).
+pub type RomulusList = List<RomulusPool>;
 
 impl PuddlesList {
     /// Creates (or opens) the list in pool `name`.
     pub fn new(client: &PuddleClient, name: &str) -> puddles::Result<Self> {
-        let pool = client.open_or_create_pool(name, Default::default())?;
-        if pool.root::<PListRoot>().is_none() {
-            pool.tx(|tx| {
-                pool.create_root(
-                    tx,
-                    PListRoot {
-                        head: PmPtr::null(),
-                        tail: PmPtr::null(),
-                        len: 0,
-                    },
-                )
-            })?;
-        }
-        Ok(PuddlesList {
-            client: client.clone(),
-            pool,
-        })
+        Self::open(client.open_or_create_pool(name, Default::default())?)
     }
-
-    fn root(&self) -> PmPtr<PListRoot> {
-        self.pool.root().expect("root created in new()")
-    }
-
-    /// Appends a node with `value` at the tail.
-    pub fn insert_tail(&self, value: u64) -> puddles::Result<()> {
-        let root = self.root();
-        self.client.tx(|tx| {
-            let node = self.pool.alloc_value(
-                tx,
-                PNode {
-                    value,
-                    next: PmPtr::null(),
-                },
-            )?;
-            let r = self.pool.deref_mut(root)?;
-            if r.tail.is_null() {
-                tx.set(&mut r.head, node)?;
-                tx.set(&mut r.tail, node)?;
-            } else {
-                // SAFETY: tail is a live node in a mapped, writable puddle.
-                let tail = unsafe { r.tail.as_mut() };
-                tx.set(&mut tail.next, node)?;
-                tx.set(&mut r.tail, node)?;
-            }
-            let len = r.len + 1;
-            tx.set(&mut r.len, len)?;
-            Ok(())
-        })
-    }
-
-    /// Removes the head node, returning its value.
-    pub fn delete_head(&self) -> puddles::Result<Option<u64>> {
-        let root = self.root();
-        self.client.tx(|tx| {
-            let r = self.pool.deref_mut(root)?;
-            if r.head.is_null() {
-                return Ok(None);
-            }
-            let head_ptr = r.head;
-            // SAFETY: head is a live node.
-            let head = unsafe { head_ptr.as_ref() };
-            let value = head.value;
-            let next = head.next;
-            tx.set(&mut r.head, next)?;
-            if next.is_null() {
-                tx.set(&mut r.tail, PmPtr::null())?;
-            }
-            let len = r.len - 1;
-            tx.set(&mut r.len, len)?;
-            self.pool.dealloc(tx, head_ptr)?;
-            Ok(Some(value))
-        })
-    }
-
-    /// Sums every node's value (the traversal benchmark: one load per hop).
-    pub fn sum(&self) -> u64 {
-        let root = self.root();
-        let r = self.pool.deref(root).expect("root mapped");
-        let mut sum = 0u64;
-        let mut cur = r.head;
-        while !cur.is_null() {
-            // SAFETY: list nodes stay mapped while the pool is open; the
-            // traversal is the native-pointer fast path the paper measures.
-            let node = unsafe { cur.as_ref() };
-            sum = sum.wrapping_add(node.value);
-            cur = node.next;
-        }
-        sum
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> u64 {
-        self.pool.deref(self.root()).map(|r| r.len).unwrap_or(0)
-    }
-
-    /// Returns `true` if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------
-// PMDK-sim implementation (fat pointers).
-// ---------------------------------------------------------------------
-
-/// A linked-list node stored in a PMDK pool (16-byte fat pointer).
-#[repr(C)]
-pub struct MNode {
-    /// Payload.
-    pub value: u64,
-    /// Next node (fat pointer, translated on every dereference).
-    pub next: pmdk_sim::Toid<MNode>,
-}
-
-/// The list root object in a PMDK pool.
-#[repr(C)]
-pub struct MListRoot {
-    /// First node.
-    pub head: pmdk_sim::Toid<MNode>,
-    /// Last node.
-    pub tail: pmdk_sim::Toid<MNode>,
-    /// Number of nodes.
-    pub len: u64,
-}
-
-/// Singly linked list over the PMDK baseline.
-pub struct PmdkList {
-    pool: pmdk_sim::PmdkPool,
 }
 
 impl PmdkList {
     /// Creates the list in a new pool file at `path`.
-    pub fn create(path: impl AsRef<std::path::Path>, pool_size: usize) -> pmdk_sim::Result<Self> {
-        let pool = pmdk_sim::PmdkPool::create(path, pool_size)?;
-        pool.tx(|tx| {
-            let root = tx.alloc(MListRoot {
-                head: pmdk_sim::Toid::null(),
-                tail: pmdk_sim::Toid::null(),
-                len: 0,
-            })?;
-            tx.set_root(root)?;
-            Ok(())
-        })?;
-        Ok(PmdkList { pool })
+    pub fn create(path: impl AsRef<Path>, pool_size: usize) -> pmdk_sim::Result<Self> {
+        Self::open(PmdkPool::create(path, pool_size)?)
     }
+}
 
-    fn root(&self) -> pmdk_sim::Toid<MListRoot> {
-        self.pool.root()
+impl RomulusList {
+    /// Creates the list in a new pool file at `path`.
+    pub fn create(path: impl AsRef<Path>, region_size: usize) -> romulus_sim::Result<Self> {
+        Self::open(RomulusPool::create(path, region_size)?)
+    }
+}
+
+impl<H: PmHeap> List<H>
+where
+    ListNode<H>: Object<H>,
+    ListRoot<H>: Object<H>,
+{
+    /// The list rooted in `heap`, created empty if the heap has no root.
+    fn open(heap: H) -> Result<Self, H::Error> {
+        let (head, tail) = (H::null(), H::null());
+        let root = heap.root_or_create(|_| Ok(ListRoot { head, tail, len: 0 }))?;
+        Ok(List { heap, root })
     }
 
     /// Appends a node with `value` at the tail.
-    pub fn insert_tail(&self, value: u64) -> pmdk_sim::Result<()> {
-        let root = self.root();
-        self.pool.tx(|tx| {
-            let node = tx.alloc(MNode {
-                value,
-                next: pmdk_sim::Toid::null(),
-            })?;
-            // SAFETY: the root object is live for the pool's lifetime.
-            let r = unsafe { root.as_mut() };
-            tx.add(r)?;
-            if r.tail.is_null() {
-                r.head = node;
-                r.tail = node;
+    pub fn insert_tail(&self, value: u64) -> Result<(), H::Error> {
+        let heap = &self.heap;
+        heap.tx(|tx| {
+            let next = H::null();
+            let node = heap.alloc(tx, ListNode { value, next })?;
+            // SAFETY: the root and the nodes it reaches are live while the
+            // heap is open, and the transaction holds no other reference to
+            // them.
+            let r = unsafe { &mut *heap.at(self.root) };
+            if H::is_null(r.tail) {
+                heap.set(tx, &mut r.head, node)?;
             } else {
-                // SAFETY: tail is a live node.
-                let tail = unsafe { r.tail.as_mut() };
-                tx.add(tail)?;
-                tail.next = node;
-                r.tail = node;
+                // SAFETY: as above.
+                let tail = unsafe { &mut *heap.at(r.tail) };
+                heap.set(tx, &mut tail.next, node)?;
             }
-            r.len += 1;
-            Ok(())
+            heap.set(tx, &mut r.tail, node)?;
+            let len = r.len + 1;
+            heap.set(tx, &mut r.len, len)
         })
     }
 
     /// Removes the head node, returning its value.
-    pub fn delete_head(&self) -> pmdk_sim::Result<Option<u64>> {
-        let root = self.root();
-        self.pool.tx(|tx| {
-            // SAFETY: root is live.
-            let r = unsafe { root.as_mut() };
-            if r.head.is_null() {
+    pub fn delete_head(&self) -> Result<Option<u64>, H::Error> {
+        let heap = &self.heap;
+        heap.tx(|tx| {
+            // SAFETY: as in `insert_tail`.
+            let r = unsafe { &mut *heap.at(self.root) };
+            if H::is_null(r.head) {
                 return Ok(None);
             }
-            tx.add(r)?;
             let head = r.head;
-            // SAFETY: head is live.
-            let head_ref = unsafe { head.as_ref() };
-            let value = head_ref.value;
-            let next = head_ref.next;
-            r.head = next;
-            if next.is_null() {
-                r.tail = pmdk_sim::Toid::null();
+            // SAFETY: as above.
+            let node = unsafe { &*heap.at(head) };
+            let (value, next) = (node.value, node.next);
+            heap.set(tx, &mut r.head, next)?;
+            if H::is_null(next) {
+                heap.set(tx, &mut r.tail, H::null())?;
             }
-            r.len -= 1;
-            tx.free(head)?;
+            let len = r.len - 1;
+            heap.set(tx, &mut r.len, len)?;
+            heap.free(tx, head)?;
             Ok(Some(value))
         })
     }
 
-    /// Sums every node's value: each hop pays the fat-pointer translation.
+    /// Sums every node's value (the traversal benchmark: one dereference
+    /// per hop).
     pub fn sum(&self) -> u64 {
-        let root = self.root();
-        // SAFETY: root is live.
-        let r = unsafe { root.as_ref() };
         let mut sum = 0u64;
-        let mut cur = r.head;
-        while !cur.is_null() {
-            // SAFETY: nodes are live while the pool is open.
-            let node = unsafe { cur.as_ref() };
+        // SAFETY: as in `insert_tail`; nothing is mutably borrowed.
+        let mut cur = unsafe { &*self.heap.at(self.root) }.head;
+        while !H::is_null(cur) {
+            // SAFETY: as above.
+            let node = unsafe { &*self.heap.at(cur) };
             sum = sum.wrapping_add(node.value);
             cur = node.next;
         }
@@ -266,113 +160,8 @@ impl PmdkList {
 
     /// Number of nodes.
     pub fn len(&self) -> u64 {
-        // SAFETY: root is live.
-        unsafe { self.root().as_ref() }.len
-    }
-
-    /// Returns `true` if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------
-// Romulus-sim implementation (offsets into the main replica).
-// ---------------------------------------------------------------------
-
-const RNODE_VALUE: u64 = 0;
-const RNODE_NEXT: u64 = 8;
-const RNODE_SIZE: usize = 16;
-const RROOT_HEAD: u64 = 0;
-const RROOT_TAIL: u64 = 8;
-const RROOT_LEN: u64 = 16;
-const RROOT_SIZE: usize = 24;
-
-/// Singly linked list over the Romulus baseline (offset-based links).
-pub struct RomulusList {
-    pool: romulus_sim::RomulusPool,
-    root: u64,
-}
-
-impl RomulusList {
-    /// Creates the list in a new pool file at `path`.
-    pub fn create(
-        path: impl AsRef<std::path::Path>,
-        region_size: usize,
-    ) -> romulus_sim::pool::Result<Self> {
-        let pool = romulus_sim::RomulusPool::create(path, region_size)?;
-        let root = pool.tx(|tx| {
-            let root = tx.alloc(RROOT_SIZE)?;
-            tx.store(root + RROOT_HEAD, 0u64);
-            tx.store(root + RROOT_TAIL, 0u64);
-            tx.store(root + RROOT_LEN, 0u64);
-            tx.set_root(root);
-            Ok(root)
-        })?;
-        Ok(RomulusList { pool, root })
-    }
-
-    /// Appends a node with `value` at the tail.
-    pub fn insert_tail(&self, value: u64) -> romulus_sim::pool::Result<()> {
-        let root = self.root;
-        self.pool.tx(|tx| {
-            let node = tx.alloc(RNODE_SIZE)?;
-            tx.store(node + RNODE_VALUE, value);
-            tx.store(node + RNODE_NEXT, 0u64);
-            let tail: u64 = tx.load(root + RROOT_TAIL);
-            if tail == 0 {
-                tx.store(root + RROOT_HEAD, node);
-            } else {
-                tx.store(tail + RNODE_NEXT, node);
-            }
-            tx.store(root + RROOT_TAIL, node);
-            let len: u64 = tx.load(root + RROOT_LEN);
-            tx.store(root + RROOT_LEN, len + 1);
-            Ok(())
-        })
-    }
-
-    /// Removes the head node, returning its value (the node's space is not
-    /// reclaimed — romulus-sim uses a bump allocator).
-    pub fn delete_head(&self) -> romulus_sim::pool::Result<Option<u64>> {
-        let root = self.root;
-        self.pool.tx(|tx| {
-            let head: u64 = tx.load(root + RROOT_HEAD);
-            if head == 0 {
-                return Ok(None);
-            }
-            let value: u64 = tx.load(head + RNODE_VALUE);
-            let next: u64 = tx.load(head + RNODE_NEXT);
-            tx.store(root + RROOT_HEAD, next);
-            if next == 0 {
-                tx.store(root + RROOT_TAIL, 0u64);
-            }
-            let len: u64 = tx.load(root + RROOT_LEN);
-            tx.store(root + RROOT_LEN, len - 1);
-            Ok(Some(value))
-        })
-    }
-
-    /// Sums every node's value.
-    pub fn sum(&self) -> u64 {
-        let mut sum = 0u64;
-        // SAFETY: offsets were produced by this list's allocator.
-        unsafe {
-            let mut cur = std::ptr::read_unaligned(self.pool.at::<u64>(self.root + RROOT_HEAD));
-            while cur != 0 {
-                sum = sum.wrapping_add(std::ptr::read_unaligned(
-                    self.pool.at::<u64>(cur + RNODE_VALUE),
-                ));
-                cur = std::ptr::read_unaligned(self.pool.at::<u64>(cur + RNODE_NEXT));
-            }
-        }
-        sum
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> u64 {
-        // SAFETY: the root object is live.
-        unsafe { std::ptr::read_unaligned(self.pool.at::<u64>(self.root + RROOT_LEN)) }
+        // SAFETY: as in `sum`.
+        unsafe { &*self.heap.at(self.root) }.len
     }
 
     /// Returns `true` if the list is empty.
@@ -384,25 +173,21 @@ impl RomulusList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puddled::{Daemon, DaemonConfig};
+    use crate::heap::testing;
 
-    fn puddles_client() -> (tempfile::TempDir, Daemon, PuddleClient) {
-        let tmp = tempfile::tempdir().unwrap();
-        let daemon = Daemon::start(DaemonConfig::for_testing(tmp.path())).unwrap();
-        let client = PuddleClient::connect_local(&daemon).unwrap();
-        (tmp, daemon, client)
-    }
-
-    #[test]
-    fn puddles_list_insert_delete_sum() {
-        let (_tmp, _daemon, client) = puddles_client();
-        let list = PuddlesList::new(&client, "list").unwrap();
+    fn insert_delete_sum<H: PmHeap>(list: List<H>)
+    where
+        ListNode<H>: Object<H>,
+        ListRoot<H>: Object<H>,
+    {
         for i in 1..=100 {
             list.insert_tail(i).unwrap();
         }
         assert_eq!(list.len(), 100);
         assert_eq!(list.sum(), (1..=100).sum::<u64>());
         assert_eq!(list.delete_head().unwrap(), Some(1));
+        assert_eq!(list.len(), 99);
+        assert_eq!(list.sum(), (2..=100).sum::<u64>());
         assert_eq!(list.delete_head().unwrap(), Some(2));
         assert_eq!(list.len(), 98);
         assert_eq!(list.sum(), (3..=100).sum::<u64>());
@@ -412,35 +197,40 @@ mod tests {
     }
 
     #[test]
+    fn puddles_list_insert_delete_sum() {
+        let (_tmp, _daemon, client) = testing::puddles();
+        insert_delete_sum(PuddlesList::new(&client, "list").unwrap());
+    }
+
+    #[test]
     fn pmdk_list_insert_delete_sum() {
         let tmp = tempfile::tempdir().unwrap();
-        let list = PmdkList::create(tmp.path().join("list.pmdk"), 16 << 20).unwrap();
-        for i in 1..=100 {
-            list.insert_tail(i).unwrap();
-        }
-        assert_eq!(list.len(), 100);
-        assert_eq!(list.sum(), (1..=100).sum::<u64>());
-        assert_eq!(list.delete_head().unwrap(), Some(1));
-        assert_eq!(list.len(), 99);
+        insert_delete_sum(PmdkList::create(tmp.path().join("list.pmdk"), 16 << 20).unwrap());
     }
 
     #[test]
     fn romulus_list_insert_delete_sum() {
         let tmp = tempfile::tempdir().unwrap();
-        let list = RomulusList::create(tmp.path().join("list.rom"), 16 << 20).unwrap();
-        for i in 1..=100 {
+        insert_delete_sum(RomulusList::create(tmp.path().join("list.rom"), 16 << 20).unwrap());
+    }
+
+    #[test]
+    fn romulus_list_churn_stays_inside_its_region() {
+        // 64 KiB holds about a thousand 64-byte nodes: only freed nodes
+        // being reused keeps 10,000 cycles inside it.
+        let tmp = tempfile::tempdir().unwrap();
+        let list = RomulusList::create(tmp.path().join("churn.rom"), 64 << 10).unwrap();
+        for i in 0..10_000 {
             list.insert_tail(i).unwrap();
+            assert_eq!(list.delete_head().unwrap(), Some(i));
         }
-        assert_eq!(list.len(), 100);
-        assert_eq!(list.sum(), (1..=100).sum::<u64>());
-        assert_eq!(list.delete_head().unwrap(), Some(1));
-        assert_eq!(list.sum(), (2..=100).sum::<u64>());
+        assert!(list.is_empty());
     }
 
     #[test]
     fn all_three_lists_agree_on_a_random_workload() {
         use rand::Rng;
-        let (_tmp, _daemon, client) = puddles_client();
+        let (_tmp, _daemon, client) = testing::puddles();
         let p = PuddlesList::new(&client, "agree").unwrap();
         let tmp = tempfile::tempdir().unwrap();
         let m = PmdkList::create(tmp.path().join("m.pmdk"), 16 << 20).unwrap();

@@ -22,7 +22,7 @@
 //! file with a snapshot header, one put record per live table entry, and
 //! the records enqueued after the snapshot's cut. Loading is the reverse:
 //! replay the one file (tolerating a torn final record — a whole request),
-//! then derive the allocator from the puddle table ([`reconcile`]). Nothing
+//! then derive the allocator from the puddle table (`reconcile`). Nothing
 //! is healed: every prefix of the file is a state some request left.
 //!
 //! # Concurrency
@@ -45,7 +45,7 @@
 //! The global-space allocator — [`crate::alloc::SpaceAlloc`], one ordered
 //! free map behind its own mutex, merged on every free and best fit on
 //! every alloc (both O(log free extents)) — is derived state: never
-//! logged, rebuilt from the puddle table by [`reconcile`] at every load.
+//! logged, rebuilt from the puddle table by `reconcile` at every load.
 //! So is whatever else that table implies — a pool's member list, a
 //! puddle's file name and relocation table: a record stores only what no
 //! other record does.
@@ -376,7 +376,7 @@ impl Registry {
     ///
     /// The allocator is reported in **canonical** form — merged free list,
     /// frontier-adjacent extents absorbed into the bump pointer — which is
-    /// exactly what [`reconcile`] rebuilds, so a live snapshot and a
+    /// exactly what `reconcile` rebuilds, so a live snapshot and a
     /// post-crash replay are bit-identical. It has no records to cut
     /// between, so it is read on its own lock inside the guarded region.
     fn snapshot_with_cut(&self) -> (RegistryData, u64, u64) {
@@ -449,7 +449,7 @@ impl Registry {
     ///
     /// Nothing is logged: the grant becomes durable as the `offset` of the
     /// `PutPuddle` record that uses it, and a grant lost to a crash is
-    /// reclaimed by [`reconcile`] (an extent no puddle record covers is
+    /// reclaimed by `reconcile` (an extent no puddle record covers is
     /// free by definition).
     pub fn alloc_space(&self, size: u64) -> Result<u64> {
         self.alloc.alloc(size)

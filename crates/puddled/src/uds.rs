@@ -70,7 +70,7 @@
 //!
 //! [`UdsServer::shutdown`] is graceful and *bounded*: the reactor closes
 //! the listener, drops idle connections immediately, gives in-flight
-//! requests and partially written responses [`SHUTDOWN_GRACE`] to finish,
+//! requests and partially written responses `SHUTDOWN_GRACE` (5 s) to finish,
 //! then force-drops stragglers; the worker pool is drained and joined
 //! (detached past the deadline, so a pathological request cannot wedge the
 //! process).
@@ -425,7 +425,7 @@ impl UdsServer {
     }
 
     /// Stops accepting, disconnects idle clients, lets in-flight requests
-    /// finish within [`SHUTDOWN_GRACE`], and joins the reactor and worker
+    /// finish within `SHUTDOWN_GRACE`, and joins the reactor and worker
     /// threads. The join is *bounded*: any straggler past the deadline is
     /// detached instead of joined, so a wedged peer or request cannot hang
     /// the process.

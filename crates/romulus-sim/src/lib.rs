@@ -11,8 +11,10 @@
 //!
 //! This reproduction keeps the same structure: a pool file holding
 //! `[header | main | back]`, a DRAM redo list, the two-phase commit, and
-//! recovery on open.
+//! recovery on open. The allocator's state (root offset, bump pointer and
+//! exact-size free lists) heads the main region, so commit, abort and
+//! recovery cover it like any other data.
 
 pub mod pool;
 
-pub use pool::{RomulusError, RomulusPool, RomulusTx};
+pub use pool::{Result, RomulusError, RomulusPool, RomulusTx};

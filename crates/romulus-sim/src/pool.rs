@@ -37,9 +37,11 @@ impl fmt::Display for RomulusError {
 
 impl std::error::Error for RomulusError {}
 
-const MAGIC: u64 = 0x524f_4d55_4c53_494d; // "ROMULSIM"
+const MAGIC: u64 = 0x524f_4d55_4c53_4932; // "ROMULSI2"
 const HEADER_SIZE: usize = 4096;
 const ALLOC_ALIGN: usize = 64;
+/// Block sizes that can have a free list at once.
+const FREE_LISTS: usize = 32;
 
 /// Persistent commit-state flag.
 const STATE_IDLE: u64 = 0;
@@ -52,9 +54,26 @@ struct PoolHeader {
     size: u64,
     region_size: u64,
     state: u64,
-    root_off: u64,
-    heap_bump: u64,
 }
+
+/// The heap's own state. It heads the main region, so a transaction's
+/// commit, abort and recovery cover it like any other range it stores to.
+#[derive(Clone, Copy)]
+#[repr(C)]
+struct Meta {
+    /// Offset of the root object, 0 if none.
+    root_off: u64,
+    /// End of the bump-allocated part of the region.
+    bump: u64,
+    /// Exact-size free lists: `(block size, first free block)`. A free
+    /// block's first word is the offset of the next one (0 ends the list);
+    /// a slot whose list is empty may be taken by another size.
+    free: [(u64, u64); FREE_LISTS],
+}
+
+/// Offset of the first allocation: offset 0, the metadata, is never one,
+/// so 0 serves as the null offset.
+const HEAP_START: u64 = align_up(std::mem::size_of::<Meta>(), ALLOC_ALIGN) as u64;
 
 /// A Romulus-style pool with main and back replicas.
 pub struct RomulusPool {
@@ -93,11 +112,21 @@ impl RomulusPool {
             size: size as u64,
             region_size: region_size as u64,
             state: STATE_IDLE,
-            root_off: 0,
-            heap_bump: ALLOC_ALIGN as u64,
         };
-        // SAFETY: fresh writable mapping of at least HEADER_SIZE bytes.
-        unsafe { std::ptr::write_unaligned(base as *mut PoolHeader, header) };
+        let meta = Meta {
+            root_off: 0,
+            bump: HEAP_START,
+            free: [(0, 0); FREE_LISTS],
+        };
+        // SAFETY: fresh writable mapping of the header and both replicas,
+        // each of which starts with room for a `Meta`.
+        unsafe {
+            std::ptr::write_unaligned(base as *mut PoolHeader, header);
+            for replica in [base + HEADER_SIZE, base + HEADER_SIZE + region_size] {
+                std::ptr::write(replica as *mut Meta, meta);
+                persist::flush(replica as *const u8, std::mem::size_of::<Meta>());
+            }
+        }
         persist::persist(base as *const u8, HEADER_SIZE);
         Ok(RomulusPool {
             base,
@@ -199,14 +228,21 @@ impl RomulusPool {
         (self.main_base() + off as usize) as *mut T
     }
 
-    /// Reads the root offset (0 if unset).
-    pub fn root_off(&self) -> u64 {
-        self.header().root_off
+    fn meta(&self) -> *mut Meta {
+        self.at(0)
     }
 
-    /// Returns the number of bytes used in the main replica.
+    /// Reads the root offset (0 if unset).
+    pub fn root_off(&self) -> u64 {
+        // SAFETY: the metadata heads the main region.
+        unsafe { (*self.meta()).root_off }
+    }
+
+    /// Returns the number of bytes of the main replica ever allocated (freed
+    /// blocks included: they wait on a free list).
     pub fn used_bytes(&self) -> usize {
-        self.header().heap_bump as usize
+        // SAFETY: as in `root_off`.
+        unsafe { (*self.meta()).bump as usize }
     }
 
     /// Runs a failure-atomic transaction.
@@ -248,19 +284,60 @@ pub struct RomulusTx<'p> {
 }
 
 impl<'p> RomulusTx<'p> {
-    /// Allocates `size` bytes in the main replica, returning its offset.
+    /// Allocates `size` bytes in the main replica, returning its offset:
+    /// the head of the free list of that (aligned) size, else fresh space.
     pub fn alloc(&mut self, size: usize) -> Result<u64> {
         let need = align_up(size.max(1), ALLOC_ALIGN) as u64;
-        let mut header = self.pool.header();
-        if header.heap_bump + need > self.pool.region_size as u64 {
+        // SAFETY: the metadata heads the main region; nothing else borrows
+        // it while the transaction lock is held.
+        let meta = unsafe { &mut *self.pool.meta() };
+        if let Some(list) = meta.free.iter_mut().find(|l| l.0 == need && l.1 != 0) {
+            let off = list.1;
+            self.add(&list.1);
+            list.1 = self.load(off);
+            return Ok(off);
+        }
+        if meta.bump + need > self.pool.region_size as u64 {
             return Err(RomulusError::OutOfSpace);
         }
-        let off = header.heap_bump;
-        header.heap_bump += need;
-        self.pool.write_header(header);
-        // Header changes must reach the back replica too.
-        self.dirty.push((u64::MAX, 0)); // sentinel: header modified
+        let off = meta.bump;
+        self.add(&meta.bump);
+        meta.bump += need;
         Ok(off)
+    }
+
+    /// Frees the `size`-byte block at `off` onto the free list of its size.
+    /// Fails with [`RomulusError::OutOfSpace`] if every one of the
+    /// metadata's free lists already holds blocks of other sizes.
+    pub fn free(&mut self, off: u64, size: usize) -> Result<()> {
+        let need = align_up(size.max(1), ALLOC_ALIGN) as u64;
+        // SAFETY: as in `alloc`.
+        let meta = unsafe { &mut *self.pool.meta() };
+        let slot = meta
+            .free
+            .iter()
+            .position(|l| l.0 == need)
+            .or_else(|| meta.free.iter().position(|l| l.1 == 0))
+            .ok_or(RomulusError::OutOfSpace)?;
+        let list = &mut meta.free[slot];
+        self.store(off, list.1);
+        self.add(&*list);
+        *list = (need, off);
+        Ok(())
+    }
+
+    /// Records that `*target`, which must lie in the main replica, is about
+    /// to be stored to in place: commit persists it and copies it to back,
+    /// abort restores it from back.
+    pub fn add<T: ?Sized>(&mut self, target: &T) {
+        let len = std::mem::size_of_val(target);
+        // Commit and abort copy the range between the replicas: one outside
+        // the main replica would reach past them.
+        let off = (target as *const T as *const u8 as usize)
+            .checked_sub(self.pool.main_base())
+            .filter(|off| off + len <= self.pool.region_size)
+            .expect("RomulusTx::add: target lies outside the main replica");
+        self.dirty.push((off as u64, len as u64));
     }
 
     /// Records a store of `value` at main-region offset `off`.
@@ -271,15 +348,6 @@ impl<'p> RomulusTx<'p> {
         self.dirty.push((off, std::mem::size_of::<T>() as u64));
     }
 
-    /// Records a store of raw bytes at main-region offset `off`.
-    pub fn store_bytes(&mut self, off: u64, bytes: &[u8]) {
-        // SAFETY: as in `store`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(bytes.as_ptr(), self.pool.at::<u8>(off), bytes.len());
-        }
-        self.dirty.push((off, bytes.len() as u64));
-    }
-
     /// Reads a value from main-region offset `off`.
     pub fn load<T: Copy>(&self, off: u64) -> T {
         // SAFETY: as in `store`.
@@ -288,19 +356,16 @@ impl<'p> RomulusTx<'p> {
 
     /// Sets the pool root offset.
     pub fn set_root(&mut self, off: u64) {
-        let mut header = self.pool.header();
-        header.root_off = off;
-        self.pool.write_header(header);
-        self.dirty.push((u64::MAX, 0));
+        // SAFETY: as in `alloc`.
+        let meta = unsafe { &mut *self.pool.meta() };
+        self.add(&meta.root_off);
+        meta.root_off = off;
     }
 
     fn commit(&mut self) {
         let pool = self.pool;
         // Phase 1: persist main.
         for &(off, len) in &self.dirty {
-            if off == u64::MAX {
-                continue;
-            }
             persist::flush(pool.at::<u8>(off) as *const u8, len as usize);
         }
         persist::sfence();
@@ -309,9 +374,6 @@ impl<'p> RomulusTx<'p> {
         header.state = STATE_COPYING;
         pool.write_header(header);
         for &(off, len) in &self.dirty {
-            if off == u64::MAX {
-                continue;
-            }
             // SAFETY: both ranges lie inside the mapped replicas.
             unsafe {
                 std::ptr::copy_nonoverlapping(
@@ -329,12 +391,10 @@ impl<'p> RomulusTx<'p> {
     }
 
     fn abort(&mut self) {
-        // Discard main updates by restoring the touched ranges from back.
+        // Discard main updates, the metadata's among them, by restoring the
+        // touched ranges from back.
         let pool = self.pool;
         for &(off, len) in &self.dirty {
-            if off == u64::MAX {
-                continue;
-            }
             // SAFETY: both ranges lie inside the mapped replicas.
             unsafe {
                 std::ptr::copy_nonoverlapping(
@@ -344,9 +404,6 @@ impl<'p> RomulusTx<'p> {
                 );
             }
         }
-        // Header (allocation bump, root) changes are rolled back from back
-        // as well, except the magic/size fields which never change.
-        // SAFETY: headers of both replicas are inside the mapping.
         persist::sfence();
     }
 }
@@ -445,5 +502,68 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, RomulusError::OutOfSpace));
+    }
+
+    #[test]
+    fn an_aborted_transaction_keeps_neither_its_root_nor_its_allocation() {
+        let tmp = tempfile::tempdir().unwrap();
+        let pool = RomulusPool::create(tmp.path().join("abort.pool"), 64 * 1024).unwrap();
+        let (root, used) = (pool.root_off(), pool.used_bytes());
+        let err = pool
+            .tx(|tx| {
+                let off = tx.alloc(64)?;
+                tx.set_root(off);
+                Err::<(), _>(RomulusError::Aborted("no".into()))
+            })
+            .unwrap_err();
+        assert!(matches!(err, RomulusError::Aborted(_)));
+        assert_eq!(pool.root_off(), root);
+        assert_eq!(pool.used_bytes(), used);
+    }
+
+    #[test]
+    fn a_crash_mid_transaction_keeps_neither_its_root_nor_its_allocation() {
+        let tmp = tempfile::tempdir().unwrap();
+        let path = tmp.path().join("crash.pool");
+        let (root, used);
+        {
+            let pool = RomulusPool::create(&path, 64 * 1024).unwrap();
+            (root, used) = (pool.root_off(), pool.used_bytes());
+            // The body dies after its stores: neither commit nor abort runs.
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.tx(|tx| {
+                    let off = tx.alloc(64)?;
+                    tx.set_root(off);
+                    panic!("crash mid-transaction");
+                    #[allow(unreachable_code)]
+                    Ok(())
+                })
+            }));
+            assert!(crashed.is_err());
+        }
+        let pool = RomulusPool::open(&path).unwrap();
+        assert_eq!(pool.root_off(), root);
+        assert_eq!(pool.used_bytes(), used);
+    }
+
+    #[test]
+    fn freed_blocks_are_reused_by_allocations_of_their_size() {
+        let tmp = tempfile::tempdir().unwrap();
+        let pool = RomulusPool::create(tmp.path().join("free.pool"), 64 * 1024).unwrap();
+        let a = pool.tx(|tx| tx.alloc(16)).unwrap();
+        let used = pool.used_bytes();
+        pool.tx(|tx| tx.free(a, 16)).unwrap();
+        // Another size does not take the block; its own size does.
+        let b = pool.tx(|tx| tx.alloc(128)).unwrap();
+        assert_ne!(a, b);
+        assert_eq!(pool.tx(|tx| tx.alloc(64)).unwrap(), a);
+        assert_eq!(pool.used_bytes(), used + 128);
+        // An aborted free leaves the block allocated.
+        let err = pool.tx(|tx| {
+            tx.free(a, 64)?;
+            Err::<(), _>(RomulusError::Aborted("no".into()))
+        });
+        assert!(err.is_err());
+        assert_ne!(pool.tx(|tx| tx.alloc(64)).unwrap(), a);
     }
 }
