@@ -1,7 +1,7 @@
 //! Table 3: mean latency of API primitives (TX NOP, TX_ADD 8 B / 4 KiB,
 //! malloc 8 B / 4 KiB, malloc+free 8 B / 4 KiB) for Puddles vs PMDK-sim,
 //! plus the log-append microbenchmark behind the fence-minimized commit
-//! path (fenced baseline vs volatile-cursor `LogWriter`, single- and
+//! path (`LogWriter::append`, one unfenced flush per entry, single- and
 //! 8-threaded).
 //!
 //! Pass `--json <path>` to also write the commit-path numbers as
@@ -11,60 +11,36 @@ use puddles_bench::{emit_header, emit_row, test_env, time_it, Scale};
 use puddles_logfmt::{EntryKind, LogRef, LogWriter, ReplayOrder, SEQ_UNDO};
 
 /// Appends 8-byte undo entries into a DRAM-backed log until `iters` appends
-/// are done, resetting the log whenever it fills; returns appends/s.
-///
-/// `fenced` selects the durable-header baseline path (`LogRef::append`, two
-/// flush+fence rounds per append — the pre-optimization commit path) vs the
-/// volatile-cursor fast path (`LogWriter::append`, one unfenced flush).
-fn append_throughput(iters: u64, fenced: bool) -> f64 {
+/// are done, restarting the log whenever it fills; returns appends/s.
+fn append_throughput(iters: u64) -> f64 {
     let mut buf = vec![0u8; 4 << 20];
     // SAFETY: `buf` outlives the LogRef and is only accessed through it.
     let log = unsafe { LogRef::from_raw(buf.as_mut_ptr(), buf.len()) };
     log.init();
     let payload = [0xABu8; 8];
     let (d, _) = time_it(|| {
-        if fenced {
-            let mut done = 0u64;
-            while done < iters {
-                log.reset();
-                while done < iters
-                    && log
-                        .append(
-                            0x1000,
-                            SEQ_UNDO,
-                            ReplayOrder::Reverse,
-                            EntryKind::Undo,
-                            &payload,
-                        )
-                        .is_ok()
-                {
-                    done += 1;
-                }
+        let mut done = 0u64;
+        while done < iters {
+            let mut w = LogWriter::begin(log).expect("begin");
+            while done < iters
+                && w.append(
+                    0x1000,
+                    SEQ_UNDO,
+                    ReplayOrder::Reverse,
+                    EntryKind::Undo,
+                    &payload,
+                )
+                .is_ok()
+            {
+                done += 1;
             }
-        } else {
-            let mut done = 0u64;
-            while done < iters {
-                let mut w = LogWriter::begin(log).expect("begin");
-                while done < iters
-                    && w.append(
-                        0x1000,
-                        SEQ_UNDO,
-                        ReplayOrder::Reverse,
-                        EntryKind::Undo,
-                        &payload,
-                    )
-                    .is_ok()
-                {
-                    done += 1;
-                }
-                w.reset();
-            }
+            w.reset();
         }
     });
     iters as f64 / d.as_secs_f64()
 }
 
-/// Unfenced append throughput summed over `threads` concurrent writers,
+/// Append throughput summed over `threads` concurrent writers,
 /// each owning a private DRAM-backed log (the per-thread-log design).
 ///
 /// Sums the rates each thread measures over its own append loop, so thread
@@ -72,7 +48,7 @@ fn append_throughput(iters: u64, fenced: bool) -> f64 {
 /// the number is comparable with the single-thread one.
 fn append_throughput_mt(iters_per_thread: u64, threads: usize) -> f64 {
     let handles: Vec<_> = (0..threads)
-        .map(|_| std::thread::spawn(move || append_throughput(iters_per_thread, false)))
+        .map(|_| std::thread::spawn(move || append_throughput(iters_per_thread)))
         .collect();
     handles.into_iter().map(|h| h.join().unwrap()).sum()
 }
@@ -91,19 +67,10 @@ fn main() {
 
     // ----- Log-append microbenchmark (the tentpole metric) -----
     let append_iters = scale.pick(200_000u64, 2_000_000u64);
-    let fenced = append_throughput(append_iters, true);
-    let unfenced = append_throughput(append_iters, false);
-    let unfenced_8t = append_throughput_mt(append_iters, 8);
-    emit_row("table3", "puddles", "log_append_fenced_per_s", "1", fenced);
-    emit_row("table3", "puddles", "log_append_per_s", "1", unfenced);
-    emit_row("table3", "puddles", "log_append_per_s", "8", unfenced_8t);
-    emit_row(
-        "table3",
-        "puddles",
-        "log_append_speedup",
-        "-",
-        unfenced / fenced,
-    );
+    let append_1t = append_throughput(append_iters);
+    let append_8t = append_throughput_mt(append_iters, 8);
+    emit_row("table3", "puddles", "log_append_per_s", "1", append_1t);
+    emit_row("table3", "puddles", "log_append_per_s", "8", append_8t);
 
     // ----- Puddles -----
     let (_tmp, daemon, client) = test_env();
@@ -308,8 +275,7 @@ fn main() {
     // ----- CI perf-tracking artifact -----
     if let Some(path) = json_path {
         let json = format!(
-            "{{\n  \"appends_per_sec_1t\": {unfenced:.0},\n  \"appends_per_sec_8t\": {unfenced_8t:.0},\n  \"appends_per_sec_1t_fenced_baseline\": {fenced:.0},\n  \"append_speedup_vs_fenced\": {:.3},\n  \"commit_latency_ns\": {commit_latency_ns:.1},\n  \"tx_1MiB_undo_single_segment_MBps\": {single_mbps:.0},\n  \"tx_1MiB_undo_chained_MBps\": {chained_mbps:.0}\n}}\n",
-            unfenced / fenced
+            "{{\n  \"appends_per_sec_1t\": {append_1t:.0},\n  \"appends_per_sec_8t\": {append_8t:.0},\n  \"commit_latency_ns\": {commit_latency_ns:.1},\n  \"tx_1MiB_undo_single_segment_MBps\": {single_mbps:.0},\n  \"tx_1MiB_undo_chained_MBps\": {chained_mbps:.0}\n}}\n"
         );
         std::fs::write(&path, json).expect("write bench json");
         eprintln!("wrote {path}");

@@ -8,12 +8,13 @@
 //! * **Log space** ([`logspace`]) — a directory puddle listing every log
 //!   puddle a client has registered; the daemon only ever replays logs that
 //!   were registered through this directory.
-//! * **Log** ([`log::LogRef`]) — a sequence of log entries plus metadata: a
-//!   *sequence range* controlling which entries are live, head/tail
-//!   pointers, and capacity. A log that outgrows its puddle is continued in
-//!   further puddles ([`log::LogWriter::extend`], Fig. 5's `chain_index`);
-//!   the head segment's range governs replay of the whole chain
-//!   ([`replay::replay_chain`]).
+//! * **Log** ([`log::LogRef`]) — a sequence of log entries behind a header
+//!   holding a magic number, the *sequence range* controlling which entries
+//!   are live, and the *generation* every valid entry carries; the entries
+//!   start on the next cache line. A log that outgrows its puddle is
+//!   continued in further puddles ([`log::LogWriter::extend`], Fig. 5's
+//!   `chain_index`); the head segment's range governs replay of the whole
+//!   chain ([`replay::replay_chain`]).
 //! * **Log entry** ([`entry::LogEntryHeader`]) — checksum, target virtual
 //!   address, size, *sequence number*, replay *order* (forward for redo,
 //!   reverse for undo) and *kind* (undo / redo / volatile), followed by the
@@ -43,8 +44,8 @@ pub use entry::{EntryKind, LogEntryHeader, ReplayOrder};
 pub use log::{chain_iter, segment_payload_capacity, LogEntries, LogRef, LogWriter, SeqRange};
 pub use logspace::{LogSpaceEntry, LogSpaceRef};
 pub use replay::{
-    collect_live, replay_chain, replay_log, BufferTarget, DirectMemoryTarget, LiveEntries,
-    ReplayStats, ReplayTarget,
+    collect_live, replay_chain, BufferTarget, DirectMemoryTarget, LiveEntries, ReplayStats,
+    ReplayTarget,
 };
 
 /// Size of the header page at the start of every puddle.

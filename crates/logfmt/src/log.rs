@@ -15,7 +15,9 @@
 //! durable. A crash before that fence leaves some durable prefix of the
 //! appended entries, which is exactly what stage-aware replay needs.
 //!
-//! The persistent header is touched only by [`LogRef::init`],
+//! The persistent header holds what a reader needs and nothing else: the
+//! magic, the sequence range and the generation (no head or tail pointer,
+//! no entry count, no capacity). It is touched only by [`LogRef::init`],
 //! [`LogWriter::start`] on an unarmed log (and [`LogWriter::extend`] on the
 //! tail it chains), [`LogRef::set_seq_range`], and the write that ends a
 //! transaction: [`LogWriter::finish`] or [`LogRef::reset`]. Its `gen` field
@@ -37,15 +39,18 @@
 //! validity scan reads it back; the writer never re-verifies what it just
 //! wrote ([`LogWriter::written`]).
 //!
-//! [`LOG_MAGIC`] names the entry format *including* the checksum function.
-//! It became `PUDDLOG3` when the function changed from FNV-1a, so that a
-//! log written by an older build is never scanned with the wrong function
-//! (every entry would fail to verify and a crashed transaction would look
-//! like an empty log). **Upgrade rule: shut the daemon and its clients
-//! down cleanly before upgrading**, so no log holds a live transaction; a
-//! live log that still carries an older magic is refused by recovery — the
-//! log space is invalidated and the log kept as evidence — rather than
-//! skipped.
+//! [`LOG_MAGIC`] names the log format: the header layout and the entry
+//! format *including* the checksum function. It became `PUDDLOG3` when the
+//! function changed from FNV-1a, and `PUDDLOG4` when the header shrank from
+//! 56 to 24 bytes and the first entry moved from offset 56 to the next
+//! cache line ([`LOG_ENTRIES_OFFSET`]), so that a log written by an older
+//! build is never scanned at the wrong offset or with the wrong
+//! function (every entry would fail to verify and a crashed transaction
+//! would look like an empty log). **Upgrade rule: shut the daemon and its
+//! clients down cleanly before upgrading**, so no log holds a live
+//! transaction; a live log that still carries an older magic is refused by
+//! recovery — the log space is invalidated and the log kept as evidence —
+//! rather than skipped.
 
 use crate::entry::{EntryKind, LogEntryHeader, ReplayOrder, ENTRY_ALIGN, ENTRY_HEADER_SIZE};
 use puddles_pmem::failpoint;
@@ -53,10 +58,10 @@ use puddles_pmem::persist;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result};
 
-/// Magic number identifying an initialized log area whose entries carry
-/// [`crc32c64`](puddles_pmem::checksum::crc32c64) checksums (see the module
-/// docs for the upgrade rule).
-pub const LOG_MAGIC: u64 = 0x5055_4444_4c4f_4733; // "PUDDLOG3"
+/// Magic number identifying an initialized log area with a 24-byte header
+/// whose entries carry [`crc32c64`](puddles_pmem::checksum::crc32c64)
+/// checksums (see the module docs for the upgrade rule).
+pub const LOG_MAGIC: u64 = 0x5055_4444_4c4f_4734; // "PUDDLOG4"
 
 /// The sequence range of a log: entries whose sequence number lies strictly
 /// between `lo` and `hi` are replayed after a crash.
@@ -75,34 +80,31 @@ impl SeqRange {
     }
 }
 
-/// On-PM header at the start of a log area.
-///
-/// `head_off`/`tail_off`/`num_entries` are *advisory*: they are written by
-/// the durable-header append path ([`LogRef::append`]) and by control
-/// operations, but the fast path ([`LogWriter`]) leaves them untouched —
-/// readers must use the checksum/generation scan, never these fields.
+/// On-PM header at the start of a log area: exactly what a reader needs
+/// to decide which entries are live. Where the next entry goes is the
+/// writer's DRAM state ([`LogWriter`]); how large the area is comes with
+/// the view ([`LogRef::from_raw`]).
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
 struct LogHeader {
     magic: u64,
     seq_lo: u32,
     seq_hi: u32,
-    /// Advisory offset (from the log base) of the next free byte.
-    head_off: u64,
-    /// Advisory offset of the most recently appended entry (`u64::MAX` if
-    /// none).
-    tail_off: u64,
-    /// Total capacity of the log area in bytes, including this header.
-    capacity: u64,
-    /// Advisory number of entries appended since the last reset.
-    num_entries: u64,
     /// Current log generation; only entries carrying this value are valid.
     gen: u32,
+    /// Always 0, so every byte of the header is written.
     _pad: u32,
 }
 
 /// Size of the log header in bytes.
 pub const LOG_HEADER_SIZE: usize = std::mem::size_of::<LogHeader>();
+
+/// Offset of the first entry: the cache line after the header's. Every
+/// stage boundary rewrites the header's line and no entry shares it, so an
+/// entry's lines are counted from a line boundary (a 96-byte entry spans
+/// two lines, never three) and a header write flushes no entry's line.
+pub const LOG_ENTRIES_OFFSET: usize = puddles_pmem::CACHELINE;
+const _: () = assert!(LOG_HEADER_SIZE <= LOG_ENTRIES_OFFSET);
 
 /// A view over a log area in (persistent) memory.
 ///
@@ -129,7 +131,7 @@ impl LogRef {
     /// lifetime of the returned value, and no other code may concurrently
     /// mutate the range.
     pub unsafe fn from_raw(base: *mut u8, capacity: usize) -> Self {
-        assert!(capacity >= LOG_HEADER_SIZE + ENTRY_HEADER_SIZE);
+        assert!(capacity >= LOG_ENTRIES_OFFSET + ENTRY_HEADER_SIZE);
         LogRef { base, capacity }
     }
 
@@ -155,10 +157,6 @@ impl LogRef {
             magic: LOG_MAGIC,
             seq_lo: crate::RANGE_DONE.lo,
             seq_hi: crate::RANGE_DONE.hi,
-            head_off: LOG_HEADER_SIZE as u64,
-            tail_off: u64::MAX,
-            capacity: self.capacity as u64,
-            num_entries: 0,
             gen: 0,
             _pad: 0,
         };
@@ -193,23 +191,6 @@ impl LogRef {
         self.read_header().gen
     }
 
-    /// Returns the largest payload that is guaranteed to fit in a single
-    /// further append, based on the *durable* head (see [`LogWriter::free_bytes`]
-    /// for the fast path's volatile view).
-    ///
-    /// The entry header and payload alignment are reserved up front: a
-    /// payload of exactly `free_bytes()` bytes always appends successfully.
-    pub fn free_bytes(&self) -> usize {
-        let hdr = self.read_header();
-        payload_capacity(self.capacity, hdr.head_off as usize)
-    }
-
-    /// Returns the number of entries recorded by the last durable header
-    /// update (advisory; [`LogWriter`] appends do not maintain it).
-    pub fn num_entries(&self) -> u64 {
-        self.read_header().num_entries
-    }
-
     /// Returns the current sequence range.
     pub fn seq_range(&self) -> SeqRange {
         let hdr = self.read_header();
@@ -231,82 +212,6 @@ impl LogRef {
         self.write_header(hdr);
     }
 
-    /// Appends an entry through the durable-header slow path: the payload
-    /// and entry header are persisted (flush + fence), then the log header
-    /// advances and is persisted again — two flush+fence rounds, exactly the
-    /// pre-`LogWriter` cost. Kept as the baseline path for tests, tools and
-    /// benchmarks; transactions use [`LogWriter::append`].
-    pub fn append(
-        &self,
-        addr: u64,
-        seq: u32,
-        order: ReplayOrder,
-        kind: EntryKind,
-        data: &[u8],
-    ) -> Result<()> {
-        let mut hdr = self.read_header();
-        if hdr.magic != LOG_MAGIC {
-            return Err(PmError::Corruption("append to uninitialized log".into()));
-        }
-        let entry = LogEntryHeader::new(addr, seq, order, kind, hdr.gen, data);
-        let need = entry.stored_size();
-        let off = hdr.head_off as usize;
-        if off + need > self.capacity {
-            return Err(PmError::LogFull {
-                need,
-                free: self.capacity.saturating_sub(off),
-            });
-        }
-        let torn = self.write_entry(off, &entry, data);
-        if torn {
-            hdr.head_off = (off + need) as u64;
-            hdr.tail_off = off as u64;
-            hdr.num_entries += 1;
-            self.write_header(hdr);
-            return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_TORN));
-        }
-        persist::sfence();
-
-        hdr.head_off = (off + need) as u64;
-        hdr.tail_off = off as u64;
-        hdr.num_entries += 1;
-        self.write_header(hdr);
-        Ok(())
-    }
-
-    /// Writes (and flushes, without fencing) one entry at `off`, honouring
-    /// the torn-append failpoint. Returns `true` if the append was torn.
-    ///
-    /// The caller has bounds-checked `off + entry.stored_size() <= capacity`.
-    fn write_entry(&self, off: usize, entry: &LogEntryHeader, data: &[u8]) -> bool {
-        // SAFETY: the destination lies inside the log area covered by the
-        // `from_raw` contract (caller bounds check); the source is a valid
-        // local value / caller-provided slice.
-        unsafe {
-            let dst = self.base.add(off);
-            std::ptr::write_unaligned(dst as *mut LogEntryHeader, *entry);
-            std::ptr::copy_nonoverlapping(data.as_ptr(), dst.add(ENTRY_HEADER_SIZE), data.len());
-        }
-        let torn = failpoint::should_fail(failpoint::names::LOG_APPEND_TORN);
-        if torn {
-            // Simulate a power failure that persisted the header and part of
-            // the payload: corrupt one byte (as if the tail cache line never
-            // reached PM) so the validity scan stops at this entry.
-            // SAFETY: same destination range as above.
-            unsafe {
-                if data.is_empty() {
-                    // No payload: tear the header's checksum instead.
-                    *self.base.add(off) ^= 0xff;
-                } else {
-                    *self.base.add(off + ENTRY_HEADER_SIZE + data.len() - 1) ^= 0xff;
-                }
-            }
-        }
-        // SAFETY: in-range pointer as established above.
-        persist::flush(unsafe { self.base.add(off) }, entry.stored_size());
-        torn
-    }
-
     /// Advances the generation in `hdr`, invalidating every existing entry
     /// for the scan.
     ///
@@ -319,35 +224,30 @@ impl LogRef {
     fn bump_gen(&self, hdr: &mut LogHeader) {
         hdr.gen = hdr.gen.wrapping_add(1);
         if hdr.gen == 0 {
-            let len = self.capacity - LOG_HEADER_SIZE;
-            // SAFETY: `[base + LOG_HEADER_SIZE, base + capacity)` lies inside
+            let len = self.capacity - LOG_ENTRIES_OFFSET;
+            // SAFETY: `[base + LOG_ENTRIES_OFFSET, base + capacity)` lies inside
             // the area covered by the `from_raw` contract.
             unsafe {
-                std::ptr::write_bytes(self.base.add(LOG_HEADER_SIZE), 0, len);
-                persist::flush(self.base.add(LOG_HEADER_SIZE), len);
+                std::ptr::write_bytes(self.base.add(LOG_ENTRIES_OFFSET), 0, len);
+                persist::flush(self.base.add(LOG_ENTRIES_OFFSET), len);
             }
         }
     }
 
     /// One fenced header write that ends whatever the log held and publishes
     /// `range` for what comes next: bumps the generation (invalidating every
-    /// existing entry for the scan) and rewinds the advisory head. Returns
-    /// the new generation.
+    /// existing entry for the scan). Returns the new generation.
     fn restart(&self, range: SeqRange) -> u32 {
         let mut hdr = self.read_header();
         self.bump_gen(&mut hdr);
         hdr.seq_lo = range.lo;
         hdr.seq_hi = range.hi;
-        hdr.head_off = LOG_HEADER_SIZE as u64;
-        hdr.tail_off = u64::MAX;
-        hdr.num_entries = 0;
         self.write_header(hdr);
         hdr.gen
     }
 
-    /// Resets the log: publishes [`crate::RANGE_DONE`], bumps the
-    /// generation (invalidating every existing entry for the scan), and
-    /// rewinds the advisory head.
+    /// Resets the log: publishes [`crate::RANGE_DONE`] and bumps the
+    /// generation (invalidating every existing entry for the scan).
     pub fn reset(&self) {
         self.restart(crate::RANGE_DONE);
     }
@@ -373,7 +273,7 @@ impl LogRef {
     pub fn iter(&self) -> LogEntries<'_> {
         let hdr = self.read_header();
         let off = if hdr.magic == LOG_MAGIC {
-            LOG_HEADER_SIZE
+            LOG_ENTRIES_OFFSET
         } else {
             // Uninitialized area: empty iteration.
             self.capacity
@@ -384,13 +284,6 @@ impl LogRef {
             end: self.capacity,
             gen: Some(hdr.gen),
         }
-    }
-
-    /// Iterates over the entries that are live under the current sequence
-    /// range (zero-copy, like [`LogRef::iter`]).
-    pub fn live(&self) -> impl Iterator<Item = (LogEntryHeader, &[u8])> {
-        let range = self.seq_range();
-        self.iter().filter(move |(hdr, _)| range.contains(hdr.seq))
     }
 }
 
@@ -454,7 +347,7 @@ fn payload_capacity(capacity: usize, head: usize) -> usize {
 /// use this: an entry whose payload exceeds it can never fit in one segment
 /// and must be rejected outright instead of growing the chain forever.
 pub fn segment_payload_capacity(capacity: usize) -> usize {
-    payload_capacity(capacity, LOG_HEADER_SIZE)
+    payload_capacity(capacity, LOG_ENTRIES_OFFSET)
 }
 
 /// Iterates over every structurally valid entry of a multi-segment log
@@ -563,7 +456,7 @@ impl LogWriter {
         LogWriter {
             segments: vec![log],
             sealed: Vec::new(),
-            head: LOG_HEADER_SIZE,
+            head: LOG_ENTRIES_OFFSET,
             entries: 0,
             redo_entries: 0,
             gen: 0,
@@ -596,14 +489,14 @@ impl LogWriter {
     fn rewind(&mut self) {
         self.segments.truncate(1);
         self.sealed.clear();
-        self.head = LOG_HEADER_SIZE;
+        self.head = LOG_ENTRIES_OFFSET;
         self.entries = 0;
         self.redo_entries = 0;
     }
 
     /// One fenced header write that (re)starts `log` for the current
-    /// transaction: generation bump + [`crate::RANGE_EXEC`] + rewound
-    /// advisory head. Returns the new generation.
+    /// transaction: generation bump + [`crate::RANGE_EXEC`]. Returns the new
+    /// generation.
     fn begin_segment(log: LogRef) -> Result<u32> {
         if !log.is_initialized() {
             return Err(PmError::Corruption("begin on uninitialized log".into()));
@@ -626,7 +519,7 @@ impl LogWriter {
         let gen = Self::begin_segment(seg)?;
         self.segments.push(seg);
         self.sealed.push(self.head);
-        self.head = LOG_HEADER_SIZE;
+        self.head = LOG_ENTRIES_OFFSET;
         self.gen = gen;
         Ok(())
     }
@@ -661,7 +554,30 @@ impl LogWriter {
                 free: active.capacity.saturating_sub(self.head),
             });
         }
-        let torn = active.write_entry(self.head, &entry, data);
+        // SAFETY: `[head, head + need)` lies inside the active segment (bounds
+        // check above), covered by its `from_raw` contract; the sources are a
+        // local value and the caller's slice.
+        let dst = unsafe {
+            let dst = active.base.add(self.head);
+            std::ptr::write_unaligned(dst as *mut LogEntryHeader, entry);
+            std::ptr::copy_nonoverlapping(data.as_ptr(), dst.add(ENTRY_HEADER_SIZE), data.len());
+            dst
+        };
+        let torn = failpoint::should_fail(failpoint::names::LOG_APPEND_TORN);
+        if torn {
+            // Simulate a power failure that persisted the header and part of
+            // the payload: corrupt one byte (as if the tail cache line never
+            // reached PM) so the validity scan stops at this entry. With no
+            // payload, tear the header's checksum instead.
+            let last = if data.is_empty() {
+                0
+            } else {
+                ENTRY_HEADER_SIZE + data.len() - 1
+            };
+            // SAFETY: inside the entry just written.
+            unsafe { *dst.add(last) ^= 0xff };
+        }
+        persist::flush(dst, need);
         if torn {
             return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_TORN));
         }
@@ -712,7 +628,7 @@ impl LogWriter {
             .zip(ends)
             .flat_map(|(log, end)| LogEntries {
                 log,
-                off: LOG_HEADER_SIZE,
+                off: LOG_ENTRIES_OFFSET,
                 end,
                 gen: None,
             })
@@ -721,7 +637,8 @@ impl LogWriter {
     /// Largest payload that still fits in a single further append **without
     /// chaining another segment**, based on the volatile cursor of the
     /// active segment. After [`LogWriter::extend`] this reports the fresh
-    /// tail's headroom, not the exhausted previous segment's.
+    /// tail's headroom, not the exhausted previous segment's. At 0 not even
+    /// an empty payload need fit.
     pub fn free_bytes(&self) -> usize {
         payload_capacity(self.active().capacity, self.head)
     }
@@ -781,6 +698,14 @@ mod tests {
         log.iter().map(|(h, d)| (h, d.to_vec())).collect()
     }
 
+    /// Addresses of the entries live under `log`'s own sequence range.
+    fn live_addrs(log: &LogRef) -> Vec<u64> {
+        log.iter()
+            .filter(|(h, _)| log.seq_range().contains(h.seq))
+            .map(|(h, _)| h.addr)
+            .collect()
+    }
+
     #[test]
     fn seq_range_bounds_are_exclusive() {
         let r = SeqRange { lo: 0, hi: 2 };
@@ -835,7 +760,7 @@ mod tests {
         assert!(!log.is_initialized());
         log.init();
         assert!(log.is_initialized());
-        assert_eq!(log.num_entries(), 0);
+        assert_eq!(log.iter().count(), 0);
         assert_eq!(log.seq_range(), RANGE_DONE);
         log.set_seq_range(RANGE_EXEC);
         assert_eq!(log.seq_range(), RANGE_EXEC);
@@ -847,12 +772,41 @@ mod tests {
     }
 
     #[test]
+    fn init_writes_magic_range_and_generation_in_24_bytes() {
+        assert_eq!(LOG_HEADER_SIZE, 24);
+        let mut buf = vec![0xA5u8; 4096];
+        let log = make_log(&mut buf);
+        log.init();
+        let mut expected = LOG_MAGIC.to_le_bytes().to_vec();
+        expected.extend_from_slice(&RANGE_DONE.lo.to_le_bytes());
+        expected.extend_from_slice(&RANGE_DONE.hi.to_le_bytes());
+        expected.extend_from_slice(&[0; 8]); // generation 0, pad
+        assert_eq!(&buf[..LOG_HEADER_SIZE], &expected[..]);
+        assert_eq!(buf[LOG_HEADER_SIZE], 0xA5, "init writes the header only");
+        // The first entry starts on the next cache line; the rest of the
+        // header's line is never written.
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(
+            0x1,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[7; 8],
+        )
+        .unwrap();
+        assert!(buf[LOG_HEADER_SIZE..LOG_ENTRIES_OFFSET]
+            .iter()
+            .all(|&b| b == 0xA5));
+        assert_eq!(buf[LOG_ENTRIES_OFFSET + ENTRY_HEADER_SIZE], 7);
+    }
+
+    #[test]
     fn append_and_read_back_entries() {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
-        log.append(
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(
             0x100,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -860,7 +814,7 @@ mod tests {
             &[1, 2, 3],
         )
         .unwrap();
-        log.append(
+        w.append(
             0x200,
             SEQ_REDO,
             ReplayOrder::Forward,
@@ -874,7 +828,7 @@ mod tests {
         assert_eq!(entries[0].1, vec![1, 2, 3]);
         assert_eq!(entries[1].0.addr, 0x200);
         assert_eq!(entries[1].1.len(), 40);
-        assert_eq!(log.num_entries(), 2);
+        assert_eq!(w.num_entries(), 2);
     }
 
     #[test]
@@ -882,21 +836,19 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
-        log.append(0x1, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &[1])
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(0x1, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &[1])
             .unwrap();
-        log.append(0x2, SEQ_REDO, ReplayOrder::Forward, EntryKind::Redo, &[2])
+        w.append(0x2, SEQ_REDO, ReplayOrder::Forward, EntryKind::Redo, &[2])
             .unwrap();
         // Exec stage: only the undo entry is live.
-        let live: Vec<u64> = log.live().map(|(e, _)| e.addr).collect();
-        assert_eq!(live, vec![0x1]);
+        assert_eq!(live_addrs(&log), vec![0x1]);
         // Redo stage: only the redo entry is live.
-        log.set_seq_range(crate::RANGE_REDO);
-        let live: Vec<u64> = log.live().map(|(e, _)| e.addr).collect();
-        assert_eq!(live, vec![0x2]);
+        w.set_seq_range(crate::RANGE_REDO);
+        assert_eq!(live_addrs(&log), vec![0x2]);
         // Done: nothing is live.
-        log.set_seq_range(RANGE_DONE);
-        assert_eq!(log.live().count(), 0);
+        w.set_seq_range(RANGE_DONE);
+        assert_eq!(live_addrs(&log), Vec::<u64>::new());
     }
 
     #[test]
@@ -904,10 +856,11 @@ mod tests {
         let mut buf = vec![0u8; 256];
         let log = make_log(&mut buf);
         log.init();
+        let mut w = LogWriter::begin(log).unwrap();
         let data = [0u8; 64];
         let mut appended = 0;
         loop {
-            match log.append(0, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &data) {
+            match w.append(0, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &data) {
                 Ok(()) => appended += 1,
                 Err(PmError::LogFull { need, free }) => {
                     assert!(need > free, "LogFull must report need {need} > free {free}");
@@ -922,66 +875,44 @@ mod tests {
 
     #[test]
     fn free_bytes_reserves_header_and_alignment_up_front() {
-        let mut buf = vec![0u8; 4096];
-        let log = make_log(&mut buf);
-        log.init();
-        loop {
-            let free = log.free_bytes();
-            // A payload of exactly `free_bytes()` must always fit...
-            let data = vec![0xCDu8; free];
-            log.append(0x1, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &data)
-                .unwrap();
-            if log.free_bytes() == 0 {
+        // From every cursor that a run of 3-byte payloads (each padded to an
+        // 8-byte slot) reaches, one byte more than `free_bytes()` does not
+        // fit, and a nonzero `free_bytes()` fits exactly and leaves 0.
+        let mut buf = vec![0u8; 512];
+        let undo = |w: &mut LogWriter, data: &[u8]| {
+            w.append(0x1, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, data)
+        };
+        for small in 0.. {
+            buf.fill(0);
+            let log = make_log(&mut buf);
+            log.init();
+            let mut w = LogWriter::begin(log).unwrap();
+            for _ in 0..small {
+                undo(&mut w, &[1; 3]).unwrap();
+            }
+            let free = w.free_bytes();
+            assert!(matches!(
+                undo(&mut w, &vec![0xCD; free + 1]),
+                Err(PmError::LogFull { .. })
+            ));
+            if free == 0 {
+                // Less than an entry header may be left: even an empty
+                // payload need not fit.
                 break;
             }
+            undo(&mut w, &vec![0xCD; free]).unwrap();
+            assert_eq!(w.free_bytes(), 0);
+            assert!(matches!(undo(&mut w, &[1]), Err(PmError::LogFull { .. })));
+            assert_eq!(log.iter().count(), small + 1);
         }
-        // ...and once it reports 0, even an empty entry may or may not fit,
-        // but a 1-byte payload must cleanly report LogFull.
-        assert!(matches!(
-            log.append(0x1, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &[1]),
-            Err(PmError::LogFull { .. })
-        ));
-    }
-
-    #[test]
-    fn torn_append_is_skipped_by_the_scan() {
-        let mut buf = vec![0u8; 4096];
-        let log = make_log(&mut buf);
-        log.init();
-        log.append(
-            0x10,
-            SEQ_UNDO,
-            ReplayOrder::Reverse,
-            EntryKind::Undo,
-            &[1; 16],
-        )
-        .unwrap();
-        failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 0);
-        let err = log
-            .append(
-                0x20,
-                SEQ_UNDO,
-                ReplayOrder::Reverse,
-                EntryKind::Undo,
-                &[2; 16],
-            )
-            .unwrap_err();
-        assert!(matches!(err, PmError::CrashInjected(_)));
-        failpoint::clear_current_thread();
-        // The torn entry fails its checksum and truncates iteration.
-        let entries = collect(&log);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0.addr, 0x10);
     }
 
     #[test]
     fn append_to_uninitialized_log_is_rejected() {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
-        assert!(log
-            .append(0, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &[1])
-            .is_err());
         assert!(LogWriter::begin(log).is_err());
+        assert!(LogWriter::new(log).start().is_err());
     }
 
     #[test]
@@ -1005,6 +936,7 @@ mod tests {
         log.init();
         let mut w = LogWriter::begin(log).unwrap();
         assert_eq!(log.seq_range(), RANGE_EXEC);
+        let header = buf[..LOG_HEADER_SIZE].to_vec();
         for i in 0..5u64 {
             w.append(
                 0x1000 + i,
@@ -1016,8 +948,8 @@ mod tests {
             .unwrap();
         }
         assert_eq!(w.num_entries(), 5);
-        // The durable header never advanced...
-        assert_eq!(log.num_entries(), 0);
+        // The durable header was not written...
+        assert_eq!(buf[..LOG_HEADER_SIZE], header[..]);
         // ...but the scan sees every appended entry (simulating what
         // recovery would find after a crash right here).
         let addrs: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
@@ -1246,7 +1178,7 @@ mod tests {
 
         // It hashes nothing: a payload byte damaged after the append stops
         // the scan at that entry but not the walk.
-        head_buf[LOG_HEADER_SIZE + ENTRY_HEADER_SIZE] ^= 0xff;
+        head_buf[LOG_ENTRIES_OFFSET + ENTRY_HEADER_SIZE] ^= 0xff;
         assert_eq!(chain_iter(&w.chain()[..1]).count(), 0);
         assert_eq!(w.written().count(), 31);
 
@@ -1262,18 +1194,20 @@ mod tests {
         assert_eq!(log.magic(), 0, "a never-initialised area reads as blank");
         log.init();
         assert_eq!(log.magic(), LOG_MAGIC);
-        log.append(
-            0x1,
-            SEQ_UNDO,
-            ReplayOrder::Reverse,
-            EntryKind::Undo,
-            &[1; 8],
-        )
-        .unwrap();
+        LogWriter::begin(log)
+            .unwrap()
+            .append(
+                0x1,
+                SEQ_UNDO,
+                ReplayOrder::Reverse,
+                EntryKind::Undo,
+                &[1; 8],
+            )
+            .unwrap();
         assert_eq!(log.iter().count(), 1);
-        // The previous format's magic ("PUDDLOG2"): same layout, another
-        // checksum function.
-        buf[..8].copy_from_slice(&0x5055_4444_4c4f_4732u64.to_le_bytes());
+        // The previous format's magic ("PUDDLOG3"): the same checksum
+        // function, but a 56-byte header, so its entries start elsewhere.
+        buf[..8].copy_from_slice(&0x5055_4444_4c4f_4733u64.to_le_bytes());
         assert!(!log.is_initialized());
         assert_ne!(log.magic(), 0);
         assert_eq!(
@@ -1360,8 +1294,7 @@ mod tests {
         .unwrap();
         assert_eq!(fences() - before, 0);
         assert_eq!(log.generation(), 2);
-        let visible: Vec<u64> = log.live().map(|(h, _)| h.addr).collect();
-        assert_eq!(visible, vec![0x3]);
+        assert_eq!(live_addrs(&log), vec![0x3]);
 
         // A transaction that appended nothing ends without a write and
         // leaves the log armed; an abort (`reset`) disarms it.
@@ -1484,7 +1417,6 @@ mod tests {
         let mut buf = vec![0u8; 2048];
         let log = make_log(&mut buf);
         log.init();
-        assert_eq!(segment_payload_capacity(2048), log.free_bytes());
         let w = LogWriter::begin(log).unwrap();
         assert_eq!(segment_payload_capacity(2048), w.free_bytes());
     }
@@ -1500,9 +1432,7 @@ mod tests {
         w.append(0, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &[1; 8])
             .unwrap();
         assert!(w.free_bytes() < first_free);
-        // The durable header never moved, so LogRef::free_bytes is stale...
-        assert_eq!(log.free_bytes(), first_free);
-        // ...and the writer's own view governs the LogFull check.
+        // The writer's own cursor governs the LogFull check.
         let too_big = vec![0u8; w.free_bytes() + 1];
         assert!(matches!(
             w.append(0, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, &too_big),

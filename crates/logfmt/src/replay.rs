@@ -158,34 +158,23 @@ pub struct ReplayStats {
     pub malformed: usize,
 }
 
-/// Replays the live entries of `log` into `target`.
+/// Replays the live entries of a log chain (`segments[0]` is the head; a
+/// single log is `std::slice::from_ref(&log)`) into `target`: one verified
+/// scan ([`collect_live`]), then [`LiveEntries::apply`].
 ///
 /// * `apply_volatile` — the in-process abort path applies volatile entries
 ///   (to keep DRAM state consistent with PM); post-crash recovery passes
 ///   `false` because the volatile state no longer exists.
 ///
-/// Reverse-order (undo) entries are applied last-logged-first, then
-/// forward-order (redo) entries first-logged-first; under the staged
-/// sequence ranges of Fig. 7 only one of the two groups is live at a time.
-pub fn replay_log<T: ReplayTarget>(
-    log: &LogRef,
-    target: &mut T,
-    apply_volatile: bool,
-) -> ReplayStats {
-    replay_chain(std::slice::from_ref(log), target, apply_volatile)
-}
-
-/// Replays a multi-segment log chain (`segments[0]` is the head) into
-/// `target`, exactly like [`replay_log`] over one logical log: one
-/// verified scan ([`collect_live`]), then [`LiveEntries::apply`].
-///
 /// The **head** segment's sequence range decides which entries are live
 /// throughout the chain; each segment contributes its own checksummed,
 /// generation-valid prefix ([`crate::log::chain_iter`]). Reverse-order
 /// (undo) entries are applied last-logged-first *globally* — the last
-/// segment's entries roll back before the first's — and forward-order
+/// segment's entries roll back before the first's — then forward-order
 /// (redo) entries first-logged-first, so multi-segment replay is
 /// indistinguishable from replaying the same entries out of one large log.
+/// Under the staged sequence ranges of Fig. 7 only one of the two groups is
+/// live at a time.
 pub fn replay_chain<T: ReplayTarget>(
     segments: &[LogRef],
     target: &mut T,
@@ -217,7 +206,7 @@ pub struct LiveEntries<'a> {
 
 /// Scans `segments` once (checksum + generation, [`crate::log::chain_iter`])
 /// and collects the entries that are live under the head's sequence range.
-/// `apply_volatile` as for [`replay_log`].
+/// `apply_volatile` as for [`replay_chain`].
 pub fn collect_live(segments: &[LogRef], apply_volatile: bool) -> LiveEntries<'_> {
     let mut live = LiveEntries::default();
     let Some(head) = segments.first() else {
@@ -294,7 +283,7 @@ impl<'a> LiveEntries<'a> {
 mod tests {
     use super::*;
     use crate::entry::ENTRY_HEADER_SIZE;
-    use crate::log::LOG_HEADER_SIZE;
+    use crate::log::{LogWriter, LOG_ENTRIES_OFFSET};
     use crate::{RANGE_DONE, RANGE_EXEC, RANGE_REDO, SEQ_REDO, SEQ_UNDO};
 
     fn make_log(buf: &mut Vec<u8>) -> LogRef {
@@ -307,10 +296,10 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
+        let mut w = LogWriter::begin(log).unwrap();
         // Two undo records for the same address: the first holds the oldest
         // value; reverse replay must leave that oldest value in place.
-        log.append(
+        w.append(
             0x1000,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -318,7 +307,7 @@ mod tests {
             &[0xAA; 8],
         )
         .unwrap();
-        log.append(
+        w.append(
             0x1000,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -329,7 +318,7 @@ mod tests {
 
         let mut target = BufferTarget::new(0x1000, 64);
         target.write(0x1000, &[0xFF; 8]);
-        let stats = replay_log(&log, &mut target, false);
+        let stats = replay_chain(w.chain(), &mut target, false);
         assert_eq!(stats.applied, 2);
         assert_eq!(target.read(0x1000, 8), &[0xAA; 8]);
     }
@@ -339,8 +328,9 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_REDO);
-        log.append(
+        let mut w = LogWriter::begin(log).unwrap();
+        w.set_seq_range(RANGE_REDO);
+        w.append(
             0x2000,
             SEQ_REDO,
             ReplayOrder::Forward,
@@ -348,7 +338,7 @@ mod tests {
             &[1; 4],
         )
         .unwrap();
-        log.append(
+        w.append(
             0x2000,
             SEQ_REDO,
             ReplayOrder::Forward,
@@ -357,7 +347,7 @@ mod tests {
         )
         .unwrap();
         let mut target = BufferTarget::new(0x2000, 64);
-        let stats = replay_log(&log, &mut target, false);
+        let stats = replay_chain(w.chain(), &mut target, false);
         assert_eq!(stats.applied, 2);
         // The later redo record wins under forward replay.
         assert_eq!(target.read(0x2000, 4), &[2; 4]);
@@ -368,7 +358,8 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.append(
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(
             0x100,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -376,7 +367,7 @@ mod tests {
             &[0xAA],
         )
         .unwrap();
-        log.append(
+        w.append(
             0x101,
             SEQ_REDO,
             ReplayOrder::Forward,
@@ -386,24 +377,24 @@ mod tests {
         .unwrap();
 
         // Stage 1 (exec / undo): only the undo entry is applied.
-        log.set_seq_range(RANGE_EXEC);
+        w.set_seq_range(RANGE_EXEC);
         let mut t1 = BufferTarget::new(0x100, 16);
-        let s1 = replay_log(&log, &mut t1, false);
+        let s1 = replay_chain(w.chain(), &mut t1, false);
         assert_eq!((s1.applied, s1.skipped_sequence), (1, 1));
         assert_eq!(t1.read(0x100, 1), &[0xAA]);
         assert_eq!(t1.read(0x101, 1), &[0x00]);
 
         // Stage 2 (redo): only the redo entry is applied.
-        log.set_seq_range(RANGE_REDO);
+        w.set_seq_range(RANGE_REDO);
         let mut t2 = BufferTarget::new(0x100, 16);
-        let s2 = replay_log(&log, &mut t2, false);
+        let s2 = replay_chain(w.chain(), &mut t2, false);
         assert_eq!((s2.applied, s2.skipped_sequence), (1, 1));
         assert_eq!(t2.read(0x101, 1), &[0xBB]);
 
         // Stage 3 (done): nothing is applied.
-        log.set_seq_range(RANGE_DONE);
+        w.set_seq_range(RANGE_DONE);
         let mut t3 = BufferTarget::new(0x100, 16);
-        let s3 = replay_log(&log, &mut t3, false);
+        let s3 = replay_chain(w.chain(), &mut t3, false);
         assert_eq!(s3.applied, 0);
         assert_eq!(s3.skipped_sequence, 2);
     }
@@ -413,8 +404,8 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
-        log.append(
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(
             0x300,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -423,12 +414,12 @@ mod tests {
         )
         .unwrap();
         let mut recovery = BufferTarget::new(0x300, 16);
-        let s = replay_log(&log, &mut recovery, false);
+        let s = replay_chain(w.chain(), &mut recovery, false);
         assert_eq!(s.applied, 0);
         assert_eq!(s.skipped_volatile, 1);
 
         let mut abort = BufferTarget::new(0x300, 16);
-        let s = replay_log(&log, &mut abort, true);
+        let s = replay_chain(w.chain(), &mut abort, true);
         assert_eq!(s.applied, 1);
         assert_eq!(abort.read(0x300, 4), &[7; 4]);
     }
@@ -438,8 +429,8 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
-        log.append(
+        let mut w = LogWriter::begin(log).unwrap();
+        w.append(
             0x500,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -447,7 +438,7 @@ mod tests {
             &[1; 8],
         )
         .unwrap();
-        log.append(
+        w.append(
             0x9000,
             SEQ_UNDO,
             ReplayOrder::Reverse,
@@ -456,7 +447,7 @@ mod tests {
         )
         .unwrap();
         let mut target = BufferTarget::new(0x500, 64);
-        let stats = replay_log(&log, &mut target, false);
+        let stats = replay_chain(w.chain(), &mut target, false);
         assert_eq!(stats.applied, 1);
         assert_eq!(stats.denied, 1);
         assert_eq!(target.read(0x500, 8), &[1; 8]);
@@ -465,29 +456,6 @@ mod tests {
     // ------------------------------------------------------------------
     // Chained replay.
     // ------------------------------------------------------------------
-
-    #[test]
-    fn replay_chain_of_one_segment_equals_replay_log() {
-        let mut buf = vec![0u8; 4096];
-        let log = make_log(&mut buf);
-        log.init();
-        log.set_seq_range(RANGE_EXEC);
-        log.append(
-            0x100,
-            SEQ_UNDO,
-            ReplayOrder::Reverse,
-            EntryKind::Undo,
-            &[5; 8],
-        )
-        .unwrap();
-        let mut a = BufferTarget::new(0x100, 64);
-        let mut b = BufferTarget::new(0x100, 64);
-        let sa = replay_log(&log, &mut a, false);
-        let sb = replay_chain(std::slice::from_ref(&log), &mut b, false);
-        assert_eq!(sa, sb);
-        assert_eq!(a.bytes(), b.bytes());
-        assert_eq!(replay_chain(&[], &mut a, false), ReplayStats::default());
-    }
 
     /// One logical entry of the randomized chained-replay property.
     #[derive(Clone, Copy)]
@@ -512,7 +480,7 @@ mod tests {
             .collect()
     }
 
-    fn append_prop_entry(w: &mut crate::log::LogWriter, base: u64, e: &PropEntry) -> bool {
+    fn append_prop_entry(w: &mut LogWriter, base: u64, e: &PropEntry) -> bool {
         let data: Vec<u8> = (0..e.len).map(|i| e.fill ^ (i as u8)).collect();
         let (seq, order, kind) = if e.redo {
             (SEQ_REDO, ReplayOrder::Forward, EntryKind::Redo)
@@ -541,7 +509,7 @@ mod tests {
             let mut big_buf = vec![0u8; 64 * 1024];
             let big = make_log(&mut big_buf);
             big.init();
-            let mut bw = crate::log::LogWriter::begin(big).unwrap();
+            let mut bw = LogWriter::begin(big).unwrap();
             for e in &entries {
                 proptest::prop_assert!(append_prop_entry(&mut bw, BASE, e));
             }
@@ -550,7 +518,7 @@ mod tests {
             let mut head_buf = vec![0u8; 512];
             let head = make_log(&mut head_buf);
             head.init();
-            let mut cw = crate::log::LogWriter::begin(head).unwrap();
+            let mut cw = LogWriter::begin(head).unwrap();
             for e in &entries {
                 if !append_prop_entry(&mut cw, BASE, e) {
                     let buf: &'static mut [u8] = vec![0u8; 512].leak();
@@ -574,7 +542,7 @@ mod tests {
                 cw.set_seq_range(range);
                 let mut single = BufferTarget::from_bytes(BASE, init.clone());
                 let mut chained = BufferTarget::from_bytes(BASE, init.clone());
-                let ss = replay_log(&big, &mut single, false);
+                let ss = replay_chain(bw.chain(), &mut single, false);
                 let sc = replay_chain(cw.chain(), &mut chained, false);
                 proptest::prop_assert_eq!(ss, sc);
                 proptest::prop_assert_eq!(single.bytes(), chained.bytes());
@@ -587,16 +555,16 @@ mod tests {
         let mut buf = vec![0u8; 4096];
         let log = make_log(&mut buf);
         log.init();
-        log.set_seq_range(RANGE_EXEC);
+        let mut w = LogWriter::begin(log).unwrap();
         for (addr, kind) in [
             (0x100, EntryKind::Undo),
             (0x7000_0000, EntryKind::Volatile),
             (0x108, EntryKind::Undo),
         ] {
-            log.append(addr, SEQ_UNDO, ReplayOrder::Reverse, kind, &[addr as u8; 8])
+            w.append(addr, SEQ_UNDO, ReplayOrder::Reverse, kind, &[addr as u8; 8])
                 .unwrap();
         }
-        log.append(
+        w.append(
             0x110,
             SEQ_REDO,
             ReplayOrder::Forward,
@@ -617,14 +585,14 @@ mod tests {
         );
         bad.kind = 9;
         bad.checksum = bad.compute_checksum(&data);
-        let off = LOG_HEADER_SIZE + 4 * (ENTRY_HEADER_SIZE + 8);
+        let off = LOG_ENTRIES_OFFSET + 4 * (ENTRY_HEADER_SIZE + 8);
         // SAFETY: `off + 40` lies inside the 4 KiB buffer.
         unsafe {
             std::ptr::write_unaligned(buf.as_mut_ptr().add(off) as *mut LogEntryHeader, bad);
         }
         buf[off + ENTRY_HEADER_SIZE..off + ENTRY_HEADER_SIZE + 8].copy_from_slice(&data);
 
-        let live = collect_live(std::slice::from_ref(&log), false);
+        let live = collect_live(w.chain(), false);
         assert_eq!(live.live_count(), 4, "2 undo + 1 volatile + 1 malformed");
         let order: Vec<u64> = live.to_apply().map(|(h, _)| h.addr).collect();
         assert_eq!(order, vec![0x108, 0x100], "undo entries, last logged first");
@@ -634,8 +602,13 @@ mod tests {
 
         let mut target = BufferTarget::new(0x100, 64);
         let stats = live.apply(&mut target);
-        let again = replay_log(&log, &mut BufferTarget::new(0x100, 64), false);
+        let again = replay_chain(w.chain(), &mut BufferTarget::new(0x100, 64), false);
         assert_eq!(stats, again, "replay_chain is collect + apply");
+        assert_eq!(collect_live(&[], false).live_count(), 0);
+        assert_eq!(
+            replay_chain(&[], &mut target, false),
+            ReplayStats::default()
+        );
         assert_eq!(
             stats,
             ReplayStats {

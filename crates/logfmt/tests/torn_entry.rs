@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use puddles_logfmt::entry::{ENTRY_ALIGN, ENTRY_HEADER_SIZE};
-use puddles_logfmt::log::LOG_HEADER_SIZE;
+use puddles_logfmt::log::LOG_ENTRIES_OFFSET;
 use puddles_logfmt::{EntryKind, LogEntryHeader, LogRef, LogWriter, ReplayOrder, SEQ_UNDO};
 use puddles_pmem::util::align_up;
 use puddles_pmem::CACHELINE;
@@ -53,8 +53,8 @@ proptest! {
         let log = unsafe { LogRef::from_raw(buf.as_mut_ptr(), buf.len()) };
         log.init();
         let mut writer = LogWriter::begin(log).unwrap();
-        let mut last_off = LOG_HEADER_SIZE;
-        let mut next_off = LOG_HEADER_SIZE;
+        let mut last_off = LOG_ENTRIES_OFFSET;
+        let mut next_off = LOG_ENTRIES_OFFSET;
         for (i, &len) in sizes.iter().enumerate() {
             last_off = next_off;
             let data = payload(len, i as u8);

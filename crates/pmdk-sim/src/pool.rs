@@ -176,11 +176,6 @@ impl PmdkPool {
         })
     }
 
-    /// The pool's UUID.
-    pub fn uuid(&self) -> u64 {
-        self.uuid
-    }
-
     /// The pool's mapped base address (crate-internal).
     pub(crate) fn base(&self) -> usize {
         self.base

@@ -162,13 +162,6 @@ impl<'p> PmdkTx<'p> {
         self.log_range(target as *const T as usize, std::mem::size_of::<T>())
     }
 
-    /// Undo-logs a typed target and stores `value` into it.
-    pub fn set<T: Copy>(&mut self, target: &mut T, value: T) -> Result<()> {
-        self.add(&*target)?;
-        *target = value;
-        Ok(())
-    }
-
     /// Allocates and initializes an object, returning its typed fat pointer.
     pub fn alloc<T>(&mut self, value: T) -> Result<Toid<T>> {
         let oid = self.alloc_raw(std::mem::size_of::<T>())?;

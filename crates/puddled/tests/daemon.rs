@@ -3,8 +3,7 @@
 
 use puddled::{Daemon, DaemonConfig};
 use puddles_logfmt::{
-    EntryKind, LogRef, LogSpaceRef, ReplayOrder, LOG_REGION_OFFSET, RANGE_DONE, RANGE_EXEC,
-    SEQ_UNDO,
+    EntryKind, LogRef, LogSpaceRef, LogWriter, ReplayOrder, LOG_REGION_OFFSET, RANGE_DONE, SEQ_UNDO,
 };
 use puddles_proto::{Credentials, Endpoint, ErrorCode, PuddleId, PuddlePurpose, Request, Response};
 
@@ -975,15 +974,16 @@ fn recovery_replays_registered_logs_without_the_application() {
         )
     };
     log.init();
-    log.set_seq_range(RANGE_EXEC);
-    log.append(
-        target as u64,
-        SEQ_UNDO,
-        ReplayOrder::Reverse,
-        EntryKind::Undo,
-        &[0xAA; 8],
-    )
-    .unwrap();
+    LogWriter::begin(log)
+        .unwrap()
+        .append(
+            target as u64,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[0xAA; 8],
+        )
+        .unwrap();
     // The crash happens after the in-place update.
     // SAFETY: same mapped range as above.
     unsafe {
@@ -1071,7 +1071,7 @@ fn recovery_replays_registered_logs_without_the_application() {
         )
     };
     assert_eq!(log.seq_range(), RANGE_DONE);
-    assert_eq!(log.num_entries(), 0);
+    assert_eq!(log.iter().count(), 0);
     // SAFETY: `log` is not used past this point.
     unsafe {
         gspace
@@ -1484,9 +1484,8 @@ fn recovery_replays_chained_logs_in_order_and_reclaims_tails() {
     // head's (older, 0xAA) was logged before the tail's (0xBB). Reverse
     // replay must apply the tail entry first and the head entry last, so
     // the oldest value wins — exactly as if both sat in one log.
-    let head_log = make_log(head_addr, &head);
-    head_log.set_seq_range(RANGE_EXEC);
-    head_log
+    let mut writer = LogWriter::begin(make_log(head_addr, &head)).unwrap();
+    writer
         .append(
             target as u64,
             SEQ_UNDO,
@@ -1495,10 +1494,10 @@ fn recovery_replays_chained_logs_in_order_and_reclaims_tails() {
             &[0xAA; 8],
         )
         .unwrap();
-    let tail_log = make_log(tail_addr, &tail);
-    // Tail headers carry EXEC too, but recovery must key off the *head*.
-    tail_log.set_seq_range(RANGE_EXEC);
-    tail_log
+    // The tail's header reads EXEC too (`extend`), but recovery must key
+    // off the *head*.
+    writer.extend(make_log(tail_addr, &tail)).unwrap();
+    writer
         .append(
             target as u64,
             SEQ_UNDO,

@@ -3,10 +3,11 @@
 //! for an empty one, and leaves a log armed for its next transaction alone.
 
 use puddled::{Daemon, DaemonConfig};
+use puddles_logfmt::entry::ENTRY_HEADER_SIZE;
 use puddles_logfmt::log::{LOG_HEADER_SIZE, LOG_MAGIC};
 use puddles_logfmt::{
-    EntryKind, LogRef, LogSpaceRef, LogWriter, ReplayOrder, LOG_REGION_OFFSET, RANGE_DONE,
-    RANGE_EXEC, SEQ_REDO, SEQ_UNDO,
+    EntryKind, LogEntryHeader, LogRef, LogSpaceRef, LogWriter, ReplayOrder, LOG_REGION_OFFSET,
+    RANGE_DONE, RANGE_EXEC, SEQ_REDO, SEQ_UNDO,
 };
 use puddles_pmem::obs::TraceEventKind;
 use puddles_proto::{Credentials, PuddleInfo, PuddlePurpose, RecoveryReport, Request, Response};
@@ -127,15 +128,16 @@ fn recovery_maps_only_the_puddles_live_entries_name() {
     // SAFETY: `target..target + 8` lies inside the puddle mapped above.
     unsafe { std::ptr::write_bytes(target as *mut u8, 0xAA, 8) };
     log.init();
-    log.set_seq_range(RANGE_EXEC);
-    log.append(
-        target as u64,
-        SEQ_UNDO,
-        ReplayOrder::Reverse,
-        EntryKind::Undo,
-        &[0xAA; 8],
-    )
-    .unwrap();
+    LogWriter::begin(log)
+        .unwrap()
+        .append(
+            target as u64,
+            SEQ_UNDO,
+            ReplayOrder::Reverse,
+            EntryKind::Undo,
+            &[0xAA; 8],
+        )
+        .unwrap();
     // SAFETY: as above.
     unsafe { std::ptr::write_bytes(target as *mut u8, 0xBB, 8) };
     m.crash();
@@ -183,23 +185,43 @@ fn recovery_maps_only_the_puddles_live_entries_name() {
 fn a_live_log_in_an_older_format_is_refused_not_taken_for_clean() {
     let mut m = Machine::start();
     let (lp, log) = m.log_space_with_one_log();
-    // A hand-written `PUDDLOG2` header — the layout of this format, the
-    // checksum function of the previous one — mid-transaction: range
-    // (0, 2), one entry's worth of head, generation 7.
-    let mut header = Vec::new();
-    header.extend_from_slice(&0x5055_4444_4c4f_4732u64.to_le_bytes()); // magic
-    header.extend_from_slice(&RANGE_EXEC.lo.to_le_bytes());
-    header.extend_from_slice(&RANGE_EXEC.hi.to_le_bytes());
-    header.extend_from_slice(&(LOG_HEADER_SIZE as u64 + 40).to_le_bytes()); // head_off
-    header.extend_from_slice(&(LOG_HEADER_SIZE as u64).to_le_bytes()); // tail_off
-    header.extend_from_slice(&(log.capacity() as u64).to_le_bytes());
-    header.extend_from_slice(&1u64.to_le_bytes()); // num_entries
-    header.extend_from_slice(&7u32.to_le_bytes()); // gen
-    header.extend_from_slice(&0u32.to_le_bytes());
-    assert_eq!(header.len(), LOG_HEADER_SIZE);
-    // SAFETY: the log area is mapped writable and larger than its header.
+    // A hand-written `PUDDLOG3` log — the previous format, whose 56-byte
+    // header also kept an advisory head, tail, capacity and entry count —
+    // mid-transaction: range (0, 2), generation 7, one live undo entry
+    // right after that header.
+    const OLD_HEADER_SIZE: usize = 56;
+    let mut image = Vec::new();
+    image.extend_from_slice(&0x5055_4444_4c4f_4733u64.to_le_bytes()); // magic
+    image.extend_from_slice(&RANGE_EXEC.lo.to_le_bytes());
+    image.extend_from_slice(&RANGE_EXEC.hi.to_le_bytes());
+    image.extend_from_slice(&(OLD_HEADER_SIZE as u64 + 40).to_le_bytes()); // head_off
+    image.extend_from_slice(&(OLD_HEADER_SIZE as u64).to_le_bytes()); // tail_off
+    image.extend_from_slice(&(log.capacity() as u64).to_le_bytes()); // capacity
+    image.extend_from_slice(&1u64.to_le_bytes()); // num_entries
+    image.extend_from_slice(&7u32.to_le_bytes()); // gen
+    image.extend_from_slice(&0u32.to_le_bytes());
+    assert_eq!(image.len(), OLD_HEADER_SIZE);
+    let payload = [0xAA; 8];
+    let entry = LogEntryHeader::new(
+        0x1000,
+        SEQ_UNDO,
+        ReplayOrder::Reverse,
+        EntryKind::Undo,
+        7,
+        &payload,
+    );
+    image.resize(OLD_HEADER_SIZE + entry.stored_size(), 0);
+    // SAFETY: `image` holds the entry header's 32 bytes at this offset.
     unsafe {
-        std::ptr::copy_nonoverlapping(header.as_ptr(), log.base_addr() as *mut u8, header.len());
+        std::ptr::write_unaligned(
+            image.as_mut_ptr().add(OLD_HEADER_SIZE) as *mut LogEntryHeader,
+            entry,
+        )
+    };
+    image[OLD_HEADER_SIZE + ENTRY_HEADER_SIZE..].copy_from_slice(&payload);
+    // SAFETY: the log area is mapped writable and far larger than `image`.
+    unsafe {
+        std::ptr::copy_nonoverlapping(image.as_ptr(), log.base_addr() as *mut u8, image.len());
     }
     assert_ne!(log.magic(), LOG_MAGIC);
     m.crash();
@@ -214,8 +236,8 @@ fn a_live_log_in_an_older_format_is_refused_not_taken_for_clean() {
     // of later passes.
     let addr = m.map(&lp) + LOG_REGION_OFFSET;
     // SAFETY: mapped just above.
-    let kept = unsafe { std::slice::from_raw_parts(addr as *const u8, LOG_HEADER_SIZE) };
-    assert_eq!(kept, &header[..]);
+    let kept = unsafe { std::slice::from_raw_parts(addr as *const u8, image.len()) };
+    assert_eq!(kept, &image[..], "the 56-byte header and its entry");
     m.crash();
     assert_eq!(m.recover().log_spaces, 0);
 }
