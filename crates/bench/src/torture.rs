@@ -634,7 +634,6 @@ pub fn run_trial(config: &TortureConfig) -> Result<TortureReport, TortureFailure
     let dir = TrialDir::new(config.seed).map_err(|e| fail(format!("trial dir: {e}")))?;
     let daemon_config = DaemonConfig::for_testing(&dir.0)
         .with_fault_plan(Arc::clone(&plan))
-        .with_clock(clock.clone())
         .with_metrics(Arc::clone(&metrics));
     let mut rng = Splitmix(config.seed);
     let mut kills = 0usize;

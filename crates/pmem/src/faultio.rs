@@ -43,52 +43,6 @@ pub const ENOSPC: i32 = 28;
 /// that a genuinely failing device surfaces an error promptly.
 pub const MAX_IO_RETRIES: usize = 4;
 
-/// Counters for the robustness surfaces, shared (via `Arc`) by every clone
-/// of a [`crate::pmdir::PmDir`] and the layers deriving file access from
-/// it; the daemon's `GetMetrics` reports them as `io.*`.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    /// Storage operations retried after a transient error.
-    pub io_retries: AtomicU64,
-    /// Transient storage errors observed (each retry attempt counts one).
-    pub transient_io_errors: AtomicU64,
-    /// Operations refused with a typed out-of-space error.
-    pub enospc_rejections: AtomicU64,
-}
-
-impl IoStats {
-    /// Records one transient error about to be retried.
-    pub fn note_retry(&self) {
-        self.transient_io_errors.fetch_add(1, Ordering::Relaxed);
-        self.io_retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a transient error that exhausted its retry budget.
-    pub fn note_transient(&self) {
-        self.transient_io_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a typed out-of-space rejection.
-    pub fn note_enospc(&self) {
-        self.enospc_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Storage operations retried after a transient error.
-    pub fn io_retries(&self) -> u64 {
-        self.io_retries.load(Ordering::Relaxed)
-    }
-
-    /// Transient storage errors observed.
-    pub fn transient_io_errors(&self) -> u64 {
-        self.transient_io_errors.load(Ordering::Relaxed)
-    }
-
-    /// Operations refused with a typed out-of-space error.
-    pub fn enospc_rejections(&self) -> u64 {
-        self.enospc_rejections.load(Ordering::Relaxed)
-    }
-}
-
 /// Places in the stack where a [`FaultPlan`] may inject a fault. Each site
 /// has its own deterministic decision stream (a per-site call counter mixed
 /// into the seed), so faults at one site never perturb another's schedule.

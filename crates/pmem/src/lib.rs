@@ -9,7 +9,8 @@
 //!   [`space::GlobalSpace`] counts the mappings the daemon and an
 //!   in-process client share in it.
 //! * [`pmdir::PmDir`] — the "DAX filesystem": a directory of fixed-size
-//!   puddle files plus atomically-updated metadata files.
+//!   puddle files plus atomically-updated metadata files, carrying the
+//!   fault plan and the observability hub every layer above it shares.
 //! * [`persist`] — cache-line flush and store-fence primitives (`clwb` /
 //!   `clflush` when available, portable fences otherwise).
 //! * [`failpoint`] — the library's named crash points (commit stages, log

@@ -16,32 +16,49 @@
 //! Puddle files are sparse (a fresh one is all hole), and a copy writes
 //! only the source's data extents, so relocating a puddle costs what it
 //! holds, not how big it is.
+//!
+//! The handle also carries what every layer of the daemon shares: the fault
+//! plan its I/O consults and the observability hub ([`Metrics`]) it counts
+//! into — its own `io.*` counters, and the clock, series and trace ring of
+//! whatever layer derives its file access from the directory.
 
+use crate::clock::Clock;
 use crate::faultio::{
-    self, CrashPoint, FaultPlan, FaultSite, IoStats, SyncFault, WriteFault, MAX_IO_RETRIES,
+    self, CrashPoint, FaultPlan, FaultSite, SyncFault, WriteFault, MAX_IO_RETRIES,
 };
+use crate::obs::Metrics;
 use crate::{PmError, Result, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Storage operations retried after a transient error.
+const IO_RETRIES: &str = "io.retries";
+/// Transient storage errors observed (each retried attempt counts one).
+const IO_TRANSIENT_ERRORS: &str = "io.transient_errors";
+/// Operations refused with a typed out-of-space error.
+const IO_ENOSPC_REJECTIONS: &str = "io.enospc_rejections";
 
 /// A directory acting as the persistent-memory device.
 ///
-/// A `PmDir` may carry a [`FaultPlan`]; cloning the handle clones the plan
-/// reference, so every layer that derives its file access from this
-/// directory (registry metadata, the WAL, puddle files) consults the same
-/// seeded schedule.
+/// A `PmDir` carries an observability hub and may carry a [`FaultPlan`];
+/// cloning the handle clones both references, so every layer that derives
+/// its file access from this directory (registry metadata, the WAL, puddle
+/// files) consults the same seeded schedule and records into the same hub,
+/// on the same clock.
 #[derive(Debug, Clone)]
 pub struct PmDir {
     root: PathBuf,
     fault: Option<Arc<FaultPlan>>,
-    stats: Arc<IoStats>,
+    obs: Arc<Metrics>,
 }
 
 impl PmDir {
-    /// Opens (creating if necessary) a PM directory rooted at `root`.
+    /// Opens (creating if necessary) a PM directory rooted at `root`, with
+    /// a fresh hub on the real clock.
     pub fn open(root: impl AsRef<Path>) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(&root)?;
@@ -50,8 +67,20 @@ impl PmDir {
         Ok(PmDir {
             root,
             fault: None,
-            stats: Arc::new(IoStats::default()),
+            obs: with_io_counters(Metrics::new(Clock::real())),
         })
+    }
+
+    /// Records into `obs` (and times with its clock) from now on, in this
+    /// handle and every clone made from it afterwards.
+    pub fn with_obs(mut self, obs: Arc<Metrics>) -> Self {
+        self.obs = with_io_counters(obs);
+        self
+    }
+
+    /// The observability hub every clone of this handle records into.
+    pub fn obs(&self) -> &Arc<Metrics> {
+        &self.obs
     }
 
     /// Attaches a fault-injection plan to this handle (and every clone made
@@ -66,11 +95,6 @@ impl PmDir {
     /// handles — e.g. the WAL — consult it directly).
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.fault.as_ref()
-    }
-
-    /// The I/O robustness counters shared by every clone of this handle.
-    pub fn io_stats(&self) -> &Arc<IoStats> {
-        &self.stats
     }
 
     /// Whether the daemon crashes at `point` now (see
@@ -94,13 +118,14 @@ impl PmDir {
     /// cannot fix — surfaces immediately. Every write this directory makes
     /// goes through it — puddle files created, copied in or out, deleted;
     /// the metadata WAL's appends and replacements; an export's manifest —
-    /// so there is one budget and one set of counters.
+    /// so there is one budget and one set of `io.*` counters in the hub.
     pub fn with_io_retries<T>(
         &self,
         mut op: impl FnMut() -> Result<T>,
         mut undo: impl FnMut(),
     ) -> Result<T> {
         let mut attempt = 0;
+        let count = |name| self.obs.counter(name).fetch_add(1, Ordering::Relaxed);
         loop {
             match op() {
                 Ok(v) => return Ok(v),
@@ -111,17 +136,16 @@ impl PmDir {
                     // rejection would otherwise delete the pre-existing
                     // file it collided with.
                     undo();
-                    if attempt < MAX_IO_RETRIES {
-                        attempt += 1;
-                        self.stats.note_retry();
-                    } else {
-                        self.stats.note_transient();
+                    count(IO_TRANSIENT_ERRORS);
+                    if attempt == MAX_IO_RETRIES {
                         return Err(e);
                     }
+                    attempt += 1;
+                    count(IO_RETRIES);
                 }
                 Err(e) => {
                     if matches!(e, PmError::NoSpace(_)) {
-                        self.stats.note_enospc();
+                        count(IO_ENOSPC_REJECTIONS);
                     }
                     return Err(e);
                 }
@@ -345,6 +369,15 @@ impl PmDir {
     }
 }
 
+/// `obs` with the `io.*` counters created, so a report lists them before
+/// anything is retried.
+fn with_io_counters(obs: Arc<Metrics>) -> Arc<Metrics> {
+    for name in [IO_RETRIES, IO_TRANSIENT_ERRORS, IO_ENOSPC_REJECTIONS] {
+        obs.counter(name);
+    }
+    obs
+}
+
 /// `true` for substrate errors the bounded retry budget applies to.
 fn is_transient_pm(e: &PmError) -> bool {
     matches!(e, PmError::Io(io) if faultio::is_transient_io(io))
@@ -396,6 +429,11 @@ mod tests {
         let tmp = tempfile::tempdir().unwrap();
         let pm = PmDir::open(tmp.path()).unwrap();
         (tmp, pm)
+    }
+
+    /// The hub's reading of the counter `name`.
+    fn counter(pm: &PmDir, name: &'static str) -> u64 {
+        pm.obs().counter(name).load(Ordering::Relaxed)
     }
 
     #[test]
@@ -462,12 +500,7 @@ mod tests {
             assert!(!pm.puddle_path(&name).exists());
         }
         assert!(plan.injected() > 0, "30% rates must inject across 150 ops");
-        assert!(
-            pm.io_stats()
-                .io_retries
-                .load(std::sync::atomic::Ordering::Relaxed)
-                > 0
-        );
+        assert!(counter(&pm, IO_RETRIES) > 0);
     }
 
     #[test]
@@ -487,12 +520,7 @@ mod tests {
             other => panic!("expected NoSpace, got {other:?}"),
         }
         assert!(!pm.puddle_path("p").exists());
-        assert_eq!(
-            pm.io_stats()
-                .enospc_rejections
-                .load(std::sync::atomic::Ordering::Relaxed),
-            1
-        );
+        assert_eq!(counter(&pm, IO_ENOSPC_REJECTIONS), 1);
     }
 
     const PAGES: usize = 64;

@@ -21,7 +21,7 @@
 use crate::acl;
 use crate::registry::{import_table, PuddleRecord, Rewrite};
 use crate::service::{pool_exists, DaemonError, DaemonInner, DaemonResult};
-use crate::wal::{self, RegistryOp};
+use crate::walfmt::{self, RegistryOp};
 use puddles_pmem::faultio::FaultSite;
 use puddles_pmem::PAGE_SIZE;
 use puddles_proto::json::{self, Value};
@@ -170,7 +170,7 @@ pub const MANIFEST_FILE: &str = "manifest.json";
 /// (the data bytes copied, which follow what the puddle holds).
 fn copy_puddle(inner: &DaemonInner, src: &Path, dest: &Path) -> DaemonResult<()> {
     let bytes = inner.pmdir.copy_puddle_file(src, dest)?;
-    let metrics = &inner.metrics;
+    let metrics = inner.pmdir.obs();
     metrics
         .counter("copy.files")
         .fetch_add(1, Ordering::Relaxed);
@@ -363,7 +363,7 @@ pub(crate) fn import_pool(
         let import: Vec<RegistryOp> = [pool].into_iter().chain(puts).chain(ptr_maps).collect();
         // The manifest fixes the record's size: refuse one the WAL would
         // before copying a file.
-        wal::encode_ops(&import)?;
+        walfmt::encode_ops(&import)?;
         for (record, exported) in records.iter().zip(&manifest.puddles) {
             copied += 1;
             let dest = inner.pmdir.puddle_path(&record.file());

@@ -166,7 +166,7 @@ impl Invariants {
 
 /// Every pool's members as the puddle table implies them, keyed by the name
 /// the records carry: the puddles naming it, in member order
-/// (`wal::member_key`) — what `pools[name].puddles` must equal.
+/// (`registry::member_key`) — what `pools[name].puddles` must equal.
 pub fn derived_members(data: &RegistryData) -> BTreeMap<&str, Vec<PuddleId>> {
     let mut members: BTreeMap<&str, Vec<PuddleId>> = BTreeMap::new();
     for rec in data.puddles.values() {
@@ -175,7 +175,7 @@ pub fn derived_members(data: &RegistryData) -> BTreeMap<&str, Vec<PuddleId>> {
         }
     }
     for list in members.values_mut() {
-        list.sort_unstable_by_key(crate::wal::member_key);
+        list.sort_unstable_by_key(crate::registry::member_key);
     }
     members
 }

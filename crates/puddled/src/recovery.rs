@@ -20,7 +20,7 @@
 
 use crate::registry::PuddleRecord;
 use crate::service::DaemonInner;
-use crate::wal::RegistryOp;
+use crate::walfmt::RegistryOp;
 use puddles_logfmt::log::LOG_MAGIC;
 use puddles_logfmt::{
     chain_iter, collect_live, DirectMemoryTarget, LogRef, LogSpaceEntry, LogSpaceRef,
@@ -378,11 +378,11 @@ fn recover_log_space(
     })();
 
     report.puddles_mapped += mapped.len() as u64;
-    inner
-        .metrics
+    let metrics = inner.pmdir.obs();
+    metrics
         .counter("recovery.map")
         .fetch_add(mapped.len() as u64, Ordering::Relaxed);
-    inner.metrics.trace(
+    metrics.trace(
         TraceEventKind::RecoveryMap,
         "",
         mapped.len() as u64,

@@ -4,7 +4,7 @@
 //! The paper stores this metadata in a persistent hash map owned by the
 //! daemon so each mutation persists incrementally and atomically (§4.2). We
 //! reproduce that with **one state machine and one file**. The state is a
-//! [`RegistryData`]; its one transition function is [`wal::apply_op`]; the
+//! [`RegistryData`]; its one transition function is [`apply_op`]; the
 //! file is `meta/registry.wal`, the metadata WAL ([`crate::wal`]). A request
 //! that changes metadata is one [`Registry::transact`]: its checks run
 //! against the tables, its [`RegistryOp`]s are logged as **one** checksummed
@@ -60,9 +60,10 @@
 
 use crate::acl;
 use crate::alloc::{AllocStats, SpaceAlloc};
-use crate::wal::{self, RegistryOp, Wal, WalHandle};
+use crate::wal::Wal;
+use crate::walfmt::RegistryOp;
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use puddles_pmem::obs::TraceEventKind;
+use puddles_pmem::obs::{ShardedHistogram, TraceEventKind};
 use puddles_pmem::pmdir::PmDir;
 use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, PAGE_SIZE};
@@ -134,7 +135,7 @@ pub struct PoolRecord {
     pub root: PuddleId,
     /// The puddles naming this pool, by ascending sequence number (an id's
     /// low 64 bits: creation order; manifest order for an import). Never
-    /// logged: [`wal::apply_op`] alone keeps it — live and replayed — a
+    /// logged: [`apply_op`] alone keeps it — live and replayed — a
     /// function of the puddle table.
     pub puddles: Vec<PuddleId>,
 }
@@ -157,7 +158,7 @@ pub struct LogSpaceRecord {
 /// The daemon's complete metadata as one value: what WAL replay builds at
 /// load, what the live [`Registry`] keeps behind its lock, and what
 /// [`Registry::snapshot`] copies out. A checkpoint writes it as WAL records
-/// ([`wal::snapshot_ops`]).
+/// ([`snapshot_ops`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RegistryData {
     /// Base address of the global space the puddles' pointers assume.
@@ -194,6 +195,115 @@ impl RegistryData {
     }
 }
 
+/// A pool's member order: ascending sequence number (an id's low 64 bits),
+/// the whole id breaking ties between ids of different daemons.
+pub(crate) fn member_key(id: &PuddleId) -> (u64, u128) {
+    (id.0 as u64, id.0)
+}
+
+/// Puts `id` into (`member`) or takes it out of the member index of `pool`,
+/// at its sorted slot, if that pool is live.
+fn set_member(data: &mut RegistryData, pool: Option<&str>, id: PuddleId, member: bool) {
+    let Some(pool) = pool.and_then(|name| data.pools.get_mut(name)) else {
+        return;
+    };
+    let slot = pool
+        .puddles
+        .binary_search_by_key(&member_key(&id), member_key);
+    match (slot, member) {
+        (Err(at), true) => pool.puddles.insert(at, id),
+        (Ok(at), false) => drop(pool.puddles.remove(at)),
+        _ => {}
+    }
+}
+
+/// Applies one op to a registry state: the one implementation of every
+/// table edit, run by replay on the state being loaded and by
+/// [`Registry::transact`] on the live one.
+///
+/// `PutPuddle` and `DropPuddle` also keep the member index
+/// `pools[..].puddles` in step with the records' `pool` fields — here and
+/// nowhere else, so it is a function of the puddle table however a state
+/// was reached, given the two rules every transaction keeps (and
+/// [`crate::Invariants`] checks): a pool is put before the puddles naming
+/// it and dropped with them. A member joins at its sorted slot: the end,
+/// for ids in creation order and in the order [`snapshot_ops`] emits.
+///
+/// No op touches `free_list`/`next_offset`: the space allocator is never
+/// persisted, and the reconcile pass that follows replay derives both from
+/// the puddle table. Past the snapshot, `next_seq` follows the ids of created
+/// puddles (they embed the daemon's sequence counter in their low 64 bits).
+pub fn apply_op(data: &mut RegistryData, op: &RegistryOp) {
+    match op {
+        RegistryOp::PutPuddle(rec) => {
+            data.next_seq = data.next_seq.max(rec.id.0 as u64);
+            let old = data.puddles.insert(rec.id, rec.clone());
+            let old_pool = old.as_ref().and_then(|old| old.pool.as_deref());
+            if old.is_none() || old_pool != rec.pool.as_deref() {
+                set_member(data, old_pool, rec.id, false);
+                set_member(data, rec.pool.as_deref(), rec.id, true);
+            }
+        }
+        RegistryOp::DropPuddle { id } => {
+            if let Some(old) = data.puddles.remove(id) {
+                set_member(data, old.pool.as_deref(), *id, false);
+            }
+        }
+        RegistryOp::PutPool { name, root } => {
+            let (root, puddles) = (*root, Vec::new());
+            let new = || PoolRecord { root, puddles };
+            data.pools.entry(name.clone()).or_insert_with(new).root = root;
+        }
+        RegistryOp::DropPool { name } => {
+            data.pools.remove(name);
+        }
+        RegistryOp::PutPtrMap(decl) => {
+            data.ptr_maps.insert(decl.type_id, decl.clone());
+        }
+        RegistryOp::PutLogSpace(rec) => {
+            data.log_spaces.retain(|e| e.puddle != rec.puddle);
+            data.log_spaces.push(rec.clone());
+        }
+        RegistryOp::InvalidateLogSpace { puddle } => {
+            for ls in data.log_spaces.iter_mut() {
+                if ls.puddle == *puddle {
+                    ls.invalid = true;
+                }
+            }
+        }
+        RegistryOp::Snapshot {
+            space_base,
+            space_size,
+            moved_from,
+            next_seq,
+            ..
+        } => {
+            data.space_base = *space_base;
+            data.space_size = *space_size;
+            data.moved_from = *moved_from;
+            data.next_seq = data.next_seq.max(*next_seq);
+        }
+    }
+}
+
+/// The inverse of [`apply_op`]: the puts that rebuild `data`'s four tables
+/// on an empty registry — the pools first, then the puddles in member
+/// order, so replay appends each at the end of the index it joins and no
+/// record grows with a pool. The derived `free_list`/`next_offset` have no
+/// record; the scalars ride the header [`Wal::compact`] puts in front.
+pub fn snapshot_ops(data: &RegistryData) -> impl Iterator<Item = RegistryOp> + '_ {
+    let pools = data.pools.iter().map(|(name, pool)| RegistryOp::PutPool {
+        name: name.clone(),
+        root: pool.root,
+    });
+    let mut puddles: Vec<&PuddleRecord> = data.puddles.values().collect();
+    puddles.sort_unstable_by_key(|rec| member_key(&rec.id));
+    let puddles = puddles.into_iter().cloned().map(RegistryOp::PutPuddle);
+    let ptr_maps = data.ptr_maps.values().cloned().map(RegistryOp::PutPtrMap);
+    let log_spaces = data.log_spaces.iter().cloned().map(RegistryOp::PutLogSpace);
+    pools.chain(puddles).chain(ptr_maps).chain(log_spaces)
+}
+
 /// The translations a pool's imported `members` imply, in their order: the
 /// address each was exported at → where it sits in a space at `space_base`.
 /// Members created in the pool since (`old_addr` 0) have none.
@@ -214,8 +324,8 @@ pub fn import_table<'a>(
 #[derive(Debug)]
 pub struct Registry {
     /// The metadata WAL every transaction appends to.
-    wal: WalHandle,
-    /// The live state. Edited by [`wal::apply_op`] inside
+    wal: Wal,
+    /// The live state. Edited by [`apply_op`] inside
     /// [`Registry::transact`] and by [`Registry::apply_base_relocation`],
     /// nowhere else.
     tables: RwLock<RegistryData>,
@@ -223,6 +333,11 @@ pub struct Registry {
     next_seq: AtomicU64,
     /// One checkpoint (snapshot + WAL compaction) at a time.
     ckpt_lock: Mutex<()>,
+    /// `checkpoint`: one completed checkpoint's duration, in the WAL
+    /// directory's hub.
+    ckpt_series: Arc<ShardedHistogram>,
+    /// `checkpoint.failed`: checkpoints that did not complete.
+    ckpt_failed: Arc<AtomicU64>,
 }
 
 /// Derives the space allocator's state from a replayed puddle table.
@@ -255,31 +370,21 @@ fn reconcile(data: &mut RegistryData) {
 }
 
 impl Registry {
-    /// Loads the registry from `pmdir` (opening its WAL internally), or
-    /// creates a fresh one.
+    /// Loads the registry from `pmdir`'s WAL, or creates a fresh one:
+    /// opens the WAL, replays the file — snapshot, then tail —, derives the
+    /// allocator, and checkpoints, folding the tail into a fresh snapshot.
+    /// `space_base`/`space_size` describe a registry created now; a loaded
+    /// one keeps what its snapshot header recorded. Checkpoints are timed
+    /// and counted in `pmdir`'s hub.
     pub fn load_or_create(pmdir: &PmDir, space_base: u64, space_size: u64) -> Result<Self> {
-        let wal = Arc::new(Wal::open(pmdir)?);
-        Self::load_or_create_with_wal(wal, space_base, space_size)
-    }
-
-    /// Loads the registry from an externally opened WAL handle (the daemon
-    /// threads one through so it can also report WAL stats): replays the
-    /// file — snapshot, then tail —, derives the allocator, and checkpoints,
-    /// folding the tail into a fresh snapshot. `space_base`/`space_size`
-    /// describe a registry created now; a loaded one keeps what its snapshot
-    /// header recorded.
-    pub fn load_or_create_with_wal(
-        wal: WalHandle,
-        space_base: u64,
-        space_size: u64,
-    ) -> Result<Self> {
+        let wal = Wal::open(pmdir)?;
         let mut data = RegistryData {
             space_base,
             space_size,
             ..RegistryData::default()
         };
         for (_seq, op) in wal.take_initial_replay() {
-            wal::apply_op(&mut data, &op);
+            apply_op(&mut data, &op);
         }
         reconcile(&mut data);
         let reg = Registry {
@@ -293,13 +398,15 @@ impl Registry {
             next_seq: AtomicU64::new(data.next_seq),
             tables: RwLock::new(data),
             ckpt_lock: Mutex::new(()),
+            ckpt_series: pmdir.obs().series("checkpoint"),
+            ckpt_failed: pmdir.obs().counter("checkpoint.failed"),
         };
         reg.checkpoint()?;
         Ok(reg)
     }
 
-    /// Returns the registry's WAL handle (stats, tests).
-    pub fn wal(&self) -> &WalHandle {
+    /// Returns the registry's WAL (stats, tests).
+    pub fn wal(&self) -> &Wal {
         &self.wal
     }
 
@@ -308,9 +415,9 @@ impl Registry {
     /// `f` runs under the write lock with the tables to check against
     /// (existence, ACLs, a free name) and a list to push its
     /// [`RegistryOp`]s onto. Its ops are then enqueued as **one** WAL record
-    /// and, only once the WAL has taken it, applied with [`wal::apply_op`].
+    /// and, only once the WAL has taken it, applied with [`apply_op`].
     /// So an `Err` from `f`, or a record the WAL refuses (over
-    /// [`wal::MAX_RECORD`], a poisoned WAL), logs and applies nothing; and
+    /// [`crate::walfmt::MAX_RECORD`], a poisoned WAL), logs and applies nothing; and
     /// everything `f` saw still holds when its ops apply. A transaction
     /// that pushes no op appends no record.
     ///
@@ -327,7 +434,7 @@ impl Registry {
         if !ops.is_empty() {
             self.wal.submit_batch(&ops)?;
             for op in &ops {
-                wal::apply_op(&mut tables, op);
+                apply_op(&mut tables, op);
             }
         }
         Ok(value)
@@ -412,19 +519,16 @@ impl Registry {
     /// (the `checkpoint` series, or the `checkpoint.failed` counter and a
     /// `ckpt.end failed` trace event) so that the next trigger can retry.
     fn checkpoint_locked(&self, _guard: MutexGuard<'_, ()>) -> Result<()> {
-        let clock = self.wal.clock();
-        let obs = self.wal.obs();
-        let start = clock.now();
+        let obs = self.wal.pmdir().obs();
+        let start = obs.clock().now();
         let (data, cut_pos, cut_seq) = self.snapshot_with_cut();
         obs.trace(TraceEventKind::CheckpointBegin, "", cut_seq, 0);
         let result = self.wal.compact(&data, cut_pos, cut_seq);
         let outcome = if result.is_ok() {
-            obs.series("checkpoint")
-                .record_duration(clock.now() - start);
+            self.ckpt_series.record_duration(obs.clock().now() - start);
             ""
         } else {
-            obs.counter("checkpoint.failed")
-                .fetch_add(1, Ordering::Relaxed);
+            self.ckpt_failed.fetch_add(1, Ordering::Relaxed);
             "failed"
         };
         obs.trace(TraceEventKind::CheckpointEnd, outcome, cut_seq, 0);
@@ -541,7 +645,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use crate::walfmt::tests::sample_op;
+    use crate::walfmt::MAX_RECORD;
 
     fn registry() -> (tempfile::TempDir, Registry) {
         let tmp = tempfile::tempdir().unwrap();
@@ -738,7 +843,7 @@ mod tests {
         assert!(matches!(refused, Err(PmError::Corruption(_))));
         let huge = RegistryOp::PutPtrMap(PtrMapDecl {
             type_id: 1,
-            type_name: "x".repeat(wal::MAX_RECORD),
+            type_name: "x".repeat(MAX_RECORD),
             size: 8,
             fields: vec![],
         });
@@ -748,7 +853,7 @@ mod tests {
             Ok::<_, PmError>(())
         });
         assert!(
-            matches!(oversized, Err(PmError::RecordTooLarge { max, .. }) if max == wal::MAX_RECORD),
+            matches!(oversized, Err(PmError::RecordTooLarge { max, .. }) if max == MAX_RECORD),
             "{oversized:?}"
         );
         assert_eq!(state(), before);
@@ -886,7 +991,7 @@ mod tests {
             reg.commit().unwrap();
             assert!(reg.wal().stats().bytes < 256);
         }
-        assert!(reg.wal().obs().series("checkpoint").snapshot().count >= 2);
+        assert!(reg.ckpt_series.snapshot().count >= 2);
         // A commit that finds a checkpoint running skips; the next one
         // that crosses with the lock free folds the tail away.
         let running = reg.ckpt_lock.lock();
@@ -898,6 +1003,16 @@ mod tests {
         transact(&reg, put(&record(&reg, None)));
         reg.commit().unwrap();
         assert_eq!(reg.wal().stats().records, 0);
+    }
+
+    #[test]
+    fn apply_op_tracks_next_seq_across_drops() {
+        let mut data = RegistryData::default();
+        apply_op(&mut data, &sample_op(1));
+        apply_op(&mut data, &RegistryOp::DropPuddle { id: PuddleId(1) });
+        assert!(data.puddles.is_empty());
+        // next_seq tracks created ids even after drops.
+        assert_eq!(data.next_seq, 1);
     }
 
     #[test]

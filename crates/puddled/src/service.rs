@@ -13,7 +13,8 @@ use crate::acl;
 use crate::importexport;
 use crate::recovery;
 use crate::registry::{LogSpaceRecord, PuddleRecord, Registry, RegistryData, Rewrite};
-use crate::wal::{RegistryOp, Wal, WalHandle};
+use crate::wal::Wal;
+use crate::walfmt::RegistryOp;
 use puddles_pmem::clock::Clock;
 use puddles_pmem::faultio::FaultPlan;
 use puddles_pmem::obs::{Metrics, ShardedHistogram, TraceEventKind};
@@ -43,15 +44,14 @@ pub struct DaemonConfig {
     /// Seeded fault-injection plan for torture testing; `None` (production)
     /// injects nothing.
     pub fault_plan: Option<Arc<FaultPlan>>,
-    /// Time source for latency series, trace stamps and the UDS server's
-    /// deadlines. The daemon *reads* time and never acts on it: on a real
-    /// and on a virtual clock alike, WAL traffic and every `GetMetrics`
-    /// count are a pure function of the request sequence — the property
-    /// the torture harness's replay guarantee rests on.
-    pub clock: Clock,
-    /// Observability hub to record into; `None` creates a fresh one. The
-    /// torture harness passes one in so histograms and the trace ring
-    /// survive the kill/restart cycles within a trial.
+    /// Observability hub to record into; `None` records into a fresh one on
+    /// the real clock. Its clock is the daemon's one time source: latency
+    /// series, trace stamps and the UDS server's deadlines. The daemon
+    /// *reads* time and never acts on it: on a real and on a virtual clock
+    /// alike, WAL traffic and every `GetMetrics` count are a pure function
+    /// of the request sequence — the property the torture harness's replay
+    /// guarantee rests on. The harness passes one in so histograms and the
+    /// trace ring survive the kill/restart cycles within a trial.
     pub metrics: Option<Arc<Metrics>>,
 }
 
@@ -65,7 +65,6 @@ impl DaemonConfig {
             space_size: puddles_pmem::DEFAULT_SPACE_SIZE,
             auto_recover: true,
             fault_plan: None,
-            clock: Clock::real(),
             metrics: None,
         }
     }
@@ -79,13 +78,9 @@ impl DaemonConfig {
         let space_size = 8usize << 30;
         let base = 0x5100_0000_0000 + slot * (space_size + (1 << 30));
         DaemonConfig {
-            pm_dir: pm_dir.into(),
             space_base: Some(base),
             space_size,
-            auto_recover: true,
-            fault_plan: None,
-            clock: Clock::real(),
-            metrics: None,
+            ..DaemonConfig::new(pm_dir)
         }
     }
 
@@ -102,14 +97,9 @@ impl DaemonConfig {
         self
     }
 
-    /// Reads time from `clock` (see the `clock` field docs).
-    pub fn with_clock(mut self, clock: Clock) -> Self {
-        self.clock = clock;
-        self
-    }
-
-    /// Records into an existing observability hub instead of a fresh one
-    /// (see the `metrics` field docs).
+    /// Records into an existing observability hub, and reads time from its
+    /// clock, instead of a fresh real-clock one (see the `metrics` field
+    /// docs).
     pub fn with_metrics(mut self, metrics: Arc<Metrics>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -166,7 +156,9 @@ pub(crate) fn request_kind_index(req: &Request) -> usize {
 /// Shared daemon state.
 #[derive(Debug)]
 pub struct DaemonInner {
-    pub(crate) config: DaemonConfig,
+    /// The PM directory, carrying the fault plan and the observability hub
+    /// (latency series, counters, the trace ring and the clock) every layer
+    /// records into.
     pub(crate) pmdir: PmDir,
     pub(crate) gspace: Arc<GlobalSpace>,
     /// The metadata registry: one state machine behind one lock, held only
@@ -174,8 +166,6 @@ pub struct DaemonInner {
     /// I/O. The metadata WAL it persists through is reachable via
     /// [`Registry::wal`] (`GetMetrics` reads the WAL tail from it).
     pub(crate) registry: Registry,
-    /// The observability hub: latency series, counters, and the trace ring.
-    pub(crate) metrics: Arc<Metrics>,
     /// Per-request-kind service-latency series, indexed by
     /// [`request_kind_index`] — resolved once so [`Daemon::handle`] records
     /// without touching the series-registry lock.
@@ -280,44 +270,35 @@ impl Daemon {
     /// crash recovery before any client can connect.
     pub fn start(config: DaemonConfig) -> Result<Self> {
         let mut pmdir = PmDir::open(&config.pm_dir)?;
-        if let Some(plan) = &config.fault_plan {
-            pmdir = pmdir.with_fault_plan(Arc::clone(plan));
+        if let Some(metrics) = config.metrics {
+            pmdir = pmdir.with_obs(metrics);
+        }
+        if let Some(plan) = config.fault_plan {
+            // Injections land in the trace ring interleaved with the
+            // requests and WAL commits they perturbed.
+            plan.attach_obs(Arc::clone(pmdir.obs()));
+            pmdir = pmdir.with_fault_plan(plan);
         }
         let gspace = Arc::new(GlobalSpace::reserve(config.space_base, config.space_size)?);
-        let metrics = config
-            .metrics
-            .clone()
-            .unwrap_or_else(|| Metrics::new(config.clock.clone()));
+        let metrics = pmdir.obs();
         let service_series = REQUEST_KINDS
             .iter()
             .map(|(_, series)| metrics.series(series))
             .collect();
-        if let Some(plan) = &config.fault_plan {
-            // Injections land in the trace ring interleaved with the
-            // requests and WAL commits they perturbed.
-            plan.attach_obs(Arc::clone(&metrics));
-        }
         // Counted where they happen (a reconnecting `Hello`, a connection
         // turned away at the cap); created now so every report lists them.
         for counter in ["client_reconnects", "connections_rejected"] {
             metrics.counter(counter);
         }
-        let wal: WalHandle = Arc::new(Wal::open_with_obs(
-            &pmdir,
-            config.clock.clone(),
-            Arc::clone(&metrics),
-        )?);
         let registry =
-            Registry::load_or_create_with_wal(wal, gspace.base() as u64, gspace.size() as u64)?;
+            Registry::load_or_create(&pmdir, gspace.base() as u64, gspace.size() as u64)?;
         let daemon = Daemon {
             inner: Arc::new(DaemonInner {
-                config,
+                stage_file_create: metrics.series("stage.file_create"),
+                stage_unlink: metrics.series("stage.unlink"),
                 pmdir,
                 gspace,
                 registry,
-                stage_file_create: metrics.series("stage.file_create"),
-                stage_unlink: metrics.series("stage.unlink"),
-                metrics,
                 service_series,
             }),
         };
@@ -329,12 +310,12 @@ impl Daemon {
         // it does not know about — a crash between a file and its record
         // (a create whose record never became durable, a drop whose files
         // were not unlinked yet) leaves exactly those behind.
-        let swept = |counter| daemon.inner.metrics.counter(counter);
+        let swept = |counter| daemon.metrics().counter(counter);
         swept("sweep.orphan_files").fetch_add(
             recovery::sweep_orphan_files(&daemon.inner)?,
             Ordering::Relaxed,
         );
-        if daemon.inner.config.auto_recover {
+        if config.auto_recover {
             let _ = recovery::run_recovery(&daemon.inner)?;
         }
         // Reclaim log and log-space puddles nothing can reach (a client
@@ -348,20 +329,22 @@ impl Daemon {
         Ok(daemon)
     }
 
-    /// The metadata WAL handle (tests and tools tune thresholds through it).
-    pub fn wal(&self) -> &WalHandle {
+    /// The metadata WAL (tests and tools tune thresholds through it).
+    pub fn wal(&self) -> &Wal {
         self.inner.registry.wal()
     }
 
-    /// The daemon's time source (shared with the UDS server's deadlines).
+    /// The daemon's time source, its hub's clock (shared with the UDS
+    /// server's deadlines).
     pub fn clock(&self) -> &Clock {
-        &self.inner.config.clock
+        self.metrics().clock()
     }
 
     /// The daemon's observability hub (histogram series, counters, and the
-    /// trace ring). The torture harness reads trace dumps through this.
+    /// trace ring), which its PM directory carries. The torture harness
+    /// reads trace dumps through this.
     pub fn metrics(&self) -> &Arc<Metrics> {
-        &self.inner.metrics
+        self.inner.pmdir.obs()
     }
 
     /// Forces a registry checkpoint now (normally triggered by WAL growth).
@@ -410,11 +393,9 @@ impl Daemon {
     pub(crate) fn handle_traced(&self, creds: Credentials, req: Request, req_id: u64) -> Response {
         let kind_index = request_kind_index(&req);
         let kind = REQUEST_KINDS[kind_index].0;
-        let clock = &self.inner.config.clock;
-        self.inner
-            .metrics
-            .trace(TraceEventKind::ReqStart, kind, req_id, 0);
-        let start = clock.now();
+        let metrics = self.metrics();
+        metrics.trace(TraceEventKind::ReqStart, kind, req_id, 0);
+        let start = metrics.clock().now();
         let resp = match self.dispatch(creds, req) {
             Ok(resp) => resp,
             Err(e) => Response::Error {
@@ -422,10 +403,8 @@ impl Daemon {
                 message: e.message,
             },
         };
-        self.inner.service_series[kind_index].record_duration(clock.now() - start);
-        self.inner
-            .metrics
-            .trace(TraceEventKind::ReqEnd, kind, req_id, 0);
+        self.inner.service_series[kind_index].record_duration(metrics.clock().now() - start);
+        metrics.trace(TraceEventKind::ReqEnd, kind, req_id, 0);
         resp
     }
 
@@ -433,11 +412,10 @@ impl Daemon {
         match req {
             Request::Hello { reconnect, .. } => {
                 if reconnect {
-                    let reconnects = self.inner.metrics.counter("client_reconnects");
+                    let metrics = self.metrics();
+                    let reconnects = metrics.counter("client_reconnects");
                     reconnects.fetch_add(1, Ordering::Relaxed);
-                    self.inner
-                        .metrics
-                        .trace(TraceEventKind::Reconnect, "", 0, 0);
+                    metrics.trace(TraceEventKind::Reconnect, "", 0, 0);
                 }
                 Ok(self.welcome())
             }
@@ -539,7 +517,8 @@ impl Daemon {
     /// allocator and the WAL tail describe the same moment.
     pub(crate) fn metrics_report(&self) -> MetricsReport {
         let inner = &self.inner;
-        let snap = inner.metrics.snapshot();
+        let metrics = self.metrics();
+        let snap = metrics.snapshot();
         let series = snap
             .series
             .into_iter()
@@ -551,7 +530,6 @@ impl Daemon {
         let state = reg.read(|data| {
             let alloc = reg.alloc_stats();
             let wal = reg.wal().stats();
-            let io = inner.pmdir.io_stats();
             [
                 ("registry.puddles", data.puddles.len() as u64),
                 ("registry.pools", data.pools.len() as u64),
@@ -567,9 +545,6 @@ impl Daemon {
                 ("alloc.fragmentation_bp", alloc.fragmentation_bp),
                 ("wal.tail_bytes", wal.bytes),
                 ("wal.tail_records", wal.records),
-                ("io.retries", io.io_retries()),
-                ("io.transient_errors", io.transient_io_errors()),
-                ("io.enospc_rejections", io.enospc_rejections()),
             ]
         });
         let mut counters = snap.counters;
@@ -581,8 +556,8 @@ impl Daemon {
                 .into_iter()
                 .map(|(name, value)| CounterSnapshot { name, value })
                 .collect(),
-            trace_buffered: self.inner.metrics.trace_events().len() as u64,
-            trace_dropped: self.inner.metrics.trace_dropped(),
+            trace_buffered: metrics.trace_events().len() as u64,
+            trace_dropped: metrics.trace_dropped(),
         }
     }
 
@@ -641,7 +616,7 @@ impl Daemon {
             old_addr: 0,
             rewrite: Rewrite::Clean,
         };
-        let clock = &self.inner.config.clock;
+        let clock = self.metrics().clock();
         let start = clock.now();
         let created = self
             .inner
@@ -873,13 +848,13 @@ impl DaemonInner {
     /// and reports the first failure. The file it leaves behind has no
     /// record: the next startup sweeps it.
     pub(crate) fn unlink(&self, records: &[PuddleRecord]) -> Result<()> {
-        let start = self.config.clock.now();
+        let clock = self.pmdir.obs().clock();
+        let start = clock.now();
         let unlinked = records
             .iter()
             .map(|record| self.pmdir.delete_puddle_file(&record.file()))
             .fold(Ok(()), Result::and);
-        self.stage_unlink
-            .record_duration(self.config.clock.now() - start);
+        self.stage_unlink.record_duration(clock.now() - start);
         unlinked
     }
 }
@@ -1037,7 +1012,7 @@ mod tests {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let traffic = |clock: Clock| {
             let tmp = tempfile::tempdir().unwrap();
-            let config = DaemonConfig::for_testing(tmp.path()).with_clock(clock);
+            let config = DaemonConfig::for_testing(tmp.path()).with_metrics(Metrics::new(clock));
             let daemon = Daemon::start(config).unwrap();
             daemon.wal().set_checkpoint_threshold(256);
             let creds = Credentials::current_process();
@@ -1100,7 +1075,8 @@ mod tests {
     #[test]
     fn pool_create_and_drop_each_record_one_file_stage_sample() {
         let tmp = tempfile::tempdir().unwrap();
-        let config = DaemonConfig::for_testing(tmp.path()).with_clock(Clock::simulated());
+        let config =
+            DaemonConfig::for_testing(tmp.path()).with_metrics(Metrics::new(Clock::simulated()));
         let daemon = Daemon::start(config).unwrap();
         let creds = Credentials::current_process();
         let stage_counts = || {

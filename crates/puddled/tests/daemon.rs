@@ -810,7 +810,8 @@ fn a_failing_sync_refuses_an_import_and_leaves_no_trace() {
         )
     };
     let before = state();
-    let retries = daemon.pm_dir().io_stats().io_retries();
+    let retries = daemon.metrics().counter("io.retries");
+    let retried = retries.load(std::sync::atomic::Ordering::Relaxed);
     plan.set_enabled(true);
     let import = Request::ImportPool {
         src: dest.to_string_lossy().into_owned(),
@@ -819,11 +820,71 @@ fn a_failing_sync_refuses_an_import_and_leaves_no_trace() {
     assert_refused_by_failing_sync(daemon.handle(USER_A, import));
     plan.set_enabled(false);
     assert_eq!(
-        daemon.pm_dir().io_stats().io_retries() - retries,
+        retries.load(std::sync::atomic::Ordering::Relaxed) - retried,
         puddles_pmem::faultio::MAX_IO_RETRIES as u64
     );
     assert_eq!(state(), before);
     puddled::Invariants::assert_all(daemon.registry());
+}
+
+/// The hub a daemon is given is the one its I/O counts into: one injected
+/// transient WAL write error is retried, and `io.retries` reads it in the
+/// hub itself, not only in a `GetMetrics` copy.
+#[test]
+fn a_retried_wal_write_counts_in_the_hub_the_daemon_was_given() {
+    use puddles_pmem::clock::Clock;
+    use puddles_pmem::faultio::{FaultPlan, FaultProfile, FaultSite, WriteFault};
+    use puddles_pmem::obs::Metrics;
+    let profile = FaultProfile {
+        write_eio_ppm: 500_000,
+        ..FaultProfile::default()
+    };
+    // Draws are a pure function of (seed, site, call number): probe for
+    // the seed whose first WAL write fails and whose retry goes through.
+    let drawn = |seed| {
+        let probe = FaultPlan::new(seed, profile);
+        [0, 1].map(|_| probe.on_write(FaultSite::WalWrite, 64))
+    };
+    let seed = (0..)
+        .find(|seed| drawn(*seed) == [Some(WriteFault::Eio), None])
+        .unwrap();
+    let plan = FaultPlan::new(seed, profile);
+    plan.set_enabled(false);
+    let hub = Metrics::new(Clock::real());
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path())
+        .with_fault_plan(plan.clone())
+        .with_metrics(hub.clone());
+    let daemon = Daemon::start(config).unwrap();
+
+    plan.set_enabled(true);
+    let register = Request::RegisterPtrMap {
+        decl: puddles_proto::PtrMapDecl {
+            type_id: 1,
+            type_name: "retried".into(),
+            size: 8,
+            fields: Vec::new(),
+        },
+    };
+    assert_eq!(daemon.handle(USER_A, register), Response::Ok);
+    plan.set_enabled(false);
+    assert_eq!(plan.trace(), vec!["wal.write#0: eio"]);
+
+    let counter = |name: &str| {
+        let snapshot = hub.snapshot();
+        let found = snapshot.counters.iter().find(|(n, _)| n == name);
+        found.map(|(_, value)| *value)
+    };
+    assert!(
+        counter("io.retries") >= Some(1),
+        "{:?}",
+        hub.snapshot().counters
+    );
+    assert_eq!(counter("io.transient_errors"), counter("io.retries"));
+    assert_eq!(
+        counters(&daemon, ["io.retries"]),
+        [counter("io.retries").unwrap()]
+    );
 }
 
 /// An export's manifest is written last, after every file it names is
