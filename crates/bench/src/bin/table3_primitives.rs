@@ -1,7 +1,7 @@
 //! Table 3: mean latency of API primitives (TX NOP, TX_ADD 8 B / 4 KiB,
 //! malloc 8 B / 4 KiB, malloc+free 8 B / 4 KiB) for Puddles vs PMDK-sim,
 //! plus the log-append microbenchmark behind the fence-minimized commit
-//! path (`LogWriter::append`, one unfenced flush per entry, single- and
+//! path (`LogWriter::append`, no fence per entry, single- and
 //! 8-threaded).
 //!
 //! Pass `--json <path>` to also write the commit-path numbers as

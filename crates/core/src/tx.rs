@@ -33,7 +33,16 @@
 //! # Persist cost of the hot path
 //!
 //! Log appends go through [`LogWriter`]: the cursor lives in DRAM, so an
-//! append is one unfenced flush — no log-header rewrite and no `sfence`.
+//! append flushes (or streams) the entry's lines once, unfenced — no
+//! log-header rewrite and no `sfence`.
+//! Every copy into persistent memory on this path — the append's payload,
+//! stage 2's redo apply, abort's replay — is [`persist::copy_flush`]: a
+//! copy of four whole cache lines or more writes them with non-temporal
+//! stores, which the next fence makes durable just as it does a `clwb`, so
+//! a large transaction's log moves from `lines_flushed` to
+//! `lines_streamed` in [`persist::thread_counts`] without changing the
+//! total or any fence. The application's own in-place stores are not the
+//! library's to stream: stage 1 still writes them back line by line.
 //! Starting a transaction is free too when the previous one on this thread
 //! committed without chaining: its invalidating write left the log *armed*
 //! (see [`LogWriter`]). Fences per transaction, by shape:
@@ -370,10 +379,7 @@ impl<'c> Transaction<'c> {
                 // the transaction, asserting it owns a writable mapping of
                 // it; the log memory and the target never overlap (log
                 // puddles hold no application data).
-                unsafe {
-                    std::ptr::copy_nonoverlapping(data.as_ptr(), hdr.addr as *mut u8, data.len());
-                }
-                persist::flush(hdr.addr as *const u8, data.len());
+                unsafe { persist::copy_flush(hdr.addr as *mut u8, data) };
                 applied += 1;
                 if applied == 1 && failpoint::should_fail(failpoint::names::COMMIT_MID_REDO_APPLY) {
                     persist::sfence();

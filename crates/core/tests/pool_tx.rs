@@ -1577,6 +1577,52 @@ fn fences_per_transaction_are_exactly_what_the_shape_needs() {
     // too: `tx::tests` counts that one, with the set-up held apart.)
 }
 
+/// `tx_large`'s transaction: 64 undo adds of 16 KiB each over 256 KiB log
+/// puddles, a five-segment chain. Its log payloads are streamed past the
+/// cache, which moves lines from flushed to streamed and leaves the total,
+/// and every fence, where copying and flushing them put it: 32,863 lines
+/// (16,385 of them the in-place data's stage-1 flush) and 27 fences, both
+/// counted before the log streamed.
+#[test]
+fn a_large_transaction_streams_its_log_and_keeps_its_line_and_fence_totals() {
+    const CHUNK: usize = 16 * 1024;
+    const CHUNKS: usize = 64;
+    let (_tmp, _config, _daemon, client) = setup();
+    client.set_log_puddle_size(256 * 1024);
+    let pool = client.create_pool("large", PoolOptions::default()).unwrap();
+    let region = pool.tx(|tx| pool.alloc_raw(tx, CHUNK * CHUNKS, 0)).unwrap();
+    let large_tx = |fill: u8| {
+        client
+            .tx(|tx| {
+                for chunk in 0..CHUNKS {
+                    let addr = region + chunk * CHUNK;
+                    tx.add_range(addr, CHUNK)?;
+                    // SAFETY: inside the live, writable region, undo-logged
+                    // just above.
+                    unsafe { std::ptr::write_bytes(addr as *mut u8, fill, CHUNK) };
+                }
+                assert_eq!(tx.chain_segments(), 5);
+                Ok(())
+            })
+            .unwrap()
+    };
+    // The first transaction asks the daemon for its tails; later ones take
+    // them from the spare cache.
+    large_tx(1);
+    for fill in 2..5 {
+        let before = persist::thread_counts();
+        large_tx(fill);
+        let after = persist::thread_counts();
+        let flushed = after.lines_flushed - before.lines_flushed;
+        let streamed = after.lines_streamed - before.lines_streamed;
+        assert_eq!(after.fences - before.fences, 27);
+        assert_eq!(flushed + streamed, 32_863);
+        if cfg!(target_arch = "x86_64") {
+            assert!(streamed >= 16_000, "{streamed} lines streamed");
+        }
+    }
+}
+
 #[test]
 fn single_segment_commit_arms_the_log_and_a_chained_one_does_not() {
     let (_tmp, _config, daemon, client) = setup();

@@ -307,4 +307,19 @@ mod tests {
         assert_eq!(persisted(|| kv.put(2, &value_for(2, 1)).unwrap()), (5, 2));
         assert_eq!(persisted(|| assert!(kv.get(2).is_some())), (0, 0));
     }
+
+    #[test]
+    fn puddles_kv_entries_are_too_small_to_stream() {
+        // The 96- and 40-byte log entries of an update and an insert stay
+        // on the copy-and-flush path: the line counts above are all flushes.
+        use puddles_pmem::persist::thread_counts;
+        let (_tmp, _daemon, client) = testing::puddles();
+        let kv = PuddlesKv::new(&client, "streams").unwrap();
+        let before = thread_counts().lines_streamed;
+        kv.put(1, &value_for(1, 0)).unwrap();
+        kv.put(2, &value_for(2, 0)).unwrap();
+        kv.put(2, &value_for(2, 1)).unwrap();
+        assert!(kv.get(2).is_some());
+        assert_eq!(thread_counts().lines_streamed, before);
+    }
 }

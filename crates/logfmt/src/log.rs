@@ -8,12 +8,17 @@
 //! the first entry and stop at the first slot whose checksum or generation
 //! does not verify. Because the scan never consults a durable head pointer,
 //! the append cursor can live in DRAM ([`LogWriter`]), and a steady-state
-//! append costs **one unfenced flush** — no header rewrite, no `sfence`.
-//! The single fence a transaction needs is the one its commit already
-//! issues at each stage boundary of Fig. 7: by the time the sequence range
-//! advances (a fenced header write), every entry flushed before it is
-//! durable. A crash before that fence leaves some durable prefix of the
-//! appended entries, which is exactly what stage-aware replay needs.
+//! append costs **one unfenced flush** of the entry's lines — no header
+//! rewrite, no `sfence`. A payload of four whole cache lines or more is
+//! streamed past the cache instead ([`persist::copy_flush`]): its whole
+//! lines are written with non-temporal stores and only the entry's edge
+//! lines are flushed, which is as durable at the next fence and costs a
+//! fraction of a copy and a `clwb` per line. The single fence a
+//! transaction needs is the one its commit already issues at each stage
+//! boundary of Fig. 7: by the time the sequence range advances (a fenced
+//! header write), every entry flushed or streamed before it is durable. A
+//! crash before that fence leaves some durable prefix of the appended
+//! entries, which is exactly what stage-aware replay needs.
 //!
 //! The persistent header holds what a reader needs and nothing else: the
 //! magic, the sequence range and the generation (no head or tail pointer,
@@ -369,12 +374,13 @@ pub fn chain_iter(segments: &[LogRef]) -> impl Iterator<Item = (LogEntryHeader, 
 /// A `LogWriter` serves one log for as long as its owner keeps it, one
 /// transaction at a time: [`LogWriter::start`] opens a transaction (on an
 /// unarmed log, one fenced header write that bumps the generation and
-/// publishes [`crate::RANGE_EXEC`]); every [`LogWriter::append`] then costs
-/// exactly one unfenced flush; the commit-stage fences (already required by
-/// Fig. 7) make the appended entries durable before any sequence-range
-/// transition that could replay them; [`LogWriter::finish`] (commit) or
-/// [`LogWriter::reset`] (abort) ends it. The segment vectors are cleared,
-/// not rebuilt, from one transaction to the next.
+/// publishes [`crate::RANGE_EXEC`]); every [`LogWriter::append`] then
+/// flushes or streams the entry's lines once, unfenced; the commit-stage
+/// fences (already required by Fig. 7) make the appended entries durable
+/// before any sequence-range transition that could replay them;
+/// [`LogWriter::finish`] (commit) or [`LogWriter::reset`] (abort) ends it.
+/// The segment vectors are cleared, not rebuilt, from one transaction to
+/// the next.
 ///
 /// # Armed reset
 ///
@@ -524,12 +530,16 @@ impl LogWriter {
         Ok(())
     }
 
-    /// Appends an entry with **one unfenced flush** and no header write.
+    /// Appends an entry with no fence and no header write: each line of the
+    /// entry is flushed or streamed once, unfenced.
     ///
-    /// The entry is not guaranteed durable until the next fence (the
-    /// caller's commit-stage `sfence`, or a fenced header write). A crash
-    /// before that fence leaves a durable *prefix* of the appended entries
-    /// — the checksum/generation scan finds exactly that prefix.
+    /// The entry header is a cached store; the payload goes through
+    /// [`persist::copy_flush`], so a large one is streamed and only the
+    /// entry's partial lines are flushed. The entry is not guaranteed
+    /// durable until the next fence (the caller's commit-stage `sfence`, or
+    /// a fenced header write). A crash before that fence leaves a durable
+    /// *prefix* of the appended entries — the checksum/generation scan
+    /// finds exactly that prefix.
     ///
     /// When the active segment cannot hold the entry, [`PmError::LogFull`]
     /// is returned; the caller may chain a fresh segment with
@@ -556,11 +566,11 @@ impl LogWriter {
         }
         // SAFETY: `[head, head + need)` lies inside the active segment (bounds
         // check above), covered by its `from_raw` contract; the sources are a
-        // local value and the caller's slice.
+        // local value and the caller's slice, neither in the log.
         let dst = unsafe {
             let dst = active.base.add(self.head);
             std::ptr::write_unaligned(dst as *mut LogEntryHeader, entry);
-            std::ptr::copy_nonoverlapping(data.as_ptr(), dst.add(ENTRY_HEADER_SIZE), data.len());
+            persist::copy_flush(dst.add(ENTRY_HEADER_SIZE), data);
             dst
         };
         let torn = failpoint::should_fail(failpoint::names::LOG_APPEND_TORN);
@@ -577,7 +587,7 @@ impl LogWriter {
             // SAFETY: inside the entry just written.
             unsafe { *dst.add(last) ^= 0xff };
         }
-        persist::flush(dst, need);
+        persist::flush_header(dst, ENTRY_HEADER_SIZE, data.len());
         if torn {
             return Err(PmError::CrashInjected(failpoint::names::LOG_APPEND_TORN));
         }
@@ -687,6 +697,9 @@ impl LogWriter {
 mod tests {
     use super::*;
     use crate::{RANGE_DONE, RANGE_EXEC, SEQ_REDO, SEQ_UNDO};
+
+    /// A payload large enough that [`LogWriter::append`] streams it.
+    const LARGE_PAYLOAD: usize = 4096 + 24;
 
     fn make_log(buf: &mut Vec<u8>) -> LogRef {
         // SAFETY: the Vec outlives the LogRef in every test below and is not
@@ -960,32 +973,35 @@ mod tests {
     fn crash_after_n_unfenced_appends_recovers_exact_prefix() {
         // The satellite scenario: arm the crash failpoint so the writer
         // dies after exactly N appends; the scan (what recovery replays)
-        // must return exactly those N entries.
-        for n in [0usize, 1, 3, 7] {
-            let mut buf = vec![0u8; 8192];
-            let log = make_log(&mut buf);
-            log.init();
-            let mut w = LogWriter::begin(log).unwrap();
-            failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
-            let mut appended = 0usize;
-            let err = loop {
-                match w.append(
-                    0x2000 + appended as u64,
-                    SEQ_UNDO,
-                    ReplayOrder::Reverse,
-                    EntryKind::Undo,
-                    &[appended as u8; 24],
-                ) {
-                    Ok(()) => appended += 1,
-                    Err(e) => break e,
-                }
-            };
-            failpoint::clear_current_thread();
-            assert!(matches!(err, PmError::CrashInjected(_)));
-            assert_eq!(appended, n);
-            let recovered: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
-            let expected: Vec<u64> = (0..n as u64).map(|i| 0x2000 + i).collect();
-            assert_eq!(recovered, expected, "crash after {n} appends");
+        // must return exactly those N entries. Small payloads are copied
+        // and flushed, the 4 KiB ones streamed.
+        for payload in [24, LARGE_PAYLOAD] {
+            for n in [0usize, 1, 3, 7] {
+                let mut buf = vec![0u8; LOG_ENTRIES_OFFSET + 8 * (ENTRY_HEADER_SIZE + payload)];
+                let log = make_log(&mut buf);
+                log.init();
+                let mut w = LogWriter::begin(log).unwrap();
+                failpoint::arm_scoped(failpoint::names::LOG_APPEND_CRASH, n);
+                let mut appended = 0usize;
+                let err = loop {
+                    match w.append(
+                        0x2000 + appended as u64,
+                        SEQ_UNDO,
+                        ReplayOrder::Reverse,
+                        EntryKind::Undo,
+                        &vec![appended as u8; payload],
+                    ) {
+                        Ok(()) => appended += 1,
+                        Err(e) => break e,
+                    }
+                };
+                failpoint::clear_current_thread();
+                assert!(matches!(err, PmError::CrashInjected(_)));
+                assert_eq!(appended, n);
+                let recovered: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
+                let expected: Vec<u64> = (0..n as u64).map(|i| 0x2000 + i).collect();
+                assert_eq!(recovered, expected, "{payload} B: crash after {n} appends");
+            }
         }
     }
 
@@ -1026,32 +1042,36 @@ mod tests {
 
     #[test]
     fn writer_torn_append_truncates_the_scan() {
-        let mut buf = vec![0u8; 4096];
-        let log = make_log(&mut buf);
-        log.init();
-        let mut w = LogWriter::begin(log).unwrap();
-        w.append(
-            0x1,
-            SEQ_UNDO,
-            ReplayOrder::Reverse,
-            EntryKind::Undo,
-            &[1; 16],
-        )
-        .unwrap();
-        failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 0);
-        let err = w
-            .append(
-                0x2,
+        // The large payloads are streamed: the tear lands on an entry whose
+        // whole lines never went through the cache.
+        for payload in [16, LARGE_PAYLOAD] {
+            let mut buf = vec![0u8; LOG_ENTRIES_OFFSET + 3 * (ENTRY_HEADER_SIZE + payload)];
+            let log = make_log(&mut buf);
+            log.init();
+            let mut w = LogWriter::begin(log).unwrap();
+            w.append(
+                0x1,
                 SEQ_UNDO,
                 ReplayOrder::Reverse,
                 EntryKind::Undo,
-                &[2; 16],
+                &vec![1; payload],
             )
-            .unwrap_err();
-        failpoint::clear_current_thread();
-        assert!(matches!(err, PmError::CrashInjected(_)));
-        let visible: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
-        assert_eq!(visible, vec![0x1]);
+            .unwrap();
+            failpoint::arm_scoped(failpoint::names::LOG_APPEND_TORN, 0);
+            let err = w
+                .append(
+                    0x2,
+                    SEQ_UNDO,
+                    ReplayOrder::Reverse,
+                    EntryKind::Undo,
+                    &vec![2; payload],
+                )
+                .unwrap_err();
+            failpoint::clear_current_thread();
+            assert!(matches!(err, PmError::CrashInjected(_)));
+            let visible: Vec<u64> = log.iter().map(|(h, _)| h.addr).collect();
+            assert_eq!(visible, vec![0x1], "{payload} B");
+        }
     }
 
     #[test]
@@ -1101,9 +1121,9 @@ mod tests {
             Ok(()) => 0,
             Err(PmError::LogFull { .. }) => {
                 let buf = spare.pop().expect("out of spare segments");
-                // SAFETY: the Vec lives in the caller's `bufs` holder for the
-                // whole test.
-                let seg = unsafe { LogRef::from_raw(buf.leak().as_mut_ptr(), 1024) };
+                let len = buf.len();
+                // SAFETY: the leaked Vec lives for the rest of the test.
+                let seg = unsafe { LogRef::from_raw(buf.leak().as_mut_ptr(), len) };
                 w.extend(seg).unwrap();
                 w.append(addr, SEQ_UNDO, ReplayOrder::Reverse, EntryKind::Undo, data)
                     .unwrap();
@@ -1115,27 +1135,44 @@ mod tests {
 
     #[test]
     fn chained_appends_span_segments_and_scan_in_order() {
-        let mut head_buf = vec![0u8; 1024];
-        let head = make_log(&mut head_buf);
-        head.init();
-        let mut w = LogWriter::begin(head).unwrap();
-        let mut spare: Vec<Vec<u8>> = (0..4).map(|_| vec![0u8; 1024]).collect();
-        let mut extended = 0;
-        for i in 0..40u64 {
-            let e = append_chaining(&mut w, &mut spare, 0x9000 + i, &[i as u8; 64]);
-            if e == 1 {
-                // free_bytes reports the fresh tail's headroom, not the
-                // exhausted previous segment's.
-                assert!(w.free_bytes() > 0, "fresh tail must report headroom");
+        // 96-byte entries in 1 KiB segments, and streamed 4 KiB payloads in
+        // 16 KiB segments: 40 entries outgrow either head.
+        for (payload, segment) in [(64, 1024), (LARGE_PAYLOAD, 16 * 1024)] {
+            let mut head_buf = vec![0u8; segment];
+            let head = make_log(&mut head_buf);
+            head.init();
+            let mut w = LogWriter::begin(head).unwrap();
+            let mut spare: Vec<Vec<u8>> = (0..16).map(|_| vec![0u8; segment]).collect();
+            let mut extended = 0;
+            let streamed = persist::thread_counts().lines_streamed;
+            for i in 0..40u64 {
+                let data = vec![i as u8; payload];
+                let e = append_chaining(&mut w, &mut spare, 0x9000 + i, &data);
+                if e == 1 {
+                    // free_bytes reports the fresh tail's headroom, not the
+                    // exhausted previous segment's.
+                    assert!(w.free_bytes() > 0, "fresh tail must report headroom");
+                }
+                extended += e;
             }
-            extended += e;
+            assert!(
+                extended >= 2,
+                "40 entries of {payload} B must outgrow {segment} B"
+            );
+            assert_eq!(w.segment_count(), extended + 1);
+            assert_eq!(w.num_entries(), 40);
+            let streams = cfg!(target_arch = "x86_64") && payload == LARGE_PAYLOAD;
+            assert_eq!(persist::thread_counts().lines_streamed > streamed, streams);
+            // The stitched scan returns every entry in global append order,
+            // each payload as it was appended.
+            let scanned: Vec<(u64, Vec<u8>)> = chain_iter(w.chain())
+                .map(|(h, d)| (h.addr, d.to_vec()))
+                .collect();
+            let expected: Vec<(u64, Vec<u8>)> = (0..40u64)
+                .map(|i| (0x9000 + i, vec![i as u8; payload]))
+                .collect();
+            assert_eq!(scanned, expected, "{payload} B");
         }
-        assert!(extended >= 2, "40 x ~96 B entries must outgrow 1 KiB");
-        assert_eq!(w.segment_count(), extended + 1);
-        assert_eq!(w.num_entries(), 40);
-        // The stitched scan returns every entry in global append order.
-        let addrs: Vec<u64> = chain_iter(w.chain()).map(|(h, _)| h.addr).collect();
-        assert_eq!(addrs, (0..40u64).map(|i| 0x9000 + i).collect::<Vec<_>>());
     }
 
     #[test]

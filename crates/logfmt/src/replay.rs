@@ -85,10 +85,7 @@ impl ReplayTarget for DirectMemoryTarget {
         // SAFETY: `allows` confirmed the range lies inside a region the
         // caller declared mapped and writable (or the caller opted into the
         // unrestricted mode, taking responsibility for every logged address).
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), addr as *mut u8, data.len());
-        }
-        persist::flush(addr as *const u8, data.len());
+        unsafe { persist::copy_flush(addr as *mut u8, data) };
     }
 }
 

@@ -100,15 +100,12 @@ fn apply_undo(base: usize, header: &UndoLogHeader) {
     }
     for (entry, data_addr) in entries.into_iter().rev() {
         // SAFETY: both source (log data) and destination (pool offset) lie
-        // inside the pool mapping.
+        // inside the pool mapping, the one in the log region and the other
+        // outside it.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                data_addr as *const u8,
-                (base + entry.off as usize) as *mut u8,
-                entry.len as usize,
-            );
+            let data = std::slice::from_raw_parts(data_addr as *const u8, entry.len as usize);
+            persist::copy_flush((base + entry.off as usize) as *mut u8, data);
         }
-        persist::flush((base + entry.off as usize) as *const u8, entry.len as usize);
     }
     persist::sfence();
 }
@@ -126,14 +123,16 @@ impl<'p> PmdkTx<'p> {
         let base = self.pool.base();
         let off = (addr - base) as u64;
         let mut header = read_log_header(base);
-        let entry_size = std::mem::size_of::<UndoEntryHeader>() + len;
+        let header_size = std::mem::size_of::<UndoEntryHeader>();
+        let entry_size = header_size + len;
         let entry_off = header.head as usize;
         if LOG_DATA_OFF + entry_off + entry_size > LOG_REGION_OFF + LOG_REGION_SIZE {
             return Err(PmdkError::OutOfSpace);
         }
         let entry_addr = base + LOG_DATA_OFF + entry_off;
         // SAFETY: the entry lies inside the log region (checked above); the
-        // source range lies inside the pool mapping per the caller.
+        // source range lies inside the pool mapping per the caller, outside
+        // the log region.
         unsafe {
             std::ptr::write_unaligned(
                 entry_addr as *mut UndoEntryHeader,
@@ -142,13 +141,10 @@ impl<'p> PmdkTx<'p> {
                     len: len as u64,
                 },
             );
-            std::ptr::copy_nonoverlapping(
-                addr as *const u8,
-                (entry_addr + std::mem::size_of::<UndoEntryHeader>()) as *mut u8,
-                len,
-            );
+            let data = std::slice::from_raw_parts(addr as *const u8, len);
+            persist::copy_flush((entry_addr + header_size) as *mut u8, data);
         }
-        persist::flush(entry_addr as *const u8, entry_size);
+        persist::flush_header(entry_addr as *const u8, header_size, len);
         persist::sfence();
         header.entries += 1;
         header.head = (((entry_off + entry_size) as u64) + 7) & !7;
@@ -259,19 +255,25 @@ mod tests {
 
     #[test]
     fn interrupted_transaction_is_rolled_back_only_on_reopen() {
+        // An 8-byte root and a range large enough that its undo entry, and
+        // the rollback that copies it back, are streamed.
+        const BIG: usize = 4096 + 8;
         let tmp = tempfile::tempdir().unwrap();
         let path = tmp.path().join("recover.pmdk");
-        {
+        let big_off = {
             let pool = PmdkPool::create(&path, 1 << 20).unwrap();
-            let root_off = pool
+            let (root_off, big) = pool
                 .tx(|tx| {
                     let root: Toid<u64> = tx.alloc(42u64)?;
                     tx.set_root(root)?;
-                    Ok(root.oid.off)
+                    let big = tx.alloc_raw(BIG)?;
+                    // SAFETY: a fresh allocation of BIG bytes.
+                    unsafe { std::ptr::write_bytes(pool.direct_local(big), 0x42, BIG) };
+                    Ok((root.oid.off, big))
                 })
                 .unwrap();
-            // Simulate a crash mid-transaction: log the value, overwrite it,
-            // and "lose power" before commit (bypass run_tx's commit).
+            // Simulate a crash mid-transaction: log the values, overwrite
+            // them, and "lose power" before commit (bypass run_tx's commit).
             let base = pool.base();
             write_log_header(
                 base,
@@ -286,9 +288,15 @@ mod tests {
                 undo_ranges: Vec::new(),
             };
             let addr = base + root_off as usize;
+            let big_addr = pool.direct_local(big);
             tx.log_range(addr, 8).unwrap();
-            // SAFETY: the root object lies at `addr` inside the mapping.
-            unsafe { std::ptr::write_unaligned(addr as *mut u64, 7777) };
+            tx.log_range(big_addr as usize, BIG).unwrap();
+            // SAFETY: the root object lies at `addr` and the large range at
+            // `big_addr`, both inside the mapping.
+            unsafe {
+                std::ptr::write_unaligned(addr as *mut u64, 7777);
+                std::ptr::write_bytes(big_addr, 0x77, BIG);
+            }
             std::mem::forget(tx);
             // Value is now inconsistent on "PM".
             // SAFETY: as above.
@@ -297,11 +305,17 @@ mod tests {
                 7777
             );
             drop(pool);
-        }
+            big.off
+        };
         // Recovery happens only because the application reopens the pool.
         let pool = PmdkPool::open(&path).unwrap();
         let root: Toid<u64> = pool.root();
         // SAFETY: pool open, root live.
         assert_eq!(unsafe { *root.as_ref() }, 42);
+        // SAFETY: the large range lies at `big_off` inside the mapping.
+        let big = unsafe {
+            std::slice::from_raw_parts((pool.base() + big_off as usize) as *const u8, BIG)
+        };
+        assert!(big.iter().all(|&b| b == 0x42));
     }
 }
