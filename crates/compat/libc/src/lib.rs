@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so this crate declares
 //! exactly the C types, constants, and functions the workspace uses:
 //! memory mapping (`mmap`/`munmap`/`msync`, `madvise` access advice and
-//! `mincore` residency), `SO_PEERCRED` credential
+//! prefaulting, `mincore` residency), `SO_PEERCRED` credential
 //! lookup on UNIX sockets, epoll readiness notification + `eventfd` wakeups
 //! (the `compat/polling` poller), `RLIMIT_NOFILE` adjustment (the
 //! connection-scaling bench), and `lseek`'s hole reporting (sparse puddle
@@ -43,6 +43,7 @@ pub const MS_SYNC: c_int = 4;
 
 // madvise advice (asm-generic/mman-common.h).
 pub const MADV_RANDOM: c_int = 1;
+pub const MADV_POPULATE_WRITE: c_int = 23;
 
 // Socket options (asm-generic/socket.h).
 pub const SOL_SOCKET: c_int = 1;

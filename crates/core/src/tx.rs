@@ -53,7 +53,7 @@
 //! | undo-only | 2 | data durable (stage 1), log invalidated |
 //! | redo-carrying | 4 | stage 1, publish `(2,4)`, stage 2, log invalidated |
 //! | first on a thread's log; after a chained, aborted, panicked or crashed one | +1 | the fenced start |
-//! | each chained segment | +2 | tail header, log-space slot |
+//! | each chained segment | +4 | tail header, log-space slot registered, tail reset, slot unregistered |
 //!
 //! Two is the floor for an undo-logged transaction: the data must be
 //! durable *before* the log that could roll it back is invalidated, and the

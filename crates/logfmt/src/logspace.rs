@@ -19,6 +19,9 @@ pub const LOGSPACE_MAGIC: u64 = 0x5055_4444_4c53_5031; // "PUDDLSP1"
 struct LogSpaceHeader {
     magic: u64,
     capacity_entries: u64,
+    /// Unused: zeroed by `init` and never written again (the slots'
+    /// `in_use` flags are the record of which are live). Kept so the slots
+    /// stay where they are.
     num_slots: u64,
 }
 
@@ -144,9 +147,6 @@ impl LogSpaceRef {
                 // SAFETY: same slot as read above.
                 unsafe { std::ptr::write_unaligned(self.slot_ptr(i), entry) };
                 persist::persist(self.slot_ptr(i) as *const u8, SLOT_SIZE);
-                let mut new_hdr = hdr;
-                new_hdr.num_slots += 1;
-                self.write_header(new_hdr);
                 return Ok(());
             }
         }
@@ -172,11 +172,6 @@ impl LogSpaceRef {
                 persist::persist(self.slot_ptr(i) as *const u8, SLOT_SIZE);
                 removed += 1;
             }
-        }
-        if removed > 0 {
-            let mut new_hdr = hdr;
-            new_hdr.num_slots = new_hdr.num_slots.saturating_sub(removed as u64);
-            self.write_header(new_hdr);
         }
         removed
     }

@@ -54,7 +54,9 @@ pub enum FaultSite {
     WalSync,
     /// Atomic metadata-file replacement (`PmDir::write_meta`): every
     /// checkpoint — a compaction of the metadata WAL — and the WAL's
-    /// torn-tail heal at open. A fault here aborts before the rename.
+    /// torn-tail heal at open. The temp file's write and sync and the
+    /// directory's sync after the rename are consulted here; a fault
+    /// aborts the attempt, and a retry repeats the whole replace.
     MetaWrite,
     /// Puddle-file creation (allocate + zero-fill + sync), including a
     /// puddle copied in or out by relocation, and the manifest an export

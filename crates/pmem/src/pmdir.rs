@@ -6,8 +6,8 @@
 //! `MAP_SHARED`, and a `meta/` subdirectory for the daemon's own records —
 //! one file, the metadata WAL, which its owner appends to through
 //! [`PmDir::meta_path`] and replaces wholesale through
-//! [`PmDir::write_meta`], the only write-temp + fsync + `rename` in the
-//! workspace.
+//! [`PmDir::write_meta`], the only write-temp + fsync + `rename` +
+//! directory fsync in the workspace.
 //!
 //! A puddle file comes into being one way, whether it is created empty
 //! ([`PmDir::create_puddle_file`]) or copied — into `puddles/` by an
@@ -329,23 +329,29 @@ impl PmDir {
         Ok(names)
     }
 
-    /// Atomically replaces the metadata file `name` with `bytes`.
+    /// Atomically and durably replaces the metadata file `name` with
+    /// `bytes`.
     ///
-    /// Uses the classic write-temp + fsync + rename sequence so a crash never
-    /// leaves a half-written metadata file. This is the only such sequence
+    /// Uses the classic write-temp + fsync + rename + fsync-the-directory
+    /// sequence so a crash never leaves a half-written metadata file, and a
+    /// replace that returned survives one. This is the only such sequence
     /// for metadata: the WAL's compaction and its torn-tail heal both come
-    /// through here, so both see the fault plan, the retry budget and the
-    /// typed, counted `ENOSPC`. An `Err` means the rename did not happen and
-    /// `name` still holds its previous contents; a `name.tmp` a crash leaves
-    /// behind is overwritten by the next call.
+    /// through here, so both see the fault plan (both fsyncs consult
+    /// [`FaultSite::MetaWrite`]), the retry budget and the typed, counted
+    /// `ENOSPC`. An `Err` means the rename did not happen and `name` still
+    /// holds its previous contents — unless the directory sync failed after
+    /// it, through the whole retry budget: then `name` holds `bytes`, not
+    /// yet durably. A `name.tmp` a crash leaves behind is overwritten by the
+    /// next call or removed by [`PmDir::remove_meta_temp`].
     pub fn write_meta(&self, name: &str, bytes: &[u8]) -> Result<()> {
         let dir = self.root.join("meta");
-        let tmp = dir.join(format!("{name}.tmp"));
+        let tmp = self.meta_temp_path(name);
         let dst = dir.join(name);
-        // A failed attempt aborts *before* the rename, so the previous
-        // metadata generation stays intact whatever the plane injects — the
-        // atomic-replace contract the daemon's checkpoints rely on. A retry
-        // recreates the temp file, so attempts have nothing to undo.
+        // A failed attempt aborts *before* the rename, or after it with the
+        // same bytes in place, so the previous metadata generation or this
+        // one stays intact whatever the plan injects — the atomic-replace
+        // contract the daemon's checkpoints rely on. A retry recreates the
+        // temp file and renames again, so attempts have nothing to undo.
         let result = self.with_io_retries(
             || {
                 let sites = (FaultSite::MetaWrite, FaultSite::MetaWrite);
@@ -355,7 +361,13 @@ impl PmDir {
                     return Err(PmError::CrashInjected(crash.name()));
                 }
                 fs::rename(&tmp, &dst)?;
-                Ok(())
+                // The rename is an entry of `meta/`: durable once the
+                // directory is.
+                match self.sync_fault(FaultSite::MetaWrite) {
+                    Some(SyncFault::Eio) => Err(faultio::eio(FaultSite::MetaWrite).into()),
+                    Some(SyncFault::Dropped) => Ok(()),
+                    None => Ok(File::open(&dir)?.sync_all()?),
+                }
             },
             || {},
         );
@@ -366,6 +378,20 @@ impl PmDir {
             let _ = fs::remove_file(&tmp);
         }
         result
+    }
+
+    /// Removes the temp file a crash inside [`PmDir::write_meta`] may have
+    /// left beside `name`. Nothing reads it: until the rename, `name` is
+    /// the file.
+    pub fn remove_meta_temp(&self, name: &str) -> Result<()> {
+        match fs::remove_file(self.meta_temp_path(name)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
+
+    fn meta_temp_path(&self, name: &str) -> PathBuf {
+        self.meta_path(&format!("{name}.tmp"))
     }
 }
 
@@ -424,6 +450,7 @@ fn next_data(file: &File, at: u64, len: u64) -> io::Result<Option<(u64, u64)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faultio::FaultProfile;
 
     fn dir() -> (tempfile::TempDir, PmDir) {
         let tmp = tempfile::tempdir().unwrap();
@@ -636,5 +663,32 @@ mod tests {
         pm.write_meta("registry.wal", b"gen 2").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"gen 2");
         assert!(!pm.meta_path("registry.wal.tmp").exists());
+    }
+
+    /// A replace is durable only once `meta/` is: the rename is an entry of
+    /// the directory, not of the file. Both fsyncs consult the plan, so one
+    /// that drops every sync traces two.
+    #[test]
+    fn write_meta_syncs_the_temp_file_and_then_the_directory() {
+        let (_tmp, pm) = dir();
+        let drop_every_sync = FaultProfile {
+            sync_drop_ppm: 1_000_000,
+            ..FaultProfile::default()
+        };
+        let plan = FaultPlan::new(1, drop_every_sync);
+        let pm = pm.with_fault_plan(Arc::clone(&plan));
+        pm.write_meta("registry.wal", b"generation 1").unwrap();
+        let trace = plan.trace();
+        assert_eq!(trace.len(), 2, "{trace:?}");
+        assert!(
+            trace
+                .iter()
+                .all(|line| line.starts_with("meta.write#") && line.ends_with("sync-dropped")),
+            "{trace:?}"
+        );
+        assert_eq!(
+            fs::read(pm.meta_path("registry.wal")).unwrap(),
+            b"generation 1"
+        );
     }
 }

@@ -279,6 +279,24 @@ fn advise_random(addr: *mut libc::c_void, len: usize) {
     debug_assert_eq!(rc, 0, "madvise(MADV_RANDOM) on a fresh mapping");
 }
 
+/// Prefaults `[addr, addr + len)` of a writable mapping for writing
+/// (`MADV_POPULATE_WRITE`): one call makes every page of the range
+/// present and writable, so the stores that follow take no fault. Returns
+/// whether the kernel did.
+///
+/// Advice only: a kernel older than 5.14 answers `EINVAL`, and any other
+/// failure leaves the range as it was; either way the stores fault one page
+/// at a time, as they would without the call. Callers populate the pages
+/// they are about to write and nothing more — a populated hole of a puddle
+/// file is allocated on disk.
+pub fn populate_write(addr: usize, len: usize) -> bool {
+    // SAFETY: MADV_POPULATE_WRITE changes no byte of the range: it faults
+    // pages in as a write would, without writing. A range that is not a
+    // writable mapping, or whose pages cannot be faulted in, is refused
+    // with an error, not a signal.
+    unsafe { libc::madvise(addr as *mut libc::c_void, len, libc::MADV_POPULATE_WRITE) == 0 }
+}
+
 impl Drop for VaReservation {
     fn drop(&mut self) {
         // SAFETY: we own [base, base+len); any file mappings inside were
@@ -523,15 +541,15 @@ mod tests {
         flags.expect("smaps entry has a VmFlags line").to_string()
     }
 
-    /// Pages of `[addr, addr + len)` whose backing is resident, per
-    /// `mincore`.
-    fn resident_pages(addr: usize, len: usize) -> usize {
+    /// The pages of `[addr, addr + len)` whose backing is resident, by
+    /// index, per `mincore`.
+    fn resident_pages(addr: usize, len: usize) -> Vec<usize> {
         let mut vec = vec![0u8; len.div_ceil(PAGE_SIZE)];
         // SAFETY: `[addr, addr + len)` is a live mapping and `vec` holds
         // one byte per page of it.
         let rc = unsafe { libc::mincore(addr as *mut libc::c_void, len, vec.as_mut_ptr()) };
         assert_eq!(rc, 0, "mincore: {}", std::io::Error::last_os_error());
-        vec.iter().filter(|&&b| b & 1 != 0).count()
+        (0..vec.len()).filter(|&i| vec[i] & 1 != 0).collect()
     }
 
     /// Loads one byte of the fresh root mapped at `addr`, then checks the
@@ -546,7 +564,7 @@ mod tests {
             flags.split_whitespace().any(|f| f == "rr"),
             "mapping not advised random-access: VmFlags:{flags}"
         );
-        let resident = resident_pages(addr, FRESH_ROOT_LEN);
+        let resident = resident_pages(addr, FRESH_ROOT_LEN).len();
         assert!(
             resident <= 16,
             "one load made {resident} of {} pages resident",
@@ -579,6 +597,42 @@ mod tests {
         assert_first_load_faults_one_page(addr);
         // SAFETY: no references into the mapping remain.
         unsafe { VaReservation::unmap_anywhere(addr, FRESH_ROOT_LEN).unwrap() };
+    }
+
+    #[test]
+    fn populating_a_range_makes_exactly_its_pages_resident() {
+        let res = VaReservation::reserve(None, 2 * FRESH_ROOT_LEN).unwrap();
+        let tmp = tempfile::tempdir().unwrap();
+        let pm = PmDir::open(tmp.path()).unwrap();
+        pm.create_puddle_file("root", FRESH_ROOT_LEN).unwrap();
+        let (file, _) = pm.open_puddle_file("root", FRESH_ROOT_LEN).unwrap();
+        let addr = res
+            .map_file_fixed(FRESH_ROOT_LEN, &file, FRESH_ROOT_LEN, true)
+            .unwrap();
+        assert_eq!(resident_pages(addr, FRESH_ROOT_LEN), Vec::<usize>::new());
+        let (first, pages) = (100, 37);
+        let populated = populate_write(addr + first * PAGE_SIZE, pages * PAGE_SIZE);
+        let resident = resident_pages(addr, FRESH_ROOT_LEN);
+        if populated {
+            assert_eq!(resident, (first..first + pages).collect::<Vec<_>>());
+        } else {
+            // A kernel without MADV_POPULATE_WRITE: nothing moved.
+            assert_eq!(resident, Vec::<usize>::new());
+        }
+        // Populating wrote nothing: the range still reads as zeros.
+        // SAFETY: a live mapping of FRESH_ROOT_LEN readable bytes.
+        let bytes = unsafe { std::slice::from_raw_parts(addr as *const u8, FRESH_ROOT_LEN) };
+        assert!(bytes[first * PAGE_SIZE..(first + pages) * PAGE_SIZE]
+            .iter()
+            .all(|&b| b == 0));
+        // SAFETY: no references into the mapping remain.
+        unsafe { res.unmap(FRESH_ROOT_LEN, FRESH_ROOT_LEN).unwrap() };
+    }
+
+    #[test]
+    fn populating_an_unmapped_range_is_refused_not_fatal() {
+        let res = VaReservation::reserve(None, 1 << 22).unwrap();
+        assert!(!populate_write(res.base(), PAGE_SIZE));
     }
 
     #[test]

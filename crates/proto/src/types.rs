@@ -29,7 +29,7 @@ impl std::fmt::Display for PuddleId {
 }
 
 /// Client credentials presented in `Hello`, used for access control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Credentials {
     /// Numeric user id.
     pub uid: u32,

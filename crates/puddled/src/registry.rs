@@ -23,7 +23,11 @@
 //! the records enqueued after the snapshot's cut. Loading is the reverse:
 //! replay the one file (tolerating a torn final record — a whole request),
 //! then derive the allocator from the puddle table (`reconcile`). Nothing
-//! is healed: every prefix of the file is a state some request left.
+//! is healed: every prefix of the file is a state some request left. A
+//! load checkpoints on the same trigger — a replayed tail past the
+//! threshold — or when the file has no snapshot yet; otherwise it writes
+//! nothing, so a restart costs the replay and not a rewrite of what it
+//! just read.
 //!
 //! # Concurrency
 //!
@@ -371,10 +375,13 @@ fn reconcile(data: &mut RegistryData) {
 
 impl Registry {
     /// Loads the registry from `pmdir`'s WAL, or creates a fresh one:
-    /// opens the WAL, replays the file — snapshot, then tail —, derives the
-    /// allocator, and checkpoints, folding the tail into a fresh snapshot.
-    /// `space_base`/`space_size` describe a registry created now; a loaded
-    /// one keeps what its snapshot header recorded. Checkpoints are timed
+    /// opens the WAL, replays the file — snapshot, then tail —, and derives
+    /// the allocator. It checkpoints only when a commit would — the
+    /// replayed tail is past the WAL's threshold — or when the file has no
+    /// snapshot yet (a fresh directory), whose header must record
+    /// `space_base`/`space_size`. A loaded registry keeps what its snapshot
+    /// header recorded, and a short tail stays where it is: the next start
+    /// replays it again, at most a threshold's worth. Checkpoints are timed
     /// and counted in `pmdir`'s hub.
     pub fn load_or_create(pmdir: &PmDir, space_base: u64, space_size: u64) -> Result<Self> {
         let wal = Wal::open(pmdir)?;
@@ -401,7 +408,9 @@ impl Registry {
             ckpt_series: pmdir.obs().series("checkpoint"),
             ckpt_failed: pmdir.obs().counter("checkpoint.failed"),
         };
-        reg.checkpoint()?;
+        if !reg.wal.has_snapshot() || reg.wal.should_checkpoint() {
+            reg.checkpoint()?;
+        }
         Ok(reg)
     }
 

@@ -265,7 +265,8 @@ pub(crate) fn lane_of(req: &Request) -> Lane {
 impl Daemon {
     /// Starts the daemon: opens the PM directory, reserves the global
     /// space, opens the metadata WAL and loads the registry through it
-    /// (replay, derive the allocator, checkpoint), relocates puddles if the
+    /// (replay, derive the allocator, checkpoint if the replayed tail is
+    /// past the threshold or there is no snapshot), relocates puddles if the
     /// space base moved, sweeps orphan puddle files, and (by default) runs
     /// crash recovery before any client can connect.
     pub fn start(config: DaemonConfig) -> Result<Self> {

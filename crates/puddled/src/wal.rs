@@ -17,12 +17,15 @@
 //!   threshold the registry atomically replaces the file with `[Snapshot
 //!   header][one Put* record per live table entry][the records enqueued
 //!   after the snapshot's cut]` — a WAL that happens to be minimal, written
-//!   by the workspace's one write-temp + fsync + rename
+//!   by the workspace's one write-temp + fsync + rename + directory fsync
 //!   ([`PmDir::write_meta`]): no second file, format or rename;
 //! * recovery replays the file from its first byte (tolerating a torn
 //!   final record) through [`crate::registry::apply_op`] — the function the
 //!   live registry mutates through, so the two cannot diverge. Offline, the
 //!   same `Wal::open(..)?.take_initial_replay()` lists every op (`Debug`).
+//!   A load compacts on the commit's trigger alone — a replayed tail past
+//!   the threshold — or when the file has no snapshot yet
+//!   ([`Wal::has_snapshot`]); a restart over a short tail writes nothing.
 //!
 //! Group commit and compaction live together because they share one role:
 //! whoever holds `syncing` owns the file, and a compaction takes it exactly
@@ -124,7 +127,8 @@ impl Wal {
     ///
     /// A torn tail left by a crash is cut away *now*, before any new append
     /// could bury it mid-file where replay would discard everything after
-    /// it. Damage inside the snapshot span, a checksum-valid record this
+    /// it, and the temp file of a compaction a crash cut short is removed.
+    /// Damage inside the snapshot span, a checksum-valid record this
     /// build cannot decode, and the separate checkpoint file of a build
     /// that kept one (see [`crate::walfmt::WAL_BINARY_VERSION`]) fail the
     /// open instead, each before anything is written.
@@ -148,6 +152,9 @@ impl Wal {
         if valid_len < existing.len() {
             pmdir.write_meta(WAL_FILE, &existing[..valid_len])?;
         }
+        // Only a crash before a compaction's rename leaves one; nothing
+        // reads it, and a load need not compact to overwrite it.
+        pmdir.remove_meta_temp(WAL_FILE)?;
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         // Sequences run on from the cut the file's first record carries (a
         // snapshot's records all carry theirs), one per tail record.
@@ -332,8 +339,9 @@ impl Wal {
     /// leader). On success every record enqueued so far is durable: folded
     /// into the snapshot, or in the fsynced new file behind it. A failure
     /// *before* the rename leaves the file, the buffer and `durable_seq` as
-    /// if the call had never started; only a failure to re-open the
-    /// replaced file poisons (the old handle appends to an unlinked inode).
+    /// if the call had never started; a failure after it — the directory
+    /// sync, or re-opening the replaced file — poisons (the old handle
+    /// appends to an unlinked inode, and the new file may not be durable).
     pub fn compact(&self, data: &RegistryData, cut_pos: u64, cut_seq: u64) -> Result<()> {
         // Encoded before the writer role is taken: commits keep flowing.
         let snapshot = encode_snapshot(data, cut_seq)?;
@@ -373,6 +381,10 @@ impl Wal {
         let mut state = self.state.lock().unwrap();
         state.syncing = false;
         let result = match reopened {
+            Err(e) if !is_open_at(&file, &path) => {
+                state.poisoned = true;
+                Err(e)
+            }
             Err(e) => {
                 // Records enqueued meanwhile sit behind the batch again; the
                 // next group commit makes both durable.
@@ -396,6 +408,13 @@ impl Wal {
         result
     }
 
+    /// `true` once the file holds a snapshot: a header recording the
+    /// space's base and size, which a fresh WAL lacks until its first
+    /// compaction.
+    pub fn has_snapshot(&self) -> bool {
+        self.state.lock().unwrap().snapshot_len > 0
+    }
+
     /// `true` once the uncheckpointed WAL exceeds the configured threshold.
     pub fn should_checkpoint(&self) -> bool {
         let threshold = self.checkpoint_threshold.load(Ordering::Relaxed);
@@ -416,6 +435,16 @@ impl Wal {
             bytes: state.stream_pos - state.tail_base,
             records: state.next_seq - state.cut_seq,
         }
+    }
+}
+
+/// `true` if `path` still names the inode `file` has open; `false` once a
+/// rename replaced it, or when either cannot be read.
+fn is_open_at(file: &File, path: &std::path::Path) -> bool {
+    use std::os::unix::fs::MetadataExt;
+    match (file.metadata(), fs::metadata(path)) {
+        (Ok(open), Ok(named)) => (open.dev(), open.ino()) == (named.dev(), named.ino()),
+        _ => false,
     }
 }
 
@@ -900,6 +929,53 @@ mod tests {
         }
         assert_eq!(wal.stats().records, 200);
         assert_eq!(replay(&pm).len(), 200);
+    }
+
+    /// A compaction whose directory sync fails through the whole retry
+    /// budget *after* its rename has replaced the file: the old handle
+    /// names an unlinked inode, so the WAL poisons rather than append a
+    /// record there and acknowledge it. The replacement holds everything.
+    #[test]
+    fn a_compaction_that_fails_after_its_rename_poisons() {
+        let profile = FaultProfile {
+            sync_eio_ppm: 500_000,
+            ..FaultProfile::default()
+        };
+        // A seed whose every attempt writes and syncs the temp file, then
+        // fails the directory sync: draws at one site replay exactly.
+        let attempts = puddles_pmem::faultio::MAX_IO_RETRIES + 1;
+        let seed = (0..100_000)
+            .find(|&seed| {
+                let probe = FaultPlan::new(seed, profile);
+                (0..attempts).all(|_| {
+                    probe.on_write(FaultSite::MetaWrite, 1).is_none()
+                        && probe.on_sync(FaultSite::MetaWrite).is_none()
+                        && probe.on_sync(FaultSite::MetaWrite).is_some()
+                })
+            })
+            .expect("a seed with that schedule");
+        let tmp = tempfile::tempdir().unwrap();
+        let plan = FaultPlan::new(seed, profile);
+        plan.set_enabled(false);
+        let pm = PmDir::open(tmp.path())
+            .unwrap()
+            .with_fault_plan(Arc::clone(&plan));
+        let wal = Wal::open(&pm).unwrap();
+        wal.submit(&sample_op(1)).unwrap();
+        wal.flush().unwrap();
+        let (cut_pos, cut_seq) = wal.position();
+        wal.submit(&sample_op(2)).unwrap(); // buffered, carried by the compaction
+
+        plan.set_enabled(true);
+        let err = wal.compact(&state_of(&[sample_op(1)]), cut_pos, cut_seq);
+        plan.set_enabled(false);
+        assert!(matches!(err, Err(PmError::Io(_))), "got {err:?}");
+        assert!(wal.flush().is_err(), "the WAL must be poisoned");
+        drop(wal);
+        assert_eq!(
+            state_of(&replay_ops(&pm)),
+            state_of(&[sample_op(1), sample_op(2)])
+        );
     }
 
     #[test]

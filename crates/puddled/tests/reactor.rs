@@ -434,7 +434,7 @@ fn kill_during_a_checkpoint_still_replays_registry() {
     let daemon = Daemon::start(config).unwrap();
     assert!(
         !stale_tmp.exists(),
-        "the load-time checkpoint overwrites and renames the stale temp file"
+        "opening the WAL removes the stale temp file"
     );
     assert_eq!(daemon.registry().snapshot(), expected);
     assert!(puddled::Invariants::check_all(daemon.registry()).is_empty());

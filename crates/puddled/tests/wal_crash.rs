@@ -243,8 +243,8 @@ fn crash_between_checkpoint_write_and_wal_truncate_recovers_exactly() {
         assert!(reg.wal().stats().records > 0);
     }
     // Replay reads the untouched WAL — the temp file is never looked at —
-    // and lands on exactly the pre-crash state; the load-time checkpoint
-    // then overwrites the stale temp file and renames it away.
+    // and lands on exactly the pre-crash state; opening the WAL removes the
+    // stale temp file, whether or not the load checkpoints.
     let reg = open_registry(&pm);
     let after = reg.snapshot();
     assert_eq!(after, before);
@@ -500,6 +500,93 @@ fn checkpoint_triggers_by_wal_byte_threshold_and_truncates() {
     drop(reg);
     let reg = open_registry(&pm);
     assert_eq!(reg.snapshot().puddles.len(), 64);
+}
+
+/// A load checkpoints only when a commit would: a restart over a snapshot
+/// and a short tail replays it and writes nothing — no checkpoint, not a
+/// byte of the WAL — and lands on the tables it left.
+#[test]
+fn a_restart_over_a_short_tail_writes_no_checkpoint() {
+    let tmp = tempfile::tempdir().unwrap();
+    let pm = PmDir::open(tmp.path()).unwrap();
+    let live;
+    {
+        let reg = open_registry(&pm);
+        build_pool(&reg, "p0", 3);
+        let p1 = build_pool(&reg, "p1", 2);
+        let victim = reg.puddle(p1[1]).unwrap();
+        transact(&reg, drop_puddle(&victim));
+        reg.free_space(victim.offset, victim.size);
+        reg.commit().unwrap();
+        assert!(reg.wal().stats().records > 0, "a tail to replay");
+        live = reg.snapshot();
+    }
+    let wal_file = std::fs::read(pm.meta_path("registry.wal")).unwrap();
+    for restart in 0..2 {
+        let reg = open_registry(&pm);
+        // The one checkpoint is the fresh directory's.
+        assert_eq!(checkpoints(&reg), 1, "restart {restart} checkpointed");
+        assert_eq!(
+            std::fs::read(pm.meta_path("registry.wal")).unwrap(),
+            wal_file,
+            "restart {restart} rewrote the WAL"
+        );
+        assert_eq!(reg.snapshot(), live);
+    }
+    assert_consistent(&live);
+}
+
+/// A tail the last run left past the threshold is folded at load, as the
+/// commit that crossed it would have: replay at the next start stays
+/// bounded by the threshold.
+#[test]
+fn a_restart_over_a_tail_past_the_threshold_checkpoints() {
+    let tmp = tempfile::tempdir().unwrap();
+    let pm = PmDir::open(tmp.path()).unwrap();
+    let live;
+    {
+        let reg = open_registry(&pm);
+        reg.wal().set_checkpoint_threshold(u64::MAX);
+        while reg.wal().stats().bytes < puddled::wal::DEFAULT_CHECKPOINT_BYTES {
+            let batch = (0..1_000).flat_map(|_| put(&record(&reg, None))).collect();
+            transact(&reg, batch);
+        }
+        reg.commit().unwrap();
+        live = reg.snapshot();
+    }
+    let reg = open_registry(&pm);
+    // The fresh directory's checkpoint, then the restart's.
+    assert_eq!(checkpoints(&reg), 2, "the restart did not fold the tail");
+    assert_eq!(reg.wal().stats().bytes, 0);
+    assert_eq!(reg.snapshot(), live);
+    drop(reg);
+    let reg = open_registry(&pm);
+    assert_eq!(checkpoints(&reg), 2, "the next restart has nothing to fold");
+    assert_eq!(reg.snapshot(), live);
+}
+
+/// A fresh directory checkpoints at load: only a snapshot header records
+/// the space's base and size.
+#[test]
+fn a_fresh_directory_checkpoints_at_load() {
+    let tmp = tempfile::tempdir().unwrap();
+    let pm = PmDir::open(tmp.path()).unwrap();
+    let reg = open_registry(&pm);
+    assert_eq!(checkpoints(&reg), 1);
+    assert!(reg.wal().has_snapshot());
+    drop(reg);
+    let records = Wal::open(&pm).unwrap().take_initial_replay();
+    assert!(matches!(
+        records[..],
+        [(
+            _,
+            RegistryOp::Snapshot {
+                space_base: 0x5000_0000_0000,
+                space_size: 0x4000_0000,
+                ..
+            }
+        )]
+    ));
 }
 
 #[test]
