@@ -17,7 +17,8 @@
 //! kind it is sent once more on a freshly dialed connection — nobody reads
 //! an idle connection, so a daemon restart is first noticed by the write
 //! that fails on it; a request that was written and whose response was
-//! lost may already have been applied, so only idempotent kinds are
+//! lost may already have been applied, so only the kinds the protocol's
+//! table marks idempotent ([`puddles_proto::RequestKind::idempotent`]) are
 //! re-sent, under the [`RetryPolicy`].
 
 use parking_lot::Mutex;
@@ -44,32 +45,6 @@ fn is_transient(e: &std::io::Error) -> bool {
             | std::io::ErrorKind::NotConnected
             | std::io::ErrorKind::UnexpectedEof
             | std::io::ErrorKind::WriteZero
-    )
-}
-
-/// `true` for requests that are safe to resend when the client's connection
-/// dies *after* the request was written but before the response arrived:
-/// reads, and writes whose re-application lands on the same state
-/// (registrations are keyed puts, `MarkRewritten` clears an already-clear
-/// flag, an export overwrites its own output). Creates, frees, drops, and
-/// imports are **not** retried — the daemon may have applied them and lost
-/// only the acknowledgement, so a resend would double-apply (e.g. a second
-/// puddle allocated, or a successful `DropPool` reported as `NotFound`).
-fn is_idempotent(req: &Request) -> bool {
-    matches!(
-        req,
-        Request::Hello { .. }
-            | Request::Ping
-            | Request::GetPuddle { .. }
-            | Request::OpenPool { .. }
-            | Request::GetPtrMaps
-            | Request::RegisterPtrMap { .. }
-            | Request::RegLogSpace { .. }
-            | Request::GetRelocation { .. }
-            | Request::MarkRewritten { .. }
-            | Request::ExportPool { .. }
-            | Request::Recover
-            | Request::GetMetrics
     )
 }
 
@@ -629,7 +604,7 @@ impl Endpoint for PipelinedEndpoint {
             outcome = self.round_trip(&*self.conn()?, req);
         }
         match outcome.map_err(CallError::into_io) {
-            Err(e) if is_transient(&e) && is_idempotent(req) => {
+            Err(e) if is_transient(&e) && req.kind().idempotent() => {
                 // The connection died under us (daemon restart, injected
                 // reset). The daemon may have applied the request and lost
                 // only the response, so only idempotent requests are
@@ -648,20 +623,24 @@ impl Endpoint for PipelinedEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puddles_proto::{PoolInfo, PuddleId};
+    use puddles_proto::{PoolInfo, PuddleId, RequestKind};
 
     #[test]
     fn only_idempotent_requests_are_retried() {
-        assert!(is_idempotent(&Request::Ping));
-        assert!(is_idempotent(&Request::GetMetrics));
-        assert!(is_idempotent(&Request::OpenPool { name: "p".into() }));
-        assert!(!is_idempotent(&Request::CreatePool {
-            name: "p".into(),
-            root_size: 4096,
-            mode: 0o600,
-        }));
-        assert!(!is_idempotent(&Request::DropPool { name: "p".into() }));
-        assert!(!is_idempotent(&Request::FreePuddle { id: PuddleId(7) }));
+        let never_resent: Vec<RequestKind> = RequestKind::ALL
+            .into_iter()
+            .filter(|kind| !kind.idempotent())
+            .collect();
+        assert_eq!(
+            never_resent,
+            [
+                RequestKind::CreatePuddle,
+                RequestKind::FreePuddle,
+                RequestKind::CreatePool,
+                RequestKind::DropPool,
+                RequestKind::ImportPool,
+            ]
+        );
     }
 
     #[test]

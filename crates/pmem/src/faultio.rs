@@ -19,7 +19,9 @@
 //! in-memory **fault trace** (`"wal.write#12: short 512/4096"`,
 //! `"wal.append.torn: crash"`): the daemon's one record of what fired,
 //! which the torture harness prints on failure so a red trial is
-//! diagnosable from its seed alone.
+//! diagnosable from its seed alone. A consultation that injects returns
+//! the occurrence number its line names, and [`crate::pmdir::PmDir`], which
+//! makes every consultation, traces the same `fault` event into its hub.
 //!
 //! Plans are *per daemon instance*, not process-global: a plan rides an
 //! `Arc` inside [`crate::pmdir::PmDir`] (which is `Clone`), so parallel
@@ -189,14 +191,9 @@ pub struct FaultPlan {
     seed: u64,
     profile: FaultProfile,
     counters: [AtomicU64; SITE_COUNT],
-    injected: AtomicU64,
     enabled: AtomicBool,
     crashes: Mutex<Countdowns<CrashPoint>>,
     trace: Mutex<Vec<String>>,
-    /// Optional observability hub: every injection also lands in its trace
-    /// ring (as a `fault` event), so a torture timeline interleaves faults
-    /// with the requests and WAL commits they perturbed.
-    obs: Mutex<Option<Arc<crate::obs::Metrics>>>,
 }
 
 impl FaultPlan {
@@ -206,18 +203,10 @@ impl FaultPlan {
             seed,
             profile,
             counters: Default::default(),
-            injected: AtomicU64::new(0),
             enabled: AtomicBool::new(true),
             crashes: Mutex::new(Countdowns::new()),
             trace: Mutex::new(Vec::new()),
-            obs: Mutex::new(None),
         })
-    }
-
-    /// Mirrors every future injection into `obs`'s trace ring (idempotent;
-    /// the daemon re-attaches the same hub across torture restarts).
-    pub fn attach_obs(&self, obs: Arc<crate::obs::Metrics>) {
-        *self.obs.lock() = Some(obs);
     }
 
     /// The seed this plan's schedule derives from.
@@ -235,7 +224,7 @@ impl FaultPlan {
 
     /// Total faults injected and crashes fired so far.
     pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+        self.trace.lock().len() as u64
     }
 
     /// The fault trace: one line per injected fault or fired crash, in
@@ -253,15 +242,9 @@ impl FaultPlan {
     }
 
     fn record(&self, site: FaultSite, n: u64, what: &str) {
-        self.log(format!("{}#{n}: {what}", site.name()), site.name(), n);
-    }
-
-    fn log(&self, line: String, name: &'static str, n: u64) {
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        self.trace.lock().push(line);
-        if let Some(obs) = self.obs.lock().as_ref() {
-            obs.trace(crate::obs::TraceEventKind::Fault, name, n, 0);
-        }
+        self.trace
+            .lock()
+            .push(format!("{}#{n}: {what}", site.name()));
     }
 
     /// Arms `point`: its `after`-th check fires (`after == 0` fires on the
@@ -275,13 +258,15 @@ impl FaultPlan {
     pub fn should_crash(&self, point: CrashPoint) -> bool {
         let fired = self.crashes.lock().fire(&point);
         if fired {
-            self.log(format!("{}: crash", point.name()), point.name(), 0);
+            self.trace.lock().push(format!("{}: crash", point.name()));
         }
         fired
     }
 
-    /// Consults the schedule before a write of `len` bytes at `site`.
-    pub fn on_write(&self, site: FaultSite, len: usize) -> Option<WriteFault> {
+    /// Consults the schedule before a write of `len` bytes at `site`: the
+    /// fault to inject, with the occurrence number `n` its `site#n` trace
+    /// line names.
+    pub fn on_write(&self, site: FaultSite, len: usize) -> Option<(u64, WriteFault)> {
         if !self.enabled.load(Ordering::Relaxed) {
             return None;
         }
@@ -290,7 +275,7 @@ impl FaultPlan {
         let mut bound = p.write_eio_ppm as u64;
         if r < bound {
             self.record(site, n, "eio");
-            return Some(WriteFault::Eio);
+            return Some((n, WriteFault::Eio));
         }
         bound += p.write_short_ppm as u64;
         if r < bound {
@@ -301,18 +286,19 @@ impl FaultPlan {
                 (splitmix64(r ^ n ^ 0xdead_beef) as usize) % len
             };
             self.record(site, n, &format!("short {keep}/{len}"));
-            return Some(WriteFault::Short(keep));
+            return Some((n, WriteFault::Short(keep)));
         }
         bound += p.write_enospc_ppm as u64;
         if r < bound {
             self.record(site, n, "enospc");
-            return Some(WriteFault::Enospc);
+            return Some((n, WriteFault::Enospc));
         }
         None
     }
 
-    /// Consults the schedule before an `fsync` at `site`.
-    pub fn on_sync(&self, site: FaultSite) -> Option<SyncFault> {
+    /// Consults the schedule before an `fsync` at `site`: the fault to
+    /// inject, with its occurrence number (as [`FaultPlan::on_write`]).
+    pub fn on_sync(&self, site: FaultSite) -> Option<(u64, SyncFault)> {
         if !self.enabled.load(Ordering::Relaxed) {
             return None;
         }
@@ -320,27 +306,27 @@ impl FaultPlan {
         let (n, r) = self.draw(site);
         if r < p.sync_eio_ppm as u64 {
             self.record(site, n, "sync-eio");
-            return Some(SyncFault::Eio);
+            return Some((n, SyncFault::Eio));
         }
         if r < (p.sync_eio_ppm + p.sync_drop_ppm) as u64 {
             self.record(site, n, "sync-dropped");
-            return Some(SyncFault::Dropped);
+            return Some((n, SyncFault::Dropped));
         }
         None
     }
 
     /// Whether to reset a daemon connection at this point of a request (see
-    /// [`FaultSite::ConnIo`]).
-    pub fn on_conn_request(&self) -> bool {
+    /// [`FaultSite::ConnIo`]): the reset's occurrence number, if so.
+    pub fn on_conn_request(&self) -> Option<u64> {
         if !self.enabled.load(Ordering::Relaxed) {
-            return false;
+            return None;
         }
         let (n, r) = self.draw(FaultSite::ConnIo);
         if r < self.profile.conn_reset_ppm as u64 {
             self.record(FaultSite::ConnIo, n, "reset");
-            return true;
+            return Some(n);
         }
-        false
+        None
     }
 }
 
@@ -391,7 +377,7 @@ mod tests {
         for _ in 0..1000 {
             assert!(plan.on_write(FaultSite::WalWrite, 4096).is_none());
             assert!(plan.on_sync(FaultSite::WalSync).is_none());
-            assert!(!plan.on_conn_request());
+            assert!(plan.on_conn_request().is_none());
         }
         assert_eq!(plan.injected(), 0);
         assert!(plan.trace().is_empty());
@@ -484,7 +470,7 @@ mod tests {
     fn short_writes_are_strictly_short() {
         let plan = FaultPlan::new(3, noisy());
         for _ in 0..2000 {
-            if let Some(WriteFault::Short(keep)) = plan.on_write(FaultSite::WalWrite, 4096) {
+            if let Some((_, WriteFault::Short(keep))) = plan.on_write(FaultSite::WalWrite, 4096) {
                 assert!(keep < 4096);
             }
         }

@@ -35,6 +35,7 @@
 
 use crate::clock::Clock;
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -344,7 +345,7 @@ struct TraceShard {
 /// trace ring, stamped by one [`Clock`]. See the module docs.
 pub struct Metrics {
     clock: Clock,
-    series: Mutex<BTreeMap<&'static str, Arc<ShardedHistogram>>>,
+    series: Mutex<BTreeMap<Cow<'static, str>, Arc<ShardedHistogram>>>,
     counters: Mutex<BTreeMap<&'static str, Arc<AtomicU64>>>,
     trace_shards: Vec<TraceShard>,
     trace_seq: AtomicU64,
@@ -392,11 +393,11 @@ impl Metrics {
 
     /// The named histogram series, created on first use. Callers on a hot
     /// path should fetch the handle once and record through it.
-    pub fn series(&self, name: &'static str) -> Arc<ShardedHistogram> {
+    pub fn series(&self, name: impl Into<Cow<'static, str>>) -> Arc<ShardedHistogram> {
         Arc::clone(
             self.series
                 .lock()
-                .entry(name)
+                .entry(name.into())
                 .or_insert_with(|| Arc::new(ShardedHistogram::new())),
         )
     }

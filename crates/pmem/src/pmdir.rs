@@ -19,14 +19,15 @@
 //!
 //! The handle also carries what every layer of the daemon shares: the fault
 //! plan its I/O consults and the observability hub ([`Metrics`]) it counts
-//! into — its own `io.*` counters, and the clock, series and trace ring of
+//! into — its own `io.*` counters, a `fault` trace event for every fault
+//! the plan injects through it, and the clock, series and trace ring of
 //! whatever layer derives its file access from the directory.
 
 use crate::clock::Clock;
 use crate::faultio::{
     self, CrashPoint, FaultPlan, FaultSite, SyncFault, WriteFault, MAX_IO_RETRIES,
 };
-use crate::obs::Metrics;
+use crate::obs::{Metrics, TraceEventKind};
 use crate::{PmError, Result, PAGE_SIZE};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -91,24 +92,45 @@ impl PmDir {
         self
     }
 
-    /// The attached fault plan, if any (layers owning their own file
-    /// handles — e.g. the WAL — consult it directly).
+    /// The attached fault plan, if any, to arm crash points on and read the
+    /// trace of. Consult it through this handle ([`PmDir::should_crash`],
+    /// [`PmDir::should_reset_conn`]), which traces each injection.
     pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
         self.fault.as_ref()
     }
 
     /// Whether the daemon crashes at `point` now (see
-    /// [`FaultPlan::should_crash`]); never without a plan.
+    /// [`FaultPlan::should_crash`]); never without a plan. A fired crash is
+    /// traced as a `fault` event of occurrence 0.
     pub fn should_crash(&self, point: CrashPoint) -> bool {
-        self.fault.as_ref().is_some_and(|p| p.should_crash(point))
+        let fired = self.fault.as_ref().is_some_and(|p| p.should_crash(point));
+        if fired {
+            self.obs.trace(TraceEventKind::Fault, point.name(), 0, 0);
+        }
+        fired
+    }
+
+    /// Whether the fault plan resets a daemon connection now (see
+    /// [`FaultSite::ConnIo`]); never without a plan.
+    pub fn should_reset_conn(&self) -> bool {
+        let Some(n) = self.fault.as_ref().and_then(|p| p.on_conn_request()) else {
+            return false;
+        };
+        self.obs
+            .trace(TraceEventKind::Fault, FaultSite::ConnIo.name(), n, 0);
+        true
     }
 
     fn write_fault(&self, site: FaultSite, len: usize) -> Option<WriteFault> {
-        self.fault.as_ref().and_then(|p| p.on_write(site, len))
+        let (n, fault) = self.fault.as_ref()?.on_write(site, len)?;
+        self.obs.trace(TraceEventKind::Fault, site.name(), n, 0);
+        Some(fault)
     }
 
     fn sync_fault(&self, site: FaultSite) -> Option<SyncFault> {
-        self.fault.as_ref().and_then(|p| p.on_sync(site))
+        let (n, fault) = self.fault.as_ref()?.on_sync(site)?;
+        self.obs.trace(TraceEventKind::Fault, site.name(), n, 0);
+        Some(fault)
     }
 
     /// Runs `op` with the bounded transient-error retry budget: a transient

@@ -200,7 +200,47 @@ macro_rules! wire_struct {
 
 /// Implements [`Wire`] for an enum: each variant's tag byte, then its
 /// fields (named ones in the order listed, or one unnamed one).
+/// The `Request as RequestKind` form also declares [`RequestKind`] from
+/// the same list, so the tag list *is* the kind list.
 macro_rules! wire_enum {
+    ($ty:ident as $kind:ident { $($tag:literal => $var:ident $({ $($field:ident),* })?),* $(,)? }) => {
+        wire_enum!($ty { $($tag => $var $({ $($field),* })?),* });
+
+        /// What kind of [`Request`] one is, without its fields: one variant
+        /// per wire tag, whose discriminant is that tag. Everything the
+        /// daemon and the client decide per kind (its trace name and
+        /// `service.<name>` series, its lane, whether it is resent) is an
+        /// exhaustive match on this, so a new request cannot compile until
+        /// each of those has an answer for it.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $kind {
+            $(#[doc = concat!("[`", stringify!($ty), "::", stringify!($var), "`].")]
+            $var = $tag,)*
+        }
+
+        impl $kind {
+            /// Every kind, in tag order: `ALL[k as usize] == k`.
+            pub const ALL: [$kind; [$($tag),*].len()] = [$($kind::$var),*];
+
+            /// The variant's name: the request's name in trace events and
+            /// in its `service.<name>` latency series.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($kind::$var => stringify!($var),)*
+                }
+            }
+        }
+
+        impl $ty {
+            /// This request's kind.
+            pub fn kind(&self) -> $kind {
+                match self {
+                    $($ty::$var { .. } => $kind::$var,)*
+                }
+            }
+        }
+    };
     ($ty:ident { $($tag:literal => $var:ident $({ $($field:ident),* })? $(($inner:ident))?),* $(,)? }) => {
         impl Wire for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
@@ -295,7 +335,7 @@ wire_enum!(ErrorCode {
     6 => Busy,
 });
 
-wire_enum!(Request {
+wire_enum!(Request as RequestKind {
     0 => Hello { creds, reconnect },
     1 => CreatePuddle { size, pool, purpose, mode },
     2 => GetPuddle { id, writable },
@@ -600,6 +640,20 @@ mod tests {
             let bare = ServerFrame::Bare(resp);
             let bytes = encode_frame(&bare).unwrap();
             assert_eq!(decode_frame::<ServerFrame>(&bytes[4..]).unwrap(), bare);
+        }
+    }
+
+    /// The kind table is the tag list: one sample of every tag, in tag
+    /// order, is one of every kind, in `ALL`'s order, and each kind's
+    /// discriminant is the tag its sample encodes to.
+    #[test]
+    fn request_kinds_are_the_wire_tags_in_order() {
+        let reqs = requests();
+        let kinds: Vec<RequestKind> = reqs.iter().map(Request::kind).collect();
+        assert_eq!(kinds, RequestKind::ALL);
+        for (req, kind) in reqs.iter().zip(RequestKind::ALL) {
+            assert_eq!(encode_frame(req).unwrap()[4], kind as u8, "{kind:?}");
+            assert_eq!(format!("{kind:?}"), kind.name());
         }
     }
 

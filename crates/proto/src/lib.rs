@@ -30,6 +30,7 @@ pub mod frame;
 pub mod json;
 pub mod types;
 
+pub use codec::RequestKind;
 pub use frame::{read_frame, write_frame};
 pub use types::*;
 
@@ -230,6 +231,38 @@ impl Request {
         Request::Hello {
             creds,
             reconnect: false,
+        }
+    }
+}
+
+impl RequestKind {
+    /// Whether a client may resend a request of this kind when its
+    /// connection dies *after* the request was written but before the
+    /// response arrived: reads, and writes whose re-application lands on
+    /// the same state (registrations are keyed puts, `MarkRewritten` clears
+    /// an already-clear flag, an export overwrites its own output).
+    /// Creates, frees, drops and imports are **not** resent: the daemon may
+    /// have applied one and lost only the acknowledgement, and a resend
+    /// would apply it twice.
+    pub const fn idempotent(self) -> bool {
+        match self {
+            RequestKind::Hello
+            | RequestKind::Ping
+            | RequestKind::GetPuddle
+            | RequestKind::OpenPool
+            | RequestKind::GetPtrMaps
+            | RequestKind::RegisterPtrMap
+            | RequestKind::RegLogSpace
+            | RequestKind::GetRelocation
+            | RequestKind::MarkRewritten
+            | RequestKind::ExportPool
+            | RequestKind::Recover
+            | RequestKind::GetMetrics => true,
+            RequestKind::CreatePuddle
+            | RequestKind::FreePuddle
+            | RequestKind::CreatePool
+            | RequestKind::DropPool
+            | RequestKind::ImportPool => false,
         }
     }
 }

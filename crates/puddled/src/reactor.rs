@@ -9,15 +9,15 @@
 //! [`puddles_proto::ErrorCode::Busy`] error frame and closes the socket, so
 //! clients can back off instead of parsing a bare EOF.
 //!
-//! **Inline requests run here.** The criterion is strict: the request
+//! **Inline requests run here.** The rule is strict: the request
 //! takes shared registry locks and nothing else — it can never wait on the
-//! WAL, an `fsync`, a file copy, recovery or another thread (`Hello`,
-//! `Ping`, `OpenPool`, `GetPuddle`, `GetPtrMaps`, `GetRelocation`). The
-//! reactor executes it, encodes the response straight into the
-//! connection's output buffer and writes once per dispatch round, so such a
-//! call costs the daemon one wake-up and a pipelined burst of them one
-//! `write`. Everything else goes to the worker pool ([`crate::workers`]),
-//! whose responses come back through the completion queue.
+//! WAL, an `fsync`, a file copy, recovery or another thread (the kinds
+//! `service::lane_of` places on [`Lane::Inline`]). The reactor executes
+//! it, encodes the response straight into the connection's output buffer
+//! and writes once per dispatch round, so such a call costs the daemon one
+//! wake-up and a pipelined burst of them one `write`. Everything else goes
+//! to the worker pool ([`crate::workers`]), whose responses come back
+//! through the completion queue.
 //!
 //! # Protocol
 //!
@@ -459,7 +459,7 @@ impl Reactor {
             conn.in_flight = conn.in_flight.saturating_sub(1);
             // An injected reset here is the one *after* execution: the
             // mutation stands, its acknowledgement is lost.
-            if bytes.is_empty() || reset_injected(&self.shared) {
+            if bytes.is_empty() || self.shared.daemon.pm_dir().should_reset_conn() {
                 conn.dead = true;
             } else {
                 conn.out_tail().extend_from_slice(&bytes);
@@ -581,19 +581,6 @@ fn parse_frames(conn: &mut Conn) -> bool {
     }
 }
 
-/// Torture only: whether the daemon's fault plan resets a connection now —
-/// the peer sees an abrupt close, exactly like a crashed daemon thread or a
-/// dropped socket. Consulted twice per request, at the two points whose
-/// count is a function of the request sequence rather than of kernel
-/// timing (how many epoll events a request's bytes arrive in is not): when
-/// [`dispatch_ready`] pops the request, and when its response is about to
-/// be appended to the connection's output buffer. So a seed replays its
-/// resets byte for byte.
-fn reset_injected(shared: &Shared) -> bool {
-    let plan = shared.daemon.pm_dir().fault_plan();
-    plan.is_some_and(|plan| plan.on_conn_request())
-}
-
 /// Runs or hands off a connection's parsed requests, in arrival order, up
 /// to [`MAX_PIPELINED_REQUESTS`] in flight and only while its parked output is
 /// below [`OUT_HIGH_WATER`] (what is held back stays in `pending` and
@@ -608,18 +595,21 @@ fn dispatch_ready(shared: &Shared, token: u64, conn: &mut Conn) {
             let Some((req_id, req)) = conn.pending.pop_front() else {
                 break;
             };
-            // An injected reset here is the one *before* execution: the
-            // request never ran.
-            if reset_injected(shared) {
+            // Torture only: the peer sees an abrupt close, like a crashed
+            // daemon thread. Drawn per request, where it is popped and where
+            // its response is queued, never per socket event (kernel
+            // timing), so a seed replays its resets. One here is *before*
+            // execution: the request never ran.
+            if shared.daemon.pm_dir().should_reset_conn() {
                 conn.dead = true;
                 return;
             }
-            match lane_of(&req) {
+            match lane_of(req.kind()) {
                 Lane::Inline => {
                     shared.obs.inline.fetch_add(1, Ordering::Relaxed);
                     let resp = shared.daemon.handle_traced(conn.creds, req, req_id);
                     // (Or *after* it, for a request that ran right here.)
-                    if reset_injected(shared)
+                    if shared.daemon.pm_dir().should_reset_conn()
                         || encode_response(conn.out_tail(), req_id, resp).is_err()
                     {
                         conn.dead = true;
@@ -736,7 +726,7 @@ mod tests {
         };
         let drawn = |seed| {
             let probe = FaultPlan::new(seed, profile);
-            [probe.on_conn_request(), probe.on_conn_request()]
+            [0, 1].map(|_| probe.on_conn_request().is_some())
         };
         let seed = (0..).find(|seed| drawn(*seed) == draws).unwrap();
         let plan = FaultPlan::new(seed, profile);

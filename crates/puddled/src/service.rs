@@ -24,7 +24,7 @@ use puddles_pmem::util::align_up;
 use puddles_pmem::{PmError, Result, DEFAULT_SPACE_BASE, PAGE_SIZE};
 use puddles_proto::{
     CounterSnapshot, Credentials, Endpoint, ErrorCode, LocalDaemon, MetricsReport, PoolInfo,
-    PuddleId, PuddleInfo, PuddlePurpose, Request, Response, SeriesSnapshot,
+    PuddleId, PuddleInfo, PuddlePurpose, Request, RequestKind, Response, SeriesSnapshot,
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,53 +106,6 @@ impl DaemonConfig {
     }
 }
 
-/// Every request kind as `(kind, series)` — the short name used in trace
-/// events and the histogram series its service latency lands in. Indexed
-/// by [`request_kind_index`]; the daemon pre-resolves one series handle per
-/// entry at startup so the hot path never takes the series-registry lock.
-pub(crate) const REQUEST_KINDS: [(&str, &str); 17] = [
-    ("Hello", "service.Hello"),
-    ("Ping", "service.Ping"),
-    ("CreatePuddle", "service.CreatePuddle"),
-    ("GetPuddle", "service.GetPuddle"),
-    ("FreePuddle", "service.FreePuddle"),
-    ("CreatePool", "service.CreatePool"),
-    ("OpenPool", "service.OpenPool"),
-    ("DropPool", "service.DropPool"),
-    ("RegLogSpace", "service.RegLogSpace"),
-    ("RegisterPtrMap", "service.RegisterPtrMap"),
-    ("GetPtrMaps", "service.GetPtrMaps"),
-    ("ExportPool", "service.ExportPool"),
-    ("ImportPool", "service.ImportPool"),
-    ("GetRelocation", "service.GetRelocation"),
-    ("MarkRewritten", "service.MarkRewritten"),
-    ("Recover", "service.Recover"),
-    ("GetMetrics", "service.GetMetrics"),
-];
-
-/// Maps a request to its [`REQUEST_KINDS`] row.
-pub(crate) fn request_kind_index(req: &Request) -> usize {
-    match req {
-        Request::Hello { .. } => 0,
-        Request::Ping => 1,
-        Request::CreatePuddle { .. } => 2,
-        Request::GetPuddle { .. } => 3,
-        Request::FreePuddle { .. } => 4,
-        Request::CreatePool { .. } => 5,
-        Request::OpenPool { .. } => 6,
-        Request::DropPool { .. } => 7,
-        Request::RegLogSpace { .. } => 8,
-        Request::RegisterPtrMap { .. } => 9,
-        Request::GetPtrMaps => 10,
-        Request::ExportPool { .. } => 11,
-        Request::ImportPool { .. } => 12,
-        Request::GetRelocation { .. } => 13,
-        Request::MarkRewritten { .. } => 14,
-        Request::Recover => 15,
-        Request::GetMetrics => 16,
-    }
-}
-
 /// Shared daemon state.
 #[derive(Debug)]
 pub struct DaemonInner {
@@ -166,8 +119,8 @@ pub struct DaemonInner {
     /// I/O. The metadata WAL it persists through is reachable via
     /// [`Registry::wal`] (`GetMetrics` reads the WAL tail from it).
     pub(crate) registry: Registry,
-    /// Per-request-kind service-latency series, indexed by
-    /// [`request_kind_index`] — resolved once so [`Daemon::handle`] records
+    /// Per-request-kind service-latency series, `service.<name>`, indexed
+    /// by `kind as usize` — resolved once so [`Daemon::handle`] records
     /// without touching the series-registry lock.
     pub(crate) service_series: Vec<Arc<ShardedHistogram>>,
     /// `stage.file_create`: making one new puddle's backing file.
@@ -236,29 +189,29 @@ pub(crate) enum Lane {
     Bulk,
 }
 
-/// Classifies a request into its placement. The match is exhaustive on
-/// purpose: a new request kind has to be placed here, and the
+/// Places a request kind. The match is exhaustive on purpose: a new
+/// request kind has to be placed here, and the
 /// `inline_requests_never_reach_the_wal` test then holds it to the
-/// [`Lane::Inline`] criterion.
-pub(crate) fn lane_of(req: &Request) -> Lane {
-    match req {
-        Request::Hello { .. }
-        | Request::Ping
-        | Request::OpenPool { .. }
-        | Request::GetPuddle { .. }
-        | Request::GetPtrMaps
-        | Request::GetRelocation { .. } => Lane::Inline,
-        Request::ImportPool { .. }
-        | Request::ExportPool { .. }
-        | Request::CreatePool { .. }
-        | Request::DropPool { .. }
-        | Request::Recover => Lane::Bulk,
-        Request::CreatePuddle { .. }
-        | Request::FreePuddle { .. }
-        | Request::RegLogSpace { .. }
-        | Request::RegisterPtrMap { .. }
-        | Request::MarkRewritten { .. }
-        | Request::GetMetrics => Lane::Fast,
+/// [`Lane::Inline`] rule.
+pub(crate) fn lane_of(kind: RequestKind) -> Lane {
+    match kind {
+        RequestKind::Hello
+        | RequestKind::Ping
+        | RequestKind::OpenPool
+        | RequestKind::GetPuddle
+        | RequestKind::GetPtrMaps
+        | RequestKind::GetRelocation => Lane::Inline,
+        RequestKind::ImportPool
+        | RequestKind::ExportPool
+        | RequestKind::CreatePool
+        | RequestKind::DropPool
+        | RequestKind::Recover => Lane::Bulk,
+        RequestKind::CreatePuddle
+        | RequestKind::FreePuddle
+        | RequestKind::RegLogSpace
+        | RequestKind::RegisterPtrMap
+        | RequestKind::MarkRewritten
+        | RequestKind::GetMetrics => Lane::Fast,
     }
 }
 
@@ -275,16 +228,13 @@ impl Daemon {
             pmdir = pmdir.with_obs(metrics);
         }
         if let Some(plan) = config.fault_plan {
-            // Injections land in the trace ring interleaved with the
-            // requests and WAL commits they perturbed.
-            plan.attach_obs(Arc::clone(pmdir.obs()));
             pmdir = pmdir.with_fault_plan(plan);
         }
         let gspace = Arc::new(GlobalSpace::reserve(config.space_base, config.space_size)?);
         let metrics = pmdir.obs();
-        let service_series = REQUEST_KINDS
+        let service_series = RequestKind::ALL
             .iter()
-            .map(|(_, series)| metrics.series(series))
+            .map(|kind| metrics.series(format!("service.{}", kind.name())))
             .collect();
         // Counted where they happen (a reconnecting `Hello`, a connection
         // turned away at the cap); created now so every report lists them.
@@ -392,10 +342,9 @@ impl Daemon {
     /// can be matched to pipelined responses. Times the request into its
     /// per-kind `service.*` latency series.
     pub(crate) fn handle_traced(&self, creds: Credentials, req: Request, req_id: u64) -> Response {
-        let kind_index = request_kind_index(&req);
-        let kind = REQUEST_KINDS[kind_index].0;
+        let kind = req.kind();
         let metrics = self.metrics();
-        metrics.trace(TraceEventKind::ReqStart, kind, req_id, 0);
+        metrics.trace(TraceEventKind::ReqStart, kind.name(), req_id, 0);
         let start = metrics.clock().now();
         let resp = match self.dispatch(creds, req) {
             Ok(resp) => resp,
@@ -404,8 +353,8 @@ impl Daemon {
                 message: e.message,
             },
         };
-        self.inner.service_series[kind_index].record_duration(metrics.clock().now() - start);
-        metrics.trace(TraceEventKind::ReqEnd, kind, req_id, 0);
+        self.inner.service_series[kind as usize].record_duration(metrics.clock().now() - start);
+        metrics.trace(TraceEventKind::ReqEnd, kind.name(), req_id, 0);
         resp
     }
 
@@ -901,36 +850,36 @@ mod tests {
     use super::*;
     use puddles_proto::PtrMapDecl;
 
-    /// One request of the named [`REQUEST_KINDS`] row. The inline kinds are
-    /// well-formed against `pool` (they are executed); the rest only have
-    /// to be of the right kind.
-    fn sample_request(kind: &str, pool: &PoolInfo) -> Request {
+    /// One request of kind `kind`. The inline kinds are well-formed against
+    /// `pool` (they are executed); the rest only have to be of the right
+    /// kind.
+    fn sample_request(kind: RequestKind, pool: &PoolInfo) -> Request {
         let creds = Credentials::current_process();
         let name = pool.name.clone();
         let id = pool.root_puddle;
         match kind {
-            "Hello" => Request::Hello {
+            RequestKind::Hello => Request::Hello {
                 creds,
                 reconnect: true,
             },
-            "Ping" => Request::Ping,
-            "CreatePuddle" => Request::CreatePuddle {
+            RequestKind::Ping => Request::Ping,
+            RequestKind::CreatePuddle => Request::CreatePuddle {
                 size: 1 << 20,
                 pool: Some(name),
                 purpose: PuddlePurpose::Data,
                 mode: 0o600,
             },
-            "GetPuddle" => Request::GetPuddle { id, writable: true },
-            "FreePuddle" => Request::FreePuddle { id },
-            "CreatePool" => Request::CreatePool {
+            RequestKind::GetPuddle => Request::GetPuddle { id, writable: true },
+            RequestKind::FreePuddle => Request::FreePuddle { id },
+            RequestKind::CreatePool => Request::CreatePool {
                 name,
                 root_size: 1 << 20,
                 mode: 0o600,
             },
-            "OpenPool" => Request::OpenPool { name },
-            "DropPool" => Request::DropPool { name },
-            "RegLogSpace" => Request::RegLogSpace { puddle: id },
-            "RegisterPtrMap" => Request::RegisterPtrMap {
+            RequestKind::OpenPool => Request::OpenPool { name },
+            RequestKind::DropPool => Request::DropPool { name },
+            RequestKind::RegLogSpace => Request::RegLogSpace { puddle: id },
+            RequestKind::RegisterPtrMap => Request::RegisterPtrMap {
                 decl: PtrMapDecl {
                     type_id: 7,
                     type_name: "lanes::Node".into(),
@@ -938,24 +887,23 @@ mod tests {
                     fields: Vec::new(),
                 },
             },
-            "GetPtrMaps" => Request::GetPtrMaps,
-            "ExportPool" => Request::ExportPool {
+            RequestKind::GetPtrMaps => Request::GetPtrMaps,
+            RequestKind::ExportPool => Request::ExportPool {
                 name,
                 dest: "/nonexistent".into(),
             },
-            "ImportPool" => Request::ImportPool {
+            RequestKind::ImportPool => Request::ImportPool {
                 src: "/nonexistent".into(),
                 new_name: name,
             },
-            "GetRelocation" => Request::GetRelocation { id },
-            "MarkRewritten" => Request::MarkRewritten { id },
-            "Recover" => Request::Recover,
-            "GetMetrics" => Request::GetMetrics,
-            other => panic!("no sample request for kind `{other}`: add one"),
+            RequestKind::GetRelocation => Request::GetRelocation { id },
+            RequestKind::MarkRewritten => Request::MarkRewritten { id },
+            RequestKind::Recover => Request::Recover,
+            RequestKind::GetMetrics => Request::GetMetrics,
         }
     }
 
-    /// `lane_of` against the whole request table: whatever it places on the
+    /// `lane_of` against every request kind: whatever it places on the
     /// reactor is handled without one WAL record or byte, so a request kind
     /// that commits cannot be inlined by accident.
     #[test]
@@ -974,33 +922,57 @@ mod tests {
             panic!("pool creation failed");
         };
         let mut inline = Vec::new();
-        for (index, (kind, _)) in REQUEST_KINDS.iter().enumerate() {
+        for kind in RequestKind::ALL {
             let req = sample_request(kind, &pool);
-            assert_eq!(request_kind_index(&req), index, "sample for {kind}");
-            if lane_of(&req) != Lane::Inline {
+            assert_eq!(req.kind(), kind, "sample for {kind:?}");
+            if lane_of(kind) != Lane::Inline {
                 continue;
             }
             let before = daemon.wal().stats();
             let resp = daemon.handle(creds, req);
-            assert!(!matches!(resp, Response::Error { .. }), "{kind}: {resp:?}");
+            assert!(
+                !matches!(resp, Response::Error { .. }),
+                "{kind:?}: {resp:?}"
+            );
             assert_eq!(
                 daemon.wal().stats(),
                 before,
-                "{kind} runs on the reactor but appended to the WAL"
+                "{kind:?} runs on the reactor but appended to the WAL"
             );
-            inline.push(*kind);
+            inline.push(kind);
         }
         assert_eq!(
             inline,
             [
-                "Hello",
-                "Ping",
-                "GetPuddle",
-                "OpenPool",
-                "GetPtrMaps",
-                "GetRelocation"
+                RequestKind::Hello,
+                RequestKind::GetPuddle,
+                RequestKind::OpenPool,
+                RequestKind::GetPtrMaps,
+                RequestKind::GetRelocation,
+                RequestKind::Ping,
             ]
         );
+    }
+
+    /// README's "What each request costs" table names every request kind
+    /// in its first column, and nothing else.
+    #[test]
+    fn the_readme_cost_table_names_every_request_kind() {
+        let readme = include_str!("../../../README.md");
+        let table = readme
+            .split_once("**What each request costs**")
+            .expect("README has the per-request cost table")
+            .1
+            .lines()
+            .skip_while(|line| !line.trim_start().starts_with('|'))
+            .take_while(|line| line.trim_start().starts_with('|'));
+        let mut named = std::collections::BTreeSet::new();
+        for row in table.skip(2) {
+            let first_cell = row.trim_start()[1..].split('|').next().unwrap();
+            named.extend(first_cell.split('`').skip(1).step_by(2));
+        }
+        let kinds = RequestKind::ALL.map(RequestKind::name);
+        assert_eq!(named, std::collections::BTreeSet::from(kinds));
     }
 
     /// No mode: the daemon reads its clock and never acts on it, so the
@@ -1023,11 +995,11 @@ mod tests {
             for i in 0..120u64 {
                 let pool = pools.first().cloned();
                 let req = match (rng.gen_range(0..6), pool) {
-                    (0, Some(pool)) => sample_request("CreatePuddle", &pool),
-                    (1, Some(pool)) => sample_request("OpenPool", &pool),
+                    (0, Some(pool)) => sample_request(RequestKind::CreatePuddle, &pool),
+                    (1, Some(pool)) => sample_request(RequestKind::OpenPool, &pool),
                     (2, Some(pool)) if pools.len() > 2 => {
                         pools.remove(0);
-                        sample_request("DropPool", &pool)
+                        sample_request(RequestKind::DropPool, &pool)
                     }
                     (3, _) => Request::RegisterPtrMap {
                         decl: PtrMapDecl {
@@ -1097,9 +1069,12 @@ mod tests {
             root_puddle: PuddleId(0),
             puddles: Vec::new(),
         };
-        for kind in ["CreatePool", "DropPool"] {
+        for kind in [RequestKind::CreatePool, RequestKind::DropPool] {
             let resp = daemon.handle(creds, sample_request(kind, &pool));
-            assert!(!matches!(resp, Response::Error { .. }), "{kind}: {resp:?}");
+            assert!(
+                !matches!(resp, Response::Error { .. }),
+                "{kind:?}: {resp:?}"
+            );
         }
         assert_eq!(stage_counts(), [1, 1]);
     }
@@ -1128,13 +1103,14 @@ mod tests {
             puddles: Vec::new(),
         };
         let pool_of = |name: &str, members: usize| {
-            let Response::Pool(pool) = call(sample_request("CreatePool", &named(name))) else {
+            let Response::Pool(pool) = call(sample_request(RequestKind::CreatePool, &named(name)))
+            else {
                 panic!("pool creation failed");
             };
             for _ in 1..members {
-                call(sample_request("CreatePuddle", &pool));
+                call(sample_request(RequestKind::CreatePuddle, &pool));
             }
-            let Response::Pool(pool) = call(sample_request("OpenPool", &pool)) else {
+            let Response::Pool(pool) = call(sample_request(RequestKind::OpenPool, &pool)) else {
                 panic!("pool open failed");
             };
             assert_eq!(pool.puddles.len(), members);
@@ -1163,25 +1139,36 @@ mod tests {
         let mut mutating = Vec::new();
         let mut wal_bytes = std::collections::BTreeMap::new();
         println!("| request | WAL records | group commits | WAL bytes |\n|---|---|---|---|");
-        for (kind, _) in REQUEST_KINDS.iter() {
-            let req = match *kind {
-                "FreePuddle" => Request::FreePuddle {
+        for kind in RequestKind::ALL {
+            use RequestKind as K;
+            let req = match kind {
+                K::FreePuddle => Request::FreePuddle {
                     id: lanes.puddles[7],
                 },
-                "CreatePool" => sample_request(kind, &named("fresh")),
-                "DropPool" => sample_request(kind, &doomed),
-                "RegLogSpace" => Request::RegLogSpace {
+                K::CreatePool => sample_request(kind, &named("fresh")),
+                K::DropPool => sample_request(kind, &doomed),
+                K::RegLogSpace => Request::RegLogSpace {
                     puddle: log_space.id,
                 },
-                "ExportPool" => Request::ExportPool {
+                K::ExportPool => Request::ExportPool {
                     name: lanes.name.clone(),
                     dest: dir("export-again"),
                 },
-                "ImportPool" => Request::ImportPool {
+                K::ImportPool => Request::ImportPool {
                     src: dir("export"),
                     new_name: "imported".into(),
                 },
-                _ => sample_request(kind, &lanes),
+                K::Hello
+                | K::Ping
+                | K::CreatePuddle
+                | K::GetPuddle
+                | K::OpenPool
+                | K::RegisterPtrMap
+                | K::GetPtrMaps
+                | K::GetRelocation
+                | K::MarkRewritten
+                | K::Recover
+                | K::GetMetrics => sample_request(kind, &lanes),
             };
             let before = (daemon.wal().stats(), flushes.snapshot().count);
             call(req);
@@ -1191,26 +1178,27 @@ mod tests {
                 after.bytes - before.0.bytes,
             );
             let commits = flushes.snapshot().count - before.1;
-            println!("| `{kind}` | {records} | {commits} | {bytes} |");
-            assert_eq!(records, commits, "{kind}: one group commit per record");
-            assert!(records <= 1, "{kind} appended {records} records");
+            let name = kind.name();
+            println!("| `{name}` | {records} | {commits} | {bytes} |");
+            assert_eq!(records, commits, "{name}: one group commit per record");
+            assert!(records <= 1, "{name} appended {records} records");
             if records == 1 {
-                assert_ne!(lane_of(&sample_request(kind, &lanes)), Lane::Inline);
-                mutating.push(*kind);
-                wal_bytes.insert(*kind, bytes);
+                assert_ne!(lane_of(kind), Lane::Inline);
+                mutating.push(kind);
+                wal_bytes.insert(name, bytes);
             }
         }
         assert_eq!(
             mutating,
             [
-                "CreatePuddle",
-                "FreePuddle",
-                "CreatePool",
-                "DropPool",
-                "RegLogSpace",
-                "RegisterPtrMap",
-                "ImportPool",
-                "MarkRewritten"
+                RequestKind::CreatePuddle,
+                RequestKind::FreePuddle,
+                RequestKind::CreatePool,
+                RequestKind::DropPool,
+                RequestKind::RegLogSpace,
+                RequestKind::RegisterPtrMap,
+                RequestKind::ImportPool,
+                RequestKind::MarkRewritten,
             ]
         );
         // A record holds what the tables do not imply, so these are fixed

@@ -843,7 +843,11 @@ fn a_retried_wal_write_counts_in_the_hub_the_daemon_was_given() {
     // the seed whose first WAL write fails and whose retry goes through.
     let drawn = |seed| {
         let probe = FaultPlan::new(seed, profile);
-        [0, 1].map(|_| probe.on_write(FaultSite::WalWrite, 64))
+        [0, 1].map(|_| {
+            probe
+                .on_write(FaultSite::WalWrite, 64)
+                .map(|(_, fault)| fault)
+        })
     };
     let seed = (0..)
         .find(|seed| drawn(*seed) == [Some(WriteFault::Eio), None])
@@ -884,6 +888,83 @@ fn a_retried_wal_write_counts_in_the_hub_the_daemon_was_given() {
     assert_eq!(
         counters(&daemon, ["io.retries"]),
         [counter("io.retries").unwrap()]
+    );
+}
+
+/// Every fault the plan injects into a daemon is a `fault` event in the
+/// daemon's hub: the same sites in the same order as the plan's own trace,
+/// each with the occurrence number its `site#n` line names (0 for a crash
+/// point).
+#[test]
+fn every_injected_fault_is_traced_in_the_hub_the_daemon_was_given() {
+    use puddles_pmem::clock::Clock;
+    use puddles_pmem::faultio::{CrashPoint, FaultPlan, FaultProfile};
+    use puddles_pmem::obs::Metrics;
+    let profile = FaultProfile {
+        write_eio_ppm: 1_000_000,
+        ..FaultProfile::default()
+    };
+    let plan = FaultPlan::new(11, profile);
+    plan.set_enabled(false);
+    let hub = Metrics::new(Clock::real());
+    let tmp = tempfile::tempdir().unwrap();
+    let config = DaemonConfig::for_testing(tmp.path())
+        .with_fault_plan(plan.clone())
+        .with_metrics(hub.clone());
+    let daemon = Daemon::start(config).unwrap();
+
+    plan.set_enabled(true);
+    // Every write fails, through the whole retry budget...
+    let create = Request::CreatePool {
+        name: "faulted".into(),
+        root_size: 1 << 20,
+        mode: 0o600,
+    };
+    let resp = daemon.handle(USER_A, create);
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    // ...and an armed crash fires before the WAL write it tears.
+    plan.arm_crash(CrashPoint::WalAppendTorn, 0);
+    let register = Request::RegisterPtrMap {
+        decl: puddles_proto::PtrMapDecl {
+            type_id: 1,
+            type_name: "faulted".into(),
+            size: 8,
+            fields: Vec::new(),
+        },
+    };
+    let resp = daemon.handle(USER_A, register);
+    assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+
+    // `site#n: what`, or `point: crash`.
+    let from_plan: Vec<(String, u64)> = plan
+        .trace()
+        .iter()
+        .map(|line| {
+            let (site, _) = line.split_once(": ").unwrap();
+            match site.split_once('#') {
+                Some((site, n)) => (site.to_string(), n.parse().unwrap()),
+                None => (site.to_string(), 0),
+            }
+        })
+        .collect();
+    // `#<seq> t=<nanos> fault <site> a=<n> b=0`.
+    let from_hub: Vec<(String, u64)> = hub
+        .trace_dump()
+        .iter()
+        .filter_map(|line| {
+            let mut words = line.split(' ').skip(2);
+            (words.next() == Some("fault")).then(|| {
+                let site = words.next().unwrap().to_string();
+                let n = words.next().unwrap().strip_prefix("a=").unwrap();
+                (site, n.parse().unwrap())
+            })
+        })
+        .collect();
+    assert_eq!(from_hub, from_plan);
+    let crash = ("wal.append.torn".to_string(), 0);
+    assert!(
+        from_plan.len() > puddles_pmem::faultio::MAX_IO_RETRIES && from_plan.last() == Some(&crash),
+        "{from_plan:?}"
     );
 }
 
